@@ -13,17 +13,34 @@ from itertools import count
 from typing import Iterator
 
 
-@dataclass(frozen=True, slots=True, order=True)
+@dataclass(frozen=True, order=True)
 class NodeId:
     """A reachable node identity: ``(host, port)``.
 
     In simulations the host is synthetic (``"node-17"``); in the asyncio
     runtime it is a real address (``"127.0.0.1"``).  Equality and hashing
     are structural, so the same identity built twice compares equal.
+
+    Every layer keys dicts and sets on identifiers (ten lookups per
+    simulated message), so the structural hash is computed once, at
+    construction, into the non-field ``_hash`` slot.  String hashes differ
+    per process: the cached value never enters a pickle — ``__reduce__``
+    rebuilds the identifier from its fields.
     """
+
+    __slots__ = ("host", "port", "_hash")
 
     host: str
     port: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.host, self.port)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return (NodeId, (self.host, self.port))
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{self.host}:{self.port}"
@@ -39,16 +56,28 @@ class NodeId:
         return cls(str(host), int(port))
 
 
-@dataclass(frozen=True, slots=True, order=True)
+@dataclass(frozen=True, order=True)
 class MessageId:
     """Globally unique broadcast identifier: origin plus per-origin sequence.
 
     Gossip deduplication (Section 2.5 of the paper: a node forwards a message
-    only the first time it receives it) keys on this identifier.
+    only the first time it receives it) keys on this identifier.  Its hash
+    is cached like :class:`NodeId`'s (and computed from the origin's cached one).
     """
+
+    __slots__ = ("origin", "sequence", "_hash")
 
     origin: NodeId
     sequence: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.origin, self.sequence)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return (MessageId, (self.origin, self.sequence))
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{self.origin}#{self.sequence}"

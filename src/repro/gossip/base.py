@@ -44,6 +44,8 @@ class BroadcastLayer(ABC):
         seen_capacity: Optional[int] = None,
     ) -> None:
         self._host = host
+        #: This node's identity — read on every reception, so held directly.
+        self.address: NodeId = host.address
         self._membership = membership
         self._tracker = tracker
         self._on_deliver = on_deliver
@@ -62,10 +64,6 @@ class BroadcastLayer(ABC):
     # Public surface
     # ------------------------------------------------------------------
     @property
-    def address(self) -> NodeId:
-        return self._host.address
-
-    @property
     def membership(self) -> PeerSamplingService:
         return self._membership
 
@@ -83,16 +81,15 @@ class BroadcastLayer(ABC):
         return message_id
 
     def handle_gossip(self, message: GossipData) -> None:
-        if message.message_id in self._seen:
+        message_id = message.message_id
+        if message_id in self._seen:
             self.duplicate_count += 1
             if self._tracker is not None:
-                self._tracker.on_redundant(message.message_id, self.address)
+                self._tracker.on_redundant(message_id, self.address)
             return
-        self._mark_seen(message.message_id)
-        self._deliver(message.message_id, message.payload, message.hops)
-        self._forward(
-            message.message_id, message.payload, message.hops + 1, exclude=(message.sender,)
-        )
+        self._mark_seen(message_id)
+        self._deliver(message_id, message.payload, message.hops)
+        self._forward(message_id, message.payload, message.hops + 1, exclude=(message.sender,))
 
     def has_delivered(self, message_id: MessageId) -> bool:
         return message_id in self._seen

@@ -73,8 +73,11 @@ class FloodBroadcast(BroadcastLayer):
         if not targets:
             return
         message = GossipData(message_id, payload, hops, self.address)
+        # Bound once per fan-out rather than looked up through Host per copy.
+        send = self._host.transport.send
+        on_failure = self._on_send_failure
         for target in targets:
-            self._host.send(target, message, on_failure=self._on_send_failure)
+            send(target, message, on_failure)
         self._record_transmissions(message_id, len(targets))
 
     # ------------------------------------------------------------------

@@ -85,6 +85,7 @@ _TRANSPORT_COUNTERS = (
     "frames_sent",
     "frames_received",
     "frames_stale",
+    "frames_malformed",
     "stale_handshakes",
     "frames_overflow",
     "frames_rejected",

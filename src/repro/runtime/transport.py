@@ -136,6 +136,10 @@ class AsyncioTransport(Transport):
         self.frames_stale = 0
         #: Inbound handshakes rejected for claiming an outdated epoch.
         self.stale_handshakes = 0
+        #: Inbound lines dropped unread: over the stream's line limit, not
+        #: JSON, or not a decodable message.  An oversize line may count
+        #: twice (its tail resyncs as a line of its own).
+        self.frames_malformed = 0
         #: Frames rejected because the destination's outbox was full.
         self.frames_overflow = 0
         #: Frames rejected by :attr:`send_guard` before reaching the network.
@@ -245,10 +249,12 @@ class AsyncioTransport(Transport):
         for connection in list(self._connections.values()):
             self._close_connection(connection, notify=False)
         self._connections.clear()
-        for task in list(self._background):
+        # Dials run outside _background (several sends share one, shielded).
+        tasks = [*self._background, *self._connecting.values()]
+        for task in tasks:
             task.cancel()
-        if self._background:
-            await asyncio.gather(*self._background, return_exceptions=True)
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
         self._background.clear()
 
     # ------------------------------------------------------------------
@@ -372,12 +378,17 @@ class AsyncioTransport(Transport):
             asyncio.open_connection(dst.host, dst.port), timeout=self._connect_timeout
         )
         hello = json.dumps({"hello": self._local.to_wire(), "epoch": self._epoch}) + "\n"
-        writer.write(hello.encode("utf-8"))
-        await writer.drain()
+        try:
+            writer.write(hello.encode("utf-8"))
+            await writer.drain()
+        except BaseException:  # includes cancellation by close()
+            writer.close()
+            raise
         # The peer's epoch arrives in its reply hello — the first frame it
         # writes — and is applied by the read loop.
         connection = _Connection(dst, reader, writer)
-        self._register(connection)
+        if not self._register(connection):
+            raise ConnectionError(f"transport closed while dialing {dst}")
         return connection
 
     # ------------------------------------------------------------------
@@ -428,7 +439,14 @@ class AsyncioTransport(Transport):
             pooled.closed = True
             pooled.writer.close()
 
-    def _register(self, connection: _Connection) -> None:
+    def _register(self, connection: _Connection) -> bool:
+        """Pool ``connection`` and start its reader; refused (and the socket
+        closed) once :meth:`close` has begun — a handshake finishing after
+        that would start a reader task nobody is left to cancel."""
+        if self._closing:
+            connection.closed = True
+            connection.writer.close()
+            return False
         previous = self._connections.get(connection.peer)
         self._connections[connection.peer] = connection
         if previous is not None and previous is not connection:
@@ -437,16 +455,25 @@ class AsyncioTransport(Transport):
             previous.closed = True
             previous.writer.close()
         connection.reader_task = self._spawn(self._read_loop(connection))
+        return True
 
     async def _read_loop(self, connection: _Connection) -> None:
         try:
             while True:
-                line = await connection.reader.readline()
+                try:
+                    line = await connection.reader.readline()
+                except ValueError:
+                    # A line over the stream's limit (64 KiB).  readline has
+                    # discarded what it buffered; reading resumes after the
+                    # next newline.  The sender is wrong, not gone.
+                    self.frames_malformed += 1
+                    continue
                 if not line:
                     break
                 try:
                     payload = json.loads(line)
-                except json.JSONDecodeError:
+                except ValueError:  # not JSON, or not UTF-8
+                    self.frames_malformed += 1
                     continue  # corrupt frame: drop, keep the connection
                 if isinstance(payload, dict) and "hello" in payload:
                     # The acceptor's reply hello on a dialed connection:
@@ -454,6 +481,7 @@ class AsyncioTransport(Transport):
                     try:
                         connection.epoch = int(payload.get("epoch", 0))
                     except (TypeError, ValueError):
+                        self.frames_malformed += 1
                         continue
                     self._note_epoch(connection.peer, connection.epoch)
                     continue
@@ -468,6 +496,7 @@ class AsyncioTransport(Transport):
                 try:
                     message = decode_message(payload)
                 except CodecError:
+                    self.frames_malformed += 1
                     continue
                 self.frames_received += 1
                 if self.trace is not None:

@@ -8,9 +8,8 @@ execute after the failure was injected, which no real crashed process
 could do.
 
 The clock goes through the ``Kernel`` interface rather than reaching into
-engine internals: on a single-shard kernel it pre-binds the concrete
-``schedule`` method (the historical fast path — two attribute hops saved
-per timer), and on a shard-routed kernel it uses the owner-qualified
+engine internals: on a single-shard kernel it calls the concrete
+``schedule`` method, and on a shard-routed kernel the owner-qualified
 ``schedule_for`` so the timer lands on the shard that owns this node.
 
 The clock stores plain object references (no closures) so that a stabilised
@@ -38,10 +37,11 @@ class SimClock(Clock):
     def __init__(self, network: "Network", node_id: NodeId) -> None:
         self._network = network
         self._node_id = node_id
-        # Timer scheduling is hot under ack/retransmit-heavy protocols;
-        # the pre-bound method skips two attribute hops per timer.  Bound
-        # methods pickle by reference, so freezing stays compact.  The
-        # fast path is only taken when the kernel is not shard-routed.
+        # Timer scheduling is hot under ack/retransmit-heavy protocols (a
+        # timer per copy), so the kernel's method is held pre-bound and the
+        # routed variant is chosen here, once, not per timer.  The price is
+        # a bound-method object per node, in memory and (by reference) in
+        # every snapshot blob.
         engine = network.engine
         self._engine_schedule = engine.schedule
         self._schedule_for: Optional[Callable] = (

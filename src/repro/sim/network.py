@@ -30,9 +30,16 @@ transport assumptions:
   Byzantine broadcast layer (:mod:`repro.gossip.byzantine`) is measured
   against.
 
-All fault hooks are strictly pay-for-what-you-use: with no rules, no
-adversaries and no Byzantine senders installed the send path performs the
-exact same RNG draws and event posts as before they existed, so empty
+All hooks are strictly pay-for-what-you-use, and the price is one flag:
+``Network._hooked`` is true while a trace sink, link rule, partition,
+adversary, Byzantine sender, collusion set or shard-routed kernel is
+installed.  ``send`` and ``_deliver`` test it once each; unhooked, a message
+is a straight line — count, ``latency.delay``, liveness, loss draw, ``post``,
+then liveness again and the handler.  Every mutator that installs or removes
+a hook (the ``trace`` setter, ``set_*``/``add_link_rule``, ``clear_*``,
+``recover``, lazy link-rule expiry) recomputes the flag, and delivery reads
+it afresh, so a frame in flight when a hook arrives still meets it.  Either
+way the path makes the same RNG draws and event posts: inert hooks and empty
 fault plans leave artifacts byte-identical.
 """
 
@@ -77,46 +84,22 @@ class NetworkStats:
         "send_failures",
         "probes_ok",
         "probes_failed",
-        "messages_by_type",
+        "messages_by_type",  # last: every slot before it is an integer counter
     )
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
-        self.sent = 0
-        self.delivered = 0
-        self.dropped_loss = 0
-        self.dropped_dead = 0
-        self.dropped_fault = 0
-        self.duplicated_fault = 0
-        self.dropped_adversary = 0
-        self.dropped_collusion = 0
-        self.mutated_byz = 0
-        self.equivocated_byz = 0
-        self.send_failures = 0
-        self.probes_ok = 0
-        self.probes_failed = 0
+        for name in self.__slots__[:-1]:
+            setattr(self, name, 0)
         self.messages_by_type: Counter = Counter()
 
     def snapshot(self) -> dict:
         """A plain-dict copy, convenient for asserting deltas in tests."""
-        return {
-            "sent": self.sent,
-            "delivered": self.delivered,
-            "dropped_loss": self.dropped_loss,
-            "dropped_dead": self.dropped_dead,
-            "dropped_fault": self.dropped_fault,
-            "duplicated_fault": self.duplicated_fault,
-            "dropped_adversary": self.dropped_adversary,
-            "dropped_collusion": self.dropped_collusion,
-            "mutated_byz": self.mutated_byz,
-            "equivocated_byz": self.equivocated_byz,
-            "send_failures": self.send_failures,
-            "probes_ok": self.probes_ok,
-            "probes_failed": self.probes_failed,
-            "messages_by_type": dict(self.messages_by_type),
-        }
+        counts = {name: getattr(self, name) for name in self.__slots__}
+        counts["messages_by_type"] = dict(self.messages_by_type)
+        return counts
 
 
 class LinkFaultRule:
@@ -239,17 +222,17 @@ class Network:
         seeds = seeds if seeds is not None else SeedSequence(0)
         self.seeds = seeds
         self._rng: random.Random = seeds.stream("network")
-        # Deliveries ride the engine's handle-free post fast path; the
-        # pre-bound method drops two attribute hops from every send.  On a
-        # shard-routed kernel every event additionally names the node that
-        # consumes it, so the kernel can hand it to the owning shard —
-        # `_post_for` stays None on single-shard kernels and each call
-        # site branches on it (one attribute load + `is None`, cheaper
-        # than an extra call frame on the hot path).
+        # Deliveries ride the engine's handle-free post fast path, pre-bound.
+        # `_post_for` also names the node that consumes the event, so a
+        # shard-routed kernel can hand it to the owning shard (others discard
+        # the owner); everything but the unhooked send posts through it.
         self._post = engine.post
-        self._post_for = engine.post_for if engine.routed else None
+        self._post_for = engine.post_for
         self._nodes: dict[NodeId, "SimNode"] = {}
-        self._alive: set[NodeId] = set()
+        # Live nodes, each with its own type -> handler table (shared, not
+        # copied): one lookup at delivery answers "alive?" and dispatches
+        # without a SimNode.deliver frame.
+        self._alive: dict[NodeId, dict[type, Callable[[Message], None]]] = {}
         self._partition: Optional[dict[NodeId, int]] = None
         # Fault-injection hooks (repro.faults): active link-degradation
         # rules, receiver-side adversary filters, and the RNG stream the
@@ -265,7 +248,25 @@ class Network:
         # registry behind Transport.watch (see module docstring).
         self._watchers: dict[NodeId, dict[NodeId, Callable[[NodeId], None]]] = {}
         self.stats = NetworkStats()
-        self.trace: Optional[EventTrace] = None
+        self._trace: Optional[EventTrace] = None
+        self._hooked = engine.routed
+
+    def _rehook(self) -> None:
+        """Recompute the flag ``send``/``_deliver`` test (module docstring)."""
+        faults = self._link_rules or self._adversaries or self._byzantine or self._collusion_drops
+        self._hooked = bool(
+            faults or self.engine.routed or self._trace is not None or self._partition is not None
+        )
+
+    @property
+    def trace(self) -> Optional[EventTrace]:
+        """The sink every send, drop and delivery is recorded into."""
+        return self._trace
+
+    @trace.setter
+    def trace(self, sink: Optional[EventTrace]) -> None:
+        self._trace = sink
+        self._rehook()
 
     # ------------------------------------------------------------------
     # Node registry and liveness
@@ -275,7 +276,7 @@ class Network:
         if node.node_id in self._nodes:
             raise SimulationError(f"duplicate node id: {node.node_id}")
         self._nodes[node.node_id] = node
-        self._alive.add(node.node_id)
+        self._alive[node.node_id] = node._handlers
 
     def node(self, node_id: NodeId) -> "SimNode":
         try:
@@ -304,17 +305,12 @@ class Network:
         crashed process's neighbours observe."""
         if node_id not in self._nodes:
             raise UnknownNodeError(f"unknown node: {node_id}")
-        self._alive.discard(node_id)
+        self._alive.pop(node_id, None)
         watchers = self._watchers.pop(node_id, None)
         if watchers:
             for watcher, callback in watchers.items():
                 delay = self.latency.delay(node_id, watcher, self._rng)
-                if self._post_for is None:
-                    self._post(delay, self._notify_link_down, watcher, node_id, callback)
-                else:
-                    self._post_for(
-                        watcher, delay, self._notify_link_down, watcher, node_id, callback
-                    )
+                self._post_for(watcher, delay, self._notify_link_down, watcher, node_id, callback)
         # The crashed node's own held connections die with it: purge its
         # outgoing watch registrations so a later revived incarnation never
         # receives callbacks wired to the dead protocol instance.
@@ -334,18 +330,17 @@ class Network:
         The node's protocol state is *not* restored to anything useful — a
         recovered process must rejoin the overlay, exactly as a restarted
         real process would.  The experiment harness performs the rejoin.
-        An adversary registration dies with the old process: the restarted
-        incarnation is honest until a plan corrupts it again (matching the
-        live substrate, where a restart spawns a fresh RuntimeNode).
+        Adversary and Byzantine registrations die with the old process: the
+        restarted incarnation is honest until a plan corrupts it again (as on
+        the live substrate, where a restart spawns a fresh RuntimeNode).
         """
         if node_id not in self._nodes:
             raise UnknownNodeError(f"unknown node: {node_id}")
-        self._alive.add(node_id)
+        self._alive[node_id] = self._nodes[node_id]._handlers
         self._adversaries.pop(node_id, None)
-        # Byzantine registrations die with the old process too: the
-        # restarted incarnation is honest until a plan corrupts it again.
         self._byzantine.pop(node_id, None)
         self._collusion_drops.pop(node_id, None)
+        self._rehook()
 
     # ------------------------------------------------------------------
     # Partitions
@@ -362,9 +357,11 @@ class Network:
                     raise SimulationError(f"node in two partition groups: {node_id}")
                 mapping[node_id] = index
         self._partition = mapping
+        self._rehook()
 
     def clear_partitions(self) -> None:
         self._partition = None
+        self._rehook()
 
     # ------------------------------------------------------------------
     # Fault injection (repro.faults)
@@ -379,9 +376,11 @@ class Network:
         if self._fault_rng is None:
             self._fault_rng = self.seeds.stream("network/faults")
         self._link_rules.append(rule)
+        self._rehook()
 
     def clear_link_rules(self) -> None:
         self._link_rules.clear()
+        self._rehook()
 
     @property
     def link_rules(self) -> Sequence[LinkFaultRule]:
@@ -402,9 +401,11 @@ class Network:
             self._adversaries[node_id] = drops
         else:
             self._adversaries.pop(node_id, None)
+        self._rehook()
 
     def clear_adversaries(self) -> None:
         self._adversaries.clear()
+        self._rehook()
 
     @property
     def adversaries(self) -> dict[NodeId, frozenset[str]]:
@@ -423,10 +424,11 @@ class Network:
             raise UnknownNodeError(f"unknown node: {node_id}")
         if behavior is None:
             self._byzantine.pop(node_id, None)
-            return
-        if self._fault_rng is None:
-            self._fault_rng = self.seeds.stream("network/faults")
-        self._byzantine[node_id] = behavior
+        else:
+            if self._fault_rng is None:
+                self._fault_rng = self.seeds.stream("network/faults")
+            self._byzantine[node_id] = behavior
+        self._rehook()
 
     def set_collusion(
         self,
@@ -458,12 +460,14 @@ class Network:
                 )
             if drops:
                 self._collusion_drops[node_id] = (drops, spared)
+        self._rehook()
 
     def clear_collusion(self, members: Iterable[NodeId]) -> None:
         """Restore honesty for ``members`` (both collusion dimensions)."""
         for node_id in members:
             self._byzantine.pop(node_id, None)
             self._collusion_drops.pop(node_id, None)
+        self._rehook()
 
     def byzantine_ids(self) -> set[NodeId]:
         """Nodes currently running a corruption or collusion policy."""
@@ -507,6 +511,7 @@ class Network:
                 for rule in self._link_rules
                 if rule.until is None or now < rule.until
             ]
+            self._rehook()
         return delay, dropped, duplicates
 
     def _corrupt(self, src: NodeId, dst: NodeId, message: Message) -> Message:
@@ -532,8 +537,8 @@ class Network:
             key = f"byz/{src.host}:{src.port}/{getattr(message, 'message_id', message)}"
             token = int.from_bytes(hashlib.sha256(key.encode()).digest()[:4], "big")
             self.stats.mutated_byz += 1
-        if self.trace is not None:
-            self.trace.record(self.engine.now, "mutate-byz", src, dst, message)
+        if self._trace is not None:
+            self._trace.record(self.engine.now, "mutate-byz", src, dst, message)
         if hasattr(message, "payload"):
             return dataclasses.replace(message, payload=("byz", token))
         if hasattr(message, "digest"):
@@ -548,8 +553,8 @@ class Network:
         if src in spared or type(message).__name__ not in drops:
             return False
         self.stats.dropped_collusion += 1
-        if self.trace is not None:
-            self.trace.record(self.engine.now, "drop-collusion", src, dst, message)
+        if self._trace is not None:
+            self._trace.record(self.engine.now, "drop-collusion", src, dst, message)
         return True
 
     def _adversary_drops(self, dst: NodeId, message: Message) -> bool:
@@ -557,8 +562,8 @@ class Network:
         if drops is None or type(message).__name__ not in drops:
             return False
         self.stats.dropped_adversary += 1
-        if self.trace is not None:
-            self.trace.record(self.engine.now, "drop-adversary", dst, dst, message)
+        if self._trace is not None:
+            self._trace.record(self.engine.now, "drop-adversary", dst, dst, message)
         return True
 
     def reachable(self, src: NodeId, dst: NodeId) -> bool:
@@ -592,60 +597,60 @@ class Network:
         stats = self.stats
         stats.sent += 1
         stats.messages_by_type[type(message).__name__] += 1
-        if self.trace is not None:
-            self.trace.record(self.engine.now, "send", src, dst, message)
+        if not self._hooked:
+            # The straight line (see the module docstring).
+            delay = self.latency.delay(src, dst, self._rng)
+            if on_failure is not None:
+                if dst in self._alive:
+                    self._post(delay, self._deliver, src, dst, message, on_failure)
+                else:
+                    self._post(delay, self._notify_failure, src, dst, message, on_failure)
+            elif dst not in self._alive:
+                stats.dropped_dead += 1
+            elif self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
+                stats.dropped_loss += 1
+            else:
+                self._post(delay, self._deliver, src, dst, message)
+            return
+        trace = self._trace
+        if trace is not None:
+            trace.record(self.engine.now, "send", src, dst, message)
         if self._byzantine:
             message = self._corrupt(src, dst, message)
         delay = self.latency.delay(src, dst, self._rng)
         duplicates = 0
         if self._link_rules:
-            delay, dropped, duplicates = self._degrade(
-                src, dst, delay, on_failure is not None
-            )
+            delay, dropped, duplicates = self._degrade(src, dst, delay, on_failure is not None)
             if dropped:
                 stats.dropped_fault += 1
-                if self.trace is not None:
-                    self.trace.record(self.engine.now, "drop-fault", src, dst, message)
+                if trace is not None:
+                    trace.record(self.engine.now, "drop-fault", src, dst, message)
                 return
         post_for = self._post_for
         if on_failure is not None:
             if self.reachable(src, dst):
-                if post_for is None:
-                    self._post(delay, self._deliver_reliable, src, dst, message, on_failure)
-                else:
-                    # Deliveries belong to the destination's shard.
-                    post_for(dst, delay, self._deliver_reliable, src, dst, message, on_failure)
+                # Deliveries belong to the destination's shard.
+                post_for(dst, delay, self._deliver, src, dst, message, on_failure)
             else:
                 # TCP reset / connect failure: the sender learns after one
-                # network delay that the peer is gone.
-                if post_for is None:
-                    self._post(delay, self._notify_failure, src, dst, message, on_failure)
-                else:
-                    # Failure notifications run on the *sender's* shard.
-                    post_for(src, delay, self._notify_failure, src, dst, message, on_failure)
+                # network delay that the peer is gone (on the *sender's* shard).
+                post_for(src, delay, self._notify_failure, src, dst, message, on_failure)
             return
         if not self.reachable(src, dst):
             stats.dropped_dead += 1
-            if self.trace is not None:
-                self.trace.record(self.engine.now, "drop-dead", src, dst, message)
+            if trace is not None:
+                trace.record(self.engine.now, "drop-dead", src, dst, message)
             return
         if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
             stats.dropped_loss += 1
-            if self.trace is not None:
-                self.trace.record(self.engine.now, "drop-loss", src, dst, message)
+            if trace is not None:
+                trace.record(self.engine.now, "drop-loss", src, dst, message)
             return
-        if post_for is None:
-            self._post(delay, self._deliver, src, dst, message)
-            for _ in range(duplicates):
-                stats.duplicated_fault += 1
-                extra = delay * (1.0 + self._fault_rng.random())
-                self._post(extra, self._deliver, src, dst, message)
-        else:
-            post_for(dst, delay, self._deliver, src, dst, message)
-            for _ in range(duplicates):
-                stats.duplicated_fault += 1
-                extra = delay * (1.0 + self._fault_rng.random())
-                post_for(dst, extra, self._deliver, src, dst, message)
+        post_for(dst, delay, self._deliver, src, dst, message)
+        for _ in range(duplicates):
+            stats.duplicated_fault += 1
+            extra = delay * (1.0 + self._fault_rng.random())
+            post_for(dst, extra, self._deliver, src, dst, message)
 
     def watch(self, src: NodeId, dst: NodeId, on_down: Callable[[NodeId], None]) -> None:
         """``src`` holds an open connection to ``dst`` (Transport.watch).
@@ -655,10 +660,7 @@ class Network:
         """
         if dst not in self._alive:
             delay = self.latency.delay(dst, src, self._rng)
-            if self._post_for is None:
-                self._post(delay, self._notify_link_down, src, dst, on_down)
-            else:
-                self._post_for(src, delay, self._notify_link_down, src, dst, on_down)
+            self._post_for(src, delay, self._notify_link_down, src, dst, on_down)
             return
         self._watchers.setdefault(dst, {})[src] = on_down
 
@@ -674,62 +676,57 @@ class Network:
     ) -> None:
         if watcher not in self._alive:
             return
-        if self.trace is not None:
-            self.trace.record(self.engine.now, "link-down", peer, watcher, None)
+        if self._trace is not None:
+            self._trace.record(self.engine.now, "link-down", peer, watcher, None)
         callback(peer)
 
     def probe(self, src: NodeId, dst: NodeId, on_result: ProbeCallback) -> None:
         """Connection attempt: the result arrives after one round trip."""
         rtt = 2 * self.latency.delay(src, dst, self._rng)
         ok = self.reachable(src, dst)
-        if self.trace is not None:
-            self.trace.record(self.engine.now, "probe", src, dst, None)
-        if self._post_for is None:
-            self._post(rtt, self._probe_result, src, dst, ok, on_result)
-        else:
-            # The probe outcome is consumed by the prober.
-            self._post_for(src, rtt, self._probe_result, src, dst, ok, on_result)
+        if self._trace is not None:
+            self._trace.record(self.engine.now, "probe", src, dst, None)
+        # The probe outcome is consumed by the prober.
+        self._post_for(src, rtt, self._probe_result, src, dst, ok, on_result)
 
     # ------------------------------------------------------------------
     # Internal delivery machinery
     # ------------------------------------------------------------------
-    def _deliver(self, src: NodeId, dst: NodeId, message: Message) -> None:
-        if dst not in self._alive:
-            self.stats.dropped_dead += 1
-            if self.trace is not None:
-                self.trace.record(self.engine.now, "drop-dead", src, dst, message)
-            return
-        if self._adversaries and self._adversary_drops(dst, message):
-            return
-        if self._collusion_drops and self._collusion_blocks(src, dst, message):
-            return
-        self.stats.delivered += 1
-        if self.trace is not None:
-            self.trace.record(self.engine.now, "deliver", src, dst, message)
-        self._nodes[dst].deliver(message)
-
-    def _deliver_reliable(
+    def _deliver(
         self,
         src: NodeId,
         dst: NodeId,
         message: Message,
-        on_failure: FailureCallback,
+        on_failure: Optional[FailureCallback] = None,
     ) -> None:
-        if dst not in self._alive:
-            # The peer died while the message was in flight; TCP surfaces
-            # this to the sender as a reset.
-            self._notify_failure(src, dst, message, on_failure)
+        """One frame arrives (reliable when ``on_failure`` is given): liveness
+        and hooks are checked now, whatever was installed when it was sent."""
+        handlers = self._alive.get(dst)
+        if handlers is None:
+            if on_failure is not None:
+                # The peer died while the message was in flight; TCP
+                # surfaces this to the sender as a reset.
+                self._notify_failure(src, dst, message, on_failure)
+            else:
+                self.stats.dropped_dead += 1
+                if self._trace is not None:
+                    self._trace.record(self.engine.now, "drop-dead", src, dst, message)
             return
-        if self._adversaries and self._adversary_drops(dst, message):
-            # The adversary accepted the frame over TCP and ignored it:
-            # the sender observes a *successful* send.
-            return
-        if self._collusion_drops and self._collusion_blocks(src, dst, message):
-            return
+        if self._hooked:
+            # An adversary accepts a reliable frame over TCP and ignores
+            # it: the sender observes a *successful* send.
+            if self._adversaries and self._adversary_drops(dst, message):
+                return
+            if self._collusion_drops and self._collusion_blocks(src, dst, message):
+                return
+            if self._trace is not None:
+                self._trace.record(self.engine.now, "deliver", src, dst, message)
         self.stats.delivered += 1
-        if self.trace is not None:
-            self.trace.record(self.engine.now, "deliver", src, dst, message)
-        self._nodes[dst].deliver(message)
+        handler = handlers.get(type(message))
+        if handler is None:
+            self._nodes[dst].deliver(message)  # counts it as unhandled
+        else:
+            handler(message)
 
     def _notify_failure(
         self,
@@ -741,8 +738,8 @@ class Network:
         if src not in self._alive:
             return  # a crashed sender observes nothing
         self.stats.send_failures += 1
-        if self.trace is not None:
-            self.trace.record(self.engine.now, "send-failure", src, dst, message)
+        if self._trace is not None:
+            self._trace.record(self.engine.now, "send-failure", src, dst, message)
         on_failure(dst, message)
 
     def _probe_result(self, src: NodeId, dst: NodeId, ok: bool, on_result: ProbeCallback) -> None:

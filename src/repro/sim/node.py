@@ -120,7 +120,11 @@ class SimNode:
         self._handlers[message_type] = handler
 
     def deliver(self, message: Message) -> None:
-        """Called by the network with an incoming message (node is alive)."""
+        """Dispatch one incoming message to its handler (node is alive).
+
+        The network's own deliveries go through the handler table directly
+        (it shares ``_handlers``) and land here only for an unhandled type.
+        """
         handler = self._handlers.get(type(message))
         if handler is None:
             # A message for a protocol this node does not run (e.g. late

@@ -1,10 +1,21 @@
 """Unit tests for node and message identifiers."""
 
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
 from repro.common.ids import MessageId, NodeId, SequenceGenerator, simulated_node_ids
+from repro.common.messages import decode_message, encode_message
+from repro.experiments.reporting import json_safe
+from repro.gossip.messages import GossipData
 
 
 class TestNodeId:
@@ -78,3 +89,68 @@ class TestSequenceGenerator:
     def test_start_offset(self):
         gen = SequenceGenerator(NodeId("a", 1), start=100)
         assert gen.next_id().sequence == 100
+
+
+class TestCachedHashContract:
+    """The hash is computed once at construction; nothing else may show."""
+
+    NODE = NodeId("node-7", 10007)
+    MESSAGE = MessageId(NODE, 1 << 33)
+
+    def test_hash_is_the_structural_hash(self):
+        assert hash(self.NODE) == hash(("node-7", 10007))
+        assert hash(self.MESSAGE) == hash((self.NODE, 1 << 33))
+        assert hash(MessageId(NodeId("node-7", 10007), 1 << 33)) == hash(self.MESSAGE)
+
+    def test_fields_are_exactly_what_they_were(self):
+        assert [f.name for f in dataclasses.fields(NodeId)] == ["host", "port"]
+        assert [f.name for f in dataclasses.fields(MessageId)] == ["origin", "sequence"]
+        assert json_safe(self.MESSAGE) == {
+            "origin": {"host": "node-7", "port": 10007},
+            "sequence": 1 << 33,
+        }
+        assert dataclasses.replace(self.NODE, port=1) == NodeId("node-7", 1)
+        assert hash(dataclasses.replace(self.NODE, port=1)) == hash(("node-7", 1))
+
+    def test_frozen_and_slotted(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.NODE.port = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.MESSAGE.sequence = 1
+        assert not hasattr(self.NODE, "__dict__")
+        assert not hasattr(self.MESSAGE, "__dict__")
+
+    def test_wire_codec_round_trip_carries_no_hash(self):
+        message = GossipData(self.MESSAGE, "payload", 2, self.NODE)
+        frame = encode_message(message)
+        assert "_hash" not in repr(frame)
+        assert decode_message(frame) == message
+
+    def test_pickle_rebuilds_the_hash_and_is_stable(self):
+        blob = pickle.dumps((self.NODE, self.MESSAGE), protocol=pickle.HIGHEST_PROTOCOL)
+        assert blob == pickle.dumps((self.NODE, self.MESSAGE), protocol=pickle.HIGHEST_PROTOCOL)
+        assert str(hash(self.NODE)).encode() not in blob
+        node, message = pickle.loads(blob)
+        assert (node, message) == (self.NODE, self.MESSAGE)
+        assert message.origin is node  # sharing inside one blob survives
+        assert copy.deepcopy(self.MESSAGE) == self.MESSAGE
+
+    def test_id_pickled_under_another_hash_seed_is_found_in_a_dict(self):
+        """String hashes differ per process: a cached hash that travelled in
+        the pickle would miss every dict in the receiving process."""
+        script = (
+            "import pickle, sys\n"
+            "from repro.common.ids import MessageId, NodeId\n"
+            "node = NodeId('node-7', 10007)\n"
+            "sys.stdout.buffer.write(pickle.dumps((node, MessageId(node, 1 << 33), hash(node))))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        mine = os.environ.get("PYTHONHASHSEED", "random")
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "4242" if mine != "4242" else "17"}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, check=True, timeout=60
+        ).stdout
+        node, message, foreign_hash = pickle.loads(out)
+        assert foreign_hash != hash(self.NODE)  # the other process hashed differently
+        assert {self.NODE: "n"}[node] == "n" and node in {self.NODE}
+        assert {self.MESSAGE: "m"}[message] == "m" and message in {self.MESSAGE}

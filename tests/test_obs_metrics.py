@@ -179,6 +179,7 @@ class TestCollectors:
             frames_sent = 5
             frames_received = 4
             frames_stale = 1
+            frames_malformed = 3
             stale_handshakes = 0
             frames_overflow = 0
             frames_rejected = 2
@@ -190,6 +191,7 @@ class TestCollectors:
         frames = snapshot["repro_transport_frames_total"]
         assert frames['repro_transport_frames_total{node="n1",outcome="frames_sent"}'] == 5
         assert frames['repro_transport_frames_total{node="n1",outcome="frames_stale"}'] == 1
+        assert frames['repro_transport_frames_total{node="n1",outcome="frames_malformed"}'] == 3
         assert snapshot["repro_transport_epoch"]['repro_transport_epoch{node="n1"}'] == 3
 
     def test_bind_pubsub_cluster_reads_facades_at_collect_time(self):
@@ -206,6 +208,7 @@ class TestCollectors:
             frames_sent = 7
             frames_received = 6
             frames_stale = 0
+            frames_malformed = 0
             stale_handshakes = 0
             frames_overflow = 0
             frames_rejected = 0

@@ -15,10 +15,13 @@ import json
 
 import pytest
 
-from repro.common.ids import NodeId
+from repro.common.ids import MessageId, NodeId
+from repro.common.messages import encode_message
 from repro.core.config import HyParViewConfig
+from repro.gossip.messages import GossipData
 from repro.runtime.cluster import LocalCluster
 from repro.runtime.node import RuntimeNode
+from repro.runtime.transport import AsyncioTransport
 
 CONFIG = HyParViewConfig(
     active_view_capacity=3,
@@ -195,3 +198,64 @@ class TestEpochHandshake:
 
         with pytest.raises(ConfigurationError, match="incarnation"):
             RuntimeNode(config=CONFIG, incarnation=-1)
+
+
+class TestHostileWireAndShutdown:
+    """The same wire under malformed input and a close that races a dial."""
+
+    def test_malformed_frames_are_counted_and_the_connection_survives(self):
+        async def scenario():
+            node = RuntimeNode(config=CONFIG)
+            await node.start()
+            transport = node.transport
+            ghost = NodeId("127.0.0.1", 45997)
+            downs = []
+            _reader, writer = await _hello(node.node_id.port, ghost, epoch=0)
+            assert await wait_until(lambda: ghost in transport._connections)
+            connection = transport._connections[ghost]
+            transport._watch_callbacks[ghost] = downs.append
+
+            writer.write(b"x" * (100 * 1024) + b"\n")  # over the 64 KiB limit
+            writer.write(b"\xff\xfe not json at all\n")
+            writer.write(b'{"type": "no.such.message", "fields": {}}\n')
+            valid = GossipData(MessageId(ghost, 1), "still here", 1, ghost)
+            writer.write((json.dumps(encode_message(valid)) + "\n").encode())
+            await writer.drain()
+
+            assert await wait_until(lambda: transport.frames_received == 1)
+            assert node.delivered == [(valid.message_id, "still here")]
+            assert transport.frames_malformed >= 3
+            # Same connection, reader still running, peer never reported down.
+            assert transport._connections[ghost] is connection
+            assert not connection.reader_task.done()
+            assert downs == []
+
+            writer.close()
+            await node.stop()
+
+        run(scenario())
+
+    def test_close_with_a_dial_in_flight_leaves_no_task_behind(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            complaints = []
+            loop.set_exception_handler(lambda _loop, context: complaints.append(context))
+            listener = RuntimeNode(config=CONFIG)
+            await listener.start()
+            tasks_before = asyncio.all_tasks()
+            dialer = AsyncioTransport(NodeId("127.0.0.1", 45996), lambda _p, _m: None)
+            results = []
+            dialer.probe(listener.node_id, lambda peer, ok: results.append(ok))
+            await asyncio.sleep(0)  # the probe task starts the dial
+            assert dialer._connecting
+            await dialer.close()
+            # Long enough for an uncancelled handshake to complete and for
+            # the listener to see the dialer's socket go away.
+            await asyncio.sleep(0.3)
+            assert asyncio.all_tasks() == tasks_before
+            assert not dialer._connections and not dialer._background
+            assert results == []  # a closing transport reports nothing
+            await listener.stop()
+            assert complaints == []
+
+        run(scenario())

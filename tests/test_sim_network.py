@@ -10,7 +10,7 @@ from repro.common.ids import NodeId
 from repro.common.messages import Message, register_message
 from repro.common.rng import SeedSequence
 from repro.sim.engine import Engine
-from repro.sim.network import Network
+from repro.sim.network import LinkFaultRule, Network
 from repro.sim.node import SimNode
 from repro.sim.trace import EventTrace
 
@@ -350,3 +350,58 @@ class TestStatsAndTrace:
         network.send(a.node_id, b.node_id, Ping(1))
         engine.run_until_idle()
         assert b.unhandled == 1
+
+
+class TestFramesInFlightMeetLaterHooks:
+    """``send`` takes a straight line while no hook is installed; a frame
+    sent on it is still judged at delivery by whatever arrived meanwhile."""
+
+    def test_adversary_installed_after_send_drops_at_delivery(self):
+        engine, network = make_network()
+        a, _ = make_node(network, "a")
+        b, received = make_node(network, "b")
+        failures = []
+        network.send(a.node_id, b.node_id, Ping(1))
+        network.send(a.node_id, b.node_id, Ping(2), lambda peer, message: failures.append(message))
+        network.set_adversary(b.node_id, {"Ping"})
+        engine.run_until_idle()
+        assert received == [] and failures == []  # accepted, then ignored
+        assert network.stats.dropped_adversary == 2
+        assert network.stats.delivered == 0
+
+    def test_crash_after_send_is_dropped_or_reported_at_delivery(self):
+        engine, network = make_network()
+        a, _ = make_node(network, "a")
+        b, received = make_node(network, "b")
+        failures = []
+        network.send(a.node_id, b.node_id, Ping(1))
+        network.send(a.node_id, b.node_id, Ping(2), lambda peer, message: failures.append((peer, message)))
+        network.fail(b.node_id)
+        engine.run_until_idle()
+        assert received == []
+        assert network.stats.dropped_dead == 1
+        assert failures == [(b.node_id, Ping(2))] and network.stats.send_failures == 1
+
+    def test_trace_attached_after_send_records_the_delivery(self):
+        engine, network = make_network()
+        a, _ = make_node(network, "a")
+        b, received = make_node(network, "b")
+        network.send(a.node_id, b.node_id, Ping(1))
+        network.trace = EventTrace()
+        engine.run_until_idle()
+        assert received == [Ping(1)]
+        assert [record.kind for record in network.trace] == ["deliver"]
+
+    def test_rule_expiry_and_recover_return_to_the_straight_line(self):
+        engine, network = make_network()
+        a, _ = make_node(network, "a")
+        b, _ = make_node(network, "b")
+        network.add_link_rule(LinkFaultRule(until=1.0))
+        assert network._hooked
+        engine.post(2.0, network.send, a.node_id, b.node_id, Ping(1))
+        engine.run_until_idle()
+        assert not network._hooked  # pruned lazily by the first send past `until`
+        network.set_adversary(b.node_id, {"Ping"})
+        network.fail(b.node_id)
+        network.recover(b.node_id)  # registrations die with the old process
+        assert not network._hooked
