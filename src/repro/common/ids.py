@@ -8,13 +8,11 @@ views, sets and priority queues without ceremony.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
+class NodeId(NamedTuple):
     """A reachable node identity: ``(host, port)``.
 
     In simulations the host is synthetic (``"node-17"``); in the asyncio
@@ -22,25 +20,15 @@ class NodeId:
     are structural, so the same identity built twice compares equal.
 
     Every layer keys dicts and sets on identifiers (ten lookups per
-    simulated message), so the structural hash is computed once, at
-    construction, into the non-field ``_hash`` slot.  String hashes differ
-    per process: the cached value never enters a pickle — ``__reduce__``
-    rebuilds the identifier from its fields.
+    simulated message, a dozen per shuffled entry), so the identifier *is*
+    a tuple: hashing, equality, ordering and pickling run in C, and nothing
+    process-specific (string hashes differ per process) is ever stored.
+    The price is that an identifier is also a sequence — code that walks
+    arbitrary values must test for identifiers before tuples.
     """
-
-    __slots__ = ("host", "port", "_hash")
 
     host: str
     port: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.host, self.port)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self) -> tuple:
-        return (NodeId, (self.host, self.port))
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{self.host}:{self.port}"
@@ -56,28 +44,16 @@ class NodeId:
         return cls(str(host), int(port))
 
 
-@dataclass(frozen=True, order=True)
-class MessageId:
+class MessageId(NamedTuple):
     """Globally unique broadcast identifier: origin plus per-origin sequence.
 
     Gossip deduplication (Section 2.5 of the paper: a node forwards a message
-    only the first time it receives it) keys on this identifier.  Its hash
-    is cached like :class:`NodeId`'s (and computed from the origin's cached one).
+    only the first time it receives it) keys on this identifier; like
+    :class:`NodeId` it is a tuple, hashed and compared in C.
     """
-
-    __slots__ = ("origin", "sequence", "_hash")
 
     origin: NodeId
     sequence: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.origin, self.sequence)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self) -> tuple:
-        return (MessageId, (self.origin, self.sequence))
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{self.origin}#{self.sequence}"

@@ -19,8 +19,10 @@ the snapshot cache).
 
 The counting is exact because MT19937 is a stream of 32-bit words and
 every public drawing method of :class:`random.Random` funnels through the
-two primitives this class overrides: ``random()`` consumes exactly two
-words and ``getrandbits(k)`` consumes ``ceil(k / 32)``.
+three primitives this class overrides: ``random()`` consumes exactly two
+words, ``getrandbits(k)`` consumes ``ceil(k / 32)``, and ``_randbelow(n)``
+(what ``choice`` / ``sample`` / ``shuffle`` / ``randrange`` draw through)
+is the stdlib's rejection loop over ``getrandbits``, counted once per call.
 """
 
 from __future__ import annotations
@@ -32,6 +34,12 @@ from typing import Sequence, TypeVar
 from .ids import NodeId
 
 T = TypeVar("T")
+
+#: The uncounted C generator methods; the counted overrides draw through them.
+_mt_random = random.Random.random
+_mt_getrandbits = random.Random.getrandbits
+#: Words a thawed stream skips per C call (a 16 KiB integer at a time).
+_SKIP_WORDS = 4096
 
 
 def _replay_stream(seed: int, words: int) -> "StreamRandom":
@@ -56,28 +64,39 @@ class StreamRandom(random.Random):
     ``(seed, _words)`` via :func:`_replay_stream` instead of the full
     generator state.  All distribution methods inherited from
     :class:`random.Random` are Python-level and draw exclusively through
-    ``random()`` / ``getrandbits()``, so the count is exact and a replayed
-    stream continues with bit-identical draws.
+    ``random()`` / ``getrandbits()`` / ``_randbelow()``, so the count is
+    exact and a replayed stream continues with bit-identical draws.
     """
-
-    def __init__(self, seed_value: int) -> None:
-        self._seed_value = seed_value
-        self._words = 0
-        self._pending_words = 0
-        super().__init__(seed_value)
 
     # -- counted primitives -------------------------------------------
     def random(self) -> float:
         if self._pending_words:
             self._materialize()
         self._words += 2
-        return super().random()
+        return _mt_random(self)
 
     def getrandbits(self, k: int) -> int:
         if self._pending_words:
             self._materialize()
         self._words += (k + 31) >> 5
-        return super().getrandbits(k)
+        return _mt_getrandbits(self, k)
+
+    def _randbelow(self, n: int) -> int:
+        """``random.Random``'s own rejection loop — same bits asked for, same
+        retries, so same value and same words — in one frame over the C
+        generator: a membership round is mostly ``choice`` and ``sample``."""
+        if not n:
+            return 0  # 3.10's choice() relies on this to raise IndexError
+        if self._pending_words:
+            self._materialize()
+        k = n.bit_length()  # not (n - 1): n can be 1
+        tries = 1
+        r = _mt_getrandbits(self, k)
+        while r >= n:
+            tries += 1
+            r = _mt_getrandbits(self, k)
+        self._words += tries * ((k + 31) >> 5)
+        return r
 
     def seed(self, a=None, version: int = 2) -> None:
         # Re-seeding restarts the stream: the word count restarts with it.
@@ -125,16 +144,16 @@ class StreamRandom(random.Random):
 
         MT19937 state is a pure function of (seed, words consumed), so
         advancing a newly seeded generator by ``_pending_words`` words
-        reproduces the frozen state exactly.  ``random()`` consumes two
-        words per call, which makes it the fastest C-level way to skip.
+        reproduces the frozen state exactly.  ``getrandbits(32 * w)``
+        consumes exactly ``w`` words in one C call; the skip is chunked so
+        the discarded integer stays small.
         """
         words = self._pending_words
         self._pending_words = 0
-        skip_pair = random.Random.random
-        for _ in range(words >> 1):
-            skip_pair(self)
-        if words & 1:
-            random.Random.getrandbits(self, 32)
+        while words > _SKIP_WORDS:
+            _mt_getrandbits(self, 32 * _SKIP_WORDS)
+            words -= _SKIP_WORDS
+        _mt_getrandbits(self, 32 * words)
 
     @property
     def words_consumed(self) -> int:
@@ -197,7 +216,7 @@ def sample_up_to(rng: random.Random, population: Sequence[T], k: int) -> list[T]
 
     The paper's shuffle primitives say "at most" ``ka``/``kp`` elements
     (Section 5.1); this helper encodes that without the caller branching on
-    the population size.
+    the population size.  ``population`` is read, never reordered.
     """
     if k <= 0:
         return []
@@ -205,11 +224,11 @@ def sample_up_to(rng: random.Random, population: Sequence[T], k: int) -> list[T]
         shuffled = list(population)
         rng.shuffle(shuffled)
         return shuffled
-    return rng.sample(list(population), k)
+    return rng.sample(population, k)
 
 
 def choice_or_none(rng: random.Random, population: Sequence[T]) -> T | None:
-    """Uniform choice, or ``None`` when the population is empty."""
+    """Uniform choice, or ``None`` (and no draw) when the population is empty."""
     if not population:
         return None
-    return rng.choice(list(population))
+    return rng.choice(population)

@@ -14,10 +14,23 @@ messages (DISCONNECT notifications, etc.).
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Optional
+from typing import AbstractSet, Collection, Iterable, Iterator, Optional
 
 from ..common.errors import ProtocolError
 from ..common.ids import NodeId
+from ..common.rng import sample_up_to
+
+
+def excluding(
+    members: list[NodeId], known: AbstractSet[NodeId], exclude: Collection[NodeId]
+) -> list[NodeId]:
+    """``members`` without those in ``exclude``, order kept; ``known`` is
+    ``members`` as a set or key view.  Exclusions are tiny (a walk's sender
+    and origin, the joiner) and often name nobody present: then ``members``
+    itself comes back, unallocated, to be read and not reordered."""
+    if exclude and not known.isdisjoint(exclude):
+        return [node for node in members if node not in exclude]
+    return members
 
 
 class BoundedView:
@@ -80,12 +93,13 @@ class BoundedView:
         protocol must make room first (that is where eviction notifications
         are generated), so silent eviction here would hide bugs.
         """
-        if node in self._index:
+        index, items = self._index, self._items
+        if node in index:
             raise ProtocolError(f"node already in view: {node}")
-        if self.is_full:
+        if len(items) >= self.capacity:
             raise ProtocolError(f"view full ({self.capacity}); evict before adding {node}")
-        self._index[node] = len(self._items)
-        self._items.append(node)
+        index[node] = len(items)
+        items.append(node)
 
     def remove(self, node: NodeId) -> None:
         """Remove ``node``; raises :class:`ProtocolError` if absent."""
@@ -110,35 +124,23 @@ class BoundedView:
     def random_member(
         self,
         rng: random.Random,
-        exclude: Iterable[NodeId] = (),
+        exclude: Collection[NodeId] = (),
     ) -> Optional[NodeId]:
-        """Uniform random member not in ``exclude``; ``None`` if none exists.
+        """Uniform random member not in ``exclude``; ``None`` (and no draw)
+        if none exists.
 
-        The common case (no exclusions) is O(1); with exclusions it falls
-        back to building the candidate list, which is fine because excluded
-        sets in the protocol are tiny (the walk's sender, the joiner).
+        O(1) unless an excluded identifier is actually a member: only then
+        is a candidate list built, over a view that is small.
         """
-        if not self._items:
+        items = self._items
+        if exclude:
+            items = excluding(items, self._index.keys(), exclude)
+        if not items:
             return None
-        exclude_set = set(exclude)
-        if not exclude_set:
-            return rng.choice(self._items)
-        candidates = [node for node in self._items if node not in exclude_set]
-        if not candidates:
-            return None
-        return rng.choice(candidates)
+        return rng.choice(items)
 
-    def sample(self, rng: random.Random, k: int, exclude: Iterable[NodeId] = ()) -> list[NodeId]:
+    def sample(
+        self, rng: random.Random, k: int, exclude: Collection[NodeId] = ()
+    ) -> list[NodeId]:
         """Up to ``k`` distinct random members not in ``exclude``."""
-        if k <= 0:
-            return []
-        exclude_set = set(exclude)
-        if exclude_set:
-            candidates = [node for node in self._items if node not in exclude_set]
-        else:
-            candidates = self._items
-        if k >= len(candidates):
-            shuffled = list(candidates)
-            rng.shuffle(shuffled)
-            return shuffled
-        return rng.sample(candidates, k)
+        return sample_up_to(rng, excluding(self._items, self._index.keys(), exclude), k)

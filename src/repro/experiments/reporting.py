@@ -48,16 +48,18 @@ METRICS_SCHEMA = "repro-metrics/1"
 def json_safe(value: object) -> object:
     """Recursively convert an experiment result into JSON-encodable data.
 
-    Dataclasses become dicts, mappings get string keys (sorted encoding
-    needs homogeneous keys — degree histograms are keyed by ints), tuples
-    become lists, and non-finite floats become ``None`` rather than the
-    non-standard ``NaN``/``Infinity`` tokens.
+    Dataclasses and named tuples (identifiers) become dicts, mappings get
+    string keys (sorted encoding needs homogeneous keys — degree histograms
+    are keyed by ints), plain tuples become lists, and non-finite floats
+    become ``None`` rather than the non-standard ``NaN``/``Infinity`` tokens.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             field.name: json_safe(getattr(value, field.name))
             for field in dataclasses.fields(value)
         }
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: json_safe(item) for name, item in zip(value._fields, value)}
     if isinstance(value, Mapping):
         return {str(key): json_safe(item) for key, item in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):

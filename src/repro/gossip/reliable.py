@@ -48,10 +48,12 @@ from .tracker import BroadcastTracker
 class ReliableConfig:
     """Tuning of the ack/retransmit discipline.
 
-    The default timeout comfortably exceeds one simulated round trip
-    (2 x 0.01 s), so a clean network retransmits nothing; with loss the
-    doubling backoff gives up after ``ack_timeout * (2^(r+1) - 1)``
-    seconds (~0.75 s at the defaults).
+    The default timeout exceeds one round trip of the *constant* latency
+    model (2 x 0.01 s), where a clean network retransmits nothing, but is
+    **shorter** than a cross-zone round trip of the zoned model (0.08-0.25
+    s): there most copies are re-sent before their ack can arrive (ROADMAP
+    item 2 has the count).  With loss the doubling backoff gives up after
+    ``ack_timeout * (2^(r+1) - 1)`` seconds (~0.75 s at the defaults).
     """
 
     ack_timeout: float = 0.05

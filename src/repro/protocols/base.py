@@ -11,7 +11,7 @@ completely protocol-agnostic.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import ClassVar, Iterable
+from typing import ClassVar, Collection
 
 from ..common.ids import NodeId
 
@@ -32,7 +32,7 @@ class PeerSamplingService(ABC):
         """Enter the overlay through ``contact`` (a node already inside)."""
 
     @abstractmethod
-    def gossip_targets(self, fanout: int, exclude: Iterable[NodeId] = ()) -> list[NodeId]:
+    def gossip_targets(self, fanout: int, exclude: Collection[NodeId] = ()) -> list[NodeId]:
         """Peers the broadcast layer should forward a message to.
 
         Probabilistic protocols return ``fanout`` random members of their

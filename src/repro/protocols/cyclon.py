@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Collection, Optional
 
 from ..common.errors import ConfigurationError, ProtocolError
 from ..common.ids import NodeId
 from ..common.interfaces import Host, TimerHandle
 from ..common.messages import Message, register_message
+from ..common.rng import choice_or_none, sample_up_to
+from ..core.views import excluding
 from .base import PeerSamplingService
 
 #: Wire representation of a view entry: ``(node, age)``.
@@ -201,22 +203,19 @@ class AgedView:
             return None
         return max(self._nodes, key=lambda node: (self._ages[node], node))
 
-    def random_member(self, rng: random.Random, exclude: Iterable[NodeId] = ()) -> Optional[NodeId]:
-        exclude_set = set(exclude)
-        candidates = [node for node in self._nodes if node not in exclude_set]
-        if not candidates:
-            return None
-        return rng.choice(candidates)
+    def random_member(
+        self, rng: random.Random, exclude: Collection[NodeId] = ()
+    ) -> Optional[NodeId]:
+        return choice_or_none(rng, excluding(self._nodes, self._ages.keys(), exclude))
 
-    def sample_members(self, rng: random.Random, k: int, exclude: Iterable[NodeId] = ()) -> list[NodeId]:
-        exclude_set = set(exclude)
-        candidates = [node for node in self._nodes if node not in exclude_set]
-        if k >= len(candidates):
-            rng.shuffle(candidates)
-            return candidates
-        return rng.sample(candidates, k)
+    def sample_members(
+        self, rng: random.Random, k: int, exclude: Collection[NodeId] = ()
+    ) -> list[NodeId]:
+        return sample_up_to(rng, excluding(self._nodes, self._ages.keys(), exclude), k)
 
-    def sample_entries(self, rng: random.Random, k: int, exclude: Iterable[NodeId] = ()) -> list[WireEntry]:
+    def sample_entries(
+        self, rng: random.Random, k: int, exclude: Collection[NodeId] = ()
+    ) -> list[WireEntry]:
         return [(node, self._ages[node]) for node in self.sample_members(rng, k, exclude)]
 
 
@@ -265,7 +264,7 @@ class Cyclon(PeerSamplingService):
             raise ProtocolError("a node cannot join through itself")
         self._host.send(contact, CyclonJoin(self.address))
 
-    def gossip_targets(self, fanout: int, exclude: Iterable[NodeId] = ()) -> list[NodeId]:
+    def gossip_targets(self, fanout: int, exclude: Collection[NodeId] = ()) -> list[NodeId]:
         """``fanout`` members chosen uniformly from the partial view."""
         return self.view.sample_members(self._rng, fanout, exclude)
 

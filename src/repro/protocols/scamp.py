@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Collection, Optional
 
 from ..common.errors import ConfigurationError
 from ..common.ids import NodeId
 from ..common.interfaces import Host, TimerHandle
 from ..common.messages import Message, register_message
+from ..common.rng import choice_or_none, sample_up_to
+from ..core.views import excluding
 from .base import PeerSamplingService
 
 
@@ -190,13 +192,9 @@ class Scamp(PeerSamplingService):
         self.in_view.clear()
         self._joined = False
 
-    def gossip_targets(self, fanout: int, exclude: Iterable[NodeId] = ()) -> list[NodeId]:
-        exclude_set = set(exclude)
-        candidates = [node for node in self.partial_view if node not in exclude_set]
-        if fanout >= len(candidates):
-            self._rng.shuffle(candidates)
-            return candidates
-        return self._rng.sample(candidates, fanout)
+    def gossip_targets(self, fanout: int, exclude: Collection[NodeId] = ()) -> list[NodeId]:
+        candidates = excluding(self.partial_view, self._partial_set, exclude)
+        return sample_up_to(self._rng, candidates, fanout)
 
     def report_failure(self, peer: NodeId) -> None:
         """Expunge a peer detected as failed (only exercised when Scamp is
@@ -327,12 +325,9 @@ class Scamp(PeerSamplingService):
         self.partial_view.remove(node)
         return True
 
-    def _random_partial(self, exclude: Iterable[NodeId] = ()) -> Optional[NodeId]:
-        exclude_set = set(exclude)
-        candidates = [node for node in self.partial_view if node not in exclude_set]
-        if not candidates:
-            return None
-        return self._rng.choice(candidates)
+    def _random_partial(self, exclude: Collection[NodeId] = ()) -> Optional[NodeId]:
+        candidates = excluding(self.partial_view, self._partial_set, exclude)
+        return choice_or_none(self._rng, candidates)
 
     def _periodic(self) -> None:
         if not self._running:

@@ -1,7 +1,7 @@
 """Unit tests for node and message identifiers."""
 
 import copy
-import dataclasses
+import json
 import os
 import pickle
 import subprocess
@@ -92,7 +92,10 @@ class TestSequenceGenerator:
 
 
 class TestCachedHashContract:
-    """The hash is computed once at construction; nothing else may show."""
+    """Identifiers are named tuples: hashing, equality, ordering and pickling
+    are the tuple's own, and nothing process-specific is stored.  (The class
+    and test names date from PR 14's cached-hash dataclasses; each still
+    pins the same promise, now kept by C code instead of a ``_hash`` slot.)"""
 
     NODE = NodeId("node-7", 10007)
     MESSAGE = MessageId(NODE, 1 << 33)
@@ -101,30 +104,56 @@ class TestCachedHashContract:
         assert hash(self.NODE) == hash(("node-7", 10007))
         assert hash(self.MESSAGE) == hash((self.NODE, 1 << 33))
         assert hash(MessageId(NodeId("node-7", 10007), 1 << 33)) == hash(self.MESSAGE)
+        assert NodeId.__hash__ is tuple.__hash__ and MessageId.__eq__ is tuple.__eq__
 
     def test_fields_are_exactly_what_they_were(self):
-        assert [f.name for f in dataclasses.fields(NodeId)] == ["host", "port"]
-        assert [f.name for f in dataclasses.fields(MessageId)] == ["origin", "sequence"]
+        assert NodeId._fields == ("host", "port")
+        assert MessageId._fields == ("origin", "sequence")
+        assert self.NODE == ("node-7", 10007) and tuple(self.MESSAGE) == (self.NODE, 1 << 33)
+        assert (self.NODE.host, self.NODE.port) == ("node-7", 10007)
+        assert (self.MESSAGE.origin, self.MESSAGE.sequence) == (self.NODE, 1 << 33)
+        assert NodeId(port=10007, host="node-7") == self.NODE
+        assert self.NODE._replace(port=1) == NodeId("node-7", 1)
+        assert repr(self.NODE) == "NodeId(host='node-7', port=10007)"
+        assert repr(self.MESSAGE) == f"MessageId(origin={self.NODE!r}, sequence={1 << 33})"
+        # A tuple to Python, still a record in artifacts.
         assert json_safe(self.MESSAGE) == {
             "origin": {"host": "node-7", "port": 10007},
             "sequence": 1 << 33,
         }
-        assert dataclasses.replace(self.NODE, port=1) == NodeId("node-7", 1)
-        assert hash(dataclasses.replace(self.NODE, port=1)) == hash(("node-7", 1))
+        assert json_safe({self.NODE: [self.NODE]}) == {
+            "node-7:10007": [{"host": "node-7", "port": 10007}]
+        }
 
     def test_frozen_and_slotted(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             self.NODE.port = 1
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             self.MESSAGE.sequence = 1
+        with pytest.raises(TypeError):
+            self.NODE[1] = 1
         assert not hasattr(self.NODE, "__dict__")
         assert not hasattr(self.MESSAGE, "__dict__")
 
+    def test_ordering_is_the_tuples(self):
+        nodes = [NodeId("b", 1), NodeId("a", 2), NodeId("a", 1)]
+        assert sorted(nodes) == sorted(tuple(node) for node in nodes)
+        assert max(MessageId(nodes[2], 9), MessageId(nodes[0], 0)).origin == nodes[0]
+        with pytest.raises(TypeError):
+            NodeId("a", 1) < NodeId(1, "a")  # fields compare pairwise, as they always did
+
     def test_wire_codec_round_trip_carries_no_hash(self):
-        message = GossipData(self.MESSAGE, "payload", 2, self.NODE)
+        """Identifiers are tested before the generic sequence branch: nested
+        in a payload tuple they come back as identifiers, not as lists."""
+        payload = ("view", (self.NODE, NodeId("node-8", 10008)), {"last": self.MESSAGE})
+        message = GossipData(self.MESSAGE, payload, 2, self.NODE)
         frame = encode_message(message)
         assert "_hash" not in repr(frame)
-        assert decode_message(frame) == message
+        decoded = decode_message(json.loads(json.dumps(frame)))
+        assert decoded == message
+        assert type(decoded.payload[1][0]) is NodeId
+        assert type(decoded.payload[2]["last"]) is MessageId
+        assert type(decoded.message_id.origin) is NodeId
 
     def test_pickle_rebuilds_the_hash_and_is_stable(self):
         blob = pickle.dumps((self.NODE, self.MESSAGE), protocol=pickle.HIGHEST_PROTOCOL)
@@ -132,6 +161,7 @@ class TestCachedHashContract:
         assert str(hash(self.NODE)).encode() not in blob
         node, message = pickle.loads(blob)
         assert (node, message) == (self.NODE, self.MESSAGE)
+        assert type(node) is NodeId and type(message) is MessageId
         assert message.origin is node  # sharing inside one blob survives
         assert copy.deepcopy(self.MESSAGE) == self.MESSAGE
 

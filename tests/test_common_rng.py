@@ -1,12 +1,20 @@
 """Tests for deterministic random-stream management."""
 
+import pickle
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.ids import NodeId
-from repro.common.rng import SeedSequence, choice_or_none, sample_up_to
+from repro.common.rng import (
+    _SKIP_WORDS,
+    SeedSequence,
+    StreamRandom,
+    choice_or_none,
+    sample_up_to,
+)
 
 
 class TestSeedSequence:
@@ -109,10 +117,7 @@ class TestStreamRandom:
 
         stream = StreamRandom(98765)
         self._exercise(stream)
-        replay = random.Random(98765)
-        for _ in range(stream.words_consumed):
-            replay.getrandbits(32)
-        assert replay.getstate() == stream.getstate()
+        assert _advanced(98765, stream.words_consumed).getstate() == stream.getstate()
 
     def test_pickle_is_compact(self):
         import pickle
@@ -201,3 +206,81 @@ class TestStreamRandom:
         stream = StreamRandom(5)
         with pytest.raises(ValueError, match="explicit seed"):
             stream.seed()
+
+
+#: One drawing call: (method name, arguments).  Together they reach all three
+#: counted primitives — ``_randbelow`` (choice / sample / shuffle / randrange,
+#: populations from one element to beyond 2**32 so every word width and the
+#: rejection loop occur), ``random`` (uniform / random) and ``getrandbits``.
+_DRAWS = st.one_of(
+    st.tuples(st.just("choice"), st.integers(1, 70)),
+    st.tuples(st.just("sample"), st.integers(0, 70), st.integers(0, 70)),
+    st.tuples(st.just("shuffle"), st.integers(0, 40)),
+    st.tuples(st.just("randrange"), st.integers(1, 2**70)),
+    st.tuples(st.just("uniform"), st.floats(-10, 10), st.floats(-10, 10)),
+    st.tuples(st.just("random")),
+    st.tuples(st.just("getrandbits"), st.integers(1, 130)),
+)
+
+
+def _draw(rng, name, *args):
+    if name == "choice":
+        return rng.choice(range(args[0]))
+    if name == "sample":
+        return rng.sample(range(max(args)), min(args))
+    if name == "shuffle":
+        items = list(range(args[0]))
+        rng.shuffle(items)
+        return items
+    return getattr(rng, name)(*args)
+
+
+def _advanced(seed, words):
+    """A plain generator ``words`` 32-bit words past ``seed``."""
+    reference = random.Random(seed)
+    for _ in range(words):
+        reference.getrandbits(32)
+    return reference
+
+
+class TestDrawPreservation:
+    """A ``StreamRandom`` is ``random.Random`` plus a counter: same values,
+    same generator state, and a count that is the state's exact distance
+    from the seed.  Every byte-pinned artifact rests on this."""
+
+    @given(st.integers(0, 2**64 - 1), st.lists(_DRAWS, max_size=30))
+    def test_value_for_value_with_plain_random(self, seed, draws):
+        counted, plain = StreamRandom(seed), random.Random(seed)
+        for draw in draws:
+            assert _draw(counted, *draw) == _draw(plain, *draw)
+        assert counted.getstate() == plain.getstate()
+
+    @given(st.integers(0, 2**64 - 1), st.lists(_DRAWS, max_size=30))
+    def test_words_consumed_is_the_references_advance(self, seed, draws):
+        counted, plain = StreamRandom(seed), random.Random(seed)
+        for draw in draws:
+            _draw(counted, *draw)
+            _draw(plain, *draw)
+        assert _advanced(seed, counted.words_consumed).getstate() == plain.getstate()
+
+    @pytest.mark.parametrize(
+        "words", [0, 1, 2, 7, _SKIP_WORDS - 1, _SKIP_WORDS, _SKIP_WORDS + 1, 2 * _SKIP_WORDS + 3]
+    )
+    @pytest.mark.parametrize(
+        "first", [("random",), ("getrandbits", 45), ("choice", 5), ("sample", 9, 4), ("getstate",)]
+    )
+    def test_thawed_stream_replays_from_any_offset(self, words, first):
+        """Zero, odd, even, and more than one fast-forward chunk."""
+        stream = StreamRandom(20071)
+        for _ in range(words):
+            stream.getrandbits(32)
+        thawed = pickle.loads(pickle.dumps(stream))
+        assert thawed.words_consumed == words
+        reference = _advanced(20071, words)
+        assert _draw(thawed, *first) == _draw(reference, *first)
+        assert thawed.getstate() == reference.getstate()
+        assert [thawed.random() for _ in range(3)] == [reference.random() for _ in range(3)]
+
+    def test_choice_of_nothing_still_raises(self):
+        with pytest.raises(IndexError):
+            StreamRandom(1).choice([])

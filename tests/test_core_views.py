@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ProtocolError
 from repro.common.ids import NodeId
+from repro.common.rng import StreamRandom
 from repro.core.views import BoundedView
 
 
@@ -168,3 +169,85 @@ class TestInvariantsProperty:
         assert len(sample) == min(k, len(nodes))
         assert len(set(sample)) == len(sample)
         assert set(sample) <= set(nodes)
+
+
+def _oracle_random_member(items, rng, exclude=()):
+    """``BoundedView.random_member`` as it stood before the allocation-free
+    rewrite: a set and a candidate list per call."""
+    if not items:
+        return None
+    exclude_set = set(exclude)
+    if not exclude_set:
+        return rng.choice(items)
+    candidates = [node for node in items if node not in exclude_set]
+    if not candidates:
+        return None
+    return rng.choice(candidates)
+
+
+def _oracle_sample(items, rng, k, exclude=()):
+    """``BoundedView.sample`` as it stood before the rewrite."""
+    if k <= 0:
+        return []
+    exclude_set = set(exclude)
+    if exclude_set:
+        candidates = [node for node in items if node not in exclude_set]
+    else:
+        candidates = items
+    if k >= len(candidates):
+        shuffled = list(candidates)
+        rng.shuffle(shuffled)
+        return shuffled
+    return rng.sample(candidates, k)
+
+
+@st.composite
+def views_and_excludes(draw):
+    """A view after some churn (so list order is not insertion order) and an
+    exclusion that mixes members, strangers and duplicates, as a tuple, a
+    list, a set or a frozenset; sometimes it covers the whole view."""
+    members = draw(st.lists(st.integers(0, 12), unique=True, max_size=10))
+    view = BoundedView(10, [nid(i) for i in members])
+    for i in draw(st.lists(st.sampled_from(members), unique=True)) if members else []:
+        view.remove(nid(i))
+    if draw(st.booleans()):
+        picks = draw(st.lists(st.integers(0, 15), max_size=8))
+    else:
+        picks = members + draw(st.lists(st.integers(0, 15), max_size=3))
+    shape = draw(st.sampled_from([tuple, list, set, frozenset]))
+    return view, shape(nid(i) for i in picks)
+
+
+class TestDrawPreservation:
+    """Same member **and the same words drawn** as the old bodies, so every
+    seeded overlay — and every pinned artifact — is unchanged."""
+
+    @settings(max_examples=300)
+    @given(views_and_excludes(), st.integers(0, 2**32))
+    def test_random_member_matches_the_oracle(self, case, seed):
+        view, exclude = case
+        before = view.members()
+        ours, theirs = StreamRandom(seed), StreamRandom(seed)
+        assert view.random_member(ours, exclude) == _oracle_random_member(
+            list(before), theirs, exclude
+        )
+        assert ours.words_consumed == theirs.words_consumed
+        assert view.members() == before
+        if all(node in exclude for node in before):
+            assert ours.words_consumed == 0  # nobody eligible: None, and no draw
+
+    @settings(max_examples=300)
+    @given(views_and_excludes(), st.integers(-1, 12), st.integers(0, 2**32))
+    def test_sample_matches_the_oracle(self, case, k, seed):
+        view, exclude = case
+        before = view.members()
+        ours, theirs = StreamRandom(seed), StreamRandom(seed)
+        assert view.sample(ours, k, exclude) == _oracle_sample(list(before), theirs, k, exclude)
+        assert ours.words_consumed == theirs.words_consumed
+        assert view.members() == before  # sampling never reorders the view
+
+    def test_sample_result_is_the_callers_to_keep(self):
+        view = BoundedView(4, [nid(i) for i in range(4)])
+        everyone = view.sample(random.Random(0), 99)
+        everyone.clear()
+        assert len(view) == 4 and len(view.sample(random.Random(0), 99)) == 4

@@ -108,13 +108,26 @@ def test_inert_hook_changes_nothing_observable(base, hook):
     assert _drive(blob, INERT_HOOKS[hook]) == unhooked
 
 
-def _rng_words(scenario):
-    """32-bit words drawn so far from every stream the scenario owns."""
-    streams = [scenario._rng, scenario.network._rng]
+def _work(scenario):
+    """Everything the simulator counts exactly: events fired, frames by fate,
+    and 32-bit RNG words drawn so far, per family of streams."""
+    stats = scenario.network.stats
+    work = {
+        "events": scenario.engine.processed,
+        "sent": stats.sent,
+        "delivered": stats.delivered,
+        "send_failures": stats.send_failures,
+        "harness": scenario._rng.words_consumed,
+        "network": scenario.network._rng.words_consumed,
+        "node": 0,
+        "membership": 0,
+        "gossip": 0,
+    }
     for node in scenario.nodes.values():
-        streams.append(node.rng)
-        streams += [node.protocol(slot)._host.rng for slot in ("membership", "gossip")]
-    return sum(stream.words_consumed for stream in streams)
+        work["node"] += node.rng.words_consumed
+        for slot in ("membership", "gossip"):
+            work[slot] += node.protocol(slot)._host.rng.words_consumed
+    return work
 
 
 def test_flood_work_is_pinned_exactly():
@@ -125,12 +138,59 @@ def test_flood_work_is_pinned_exactly():
     scenario = Scenario("hyparview", ExperimentParams.scaled(64))
     scenario.build_overlay()
     scenario.stabilize()
-    stats = scenario.network.stats
-    before = (scenario.engine.processed, stats.sent, stats.delivered, _rng_words(scenario))
+    before = _work(scenario)
     summaries = scenario.send_broadcasts(20)
-    after = (scenario.engine.processed, stats.sent, stats.delivered, _rng_words(scenario))
     assert all(summary.reliability == 1.0 for summary in summaries)
-    events, sent, delivered, words = (new - old for new, old in zip(after, before))
+    floods = {key: value - before[key] for key, value in _work(scenario).items()}
     # 257 frames per flood: one event each, every one delivered, none redrawn;
     # the only randomness is the harness choosing twenty origins.
-    assert (events, sent, delivered, words) == (20 * 257, 20 * 257, 20 * 257, 37)
+    assert floods == {
+        "events": 20 * 257,
+        "sent": 20 * 257,
+        "delivered": 20 * 257,
+        "send_failures": 0,
+        "harness": 37,
+        "network": 0,
+        "node": 0,
+        "membership": 0,
+        "gossip": 0,
+    }
+
+
+def test_membership_work_is_pinned_exactly():
+    """The cold path and one heal episode at n=64: build + 50 cycles, then
+    crash 40 %, three repair cycles, ten floods.  Join walks, shuffles,
+    promotions and every uniform draw behind them, counted — so a "cheaper"
+    ``random_member`` or RNG primitive that draws once more, once less or in
+    another order fails here, on any host, without a stopwatch (ROADMAP 4)."""
+    scenario = Scenario("hyparview", ExperimentParams.scaled(64))
+    scenario.build_overlay()
+    scenario.stabilize()
+    setup = _work(scenario)
+    assert setup == {
+        "events": 43559,
+        "sent": 36510,
+        "delivered": 36510,
+        "send_failures": 0,
+        "harness": 4535,  # join order, contacts
+        "network": 0,  # reliable sends only: no loss to draw
+        "node": 0,
+        "membership": 125697,
+        "gossip": 0,  # flooding makes no random choice
+    }
+    scenario.fail_fraction(0.4)
+    scenario.run_cycles(3)
+    summaries = scenario.send_broadcasts(10)
+    assert all(summary.reliability == 1.0 for summary in summaries)
+    episode = {key: value - setup[key] for key, value in _work(scenario).items()}
+    assert episode == {
+        "events": 6718,
+        "sent": 5027,
+        "delivered": 5026,
+        "send_failures": 1,
+        "harness": 234,  # the crash sample, cycle orders, origins
+        "network": 0,
+        "node": 0,
+        "membership": 6339,
+        "gossip": 0,
+    }
