@@ -34,15 +34,7 @@ engine against an in-bench reimplementation of the previous heapq kernel
   roughly pays for the rounding, no more; the gate only requires ticked
   mode never be materially *slower* (>= 0.9x), since bucketing that
   loses throughput would mean the rounding path gained per-event
-  overhead;
-* **sharded crossings** — the scalability probe for the space-sharded
-  kernel (``sim/sharded``): ``SHARD_NODES`` owners striped across two
-  shards so *every* chain hop is a cross-shard handoff — the worst case
-  for the coordinator's outbox/merge machinery.  Reported as an honest
-  overhead ratio against the single-shard engine on the identical
-  workload, with the handoff/batch/violation ledger alongside; no
-  speedup gate, only the catastrophic floor — sharding buys memory
-  locality and a future multi-process story, not single-process speed.
+  overhead.
 
 Numbers go to stdout (CI job logs) and — with ``--json PATH`` — into a
 ``TIMINGS_kernel_microbench.json`` record that CI folds into the timings
@@ -70,7 +62,6 @@ import pytest
 
 from repro.experiments.reporting import TIMINGS_SCHEMA
 from repro.sim.engine import Engine
-from repro.sim.sharded import ShardedEngine
 
 #: Events per measured batch — large enough to amortise timer noise.
 BATCH = 200_000
@@ -108,14 +99,6 @@ ENGINE_TICK = 0.002
 #: ~1.1x): a floor below 1.0 that only trips if timestamp rounding makes
 #: the engine materially slower than not rounding at all.
 TICK_SPEEDUP_FLOOR = 0.9
-
-#: Owners in the sharded-kernel probe — past the n=25k scalability bar,
-#: striped across two shards so every chain hop crosses the boundary.
-SHARD_NODES = 25_600
-
-#: Shards in the probe; two is the boundary-crossing worst case (every
-#: handoff has exactly one possible destination queue).
-SHARD_COUNT = 2
 
 
 class _BaselineHandle:
@@ -277,48 +260,6 @@ def _drive_retransmit_mix(engine, rounds: int, width: int) -> int:
     return engine.run_until_idle()
 
 
-def _drive_crossing(kernel, total: int, width: int, nodes: int) -> None:
-    """``width`` delivery chains hopping owner -> owner+1 around a ring of
-    ``nodes`` owners.  With owners striped across two shards every hop is
-    a cross-shard handoff on the sharded kernel; on the single-shard
-    engine :meth:`post_for` degrades to a plain post, so both kernels run
-    the identical event sequence."""
-    remaining = [total]
-
-    def fire(owner: int) -> None:
-        remaining[0] -= 1
-        if remaining[0] > 0:
-            nxt = owner + 1 if owner + 1 < nodes else 0
-            kernel.post_for(nxt, 0.001, fire, nxt)
-
-    for chain in range(min(width, total)):
-        kernel.post_for(chain % nodes, 0.001, fire, chain % nodes)
-    kernel.run_until_idle()
-
-
-def _striped_sharded_engine() -> ShardedEngine:
-    engine = ShardedEngine(SHARD_COUNT, lookahead=0.001)
-    for owner in range(SHARD_NODES):
-        engine.assign(owner, owner % SHARD_COUNT)
-    return engine
-
-
-def _best_crossing_eps(engine_factory, total: int, width: int):
-    """Best-of-repeats events/s plus the best run's kernel (for its
-    handoff ledger; ``None`` on the single-shard engine)."""
-    best = 0.0
-    best_engine = None
-    for _ in range(REPEATS):
-        engine = engine_factory()
-        started = time.perf_counter()
-        _drive_crossing(engine, total, width, SHARD_NODES)
-        eps = _events_per_second(total, time.perf_counter() - started)
-        if eps > best:
-            best = eps
-            best_engine = engine
-    return best, best_engine
-
-
 def _best_posted_eps(engine_factory, total: int, width: int) -> float:
     best = 0.0
     for _ in range(REPEATS):
@@ -350,10 +291,6 @@ def run_kernel_bench() -> dict:
     jitter_unticked_eps = _best_jittered_eps(Engine, BATCH, WIDTH)
     jitter_ticked_eps = _best_jittered_eps(
         lambda: Engine(tick=ENGINE_TICK), BATCH, WIDTH
-    )
-    crossing_single_eps, _ = _best_crossing_eps(Engine, BATCH, WIDTH)
-    crossing_sharded_eps, sharded_engine = _best_crossing_eps(
-        _striped_sharded_engine, BATCH, WIDTH
     )
 
     engine = Engine()
@@ -410,21 +347,10 @@ def run_kernel_bench() -> dict:
                 "speedup_vs_unticked": jitter_ticked_eps / jitter_unticked_eps,
                 "speedup_floor": TICK_SPEEDUP_FLOOR,
             },
-            {
-                "cell": f"sharded-crossings-{SHARD_NODES}",
-                "events": BATCH,
-                "events_per_second": crossing_sharded_eps,
-                "single_shard_events_per_second": crossing_single_eps,
-                # > 1.0 means the coordinator costs that factor of
-                # throughput on all-cross-shard traffic — the honest
-                # price of the outbox/merge machinery.
-                "overhead_vs_single_shard": crossing_single_eps / crossing_sharded_eps,
-                "sync": sharded_engine.sync.snapshot(),
-            },
         ],
         "totals": {
-            "units": 6,
-            "events": 5 * BATCH + BATCH // 2,
+            "units": 5,
+            "events": 4 * BATCH + BATCH // 2,
             # The headline figure the perf-trend job follows.
             "events_per_second": burst_eps,
             "worker_seconds": None,
@@ -433,8 +359,7 @@ def run_kernel_bench() -> dict:
 
 
 def report(record: dict) -> None:
-    burst, serial, timers, retransmit, jitter, sharded = record["units"]
-    sync = sharded["sync"]
+    burst, serial, timers, retransmit, jitter = record["units"]
     print(
         f"\nkernel hot loop (bucket queue + timer wheel vs heapq baseline):\n"
         f"  posted burst x{WIDTH}: {burst['events_per_second']:,.0f} ev/s "
@@ -451,13 +376,7 @@ def report(record: dict) -> None:
         f"  jittered chains x{WIDTH}, tick={ENGINE_TICK}: "
         f"{jitter['events_per_second']:,.0f} ev/s "
         f"(untick'd {jitter['unticked_events_per_second']:,.0f}, "
-        f"coalescing win {jitter['speedup_vs_unticked']:.2f}x)\n"
-        f"  sharded crossings n={SHARD_NODES}: "
-        f"{sharded['events_per_second']:,.0f} ev/s "
-        f"(single-shard {sharded['single_shard_events_per_second']:,.0f}, "
-        f"overhead {sharded['overhead_vs_single_shard']:.2f}x; "
-        f"{sync['handoffs']:,} handoffs in {sync['batches']:,} batches, "
-        f"{sync['lookahead_violations']:,} lookahead violations)"
+        f"coalescing win {jitter['speedup_vs_unticked']:.2f}x)"
     )
 
 
@@ -465,15 +384,12 @@ def report(record: dict) -> None:
 def bench_kernel_hot_loop() -> None:
     record = run_kernel_bench()
     report(record)
-    burst, serial, timers, retransmit, jitter, sharded = record["units"]
+    burst, serial, timers, retransmit, jitter = record["units"]
     assert burst["events_per_second"] > FLOOR
     assert serial["events_per_second"] > FLOOR
     assert timers["events_per_second"] > FLOOR
     assert retransmit["events_per_second"] > FLOOR
     assert jitter["events_per_second"] > FLOOR
-    assert sharded["events_per_second"] > FLOOR
-    # All-striped traffic means every hop was a handoff, all batched.
-    assert sharded["sync"]["handoffs"] == sharded["sync"]["batched_events"]
     # The tentpole claims: on gossip-burst traffic the bucket queue must
     # comfortably outrun the old mixed-tuple heap, and on the ack'd
     # retransmit mix the timer wheel must as well.
@@ -493,37 +409,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     record = run_kernel_bench()
     report(record)
-    burst, serial, timers, retransmit, jitter, sharded = record["units"]
+    burst, serial, timers, retransmit, jitter = record["units"]
     if args.json is not None:
         args.json.parent.mkdir(parents=True, exist_ok=True)
         args.json.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.json}")
-        # The sharded probe also gets a record of its own: perf_trend.py
-        # trends one metric per TIMINGS_* scenario, so the coordinator's
-        # throughput earns its own sparkline instead of hiding inside the
-        # microbench totals (whose headline stays the burst figure).
-        probe = {
-            "schema": TIMINGS_SCHEMA,
-            "scenario": "kernel_sharded_probe",
-            "tier": "kernel",
-            "workers": 1,
-            "units": [sharded],
-            "totals": {
-                "units": 1,
-                "events": sharded["events"],
-                "events_per_second": sharded["events_per_second"],
-                "worker_seconds": None,
-            },
-        }
-        probe_path = args.json.with_name("TIMINGS_kernel_sharded_probe.json")
-        probe_path.write_text(json.dumps(probe, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {probe_path}")
     # Hard gate: the catastrophic-regression floors, on every workload —
     # these are orders of magnitude below real throughput, so tripping one
     # means the kernel broke, not that the runner was busy.
     ok = all(
         unit["events_per_second"] > FLOOR
-        for unit in (burst, serial, timers, retransmit, jitter, sharded)
+        for unit in (burst, serial, timers, retransmit, jitter)
     )
     # Hard gate: the timer-wheel speedup floor.  Unlike the absolute
     # events/s numbers this is a *ratio* of two runs on the same machine,
@@ -560,15 +456,6 @@ def main(argv=None) -> int:
         f"{retransmit['speedup_vs_heapq']:.2f}x vs heapq baseline "
         f"(floor {TIMER_SPEEDUP:.1f}x); all-cancel timers "
         f"{timers['events_per_second']:,.0f} ev/s"
-    )
-    # Sharded-kernel trend line: overhead, never gated on — the probe
-    # exists to keep the coordinator's price visible, not to cap it.
-    print(
-        f"::notice title=sharded kernel::crossings n={SHARD_NODES}: "
-        f"{sharded['events_per_second']:,.0f} ev/s, "
-        f"{sharded['overhead_vs_single_shard']:.2f}x overhead vs "
-        f"single-shard ({sharded['sync']['handoffs']:,} handoffs, "
-        f"{sharded['sync']['batches']:,} batches)"
     )
     # Soft gate: the 2x burst-speedup ratio is wall-clock-relative and may
     # be squeezed on a contended hosted runner; warn (GitHub annotation),

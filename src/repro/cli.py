@@ -333,8 +333,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             root_seed=args.seed,
             n=args.n,
             messages=args.messages,
-            kernel=args.kernel,
-            shards=args.shards,
             unit_index=args.profile_unit,
         )
         return 0
@@ -348,8 +346,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         replicates=args.replicates,
         cells=args.cells != "off",
         snapshot_cache=not args.no_snapshot_cache,
-        kernel=args.kernel,
-        shards=args.shards,
         trace=args.trace,
         trace_dir=args.trace_out,
         out_dir=None if args.no_artifacts else args.out,
@@ -394,8 +390,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         replicates=args.replicates,
         cells=args.cells != "off",
         snapshot_cache=not args.no_snapshot_cache,
-        kernel=args.kernel,
-        shards=args.shards,
         trace=True,
         traces=traces,
         progress=lambda note: print(f"  [{args.tier}] {note}", file=sys.stderr),
@@ -655,17 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
         "artifacts; for debugging/verification)",
     )
     p.add_argument(
-        "--kernel", choices=["single", "sharded"], default=None,
-        help="override the simulation kernel: single (bucket-queue "
-        "engine) or sharded (space-partitioned coordinator). Artifacts "
-        "are byte-identical either way; default: the tier's setting",
-    )
-    p.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="shard count for --kernel sharded (default: the tier's "
-        "setting, normally 2)",
-    )
-    p.add_argument(
         "--profile", action="store_true",
         help="run one work unit under cProfile and print the top 20 "
         "functions by cumulative time (combine with --scenario/--tier; "
@@ -746,10 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-snapshot-cache", action="store_true",
                    help="rebuild stabilised bases instead of thawing cached "
                    "snapshots (traces are identical either way)")
-    p.add_argument("--kernel", choices=["single", "sharded"], default=None,
-                   help="simulation kernel override")
-    p.add_argument("--shards", type=int, default=None, metavar="K",
-                   help="shard count for --kernel sharded")
     p.add_argument(
         "--message", default=None, metavar="KEY",
         help="dump one message's broadcast tree as Chrome trace JSON; KEY "

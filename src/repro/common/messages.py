@@ -133,27 +133,28 @@ def encode_message(message: Message) -> dict:
 def decode_message(payload: dict) -> Message:
     """Inverse of :func:`encode_message`.
 
-    Raises :class:`CodecError` on unknown types or malformed payloads rather
-    than letting a ``KeyError`` escape, so transport code can treat any
-    :class:`CodecError` as a corrupt frame.
+    Raises :class:`CodecError` on unknown types or malformed payloads —
+    including well-formed JSON of the wrong shape (``"fields": 3``, an
+    unhashable type name, a non-numeric or infinite port) — rather than
+    letting the underlying exception escape, so transport code can treat
+    any :class:`CodecError` as a corrupt frame.
     """
     try:
         wire_name = payload["type"]
-        raw_fields = payload["fields"]
-    except (TypeError, KeyError) as exc:
-        raise CodecError(f"malformed message payload: {payload!r}") from exc
-    cls = _REGISTRY_BY_NAME.get(wire_name)
-    if cls is None:
-        raise CodecError(f"unknown message wire name: {wire_name!r}")
-    decoded = {name: _decode_value(value) for name, value in raw_fields.items()}
-    expected = {field.name for field in dataclasses.fields(cls)}
-    if set(decoded) != expected:
-        raise CodecError(
-            f"field mismatch for {wire_name!r}: got {sorted(decoded)}, expected {sorted(expected)}"
-        )
-    # Registered messages use plain typed fields, so tuples arrive as lists;
-    # the dataclasses involved accept sequences for their collection fields.
-    try:
+        cls = _REGISTRY_BY_NAME.get(wire_name)
+        if cls is None:
+            raise CodecError(f"unknown message wire name: {wire_name!r}")
+        decoded = {name: _decode_value(value) for name, value in payload["fields"].items()}
+        expected = {field.name for field in dataclasses.fields(cls)}
+        if set(decoded) != expected:
+            raise CodecError(
+                f"field mismatch for {wire_name!r}: got {sorted(decoded)}, "
+                f"expected {sorted(expected)}"
+            )
+        # Registered messages use plain typed fields, so tuples arrive as lists;
+        # the dataclasses involved accept sequences for their collection fields.
         return cls(**decoded)
-    except TypeError as exc:
-        raise CodecError(f"cannot construct {wire_name!r} from {decoded!r}") from exc
+    except CodecError:
+        raise
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise CodecError(f"malformed message payload: {payload!r}") from exc

@@ -37,12 +37,6 @@ from ..sim.latency import LATENCY_MODEL_NAMES
 #: + per-copy acks + cancellable retransmit timers) over the named overlay.
 PROTOCOL_NAMES = stack_names()
 
-#: Simulation kernels a scenario can run on: the single-process
-#: bucket-queue :class:`~repro.sim.engine.Engine` and the space-sharded
-#: :class:`~repro.sim.sharded.ShardedEngine` coordinator.  Both fire the
-#: same events in the same order (the fig2 pin asserts it to the byte).
-KERNEL_NAMES = ("single", "sharded")
-
 
 @dataclass(frozen=True, slots=True)
 class ExperimentParams:
@@ -81,13 +75,6 @@ class ExperimentParams:
     #: exact timestamps.
     engine_tick: Optional[float] = None
     max_events_per_drain: Optional[int] = 50_000_000
-    #: Which simulation kernel runs the scenario (see ``KERNEL_NAMES``).
-    #: The choice never changes measured results — it is deliberately
-    #: excluded from artifact serialisation so byte-identity across
-    #: kernels is checkable.
-    kernel: str = "single"
-    #: Shard count for the sharded kernel; ignored by ``"single"``.
-    kernel_shards: int = 2
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -109,30 +96,15 @@ class ExperimentParams:
             )
         if self.latency_zones < 1:
             raise ConfigurationError(f"zone count must be >= 1: {self.latency_zones}")
-        if self.kernel not in KERNEL_NAMES:
-            raise ConfigurationError(
-                f"unknown kernel {self.kernel!r}; expected one of {KERNEL_NAMES}"
-            )
-        if self.kernel_shards < 1:
-            raise ConfigurationError(f"shard count must be >= 1: {self.kernel_shards}")
 
     @classmethod
-    def paper(
-        cls,
-        n: int = 10_000,
-        seed: int = 42,
-        *,
-        kernel: str = "single",
-        kernel_shards: int = 2,
-    ) -> "ExperimentParams":
+    def paper(cls, n: int = 10_000, seed: int = 42) -> "ExperimentParams":
         """The exact Section 5.1 setting (10 000 nodes by default)."""
         return cls(
             n=n,
             seed=seed,
             fanout=4,
             stabilization_cycles=50,
-            kernel=kernel,
-            kernel_shards=kernel_shards,
             hyparview=HyParViewConfig(
                 active_view_capacity=5,
                 passive_view_capacity=30,
@@ -151,9 +123,6 @@ class ExperimentParams:
         n: int,
         seed: int = 42,
         stabilization_cycles: int = 50,
-        *,
-        kernel: str = "single",
-        kernel_shards: int = 2,
     ) -> "ExperimentParams":
         """Paper relations at system size ``n`` (views scale with log n)."""
         if n < 2:
@@ -167,8 +136,6 @@ class ExperimentParams:
             seed=seed,
             fanout=4,
             stabilization_cycles=stabilization_cycles,
-            kernel=kernel,
-            kernel_shards=kernel_shards,
             hyparview=hyparview,
             cyclon=CyclonConfig(
                 view_size=cyclon_view,

@@ -140,11 +140,6 @@ class WorkUnit:
     #: snapshot cache (results are identical either way; this is purely
     #: a speed/memory knob).
     snapshot_cache: bool = True
-    #: Simulation kernel override (``"single"``/``"sharded"``); ``None``
-    #: keeps the tier's default.  Never part of the artifact.
-    kernel: Optional[str] = None
-    #: Shard-count override for the sharded kernel.
-    shards: Optional[int] = None
     #: Collect a dissemination trace while the unit runs.  Never part of
     #: the BENCH artifact: trace output travels in ``UnitOutcome.trace``
     #: and lands in the separate ``TRACE_*``/``METRICS_*`` files.
@@ -154,9 +149,7 @@ class WorkUnit:
         self, snapshots: Optional[SnapshotCache] = None
     ) -> tuple[ScenarioSpec, RunContext]:
         spec = get_scenario(self.scenario_id)
-        config = _apply_overrides(
-            spec.tier(self.tier), self.n, self.messages, self.kernel, self.shards
-        )
+        config = _apply_overrides(spec.tier(self.tier), self.n, self.messages)
         seed = replicate_seed(self.root_seed, self.scenario_id, self.replicate)
         context = RunContext(
             scenario_id=self.scenario_id,
@@ -194,17 +187,11 @@ def _apply_overrides(
     config: TierConfig,
     n: Optional[int],
     messages: Optional[int],
-    kernel: Optional[str] = None,
-    shards: Optional[int] = None,
 ) -> TierConfig:
     if n is not None:
         config = replace(config, n=n, paper_params=False)
     if messages is not None:
         config = replace(config, messages=messages)
-    if kernel is not None:
-        config = replace(config, kernel=kernel)
-    if shards is not None:
-        config = replace(config, kernel_shards=shards)
     return config
 
 
@@ -472,8 +459,6 @@ def build_units(
     replicates: Optional[int] = None,
     cells: bool = True,
     snapshot_cache: bool = True,
-    kernel: Optional[str] = None,
-    shards: Optional[int] = None,
     trace: bool = False,
 ) -> list[WorkUnit]:
     """Expand scenarios into the flat, deterministic work-unit list.
@@ -499,8 +484,6 @@ def build_units(
                 n=n,
                 messages=messages,
                 snapshot_cache=snapshot_cache,
-                kernel=kernel,
-                shards=shards,
                 trace=trace,
             )
             if cells and spec.supports_cells:
@@ -525,8 +508,6 @@ def run_scenarios(
     replicates: Optional[int] = None,
     cells: bool = True,
     snapshot_cache: bool = True,
-    kernel: Optional[str] = None,
-    shards: Optional[int] = None,
     trace: bool = False,
     traces: Optional[dict[str, list]] = None,
     progress: Optional[Callable[[str], None]] = None,
@@ -536,9 +517,7 @@ def run_scenarios(
 
     Returns runs keyed by scenario id, replicates ordered by index —
     identical regardless of worker count, cell splitting, snapshot
-    caching or completion order.  The ``kernel``/``shards`` overrides
-    select the simulation kernel; artifacts are byte-identical across
-    them (the sharded determinism pins depend on it).
+    caching or completion order.
 
     With ``trace``, workers collect dissemination-trace segments; pass a
     dict as ``traces`` to receive, per scenario id, one
@@ -553,8 +532,7 @@ def run_scenarios(
     units = build_units(
         scenario_ids, tier,
         root_seed=root_seed, n=n, messages=messages, replicates=replicates,
-        cells=cells, snapshot_cache=snapshot_cache, kernel=kernel, shards=shards,
-        trace=trace,
+        cells=cells, snapshot_cache=snapshot_cache, trace=trace,
     )
     unit_by_key = {(u.scenario_id, u.replicate, u.cell): u for u in units}
     completed: list[UnitOutcome] = []
@@ -603,7 +581,7 @@ def run_scenarios(
     runs: dict[str, ScenarioRun] = {}
     for scenario_id in scenario_ids:
         spec = get_scenario(scenario_id)
-        config = _apply_overrides(spec.tier(tier), n, messages, kernel, shards)
+        config = _apply_overrides(spec.tier(tier), n, messages)
         count = replicates if replicates is not None else config.replicates
         if replicates is not None:
             config = replace(config, replicates=replicates)
@@ -620,7 +598,6 @@ def run_scenarios(
                 _, context = WorkUnit(
                     scenario_id=scenario_id, tier=tier, replicate=replicate,
                     root_seed=root_seed, n=n, messages=messages,
-                    kernel=kernel, shards=shards,
                 ).resolve()
                 result = spec.merge_cells(context, cell_results[key])
             records.append({"replicate": replicate, "seed": seed, "result": result})
@@ -636,7 +613,6 @@ def run_scenarios(
                         _, context = WorkUnit(
                             scenario_id=scenario_id, tier=tier, replicate=replicate,
                             root_seed=root_seed, n=n, messages=messages,
-                            kernel=kernel, shards=shards,
                         ).resolve()
                     segments = []
                     for cell_key in spec.cells(context):
@@ -751,8 +727,6 @@ def run_and_report(
     replicates: Optional[int] = None,
     cells: bool = True,
     snapshot_cache: bool = True,
-    kernel: Optional[str] = None,
-    shards: Optional[int] = None,
     trace: bool = False,
     trace_dir: Optional[pathlib.Path | str] = None,
     out_dir: Optional[pathlib.Path | str] = None,
@@ -780,7 +754,6 @@ def run_and_report(
         workers=workers, root_seed=root_seed,
         n=n, messages=messages, replicates=replicates,
         cells=cells, snapshot_cache=snapshot_cache,
-        kernel=kernel, shards=shards,
         trace=trace, traces=traces,
         progress=lambda note: print(f"  [{tier}] {note}", file=stream),
         timings=timings,
@@ -840,8 +813,6 @@ def profile_unit(
     root_seed: int = DEFAULT_ROOT_SEED,
     n: Optional[int] = None,
     messages: Optional[int] = None,
-    kernel: Optional[str] = None,
-    shards: Optional[int] = None,
     unit_index: int = 0,
     top: int = 20,
     stream=None,
@@ -858,8 +829,7 @@ def profile_unit(
 
     stream = stream if stream is not None else sys.stdout
     units = build_units(
-        [scenario_id], tier, root_seed=root_seed, n=n, messages=messages,
-        replicates=1, kernel=kernel, shards=shards,
+        [scenario_id], tier, root_seed=root_seed, n=n, messages=messages, replicates=1,
     )
     if not 0 <= unit_index < len(units):
         raise ConfigurationError(

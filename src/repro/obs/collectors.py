@@ -40,19 +40,6 @@ def bind_kernel(registry: MetricsRegistry) -> None:
     registry.register_collector(lambda: fired.set_total(events_fired_total()))
 
 
-def bind_shard_sync(registry: MetricsRegistry, engine: Any, **labels: str) -> None:
-    """Mirror a ``ShardedEngine``'s :class:`ShardSyncStats`."""
-    sync = registry.counter(
-        "repro_shard_sync_total", "Sharded-kernel synchronisation events by kind"
-    )
-
-    def collect() -> None:
-        for kind, value in engine.sync.snapshot().items():
-            sync.set_total(value, kind=kind, **labels)
-
-    registry.register_collector(collect)
-
-
 def bind_latency(
     registry: MetricsRegistry,
     name: str,

@@ -86,7 +86,7 @@ from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
 from ..common.errors import SimulationError
-from ..common.interfaces import Kernel, TimerHandle
+from ..common.interfaces import TimerHandle
 
 #: Compaction never triggers below this many cancelled events: tiny queues
 #: are cheap to carry and rebuilding them would cost more than it saves.
@@ -168,16 +168,12 @@ class EventHandle(TimerHandle):
             self._callback(*self._args)
 
 
-class Engine(Kernel):
-    """The simulation event loop (the single-shard :class:`Kernel`).
+class Engine:
+    """The simulation event loop — the one kernel every simulation runs on.
 
     Events scheduled for the same instant fire in scheduling order (FIFO),
     which makes runs fully deterministic given deterministic callbacks.
-    Consumers that hold a :class:`~repro.common.interfaces.Kernel` may
-    pre-bind this engine's concrete methods (``engine.post``) because
-    :attr:`~repro.common.interfaces.Kernel.routed` is ``False`` here —
-    the owner-qualified ``post_for``/``schedule_for`` fall through to the
-    owner-blind methods unchanged.
+    Consumers may pre-bind its methods (``engine.post``) on their hot paths.
     """
 
     def __init__(self, start_time: float = 0.0, *, tick: Optional[float] = None) -> None:

@@ -32,10 +32,10 @@ transport assumptions:
 
 All hooks are strictly pay-for-what-you-use, and the price is one flag:
 ``Network._hooked`` is true while a trace sink, link rule, partition,
-adversary, Byzantine sender, collusion set or shard-routed kernel is
-installed.  ``send`` and ``_deliver`` test it once each; unhooked, a message
-is a straight line — count, ``latency.delay``, liveness, loss draw, ``post``,
-then liveness again and the handler.  Every mutator that installs or removes
+adversary, Byzantine sender or collusion set is installed.  ``send`` and
+``_deliver`` test it once each; unhooked, a message is a straight line —
+count, ``latency.delay``, liveness, loss draw, ``post``, then liveness
+again and the handler.  Every mutator that installs or removes
 a hook (the ``trace`` setter, ``set_*``/``add_link_rule``, ``clear_*``,
 ``recover``, lazy link-rule expiry) recomputes the flag, and delivery reads
 it afresh, so a frame in flight when a hook arrives still meets it.  Either
@@ -53,9 +53,10 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from ..common.errors import SimulationError, UnknownNodeError
 from ..common.ids import NodeId
-from ..common.interfaces import FailureCallback, Kernel, ProbeCallback
+from ..common.interfaces import FailureCallback, ProbeCallback
 from ..common.messages import Message
 from ..common.rng import SeedSequence
+from .engine import Engine
 from .latency import ConstantLatency, LatencyModel
 from .trace import EventTrace
 
@@ -208,7 +209,7 @@ class Network:
 
     def __init__(
         self,
-        engine: Kernel,
+        engine: Engine,
         *,
         latency: Optional[LatencyModel] = None,
         seeds: Optional[SeedSequence] = None,
@@ -223,11 +224,7 @@ class Network:
         self.seeds = seeds
         self._rng: random.Random = seeds.stream("network")
         # Deliveries ride the engine's handle-free post fast path, pre-bound.
-        # `_post_for` also names the node that consumes the event, so a
-        # shard-routed kernel can hand it to the owning shard (others discard
-        # the owner); everything but the unhooked send posts through it.
         self._post = engine.post
-        self._post_for = engine.post_for
         self._nodes: dict[NodeId, "SimNode"] = {}
         # Live nodes, each with its own type -> handler table (shared, not
         # copied): one lookup at delivery answers "alive?" and dispatches
@@ -249,14 +246,12 @@ class Network:
         self._watchers: dict[NodeId, dict[NodeId, Callable[[NodeId], None]]] = {}
         self.stats = NetworkStats()
         self._trace: Optional[EventTrace] = None
-        self._hooked = engine.routed
+        self._hooked = False
 
     def _rehook(self) -> None:
         """Recompute the flag ``send``/``_deliver`` test (module docstring)."""
         faults = self._link_rules or self._adversaries or self._byzantine or self._collusion_drops
-        self._hooked = bool(
-            faults or self.engine.routed or self._trace is not None or self._partition is not None
-        )
+        self._hooked = bool(faults or self._trace is not None or self._partition is not None)
 
     @property
     def trace(self) -> Optional[EventTrace]:
@@ -310,7 +305,7 @@ class Network:
         if watchers:
             for watcher, callback in watchers.items():
                 delay = self.latency.delay(node_id, watcher, self._rng)
-                self._post_for(watcher, delay, self._notify_link_down, watcher, node_id, callback)
+                self._post(delay, self._notify_link_down, watcher, node_id, callback)
         # The crashed node's own held connections die with it: purge its
         # outgoing watch registrations so a later revived incarnation never
         # receives callbacks wired to the dead protocol instance.
@@ -626,15 +621,14 @@ class Network:
                 if trace is not None:
                     trace.record(self.engine.now, "drop-fault", src, dst, message)
                 return
-        post_for = self._post_for
+        post = self._post
         if on_failure is not None:
             if self.reachable(src, dst):
-                # Deliveries belong to the destination's shard.
-                post_for(dst, delay, self._deliver, src, dst, message, on_failure)
+                post(delay, self._deliver, src, dst, message, on_failure)
             else:
                 # TCP reset / connect failure: the sender learns after one
-                # network delay that the peer is gone (on the *sender's* shard).
-                post_for(src, delay, self._notify_failure, src, dst, message, on_failure)
+                # network delay that the peer is gone.
+                post(delay, self._notify_failure, src, dst, message, on_failure)
             return
         if not self.reachable(src, dst):
             stats.dropped_dead += 1
@@ -646,11 +640,11 @@ class Network:
             if trace is not None:
                 trace.record(self.engine.now, "drop-loss", src, dst, message)
             return
-        post_for(dst, delay, self._deliver, src, dst, message)
+        post(delay, self._deliver, src, dst, message)
         for _ in range(duplicates):
             stats.duplicated_fault += 1
             extra = delay * (1.0 + self._fault_rng.random())
-            post_for(dst, extra, self._deliver, src, dst, message)
+            post(extra, self._deliver, src, dst, message)
 
     def watch(self, src: NodeId, dst: NodeId, on_down: Callable[[NodeId], None]) -> None:
         """``src`` holds an open connection to ``dst`` (Transport.watch).
@@ -660,7 +654,7 @@ class Network:
         """
         if dst not in self._alive:
             delay = self.latency.delay(dst, src, self._rng)
-            self._post_for(src, delay, self._notify_link_down, src, dst, on_down)
+            self._post(delay, self._notify_link_down, src, dst, on_down)
             return
         self._watchers.setdefault(dst, {})[src] = on_down
 
@@ -686,8 +680,7 @@ class Network:
         ok = self.reachable(src, dst)
         if self._trace is not None:
             self._trace.record(self.engine.now, "probe", src, dst, None)
-        # The probe outcome is consumed by the prober.
-        self._post_for(src, rtt, self._probe_result, src, dst, ok, on_result)
+        self._post(rtt, self._probe_result, src, dst, ok, on_result)
 
     # ------------------------------------------------------------------
     # Internal delivery machinery

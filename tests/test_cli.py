@@ -226,6 +226,10 @@ class TestTraceCli:
     def test_unknown_tier_is_structured_error(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["trace", "--tier", "galactic"])
+        # There is one kernel and no flag to pick another: argparse's exit 2.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--kernel", "sharded"])
+        assert exit_info.value.code == 2
 
     def test_bench_trace_flags_parse(self):
         args = build_parser().parse_args(

@@ -100,6 +100,12 @@ class TestCodec:
             decode_message({"nope": 1})
         with pytest.raises(CodecError):
             decode_message("not a dict")
+        # Well-formed JSON of the wrong shape is a corrupt frame too.
+        for fields in (3, {"new_node": ["@node", "h", "abc"]}, {"new_node": ["@node", "h", 1e999]}):
+            with pytest.raises(CodecError):
+                decode_message({"type": "hyparview.join", "fields": fields})
+        with pytest.raises(CodecError):
+            decode_message({"type": ["x"], "fields": {}})
 
     def test_decode_field_mismatch(self):
         encoded = encode_message(Join(NodeId("a", 1)))

@@ -303,26 +303,6 @@ class TestExecutionMatrix:
         assert baseline == _traced_fig2(snapshot_cache=False)
         assert baseline == _traced_fig2(workers=2)
 
-    def test_counter_parity_across_the_kernel_seam(self):
-        from repro.sim.engine import events_fired_total
-
-        def run(kernel, shards):
-            before = events_fired_total()
-            entries = _traced_fig2(snapshot_cache=False, kernel=kernel, shards=shards)
-            fired = events_fired_total() - before
-            view = DisseminationTrace(
-                [seg for entry in entries for seg in entry["segments"]]
-            )
-            deliveries = {v.key: v.deliveries for v in view.messages()}
-            return fired, deliveries, view.kind_counts()
-
-        single = run("single", None)
-        sharded = run("sharded", 2)
-        assert single[0] > 0
-        assert single[0] == sharded[0]  # events_fired_total parity
-        assert single[1] == sharded[1]  # per-message delivery parity
-        assert single[2] == sharded[2]  # full kind/type census parity
-
 
 class TestArtifactRoundTrip:
     def test_trace_and_metrics_files(self, tmp_path):

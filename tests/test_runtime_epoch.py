@@ -218,13 +218,22 @@ class TestHostileWireAndShutdown:
             writer.write(b"x" * (100 * 1024) + b"\n")  # over the 64 KiB limit
             writer.write(b"\xff\xfe not json at all\n")
             writer.write(b'{"type": "no.such.message", "fields": {}}\n')
+            # Well-formed JSON of the wrong shape (AttributeError / TypeError /
+            # ValueError / OverflowError inside the decoder, not CodecError).
+            writer.write(b'{"type": "hyparview.join", "fields": 3}\n')
+            writer.write(b'{"type": ["x"], "fields": {}}\n')
+            for port in (b'"abc"', b"1e999"):
+                writer.write(
+                    b'{"type": "hyparview.join", "fields": {"new_node": ["@node", "h", %s]}}\n'
+                    % port
+                )
             valid = GossipData(MessageId(ghost, 1), "still here", 1, ghost)
             writer.write((json.dumps(encode_message(valid)) + "\n").encode())
             await writer.drain()
 
             assert await wait_until(lambda: transport.frames_received == 1)
             assert node.delivered == [(valid.message_id, "still here")]
-            assert transport.frames_malformed >= 3
+            assert transport.frames_malformed >= 7
             # Same connection, reader still running, peer never reported down.
             assert transport._connections[ghost] is connection
             assert not connection.reader_task.done()

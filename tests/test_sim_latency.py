@@ -108,7 +108,7 @@ class TestZonedLatency:
                 else:
                     assert inter_low <= base <= model.inter[1]
 
-    def test_jitter_stays_within_fraction_and_above_min_delay(self):
+    def test_jitter_stays_within_fraction_and_above_the_floor(self):
         model = ZonedLatency()
         rng = random.Random(3)
         a, b = NodeId("n1", 9000), NodeId("n2", 9000)
@@ -116,7 +116,7 @@ class TestZonedLatency:
         for _ in range(200):
             delay = model.delay(a, b, rng)
             assert base * (1.0 - model.jitter) <= delay <= base * (1.0 + model.jitter)
-            assert delay >= model.min_delay()
+            assert delay >= model.intra[0] * (1.0 - model.jitter)
 
     def test_zero_jitter_reproduces_base_delay(self):
         model = ZonedLatency(jitter=0.0)
