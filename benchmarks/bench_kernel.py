@@ -20,21 +20,9 @@ engine against an in-bench reimplementation of the previous heapq kernel
   ``TIMER_WIDTH`` concurrent ack'd transfers, each round posting the data
   copy and the ack, arming a cancellable retransmit timer and cancelling
   it on the ack, with every tenth copy lost so its retransmit actually
-  expires.  Timers ride the hierarchical timer wheel; the acceptance
-  target is >= 1.5x events/s over the heapq baseline running the same
-  mix (the pre-wheel engine measured ~0.6x on its timer path);
-* **jittered chains, quantised tick** — the PR-8 follow-up measurement:
-  ``WIDTH`` concurrent chains whose hop delays carry continuous uniform
-  jitter, so every raw timestamp is distinct and the untick'd bucket
-  queue degenerates to one event per bucket.  Run once on ``Engine()``
-  and once on ``Engine(tick=ENGINE_TICK)`` (the tick the ``faults_*``
-  and ``topo_*`` scenarios use), reporting the coalescing win as a
-  ratio.  Measured ~1.0-1.1x in the dev container — the honest answer
-  to the "quantify the tick speedup" follow-up is that coalescing
-  roughly pays for the rounding, no more; the gate only requires ticked
-  mode never be materially *slower* (>= 0.9x), since bucketing that
-  loses throughput would mean the rounding path gained per-event
-  overhead.
+  expires.  Timers share the bucket queue with the messages; the gate
+  is >= 1.5x events/s over the heapq baseline running the same mix
+  (measured ~2.3x).
 
 Numbers go to stdout (CI job logs) and — with ``--json PATH`` — into a
 ``TIMINGS_kernel_microbench.json`` record that CI folds into the timings
@@ -54,7 +42,6 @@ import argparse
 import heapq
 import json
 import pathlib
-import random
 import time
 from itertools import count
 
@@ -85,20 +72,9 @@ BURST_SPEEDUP = 2.0
 #: outstanding retransmit timers, the reliable-delivery workload scale.
 TIMER_WIDTH = 4_096
 
-#: Required advantage of the timer wheel over the heapq baseline on the
-#: retransmit mix (the PR-5 acceptance criterion; the pre-wheel bucket
-#: queue sat at ~0.6x on its timer path).
+#: Required advantage of the bucket queue over the heapq baseline on the
+#: retransmit mix.
 TIMER_SPEEDUP = 1.5
-
-#: Tick of the quantised-bucket run — the value the fault and topology
-#: scenarios configure (``extra={"engine_tick": 0.002}``).
-ENGINE_TICK = 0.002
-
-#: Required ratio of the ticked engine over the untick'd engine on the
-#: jittered-chain workload.  Not a speedup target (the measured win is
-#: ~1.1x): a floor below 1.0 that only trips if timestamp rounding makes
-#: the engine materially slower than not rounding at all.
-TICK_SPEEDUP_FLOOR = 0.9
 
 
 class _BaselineHandle:
@@ -181,34 +157,6 @@ def _drive_posted(engine, total: int, width: int) -> None:
     engine.run_until_idle()
 
 
-def _drive_jittered(engine, total: int, width: int, *, seed: int = 2026) -> None:
-    """``width`` delivery chains whose hop delays carry continuous uniform
-    jitter in [1ms, 2ms) — the zoned-RTT/WAN-degrade traffic shape.  Raw
-    timestamps are all distinct, so without a tick every event opens its
-    own bucket; with ``tick=ENGINE_TICK`` they coalesce."""
-    rng = random.Random(seed)
-    remaining = [total]
-
-    def fire() -> None:
-        remaining[0] -= 1
-        if remaining[0] > 0:
-            engine.post(0.001 * (1.0 + rng.random()), fire)
-
-    for _ in range(min(width, total)):
-        engine.post(0.001 * (1.0 + rng.random()), fire)
-    engine.run_until_idle()
-
-
-def _best_jittered_eps(engine_factory, total: int, width: int) -> float:
-    best = 0.0
-    for _ in range(REPEATS):
-        engine = engine_factory()
-        started = time.perf_counter()
-        _drive_jittered(engine, total, width)
-        best = max(best, _events_per_second(total, time.perf_counter() - started))
-    return best
-
-
 def _drive_timers(engine: Engine, total: int) -> None:
     """A cascade of cancellable timers; each firing also schedules a decoy
     that is immediately cancelled (the ack-timer pattern), so half of all
@@ -232,8 +180,7 @@ def _drive_retransmit_mix(engine, rounds: int, width: int) -> int:
     resends — the post/cancel/expire mix of ack'd gossip
     (:mod:`repro.gossip.reliable`).  Returns the number of fired events.
 
-    Works against both the engine (timers on the wheel, messages in the
-    buckets) and the heapq baseline (everything through one heap).
+    Works against both the engine and the heapq baseline.
     """
     remaining = [rounds]
 
@@ -288,10 +235,6 @@ def run_kernel_bench() -> dict:
     serial_heapq_eps = _best_posted_eps(HeapqBaseline, BATCH, 1)
     retransmit_eps = _best_retransmit_eps(Engine, BATCH, TIMER_WIDTH)
     retransmit_heapq_eps = _best_retransmit_eps(HeapqBaseline, BATCH, TIMER_WIDTH)
-    jitter_unticked_eps = _best_jittered_eps(Engine, BATCH, WIDTH)
-    jitter_ticked_eps = _best_jittered_eps(
-        lambda: Engine(tick=ENGINE_TICK), BATCH, WIDTH
-    )
 
     engine = Engine()
     started = time.perf_counter()
@@ -336,21 +279,10 @@ def run_kernel_bench() -> dict:
                 # fails the build when the speedup drops below this floor.
                 "speedup_floor": TIMER_SPEEDUP,
             },
-            {
-                "cell": f"posted-jitter-ticked-{WIDTH}",
-                "events": BATCH,
-                "events_per_second": jitter_ticked_eps,
-                "unticked_events_per_second": jitter_unticked_eps,
-                # The quantised-tick coalescing win on continuous-jitter
-                # traffic (~1.1x measured); the floor < 1.0 only trips if
-                # rounding makes the engine materially slower.
-                "speedup_vs_unticked": jitter_ticked_eps / jitter_unticked_eps,
-                "speedup_floor": TICK_SPEEDUP_FLOOR,
-            },
         ],
         "totals": {
-            "units": 5,
-            "events": 4 * BATCH + BATCH // 2,
+            "units": 4,
+            "events": 3 * BATCH + BATCH // 2,
             # The headline figure the perf-trend job follows.
             "events_per_second": burst_eps,
             "worker_seconds": None,
@@ -359,9 +291,9 @@ def run_kernel_bench() -> dict:
 
 
 def report(record: dict) -> None:
-    burst, serial, timers, retransmit, jitter = record["units"]
+    burst, serial, timers, retransmit = record["units"]
     print(
-        f"\nkernel hot loop (bucket queue + timer wheel vs heapq baseline):\n"
+        f"\nkernel hot loop (bucket queue vs heapq baseline):\n"
         f"  posted burst x{WIDTH}: {burst['events_per_second']:,.0f} ev/s "
         f"(heapq {burst['heapq_baseline_events_per_second']:,.0f}, "
         f"speedup {burst['speedup_vs_heapq']:.2f}x)\n"
@@ -372,11 +304,7 @@ def report(record: dict) -> None:
         f"  retransmit mix x{TIMER_WIDTH}: "
         f"{retransmit['events_per_second']:,.0f} ev/s "
         f"(heapq {retransmit['heapq_baseline_events_per_second']:,.0f}, "
-        f"speedup {retransmit['speedup_vs_heapq']:.2f}x)\n"
-        f"  jittered chains x{WIDTH}, tick={ENGINE_TICK}: "
-        f"{jitter['events_per_second']:,.0f} ev/s "
-        f"(untick'd {jitter['unticked_events_per_second']:,.0f}, "
-        f"coalescing win {jitter['speedup_vs_unticked']:.2f}x)"
+        f"speedup {retransmit['speedup_vs_heapq']:.2f}x)"
     )
 
 
@@ -384,19 +312,15 @@ def report(record: dict) -> None:
 def bench_kernel_hot_loop() -> None:
     record = run_kernel_bench()
     report(record)
-    burst, serial, timers, retransmit, jitter = record["units"]
+    burst, serial, timers, retransmit = record["units"]
     assert burst["events_per_second"] > FLOOR
     assert serial["events_per_second"] > FLOOR
     assert timers["events_per_second"] > FLOOR
     assert retransmit["events_per_second"] > FLOOR
-    assert jitter["events_per_second"] > FLOOR
-    # The tentpole claims: on gossip-burst traffic the bucket queue must
-    # comfortably outrun the old mixed-tuple heap, and on the ack'd
-    # retransmit mix the timer wheel must as well.
+    # On gossip-burst traffic and on the ack'd retransmit mix the bucket
+    # queue must comfortably outrun the old mixed-tuple heap.
     assert burst["speedup_vs_heapq"] >= BURST_SPEEDUP
     assert retransmit["speedup_vs_heapq"] >= TIMER_SPEEDUP
-    # Quantised buckets must never be materially slower than raw ones.
-    assert jitter["speedup_vs_unticked"] >= TICK_SPEEDUP_FLOOR
 
 
 def main(argv=None) -> int:
@@ -409,7 +333,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     record = run_kernel_bench()
     report(record)
-    burst, serial, timers, retransmit, jitter = record["units"]
+    burst, serial, timers, retransmit = record["units"]
     if args.json is not None:
         args.json.parent.mkdir(parents=True, exist_ok=True)
         args.json.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
@@ -419,44 +343,19 @@ def main(argv=None) -> int:
     # means the kernel broke, not that the runner was busy.
     ok = all(
         unit["events_per_second"] > FLOOR
-        for unit in (burst, serial, timers, retransmit, jitter)
+        for unit in (burst, serial, timers, retransmit)
     )
-    # Hard gate: the timer-wheel speedup floor.  Unlike the absolute
+    # Hard gate: the retransmit-mix speedup floor.  Unlike the absolute
     # events/s numbers this is a *ratio* of two runs on the same machine,
-    # so runner load largely cancels out; measured ~2x in the dev
+    # so runner load largely cancels out; measured ~2.3x in the dev
     # container against the 1.5x floor.
     if retransmit["speedup_vs_heapq"] < TIMER_SPEEDUP:
         print(
             f"::error title=kernel bench::retransmit-mix speedup "
             f"{retransmit['speedup_vs_heapq']:.2f}x below the "
-            f"{TIMER_SPEEDUP:.1f}x timer-wheel floor"
+            f"{TIMER_SPEEDUP:.1f}x floor"
         )
         ok = False
-    # Hard gate: quantised-tick bucketing must never make the engine
-    # materially slower than raw timestamps (same-machine ratio again).
-    if jitter["speedup_vs_unticked"] < TICK_SPEEDUP_FLOOR:
-        print(
-            f"::error title=kernel bench::quantised-tick ratio "
-            f"{jitter['speedup_vs_unticked']:.2f}x below the "
-            f"{TICK_SPEEDUP_FLOOR:.1f}x floor (tick rounding gained "
-            f"per-event overhead)"
-        )
-        ok = False
-    print(
-        f"::notice title=quantised tick::jittered chains at "
-        f"tick={ENGINE_TICK}: {jitter['events_per_second']:,.0f} ev/s, "
-        f"{jitter['speedup_vs_unticked']:.2f}x vs untick'd "
-        f"(floor {TICK_SPEEDUP_FLOOR:.1f}x)"
-    )
-    # Timer-path trend line for the job summary (the perf-trend job
-    # follows totals.events_per_second, which is the burst figure).
-    print(
-        f"::notice title=timer wheel::retransmit mix "
-        f"{retransmit['events_per_second']:,.0f} ev/s, "
-        f"{retransmit['speedup_vs_heapq']:.2f}x vs heapq baseline "
-        f"(floor {TIMER_SPEEDUP:.1f}x); all-cancel timers "
-        f"{timers['events_per_second']:,.0f} ev/s"
-    )
     # Soft gate: the 2x burst-speedup ratio is wall-clock-relative and may
     # be squeezed on a contended hosted runner; warn (GitHub annotation),
     # never fail — matching the perf-trend job's noise policy.  The

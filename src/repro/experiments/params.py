@@ -68,12 +68,6 @@ class ExperimentParams:
     latency_model: str = "constant"
     #: Zone count for the ``"zoned"`` model; ignored by ``"constant"``.
     latency_zones: int = 8
-    #: Engine timestamp quantisation (seconds); ``None`` keeps exact float
-    #: bucketing.  Set by scenarios whose latency is continuous (WAN-jitter
-    #: fault plans) so deliveries share buckets instead of degenerating to
-    #: one event per bucket.  Off by default: artifacts are pinned with
-    #: exact timestamps.
-    engine_tick: Optional[float] = None
     max_events_per_drain: Optional[int] = 50_000_000
 
     def __post_init__(self) -> None:
@@ -87,8 +81,6 @@ class ExperimentParams:
             )
         if self.latency_seconds < 0:
             raise ConfigurationError(f"latency must be >= 0: {self.latency_seconds}")
-        if self.engine_tick is not None and self.engine_tick <= 0:
-            raise ConfigurationError(f"engine tick must be positive: {self.engine_tick}")
         if self.latency_model not in LATENCY_MODEL_NAMES:
             raise ConfigurationError(
                 f"unknown latency model {self.latency_model!r}; "

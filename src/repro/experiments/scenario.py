@@ -69,7 +69,7 @@ class Scenario:
         # The latency world model prices every link; ``params.latency_model``
         # selects it (constant by default — the historical, pinned setting).
         self.latency = build_latency_model(self.params)
-        self.engine = Engine(tick=self.params.engine_tick)
+        self.engine = Engine()
         self.network = Network(
             self.engine,
             latency=self.latency,

@@ -17,9 +17,7 @@ compare ``hyparview-xbot`` — HyParView plus X-BOT optimisation swaps
 Link costs are priced by the world model's jitter-free ``base_delay`` (the
 same pure function the X-BOT oracle reads), so every reported number is
 deterministic and the artifacts pin byte-for-byte like every other
-scenario.  Both run the engine in quantised-tick mode: the zone matrix
-plus per-message jitter is exactly the continuous-timestamp workload the
-tick bucketing exists for.
+scenario.
 """
 
 from __future__ import annotations
@@ -52,16 +50,11 @@ def _protocols(ctx: RunContext) -> tuple[str, ...]:
 
 def _topo_params(ctx: RunContext) -> ExperimentParams:
     """Tier params moved onto the zoned RTT world model."""
-    params = ctx.params()
-    params = replace(
-        params,
+    return replace(
+        ctx.params(),
         latency_model="zoned",
         latency_zones=int(ctx.option("zones", 8)),  # type: ignore[arg-type]
     )
-    tick = ctx.option("engine_tick", None)
-    if tick is not None:
-        params = replace(params, engine_tick=float(tick))  # type: ignore[arg-type]
-    return params
 
 
 def _settle(ctx: RunContext) -> float:
@@ -364,10 +357,8 @@ _register_topo_scenario(
     run_cell=_run_convergence_cell,
     render=_render_topo_convergence,
     check=_check_topo_convergence,
-    smoke=TierConfig(n=64, messages=12, stabilization_cycles=15,
-                     extra={"engine_tick": 0.002}),
-    paper=TierConfig(n=10_000, messages=100, paper_params=True,
-                     extra={"engine_tick": 0.002}),
+    smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
+    paper=TierConfig(n=10_000, messages=100, paper_params=True),
 )
 
 _register_topo_scenario(
@@ -379,10 +370,8 @@ _register_topo_scenario(
     run_cell=_run_latency_cell,
     render=_render_topo_latency,
     check=_check_topo_latency,
-    smoke=TierConfig(n=64, messages=12, stabilization_cycles=15,
-                     extra={"engine_tick": 0.002}),
-    paper=TierConfig(n=10_000, messages=100, paper_params=True,
-                     extra={"engine_tick": 0.002}),
+    smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
+    paper=TierConfig(n=10_000, messages=100, paper_params=True),
 )
 
 

@@ -8,9 +8,7 @@ cache like any grid scenario):
 
 * ``faults_partition_heal``   — split-brain with heal and assisted remerge;
 * ``faults_cascade``          — correlated cascading crash waves;
-* ``faults_wan_jitter``       — lossy/jittery/duplicating WAN links
-  (runs the engine in quantised-tick mode: continuous jitter otherwise
-  degenerates the bucket queue to one event per bucket);
+* ``faults_wan_jitter``       — lossy/jittery/duplicating WAN links;
 * ``faults_churn_trace``      — replay of a crash/restart churn trace;
 * ``faults_flash_crowd``      — mass concurrent rejoin after heavy loss;
 * ``faults_adversary``        — misbehaving peers silently dropping repair
@@ -18,10 +16,9 @@ cache like any grid scenario):
 
 The ``reliable_*`` family runs the same machinery over the ack+retransmit
 broadcast stacks (:mod:`repro.gossip.reliable`) — per-message per-peer
-cancellable retransmit timers, the workload class the engine's timer
-wheel exists for.  Their plans lean on *datagram* loss (which the acked
-layers must repair themselves) rather than the TCP-masking the flood
-enjoys:
+cancellable retransmit timers.  Their plans lean on *datagram* loss
+(which the acked layers must repair themselves) rather than the
+TCP-masking the flood enjoys:
 
 * ``reliable_loss``  — a window of correlated per-link datagram loss and
   duplication; retransmissions carry the stream through it;
@@ -37,10 +34,8 @@ every tier), so plans transfer unchanged to the live runtime via
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Mapping, Optional
 
-from ..experiments.params import ExperimentParams
 from ..experiments.registry import (
     SHAPE_CHECK_MIN_N,
     CellKey,
@@ -75,18 +70,9 @@ def _protocols(ctx: RunContext, default=FAULT_PROTOCOLS) -> tuple[str, ...]:
     return tuple(ctx.option("protocols", default))  # type: ignore[arg-type]
 
 
-def _fault_params(ctx: RunContext) -> ExperimentParams:
-    """Tier params plus the scenario's optional engine-tick override."""
-    params = ctx.params()
-    tick = ctx.option("engine_tick", None)
-    if tick is not None:
-        params = replace(params, engine_tick=float(tick))  # type: ignore[arg-type]
-    return params
-
-
 def _run_fault_cell(ctx: RunContext, key: CellKey, factory: PlanFactory) -> dict:
     protocol = str(key[0])
-    scenario = ctx.stabilized(protocol, _fault_params(ctx))
+    scenario = ctx.stabilized(protocol)
     plan, phases, end = factory(ctx)
     interval = end / (ctx.config.messages - 1) if ctx.config.messages > 1 else None
     result = measure_fault_plan(
@@ -277,7 +263,7 @@ _register_fault_scenario(
 
 
 # ----------------------------------------------------------------------
-# WAN jitter / lossy links (quantised-tick engine)
+# WAN jitter / lossy links
 # ----------------------------------------------------------------------
 def _wan_factory(ctx: RunContext) -> tuple[FaultPlan, tuple[Phase, ...], float]:
     degrade_at = float(ctx.option("degrade_at", 0.1))    # type: ignore[arg-type]
@@ -320,13 +306,10 @@ _register_fault_scenario(
     scenario_id="faults_wan_jitter",
     title="Faults — WAN jitter and lossy links",
     description="A window of per-link loss, jitter and duplication on half "
-    "the links; TCP-modelled flood vs datagram gossip, on the quantised-"
-    "tick engine.",
+    "the links; TCP-modelled flood vs datagram gossip.",
     factory=_wan_factory,
-    smoke=TierConfig(n=64, messages=12, stabilization_cycles=15,
-                     extra={"engine_tick": 0.002}),
-    paper=TierConfig(n=10_000, messages=100, paper_params=True,
-                     extra={"engine_tick": 0.002}),
+    smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
+    paper=TierConfig(n=10_000, messages=100, paper_params=True),
     check=_check_wan,
     default_protocols=("hyparview", "cyclon"),
 )
@@ -492,7 +475,7 @@ _register_fault_scenario(
 
 
 # ----------------------------------------------------------------------
-# Reliable-delivery workloads (ack + retransmit stacks; timer-wheel heavy)
+# Reliable-delivery workloads (ack + retransmit stacks; timer heavy)
 # ----------------------------------------------------------------------
 #: The ack/retransmit stacks the ``reliable_*`` scenarios compare:
 #: HyParView's flood discipline and Cyclon's fanout gossip, both over
@@ -510,9 +493,8 @@ def _reliable_loss_factory(ctx: RunContext) -> tuple[FaultPlan, tuple[Phase, ...
                 at=degrade_at,
                 until=recover_at,
                 loss_rate=float(ctx.option("loss", 0.25)),      # type: ignore[arg-type]
-                # No jitter: continuous latencies would degenerate the
-                # bucket queue, and the point here is the timer wheel —
-                # loss and duplication stress acks, not timestamps.
+                # No jitter: loss and duplication stress acks, not
+                # timestamps.
                 jitter=(0.0, 0.0),
                 duplicate_rate=float(ctx.option("dup", 0.05)),  # type: ignore[arg-type]
                 retransmit_delay=0.03,

@@ -5,8 +5,8 @@ peers that *lie*.  :class:`BRBGossip` runs the classic SEND→ECHO→READY
 phase protocol (Bracha 1987) on top of :class:`~repro.gossip.reliable.
 ReliableGossip`'s per-copy ack + retransmit machinery, so every phase
 message travels as a datagram with its own cancellable retransmit timer —
-quorum tracking multiplies the timer-wheel load the reliable layer
-already generates.
+quorum tracking multiplies the timer load the reliable layer already
+generates.
 
 Protocol, per broadcast:
 
@@ -58,10 +58,10 @@ from ..common.interfaces import Host
 from ..protocols.base import PeerSamplingService
 from .base import DeliverCallback
 from .messages import BRBAck, BRBEcho, BRBReady, BRBSend
-from .reliable import ReliableGossip
+from .reliable import ReliableConfig, ReliableGossip
 from .tracker import BroadcastTracker
 
-#: Phase tags used in retransmit keys and :class:`BRBAck` frames.
+#: Phase tags used in acked-channel keys and :class:`BRBAck` frames.
 PHASE_SEND = "send"
 PHASE_ECHO = "echo"
 PHASE_READY = "ready"
@@ -86,7 +86,7 @@ class BRBConfig:
     actual Byzantine fraction stays below it and ``n > 3f`` holds.
     ``sample_size=None`` uses SBRB's ``ceil(3 * log2 n)`` in sampled
     mode.  The ack/retransmit knobs mirror :class:`~repro.gossip.
-    reliable.ReliableConfig`.
+    reliable.ReliableConfig`, which validates them.
     """
 
     mode: str = "bracha"
@@ -107,6 +107,7 @@ class BRBConfig:
             )
         if self.sample_size is not None and self.sample_size < 1:
             raise ConfigurationError(f"sample size must be >= 1: {self.sample_size}")
+        ReliableConfig(self.ack_timeout, self.backoff, self.max_retries)
 
 
 class _BRBState:
@@ -270,7 +271,7 @@ class BRBGossip(ReliableGossip):
         message = BRBSend(message_id, payload, self.address)
         peers = self._peers()
         for peer in peers:
-            self._send_phase(peer, message, PHASE_SEND)
+            self._send_copy((message_id, PHASE_SEND, peer), message)
         self._record_transmissions(message_id, len(peers))
         # The origin is its own first SEND witness.
         self._maybe_echo(state, message_id, digest)
@@ -316,10 +317,7 @@ class BRBGossip(ReliableGossip):
         self._maybe_deliver(state, message.message_id)
 
     def handle_brb_ack(self, ack: BRBAck) -> None:
-        handle = self._pending.pop((ack.message_id, ack.phase, ack.sender), None)
-        if handle is not None:
-            handle.cancel()
-            self.acks_received += 1
+        self._acked((ack.message_id, ack.phase, ack.sender))
 
     def has_delivered(self, message_id: MessageId) -> bool:
         state = self._states.get(message_id)
@@ -355,7 +353,7 @@ class BRBGossip(ReliableGossip):
         message = BRBEcho(message_id, digest, self.address)
         targets = self._echo_targets()
         for peer in targets:
-            self._send_phase(peer, message, PHASE_ECHO)
+            self._send_copy((message_id, PHASE_ECHO, peer), message)
         self._record_transmissions(message_id, len(targets))
 
     def _send_ready(self, state: _BRBState, message_id: MessageId, digest: str) -> None:
@@ -365,7 +363,7 @@ class BRBGossip(ReliableGossip):
         message = BRBReady(message_id, digest, self.address)
         targets = self._ready_targets()
         for peer in targets:
-            self._send_phase(peer, message, PHASE_READY)
+            self._send_copy((message_id, PHASE_READY, peer), message)
         self._record_transmissions(message_id, len(targets))
         # In tiny groups the local vote can complete the delivery quorum.
         self._maybe_deliver(state, message_id)
@@ -383,36 +381,10 @@ class BRBGossip(ReliableGossip):
                 self._deliver(message_id, state.payloads[digest], hops)
                 return
 
-    # ------------------------------------------------------------------
-    # Acked phase transport (phase-keyed retransmit timers)
-    # ------------------------------------------------------------------
     def _ack(self, peer: NodeId, message_id: MessageId, phase: str) -> None:
         # Ack before processing, duplicates included — the copy may be a
         # retransmission whose previous ack was lost.
         self._host.send(peer, BRBAck(message_id, phase, self.address))
-
-    def _send_phase(self, peer: NodeId, message, phase: str, attempt: int = 0) -> None:
-        key = (message.message_id, phase, peer)
-        previous = self._pending.pop(key, None)
-        if previous is not None:
-            previous.cancel()
-        self._host.send(peer, message)
-        delay = self.ack_timeout * (self.backoff**attempt)
-        self._pending[key] = self._host.schedule(
-            delay, _PhaseRetransmit(self, peer, message, phase, attempt + 1)
-        )
-
-    def _phase_retransmit(self, peer: NodeId, message, phase: str, attempt: int) -> None:
-        key = (message.message_id, phase, peer)
-        if self._pending.pop(key, None) is None:
-            return  # acked in the same instant the timer fired
-        if attempt > self.max_retries:
-            self.give_ups += 1
-            self._membership.report_failure(peer)
-            return
-        self.retransmissions += 1
-        self._record_transmissions(message.message_id, 1)
-        self._send_phase(peer, message, phase, attempt)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -427,24 +399,6 @@ class BRBGossip(ReliableGossip):
                 1 for state in self._states.values() if not state.delivered
             ),
         }
-
-
-class _PhaseRetransmit:
-    """Picklable phase-retransmit callback (bound lambdas are not)."""
-
-    __slots__ = ("layer", "peer", "message", "phase", "attempt")
-
-    def __init__(
-        self, layer: BRBGossip, peer: NodeId, message, phase: str, attempt: int
-    ) -> None:
-        self.layer = layer
-        self.peer = peer
-        self.message = message
-        self.phase = phase
-        self.attempt = attempt
-
-    def __call__(self) -> None:
-        self.layer._phase_retransmit(self.peer, self.message, self.phase, self.attempt)
 
 
 __all__ = [

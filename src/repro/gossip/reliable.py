@@ -7,8 +7,7 @@ Reliable Broadcast, Snow's self-organising cloud broadcast — take a third
 road: every copy travels as a datagram, the receiver acknowledges it, and
 the sender keeps a **cancellable retransmit timer per (message, peer)**
 with exponential backoff until the ack lands or the retry budget runs
-out.  That discipline makes timers outnumber messages — the workload
-class the engine's hierarchical timer wheel exists for.
+out.  That discipline makes timers outnumber messages.
 
 Mechanics:
 
@@ -19,7 +18,7 @@ Mechanics:
   :class:`~repro.gossip.messages.GossipAck`, because the copy may be a
   retransmission whose earlier ack was lost;
 * an ack cancels the pending timer (the overwhelmingly common case: the
-  timer wheel reclaims the cancelled handle lazily);
+  engine reclaims the cancelled handle lazily);
 * an expired timer resends the copy and re-arms with doubled delay; after
   ``max_retries`` resends the peer is reported to the membership layer as
   failed (ack silence is this layer's failure detector, the way TCP
@@ -28,6 +27,11 @@ Mechanics:
 ``fanout=0`` forwards to the membership layer's whole view (HyParView's
 flood discipline over unreliable transport); a positive fanout samples
 peers the eager-gossip way (Cyclon-style).
+
+The send / retransmit / ack-cancel machinery is one **acked channel**
+keyed by an opaque tuple ending in the destination peer: ``(message id,
+peer)`` here, ``(message id, phase, peer)`` for the BRB phases of
+:mod:`repro.gossip.byzantine`, which stand on the same three methods.
 """
 
 from __future__ import annotations
@@ -54,6 +58,10 @@ class ReliableConfig:
     s): there most copies are re-sent before their ack can arrive (ROADMAP
     item 2 has the count).  With loss the doubling backoff gives up after
     ``ack_timeout * (2^(r+1) - 1)`` seconds (~0.75 s at the defaults).
+
+    This is the one place the three knobs are validated:
+    :class:`ReliableGossip` and :class:`~repro.gossip.byzantine.BRBConfig`
+    check theirs by constructing one.
     """
 
     ack_timeout: float = 0.05
@@ -89,12 +97,7 @@ class ReliableGossip(BroadcastLayer):
     ) -> None:
         if fanout < 0:
             raise ConfigurationError(f"fanout must be >= 0: {fanout}")
-        if ack_timeout <= 0:
-            raise ConfigurationError(f"ack timeout must be positive: {ack_timeout}")
-        if backoff < 1.0:
-            raise ConfigurationError(f"backoff factor must be >= 1: {backoff}")
-        if max_retries < 0:
-            raise ConfigurationError(f"max retries must be >= 0: {max_retries}")
+        ReliableConfig(ack_timeout, backoff, max_retries)  # validates the knobs
         super().__init__(
             host, membership, tracker, on_deliver=on_deliver, seen_capacity=seen_capacity
         )
@@ -102,10 +105,11 @@ class ReliableGossip(BroadcastLayer):
         self.ack_timeout = ack_timeout
         self.backoff = backoff
         self.max_retries = max_retries
-        #: (message id, peer) -> armed retransmit timer.  Entries leave on
-        #: ack (cancel), expiry (resend or give-up), so a quiesced network
-        #: leaves the map empty and scenarios freeze cleanly.
-        self._pending: dict[tuple[MessageId, NodeId], TimerHandle] = {}
+        #: channel key ``(message id, ..., peer)`` -> armed retransmit
+        #: timer.  Entries leave on ack (cancel), expiry (resend or
+        #: give-up), so a quiesced network leaves the map empty and
+        #: scenarios freeze cleanly.
+        self._pending: dict[tuple, TimerHandle] = {}
         self.acks_received = 0
         self.retransmissions = 0
         self.give_ups = 0
@@ -123,10 +127,7 @@ class ReliableGossip(BroadcastLayer):
         super().handle_gossip(message)
 
     def handle_ack(self, ack: GossipAck) -> None:
-        handle = self._pending.pop((ack.message_id, ack.sender), None)
-        if handle is not None:
-            handle.cancel()
-            self.acks_received += 1
+        self._acked((ack.message_id, ack.sender))
 
     # ------------------------------------------------------------------
     # Forwarding and retransmission
@@ -143,39 +144,47 @@ class ReliableGossip(BroadcastLayer):
             return
         message = GossipData(message_id, payload, hops, self.address)
         for target in targets:
-            self._send_copy(target, message, attempt=0)
+            self._send_copy((message_id, target), message)
         self._record_transmissions(message_id, len(targets))
 
-    def _send_copy(self, peer: NodeId, message: GossipData, attempt: int) -> None:
-        key = (message.message_id, peer)
+    # ------------------------------------------------------------------
+    # The acked channel (shared with the BRB phases)
+    # ------------------------------------------------------------------
+    def _send_copy(self, key: tuple, message: Any, attempt: int = 0) -> None:
+        """Send ``message`` to ``key[-1]`` and arm its retransmit timer."""
         previous = self._pending.pop(key, None)
         if previous is not None:
             # Re-forwarding a message whose timer is still armed (e.g. a
             # duplicate arrival widened the target set): keep one timer.
             previous.cancel()
-        self._host.send(peer, message)
+        self._host.send(key[-1], message)
         delay = self.ack_timeout * (self.backoff**attempt)
         self._pending[key] = self._host.schedule(
-            delay, _Retransmit(self, peer, message, attempt + 1)
+            delay, _Retransmit(self, key, message, attempt + 1)
         )
 
-    def _retransmit(self, peer: NodeId, message: GossipData, attempt: int) -> None:
-        key = (message.message_id, peer)
+    def _acked(self, key: tuple) -> None:
+        handle = self._pending.pop(key, None)
+        if handle is not None:
+            handle.cancel()
+            self.acks_received += 1
+
+    def _retransmit(self, key: tuple, message: Any, attempt: int) -> None:
         if self._pending.pop(key, None) is None:
             return  # acked in the same instant the timer fired
         if attempt > self.max_retries:
             self.give_ups += 1
             # Ack silence is this layer's failure detector: hand the peer
             # to the membership layer, like CyclonAcked's send failures.
-            self._membership.report_failure(peer)
+            self._membership.report_failure(key[-1])
             return
         self.retransmissions += 1
         self._record_transmissions(message.message_id, 1)
-        self._send_copy(peer, message, attempt)
+        self._send_copy(key, message, attempt)
 
     @property
     def pending_retransmits(self) -> int:
-        """Armed (message, peer) retransmit timers right now."""
+        """Armed retransmit timers right now."""
         return len(self._pending)
 
     def reliability_stats(self) -> dict[str, int]:
@@ -190,15 +199,13 @@ class ReliableGossip(BroadcastLayer):
 class _Retransmit:
     """Picklable retransmit-timer callback (bound lambdas are not)."""
 
-    __slots__ = ("layer", "peer", "message", "attempt")
+    __slots__ = ("layer", "key", "message", "attempt")
 
-    def __init__(
-        self, layer: ReliableGossip, peer: NodeId, message: GossipData, attempt: int
-    ) -> None:
+    def __init__(self, layer: ReliableGossip, key: tuple, message: Any, attempt: int) -> None:
         self.layer = layer
-        self.peer = peer
+        self.key = key
         self.message = message
         self.attempt = attempt
 
     def __call__(self) -> None:
-        self.layer._retransmit(self.peer, self.message, self.attempt)
+        self.layer._retransmit(self.key, self.message, self.attempt)

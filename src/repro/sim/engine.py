@@ -44,44 +44,23 @@ e.g. per-message retransmit timers that are almost always acked — never
 drags a dead queue behind it.  :attr:`Engine.live_pending` reports the true
 outstanding-event count.
 
-**The timer wheel.**  Cancellable timers land on scattered timestamps
-(per-message per-peer retransmit deadlines, staggered backoffs), which is
-the bucket queue's worst case: every timer opens its own bucket and pays a
-heap push/pop.  Timers therefore live in a **hierarchical timing wheel**
-instead: four power-of-two levels of 256 slots each, at a resolution of
-2^-10 s per tick, covering 2^32 ticks (~48 simulated days) before handing
-far-future timers to a small overflow heap.  Insertion picks the deepest
-level whose lap contains both the timer and the wheel position — O(1)
-integer arithmetic plus a list append and a bitmap bit.  On the drain
-side the wheel advances lazily: per-level occupancy bitmaps jump straight
-to the next populated slot, higher-level slots **cascade** one level down
-when the position crosses their boundary, and the expiring slot is sorted
-once into the *cursor* — the staging batch the run loops consume.
+**One queue.**  Timers take the same path as posts: the ``(_HANDLE,
+EventHandle)`` pair is appended to the bucket for its timestamp, so the
+global ``(time, insertion)`` firing order is true by construction — one
+FIFO per timestamp — for any mix of the two APIs.
 
-Merge order between wheel expiries and bucket events is **byte-identical**
-to the single-queue layout, by construction rather than by bookkeeping:
-
-* :meth:`Engine.schedule` appends to the existing bucket when one already
-  holds events for that exact timestamp (so intra-bucket interleavings of
-  posts and timers are preserved verbatim), and only otherwise inserts
-  into the wheel;
-* consequently a wheel entry at time ``t`` can only exist if no bucket for
-  ``t`` existed when it was scheduled — every wheel entry at ``t``
-  *predates* every current bucket entry at ``t`` — so the run loops break
-  timestamp ties in favour of the wheel;
-* inside the wheel, entries carry a monotonic sequence number and every
-  expiry batch is sorted by ``(time, seq)``, which is exactly the global
-  insertion order no matter which level an entry cascaded from.
-
-The quantised-tick mode keeps timers on the bucket path: its in-bucket
-stable sort by raw timestamp already interleaves posts and timers, and
-that ordering is pinned by artifacts.
+**The dead-bucket clock rule.**  A bucket whose entries are all cancelled
+does not move the clock: :meth:`Engine.step` drops it before touching
+``now``, :meth:`Engine.run_until_idle` puts ``now`` back when a bucket
+fired nothing, and :meth:`Engine.run_until` ends at its deadline either
+way.  Otherwise ``now`` at idle would depend on whether compaction
+happened to sweep a dead timer before the drain reached it — lazy-deletion
+garbage would be observable.  For the same reason pickling sweeps
+cancelled entries first: snapshot bytes hold live events only.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import insort
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
@@ -91,19 +70,6 @@ from ..common.interfaces import TimerHandle
 #: Compaction never triggers below this many cancelled events: tiny queues
 #: are cheap to carry and rebuilding them would cost more than it saves.
 COMPACTION_FLOOR = 64
-
-#: Timer-wheel geometry: four levels of 2^8 slots, 2^-10 s per tick.
-WHEEL_BITS = 8
-WHEEL_SLOTS = 1 << WHEEL_BITS
-WHEEL_MASK = WHEEL_SLOTS - 1
-WHEEL_LEVELS = 4
-WHEEL_RESOLUTION = 2.0**-10
-_TICKS_PER_SECOND = 1.0 / WHEEL_RESOLUTION
-#: Timestamps past this are clamped to one far tick (ordering inside the
-#: overflow heap is still exact — entries sort by (tick, time, seq), and
-#: the clamp keeps ``int(when * ticks)`` from overflowing on inf).
-_TICK_TIME_CAP = 2.0**52
-_TICK_CAP = 1 << 63
 
 #: Marker stored in a bucket slot in place of a callback to flag that the
 #: following slot holds a cancellable :class:`EventHandle` instead of a
@@ -176,19 +142,8 @@ class Engine:
     Consumers may pre-bind its methods (``engine.post``) on their hot paths.
     """
 
-    def __init__(self, start_time: float = 0.0, *, tick: Optional[float] = None) -> None:
-        if tick is not None and tick <= 0:
-            raise SimulationError(f"tick must be positive: {tick}")
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = start_time
-        # Quantised-tick mode (off by default): event timestamps are rounded
-        # *up* to a multiple of ``tick`` so latency models with continuous
-        # jitter (UniformLatency, WAN fault rules) share buckets instead of
-        # degenerating to one event per bucket.  Within a quantised bucket
-        # events fire stable-sorted by their raw timestamps (``_raws`` holds
-        # one raw time per entry, parallel to the bucket pairs), preserving
-        # the global (time, insertion) order up to the tick resolution.
-        self._tick = tick
-        self._raws: dict[float, list[float]] = {}
         # timestamp -> flat FIFO bucket [cb, args, cb, args, ...]; timer
         # entries use the (_HANDLE, EventHandle) slot pair instead.
         self._buckets: dict[float, list] = {}
@@ -202,25 +157,6 @@ class Engine:
         self._size = 0
         self._processed = 0
         self._cancelled = 0
-        # --- timer wheel (exact mode only; see the module docstring) ---
-        # Entries are (tick, time, seq, handle) tuples: tick is the wheel
-        # coordinate, (time, seq) the exact global firing order.
-        self._seq = 0
-        self._wheel_slots: list[list[list]] = [
-            [[] for _ in range(WHEEL_SLOTS)] for _ in range(WHEEL_LEVELS)
-        ]
-        self._wheel_bitmaps: list[int] = [0] * WHEEL_LEVELS
-        self._wheel_overflow: list[tuple] = []
-        # The cursor is the sorted expiry batch of the current tick; the
-        # wheel position doubles as its admission bound: inserts at ticks
-        # <= the position bisect straight into the cursor.
-        self._wheel_cursor: list[tuple] = []
-        self._wheel_cursor_pos = 0
-        self._wheel_pos = int(start_time * _TICKS_PER_SECOND)
-        # Entries held by the wheel (cursor tail + slots + overflow),
-        # including lazily-cancelled ones; the run loops skip wheel work
-        # entirely while this is zero.
-        self._wheel_count = 0
         # Auto-compaction threshold.  Raised (exponential backoff) when a
         # compaction cannot reclaim anything — entries of a bucket that is
         # mid-drain have left the queue structures and are unreachable
@@ -232,11 +168,6 @@ class Engine:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def tick(self) -> Optional[float]:
-        """Quantisation step for event timestamps, or ``None`` (exact)."""
-        return self._tick
 
     @property
     def pending(self) -> int:
@@ -265,47 +196,8 @@ class Engine:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _quantise(self, when: float) -> float:
-        """Round ``when`` *up* to the next tick multiple (never earlier)."""
-        tick = self._tick
-        return math.ceil(when / tick) * tick
-
-    def _append_quantised(self, when: float, first: Any, second: Any) -> None:
-        """Quantised-mode append: pair into the tick bucket, raw time into
-        the parallel ``_raws`` list (the in-bucket sort key)."""
-        q = self._quantise(when)
-        bucket = self._buckets.get(q)
-        if bucket is None:
-            self._buckets[q] = [first, second]
-            self._raws[q] = [when]
-            heappush(self._times, q)
-        else:
-            bucket.append(first)
-            bucket.append(second)
-            self._raws[q].append(when)
-
-    def _take_quantised(self, when: float) -> tuple[list, list[float]]:
-        """Stable-sort one quantised bucket by raw timestamp.
-
-        Returns the re-ordered flat pair list and the matching sorted raw
-        times; both have been removed from the queue structures (the heap
-        entry for ``when`` is the caller's to keep or pop).
-        """
-        bucket = self._buckets.pop(when)
-        raws = self._raws.pop(when)
-        order = sorted(range(len(raws)), key=raws.__getitem__)
-        flat: list = []
-        append = flat.append
-        for index in order:
-            append(bucket[2 * index])
-            append(bucket[2 * index + 1])
-        return flat, [raws[index] for index in order]
-
     def _append(self, when: float, first: Any, second: Any) -> None:
         """Append one two-slot entry to the bucket for ``when``."""
-        if self._tick is not None:
-            self._append_quantised(when, first, second)
-            return
         if when == self._hot_time:
             bucket = self._hot_bucket
             bucket.append(first)
@@ -323,51 +215,12 @@ class Engine:
         self._hot_bucket = bucket
 
     def schedule_at(self, when: float, callback: Callable[..., None], *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute time ``when``.
-
-        Exact mode routes timers through the timer wheel — unless a bucket
-        already holds events for exactly ``when``, in which case the timer
-        joins that bucket so same-instant interleavings of posts and
-        timers fire in verbatim insertion order (the merge-order
-        invariant; see the module docstring).  Quantised mode keeps the
-        bucket path, whose raw-time stable sort already interleaves both.
-        """
+        """Schedule ``callback(*args)`` at absolute time ``when``."""
         if when < self._now:
             raise SimulationError(f"cannot schedule in the past: {when} < {self._now}")
         handle = EventHandle(when, callback, args, self)
+        self._append(when, _HANDLE, handle)
         self._size += 1
-        if self._tick is not None:
-            self._append_quantised(when, _HANDLE, handle)
-            return handle
-        bucket = self._buckets.get(when)
-        if bucket is not None:
-            bucket.append(_HANDLE)
-            bucket.append(handle)
-            return handle
-        # Inlined wheel insert: this is the hottest call of timer-heavy
-        # (ack/retransmit) protocols, the way `post` is for messages.
-        tick = int(when * _TICKS_PER_SECOND) if when < _TICK_TIME_CAP else _TICK_CAP
-        seq = self._seq
-        self._seq = seq + 1
-        entry = (tick, when, seq, handle)
-        self._wheel_count += 1
-        pos = self._wheel_pos
-        if tick <= pos:
-            # The wheel already advanced to (or past) this tick — a bucket
-            # event running ahead of the wheel scheduled it.  The sequence
-            # number keeps it in exact global order inside the cursor.
-            insort(self._wheel_cursor, entry)
-            return handle
-        # The level is the deepest one whose lap holds both the timer and
-        # the wheel position: the highest differing bit octet of the two
-        # tick coordinates names it in O(1).
-        level = ((tick ^ pos).bit_length() - 1) >> 3
-        if level < WHEEL_LEVELS:
-            slot = (tick >> (level << 3)) & WHEEL_MASK
-            self._wheel_slots[level][slot].append(entry)
-            self._wheel_bitmaps[level] |= 1 << slot
-        else:
-            heappush(self._wheel_overflow, entry)
         return handle
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
@@ -375,39 +228,9 @@ class Engine:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         when = self._now + delay
-        if self._tick is not None:
-            handle = EventHandle(when, callback, args, self)
-            self._size += 1
-            self._append_quantised(when, _HANDLE, handle)
-            return handle
-        # Inlined schedule_at: one call frame fewer on the timer-heavy
-        # hot path (protocols schedule relative delays via the clock).
         handle = EventHandle(when, callback, args, self)
+        self._append(when, _HANDLE, handle)
         self._size += 1
-        bucket = self._buckets.get(when)
-        if bucket is not None:
-            bucket.append(_HANDLE)
-            bucket.append(handle)
-            return handle
-        tick = int(when * _TICKS_PER_SECOND) if when < _TICK_TIME_CAP else _TICK_CAP
-        seq = self._seq
-        self._seq = seq + 1
-        entry = (tick, when, seq, handle)
-        self._wheel_count += 1
-        pos = self._wheel_pos
-        if tick <= pos:
-            insort(self._wheel_cursor, entry)
-            return handle
-        # The level is the deepest one whose lap holds both the timer and
-        # the wheel position: the highest differing bit octet of the two
-        # tick coordinates names it in O(1).
-        level = ((tick ^ pos).bit_length() - 1) >> 3
-        if level < WHEEL_LEVELS:
-            slot = (tick >> (level << 3)) & WHEEL_MASK
-            self._wheel_slots[level][slot].append(entry)
-            self._wheel_bitmaps[level] |= 1 << slot
-        else:
-            heappush(self._wheel_overflow, entry)
         return handle
 
     def post_at(self, when: float, callback: Callable[..., None], *args: Any) -> None:
@@ -427,10 +250,6 @@ class Engine:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         when = self._now + delay
-        if self._tick is not None:
-            self._append_quantised(when, callback, args)
-            self._size += 1
-            return
         # Inlined _append: this is the hottest call in the simulator.
         if when == self._hot_time:
             bucket = self._hot_bucket
@@ -447,171 +266,6 @@ class Engine:
         self._size += 1
 
     # ------------------------------------------------------------------
-    # The timer wheel
-    # ------------------------------------------------------------------
-    def _wheel_peek(self) -> Optional[tuple]:
-        """The next wheel entry (possibly a lazily-cancelled one), or
-        ``None`` when the wheel is empty.  Advances the wheel as needed."""
-        cursor = self._wheel_cursor
-        pos = self._wheel_cursor_pos
-        if pos < len(cursor):
-            if pos >= 1024:
-                # Trim the consumed prefix (amortised O(1)).  A lone
-                # far-future timer can pin one cursor batch for a long
-                # stretch of simulated time while every nearer timer
-                # bisects into it; without trimming, the consumed entries
-                # would accumulate for as long as the batch lives.
-                del cursor[:pos]
-                self._wheel_cursor_pos = 0
-                return cursor[0]
-            return cursor[pos]
-        if self._wheel_count and self._wheel_refill():
-            return self._wheel_cursor[self._wheel_cursor_pos]
-        return None
-
-    def _wheel_take(self, level: int, index: int) -> list:
-        """Detach one slot's entry list, clearing its occupancy bit."""
-        slots = self._wheel_slots[level]
-        batch = slots[index]
-        slots[index] = []
-        self._wheel_bitmaps[level] &= ~(1 << index)
-        return batch
-
-    def _wheel_refill(self) -> bool:
-        """Advance the wheel position to the next populated tick and stage
-        that tick's entries as the new (sorted) cursor batch.
-
-        Per-level bitmaps jump straight to the next occupied slot; a
-        populated higher-level slot is cascaded one level down when the
-        position enters its lap.  Lazily-cancelled entries are dropped
-        (and accounted) the first time the advance touches them — an
-        acked retransmit timer costs one cascade visit in total, never a
-        sort or a pop.  Returns ``False`` only when the wheel holds
-        nothing at all.
-        """
-        overflow = self._wheel_overflow
-        bitmaps = self._wheel_bitmaps
-        pos = self._wheel_pos
-        dropped = 0
-        while True:
-            ov_tick = overflow[0][0] if overflow else None
-            # Level 0: one slot == one tick of the current 256-tick window.
-            index = pos & WHEEL_MASK
-            m = bitmaps[0] >> index
-            if m:
-                index += ((m & -m).bit_length() - 1)
-                target = pos - (pos & WHEEL_MASK) + index
-                if ov_tick is None or target <= ov_tick:
-                    batch = []
-                    for entry in self._wheel_take(0, index):
-                        if entry[3]._cancelled:
-                            dropped += 1
-                        else:
-                            batch.append(entry)
-                    while overflow and overflow[0][0] == target:
-                        entry = heappop(overflow)
-                        if entry[3]._cancelled:
-                            dropped += 1
-                        else:
-                            batch.append(entry)
-                    if not batch:
-                        continue  # the tick held only cancelled timers
-                    batch.sort()
-                    self._wheel_cursor = batch
-                    self._wheel_cursor_pos = 0
-                    self._wheel_pos = target
-                    self._wheel_drop(dropped)
-                    return True
-            else:
-                # Level 1..3: find the next populated slot of the current
-                # lap, cascade it down one level, rescan from its start.
-                t8 = pos >> WHEEL_BITS
-                m = bitmaps[1] >> (t8 & WHEEL_MASK)
-                if m:
-                    g1 = t8 + ((m & -m).bit_length() - 1)
-                    start = g1 << WHEEL_BITS
-                    if ov_tick is None or start <= ov_tick:
-                        slots0 = self._wheel_slots[0]
-                        bit0 = 0
-                        for entry in self._wheel_take(1, g1 & WHEEL_MASK):
-                            if entry[3]._cancelled:
-                                dropped += 1
-                                continue
-                            low = entry[0] & WHEEL_MASK
-                            slots0[low].append(entry)
-                            bit0 |= 1 << low
-                        bitmaps[0] |= bit0
-                        pos = start
-                        continue
-                else:
-                    t16 = t8 >> WHEEL_BITS
-                    m = bitmaps[2] >> (t16 & WHEEL_MASK)
-                    if m:
-                        g2 = t16 + ((m & -m).bit_length() - 1)
-                        start = g2 << 16
-                        if ov_tick is None or start <= ov_tick:
-                            slots1 = self._wheel_slots[1]
-                            bit1 = 0
-                            for entry in self._wheel_take(2, g2 & WHEEL_MASK):
-                                if entry[3]._cancelled:
-                                    dropped += 1
-                                    continue
-                                mid = (entry[0] >> WHEEL_BITS) & WHEEL_MASK
-                                slots1[mid].append(entry)
-                                bit1 |= 1 << mid
-                            bitmaps[1] |= bit1
-                            pos = start
-                            continue
-                    else:
-                        t24 = t16 >> WHEEL_BITS
-                        m = bitmaps[3] >> (t24 & WHEEL_MASK)
-                        if m:
-                            g3 = t24 + ((m & -m).bit_length() - 1)
-                            start = g3 << 24
-                            if ov_tick is None or start <= ov_tick:
-                                slots2 = self._wheel_slots[2]
-                                bit2 = 0
-                                for entry in self._wheel_take(3, g3 & WHEEL_MASK):
-                                    if entry[3]._cancelled:
-                                        dropped += 1
-                                        continue
-                                    high = (entry[0] >> 16) & WHEEL_MASK
-                                    slots2[high].append(entry)
-                                    bit2 |= 1 << high
-                                bitmaps[2] |= bit2
-                                pos = start
-                                continue
-            # Nothing in the levels before the overflow's head: drain the
-            # overflow's earliest tick as the next batch (far-future
-            # handoff), re-anchoring the wheel position there.
-            if not overflow:
-                self._wheel_pos = pos
-                self._wheel_drop(dropped)
-                return False
-            batch = []
-            target = overflow[0][0]
-            while overflow and overflow[0][0] == target:
-                entry = heappop(overflow)
-                if entry[3]._cancelled:
-                    dropped += 1
-                else:
-                    batch.append(entry)
-            if not batch:
-                continue  # the overflow tick held only cancelled timers
-            self._wheel_cursor = batch
-            self._wheel_cursor_pos = 0
-            self._wheel_pos = target
-            self._wheel_drop(dropped)
-            return True
-
-    def _wheel_drop(self, dropped: int) -> None:
-        """Account for cancelled entries the wheel advance discarded."""
-        if dropped:
-            self._wheel_count -= dropped
-            self._size -= dropped
-            self._cancelled -= dropped
-
-    # ------------------------------------------------------------------
     # Compaction of lazily-cancelled events
     # ------------------------------------------------------------------
     def compact(self) -> int:
@@ -619,104 +273,43 @@ class Engine:
 
         Buckets and the timestamp heap are rebuilt *in place* (both keep
         their identity) so run loops holding local references observe the
-        compaction.  Entries of a bucket that is being drained right now —
-        and entries of the wheel's current expiry batch (the cursor) —
-        have already left (or are mid-consumption of) the queue
-        structures and are skipped (and accounted) by the drain loops
-        themselves.
+        compaction.  Entries of a bucket that is being drained right now
+        have already left the queue structures and are skipped (and
+        accounted) by the drain loops themselves.
         """
         if not self._cancelled:
             return 0
-        removed_wheel = self._wheel_compact()
         buckets = self._buckets
-        quantised = self._tick is not None
         removed = 0
         for when in list(buckets):
             bucket = buckets[when]
-            raws = self._raws.get(when) if quantised else None
             kept: list = []
-            kept_raws: list[float] = []
             append = kept.append
-            index = 0
             it = iter(bucket)
             for first in it:
                 second = next(it)
-                slot = index
-                index += 1
                 if first is _HANDLE and second._cancelled:
                     second._engine = None
                     removed += 1
                 else:
                     append(first)
                     append(second)
-                    if raws is not None:
-                        kept_raws.append(raws[slot])
             if kept:
                 bucket[:] = kept
-                if raws is not None:
-                    raws[:] = kept_raws
             else:
                 del buckets[when]
-                if raws is not None:
-                    del self._raws[when]
         # Rebuild the timestamp index in place: one entry per surviving
         # bucket (drop times whose buckets emptied).
         self._times[:] = buckets
         heapify(self._times)
         self._hot_time = None
         self._hot_bucket = None
-        removed += removed_wheel
         self._size -= removed
         self._cancelled -= removed
-        # Any remainder is pinned in a mid-drain bucket or the wheel
-        # cursor; back off so the next few cancels do not rescan
-        # everything for nothing.  A clean sweep resets the watermark to
-        # the floor.
+        # Any remainder is pinned in a mid-drain bucket; back off so the
+        # next few cancels do not rescan everything for nothing.  A clean
+        # sweep resets the watermark to the floor.
         self._compact_watermark = max(COMPACTION_FLOOR, 2 * self._cancelled)
-        return removed
-
-    def _wheel_compact(self) -> int:
-        """Sweep cancelled timers out of the wheel slots and the overflow
-        (the cursor is the drain loops' to consume); returns how many."""
-        removed = 0
-        for level in range(WHEEL_LEVELS):
-            bitmap = self._wheel_bitmaps[level]
-            if not bitmap:
-                continue
-            slots = self._wheel_slots[level]
-            m = bitmap
-            while m:
-                index = (m & -m).bit_length() - 1
-                m &= m - 1
-                slot = slots[index]
-                kept = []
-                for entry in slot:
-                    handle = entry[3]
-                    if handle._cancelled:
-                        handle._engine = None
-                        removed += 1
-                    else:
-                        kept.append(entry)
-                if kept:
-                    slot[:] = kept
-                else:
-                    del slot[:]
-                    bitmap &= ~(1 << index)
-            self._wheel_bitmaps[level] = bitmap
-        overflow = self._wheel_overflow
-        if overflow:
-            kept = []
-            for entry in overflow:
-                handle = entry[3]
-                if handle._cancelled:
-                    handle._engine = None
-                    removed += 1
-                else:
-                    kept.append(entry)
-            if removed and len(kept) != len(overflow):
-                overflow[:] = kept
-                heapify(overflow)
-        self._wheel_count -= removed
         return removed
 
     # ------------------------------------------------------------------
@@ -737,86 +330,16 @@ class Engine:
             heappush(self._times, when)
         else:
             existing[:0] = remainder  # older entries fire first
-        if self._tick is not None:
-            # Re-queued entries fired at ``when``; their pre-sort raw times
-            # are gone, so they keep their position via raw == when (exact
-            # ordering after an aborted drain is moot — the run is failing).
-            raws = self._raws.setdefault(when, [])
-            raws[:0] = [when] * (len(remainder) // 2)
         self._hot_time = None
         self._hot_bucket = None
-
-    def _step_quantised(self) -> bool:
-        """Quantised-mode :meth:`step`: pop the earliest tick bucket,
-        stable-sort it by raw timestamp, fire its first live entry."""
-        times = self._times
-        buckets = self._buckets
-        while times:
-            when = times[0]
-            bucket, raws = self._take_quantised(when)
-            index = 0
-            count = len(raws)
-            while index < count:
-                first = bucket[2 * index]
-                second = bucket[2 * index + 1]
-                index += 1
-                if first is _HANDLE:
-                    if second._cancelled:
-                        self._cancelled -= 1
-                        self._size -= 1
-                        continue
-                    second._engine = None
-                self._size -= 1
-                remainder = bucket[2 * index:]
-                if remainder:
-                    buckets[when] = remainder
-                    self._raws[when] = raws[index:]
-                else:
-                    heappop(times)
-                self._now = when
-                self._processed += 1
-                global _fired_total
-                _fired_total += 1
-                if first is _HANDLE:
-                    second._fire()
-                else:
-                    first(*second)
-                return True
-            heappop(times)  # entire bucket was cancelled entries
-        return False
 
     def step(self) -> bool:
         """Fire the earliest event.  Returns ``False`` when the queue is
         empty (time does not advance in that case)."""
-        if self._tick is not None:
-            return self._step_quantised()
         global _fired_total
         times = self._times
         buckets = self._buckets
-        while True:
-            # Wheel timers due no later than the earliest bucket fire
-            # first (ties go to the wheel: its entries predate the
-            # bucket's — the merge-order invariant).
-            if self._wheel_count:
-                while True:
-                    entry = self._wheel_peek()
-                    if entry is None or (times and times[0] < entry[1]):
-                        break
-                    self._wheel_cursor_pos += 1
-                    self._wheel_count -= 1
-                    self._size -= 1
-                    handle = entry[3]
-                    if handle._cancelled:
-                        self._cancelled -= 1
-                        continue
-                    handle._engine = None
-                    self._now = entry[1]
-                    self._processed += 1
-                    _fired_total += 1
-                    handle._fire()
-                    return True
-            if not times:
-                return False
+        while times:
             when = times[0]
             bucket = buckets[when]
             index = 0
@@ -850,13 +373,13 @@ class Engine:
                 else:
                     first(*second)
                 return True
-            # Entire bucket was cancelled entries; re-check the wheel
-            # against whatever bucket is now the earliest.
+            # Entire bucket was cancelled entries: drop it, clock unmoved.
             del buckets[when]
             heappop(times)
             if when == self._hot_time:
                 self._hot_time = None
                 self._hot_bucket = None
+        return False
 
     def run_until_idle(self, max_events: Optional[int] = None) -> int:
         """Drain the queue; returns the number of events fired.
@@ -869,47 +392,21 @@ class Engine:
         # whole bucket at a time and dispatch its entries inline.  Posts
         # from callbacks at the *same* instant open a fresh bucket, which
         # the next iteration of the outer loop picks up — preserving the
-        # global (time, insertion-order) firing order exactly.  Wheel
-        # timers merge in between buckets: every timer due no later than
-        # the earliest bucket fires first (same-instant timers predate
-        # the bucket's entries — the merge-order invariant).
+        # global (time, insertion-order) firing order exactly.
         times = self._times
         buckets = self._buckets
         fired = 0
         cancelled_skipped = 0
         try:
-            while True:
-                if self._wheel_count:
-                    while True:
-                        entry = self._wheel_peek()
-                        if entry is None or (times and times[0] < entry[1]):
-                            break
-                        self._wheel_cursor_pos += 1
-                        self._wheel_count -= 1
-                        handle = entry[3]
-                        if handle._cancelled:
-                            cancelled_skipped += 1
-                            continue
-                        handle._engine = None
-                        self._now = entry[1]
-                        fired += 1
-                        handle._callback(*handle._args)
-                        if max_events is not None and fired > max_events:
-                            raise SimulationError(
-                                f"run_until_idle exceeded {max_events} events — "
-                                f"runaway cascade?"
-                            )
-                if not times:
-                    break
+            while times:
                 when = heappop(times)
-                if self._tick is None:
-                    bucket = buckets.pop(when)
-                else:
-                    bucket, _ = self._take_quantised(when)
+                bucket = buckets.pop(when)
                 if when == self._hot_time:
                     self._hot_time = None
                     self._hot_bucket = None
+                clock = self._now
                 self._now = when
+                mark = fired
                 it = iter(bucket)
                 try:
                     for first in it:
@@ -919,11 +416,10 @@ class Engine:
                                 cancelled_skipped += 1
                                 continue
                             second._engine = None
-                            fired += 1
-                            second._callback(*second._args)
-                        else:
-                            fired += 1
-                            first(*second)
+                            first = second._callback
+                            second = second._args
+                        fired += 1
+                        first(*second)
                         if max_events is not None and fired > max_events:
                             raise SimulationError(
                                 f"run_until_idle exceeded {max_events} events — runaway cascade?"
@@ -931,6 +427,10 @@ class Engine:
                 except BaseException:
                     self._salvage(when, list(it))
                     raise
+                if fired == mark:
+                    # Nothing but dead timers (so no callback saw the
+                    # clock move): the dead-bucket rule puts it back.
+                    self._now = clock
         finally:
             self._processed += fired
             self._size -= fired + cancelled_skipped
@@ -949,39 +449,14 @@ class Engine:
         fired = 0
         cancelled_skipped = 0
         try:
-            while True:
-                if self._wheel_count:
-                    while True:
-                        entry = self._wheel_peek()
-                        if (
-                            entry is None
-                            or entry[1] > deadline
-                            or (times and times[0] < entry[1])
-                        ):
-                            break
-                        self._wheel_cursor_pos += 1
-                        self._wheel_count -= 1
-                        handle = entry[3]
-                        if handle._cancelled:
-                            cancelled_skipped += 1
-                            continue
-                        handle._engine = None
-                        self._now = entry[1]
-                        fired += 1
-                        handle._callback(*handle._args)
-                if not times:
-                    break
-                when = times[0]
-                if when > deadline:
-                    break
-                heappop(times)
-                if self._tick is None:
-                    bucket = buckets.pop(when)
-                else:
-                    bucket, _ = self._take_quantised(when)
+            while times and times[0] <= deadline:
+                when = heappop(times)
+                bucket = buckets.pop(when)
                 if when == self._hot_time:
                     self._hot_time = None
                     self._hot_bucket = None
+                # A bucket of dead timers moves the clock unseen: no
+                # callback runs in it and the drain ends at the deadline.
                 self._now = when
                 it = iter(bucket)
                 try:
@@ -992,11 +467,10 @@ class Engine:
                                 cancelled_skipped += 1
                                 continue
                             second._engine = None
-                            fired += 1
-                            second._callback(*second._args)
-                        else:
-                            fired += 1
-                            first(*second)
+                            first = second._callback
+                            second = second._args
+                        fired += 1
+                        first(*second)
                 except BaseException:
                     self._salvage(when, list(it))
                     raise
@@ -1017,63 +491,17 @@ class Engine:
     # Pickling (scenario snapshots)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        # The hot-bucket cache is a pure accelerator; dropping it keeps
-        # snapshots of otherwise-identical engines byte-identical no
-        # matter which instant was posted to last.
-        state = {slot: getattr(self, slot) for slot in self.__dict__}
+        # Lazily-cancelled entries are unobservable: sweep them so
+        # snapshots hold live events only.  The hot-bucket cache is a pure
+        # accelerator and the heap's arrangement a trace of push history;
+        # dropping the one and sorting the other keeps snapshots of
+        # otherwise-identical engines byte-identical.
+        self.compact()
+        state = dict(self.__dict__)
         state["_hot_time"] = None
         state["_hot_bucket"] = None
-        # The wheel pickles as its canonical content — the sorted live
-        # entries — never as slots/bitmaps/cursor, whose arrangement
-        # depends on how far the wheel advanced.  Lazily-cancelled wheel
-        # entries are unobservable and dropped (with the books adjusted),
-        # so snapshot bytes do not depend on cancellation garbage either.
-        entries = list(self._wheel_cursor[self._wheel_cursor_pos:])
-        for level_slots in self._wheel_slots:
-            for slot in level_slots:
-                entries.extend(slot)
-        entries.extend(self._wheel_overflow)
-        live = sorted(entry for entry in entries if not entry[3]._cancelled)
-        dropped = len(entries) - len(live)
-        for key in (
-            "_wheel_slots", "_wheel_bitmaps", "_wheel_overflow",
-            "_wheel_cursor", "_wheel_cursor_pos", "_wheel_pos",
-            "_wheel_count",
-        ):
-            del state[key]
-        state["_size"] = self._size - dropped
-        state["_cancelled"] = self._cancelled - dropped
-        state["_wheel_entries"] = live
+        state["_times"] = sorted(self._times)
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        entries = state.pop("_wheel_entries", [])
-        self.__dict__.update(state)
-        pos = int(self._now * _TICKS_PER_SECOND)
-        self._wheel_slots = [
-            [[] for _ in range(WHEEL_SLOTS)] for _ in range(WHEEL_LEVELS)
-        ]
-        self._wheel_bitmaps = [0] * WHEEL_LEVELS
-        self._wheel_overflow = []
-        self._wheel_cursor = []
-        self._wheel_cursor_pos = 0
-        self._wheel_pos = pos
-        self._wheel_count = 0
-        for tick, when, seq, handle in entries:
-            # Re-place each entry relative to the rebuilt position; counts
-            # and the sequence counter travelled in the pickled state.
-            self._wheel_count += 1
-            entry = (tick, when, seq, handle)
-            if tick <= pos:
-                self._wheel_cursor.append(entry)  # `entries` is sorted
-                continue
-            level = ((tick ^ pos).bit_length() - 1) >> 3
-            if level < WHEEL_LEVELS:
-                slot = (tick >> (level << 3)) & WHEEL_MASK
-                self._wheel_slots[level][slot].append(entry)
-                self._wheel_bitmaps[level] |= 1 << slot
-            else:
-                heappush(self._wheel_overflow, entry)
 
 
 class PeriodicTask:

@@ -126,9 +126,7 @@ class ZonedLatency(LatencyModel):
     cross-zone links in ``inter`` (defaults give ~80–250 ms RTTs, i.e.
     cross-continent).  Per-message ``delay`` multiplies the base by a
     uniform jitter factor drawn from the network's RNG stream, so the
-    world model is deterministic while individual messages still spread —
-    the jitter-heavy workload the engine's quantised-tick mode was built
-    for.
+    world model is deterministic while individual messages still spread.
 
     ``base_delay`` (the zone matrix, no jitter) is the link cost the X-BOT
     oracle reads: any two nodes price any link identically with no

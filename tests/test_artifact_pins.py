@@ -43,20 +43,21 @@ PR2_SMOKE_SHA256 = {
 #: recorded when the ``repro.faults`` subsystem landed (PR 4).  These pin
 #: the fault scenarios' determinism the same way the PR-2 hashes pin the
 #: figure scenarios: any behavioural drift in the fault drivers, the link
-#: rules, the adversary filters or the quantised-tick engine shows up here.
+#: rules or the adversary filters shows up here.
 PR4_FAULT_SMOKE_SHA256 = {
     "faults_adversary": "2e883a785c5dbf64cf7ffa00d933a26f6c577a5f80954d9259ee5d0d88b81e42",
     "faults_cascade": "d946b002a039d3afe5ff0815d5627cb13120e4d0dee9756bbcb3652440b723d3",
     "faults_churn_trace": "1579b16a8966b81e67242929f4d1d770f629fdcd7ba9d52b3fd898a0d8cce9ef",
     "faults_flash_crowd": "3b2ad453ac8023e2bc16cf00db9d54200a98d176b6e06eace884482bb9847fd6",
     "faults_partition_heal": "6913316465f5eeae3c46a67224cbdec3d3b8d1d38da11bf7f4792897a0f6382f",
-    "faults_wan_jitter": "9ed2fd49b8ac7f58b80c826d2e278699a3c5db0702cc00dd36da15f2d59ecfea",
+    # Re-pinned in PR 22: exact timestamps, the quantised tick was deleted.
+    "faults_wan_jitter": "cb6b5108db4b67201153898b3ac2a2eeb2f93e55c0616abfa9327f4f5980c12e",
 }
 
 #: sha256 of the reliable-delivery family's smoke artifacts at root seed
-#: 42, recorded when the ack+retransmit stacks and the timer wheel landed
-#: (PR 5).  They pin the reliable gossip layer, the wheel's merge order
-#: against bucket events, and the fault plans the scenarios replay.
+#: 42, recorded when the ack+retransmit stacks landed (PR 5).  They pin
+#: the reliable gossip layer, the firing order of timers against message
+#: events, and the fault plans the scenarios replay.
 PR5_RELIABLE_SMOKE_SHA256 = {
     "reliable_churn": "9b58d30e756c0978b5189fc3c5e34e15096bbde2c28c9d2b6b3e3f2fd7227ae7",
     "reliable_loss": "eb2f139506d7f555d5e5a9dd66037dc13a5f17d563b0fd0fe23b40c16262a5b9",
@@ -77,11 +78,12 @@ PR7_BYZ_SMOKE_SHA256 = {
 #: sha256 of the topology family's smoke artifacts at root seed 42,
 #: recorded when X-BOT and the zoned RTT world model landed (PR 10).
 #: They pin the zone assignment and pair-base RTT draws, the oracle's
-#: jitter-free link pricing, the 4-node swap state machine's message
-#: order and the quantised-tick engine under continuous per-hop jitter.
+#: jitter-free link pricing and the 4-node swap state machine's message
+#: order under continuous per-hop jitter.  Both re-pinned in PR 22: exact
+#: timestamps, the quantised tick they ran on was deleted.
 PR10_TOPO_SMOKE_SHA256 = {
-    "topo_convergence": "94f6bf53ef5c973f8838e8f76d8e592fe7a3273b0e26dca71d09efb6d2f48e78",
-    "topo_latency": "4dfbc2c6fed484bb442dd4906e9c7413112fbfdeb76dc855e3d5f29b793d6b37",
+    "topo_convergence": "bd6e071b5d69b1a1d5ee93d36626bd07dd01ca758128710dc7f044d642c04768",
+    "topo_latency": "265faa785a282c3cdff57b71dfbdb86cb7127c6f7bc7f7d4cb011179385e548d",
 }
 
 #: Scenarios cheap enough to pin on every test run (seconds, not minutes).

@@ -57,10 +57,6 @@ class TestFamilyShape:
         merged = spec.merge_cells(context, cell_results)
         assert merged == spec.run(context)
 
-    def test_wan_jitter_runs_quantised_engine(self):
-        spec = get_scenario("faults_wan_jitter")
-        assert spec.tier("smoke").extra["engine_tick"] == 0.002
-
 
 class TestFaultDeterminismMatrix:
     """workers x cells x cache: byte-identical artifacts, like the

@@ -1,11 +1,12 @@
 """Tests for the discrete-event engine."""
 
 import heapq
+import math
 import pickle
 from itertools import count
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import SimulationError
@@ -497,6 +498,65 @@ class TestBucketQueue:
         thawed.post(1.0, print, "z")
         assert thawed.pending == 3
 
+    def test_pickle_round_trip_is_canonical_fixed_point(self):
+        """Snapshots hold live events only: a cancelled timer never
+        reaches the bytes (they equal those of an engine that never
+        scheduled it), and a thawed engine re-freezes to the same bytes."""
+        def build(with_garbage: bool) -> Engine:
+            engine = Engine()
+            engine.schedule(0.3, print, "a")
+            if with_garbage:
+                engine.schedule(0.2, print, "doomed").cancel()
+            engine.schedule(4.0, print, "b")
+            engine.schedule(1e7, print, "c")
+            return engine
+
+        frozen = pickle.dumps(build(with_garbage=True))
+        assert frozen == pickle.dumps(build(with_garbage=False))
+        thawed = pickle.loads(frozen)
+        assert pickle.dumps(thawed) == frozen
+        assert thawed.pending == thawed.live_pending == 3
+
+    def test_pickle_mid_run_continues_identically(self):
+        """Freezing an engine mid-stream (near timers fired, same-instant
+        and far-future ones still queued) and resuming the thawed copy
+        fires exactly what an uninterrupted engine fires."""
+        def build() -> Engine:
+            engine = Engine()
+            for i in range(8):
+                engine.schedule(0.1 + i / 3000, _record_global, i)
+            engine.schedule(0.6, _record_global, "first")
+            engine.schedule(0.6001, _record_global, "second")
+            engine.schedule(0.6, _record_global, "third")  # same instant as first
+            engine.schedule(1e7, _record_global, "far")
+            return engine
+
+        _GLOBAL_FIRED.clear()
+        reference = build()
+        reference.run_until_idle()
+        expected = list(_GLOBAL_FIRED)
+        assert expected[-4:] == ["first", "third", "second", "far"]
+
+        _GLOBAL_FIRED.clear()
+        engine = build()
+        engine.run_until(0.101)
+        assert 0 < len(_GLOBAL_FIRED) < len(expected)
+        thawed = pickle.loads(pickle.dumps(engine))
+        thawed.run_until_idle()
+        assert _GLOBAL_FIRED == expected
+        assert thawed.live_pending == 0
+        assert thawed.now == reference.now
+
+    def test_far_future_timers_fire_in_order_after_near_ones(self):
+        engine = Engine()
+        fired = []
+        engine.schedule(1e7 + 2.0, fired.append, "later")
+        engine.schedule(1e7 + 1.0, fired.append, "sooner")
+        engine.schedule(0.5, fired.append, "near")
+        engine.run_until_idle()
+        assert fired == ["near", "sooner", "later"]
+        assert engine.now == 1e7 + 2.0
+
     def test_events_fired_total_advances(self):
         before = events_fired_total()
         engine = Engine()
@@ -506,21 +566,132 @@ class TestBucketQueue:
         assert events_fired_total() - before == 7
 
 
-def _reference_order(operations):
-    """Replay (delay, cancel_after) operations on a (time, seq) heap —
-    the pre-bucket-queue reference semantics."""
-    queue = []
-    seq = count()
-    fired = []
-    handles = {}
-    for index, (delay, cancel) in enumerate(operations):
-        heapq.heappush(queue, (delay, next(seq), index))
-        handles[index] = cancel
-    while queue:
-        _, _, index = heapq.heappop(queue)
-        if not handles[index]:
-            fired.append(index)
-    return fired
+#: Shared sink for the mid-run pickling test: module-level functions
+#: pickle by reference, so a thawed engine's callbacks append to the
+#: *same* list as the original's — the combined order is observable.
+_GLOBAL_FIRED: list = []
+
+
+def _record_global(label) -> None:
+    _GLOBAL_FIRED.append(label)
+
+
+class _ReferenceHeap:
+    """The oracle the queue is checked against: one ``(time, seq)`` heap.
+    A cancelled entry is skipped when popped and never moves the clock."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.fired: list = []
+        self._queue: list = []
+        self._seq = count()
+        self._cancelled: set = set()
+
+    def add(self, delay, label, victim=None) -> None:
+        """Queue ``label``; firing it cancels ``victim`` (a label)."""
+        heapq.heappush(self._queue, (self.now + delay, next(self._seq), label, victim))
+
+    def cancel(self, label) -> None:
+        self._cancelled.add(label)
+
+    @property
+    def live(self) -> int:
+        return sum(1 for entry in self._queue if entry[2] not in self._cancelled)
+
+    def drain(self, deadline: float = math.inf) -> None:
+        while self._queue and self._queue[0][0] <= deadline:
+            when, _, label, victim = heapq.heappop(self._queue)
+            if label in self._cancelled:
+                continue
+            self.now = when
+            self.fired.append((label, when))
+            if victim is not None:
+                self.cancel(victim)
+        if deadline != math.inf:
+            self.now = deadline
+
+
+def _step_until_idle(engine: Engine) -> None:
+    while engine.step():
+        pass
+
+
+#: How a test drains the engine: to idle by either API, or up to a
+#: horizon past which far timers stay queued across rounds.
+DRAINS = {
+    "run_until_idle": Engine.run_until_idle,
+    "step": _step_until_idle,
+    "run_until": lambda engine: engine.run_until(engine.now + 100.0),
+}
+
+
+def _play(rounds, drain: str, *, compact_after_cancel: bool = False, model=None):
+    """Run ``rounds`` of ``(delay, is_timer, victim)`` ops on a fresh engine.
+
+    Every round schedules its ops, then drains.  When op ``i`` fires it
+    cancels the round's op ``victim`` (if that one is a timer) — a cancel
+    issued *from an earlier event against a later timer* whenever the
+    victim is still queued.  Returns ``(fired, clocks)``: every
+    ``(label, now)`` seen by a callback and ``now`` after each drain.  The
+    books are checked on the way; with a ``model`` the same script is
+    replayed on it drain by drain.
+    """
+    engine = Engine()
+    fired: list = []
+    clocks: list[float] = []
+    handles: dict = {}
+
+    def books() -> None:
+        assert engine.cancelled_pending >= 0
+        assert engine.pending >= engine.live_pending >= 0
+
+    def fire(label, victim) -> None:
+        fired.append((label, engine.now))
+        handle = handles.get(victim)
+        if handle is not None:
+            handle.cancel()
+            if compact_after_cancel:
+                engine.compact()
+        books()
+
+    for number, operations in enumerate(rounds):
+        for index, (delay, is_timer, victim) in enumerate(operations):
+            label = (number, index)
+            target = None
+            if victim is not None and victim < len(operations) and operations[victim][1]:
+                target = (number, victim)
+            if is_timer:
+                handles[label] = engine.schedule(delay, fire, label, target)
+            else:
+                engine.post(delay, fire, label, target)
+            if model is not None:
+                model.add(delay, label, target)
+            books()
+        DRAINS[drain](engine)
+        books()
+        clocks.append(engine.now)
+        if model is not None:
+            model.drain(engine.now if drain == "run_until" else math.inf)
+            assert fired == model.fired
+            assert engine.now == model.now
+            assert engine.live_pending == model.live
+        if drain != "run_until":
+            assert engine.pending == engine.live_pending == engine.cancelled_pending == 0
+    return fired, clocks
+
+
+_ROUNDS = st.lists(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.01, 0.25, 0.3, 0.5, 2.0, 30.0, 300.0]),
+            st.booleans(),
+            st.one_of(st.none(), st.integers(min_value=0, max_value=7)),
+        ),
+        max_size=8,
+    ),
+    min_size=1,
+    max_size=4,
+)
 
 
 class TestOrderEquivalence:
@@ -537,17 +708,70 @@ class TestOrderEquivalence:
         """Mixed post/schedule/cancel traffic fires in exactly the order
         the old mixed-tuple heap produced."""
         engine = Engine()
+        model = _ReferenceHeap()
         fired = []
         for index, (delay, cancel) in enumerate(operations):
+            model.add(delay, index)
             if cancel:
                 engine.schedule(delay, fired.append, index).cancel()
+                model.cancel(index)
             elif index % 2:
                 engine.schedule(delay, fired.append, index)
             else:
                 engine.post(delay, fired.append, index)
         engine.run_until_idle()
-        assert fired == _reference_order(operations)
+        model.drain()
+        assert fired == [label for label, _ in model.fired]
         assert engine.pending == engine.cancelled_pending
+
+    def test_nearer_timer_after_a_cancelled_far_one_fires(self):
+        """Regression (PR 22): the timer wheel staged Y, Y was cancelled
+        from the 0.5 event, and the nearer Z scheduled after the drain was
+        bisected into the consumed prefix of the wheel cursor — never
+        fired, ``cancelled_pending == -1``."""
+        engine = Engine()
+        fired = []
+        doomed = engine.schedule(2.0, fired.append, "Y")
+        engine.post(0.5, doomed.cancel)
+        engine.run_until_idle()
+        engine.schedule(0.25, fired.append, "Z")
+        engine.run_until_idle()
+        assert fired == ["Z"]
+        assert engine.now == 0.75
+        assert engine.pending == engine.live_pending == engine.cancelled_pending == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(_ROUNDS, st.sampled_from(sorted(DRAINS)))
+    def test_mid_run_cancels_match_reference_heap(self, rounds, drain):
+        """Timers cancelled by earlier events, a drain, then nearer timers
+        — over several drains — fire in the reference heap's order at the
+        reference heap's clock, and the books stay balanced throughout."""
+        _play(rounds, drain, model=_ReferenceHeap())
+
+
+class TestLazyCancellation:
+    #: ``(delay, is_timer, victim)`` rounds for :func:`_play`.  The first
+    #: and last end on garbage only — the far timer is cancelled by a
+    #: nearer event, so the last bucket the drain meets is all dead; the
+    #: middle one mixes a dead and a live entry in one bucket, and the
+    #: last also cancels inside the bucket being drained.
+    SCRIPT = [
+        [(2.0, True, None), (0.5, False, 0), (0.5, True, None)],
+        [(0.25, True, None), (1.0, True, None), (0.25, False, 1), (1.0, True, 0)],
+        [(0.0, True, 1), (0.0, True, None), (30.0, True, None), (0.01, False, 2)],
+    ]
+
+    @pytest.mark.parametrize("drain", sorted(DRAINS))
+    def test_compaction_is_unobservable(self, drain):
+        """The same script with ``compact()`` forced after every cancel
+        yields the same fired sequence, the same clock inside every
+        callback and the same ``now`` after every drain."""
+        lazy = _play(self.SCRIPT, drain)
+        eager = _play(self.SCRIPT, drain, compact_after_cancel=True)
+        assert lazy == eager
+        assert len(lazy[0]) == 7  # 11 ops, 4 cancelled before firing
+        if drain != "run_until":
+            assert lazy[1] == [0.5, 1.5, 1.51]  # dead buckets never moved the clock
 
 
 class TestCompactionBackoff:
