@@ -9,8 +9,8 @@ number of messages measured.  Prints the comparison table plus each
 protocol's recovery curve.
 """
 
-from repro import ExperimentParams, Scenario
-from repro.experiments.failures import PAPER_PROTOCOLS, run_failure_experiment
+from repro import ExperimentParams
+from repro.experiments.failures import PAPER_PROTOCOLS, measure_failure, stabilized_scenario
 from repro.experiments.reporting import format_table, sparkline
 
 N = 300
@@ -26,13 +26,9 @@ def main() -> None:
     results = {}
     for protocol in PAPER_PROTOCOLS:
         print(f"  stabilising {protocol} ...")
-        scenario = Scenario(protocol, params)
-        scenario.build_overlay()
-        scenario.stabilize()
+        base = stabilized_scenario(protocol, params)
         for fraction in FAILURES:
-            results[(protocol, fraction)] = run_failure_experiment(
-                protocol, params, fraction, MESSAGES, base=scenario
-            )
+            results[(protocol, fraction)] = measure_failure(base.clone(), fraction, MESSAGES)
 
     rows = []
     for fraction in FAILURES:

@@ -3,20 +3,18 @@
 Examples::
 
     repro quickstart --n 200
-    repro figure 2 --n 500 --messages 100
-    repro figure table1
-    repro healing --n 300 --failures 0.5 0.8
-    repro ablation passive --n 300
-    repro compare --n 300 --failures 0.3 0.6 0.8
+    repro bench --list
+    repro bench --scenario fig2_reliability --tier paper --n 500 --messages 100
     repro bench --tier smoke --workers 2 --out benchmarks/results
     repro bench --tier paper --scenario fig2_reliability
-    repro bench --list
+    repro trace --scenario fig2_reliability
 
-Every command prints the same plain-text reports the benchmark harness
-writes to ``benchmarks/results/``; scale and seed are flags, so the full
-paper-scale run is ``--n 10000 --messages 1000 --paper-params``.  The
-``bench`` subcommand drives the parallel orchestrator over the tiered
-scenario registry and persists ``BENCH_<scenario>.json`` artifacts.
+``bench`` is the one way to run a paper experiment: it drives the parallel
+orchestrator over the tiered scenario registry (every figure, table and
+ablation is a registered grid of cells), prints each scenario's plain-text
+report and persists ``BENCH_<scenario>.json`` artifacts.  Scale and seed
+are flags (``--n``, ``--messages``, ``--seed``); ``--tier paper`` alone is
+the full DSN'07 configuration.
 """
 
 from __future__ import annotations
@@ -27,54 +25,20 @@ import sys
 from typing import Optional, Sequence
 
 from .common.errors import ConfigurationError
-from .experiments.ablations import (
-    default_passive_sizes,
-    run_passive_size_ablation,
-    run_resend_ablation,
-    run_shuffle_ttl_ablation,
-)
-from .experiments.failures import (
-    FIGURE2_FRACTIONS,
-    FIGURE3_FRACTIONS,
-    PAPER_PROTOCOLS,
-    run_failure_experiment,
-    stabilized_scenario,
-)
-from .experiments.fanout import FIGURE1_FANOUTS, hyparview_reference_point, run_fanout_sweep
-from .experiments.graphprops import TABLE1_PROTOCOLS, run_graph_properties
-from .experiments.healing import FIGURE4_PROTOCOLS, run_healing_experiment
 from .experiments.params import ExperimentParams
 from .experiments.registry import REGISTRY, TIER_NAMES, get_scenario
-from .experiments.reporting import (
-    format_histogram,
-    format_series,
-    format_table,
-    sparkline,
-)
+from .experiments.reporting import format_table
 from .experiments.scenario import Scenario
-
-
-def _params(args: argparse.Namespace) -> ExperimentParams:
-    if getattr(args, "paper_params", False):
-        return ExperimentParams.paper(n=args.n, seed=args.seed)
-    return ExperimentParams.scaled(args.n, seed=args.seed)
-
-
-def _add_scale_flags(parser: argparse.ArgumentParser, default_n: int = 500) -> None:
-    parser.add_argument("--n", type=int, default=default_n, help="system size")
-    parser.add_argument("--seed", type=int, default=42, help="root random seed")
-    parser.add_argument(
-        "--paper-params",
-        action="store_true",
-        help="use the exact Section 5.1 view sizes regardless of --n",
-    )
 
 
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
 def cmd_quickstart(args: argparse.Namespace) -> int:
-    params = _params(args)
+    if args.paper_params:
+        params = ExperimentParams.paper(n=args.n, seed=args.seed)
+    else:
+        params = ExperimentParams.scaled(args.n, seed=args.seed)
     print(f"building a {params.n}-node HyParView overlay (seed {params.seed}) ...")
     scenario = Scenario("hyparview", params)
     scenario.build_overlay()
@@ -98,198 +62,9 @@ def cmd_quickstart(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_figure(args: argparse.Namespace) -> int:
-    params = _params(args)
-    name = args.which
-    if name in ("1a", "1b"):
-        protocol = "cyclon" if name == "1a" else "scamp"
-        points = run_fanout_sweep(protocol, FIGURE1_FANOUTS, params, messages=args.messages)
-        reference = hyparview_reference_point(params, messages=args.messages)
-        rows = [[p.fanout, p.average_reliability, p.atomic_fraction] for p in points]
-        rows.append(["flood", reference.average_reliability, reference.atomic_fraction])
-        print(
-            format_table(
-                ["fanout", "avg reliability", "atomic"],
-                rows,
-                title=f"Figure {name} — {protocol} fanout sweep (n={params.n})",
-            )
-        )
-        return 0
-    if name == "1c":
-        for protocol in ("cyclon", "scamp"):
-            result = run_failure_experiment(protocol, params, 0.5, args.messages)
-            print(f"\n{protocol}: avg={result.average:.3f}  {sparkline(result.series)}")
-            print(format_series(result.series))
-        return 0
-    if name == "2":
-        rows = []
-        for fraction in FIGURE2_FRACTIONS:
-            rows.append([f"{fraction:.0%}"])
-        for protocol in PAPER_PROTOCOLS:
-            base = stabilized_scenario(protocol, params)
-            print(f"  measured {protocol}", file=sys.stderr)
-            for index, fraction in enumerate(FIGURE2_FRACTIONS):
-                result = run_failure_experiment(
-                    protocol, params, fraction, args.messages, base=base
-                )
-                rows[index].append(result.average)
-        print(
-            format_table(
-                ["failure %"] + list(PAPER_PROTOCOLS),
-                rows,
-                title=f"Figure 2 — avg reliability (n={params.n}, {args.messages} msgs)",
-            )
-        )
-        return 0
-    if name == "3":
-        for protocol in PAPER_PROTOCOLS:
-            base = stabilized_scenario(protocol, params)
-            for fraction in FIGURE3_FRACTIONS:
-                result = run_failure_experiment(
-                    protocol, params, fraction, args.messages, base=base
-                )
-                print(
-                    f"{protocol:13s} {fraction:4.0%}  avg={result.average:.3f} "
-                    f"tail={result.tail_average():.3f}  {sparkline(result.series)}"
-                )
-        return 0
-    if name == "5":
-        for protocol in TABLE1_PROTOCOLS:
-            result = run_graph_properties(protocol, params, messages=5)
-            print()
-            print(format_histogram(result.in_degree_histogram, title=f"{protocol}:"))
-        return 0
-    if name == "table1":
-        rows = []
-        for protocol in TABLE1_PROTOCOLS:
-            result = run_graph_properties(protocol, params, messages=args.messages)
-            rows.append(
-                [
-                    protocol,
-                    f"{result.average_clustering:.6f}",
-                    f"{result.path_stats.average:.4f}",
-                    f"{result.max_hops_to_delivery:.1f}",
-                ]
-            )
-        print(
-            format_table(
-                ["protocol", "avg clustering", "avg shortest path", "max hops"],
-                rows,
-                title=f"Table 1 (n={params.n})",
-            )
-        )
-        return 0
-    print(f"unknown figure: {name}", file=sys.stderr)
-    return 2
-
-
-def cmd_healing(args: argparse.Namespace) -> int:
-    params = _params(args)
-    rows = []
-    for protocol in FIGURE4_PROTOCOLS:
-        base = stabilized_scenario(protocol, params)
-        for fraction in args.failures:
-            result = run_healing_experiment(
-                protocol, params, fraction, max_cycles=args.max_cycles, base=base
-            )
-            healed = result.cycles_to_heal
-            rows.append(
-                [
-                    protocol,
-                    f"{fraction:.0%}",
-                    str(healed) if healed is not None else f">{args.max_cycles}",
-                    result.baseline_reliability,
-                ]
-            )
-    print(
-        format_table(
-            ["protocol", "failure %", "cycles to heal", "baseline"],
-            rows,
-            title=f"Figure 4 — healing time (n={params.n})",
-        )
-    )
-    return 0
-
-
-def cmd_ablation(args: argparse.Namespace) -> int:
-    params = _params(args)
-    if args.which == "passive":
-        points = run_passive_size_ablation(
-            params, default_passive_sizes(params.hyparview),
-            failure_fraction=args.failure, messages=args.messages,
-        )
-        print(
-            format_table(
-                ["passive capacity", "avg reliability", "tail", "largest component"],
-                [
-                    [p.passive_capacity, p.average_reliability, p.tail_reliability,
-                     p.largest_component_fraction]
-                    for p in points
-                ],
-                title=f"passive view size ablation ({args.failure:.0%} failures)",
-            )
-        )
-        return 0
-    if args.which == "shuffle-ttl":
-        points = run_shuffle_ttl_ablation(
-            params, (1, 3, 6, 9), failure_fraction=args.failure, messages=args.messages
-        )
-        print(
-            format_table(
-                ["shuffle TTL", "clustering", "passive in-degree CV", "recovery avg"],
-                [
-                    [p.shuffle_ttl, p.average_clustering, p.passive_balance,
-                     p.recovery_average]
-                    for p in points
-                ],
-                title="shuffle TTL ablation",
-            )
-        )
-        return 0
-    if args.which == "resend":
-        points = run_resend_ablation(
-            params, failure_fraction=args.failure, messages=args.messages
-        )
-        print(
-            format_table(
-                ["resend", "avg reliability", "first-10", "payload msgs"],
-                [
-                    [str(p.resend_on_repair), p.average_reliability, p.first10_average,
-                     p.data_transmissions]
-                    for p in points
-                ],
-                title=f"flood resend ablation ({args.failure:.0%} failures)",
-            )
-        )
-        return 0
-    print(f"unknown ablation: {args.which}", file=sys.stderr)
-    return 2
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    params = _params(args)
-    rows = [[f"{fraction:.0%}"] for fraction in args.failures]
-    for protocol in PAPER_PROTOCOLS:
-        base = stabilized_scenario(protocol, params)
-        print(f"  measured {protocol}", file=sys.stderr)
-        for index, fraction in enumerate(args.failures):
-            result = run_failure_experiment(
-                protocol, params, fraction, args.messages, base=base
-            )
-            rows[index].append(result.average)
-    print(
-        format_table(
-            ["failure %"] + list(PAPER_PROTOCOLS),
-            rows,
-            title=f"protocol comparison (n={params.n}, {args.messages} msgs)",
-        )
-    )
-    return 0
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    # Imported lazily: the runner pulls in multiprocessing machinery the
-    # lightweight figure commands never need.
+    # Imported lazily: the runner pulls in multiprocessing machinery
+    # quickstart never needs.
     from .experiments.runner import profile_unit, run_and_report
 
     if args.list:
@@ -344,7 +119,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         n=args.n,
         messages=args.messages,
         replicates=args.replicates,
-        cells=args.cells != "off",
         snapshot_cache=not args.no_snapshot_cache,
         trace=args.trace,
         trace_dir=args.trace_out,
@@ -368,8 +142,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """
     import json
 
-    # Imported lazily, mirroring cmd_bench: the orchestrator pulls in
-    # multiprocessing machinery the figure commands never need.
+    # Imported lazily, mirroring cmd_bench.
     from .experiments.runner import run_scenarios
     from .obs.trace import DisseminationTrace
 
@@ -388,7 +161,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         n=args.n,
         messages=args.messages,
         replicates=args.replicates,
-        cells=args.cells != "off",
         snapshot_cache=not args.no_snapshot_cache,
         trace=True,
         traces=traces,
@@ -578,34 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("quickstart", help="build an overlay, broadcast, report")
-    _add_scale_flags(p, default_n=200)
+    p.add_argument("--n", type=int, default=200, help="system size")
+    p.add_argument("--seed", type=int, default=42, help="root random seed")
+    p.add_argument(
+        "--paper-params", action="store_true",
+        help="use the exact Section 5.1 view sizes regardless of --n",
+    )
     p.add_argument("--messages", type=int, default=10)
     p.set_defaults(func=cmd_quickstart)
-
-    p = sub.add_parser("figure", help="reproduce a figure/table of the paper")
-    p.add_argument("which", choices=["1a", "1b", "1c", "2", "3", "5", "table1"])
-    _add_scale_flags(p)
-    p.add_argument("--messages", type=int, default=50)
-    p.set_defaults(func=cmd_figure)
-
-    p = sub.add_parser("healing", help="Figure 4 — healing time")
-    _add_scale_flags(p)
-    p.add_argument("--failures", type=float, nargs="+", default=[0.3, 0.6, 0.9])
-    p.add_argument("--max-cycles", type=int, default=30)
-    p.set_defaults(func=cmd_healing)
-
-    p = sub.add_parser("ablation", help="design-choice ablations")
-    p.add_argument("which", choices=["passive", "shuffle-ttl", "resend"])
-    _add_scale_flags(p, default_n=300)
-    p.add_argument("--failure", type=float, default=0.8)
-    p.add_argument("--messages", type=int, default=30)
-    p.set_defaults(func=cmd_ablation)
-
-    p = sub.add_parser("compare", help="head-to-head reliability comparison")
-    _add_scale_flags(p, default_n=300)
-    p.add_argument("--failures", type=float, nargs="+", default=[0.3, 0.6, 0.8])
-    p.add_argument("--messages", type=int, default=30)
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser(
         "bench",
@@ -635,12 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--replicates", type=int, default=None,
         help="override the tier's replicate count",
-    )
-    p.add_argument(
-        "--cells", choices=["auto", "off"], default="auto",
-        help="auto (default): shard grid scenarios into per-cell work "
-        "units; off: one work unit per replicate (PR-1 behaviour). "
-        "Artifacts are byte-identical either way.",
     )
     p.add_argument(
         "--no-snapshot-cache", action="store_true",
@@ -724,8 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the tier's replicate count")
     p.add_argument("--replicate", type=int, default=0,
                    help="which replicate to inspect (default: 0)")
-    p.add_argument("--cells", choices=["auto", "off"], default="auto",
-                   help="cell sharding (traces are identical either way)")
     p.add_argument("--no-snapshot-cache", action="store_true",
                    help="rebuild stabilised bases instead of thawing cached "
                    "snapshots (traces are identical either way)")

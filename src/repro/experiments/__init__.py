@@ -1,44 +1,19 @@
-"""The evaluation harness: one driver per table/figure of the paper."""
+"""The evaluation harness: the scenario registry, its cell measurements
+and the orchestrator that runs them."""
 
 from .churn import ChurnResult, run_churn_experiment
-from .ablations import (
-    PassiveSizePoint,
-    ResendPoint,
-    ShuffleTtlPoint,
-    default_passive_sizes,
-    run_passive_size_ablation,
-    run_resend_ablation,
-    run_shuffle_ttl_ablation,
-)
+from .ablations import PassiveSizePoint, ResendPoint, ShuffleTtlPoint, default_passive_sizes
 from .failures import (
     FIGURE2_FRACTIONS,
     FIGURE3_FRACTIONS,
     PAPER_PROTOCOLS,
     FailureExperimentResult,
-    run_failure_experiment,
-    run_failure_sweep,
     stabilized_scenario,
 )
-from .fanout import (
-    FIGURE1_FANOUTS,
-    FanoutPoint,
-    hyparview_reference_point,
-    run_fanout_sweep,
-)
-from .graphprops import (
-    TABLE1_PROTOCOLS,
-    GraphPropertiesResult,
-    run_graph_properties,
-    run_table1,
-)
-from .healing import (
-    FIGURE4_FRACTIONS,
-    FIGURE4_PROTOCOLS,
-    HealingResult,
-    run_healing_experiment,
-    run_healing_sweep,
-)
-from .params import ExperimentParams, bench_message_count, bench_params
+from .fanout import FIGURE1_FANOUTS, FanoutPoint, hyparview_reference_point
+from .graphprops import TABLE1_PROTOCOLS, GraphPropertiesResult, run_graph_properties
+from .healing import FIGURE4_FRACTIONS, FIGURE4_PROTOCOLS, HealingResult
+from .params import ExperimentParams
 from .registry import (
     REGISTRY,
     TIER_NAMES,
@@ -98,8 +73,6 @@ __all__ = [
     "ShuffleTtlPoint",
     "TierConfig",
     "WorkUnit",
-    "bench_message_count",
-    "bench_params",
     "build_units",
     "default_passive_sizes",
     "encode_artifact",
@@ -114,18 +87,9 @@ __all__ = [
     "register",
     "replicate_seed",
     "run_and_report",
-    "run_failure_experiment",
-    "run_failure_sweep",
-    "run_fanout_sweep",
     "run_graph_properties",
-    "run_healing_experiment",
-    "run_healing_sweep",
     "run_churn_experiment",
-    "run_passive_size_ablation",
-    "run_resend_ablation",
     "run_scenarios",
-    "run_shuffle_ttl_ablation",
-    "run_table1",
     "scenario_ids",
     "sparkline",
     "stabilized_scenario",

@@ -11,22 +11,20 @@ Three studies that interrogate the design choices DESIGN.md calls out:
   retransmitted towards the repaired active view, trading extra traffic
   for reliability during the repair transient.
 
-Each study is split into a per-point ``measure_*_point`` helper operating
-on a stabilised scenario the caller hands over (consumed, like
-:func:`~repro.experiments.failures.measure_failure`) and a ``run_*``
-sweep that loops the helper.  The registry's cell decompositions call the
-helpers directly, so one ablation point is one schedulable cell.
+Each study is a per-point ``measure_*_point`` helper operating on a
+stabilised scenario the caller hands over (consumed, like
+:func:`~repro.experiments.failures.measure_failure`).  The registry's
+grids call the helpers directly, so one ablation point is one schedulable
+cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from ..core.config import HyParViewConfig
 from ..gossip.flood import FloodBroadcast
 from ..metrics.reliability import average_reliability
-from .failures import stabilized_scenario
 from .params import ExperimentParams
 from .scenario import Scenario
 
@@ -71,24 +69,6 @@ def measure_passive_size_point(
         tail_reliability=sum(tail) / len(tail) if tail else 0.0,
         largest_component_fraction=snapshot.largest_component_fraction(),
     )
-
-
-def run_passive_size_ablation(
-    params: ExperimentParams,
-    passive_sizes: Sequence[int],
-    *,
-    failure_fraction: float = 0.8,
-    messages: int = 50,
-) -> list[PassiveSizePoint]:
-    """Sweep the passive view capacity at a fixed (heavy) failure level."""
-    return [
-        measure_passive_size_point(
-            stabilized_scenario("hyparview", passive_size_params(params, capacity)),
-            failure_fraction=failure_fraction,
-            messages=messages,
-        )
-        for capacity in passive_sizes
-    ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,24 +126,6 @@ def measure_shuffle_ttl_point(
     )
 
 
-def run_shuffle_ttl_ablation(
-    params: ExperimentParams,
-    ttls: Sequence[int],
-    *,
-    failure_fraction: float = 0.6,
-    messages: int = 30,
-) -> list[ShuffleTtlPoint]:
-    """Sweep the shuffle random-walk TTL (unspecified in the paper)."""
-    return [
-        measure_shuffle_ttl_point(
-            stabilized_scenario("hyparview", shuffle_ttl_params(params, ttl)),
-            failure_fraction=failure_fraction,
-            messages=messages,
-        )
-        for ttl in ttls
-    ]
-
-
 @dataclass(frozen=True, slots=True)
 class ResendPoint:
     """Reliability/traffic trade of the flood resend extension."""
@@ -205,23 +167,6 @@ def measure_resend_point(
         first10_average=sum(head) / len(head) if head else 0.0,
         data_transmissions=after - before,
     )
-
-
-def run_resend_ablation(
-    params: ExperimentParams,
-    *,
-    failure_fraction: float = 0.8,
-    messages: int = 50,
-) -> list[ResendPoint]:
-    """Compare the paper's no-resend flood with the resend extension."""
-    base = stabilized_scenario("hyparview", params)
-    return [
-        measure_resend_point(
-            base.clone(), resend,
-            failure_fraction=failure_fraction, messages=messages,
-        )
-        for resend in RESEND_VARIANTS
-    ]
 
 
 #: The payload message class each broadcast layer of the Plumtree study

@@ -10,7 +10,6 @@ run, concurrently with the paced message stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from ..metrics.reliability import atomic_fraction, average_reliability, reliability_series
 from .params import ExperimentParams
@@ -70,52 +69,12 @@ def measure_failure(
     )
 
 
-def run_failure_experiment(
-    protocol: str,
-    params: ExperimentParams,
-    failure_fraction: float,
-    messages: int,
-    *,
-    base: Optional[Scenario] = None,
-    paced: bool = True,
-) -> FailureExperimentResult:
-    """One cell of Figure 2 / one curve of Figure 3.
-
-    ``base`` may carry a pre-stabilised scenario (it is cloned, never
-    mutated); building one per call is the slow path.
-    """
-    scenario = base.clone() if base is not None else stabilized_scenario(protocol, params)
-    return measure_failure(scenario, failure_fraction, messages, paced=paced)
-
-
 def stabilized_scenario(protocol: str, params: ExperimentParams) -> Scenario:
     """Build + join + stabilise (the reusable expensive prefix)."""
     scenario = Scenario(protocol, params)
     scenario.build_overlay()
     scenario.stabilize()
     return scenario
-
-
-def run_failure_sweep(
-    protocols: Sequence[str],
-    fractions: Sequence[float],
-    params: ExperimentParams,
-    messages: int,
-) -> dict[tuple[str, float], FailureExperimentResult]:
-    """The full Figure 2 grid: every protocol at every failure level.
-
-    Each protocol is stabilised once and cloned per failure level, so the
-    sweep cost is dominated by the message batches, not by re-building
-    overlays.
-    """
-    results: dict[tuple[str, float], FailureExperimentResult] = {}
-    for protocol in protocols:
-        base = stabilized_scenario(protocol, params)
-        for fraction in fractions:
-            results[(protocol, fraction)] = run_failure_experiment(
-                protocol, params, fraction, messages, base=base
-            )
-    return results
 
 
 #: The failure levels of Figure 2.

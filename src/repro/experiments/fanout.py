@@ -5,18 +5,17 @@ needs for high reliability: Cyclon requires 5–6 and Scamp 6 to cross 99%
 on 10 000 nodes, while HyParView floods a fanout-4-sized active view and
 reaches 100% deterministically.
 
-The sweep stabilises one overlay per protocol and clones it per fanout
-value — the membership structure does not depend on the gossip fanout, so
-every fanout sees the identical overlay, exactly like re-running the
-paper's dissemination over one stabilised PeerSim network.
+Every fanout point thaws the same stabilised base — the membership
+structure does not depend on the gossip fanout, so every fanout sees the
+identical overlay, exactly like re-running the paper's dissemination over
+one stabilised PeerSim network.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from ..common.errors import ConfigurationError
 from ..gossip.eager import EagerGossip
 from ..metrics.reliability import atomic_fraction, average_reliability
 from .failures import stabilized_scenario
@@ -34,31 +33,6 @@ class FanoutPoint:
     average_reliability: float
     atomic_fraction: float
     min_reliability: float
-
-
-def run_fanout_sweep(
-    protocol: str,
-    fanouts: Sequence[int],
-    params: ExperimentParams,
-    messages: int = 50,
-    *,
-    base: Optional[Scenario] = None,
-) -> list[FanoutPoint]:
-    """Reliability as a function of fanout (Figure 1a/1b).
-
-    Only meaningful for probabilistic gossip protocols — HyParView ignores
-    the fanout by design (its flood uses the whole active view), so asking
-    for its sweep raises.
-    """
-    if protocol in ("hyparview", "plumtree"):
-        raise ConfigurationError(
-            f"{protocol} floods its active view; a fanout sweep does not apply (Section 4.1)"
-        )
-    stabilized = base if base is not None else stabilized_scenario(protocol, params)
-    frozen = stabilized.freeze()
-    return [
-        measure_fanout_point(Scenario.thaw(frozen), fanout, messages) for fanout in fanouts
-    ]
 
 
 def measure_fanout_point(scenario: Scenario, fanout: int, messages: int) -> FanoutPoint:

@@ -10,7 +10,7 @@ view (footnote 5 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..metrics.graph import OverlaySnapshot, PathStats
 from ..metrics.reliability import max_hops
@@ -63,22 +63,6 @@ def run_graph_properties(
         symmetry_fraction=snapshot.symmetry_fraction(),
         connected=snapshot.is_connected(),
     )
-
-
-def run_table1(
-    protocols: Sequence[str],
-    params: ExperimentParams,
-    *,
-    messages: int = 50,
-    path_sample_sources: Optional[int] = 100,
-) -> dict[str, GraphPropertiesResult]:
-    """All Table 1 rows (the paper compares Cyclon, Scamp and HyParView)."""
-    return {
-        protocol: run_graph_properties(
-            protocol, params, messages=messages, path_sample_sources=path_sample_sources
-        )
-        for protocol in protocols
-    }
 
 
 #: The protocols of Table 1 / Figure 5.

@@ -14,11 +14,9 @@ is excluded because its healing hinges on the (long) lease time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..metrics.reliability import average_reliability, healing_cycles
-from .failures import stabilized_scenario
-from .params import ExperimentParams
 from .scenario import Scenario
 
 
@@ -70,47 +68,6 @@ def measure_healing(
         cycles_to_heal=healing_cycles(baseline, per_cycle, tolerance=tolerance),
         max_cycles=max_cycles,
     )
-
-
-def run_healing_experiment(
-    protocol: str,
-    params: ExperimentParams,
-    failure_fraction: float,
-    *,
-    probes_per_cycle: int = 10,
-    max_cycles: int = 30,
-    baseline_probes: int = 10,
-    tolerance: float = 0.001,
-    base: Optional[Scenario] = None,
-) -> HealingResult:
-    """Count membership cycles until reliability returns to the protocol's
-    own pre-failure level (Figure 4)."""
-    scenario = base.clone() if base is not None else stabilized_scenario(protocol, params)
-    return measure_healing(
-        scenario,
-        failure_fraction,
-        probes_per_cycle=probes_per_cycle,
-        max_cycles=max_cycles,
-        baseline_probes=baseline_probes,
-        tolerance=tolerance,
-    )
-
-
-def run_healing_sweep(
-    protocols: Sequence[str],
-    fractions: Sequence[float],
-    params: ExperimentParams,
-    **kwargs,
-) -> dict[tuple[str, float], HealingResult]:
-    """The Figure 4 grid (protocol x failure percentage)."""
-    results: dict[tuple[str, float], HealingResult] = {}
-    for protocol in protocols:
-        base = stabilized_scenario(protocol, params)
-        for fraction in fractions:
-            results[(protocol, fraction)] = run_healing_experiment(
-                protocol, params, fraction, base=base, **kwargs
-            )
-    return results
 
 
 #: Failure levels plotted in Figure 4.

@@ -5,17 +5,13 @@ n = 10 000.  ``ExperimentParams.scaled(n)`` keeps every protocol relation
 intact (Cyclon view = HyParView active + passive; shuffle length ≈ 40% of
 the view; fanout fixed at 4) while shrinking the log-sized views for a
 smaller system, so laptop-scale runs preserve the comparisons the paper
-makes.  Benchmarks read their scale from the environment:
-
-* ``REPRO_BENCH_N`` — system size (default 500),
-* ``REPRO_BENCH_MESSAGES`` — messages per measurement batch,
-* ``REPRO_BENCH_PAPER=1`` — use the exact paper parameters/scale.
+makes.  Scale is chosen where an experiment is run — a registry tier, or
+``repro bench --n / --messages / --seed`` — never from the environment.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -143,18 +139,3 @@ class ExperimentParams:
     def expected_passive_floor(self) -> int:
         """The "larger than log(n)" requirement from Section 4.1."""
         return math.ceil(math.log(self.n))
-
-
-def bench_params() -> ExperimentParams:
-    """Parameters for the benchmark harness, controlled by environment
-    variables (see module docstring)."""
-    if os.environ.get("REPRO_BENCH_PAPER", "") == "1":
-        return ExperimentParams.paper()
-    n = int(os.environ.get("REPRO_BENCH_N", "500"))
-    seed = int(os.environ.get("REPRO_BENCH_SEED", "42"))
-    return ExperimentParams.scaled(n, seed=seed)
-
-
-def bench_message_count(default: int = 100) -> int:
-    """Messages per benchmark measurement batch (``REPRO_BENCH_MESSAGES``)."""
-    return int(os.environ.get("REPRO_BENCH_MESSAGES", str(default)))

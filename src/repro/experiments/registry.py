@@ -1,13 +1,13 @@
 """Tiered scenario registry — every experiment of the evaluation, by id.
 
-One :class:`ScenarioSpec` per table/figure/ablation unifies what used to be
-scattered across ``benchmarks/bench_*.py`` and the driver modules in this
-package.  A spec names the experiment, configures it per **tier** and binds
+One :class:`ScenarioSpec` per table/figure/ablation.  A scenario is a
+**grid of cells** and nothing else: the spec names the experiment,
+configures it per **tier**, declares the grid's **axes** once and binds
 three functions:
 
-* ``run(ctx)``   — execute one replicate, return a JSON-safe dict;
-* ``render(result, n)`` — the plain-text report the paper-style harness
-  prints (tables, series, histograms);
+* ``run_cell(ctx, key)`` — measure one cell, return a JSON-safe dict;
+* ``render(result, n)`` — the plain-text report (tables, series,
+  histograms) printed for the merged result;
 * ``check(result, n)``  — shape assertions.  Sanity invariants always run;
   the paper's qualitative shapes (protocol orderings, thresholds) only
   assert at bench scale (``n >= SHAPE_CHECK_MIN_N``) where they hold.
@@ -23,24 +23,25 @@ Tiers:
   per scenario, for trend tracking with error bars.
 
 Adding a scenario is one :func:`register` call; the orchestrator
-(:mod:`repro.experiments.runner`), the ``repro bench`` CLI and the
-benchmark harness all pick it up from :data:`REGISTRY`.
+(:mod:`repro.experiments.runner`) and the ``repro bench`` CLI pick it up
+from :data:`REGISTRY`.
 
-**Cells.**  Grid scenarios (protocol x failure-fraction sweeps, fanout
-sweeps, per-protocol collections) additionally expose their inner grid as
-independent **cells** via three optional hooks — ``cells`` (enumerate the
-grid), ``run_cell`` (execute one cell) and ``merge_cells`` (assemble the
-replicate result) — so the orchestrator can shard a single replicate's
-grid across worker processes.  A cell's result depends only on
-``(scenario, tier config, replicate seed, cell key)``, never on which
-worker runs it or which cells ran before, and ``merge_cells`` reproduces
-*exactly* the dict the monolithic ``run`` returns; artifacts are therefore
-byte-identical whether a replicate ran whole, cell-by-cell in one process,
-or sharded over many.
+**Cells.**  An :class:`Axis` is an option key plus its default values
+(``protocols`` x ``fractions`` for Figure 2, ``fanouts`` for Figure 1a, no
+axis at all for the one-cell HyParView reference point).
+:meth:`ScenarioSpec.cells` enumerates the product of the declared axes and
+:meth:`ScenarioSpec.merge_cells` nests the per-cell results back along the
+same axes — always in declared order, never in the order results arrived
+— so the orchestrator can shard one replicate's grid across worker
+processes.  A cell's result depends only on ``(scenario, tier config,
+replicate seed, cell key)``, never on which worker runs it or which cells
+ran before; artifacts are therefore byte-identical for any worker count,
+with or without the snapshot cache.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional
 
@@ -147,71 +148,91 @@ class RunContext:
     def option(self, key: str, default: object) -> object:
         return self.config.option(key, default)
 
-    def ensure_snapshots(self) -> "RunContext":
-        """This context, guaranteed to carry a snapshot cache.
-
-        Monolithic runs (no orchestrator attached) get a private transient
-        cache so a grid still stabilises each protocol once, not once per
-        cell.
-        """
-        if self.snapshots is not None:
-            return self
-        return replace(self, snapshots=SnapshotCache())
-
-    def frozen_base(
-        self, protocol: str, params: Optional[ExperimentParams] = None
-    ) -> bytes:
-        """The frozen stabilised base overlay for ``protocol``.
-
-        Served from the snapshot cache when one is attached; always the
-        same bytes for the same ``(protocol, params)``.  ``params``
-        overrides the tier-derived defaults — ablation cells use this to
-        stabilise per-point configurations (e.g. a swept passive-view
-        capacity) through the same cache.
-        """
-        if params is None:
-            params = self.params()
-        if self.snapshots is None:
-            return stabilized_scenario(protocol, params).freeze()
-        return self.snapshots.frozen(protocol, params)
-
     def stabilized(
         self, protocol: str, params: Optional[ExperimentParams] = None
     ) -> Scenario:
         """A private, ready-to-mutate stabilised scenario for ``protocol``.
 
-        Every checkout — cached or not — passes through exactly one
-        freeze/thaw round trip since stabilisation, so measured results
-        never depend on where the base came from.
+        ``params`` overrides the tier-derived defaults — ablation cells
+        use this to stabilise per-point configurations (e.g. a swept
+        passive-view capacity) through the same cache.  Every checkout —
+        served from the snapshot cache or built from scratch — passes
+        through exactly one freeze/thaw round trip since stabilisation, so
+        measured results never depend on where the base came from.
         """
-        return Scenario.thaw(self.frozen_base(protocol, params))
+        if params is None:
+            params = self.params()
+        if self.snapshots is None:
+            return Scenario.thaw(stabilized_scenario(protocol, params).freeze())
+        return self.snapshots.checkout(protocol, params)
+
+
+@dataclass(frozen=True, slots=True)
+class Axis:
+    """One declared dimension of a scenario's cell grid.
+
+    ``option`` is the tier-option key whose value replaces ``default``
+    (``None``: the axis is fixed).  ``default`` is a tuple of values, or a
+    function of the run context where the default depends on the tier's
+    parameters.  ``kind`` canonicalises a value into its cell-key
+    component; ``label`` spells it as a key of the merged grid.
+    """
+
+    option: Optional[str]
+    default: object
+    kind: Callable[[object], object] = str
+    label: Callable[[object], str] = str
+
+    def values(self, ctx: RunContext) -> tuple:
+        raw = None if self.option is None else ctx.option(self.option, None)
+        if raw is None:
+            raw = self.default(ctx) if callable(self.default) else self.default
+        return tuple(self.kind(value) for value in raw)  # type: ignore[union-attr]
 
 
 @dataclass(frozen=True, slots=True)
 class ScenarioSpec:
-    """One registered experiment."""
+    """One registered experiment: a grid of independent cells."""
 
     id: str
     group: str
     title: str
     description: str
     tiers: Mapping[str, TierConfig]
-    run: Callable[[RunContext], dict]
+    #: The grid's dimensions, outermost first; ``()`` is a one-cell grid.
+    axes: tuple[Axis, ...]
+    run_cell: Callable[[RunContext, CellKey], dict]
     render: Callable[[dict, int], str]
     check: Optional[Callable[[dict, int], None]] = None
-    #: Optional cell decomposition (see the module docstring): enumerate
-    #: one replicate's independent grid cells, execute one, and merge the
-    #: per-cell results back into exactly what ``run`` would have returned.
-    cells: Optional[Callable[[RunContext], tuple[CellKey, ...]]] = None
-    run_cell: Optional[Callable[[RunContext, CellKey], dict]] = None
-    merge_cells: Optional[Callable[[RunContext, Mapping[CellKey, dict]], dict]] = None
+    #: Wraps the merged grid into the scenario's result shape (header
+    #: fields, a ``points`` list ...); default: the nested grid itself.
+    frame: Optional[Callable[[RunContext, dict], dict]] = None
     #: Maps a cell key to the identity of the stabilised base it reuses
     #: (orchestrator scheduling hint; default: the key's first component).
     cell_affinity: Optional[Callable[[CellKey], object]] = None
 
-    @property
-    def supports_cells(self) -> bool:
-        return self.cells is not None
+    def cells(self, ctx: RunContext) -> tuple[CellKey, ...]:
+        """One replicate's cell keys: the product of the declared axes."""
+        return tuple(itertools.product(*(axis.values(ctx) for axis in self.axes)))
+
+    def merge_cells(self, ctx: RunContext, results: Mapping[CellKey, dict]) -> dict:
+        """Assemble the replicate result from its per-cell results.
+
+        Nests along the declared axes in declared order — ``results`` is
+        only ever indexed, never iterated, so the order cells completed in
+        cannot show in the result.
+        """
+
+        def nest(prefix: CellKey, axes: tuple[Axis, ...]):
+            if not axes:
+                return results[prefix]
+            return {
+                axes[0].label(value): nest(prefix + (value,), axes[1:])
+                for value in axes[0].values(ctx)
+            }
+
+        grid = nest((), self.axes)
+        return grid if self.frame is None else self.frame(ctx, grid)
 
     def tier(self, name: str) -> TierConfig:
         if name not in self.tiers:
@@ -231,35 +252,8 @@ def register(spec: ScenarioSpec) -> ScenarioSpec:
     unknown = set(spec.tiers) - set(TIER_NAMES)
     if unknown:
         raise ConfigurationError(f"unknown tiers on {spec.id!r}: {sorted(unknown)}")
-    hooks = (spec.cells, spec.run_cell, spec.merge_cells)
-    if any(hook is not None for hook in hooks) and None in hooks:
-        raise ConfigurationError(
-            f"scenario {spec.id!r} must define cells, run_cell and "
-            f"merge_cells together (or none of them)"
-        )
     REGISTRY[spec.id] = spec
     return spec
-
-
-def celled_run(
-    cells: Callable[[RunContext], tuple[CellKey, ...]],
-    run_cell: Callable[[RunContext, CellKey], dict],
-    merge_cells: Callable[[RunContext, Mapping[CellKey, dict]], dict],
-) -> Callable[[RunContext], dict]:
-    """A monolithic ``run`` derived from a cell decomposition.
-
-    Executes every cell in enumeration order in-process and merges — the
-    single-process reference semantics the sharded orchestrator must (and
-    is tested to) reproduce byte-for-byte.  A transient snapshot cache is
-    attached so grids still stabilise each base once per run, not once per
-    cell, even outside the orchestrator.
-    """
-
-    def run(ctx: RunContext) -> dict:
-        ctx = ctx.ensure_snapshots()
-        return merge_cells(ctx, {key: run_cell(ctx, key) for key in cells(ctx)})
-
-    return run
 
 
 def get_scenario(scenario_id: str) -> ScenarioSpec:
@@ -284,32 +278,23 @@ def _tiers(
     return {"smoke": smoke, "paper": paper, "full": full}
 
 
-def _cell_hooks(cells, run_cell, merge_cells) -> dict:
-    """The four ScenarioSpec fields a cell decomposition defines at once."""
-    return {
-        "run": celled_run(cells, run_cell, merge_cells),
-        "cells": cells,
-        "run_cell": run_cell,
-        "merge_cells": merge_cells,
-    }
-
-
 # ----------------------------------------------------------------------
 # Figure 1a/1b — fanout vs reliability (+ the HyParView reference point)
 # ----------------------------------------------------------------------
-def _fanout_cells(ctx: RunContext) -> tuple[CellKey, ...]:
-    fanouts = tuple(ctx.option("fanouts", FIGURE1_FANOUTS))  # type: ignore[arg-type]
-    return tuple((int(fanout),) for fanout in fanouts)
+def _fanout_grid(protocol: str) -> dict:
+    """Grid fields of a Figure 1 fanout sweep: one cell per fanout, every
+    cell flooding the same stabilised ``protocol`` base."""
 
+    def run_cell(ctx: RunContext, key: CellKey) -> dict:
+        point = measure_fanout_point(ctx.stabilized(protocol), key[0], ctx.config.messages)
+        return json_safe(point)  # type: ignore[return-value]
 
-def _run_fanout_cell(ctx: RunContext, protocol: str, key: CellKey) -> dict:
-    point = measure_fanout_point(ctx.stabilized(protocol), int(key[0]), ctx.config.messages)
-    return json_safe(point)  # type: ignore[return-value]
-
-
-def _merge_fanout(ctx: RunContext, protocol: str, cells: Mapping[CellKey, dict]) -> dict:
-    fanouts = tuple(ctx.option("fanouts", FIGURE1_FANOUTS))  # type: ignore[arg-type]
-    return {"protocol": protocol, "points": [cells[(int(f),)] for f in fanouts]}
+    return {
+        "axes": (Axis("fanouts", FIGURE1_FANOUTS, int),),
+        "run_cell": run_cell,
+        "frame": lambda ctx, grid: {"protocol": protocol, "points": list(grid.values())},
+        "cell_affinity": lambda key: "base",
+    }
 
 
 def _render_fanout(result: dict, n: int) -> str:
@@ -349,13 +334,7 @@ register(
         ),
         render=_render_fanout,
         check=lambda result, n: _check_fanout(result, n, threshold=0.99),
-        # Every fanout cell floods the same stabilised Cyclon base.
-        cell_affinity=lambda key: "base",
-        **_cell_hooks(
-            _fanout_cells,
-            lambda ctx, key: _run_fanout_cell(ctx, "cyclon", key),
-            lambda ctx, cells: _merge_fanout(ctx, "cyclon", cells),
-        ),
+        **_fanout_grid("cyclon"),
     )
 )
 
@@ -372,18 +351,12 @@ register(
         ),
         render=_render_fanout,
         check=lambda result, n: _check_fanout(result, n, threshold=0.95),
-        # Every fanout cell floods the same stabilised Scamp base.
-        cell_affinity=lambda key: "base",
-        **_cell_hooks(
-            _fanout_cells,
-            lambda ctx, key: _run_fanout_cell(ctx, "scamp", key),
-            lambda ctx, cells: _merge_fanout(ctx, "scamp", cells),
-        ),
+        **_fanout_grid("scamp"),
     )
 )
 
 
-def _run_hyparview_reference(ctx: RunContext) -> dict:
+def _run_hyparview_reference(ctx: RunContext, key: CellKey) -> dict:
     point = hyparview_reference_point(ctx.params(), messages=ctx.config.messages)
     return {"point": json_safe(point)}
 
@@ -414,7 +387,8 @@ register(
             smoke=TierConfig(n=64, messages=6, stabilization_cycles=15),
             paper=TierConfig(n=10_000, messages=50, paper_params=True),
         ),
-        run=_run_hyparview_reference,
+        axes=(),  # a single point: the one-cell grid
+        run_cell=_run_hyparview_reference,
         render=_render_hyparview_reference,
         check=_check_hyparview_reference,
     )
@@ -427,20 +401,9 @@ register(
 _FIG1C_PROTOCOLS = ("cyclon", "scamp")
 
 
-def _fig1c_cells(ctx: RunContext) -> tuple[CellKey, ...]:
-    protocols = tuple(ctx.option("protocols", _FIG1C_PROTOCOLS))  # type: ignore[arg-type]
-    return tuple((protocol,) for protocol in protocols)
-
-
 def _run_fig1c_cell(ctx: RunContext, key: CellKey) -> dict:
-    protocol = str(key[0])
-    result = measure_failure(ctx.stabilized(protocol), 0.5, ctx.config.messages)
+    result = measure_failure(ctx.stabilized(key[0]), 0.5, ctx.config.messages)
     return json_safe(result)  # type: ignore[return-value]
-
-
-def _merge_fig1c(ctx: RunContext, cells: Mapping[CellKey, dict]) -> dict:
-    protocols = tuple(ctx.option("protocols", _FIG1C_PROTOCOLS))  # type: ignore[arg-type]
-    return {protocol: cells[(protocol,)] for protocol in protocols}
 
 
 def _render_fig1c(result: dict, n: int) -> str:
@@ -485,7 +448,8 @@ register(
         ),
         render=_render_fig1c,
         check=_check_fig1c,
-        **_cell_hooks(_fig1c_cells, _run_fig1c_cell, _merge_fig1c),
+        axes=(Axis("protocols", _FIG1C_PROTOCOLS),),
+        run_cell=_run_fig1c_cell,
     )
 )
 
@@ -493,40 +457,28 @@ register(
 # ----------------------------------------------------------------------
 # Figure 2 — average reliability vs failure percentage (the headline)
 # ----------------------------------------------------------------------
-def _failure_grid(ctx: RunContext, default_fractions) -> tuple[tuple[str, ...], tuple[float, ...]]:
-    protocols = tuple(ctx.option("protocols", PAPER_PROTOCOLS))  # type: ignore[arg-type]
-    fractions = tuple(ctx.option("fractions", default_fractions))  # type: ignore[arg-type]
-    return protocols, fractions
-
-
-def _failure_grid_cells(ctx: RunContext, default_fractions) -> tuple[CellKey, ...]:
-    protocols, fractions = _failure_grid(ctx, default_fractions)
-    return tuple(
-        (protocol, float(fraction)) for protocol in protocols for fraction in fractions
+def _failure_grid(protocols, fractions, header=lambda ctx: {}) -> dict:
+    """Grid fields of a protocol x failure-fraction sweep (Figures 2-4)."""
+    axes = (
+        Axis("protocols", protocols),
+        Axis("fractions", fractions, float, "{:.2f}".format),
     )
+
+    def frame(ctx: RunContext, grid: dict) -> dict:
+        return {
+            "protocols": list(axes[0].values(ctx)),
+            "fractions": list(axes[1].values(ctx)),
+            **header(ctx),
+            "cells": grid,
+        }
+
+    return {"axes": axes, "frame": frame}
 
 
 def _run_failure_grid_cell(ctx: RunContext, key: CellKey) -> dict:
-    protocol, fraction = str(key[0]), float(key[1])
+    protocol, fraction = key
     result = measure_failure(ctx.stabilized(protocol), fraction, ctx.config.messages)
     return json_safe(result)  # type: ignore[return-value]
-
-
-def _merge_failure_grid(
-    ctx: RunContext, cells: Mapping[CellKey, dict], default_fractions
-) -> dict:
-    protocols, fractions = _failure_grid(ctx, default_fractions)
-    return {
-        "protocols": list(protocols),
-        "fractions": list(fractions),
-        "cells": {
-            protocol: {
-                f"{fraction:.2f}": cells[(protocol, float(fraction))]
-                for fraction in fractions
-            }
-            for protocol in protocols
-        },
-    }
 
 
 def _render_fig2(result: dict, n: int) -> str:
@@ -580,13 +532,10 @@ register(
                              extra={"fractions": (0.3, 0.7)}),
             paper=TierConfig(n=10_000, messages=1_000, paper_params=True),
         ),
+        run_cell=_run_failure_grid_cell,
         render=_render_fig2,
         check=_check_fig2,
-        **_cell_hooks(
-            lambda ctx: _failure_grid_cells(ctx, FIGURE2_FRACTIONS),
-            _run_failure_grid_cell,
-            lambda ctx, cells: _merge_failure_grid(ctx, cells, FIGURE2_FRACTIONS),
-        ),
+        **_failure_grid(PAPER_PROTOCOLS, FIGURE2_FRACTIONS),
     )
 )
 
@@ -639,13 +588,10 @@ register(
                              extra={"fractions": (0.4, 0.7)}),
             paper=TierConfig(n=10_000, messages=1_000, paper_params=True),
         ),
+        run_cell=_run_failure_grid_cell,
         render=_render_fig3,
         check=_check_fig3,
-        **_cell_hooks(
-            lambda ctx: _failure_grid_cells(ctx, FIGURE3_FRACTIONS),
-            _run_failure_grid_cell,
-            lambda ctx, cells: _merge_failure_grid(ctx, cells, FIGURE3_FRACTIONS),
-        ),
+        **_failure_grid(PAPER_PROTOCOLS, FIGURE3_FRACTIONS),
     )
 )
 
@@ -653,43 +599,21 @@ register(
 # ----------------------------------------------------------------------
 # Figure 4 — healing time in membership cycles
 # ----------------------------------------------------------------------
-def _fig4_cells(ctx: RunContext) -> tuple[CellKey, ...]:
-    protocols = tuple(ctx.option("protocols", FIGURE4_PROTOCOLS))  # type: ignore[arg-type]
-    fractions = tuple(ctx.option("fractions", FIGURE4_FRACTIONS))  # type: ignore[arg-type]
-    return tuple(
-        (protocol, float(fraction)) for protocol in protocols for fraction in fractions
-    )
+def _max_cycles(ctx: RunContext) -> int:
+    return int(ctx.option("max_cycles", 30))  # type: ignore[arg-type]
 
 
 def _run_fig4_cell(ctx: RunContext, key: CellKey) -> dict:
-    protocol, fraction = str(key[0]), float(key[1])
+    protocol, fraction = key
     params = ctx.params()
-    max_cycles = int(ctx.option("max_cycles", 30))  # type: ignore[arg-type]
     # At laptop scale a couple of orphaned survivors would dominate
     # a strict tolerance; allow two stragglers (see bench history).
     survivors = max(1, round(params.n * (1 - fraction)))
     tolerance = max(0.01, 2.0 / survivors)
     result = measure_healing(
-        ctx.stabilized(protocol), fraction, max_cycles=max_cycles, tolerance=tolerance
+        ctx.stabilized(protocol), fraction, max_cycles=_max_cycles(ctx), tolerance=tolerance
     )
     return json_safe(result)  # type: ignore[return-value]
-
-
-def _merge_fig4(ctx: RunContext, cells: Mapping[CellKey, dict]) -> dict:
-    protocols = tuple(ctx.option("protocols", FIGURE4_PROTOCOLS))  # type: ignore[arg-type]
-    fractions = tuple(ctx.option("fractions", FIGURE4_FRACTIONS))  # type: ignore[arg-type]
-    return {
-        "protocols": list(protocols),
-        "fractions": list(fractions),
-        "max_cycles": int(ctx.option("max_cycles", 30)),  # type: ignore[arg-type]
-        "cells": {
-            protocol: {
-                f"{fraction:.2f}": cells[(protocol, float(fraction))]
-                for fraction in fractions
-            }
-            for protocol in protocols
-        },
-    }
 
 
 def _render_fig4(result: dict, n: int) -> str:
@@ -735,9 +659,13 @@ register(
                              extra={"fractions": (0.3, 0.6), "max_cycles": 10}),
             paper=TierConfig(n=10_000, messages=10, paper_params=True),
         ),
+        run_cell=_run_fig4_cell,
         render=_render_fig4,
         check=_check_fig4,
-        **_cell_hooks(_fig4_cells, _run_fig4_cell, _merge_fig4),
+        **_failure_grid(
+            FIGURE4_PROTOCOLS, FIGURE4_FRACTIONS,
+            header=lambda ctx: {"max_cycles": _max_cycles(ctx)},
+        ),
     )
 )
 
@@ -745,32 +673,25 @@ register(
 # ----------------------------------------------------------------------
 # Figure 5 / Table 1 — overlay graph properties
 # ----------------------------------------------------------------------
-def _graphprops_cells(ctx: RunContext) -> tuple[CellKey, ...]:
-    protocols = tuple(ctx.option("protocols", TABLE1_PROTOCOLS))  # type: ignore[arg-type]
-    return tuple((protocol,) for protocol in protocols)
-
-
 def _run_graphprops_cell(ctx: RunContext, key: CellKey) -> dict:
-    protocol = str(key[0])
     sources = ctx.option("path_sample_sources", 100)
     result = run_graph_properties(
-        protocol, ctx.params(),
+        key[0], ctx.params(),
         messages=ctx.config.messages,
         path_sample_sources=None if sources is None else int(sources),  # type: ignore[arg-type]
     )
     return json_safe(result)  # type: ignore[return-value]
 
 
-def _merge_graphprops(ctx: RunContext, cells: Mapping[CellKey, dict]) -> dict:
-    protocols = tuple(ctx.option("protocols", TABLE1_PROTOCOLS))  # type: ignore[arg-type]
-    return {
+_GRAPHPROPS_GRID = {
+    "axes": (Axis("protocols", TABLE1_PROTOCOLS),),
+    "run_cell": _run_graphprops_cell,
+    "frame": lambda ctx, grid: {
         # The symmetric-view bound checks need the configured capacity.
         "active_view_capacity": ctx.params().hyparview.active_view_capacity,
-        "protocols": {protocol: cells[(protocol,)] for protocol in protocols},
-    }
-
-
-_GRAPHPROPS_HOOKS = _cell_hooks(_graphprops_cells, _run_graphprops_cell, _merge_graphprops)
+        "protocols": grid,
+    },
+}
 
 
 def _render_fig5(result: dict, n: int) -> str:
@@ -818,7 +739,7 @@ register(
         ),
         render=_render_fig5,
         check=_check_fig5,
-        **_GRAPHPROPS_HOOKS,
+        **_GRAPHPROPS_GRID,
     )
 )
 
@@ -876,7 +797,7 @@ register(
         ),
         render=_render_table1,
         check=_check_table1,
-        **_GRAPHPROPS_HOOKS,
+        **_GRAPHPROPS_GRID,
     )
 )
 
@@ -887,23 +808,12 @@ register(
 _OVERHEAD_PROTOCOLS = ("hyparview", "plumtree", "cyclon", "cyclon-acked", "scamp")
 
 
-def _overhead_cells(ctx: RunContext) -> tuple[CellKey, ...]:
-    protocols = tuple(ctx.option("protocols", _OVERHEAD_PROTOCOLS))  # type: ignore[arg-type]
-    return tuple((protocol,) for protocol in protocols)
-
-
 def _run_overhead_cell(ctx: RunContext, key: CellKey) -> dict:
-    protocol = str(key[0])
     cycles = int(ctx.option("cycles", 10))  # type: ignore[arg-type]
     result = run_overhead_experiment(
-        protocol, ctx.params(), cycles=cycles, messages=ctx.config.messages
+        key[0], ctx.params(), cycles=cycles, messages=ctx.config.messages
     )
     return json_safe(result)  # type: ignore[return-value]
-
-
-def _merge_overhead(ctx: RunContext, cells: Mapping[CellKey, dict]) -> dict:
-    protocols = tuple(ctx.option("protocols", _OVERHEAD_PROTOCOLS))  # type: ignore[arg-type]
-    return {protocol: cells[(protocol,)] for protocol in protocols}
 
 
 def _render_overhead(result: dict, n: int) -> str:
@@ -947,7 +857,8 @@ register(
         ),
         render=_render_overhead,
         check=_check_overhead,
-        **_cell_hooks(_overhead_cells, _run_overhead_cell, _merge_overhead),
+        axes=(Axis("protocols", _OVERHEAD_PROTOCOLS),),
+        run_cell=_run_overhead_cell,
     )
 )
 
@@ -955,21 +866,10 @@ register(
 _CHURN_PROTOCOLS = ("hyparview", "cyclon-acked")
 
 
-def _churn_cells(ctx: RunContext) -> tuple[CellKey, ...]:
-    protocols = tuple(ctx.option("protocols", _CHURN_PROTOCOLS))  # type: ignore[arg-type]
-    return tuple((protocol,) for protocol in protocols)
-
-
 def _run_churn_cell(ctx: RunContext, key: CellKey) -> dict:
-    protocol = str(key[0])
     steps = int(ctx.option("steps", 60))  # type: ignore[arg-type]
-    result = run_churn_experiment(protocol, ctx.params(), steps=steps)
+    result = run_churn_experiment(key[0], ctx.params(), steps=steps)
     return json_safe(result)  # type: ignore[return-value]
-
-
-def _merge_churn(ctx: RunContext, cells: Mapping[CellKey, dict]) -> dict:
-    protocols = tuple(ctx.option("protocols", _CHURN_PROTOCOLS))  # type: ignore[arg-type]
-    return {protocol: cells[(protocol,)] for protocol in protocols}
 
 
 def _render_churn(result: dict, n: int) -> str:
@@ -1031,7 +931,8 @@ register(
         ),
         render=_render_churn,
         check=_check_churn,
-        **_cell_hooks(_churn_cells, _run_churn_cell, _merge_churn),
+        axes=(Axis("protocols", _CHURN_PROTOCOLS),),
+        run_cell=_run_churn_cell,
     )
 )
 
@@ -1039,30 +940,22 @@ register(
 # ----------------------------------------------------------------------
 # Ablations — every sweep point is one cell
 # ----------------------------------------------------------------------
-def _passive_sizes(ctx: RunContext) -> tuple[int, ...]:
-    sizes = ctx.option("passive_sizes", None)
-    if sizes is not None:
-        return tuple(int(v) for v in sizes)  # type: ignore[union-attr]
-    return default_passive_sizes(ctx.params().hyparview)
-
-
-def _passive_cells(ctx: RunContext) -> tuple[CellKey, ...]:
-    return tuple((size,) for size in _passive_sizes(ctx))
+def _points(failure: float) -> Callable[[RunContext, dict], dict]:
+    """The ablations' result shape: the failure level the sweep ran at
+    (tier option ``failure``) and the grid's cells as an ordered list."""
+    return lambda ctx, grid: {
+        "failure": float(ctx.option("failure", failure)),  # type: ignore[arg-type]
+        "points": list(grid.values()),
+    }
 
 
 def _run_passive_cell(ctx: RunContext, key: CellKey) -> dict:
-    capacity = int(key[0])
     failure = float(ctx.option("failure", 0.8))  # type: ignore[arg-type]
-    scenario = ctx.stabilized("hyparview", passive_size_params(ctx.params(), capacity))
+    scenario = ctx.stabilized("hyparview", passive_size_params(ctx.params(), key[0]))
     point = measure_passive_size_point(
         scenario, failure_fraction=failure, messages=ctx.config.messages
     )
     return json_safe(point)  # type: ignore[return-value]
-
-
-def _merge_passive(ctx: RunContext, cells: Mapping[CellKey, dict]) -> dict:
-    failure = float(ctx.option("failure", 0.8))  # type: ignore[arg-type]
-    return {"failure": failure, "points": [cells[(size,)] for size in _passive_sizes(ctx)]}
 
 
 def _render_ablation_passive(result: dict, n: int) -> str:
@@ -1104,32 +997,26 @@ register(
         ),
         render=_render_ablation_passive,
         check=_check_ablation_passive,
-        **_cell_hooks(_passive_cells, _run_passive_cell, _merge_passive),
+        axes=(
+            Axis(
+                "passive_sizes",
+                lambda ctx: default_passive_sizes(ctx.params().hyparview),
+                int,
+            ),
+        ),
+        run_cell=_run_passive_cell,
+        frame=_points(0.8),
     )
 )
 
 
-def _shuffle_ttls(ctx: RunContext) -> tuple[int, ...]:
-    return tuple(int(v) for v in ctx.option("ttls", (1, 3, 6, 9)))  # type: ignore[union-attr]
-
-
-def _shuffle_ttl_cells(ctx: RunContext) -> tuple[CellKey, ...]:
-    return tuple((ttl,) for ttl in _shuffle_ttls(ctx))
-
-
 def _run_shuffle_ttl_cell(ctx: RunContext, key: CellKey) -> dict:
-    ttl = int(key[0])
     failure = float(ctx.option("failure", 0.6))  # type: ignore[arg-type]
-    scenario = ctx.stabilized("hyparview", shuffle_ttl_params(ctx.params(), ttl))
+    scenario = ctx.stabilized("hyparview", shuffle_ttl_params(ctx.params(), key[0]))
     point = measure_shuffle_ttl_point(
         scenario, failure_fraction=failure, messages=ctx.config.messages
     )
     return json_safe(point)  # type: ignore[return-value]
-
-
-def _merge_shuffle_ttl(ctx: RunContext, cells: Mapping[CellKey, dict]) -> dict:
-    failure = float(ctx.option("failure", 0.6))  # type: ignore[arg-type]
-    return {"failure": failure, "points": [cells[(ttl,)] for ttl in _shuffle_ttls(ctx)]}
 
 
 def _render_ablation_shuffle_ttl(result: dict, n: int) -> str:
@@ -1168,31 +1055,20 @@ register(
         ),
         render=_render_ablation_shuffle_ttl,
         check=_check_ablation_shuffle_ttl,
-        **_cell_hooks(_shuffle_ttl_cells, _run_shuffle_ttl_cell, _merge_shuffle_ttl),
+        axes=(Axis("ttls", (1, 3, 6, 9), int),),
+        run_cell=_run_shuffle_ttl_cell,
+        frame=_points(0.6),
     )
 )
 
 
-def _resend_cells(ctx: RunContext) -> tuple[CellKey, ...]:
-    return tuple((resend,) for resend in RESEND_VARIANTS)
-
-
 def _run_resend_cell(ctx: RunContext, key: CellKey) -> dict:
-    resend = bool(key[0])
     failure = float(ctx.option("failure", 0.8))  # type: ignore[arg-type]
     point = measure_resend_point(
-        ctx.stabilized("hyparview"), resend,
+        ctx.stabilized("hyparview"), key[0],
         failure_fraction=failure, messages=ctx.config.messages,
     )
     return json_safe(point)  # type: ignore[return-value]
-
-
-def _merge_resend(ctx: RunContext, cells: Mapping[CellKey, dict]) -> dict:
-    failure = float(ctx.option("failure", 0.8))  # type: ignore[arg-type]
-    return {
-        "failure": failure,
-        "points": [cells[(resend,)] for resend in RESEND_VARIANTS],
-    }
 
 
 def _render_ablation_resend(result: dict, n: int) -> str:
@@ -1237,7 +1113,9 @@ register(
         check=_check_ablation_resend,
         # Both arms fork one stabilised HyParView base.
         cell_affinity=lambda key: "base",
-        **_cell_hooks(_resend_cells, _run_resend_cell, _merge_resend),
+        axes=(Axis(None, RESEND_VARIANTS, bool),),
+        run_cell=_run_resend_cell,
+        frame=_points(0.8),
     )
 )
 
@@ -1245,20 +1123,11 @@ register(
 _PLUMTREE_LAYERS = ("hyparview", "plumtree")
 
 
-def _plumtree_cells(ctx: RunContext) -> tuple[CellKey, ...]:
-    return tuple((protocol,) for protocol in _PLUMTREE_LAYERS)
-
-
 def _run_plumtree_cell(ctx: RunContext, key: CellKey) -> dict:
-    protocol = str(key[0])
     warmup = int(ctx.option("warmup", 5))  # type: ignore[arg-type]
     return measure_plumtree_point(
-        ctx.stabilized(protocol), warmup=warmup, messages=ctx.config.messages
+        ctx.stabilized(key[0]), warmup=warmup, messages=ctx.config.messages
     )
-
-
-def _merge_plumtree(ctx: RunContext, cells: Mapping[CellKey, dict]) -> dict:
-    return {protocol: cells[(protocol,)] for protocol in _PLUMTREE_LAYERS}
 
 
 def _render_ablation_plumtree(result: dict, n: int) -> str:
@@ -1307,7 +1176,8 @@ register(
         ),
         render=_render_ablation_plumtree,
         check=_check_ablation_plumtree,
-        **_cell_hooks(_plumtree_cells, _run_plumtree_cell, _merge_plumtree),
+        axes=(Axis(None, _PLUMTREE_LAYERS),),
+        run_cell=_run_plumtree_cell,
     )
 )
 

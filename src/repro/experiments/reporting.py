@@ -2,7 +2,7 @@
 
 Two halves:
 
-* **Plain text** — the benchmark harness prints the same rows and series
+* **Plain text** — ``repro bench`` prints the same rows and series
   the paper's tables and figures report; these helpers keep that output
   aligned, stable and diff-friendly (EXPERIMENTS.md quotes it verbatim).
 * **JSON artifacts** — the experiment orchestrator persists every scenario
@@ -163,7 +163,7 @@ def trace_artifact(
 
     ``replicates`` entries are ``{"replicate": i, "segments": [...]}``
     with segments flattened in cell-enumeration order, so the trace is
-    byte-identical across the workers × cells × snapshot-cache matrix.
+    byte-identical across the workers × snapshot-cache matrix.
     """
     return {
         "schema": TRACE_SCHEMA,

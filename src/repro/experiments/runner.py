@@ -1,21 +1,20 @@
 """Parallel experiment orchestrator.
 
 Shards work across worker processes and aggregates results into versioned
-JSON artifacts.  The schedulable atom is a :class:`WorkUnit`:
-
-* for scenarios with a **cell decomposition** (grid sweeps — see
-  :mod:`repro.experiments.registry`), one unit is one ``(scenario,
-  replicate, cell)`` — e.g. one (protocol, failure-fraction) pair of
-  Figure 2 — so a single replicate's grid fans out over every worker;
-* for monolithic scenarios, one unit is one ``(scenario, replicate)``.
+JSON artifacts.  The schedulable atom is a :class:`WorkUnit`: one
+``(scenario, replicate, cell)`` of a scenario's declared grid (see
+:mod:`repro.experiments.registry`) — e.g. one (protocol, failure-fraction)
+pair of Figure 2 — so a single replicate's grid fans out over every
+worker.  There is no other way to execute a scenario: a one-point
+experiment is a one-cell grid.
 
 Each replicate derives its root seed from the sweep seed via
 :meth:`SeedSequence.derive_seed`; all cells of a replicate share that seed,
 and a cell's result depends only on ``(root_seed, scenario_id, tier,
 replicate, overrides, cell key)`` — never on scheduling, worker identity or
 cache state.  A run with ``--workers 8`` therefore produces byte-identical
-artifacts to a serial run, with or without cells or the snapshot cache,
-which is asserted in CI.
+artifacts to the reference run (``workers=1, snapshot_cache=False``: every
+cell stabilises its own base from scratch), which is asserted in CI.
 
 Workers keep a per-process :class:`~repro.experiments.snapshots.
 SnapshotCache` of frozen stabilised base overlays, so a worker that
@@ -121,7 +120,7 @@ def _cache_delta(before: dict, after: dict) -> dict:
 
 @dataclass(frozen=True, slots=True)
 class WorkUnit:
-    """One schedulable atom: a whole replicate, or one cell of it.
+    """One schedulable atom: one cell of one replicate's grid.
 
     Everything a worker needs travels in this (picklable) record; the
     scenario's code is resolved from the registry inside the worker.
@@ -133,9 +132,8 @@ class WorkUnit:
     root_seed: int
     n: Optional[int] = None
     messages: Optional[int] = None
-    #: ``None`` runs the whole replicate; otherwise one cell key from the
-    #: scenario's ``cells`` enumeration.
-    cell: Optional[CellKey] = None
+    #: one cell key from the scenario's ``cells`` enumeration.
+    cell: CellKey = ()
     #: whether the executing worker may serve stabilised bases from its
     #: snapshot cache (results are identical either way; this is purely
     #: a speed/memory knob).
@@ -163,7 +161,7 @@ class WorkUnit:
 
     def describe(self) -> str:
         label = f"{self.scenario_id} replicate {self.replicate}"
-        if self.cell is not None:
+        if self.cell:
             label += f" cell {_cell_label(self.cell)}"
         return label
 
@@ -175,8 +173,8 @@ def _cell_label(cell: CellKey) -> str:
 def replicate_seed(root_seed: int, scenario_id: str, replicate: int) -> int:
     """The deterministic seed of one replicate (scheduling-independent).
 
-    Cells of one replicate share the seed: the monolithic run and the
-    sharded cells must observe identical randomness.
+    Cells of one replicate share the seed: every cell observes the same
+    randomness whichever worker runs it.
     """
     return SeedSequence(root_seed).derive_seed(
         f"bench/{scenario_id}/replicate/{replicate}"
@@ -209,8 +207,7 @@ class UnitOutcome:
 
     scenario_id: str
     replicate: int
-    cell: Optional[CellKey]
-    seed: int
+    cell: CellKey
     result: dict
     elapsed: float
     events: int = 0
@@ -228,12 +225,10 @@ def _affinity_key(unit: WorkUnit) -> tuple:
     share one base (fanout sweeps) declare ``cell_affinity`` in their spec
     to collapse the whole replicate into one chunk.
     """
-    if unit.cell is None:
-        return (unit.scenario_id, unit.replicate, None)
     spec = get_scenario(unit.scenario_id)
     if spec.cell_affinity is not None:
         return (unit.scenario_id, unit.replicate, spec.cell_affinity(unit.cell))
-    return (unit.scenario_id, unit.replicate, unit.cell[0])
+    return (unit.scenario_id, unit.replicate, unit.cell[:1])
 
 
 def build_chunks(units: Sequence[WorkUnit], workers: int) -> list[list[WorkUnit]]:
@@ -285,11 +280,7 @@ def _execute_unit(unit: WorkUnit) -> UnitOutcome:
     if collector is not None:
         activate_collector(collector)
     try:
-        if unit.cell is None:
-            result = spec.run(context)
-        else:
-            assert spec.run_cell is not None  # build_units only emits cells for celled specs
-            result = spec.run_cell(context, unit.cell)
+        result = spec.run_cell(context, unit.cell)
     finally:
         if collector is not None:
             deactivate_collector()
@@ -297,7 +288,6 @@ def _execute_unit(unit: WorkUnit) -> UnitOutcome:
         scenario_id=unit.scenario_id,
         replicate=unit.replicate,
         cell=unit.cell,
-        seed=context.seed,
         result=result,
         elapsed=time.perf_counter() - started,
         events=events_fired_total() - events_before,
@@ -391,7 +381,7 @@ class SweepTimings:
         self.unit_records.setdefault(scenario_id, []).append(
             {
                 "replicate": outcome.replicate,
-                "cell": None if outcome.cell is None else _cell_label(outcome.cell),
+                "cell": _cell_label(outcome.cell),
                 "elapsed_seconds": outcome.elapsed,
                 "events": outcome.events,
                 "events_per_second": (
@@ -429,7 +419,7 @@ class SweepTimings:
         """
         units = sorted(
             self.unit_records.get(scenario_id, []),
-            key=lambda record: (record["replicate"], record["cell"] or ""),
+            key=lambda record: (record["replicate"], record["cell"]),
         )
         seconds = self.scenario_seconds.get(scenario_id, 0.0)
         events = self.scenario_events.get(scenario_id, 0)
@@ -457,16 +447,14 @@ def build_units(
     n: Optional[int] = None,
     messages: Optional[int] = None,
     replicates: Optional[int] = None,
-    cells: bool = True,
     snapshot_cache: bool = True,
     trace: bool = False,
 ) -> list[WorkUnit]:
     """Expand scenarios into the flat, deterministic work-unit list.
 
-    With ``cells`` (the default), scenarios that expose a cell
-    decomposition are expanded to one unit per ``(replicate, cell)``, in
-    the scenario's own enumeration order — protocol-major for grid sweeps,
-    which the pool's chunking turns into per-worker cache affinity.
+    One unit per ``(replicate, cell)``, in the scenario's declared axis
+    order — protocol-major for grid sweeps, which the pool's chunking
+    turns into per-worker cache affinity.
     """
     units: list[WorkUnit] = []
     for scenario_id in scenario_ids:
@@ -476,7 +464,7 @@ def build_units(
         if count < 1:
             raise ConfigurationError(f"replicates must be >= 1: {count}")
         for replicate in range(count):
-            whole = WorkUnit(
+            template = WorkUnit(
                 scenario_id=scenario_id,
                 tier=tier,
                 replicate=replicate,
@@ -486,14 +474,8 @@ def build_units(
                 snapshot_cache=snapshot_cache,
                 trace=trace,
             )
-            if cells and spec.supports_cells:
-                assert spec.cells is not None
-                _, context = whole.resolve()
-                units.extend(
-                    replace(whole, cell=key) for key in spec.cells(context)
-                )
-            else:
-                units.append(whole)
+            _, context = template.resolve()
+            units.extend(replace(template, cell=key) for key in spec.cells(context))
     return units
 
 
@@ -506,7 +488,6 @@ def run_scenarios(
     n: Optional[int] = None,
     messages: Optional[int] = None,
     replicates: Optional[int] = None,
-    cells: bool = True,
     snapshot_cache: bool = True,
     trace: bool = False,
     traces: Optional[dict[str, list]] = None,
@@ -516,15 +497,15 @@ def run_scenarios(
     """Run scenarios at ``tier``, sharding work units over ``workers``.
 
     Returns runs keyed by scenario id, replicates ordered by index —
-    identical regardless of worker count, cell splitting, snapshot
-    caching or completion order.
+    identical regardless of worker count, snapshot caching or completion
+    order.
 
     With ``trace``, workers collect dissemination-trace segments; pass a
     dict as ``traces`` to receive, per scenario id, one
     ``{"replicate", "segments"}`` record per replicate with segments
-    flattened in cell-enumeration order (the same order a monolithic run
-    produces, so the collected trace is identical across the workers ×
-    cells × snapshot-cache matrix).  ``BENCH_*`` artifacts are unaffected.
+    flattened in cell-enumeration order (so the collected trace is
+    identical across the workers × snapshot-cache matrix).  ``BENCH_*``
+    artifacts are unaffected.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1: {workers}")
@@ -532,7 +513,7 @@ def run_scenarios(
     units = build_units(
         scenario_ids, tier,
         root_seed=root_seed, n=n, messages=messages, replicates=replicates,
-        cells=cells, snapshot_cache=snapshot_cache, trace=trace,
+        snapshot_cache=snapshot_cache, trace=trace,
     )
     unit_by_key = {(u.scenario_id, u.replicate, u.cell): u for u in units}
     completed: list[UnitOutcome] = []
@@ -564,17 +545,11 @@ def run_scenarios(
         timings.wall_seconds += time.perf_counter() - started
 
     # Reassemble deterministically: completion order is scheduling noise.
-    whole_results: dict[tuple[str, int], tuple[int, dict]] = {}
     cell_results: dict[tuple[str, int], dict[CellKey, dict]] = {}
-    cell_seeds: dict[tuple[str, int], int] = {}
-    unit_traces: dict[tuple[str, int], dict[Optional[CellKey], list]] = {}
+    unit_traces: dict[tuple[str, int], dict[CellKey, list]] = {}
     for outcome in completed:
         key = (outcome.scenario_id, outcome.replicate)
-        if outcome.cell is None:
-            whole_results[key] = (outcome.seed, outcome.result)
-        else:
-            cell_results.setdefault(key, {})[outcome.cell] = outcome.result
-            cell_seeds[key] = outcome.seed
+        cell_results.setdefault(key, {})[outcome.cell] = outcome.result
         if outcome.trace is not None:
             unit_traces.setdefault(key, {})[outcome.cell] = outcome.trace
 
@@ -589,36 +564,21 @@ def run_scenarios(
         trace_records = []
         for replicate in range(count):
             key = (scenario_id, replicate)
-            context = None
-            if key in whole_results:
-                seed, result = whole_results[key]
-            else:
-                assert spec.merge_cells is not None
-                seed = cell_seeds[key]
-                _, context = WorkUnit(
-                    scenario_id=scenario_id, tier=tier, replicate=replicate,
-                    root_seed=root_seed, n=n, messages=messages,
-                ).resolve()
-                result = spec.merge_cells(context, cell_results[key])
-            records.append({"replicate": replicate, "seed": seed, "result": result})
+            _, context = WorkUnit(
+                scenario_id=scenario_id, tier=tier, replicate=replicate,
+                root_seed=root_seed, n=n, messages=messages,
+            ).resolve()
+            result = spec.merge_cells(context, cell_results[key])
+            records.append(
+                {"replicate": replicate, "seed": context.seed, "result": result}
+            )
             if traces is not None and trace:
+                # Flatten per-cell segments in the scenario's own cell
+                # enumeration order, so scheduling never shows.
                 cell_map = unit_traces.get(key, {})
-                if None in cell_map:
-                    segments = list(cell_map[None])
-                elif spec.cells is not None and cell_map:
-                    # Flatten per-cell segments in the scenario's own cell
-                    # enumeration order — the order the monolithic path
-                    # produces them in — so scheduling never shows.
-                    if context is None:
-                        _, context = WorkUnit(
-                            scenario_id=scenario_id, tier=tier, replicate=replicate,
-                            root_seed=root_seed, n=n, messages=messages,
-                        ).resolve()
-                    segments = []
-                    for cell_key in spec.cells(context):
-                        segments.extend(cell_map.get(cell_key, ()))
-                else:
-                    segments = []
+                segments = []
+                for cell_key in spec.cells(context):
+                    segments.extend(cell_map.get(cell_key, ()))
                 trace_records.append({"replicate": replicate, "segments": segments})
         if traces is not None and trace:
             traces[scenario_id] = trace_records
@@ -725,7 +685,6 @@ def run_and_report(
     n: Optional[int] = None,
     messages: Optional[int] = None,
     replicates: Optional[int] = None,
-    cells: bool = True,
     snapshot_cache: bool = True,
     trace: bool = False,
     trace_dir: Optional[pathlib.Path | str] = None,
@@ -753,8 +712,7 @@ def run_and_report(
         scenario_ids, tier,
         workers=workers, root_seed=root_seed,
         n=n, messages=messages, replicates=replicates,
-        cells=cells, snapshot_cache=snapshot_cache,
-        trace=trace, traces=traces,
+        snapshot_cache=snapshot_cache, trace=trace, traces=traces,
         progress=lambda note: print(f"  [{tier}] {note}", file=stream),
         timings=timings,
     )
@@ -819,10 +777,9 @@ def profile_unit(
 ) -> None:
     """Run one work unit under ``cProfile`` and print the top entries.
 
-    ``repro bench --profile``'s backend: profiles the first cell (or the
-    whole replicate for monolithic scenarios) of ``scenario_id`` at
-    ``tier`` scale, in-process, and prints the ``top`` functions by
-    cumulative time to ``stream`` (default stdout).
+    ``repro bench --profile``'s backend: profiles one cell (default: the
+    first) of ``scenario_id`` at ``tier`` scale, in-process, and prints the
+    ``top`` functions by cumulative time to ``stream`` (default stdout).
     """
     import cProfile
     import pstats

@@ -1,11 +1,11 @@
 """Per-worker cache of frozen, stabilised base overlays.
 
 Building and stabilising an overlay is by far the most expensive prefix of
-every failure/healing/fanout experiment — at paper scale (n = 10 000) it
-dominates wall-clock.  Grid scenarios measure many cells against the *same*
-stabilised base (one per protocol), so each worker process keeps a small
-LRU of ``Scenario.freeze()`` blobs keyed by ``(protocol, params)`` and
-rehydrates a private copy per cell with one ``pickle.loads``.
+every failure/healing/fanout cell — at paper scale (n = 10 000) it
+dominates wall-clock.  A scenario's grid measures many cells against the
+*same* stabilised base (one per protocol), so each worker process keeps a
+small LRU of ``Scenario.freeze()`` blobs keyed by ``(protocol, params)``
+and rehydrates a private copy per cell with one ``pickle.loads``.
 
 Determinism: a cache *hit* and a cache *miss* hand out byte-identical
 state — the miss path freezes the freshly stabilised scenario and thaws it
@@ -13,7 +13,9 @@ back, so every checkout (first or hundredth, cached or not) passes through
 the same pickle round trip.  A scenario's measured results therefore never
 depend on cache occupancy, worker identity or checkout order, which is
 what keeps ``BENCH_*.json`` artifacts byte-identical across ``--workers``
-and ``--no-snapshot-cache`` settings.
+and ``--no-snapshot-cache`` settings — and what makes ``--workers 1
+--no-snapshot-cache`` (every cell stabilises its own base) the reference
+run the others are compared against.
 
 The cache is bounded (default 4 blobs).  Blobs used to be tens of
 megabytes at paper scale — dominated by per-node ``random.Random`` state

@@ -23,17 +23,16 @@ scenario.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Mapping
 
 from ..faults.measure import measure_fault_plan
 from ..faults.scenarios import _churn_trace_factory, _phase, _sanity, _wan_factory
 from .params import ExperimentParams
 from .registry import (
+    Axis,
     CellKey,
     RunContext,
     ScenarioSpec,
     TierConfig,
-    _cell_hooks,
     _tiers,
     register,
 )
@@ -42,10 +41,6 @@ from .scenario import Scenario
 
 #: The comparison the family makes: the optimiser and its baseline.
 TOPO_PROTOCOLS = ("hyparview-xbot", "hyparview")
-
-
-def _protocols(ctx: RunContext) -> tuple[str, ...]:
-    return tuple(ctx.option("protocols", TOPO_PROTOCOLS))  # type: ignore[arg-type]
 
 
 def _topo_params(ctx: RunContext) -> ExperimentParams:
@@ -129,7 +124,7 @@ def _optimizer_stats(scenario: Scenario) -> dict:
 # topo_convergence
 # ----------------------------------------------------------------------
 def _run_convergence_cell(ctx: RunContext, key: CellKey) -> dict:
-    protocol = str(key[0])
+    protocol = key[0]
     params = _topo_params(ctx)
     samples = max(1, int(ctx.option("samples", 3)))  # type: ignore[arg-type]
     # Built by hand (not ctx.stabilized): the point is the link-cost
@@ -235,7 +230,7 @@ def _broadcast_latency_stats(summaries) -> dict:
 
 
 def _run_latency_cell(ctx: RunContext, key: CellKey) -> dict:
-    protocol = str(key[0])
+    protocol = key[0]
     params = _topo_params(ctx)
     # Clean-phase measurement: the broadcast stream over the stabilised
     # (optimised, for X-BOT) overlay with no faults.
@@ -328,12 +323,6 @@ def _register_topo_scenario(
     smoke: TierConfig,
     paper: TierConfig,
 ) -> None:
-    def cells(ctx: RunContext) -> tuple[CellKey, ...]:
-        return tuple((protocol,) for protocol in _protocols(ctx))
-
-    def merge(ctx: RunContext, cell_results: Mapping[CellKey, dict]) -> dict:
-        return {protocol: cell_results[(protocol,)] for protocol in _protocols(ctx)}
-
     register(
         ScenarioSpec(
             id=scenario_id,
@@ -341,9 +330,10 @@ def _register_topo_scenario(
             title=title,
             description=description,
             tiers=_tiers(smoke=smoke, paper=paper),
+            axes=(Axis("protocols", TOPO_PROTOCOLS),),
+            run_cell=run_cell,
             render=render,
             check=check,
-            **_cell_hooks(cells, run_cell, merge),
         )
     )
 

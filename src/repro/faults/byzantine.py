@@ -32,16 +32,16 @@ Three registered scenarios compare the BRB stacks
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..common.errors import ConfigurationError
 from ..experiments.params import ExperimentParams
 from ..experiments.registry import (
+    Axis,
     CellKey,
     RunContext,
     ScenarioSpec,
     TierConfig,
-    _cell_hooks,
     _tiers,
     register,
 )
@@ -311,29 +311,12 @@ def _fraction_plan(ctx: RunContext, fraction: float) -> tuple[FaultPlan, tuple[P
     return plan, phases, end
 
 
-def _fraction_cells(ctx: RunContext) -> tuple[CellKey, ...]:
-    protocols = tuple(ctx.option("protocols", BYZ_PROTOCOLS))  # type: ignore[arg-type]
-    fractions = tuple(ctx.option("fractions", BYZ_FRACTIONS))  # type: ignore[arg-type]
-    return tuple(
-        (protocol, f"{float(fraction):g}")
-        for protocol in protocols
-        for fraction in fractions
-    )
-
-
 def _fraction_run(ctx: RunContext, key: CellKey) -> dict:
-    protocol, fraction = str(key[0]), float(key[1])
+    protocol, fraction = key
     plan, phases, end = _fraction_plan(ctx, fraction)
     cell = _run_byz_cell(ctx, protocol, plan, phases, end)
     cell["fraction"] = fraction
     return cell
-
-
-def _fraction_merge(ctx: RunContext, cell_results: Mapping[CellKey, dict]) -> dict:
-    merged: dict = {}
-    for (protocol, fraction), cell in cell_results.items():
-        merged.setdefault(str(protocol), {})[str(fraction)] = cell
-    return merged
 
 
 def _render_fraction(result: dict, n: int) -> str:
@@ -395,9 +378,13 @@ register(
             paper=TierConfig(n=10_000, messages=100, paper_params=True,
                              extra={"brb_mode": "sampled"}),
         ),
+        axes=(
+            Axis("protocols", BYZ_PROTOCOLS),
+            Axis("fractions", BYZ_FRACTIONS, float, "{:g}".format),
+        ),
+        run_cell=_fraction_run,
         render=_render_fraction,
         check=_check_fraction,
-        **_cell_hooks(_fraction_cells, _fraction_run, _fraction_merge),
     )
 )
 
@@ -405,26 +392,6 @@ register(
 # ----------------------------------------------------------------------
 # Sampled quorums under churn
 # ----------------------------------------------------------------------
-def _protocol_cells(default: tuple[str, ...]):
-    def cells(ctx: RunContext) -> tuple[CellKey, ...]:
-        return tuple(
-            (protocol,)
-            for protocol in tuple(ctx.option("protocols", default))  # type: ignore[arg-type]
-        )
-
-    return cells
-
-
-def _protocol_merge(default: tuple[str, ...]):
-    def merge(ctx: RunContext, cell_results: Mapping[CellKey, dict]) -> dict:
-        return {
-            protocol: cell_results[(protocol,)]
-            for protocol in tuple(ctx.option("protocols", default))  # type: ignore[arg-type]
-        }
-
-    return merge
-
-
 def _churn_plan(ctx: RunContext) -> tuple[FaultPlan, tuple[Phase, ...], float]:
     corrupt_at = float(ctx.option("corrupt_at", 0.1))    # type: ignore[arg-type]
     honest_at = float(ctx.option("honest_at", 0.6))      # type: ignore[arg-type]
@@ -457,7 +424,7 @@ BYZ_CHURN_PROTOCOLS = ("hyparview-brb", "cyclon-brb")
 
 def _churn_run(ctx: RunContext, key: CellKey) -> dict:
     plan, phases, end = _churn_plan(ctx)
-    return _run_byz_cell(ctx, str(key[0]), plan, phases, end)
+    return _run_byz_cell(ctx, key[0], plan, phases, end)
 
 
 def _render_churn(result: dict, n: int) -> str:
@@ -506,13 +473,10 @@ register(
             paper=TierConfig(n=10_000, messages=100, paper_params=True,
                              extra={"brb_mode": "sampled", "burst_size": 150}),
         ),
+        axes=(Axis("protocols", BYZ_CHURN_PROTOCOLS),),
+        run_cell=_churn_run,
         render=_render_churn,
         check=_check_churn,
-        **_cell_hooks(
-            _protocol_cells(BYZ_CHURN_PROTOCOLS),
-            _churn_run,
-            _protocol_merge(BYZ_CHURN_PROTOCOLS),
-        ),
     )
 )
 
@@ -543,7 +507,7 @@ def _equivocation_plan(ctx: RunContext) -> tuple[FaultPlan, tuple[Phase, ...], f
 
 def _equivocation_run(ctx: RunContext, key: CellKey) -> dict:
     plan, phases, end = _equivocation_plan(ctx)
-    return _run_byz_cell(ctx, str(key[0]), plan, phases, end)
+    return _run_byz_cell(ctx, key[0], plan, phases, end)
 
 
 def _render_equivocation(result: dict, n: int) -> str:
@@ -587,13 +551,10 @@ register(
             paper=TierConfig(n=10_000, messages=100, paper_params=True,
                              extra={"brb_mode": "sampled"}),
         ),
+        axes=(Axis("protocols", BYZ_PROTOCOLS),),
+        run_cell=_equivocation_run,
         render=_render_equivocation,
         check=_check_equivocation,
-        **_cell_hooks(
-            _protocol_cells(BYZ_PROTOCOLS),
-            _equivocation_run,
-            _protocol_merge(BYZ_PROTOCOLS),
-        ),
     )
 )
 

@@ -2,9 +2,9 @@
 
 Every scenario here is one :class:`~repro.faults.plan.FaultPlan` factory
 measured through :func:`~repro.faults.measure.measure_fault_plan` on a
-stabilised overlay, registered in the tiered registry with per-protocol
-cells (so the orchestrator shards them and serves bases from the snapshot
-cache like any grid scenario):
+stabilised overlay, registered in the tiered registry as a one-axis
+``protocols`` grid (so the orchestrator shards them and serves bases from
+the snapshot cache like any grid scenario):
 
 * ``faults_partition_heal``   — split-brain with heal and assisted remerge;
 * ``faults_cascade``          — correlated cascading crash waves;
@@ -34,15 +34,15 @@ every tier), so plans transfer unchanged to the live runtime via
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 from ..experiments.registry import (
     SHAPE_CHECK_MIN_N,
+    Axis,
     CellKey,
     RunContext,
     ScenarioSpec,
     TierConfig,
-    _cell_hooks,
     _tiers,
     register,
 )
@@ -66,13 +66,8 @@ PlanFactory = Callable[[RunContext], tuple[FaultPlan, tuple[Phase, ...], float]]
 FAULT_PROTOCOLS = ("hyparview", "cyclon-acked")
 
 
-def _protocols(ctx: RunContext, default=FAULT_PROTOCOLS) -> tuple[str, ...]:
-    return tuple(ctx.option("protocols", default))  # type: ignore[arg-type]
-
-
 def _run_fault_cell(ctx: RunContext, key: CellKey, factory: PlanFactory) -> dict:
-    protocol = str(key[0])
-    scenario = ctx.stabilized(protocol)
+    scenario = ctx.stabilized(key[0])
     plan, phases, end = factory(ctx)
     interval = end / (ctx.config.messages - 1) if ctx.config.messages > 1 else None
     result = measure_fault_plan(
@@ -136,18 +131,6 @@ def _register_fault_scenario(
     check: Optional[Callable[[dict, int], None]] = None,
     default_protocols: tuple[str, ...] = FAULT_PROTOCOLS,
 ) -> None:
-    def cells(ctx: RunContext) -> tuple[CellKey, ...]:
-        return tuple((protocol,) for protocol in _protocols(ctx, default_protocols))
-
-    def run_cell(ctx: RunContext, key: CellKey) -> dict:
-        return _run_fault_cell(ctx, key, factory)
-
-    def merge(ctx: RunContext, cell_results: Mapping[CellKey, dict]) -> dict:
-        return {
-            protocol: cell_results[(protocol,)]
-            for protocol in _protocols(ctx, default_protocols)
-        }
-
     register(
         ScenarioSpec(
             id=scenario_id,
@@ -155,9 +138,10 @@ def _register_fault_scenario(
             title=title,
             description=description,
             tiers=_tiers(smoke=smoke, paper=paper),
+            axes=(Axis("protocols", default_protocols),),
+            run_cell=lambda ctx, key: _run_fault_cell(ctx, key, factory),
             render=lambda result, n: _render_fault(result, n, title=title),
             check=check,
-            **_cell_hooks(cells, run_cell, merge),
         )
     )
 

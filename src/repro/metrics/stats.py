@@ -36,7 +36,10 @@ def percentile(values: Sequence[float], q: float) -> float:
     low = int(rank)
     high = min(low + 1, len(ordered) - 1)
     fraction = rank - low
-    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+    blend = ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+    # Rounding (underflow, for subnormals) can land the blend just outside
+    # the two samples it interpolates: [5e-324, 5e-324] blends to 0.0.
+    return min(max(blend, ordered[low]), ordered[high])
 
 
 @dataclass(frozen=True, slots=True)

@@ -29,8 +29,7 @@ class LocalCluster:
         size: int,
         *,
         config: Optional[HyParViewConfig] = None,
-        protocol: Optional[str] = None,
-        broadcast: str = "flood",
+        protocol: str = "hyparview",
         plumtree_config: Optional[PlumtreeConfig] = None,
         base_seed: int = 1,
     ) -> None:
@@ -38,7 +37,6 @@ class LocalCluster:
             raise ConfigurationError(f"cluster needs at least 2 nodes: {size}")
         self._config = config
         self._protocol = protocol
-        self._broadcast = broadcast
         self._plumtree_config = plumtree_config
         self._base_seed = base_seed
         self._spawned = size
@@ -50,7 +48,6 @@ class LocalCluster:
             RuntimeNode(
                 config=config,
                 protocol=protocol,
-                broadcast=broadcast,
                 plumtree_config=plumtree_config,
                 seed=base_seed + index,
                 delivery_log=self.delivery_log,
@@ -112,7 +109,6 @@ class LocalCluster:
             port=old.node_id.port if reuse_port else 0,
             config=self._config,
             protocol=self._protocol,
-            broadcast=self._broadcast,
             plumtree_config=self._plumtree_config,
             seed=self._base_seed + self._spawned,
             incarnation=old.incarnation + 1,

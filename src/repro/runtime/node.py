@@ -44,11 +44,6 @@ DeliverCallback = Callable[[MessageId, Any], None]
 #: answer, so NEIGHBOR requests need a timeout.
 RUNTIME_CONFIG = HyParViewConfig(neighbor_request_timeout=2.0, shuffle_period=5.0)
 
-#: Legacy ``broadcast=`` names mapped onto registry stack names.  The old
-#: constructor keyword predates the registry; both spellings stay valid.
-_LEGACY_BROADCAST = {"flood": "hyparview", "plumtree": "plumtree"}
-
-
 @dataclass(frozen=True, slots=True)
 class _RuntimeParams:
     """The parameter surface registry factories read, for live stacks.
@@ -72,8 +67,7 @@ class RuntimeNode:
         port: int = 0,
         *,
         config: Optional[HyParViewConfig] = None,
-        protocol: Optional[str] = None,
-        broadcast: str = "flood",
+        protocol: str = "hyparview",
         plumtree_config: Optional[PlumtreeConfig] = None,
         reliable_config: Optional[ReliableConfig] = None,
         on_deliver: Optional[DeliverCallback] = None,
@@ -83,10 +77,6 @@ class RuntimeNode:
         delivery_log: Optional[DeliveryLog] = None,
         roster: Optional[Sequence[NodeId]] = None,
     ) -> None:
-        if protocol is None:
-            protocol = _LEGACY_BROADCAST.get(broadcast)
-            if protocol is None:
-                raise ConfigurationError(f"unknown broadcast layer: {broadcast!r}")
         if protocol not in runtime_stack_names():
             raise ConfigurationError(
                 f"protocol {protocol!r} is not runtime-capable; "

@@ -1,9 +1,7 @@
 """Test-support helpers: a small wired world for protocol unit tests.
 
-Lives inside the package (rather than in a ``conftest.py``) so both the
-test suite and the benchmark harness can import it without relying on
-pytest's ``sys.path`` insertion — two ``conftest.py`` files with the same
-basename shadow each other when the whole repository is collected at once.
+Lives inside the package (rather than in a ``conftest.py``) so test
+modules can import it without relying on pytest's ``sys.path`` insertion.
 """
 
 from __future__ import annotations

@@ -11,18 +11,11 @@ import random
 
 import pytest
 
+from repro.experiments.reporting import encode_artifact
+from repro.experiments.runner import run_scenarios
 from repro.testing import World
 
 __all__ = ["World"]
-
-
-def pytest_pycollect_makeitem(collector, name, obj):
-    # The repo-wide config collects bench_* functions for the benchmark
-    # harness; inside tests/ such names are imported helpers (e.g.
-    # ``bench_params``), never benchmarks — skip them.
-    if name.startswith("bench_"):
-        return []
-    return None
 
 
 @pytest.fixture
@@ -33,3 +26,24 @@ def world() -> World:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(1234)
+
+
+@pytest.fixture
+def assert_modes_match_reference():
+    """The orchestrator's whole execution matrix — workers in {1, 2, 3} x
+    snapshot cache in {on, off} — against the reference run (one process,
+    every cell stabilising its own base from scratch): byte-identical
+    ``BENCH_*`` artifacts.  Keep the scale tiny: the uncached runs
+    re-stabilise per cell."""
+
+    def artifact_bytes(ids, scale, **mode) -> dict[str, str]:
+        runs = run_scenarios(ids, "smoke", **mode, **scale)
+        return {sid: encode_artifact(run.artifact()) for sid, run in runs.items()}
+
+    def check(ids, **scale) -> None:
+        reference = artifact_bytes(ids, scale, workers=1, snapshot_cache=False)
+        for workers, cache in [(1, True), (2, True), (3, True), (2, False), (3, False)]:
+            candidate = artifact_bytes(ids, scale, workers=workers, snapshot_cache=cache)
+            assert candidate == reference, (workers, cache)
+
+    return check

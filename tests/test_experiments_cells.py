@@ -2,18 +2,22 @@
 
 The orchestrator's contract: ``BENCH_*.json`` artifacts are a pure
 function of ``(root_seed, scenario, tier, overrides)`` — byte-identical
-across worker counts, cell splitting on/off, snapshot cache on/off, and
-identical to the monolithic single-process reference run.
+across worker counts and snapshot cache on/off, and identical to the
+reference run (``workers=1, snapshot_cache=False``: one process, every
+cell stabilising its own base from scratch).
 """
 
 from __future__ import annotations
+
+import json
+import random
 
 import pytest
 
 from repro.common.errors import SimulationError
 from repro.experiments.failures import stabilized_scenario
 from repro.experiments.params import ExperimentParams
-from repro.experiments.registry import get_scenario
+from repro.experiments.registry import get_scenario, scenario_ids
 from repro.experiments.reporting import encode_artifact
 from repro.experiments.runner import (
     SweepTimings,
@@ -42,36 +46,37 @@ def _edges(scenario: Scenario) -> dict:
 class TestCellEnumeration:
     def test_grid_scenario_expands_to_protocol_x_fraction(self):
         spec = get_scenario(GRID_ID)
-        assert spec.supports_cells
         units = build_units([GRID_ID], "smoke", **TINY)
         smoke = spec.tier("smoke")
         protocols = 4  # PAPER_PROTOCOLS
         fractions = len(smoke.extra["fractions"])
         assert len(units) == protocols * fractions
-        assert all(unit.cell is not None for unit in units)
         assert len({unit.cell for unit in units}) == len(units)
+        assert [unit.cell for unit in units] == list(spec.cells(units[0].resolve()[1]))
 
-    def test_cells_off_collapses_to_one_unit_per_replicate(self):
-        units = build_units([GRID_ID], "smoke", cells=False, **TINY)
-        assert len(units) == 1
-        assert units[0].cell is None
+    def test_single_point_scenario_is_a_one_cell_grid(self):
+        spec = get_scenario("fig1_hyparview_reference")
+        assert spec.axes == ()
+        units = build_units(["fig1_hyparview_reference"], "smoke", **TINY)
+        assert [unit.cell for unit in units] == [()]
+        assert len(build_chunks(units, 2)) == 1
 
-    def test_monolithic_scenarios_unaffected_by_cells_flag(self):
-        for flag in (True, False):
-            units = build_units(["fig1_hyparview_reference"], "smoke", cells=flag, **TINY)
-            assert len(units) == 1
-            assert units[0].cell is None
-
-    def test_merge_reproduces_monolithic_run(self):
-        """Cells + merge executed by hand equal spec.run exactly."""
-        spec = get_scenario(GRID_ID)
-        units = build_units([GRID_ID], "smoke", **TINY)
+    @pytest.mark.parametrize("scenario_id", scenario_ids())
+    def test_merge_follows_declared_axes_not_arrival_order(self, scenario_id):
+        """Stub cell results inserted in shuffled order merge to the same
+        result, key order included (``run_scenarios`` fills the mapping in
+        ``imap_unordered`` completion order)."""
+        spec = get_scenario(scenario_id)
+        units = build_units([scenario_id], "smoke", **TINY)
+        assert units and all(isinstance(unit.cell, tuple) for unit in units)
         _, context = units[0].resolve()
-        cell_results = {
-            unit.cell: spec.run_cell(unit.resolve()[1], unit.cell) for unit in units
-        }
-        merged = spec.merge_cells(context, cell_results)
-        assert merged == spec.run(context)
+        keys = [unit.cell for unit in units]
+        stubs = {key: {"cell": list(key)} for key in keys}
+        expected = json.dumps(spec.merge_cells(context, stubs))
+        for seed in range(3):
+            random.Random(seed).shuffle(keys)
+            arrived = {key: stubs[key] for key in keys}
+            assert json.dumps(spec.merge_cells(context, arrived)) == expected
 
 
 class TestAffinityChunks:
@@ -108,11 +113,6 @@ class TestShardingDeterminism:
         b = write_artifacts(parallel, tmp_path / "parallel")
         assert [p.read_bytes() for p in a] == [p.read_bytes() for p in b]
 
-    def test_cells_on_equals_cells_off(self):
-        split = run_scenarios([GRID_ID], "smoke", workers=2, cells=True, **TINY)
-        whole = run_scenarios([GRID_ID], "smoke", workers=2, cells=False, **TINY)
-        assert _artifact_bytes(split) == _artifact_bytes(whole)
-
     def test_cached_equals_uncached(self):
         cached = run_scenarios([GRID_ID], "smoke", workers=2, snapshot_cache=True, **TINY)
         uncached = run_scenarios(
@@ -120,18 +120,10 @@ class TestShardingDeterminism:
         )
         assert _artifact_bytes(cached) == _artifact_bytes(uncached)
 
-    def test_all_modes_agree_for_fanout_and_healing(self):
+    def test_all_modes_agree_for_fanout_and_healing(self, assert_modes_match_reference):
         """A second shape of grid (fanout cells, healing cells) across the
         full mode matrix."""
-        ids = ["fig1a_cyclon_fanout", "fig4_healing"]
-        reference = run_scenarios(ids, "smoke", workers=1, cells=False,
-                                  snapshot_cache=False, **TINY)
-        for workers, cells, cache in [(1, True, True), (3, True, True), (2, True, False)]:
-            candidate = run_scenarios(ids, "smoke", workers=workers, cells=cells,
-                                      snapshot_cache=cache, **TINY)
-            assert _artifact_bytes(candidate) == _artifact_bytes(reference), (
-                workers, cells, cache,
-            )
+        assert_modes_match_reference(["fig1a_cyclon_fanout", "fig4_healing"], **TINY)
 
 
 class TestTimings:
@@ -231,39 +223,20 @@ class TestAblationCells:
         "ablation_plumtree": 2,       # flood vs tree layer
     }
 
-    def test_every_ablation_supports_cells(self):
+    def test_every_ablation_point_is_a_cell(self):
         for scenario_id, expected in self.ABLATIONS.items():
-            spec = get_scenario(scenario_id)
-            assert spec.supports_cells, scenario_id
             units = build_units([scenario_id], "smoke", **TINY)
             assert len(units) == expected, scenario_id
-            assert all(unit.cell is not None for unit in units)
-
-    @pytest.mark.parametrize("scenario_id", sorted(ABLATIONS))
-    def test_merge_reproduces_monolithic_run(self, scenario_id):
-        spec = get_scenario(scenario_id)
-        units = build_units([scenario_id], "smoke", **TINY)
-        _, context = units[0].resolve()
-        cell_results = {
-            unit.cell: spec.run_cell(unit.resolve()[1], unit.cell) for unit in units
-        }
-        merged = spec.merge_cells(context, cell_results)
-        assert merged == spec.run(context)
+            assert len({unit.cell for unit in units}) == expected, scenario_id
 
     def test_resend_cells_share_one_base(self):
         units = build_units(["ablation_flood_resend"], "smoke", **TINY)
         assert len(build_chunks(units, 1)) == 1  # one affinity group
 
-    def test_ablation_artifacts_identical_across_modes(self):
-        ids = ["ablation_passive_size", "ablation_flood_resend"]
-        reference = run_scenarios(ids, "smoke", workers=1, cells=False,
-                                  snapshot_cache=False, **TINY)
-        for workers, cells, cache in [(1, True, True), (2, True, True)]:
-            candidate = run_scenarios(ids, "smoke", workers=workers, cells=cells,
-                                      snapshot_cache=cache, **TINY)
-            assert _artifact_bytes(candidate) == _artifact_bytes(reference), (
-                workers, cells, cache,
-            )
+    def test_ablation_artifacts_identical_across_modes(self, assert_modes_match_reference):
+        assert_modes_match_reference(
+            ["ablation_passive_size", "ablation_flood_resend"], **TINY
+        )
 
 
 class TestTimingsArtifacts:
@@ -301,4 +274,4 @@ class TestTimingsArtifacts:
         records = timings.unit_records["fig1_hyparview_reference"]
         assert len(records) == 1
         assert records[0]["events"] > 0
-        assert records[0]["cell"] is None
+        assert records[0]["cell"] == ""  # the one-cell grid's empty key

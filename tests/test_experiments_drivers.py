@@ -1,8 +1,5 @@
-"""Tests for the per-figure experiment drivers and reporting helpers."""
+"""Tests for the per-figure cell measurements and reporting helpers."""
 
-import pytest
-
-from repro.common.errors import ConfigurationError
 from repro.experiments import (
     ExperimentParams,
     format_histogram,
@@ -10,24 +7,27 @@ from repro.experiments import (
     format_series,
     format_table,
     hyparview_reference_point,
-    run_failure_experiment,
-    run_failure_sweep,
-    run_fanout_sweep,
     run_graph_properties,
-    run_healing_experiment,
-    run_passive_size_ablation,
-    run_resend_ablation,
-    run_shuffle_ttl_ablation,
     sparkline,
     stabilized_scenario,
 )
+from repro.experiments.ablations import (
+    measure_passive_size_point,
+    measure_resend_point,
+    measure_shuffle_ttl_point,
+    passive_size_params,
+    shuffle_ttl_params,
+)
+from repro.experiments.failures import measure_failure
+from repro.experiments.fanout import measure_fanout_point
+from repro.experiments.healing import measure_healing
 
 PARAMS = ExperimentParams.scaled(80, stabilization_cycles=8)
 
 
 class TestFailureDriver:
     def test_result_fields(self):
-        result = run_failure_experiment("hyparview", PARAMS, 0.3, messages=10)
+        result = measure_failure(stabilized_scenario("hyparview", PARAMS), 0.3, messages=10)
         assert result.protocol == "hyparview"
         assert result.failure_fraction == 0.3
         assert len(result.series) == 10
@@ -38,33 +38,20 @@ class TestFailureDriver:
 
     def test_base_scenario_not_mutated(self):
         base = stabilized_scenario("hyparview", PARAMS)
-        run_failure_experiment("hyparview", PARAMS, 0.5, messages=5, base=base)
+        measure_failure(base.clone(), 0.5, messages=5)
         assert len(base.alive_ids()) == 80
 
-    def test_sweep_covers_grid(self):
-        results = run_failure_sweep(["hyparview", "cyclon"], [0.2, 0.5], PARAMS, messages=5)
-        assert set(results) == {
-            ("hyparview", 0.2),
-            ("hyparview", 0.5),
-            ("cyclon", 0.2),
-            ("cyclon", 0.5),
-        }
-
     def test_hyparview_beats_cyclon_after_heavy_failure(self):
-        results = run_failure_sweep(["hyparview", "cyclon"], [0.5], PARAMS, messages=15)
-        assert (
-            results[("hyparview", 0.5)].average > results[("cyclon", 0.5)].average
-        )
+        hyparview = measure_failure(stabilized_scenario("hyparview", PARAMS), 0.5, messages=15)
+        cyclon = measure_failure(stabilized_scenario("cyclon", PARAMS), 0.5, messages=15)
+        assert hyparview.average > cyclon.average
 
 
 class TestFanoutDriver:
     def test_sweep_monotone_in_fanout(self):
-        points = run_fanout_sweep("cyclon", (1, 4), PARAMS, messages=10)
-        assert points[0].average_reliability < points[1].average_reliability
-
-    def test_hyparview_sweep_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_fanout_sweep("hyparview", (1, 2), PARAMS)
+        base = stabilized_scenario("cyclon", PARAMS)
+        low, high = (measure_fanout_point(base.clone(), f, messages=10) for f in (1, 4))
+        assert low.average_reliability < high.average_reliability
 
     def test_reference_point_is_atomic(self):
         point = hyparview_reference_point(PARAMS, messages=5)
@@ -74,16 +61,16 @@ class TestFanoutDriver:
 
 class TestHealingDriver:
     def test_hyparview_heals_quickly(self):
-        result = run_healing_experiment(
-            "hyparview", PARAMS, 0.3, probes_per_cycle=5, max_cycles=10
+        result = measure_healing(
+            stabilized_scenario("hyparview", PARAMS), 0.3, probes_per_cycle=5, max_cycles=10
         )
         assert result.cycles_to_heal is not None
         assert result.cycles_to_heal <= 3
         assert result.baseline_reliability == 1.0
 
     def test_unhealed_run_reports_none(self):
-        result = run_healing_experiment(
-            "cyclon", PARAMS, 0.6, probes_per_cycle=3, max_cycles=1
+        result = measure_healing(
+            stabilized_scenario("cyclon", PARAMS), 0.6, probes_per_cycle=3, max_cycles=1
         )
         assert result.max_cycles == 1
         # One cycle is almost never enough for Cyclon at 60% failures.
@@ -108,24 +95,37 @@ class TestGraphPropertiesDriver:
 
 class TestAblations:
     def test_passive_size_points(self):
-        points = run_passive_size_ablation(
-            PARAMS, passive_sizes=(4, 16), failure_fraction=0.5, messages=8
-        )
+        points = [
+            measure_passive_size_point(
+                stabilized_scenario("hyparview", passive_size_params(PARAMS, capacity)),
+                failure_fraction=0.5, messages=8,
+            )
+            for capacity in (4, 16)
+        ]
         assert [p.passive_capacity for p in points] == [4, 16]
         for point in points:
             assert 0.0 <= point.average_reliability <= 1.0
             assert 0.0 < point.largest_component_fraction <= 1.0
 
     def test_shuffle_ttl_points(self):
-        points = run_shuffle_ttl_ablation(PARAMS, ttls=(1, 4), failure_fraction=0.4, messages=5)
+        points = [
+            measure_shuffle_ttl_point(
+                stabilized_scenario("hyparview", shuffle_ttl_params(PARAMS, ttl)),
+                failure_fraction=0.4, messages=5,
+            )
+            for ttl in (1, 4)
+        ]
         assert [p.shuffle_ttl for p in points] == [1, 4]
         for point in points:
             assert point.passive_balance >= 0.0
 
     def test_resend_ablation_improves_transient(self):
-        points = run_resend_ablation(PARAMS, failure_fraction=0.5, messages=10)
-        baseline = next(p for p in points if not p.resend_on_repair)
-        resend = next(p for p in points if p.resend_on_repair)
+        base = stabilized_scenario("hyparview", PARAMS)
+        baseline, resend = (
+            measure_resend_point(base.clone(), arm, failure_fraction=0.5, messages=10)
+            for arm in (False, True)
+        )
+        assert not baseline.resend_on_repair and resend.resend_on_repair
         assert resend.data_transmissions >= baseline.data_transmissions
         assert resend.first10_average >= baseline.first10_average - 0.05
 

@@ -14,7 +14,6 @@ from repro.experiments.registry import (
     REGISTRY,
     TIER_NAMES,
     RunContext,
-    ScenarioSpec,
     TierConfig,
     get_scenario,
     register,
@@ -49,8 +48,11 @@ class TestRegistry:
             for tier in TIER_NAMES:
                 config = spec.tier(tier)
                 assert config.n >= 2
-            assert callable(spec.run)
+            assert callable(spec.run_cell)
             assert callable(spec.render)
+            # One execution model: every scenario enumerates >= 1 cell.
+            units = build_units([scenario_id], "smoke", replicates=1)
+            assert units and all(isinstance(unit.cell, tuple) for unit in units)
 
     def test_tier_ordering_smoke_is_cheapest(self):
         for scenario_id in scenario_ids():
@@ -128,18 +130,18 @@ class TestSeedDerivation:
         assert len(seeds) == 12
 
     def test_units_carry_per_replicate_seeds(self):
-        units = build_units(["churn"], "smoke", root_seed=7, replicates=3, cells=False)
+        units = build_units(
+            ["fig1_hyparview_reference"], "smoke", root_seed=7, replicates=3
+        )
         assert [unit.replicate for unit in units] == [0, 1, 2]
         resolved = [unit.resolve()[1] for unit in units]
         assert len({context.seed for context in resolved}) == 3
 
     def test_cell_units_share_their_replicate_seed(self):
-        # churn decomposes into one cell per protocol; every cell of one
-        # replicate must observe the replicate's seed (the monolithic run
-        # and the sharded cells see identical randomness).
+        # churn is one cell per protocol; every cell of one replicate must
+        # observe the replicate's seed, whichever worker runs it.
         units = build_units(["churn"], "smoke", root_seed=7, replicates=2)
         assert [unit.replicate for unit in units] == [0, 0, 1, 1]
-        assert all(unit.cell is not None for unit in units)
         seeds = {}
         for unit in units:
             seeds.setdefault(unit.replicate, set()).add(unit.resolve()[1].seed)
@@ -270,19 +272,18 @@ class TestBenchCli:
         ]
 
     def test_cell_and_cache_flags(self, capsys, tmp_path):
-        """--cells off / --no-snapshot-cache run the same scenarios and
-        write byte-identical artifacts (the determinism contract)."""
+        """--no-snapshot-cache runs the same cells and writes byte-identical
+        artifacts (the determinism contract); there is no flag that turns
+        the cells themselves off."""
         base_args = [
             "bench", "--scenario", "fig2_reliability",
             "--n", "32", "--messages", "2",
         ]
         assert main(base_args + ["--out", str(tmp_path / "a")]) == 0
-        assert main(base_args + ["--cells", "off", "--out", str(tmp_path / "b")]) == 0
         assert main(base_args + ["--no-snapshot-cache", "--out", str(tmp_path / "c")]) == 0
         name = "BENCH_fig2_reliability.json"
-        reference = (tmp_path / "a" / name).read_bytes()
-        assert (tmp_path / "b" / name).read_bytes() == reference
-        assert (tmp_path / "c" / name).read_bytes() == reference
+        assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+        assert not hasattr(build_parser().parse_args(["bench"]), "cells")
 
     def test_profile_mode(self, capsys):
         assert main(

@@ -1,13 +1,10 @@
 """Registry integration of the ``faults_*`` scenario family.
 
-Same contract as the other grid scenarios: cells merge to the monolithic
-run exactly, and artifacts are byte-identical across worker counts, cell
-splitting, and snapshot-cache settings.
+Same contract as the other grid scenarios: one cell per protocol, and
+artifacts byte-identical across worker counts and snapshot-cache settings.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.experiments.registry import get_scenario, scenario_ids
 from repro.experiments.reporting import encode_artifact
@@ -39,46 +36,25 @@ class TestFamilyShape:
 
     def test_every_fault_scenario_has_cells_per_protocol(self):
         for scenario_id in FAULT_IDS:
-            spec = get_scenario(scenario_id)
-            assert spec.supports_cells, scenario_id
-            assert spec.group == "faults"
+            assert get_scenario(scenario_id).group == "faults"
             units = build_units([scenario_id], "smoke", **TINY)
             assert len(units) >= 2, scenario_id  # one cell per protocol
-            assert all(unit.cell is not None for unit in units)
-
-    @pytest.mark.parametrize("scenario_id", sorted(FAULT_IDS))
-    def test_merge_reproduces_monolithic_run(self, scenario_id):
-        spec = get_scenario(scenario_id)
-        units = build_units([scenario_id], "smoke", **TINY)
-        _, context = units[0].resolve()
-        cell_results = {
-            unit.cell: spec.run_cell(unit.resolve()[1], unit.cell) for unit in units
-        }
-        merged = spec.merge_cells(context, cell_results)
-        assert merged == spec.run(context)
+            assert len({unit.cell for unit in units}) == len(units)
 
 
 class TestFaultDeterminismMatrix:
-    """workers x cells x cache: byte-identical artifacts, like the
-    existing mode-matrix tests for the figure scenarios."""
+    """workers x cache: byte-identical artifacts, like the existing
+    mode-matrix tests for the figure scenarios."""
 
-    def test_partition_and_wan_across_modes(self):
-        ids = ["faults_partition_heal", "faults_wan_jitter"]
-        reference = run_scenarios(ids, "smoke", workers=1, cells=False,
-                                  snapshot_cache=False, **TINY)
-        for workers, cells, cache in [(1, True, True), (3, True, True), (2, True, False)]:
-            candidate = run_scenarios(ids, "smoke", workers=workers, cells=cells,
-                                      snapshot_cache=cache, **TINY)
-            assert _artifact_bytes(candidate) == _artifact_bytes(reference), (
-                workers, cells, cache,
-            )
+    def test_partition_and_wan_across_modes(self, assert_modes_match_reference):
+        assert_modes_match_reference(
+            ["faults_partition_heal", "faults_wan_jitter"], **TINY
+        )
 
     def test_churn_and_flash_across_modes(self):
         ids = ["faults_churn_trace", "faults_flash_crowd"]
-        reference = run_scenarios(ids, "smoke", workers=1, cells=False,
-                                  snapshot_cache=False, **TINY)
-        candidate = run_scenarios(ids, "smoke", workers=2, cells=True,
-                                  snapshot_cache=True, **TINY)
+        reference = run_scenarios(ids, "smoke", workers=1, snapshot_cache=False, **TINY)
+        candidate = run_scenarios(ids, "smoke", workers=2, snapshot_cache=True, **TINY)
         assert _artifact_bytes(candidate) == _artifact_bytes(reference)
 
     def test_replicates_reproducible_and_seed_sensitive(self):

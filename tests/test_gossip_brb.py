@@ -18,7 +18,6 @@ import pytest
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.experiments.params import ExperimentParams
 from repro.experiments.registry import get_scenario, scenario_ids
-from repro.experiments.reporting import encode_artifact
 from repro.experiments.runner import build_units, run_scenarios
 from repro.experiments.scenario import Scenario
 from repro.gossip.byzantine import BRBConfig, BRBGossip, payload_digest
@@ -152,38 +151,17 @@ class TestByzantineScenarioFamily:
         }
         for scenario_id in BYZ_IDS:
             spec = get_scenario(scenario_id)
-            assert spec.supports_cells, scenario_id
             assert spec.group == "byzantine"
             assert set(spec.tiers) == {"smoke", "paper", "full"}
             units = build_units([scenario_id], "smoke", **TINY)
             assert len(units) >= 2
-            assert all(unit.cell is not None for unit in units)
+            assert len({unit.cell for unit in units}) == len(units)
         # The sweep shards into (protocol, fraction) cells.
         sweep_units = build_units(["byz_adversary_fraction"], "smoke", **TINY)
         assert len(sweep_units) == 10
 
-    def test_merge_reproduces_monolithic_run(self):
-        spec = get_scenario("byz_equivocation")
-        units = build_units(["byz_equivocation"], "smoke", **TINY)
-        _, context = units[0].resolve()
-        cell_results = {
-            unit.cell: spec.run_cell(unit.resolve()[1], unit.cell) for unit in units
-        }
-        merged = spec.merge_cells(context, cell_results)
-        assert merged == spec.run(context)
-
-    def test_mode_matrix_determinism(self):
-        ids = ["byz_equivocation"]
-
-        def _bytes(runs):
-            return {sid: encode_artifact(run.artifact()) for sid, run in runs.items()}
-
-        reference = run_scenarios(ids, "smoke", workers=1, cells=False,
-                                  snapshot_cache=False, **TINY)
-        for workers, cells, cache in [(1, True, True), (3, True, True), (2, True, False)]:
-            candidate = run_scenarios(ids, "smoke", workers=workers, cells=cells,
-                                      snapshot_cache=cache, **TINY)
-            assert _bytes(candidate) == _bytes(reference), (workers, cells, cache)
+    def test_mode_matrix_determinism(self, assert_modes_match_reference):
+        assert_modes_match_reference(["byz_equivocation"], **TINY)
 
     def test_equivocation_separates_brb_from_baseline(self):
         runs = run_scenarios(["byz_equivocation"], "smoke", workers=1, **TINY)

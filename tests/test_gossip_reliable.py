@@ -14,7 +14,6 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.experiments.params import ExperimentParams
 from repro.experiments.registry import get_scenario, scenario_ids
-from repro.experiments.reporting import encode_artifact
 from repro.experiments.runner import build_units, run_scenarios
 from repro.experiments.scenario import Scenario
 from repro.gossip.reliable import ReliableConfig, ReliableGossip
@@ -128,35 +127,13 @@ class TestReliableScenarioFamily:
         assert set(RELIABLE_IDS) == {"reliable_loss", "reliable_churn", "reliable_stress"}
         for scenario_id in RELIABLE_IDS:
             spec = get_scenario(scenario_id)
-            assert spec.supports_cells, scenario_id
             assert set(spec.tiers) == {"smoke", "paper", "full"}
             units = build_units([scenario_id], "smoke", **TINY)
             assert len(units) >= 2  # one cell per protocol
-            assert all(unit.cell is not None for unit in units)
+            assert len({unit.cell for unit in units}) == len(units)
 
-    @pytest.mark.parametrize("scenario_id", sorted(RELIABLE_IDS))
-    def test_merge_reproduces_monolithic_run(self, scenario_id):
-        spec = get_scenario(scenario_id)
-        units = build_units([scenario_id], "smoke", **TINY)
-        _, context = units[0].resolve()
-        cell_results = {
-            unit.cell: spec.run_cell(unit.resolve()[1], unit.cell) for unit in units
-        }
-        merged = spec.merge_cells(context, cell_results)
-        assert merged == spec.run(context)
-
-    def test_mode_matrix_determinism(self):
-        ids = ["reliable_loss", "reliable_churn"]
-
-        def _bytes(runs):
-            return {sid: encode_artifact(run.artifact()) for sid, run in runs.items()}
-
-        reference = run_scenarios(ids, "smoke", workers=1, cells=False,
-                                  snapshot_cache=False, **TINY)
-        for workers, cells, cache in [(1, True, True), (3, True, True), (2, True, False)]:
-            candidate = run_scenarios(ids, "smoke", workers=workers, cells=cells,
-                                      snapshot_cache=cache, **TINY)
-            assert _bytes(candidate) == _bytes(reference), (workers, cells, cache)
+    def test_mode_matrix_determinism(self, assert_modes_match_reference):
+        assert_modes_match_reference(["reliable_loss", "reliable_churn"], **TINY)
 
     def test_results_carry_ack_layer_counters(self):
         runs = run_scenarios(["reliable_loss"], "smoke", workers=1, **TINY)

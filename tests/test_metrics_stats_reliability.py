@@ -1,7 +1,7 @@
 """Tests for statistics helpers and reliability aggregation."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
@@ -63,6 +63,7 @@ class TestStats:
         assert summarize([]).count == 0
 
     @given(st.lists(st.floats(-1000, 1000), min_size=1, max_size=40))
+    @example([5e-324, 5e-324])  # subnormals: the blend underflows to 0.0
     def test_summary_bounds_property(self, values):
         stats = summarize(values)
         ulp = 1e-9  # float summation can drift by an ulp around the bounds

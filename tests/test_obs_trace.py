@@ -299,7 +299,6 @@ class TestExecutionMatrix:
         baseline = _traced_fig2()
         assert baseline, "fig2 smoke produced no trace"
         assert any(e["segments"] for e in baseline)
-        assert baseline == _traced_fig2(cells=False)
         assert baseline == _traced_fig2(snapshot_cache=False)
         assert baseline == _traced_fig2(workers=2)
 

@@ -7,7 +7,7 @@ targets here.
 
 import pytest
 
-from repro.experiments.failures import run_failure_experiment
+from repro.experiments.failures import measure_failure, stabilized_scenario
 from repro.experiments.params import ExperimentParams
 from repro.experiments.scenario import Scenario
 
@@ -63,12 +63,12 @@ class TestSeedRobustness:
         any seed, not just the default."""
         for seed in (1, 7, 1234):
             params = ExperimentParams.scaled(200, seed=seed, stabilization_cycles=15)
-            result = run_failure_experiment("hyparview", params, 0.6, messages=30)
+            result = measure_failure(stabilized_scenario("hyparview", params), 0.6, 30)
             assert result.tail_average(10) > 0.93, f"seed {seed}: {result.series}"
 
     def test_protocol_ordering_holds_across_seeds(self):
         for seed in (3, 99):
             params = ExperimentParams.scaled(200, seed=seed, stabilization_cycles=15)
-            hyparview = run_failure_experiment("hyparview", params, 0.5, messages=20)
-            cyclon = run_failure_experiment("cyclon", params, 0.5, messages=20)
+            hyparview = measure_failure(stabilized_scenario("hyparview", params), 0.5, 20)
+            cyclon = measure_failure(stabilized_scenario("cyclon", params), 0.5, 20)
             assert hyparview.average > cyclon.average + 0.1, f"seed {seed}"

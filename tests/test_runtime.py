@@ -58,7 +58,7 @@ class TestNodeLifecycle:
 
     def test_unknown_broadcast_layer_rejected(self):
         with pytest.raises(ConfigurationError):
-            RuntimeNode(broadcast="smoke-signals")
+            RuntimeNode(protocol="smoke-signals")
 
 
 class TestJoinAndViews:
@@ -116,7 +116,7 @@ class TestBroadcast:
 
     def test_plumtree_over_tcp(self):
         async def scenario():
-            cluster = LocalCluster(5, config=CONFIG, broadcast="plumtree")
+            cluster = LocalCluster(5, config=CONFIG, protocol="plumtree")
             await cluster.start()
             try:
                 assert await cluster.wait_for_views(minimum=1, timeout=10.0)
