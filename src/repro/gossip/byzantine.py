@@ -86,7 +86,9 @@ class BRBConfig:
     actual Byzantine fraction stays below it and ``n > 3f`` holds.
     ``sample_size=None`` uses SBRB's ``ceil(3 * log2 n)`` in sampled
     mode.  The ack/retransmit knobs mirror :class:`~repro.gossip.
-    reliable.ReliableConfig`, which validates them.
+    reliable.ReliableConfig`, which validates them and says what they
+    mean (``ack_timeout`` is the initial value and the floor of the
+    per-peer timeout the channel learns, here as there).
     """
 
     mode: str = "bracha"

@@ -6,23 +6,36 @@ peer-sampling overlays — the echo/ready phases of Scalable Byzantine
 Reliable Broadcast, Snow's self-organising cloud broadcast — take a third
 road: every copy travels as a datagram, the receiver acknowledges it, and
 the sender keeps a **cancellable retransmit timer per (message, peer)**
-with exponential backoff until the ack lands or the retry budget runs
-out.  That discipline makes timers outnumber messages.
+until the ack lands or the retry budget runs out.  That discipline makes
+timers outnumber messages.
 
 Mechanics:
 
 * :meth:`ReliableGossip._forward` sends each copy as a datagram and arms
-  a retransmit timer (``ack_timeout``, doubling per attempt by
-  ``backoff``);
+  a retransmit timer with the peer's current **retransmit timeout**;
 * every received copy — duplicates included — is acknowledged with
   :class:`~repro.gossip.messages.GossipAck`, because the copy may be a
   retransmission whose earlier ack was lost;
 * an ack cancels the pending timer (the overwhelmingly common case: the
-  engine reclaims the cancelled handle lazily);
-* an expired timer resends the copy and re-arms with doubled delay; after
-  ``max_retries`` resends the peer is reported to the membership layer as
-  failed (ack silence is this layer's failure detector, the way TCP
-  resets are the flood's).
+  engine reclaims the cancelled handle lazily) and, if the copy was never
+  re-sent, is a round-trip sample for that peer;
+* an expired timer resends the copy and re-arms with its delay multiplied
+  by ``backoff``; after ``max_retries`` resends the peer is reported to the
+  membership layer as failed (ack silence is this layer's failure
+  detector, the way TCP resets are the flood's) and forgotten.
+
+The retransmit timeout is per peer and learned from the acks themselves,
+RFC 6298 style: ``RTO = max(ack_timeout, SRTT + 4 * RTTVAR)`` with gains
+1/8 and 1/4, on ``Host.now()`` — so one code path is right under any
+simulated latency model and on the live runtime, with no oracle.  Two
+rules keep it honest.  *Karn's rule*: an ack for a copy that was re-sent
+is ambiguous and yields no sample.  *Retained backoff*: with the initial
+timeout below the real round trip every first copy is re-sent and strict
+Karn would never sample, so the delay a re-sent copy backed off to stays
+the peer's timeout for later messages until a clean sample replaces it
+(RFC 6298 5.5-5.7).  Copies in flight to one peer at once (BRB's three
+phases) each back off on their own; the peer inherits the longest single
+delay, never a product over copies.
 
 ``fanout=0`` forwards to the membership layer's whole view (HyParView's
 flood discipline over unreliable transport); a positive fanout samples
@@ -52,12 +65,18 @@ from .tracker import BroadcastTracker
 class ReliableConfig:
     """Tuning of the ack/retransmit discipline.
 
-    The default timeout exceeds one round trip of the *constant* latency
-    model (2 x 0.01 s), where a clean network retransmits nothing, but is
-    **shorter** than a cross-zone round trip of the zoned model (0.08-0.25
-    s): there most copies are re-sent before their ack can arrive (ROADMAP
-    item 2 has the count).  With loss the doubling backoff gives up after
-    ``ack_timeout * (2^(r+1) - 1)`` seconds (~0.75 s at the defaults).
+    ``ack_timeout`` is what a first copy waits for its ack before anything
+    is known about the peer, and the **floor** the learned per-peer timeout
+    (see the module docstring) never drops below.  The default exceeds one
+    round trip of the *constant* latency model (2 x 0.01 s), where a clean
+    network retransmits nothing; a cross-zone round trip of the zoned
+    model (0.08-0.31 s) is longer, so the first copies over such a link
+    are re-sent — each one multiplying the wait by ``backoff``, which the
+    peer then keeps — until one is acked clean, a handful of messages per
+    link.  ``backoff`` and ``max_retries`` apply per copy: a silent peer is
+    given up on ``timeout * (backoff^(r+1) - 1) / (backoff - 1)`` seconds
+    after the first copy (~0.75 s at the defaults from a fresh peer; longer
+    in proportion once the peer's timeout has grown).
 
     This is the one place the three knobs are validated:
     :class:`ReliableGossip` and :class:`~repro.gossip.byzantine.BRBConfig`
@@ -78,7 +97,7 @@ class ReliableConfig:
 
 
 class ReliableGossip(BroadcastLayer):
-    """Gossip over datagrams with per-copy acks and retransmit timers."""
+    """Gossip over datagrams with per-copy acks and RTT-aware retransmit timers."""
 
     name = "reliable-gossip"
 
@@ -105,11 +124,18 @@ class ReliableGossip(BroadcastLayer):
         self.ack_timeout = ack_timeout
         self.backoff = backoff
         self.max_retries = max_retries
-        #: channel key ``(message id, ..., peer)`` -> armed retransmit
-        #: timer.  Entries leave on ack (cancel), expiry (resend or
-        #: give-up), so a quiesced network leaves the map empty and
-        #: scenarios freeze cleanly.
-        self._pending: dict[tuple, TimerHandle] = {}
+        #: channel key ``(message id, ..., peer)`` -> the copy in flight
+        #: (its armed timer, send time, attempt and current delay).
+        #: Entries leave on ack (cancel) or expiry (resend or give-up), so
+        #: a quiesced network leaves the map empty and scenarios freeze
+        #: cleanly.
+        self._pending: dict[tuple, _Copy] = {}
+        #: peer -> ``(SRTT, RTTVAR)`` once a clean sample arrived.
+        self._rtt: dict[NodeId, tuple[float, float]] = {}
+        #: peer -> retransmit timeout of the *next* first copy: the
+        #: estimate, or the backed-off delay a retransmission left behind
+        #: until a clean sample replaces it.  Absent means ``ack_timeout``.
+        self._rto: dict[NodeId, float] = {}
         self.acks_received = 0
         self.retransmissions = 0
         self.give_ups = 0
@@ -150,42 +176,81 @@ class ReliableGossip(BroadcastLayer):
     # ------------------------------------------------------------------
     # The acked channel (shared with the BRB phases)
     # ------------------------------------------------------------------
-    def _send_copy(self, key: tuple, message: Any, attempt: int = 0) -> None:
+    def _send_copy(self, key: tuple, message: Any) -> None:
         """Send ``message`` to ``key[-1]`` and arm its retransmit timer."""
         previous = self._pending.pop(key, None)
         if previous is not None:
             # Re-forwarding a message whose timer is still armed (e.g. a
             # duplicate arrival widened the target set): keep one timer.
-            previous.cancel()
-        self._host.send(key[-1], message)
-        delay = self.ack_timeout * (self.backoff**attempt)
-        self._pending[key] = self._host.schedule(
-            delay, _Retransmit(self, key, message, attempt + 1)
-        )
+            previous.handle.cancel()
+        peer = key[-1]
+        self._arm(_Copy(self, key, message, self._rto.get(peer, self.ack_timeout)))
+
+    def _arm(self, copy: _Copy) -> None:
+        host = self._host
+        host.send(copy.key[-1], copy.message)
+        copy.sent_at = host.now()
+        copy.handle = host.schedule(copy.delay, copy)
+        self._pending[copy.key] = copy
 
     def _acked(self, key: tuple) -> None:
-        handle = self._pending.pop(key, None)
-        if handle is not None:
-            handle.cancel()
-            self.acks_received += 1
+        copy = self._pending.pop(key, None)
+        if copy is None:
+            return
+        copy.handle.cancel()
+        self.acks_received += 1
+        if copy.attempt:
+            return  # Karn: which transmission this ack answers is unknowable
+        peer = key[-1]
+        sample = self._host.now() - copy.sent_at
+        estimate = self._rtt.get(peer)
+        if estimate is None:
+            srtt, rttvar = sample, sample / 2
+        else:
+            srtt, rttvar = estimate
+            rttvar = 0.75 * rttvar + 0.25 * abs(srtt - sample)
+            srtt = 0.875 * srtt + 0.125 * sample
+        self._rtt[peer] = (srtt, rttvar)
+        # A clean sample also ends any backoff retained from earlier copies.
+        self._rto[peer] = max(self.ack_timeout, srtt + 4 * rttvar)
 
-    def _retransmit(self, key: tuple, message: Any, attempt: int) -> None:
-        if self._pending.pop(key, None) is None:
+    def _retransmit(self, copy: _Copy) -> None:
+        key = copy.key
+        if self._pending.get(key) is not copy:
             return  # acked in the same instant the timer fired
-        if attempt > self.max_retries:
+        peer = key[-1]
+        if copy.attempt >= self.max_retries:
+            del self._pending[key]
             self.give_ups += 1
+            self._rtt.pop(peer, None)
+            self._rto.pop(peer, None)
             # Ack silence is this layer's failure detector: hand the peer
             # to the membership layer, like CyclonAcked's send failures.
-            self._membership.report_failure(key[-1])
+            self._membership.report_failure(peer)
             return
+        copy.attempt += 1
+        copy.delay *= self.backoff
+        # Later messages to this peer wait as long as this copy now does
+        # (never a product over concurrent copies) until a clean sample.
+        if copy.delay > self.retransmit_timeout(peer):
+            self._rto[peer] = copy.delay
         self.retransmissions += 1
-        self._record_transmissions(message.message_id, 1)
-        self._send_copy(key, message, attempt)
+        self._record_transmissions(copy.message.message_id, 1)
+        self._arm(copy)
 
     @property
     def pending_retransmits(self) -> int:
         """Armed retransmit timers right now."""
         return len(self._pending)
+
+    def smoothed_rtt(self, peer: NodeId) -> Optional[float]:
+        """SRTT to ``peer`` in seconds; ``None`` before the first clean ack."""
+        estimate = self._rtt.get(peer)
+        return estimate[0] if estimate is not None else None
+
+    def retransmit_timeout(self, peer: NodeId) -> float:
+        """How long the next first copy to ``peer`` waits for its ack."""
+        return self._rto.get(peer, self.ack_timeout)
 
     def reliability_stats(self) -> dict[str, int]:
         """The layer's ack/retransmit counters (JSON-safe)."""
@@ -196,16 +261,22 @@ class ReliableGossip(BroadcastLayer):
         }
 
 
-class _Retransmit:
-    """Picklable retransmit-timer callback (bound lambdas are not)."""
+class _Copy:
+    """One copy in flight; also its picklable timer callback (bound
+    lambdas are not)."""
 
-    __slots__ = ("layer", "key", "message", "attempt")
+    __slots__ = ("layer", "key", "message", "delay", "attempt", "sent_at", "handle")
 
-    def __init__(self, layer: ReliableGossip, key: tuple, message: Any, attempt: int) -> None:
+    def __init__(self, layer: ReliableGossip, key: tuple, message: Any, delay: float) -> None:
         self.layer = layer
         self.key = key
         self.message = message
-        self.attempt = attempt
+        #: current retransmit timeout of this copy (backs off per attempt).
+        self.delay = delay
+        #: retransmissions so far; only attempt 0 yields an RTT sample.
+        self.attempt = 0
+        self.sent_at = 0.0
+        self.handle: Optional[TimerHandle] = None
 
     def __call__(self) -> None:
-        self.layer._retransmit(self.key, self.message, self.attempt)
+        self.layer._retransmit(self)

@@ -178,10 +178,24 @@ class ZonedLatency(LatencyModel):
         return base
 
     def delay(self, src: NodeId, dst: NodeId, rng: random.Random) -> float:
-        base = self._pair_base(self.zone_of(src), self.zone_of(dst))
-        if self.jitter == 0:
+        # ``_pair_base(zone_of(src), zone_of(dst))`` jittered by
+        # ``rng.uniform(-jitter, jitter)``, in one frame on warm caches:
+        # this runs once per frame sent.  The last line is ``uniform``'s
+        # own expression, so every delay is the float it always was.
+        zones = self._zone_cache
+        zone_a = zones.get(src)
+        if zone_a is None:
+            zone_a = self.zone_of(src)
+        zone_b = zones.get(dst)
+        if zone_b is None:
+            zone_b = self.zone_of(dst)
+        base = self._pair_cache.get((zone_a, zone_b) if zone_a <= zone_b else (zone_b, zone_a))
+        if base is None:
+            base = self._pair_base(zone_a, zone_b)
+        jitter = self.jitter
+        if jitter == 0:
             return base
-        return base * (1.0 + rng.uniform(-self.jitter, self.jitter))
+        return base * (1.0 + (-jitter + (jitter - -jitter) * rng.random()))
 
     def base_delay(self, src: NodeId, dst: NodeId) -> float:
         return self._pair_base(self.zone_of(src), self.zone_of(dst))

@@ -118,3 +118,19 @@ class World:
         for protocol in protocols[1:]:
             protocol.join(contact)
             self.drain()
+
+
+def check_acked_channel_quiescent(scenario, live_baseline: int = 0) -> None:
+    """Named invariant of the acked channel, checked on a drained scenario:
+    **every retransmit timer fired or was cancelled.**  No live node's
+    broadcast layer still holds a copy in flight, and the engine's live
+    queue is back to what it held before the broadcast.  (A crashed node
+    keeps the copies it died with: its timers are suppressed, not run.)
+    """
+    for node_id in scenario.alive_ids():
+        pending = getattr(scenario.broadcast_layer(node_id), "pending_retransmits", 0)
+        if pending:
+            raise AssertionError(f"{node_id}: {pending} copies still in flight at quiescence")
+    live = scenario.engine.live_pending
+    if live != live_baseline:
+        raise AssertionError(f"{live} live events at quiescence, {live_baseline} before")

@@ -13,7 +13,8 @@ import pytest
 
 from repro.experiments.reporting import encode_artifact
 from repro.experiments.runner import run_scenarios
-from repro.testing import World
+from repro.experiments.scenario import Scenario
+from repro.testing import World, check_acked_channel_quiescent
 
 __all__ = ["World"]
 
@@ -47,3 +48,23 @@ def assert_modes_match_reference():
             assert candidate == reference, (workers, cache)
 
     return check
+
+
+@pytest.fixture
+def acked_channel_checked(monkeypatch):
+    """Every ``Scenario.drain`` in this process ends with the acked
+    channel's invariant (``check_acked_channel_quiescent``); yields the
+    list of drains checked, so a test can tell the hook really ran.  Use
+    with ``workers=1``: worker processes are not patched."""
+    drains: list[int] = []
+    drain = Scenario.drain
+
+    def checked_drain(scenario) -> int:
+        fired = drain(scenario)
+        check_acked_channel_quiescent(scenario)
+        drains.append(fired)
+        return fired
+
+    monkeypatch.setattr(Scenario, "drain", checked_drain)
+    return drains
+

@@ -3,11 +3,14 @@ hooked path must be indistinguishable from outside, and the work one flood
 costs is pinned exactly so a slower path cannot hide behind timing noise.
 (Frames in flight when a hook arrives: ``test_sim_network.py``.)"""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import ExperimentParams, Scenario
 from repro.sim.network import ByzantineBehavior, LinkFaultRule
 from repro.sim.trace import EventTrace
+from repro.testing import check_acked_channel_quiescent
 
 NEVER = {"NoSuchMessageType"}
 
@@ -194,3 +197,73 @@ def test_membership_work_is_pinned_exactly():
         "membership": 6339,
         "gossip": 0,
     }
+
+
+def test_reliable_zoned_work_is_pinned_exactly():
+    """Ack + retransmit gossip at n=64 over zoned latency, 5 % datagram loss
+    from the stable overlay on: four broadcasts that teach every link its
+    round trip, then ten measured.  What the acked channel costs per
+    broadcast — events, frames by fate, acks, retransmissions, give-ups and
+    every RNG word (jitter and loss draws come from the network's stream) —
+    is exact on any host; and after every drain *every timer fired or was
+    cancelled* (ROADMAP 4a's first named invariant of the channel)."""
+    params = replace(ExperimentParams.scaled(64), latency_model="zoned")
+    scenario = Scenario("hyparview-reliable", params)
+    scenario.build_overlay()
+    scenario.stabilize()
+    scenario.network.loss_rate = 0.05
+    baseline = scenario.engine.live_pending
+
+    def work():
+        counted = _work(scenario)
+        counted["dropped_loss"] = scenario.network.stats.dropped_loss
+        for key in ("acks_received", "retransmissions", "give_ups"):
+            counted[key] = 0
+        for node_id in scenario.node_ids:
+            for key, value in scenario.broadcast_layer(node_id).reliability_stats().items():
+                counted[key] += value
+        return counted
+
+    def broadcasts(count):
+        before = work()
+        for _ in range(count):
+            assert scenario.send_broadcast().reliability == 1.0
+            check_acked_channel_quiescent(scenario, baseline)
+        return {key: value - before[key] for key, value in work().items()}
+
+    # Learning: 641 re-sent copies, most of them because a link's round trip
+    # was not known yet (the fixed timeout the estimator replaced: 1 463).
+    assert broadcasts(4) == {
+        "events": 3720,
+        "sent": 3248,
+        "delivered": 3079,
+        "dropped_loss": 169,
+        "send_failures": 0,
+        "acks_received": 1028,
+        "retransmissions": 641,
+        "give_ups": 0,
+        "harness": 4,  # four origins
+        "network": 12992,  # per frame: a jitter draw, and a loss draw if it is a datagram
+        "node": 0,
+        "membership": 0,
+        "gossip": 0,  # fanout 0: the whole active view, no sampling
+    }
+    # Learnt: 28 re-sent copies per broadcast for ~27 lost frames (5 % of 257
+    # copies and of their acks).  The fixed timeout: 369 per broadcast, and
+    # 15 265 events / 12 184 frames for the same ten broadcasts.
+    assert broadcasts(10) == {
+        "events": 5569,
+        "sent": 5562,
+        "delivered": 5289,
+        "dropped_loss": 273,
+        "send_failures": 0,
+        "acks_received": 2570,
+        "retransmissions": 280,
+        "give_ups": 0,
+        "harness": 25,
+        "network": 22248,
+        "node": 0,
+        "membership": 0,
+        "gossip": 0,
+    }
+

@@ -5,9 +5,12 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import NodeId
+from repro.common.rng import StreamRandom
 from repro.sim.latency import (
     ConstantLatency,
     CoordinateLatency,
@@ -123,6 +126,36 @@ class TestZonedLatency:
         rng = random.Random(0)
         a, b = NodeId("n1", 9000), NodeId("n2", 9000)
         assert model.delay(a, b, rng) == model.base_delay(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=120),
+        zones=st.integers(1, 9),
+        jitter=st.sampled_from((0.25, 0.0, 0.6)),
+        seed=st.integers(0, 2**32),
+    )
+    def test_delay_is_what_its_five_frame_body_returned(self, pairs, zones, jitter, seed):
+        """``delay`` inlines two zone-cache hits, the pair lookup and
+        ``uniform``; the body it replaced is the oracle — every delay the
+        same float, every stream advanced by the same words."""
+
+        def oracle(model, src, dst, rng):
+            base = model._pair_base(model.zone_of(src), model.zone_of(dst))
+            if model.jitter == 0:
+                return base
+            return base * (1.0 + rng.uniform(-model.jitter, model.jitter))
+
+        nodes = [NodeId(f"n{i}", 9000 + i % 3) for i in range(40)]
+        model, reference = ZonedLatency(zones, jitter=jitter), ZonedLatency(zones, jitter=jitter)
+        rng, reference_rng = StreamRandom(seed), StreamRandom(seed)
+        for a, b in pairs:
+            assert model.delay(nodes[a], nodes[b], rng) == oracle(
+                reference, nodes[a], nodes[b], reference_rng
+            )
+        assert rng.words_consumed == reference_rng.words_consumed
+        assert rng.getstate() == reference_rng.getstate()
+        assert model._zone_cache == reference._zone_cache
+        assert model._pair_cache == reference._pair_cache
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigurationError):
