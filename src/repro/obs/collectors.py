@@ -77,6 +77,7 @@ _TRANSPORT_COUNTERS = (
     "frames_overflow",
     "frames_rejected",
     "frames_faulted",
+    "handler_errors",
 )
 
 

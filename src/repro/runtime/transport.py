@@ -18,11 +18,20 @@ on a pooled connection whose epoch has since been superseded are dropped.
 Both show up in :attr:`frames_stale` / :attr:`stale_handshakes`.
 
 Outbound frames go through a **bounded per-peer outbox**: one queue and one
-pump task per destination, so one slow or dead peer can only ever hold
-``max_queue`` frames of memory (the bulkhead pattern) and never blocks
-traffic to other peers.  When the queue is full the *new* frame is rejected
-with its failure callback — backpressure surfaces at the caller, it does
-not accumulate.
+pump task per destination, so one slow or dead peer never blocks traffic
+to other peers (the bulkhead pattern).  A frame is encoded once per
+fan-out: ``send`` remembers the last message it encoded, and the flood,
+Plumtree's eager push and BRB's roster sends hand one message to k peers
+in a row, so the k copies share one frame.  A message must therefore not
+be mutated after it is sent (they are frozen dataclasses; a mutable
+payload inside one is the caller's to leave alone).  Each pump wakeup
+takes everything queued as one batch and writes it with one
+``writelines`` and one ``drain()``; outcomes stay per frame
+(:attr:`frames_sent`, :attr:`send_observer`, each frame's own failure
+callback).  Queued plus in-flight frames per peer never exceed
+``max_queue``; when they would, the *new* frame is rejected with its
+failure callback — backpressure surfaces at the caller, it does not
+accumulate.
 
 Semantics mirror the simulator exactly:
 
@@ -72,6 +81,9 @@ SendGuard = Callable[[NodeId], bool]
 #: the network path (or was failed by the fault injector).
 SendObserver = Callable[[NodeId, bool], None]
 
+#: Never a message: the encode memo's initial key.
+_NOTHING = object()
+
 
 class _Connection:
     """One pooled TCP connection with its reader task.
@@ -93,13 +105,18 @@ class _Connection:
 
 
 class _Outbox:
-    """Bounded send queue + pump task for one destination."""
+    """Bounded send queue + pump task for one destination.
 
-    __slots__ = ("queue", "task")
+    ``in_flight`` counts the frames the pump has taken off the queue and
+    not yet settled; it is part of the ``max_queue`` bound.
+    """
 
-    def __init__(self, queue: asyncio.Queue, task: asyncio.Task) -> None:
-        self.queue = queue
-        self.task = task
+    __slots__ = ("queue", "task", "in_flight")
+
+    def __init__(self) -> None:
+        self.queue: asyncio.Queue = asyncio.Queue()
+        self.task: Optional[asyncio.Task] = None
+        self.in_flight = 0
 
 
 class AsyncioTransport(Transport):
@@ -136,10 +153,12 @@ class AsyncioTransport(Transport):
         self.frames_stale = 0
         #: Inbound handshakes rejected for claiming an outdated epoch.
         self.stale_handshakes = 0
-        #: Inbound lines dropped unread: over the stream's line limit, not
-        #: JSON, or not a decodable message.  An oversize line may count
-        #: twice (its tail resyncs as a line of its own).
+        #: Inbound lines dropped unread: over the stream's line limit (once
+        #: per line, however many writes it spans), not JSON, or not a
+        #: decodable message.
         self.frames_malformed = 0
+        #: Decoded frames whose handler raised; the connection stays up.
+        self.handler_errors = 0
         #: Frames rejected because the destination's outbox was full.
         self.frames_overflow = 0
         #: Frames rejected by :attr:`send_guard` before reaching the network.
@@ -155,6 +174,9 @@ class AsyncioTransport(Transport):
         #: uses (e.g. :class:`repro.obs.trace.TraceSegment`).  ``None``
         #: (the default) keeps the hot path at one ``if`` check.
         self.trace = None
+        #: One-entry encode memo: a fan-out sends one message k times.
+        self._last_message: object = _NOTHING
+        self._last_frame = b""
 
     # ------------------------------------------------------------------
     # Transport interface
@@ -178,8 +200,14 @@ class AsyncioTransport(Transport):
         on_failure: Optional[FailureCallback] = None,
     ) -> None:
         # Encode here, synchronously: an unencodable message is a caller
-        # bug and must surface in the caller, not in a detached task.
-        frame = (json.dumps(encode_message(message)) + "\n").encode("utf-8")
+        # bug and must surface in the caller, not in a detached task.  The
+        # memo is set only after an encode succeeds.
+        if message is self._last_message:
+            frame = self._last_frame
+        else:
+            frame = (json.dumps(encode_message(message)) + "\n").encode("utf-8")
+            self._last_message = message
+            self._last_frame = frame
         if self.trace is not None:
             self.trace.record(self._loop.time(), "send", self._local, dst, message)
         guard = self.send_guard
@@ -271,43 +299,50 @@ class AsyncioTransport(Transport):
             return
         outbox = self._outboxes.get(dst)
         if outbox is None or outbox.task.done():
-            queue: asyncio.Queue = asyncio.Queue()
-            outbox = _Outbox(queue, self._spawn(self._pump(dst, queue)))
+            outbox = _Outbox()
+            outbox.task = self._spawn(self._pump(dst, outbox))
             self._outboxes[dst] = outbox
-        if outbox.queue.qsize() >= self._max_queue:
-            # Bulkhead: a slow/dead peer can hold at most max_queue frames.
-            # The *new* frame is the one rejected, so backpressure reaches
-            # the caller immediately instead of silently shedding old load.
+        if outbox.queue.qsize() + outbox.in_flight >= self._max_queue:
+            # Bulkhead: a slow/dead peer can hold at most max_queue frames,
+            # queued or in flight.  The *new* frame is the one rejected, so
+            # backpressure reaches the caller immediately instead of
+            # silently shedding old load.
             self.frames_overflow += 1
             if on_failure is not None:
                 self._loop.call_soon(on_failure, dst, message)
             return
         outbox.queue.put_nowait((frame, message, on_failure))
 
-    async def _pump(self, dst: NodeId, queue: asyncio.Queue) -> None:
-        """Drain one destination's outbox over its pooled connection."""
+    async def _pump(self, dst: NodeId, outbox: _Outbox) -> None:
+        """Drain one destination's outbox over its pooled connection: each
+        wakeup writes everything queued with one ``writelines`` and one
+        ``drain()``."""
+        queue = outbox.queue
         while True:
-            frame, message, on_failure = await queue.get()
+            batch = [await queue.get()]
+            outbox.in_flight = 1
             try:
                 connection = await self._get_connection(dst)
-            except (OSError, asyncio.TimeoutError, ConnectionError):
-                # The dial failed: everything queued behind this frame
-                # would have ridden the same connection, so fail the lot
-                # (matches the old task-per-send behaviour where every
-                # queued send awaited the one shared dial).
-                self._send_failed(dst, message, on_failure)
+                # Everything queued by now, during a dial too, rides the
+                # same write.
                 while not queue.empty():
-                    _frame, queued_message, queued_cb = queue.get_nowait()
-                    self._send_failed(dst, queued_message, queued_cb)
-                continue
-            try:
-                connection.writer.write(frame)
+                    batch.append(queue.get_nowait())
+                outbox.in_flight = len(batch)
+                connection.writer.writelines([frame for frame, _m, _cb in batch])
                 await connection.writer.drain()
-            except (OSError, ConnectionError):
-                self._send_failed(dst, message, on_failure)
+            except (OSError, asyncio.TimeoutError, ConnectionError):
+                # Everything queued behind a failed dial or write would have
+                # ridden the same connection: fail the lot, each frame once.
+                while not queue.empty():
+                    batch.append(queue.get_nowait())
+                outbox.in_flight = 0
+                for _frame, message, on_failure in batch:
+                    self._send_failed(dst, message, on_failure)
                 continue
-            self.frames_sent += 1
-            self._observe(dst, True)
+            outbox.in_flight = 0
+            self.frames_sent += len(batch)
+            for _ in batch:
+                self._observe(dst, True)
 
     def _send_failed(
         self, dst: NodeId, message: Message, on_failure: Optional[FailureCallback]
@@ -458,18 +493,28 @@ class AsyncioTransport(Transport):
         return True
 
     async def _read_loop(self, connection: _Connection) -> None:
+        reader = connection.reader
+        oversize = False  # inside a line over the limit, discarding
         try:
             while True:
                 try:
-                    line = await connection.reader.readline()
-                except ValueError:
-                    # A line over the stream's limit (64 KiB).  readline has
-                    # discarded what it buffered; reading resumes after the
-                    # next newline.  The sender is wrong, not gone.
-                    self.frames_malformed += 1
+                    line = await reader.readuntil(b"\n")
+                except asyncio.LimitOverrunError as exc:
+                    # A line over the stream's limit (64 KiB): the sender is
+                    # wrong, not gone.  Count it once and discard it through
+                    # its newline, however many writes its tail takes.
+                    if not oversize:
+                        self.frames_malformed += 1
+                        oversize = True
+                    await reader.readexactly(exc.consumed)
                     continue
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # EOF: an unterminated last line, or b""
                 if not line:
                     break
+                if oversize:
+                    oversize = False  # the oversize line's tail
+                    continue
                 try:
                     payload = json.loads(line)
                 except ValueError:  # not JSON, or not UTF-8
@@ -503,7 +548,12 @@ class AsyncioTransport(Transport):
                     self.trace.record(
                         self._loop.time(), "deliver", connection.peer, self._local, message
                     )
-                self._on_message(connection.peer, message)
+                try:
+                    self._on_message(connection.peer, message)
+                except Exception:
+                    # A local handler bug, not a peer failure: count it and
+                    # keep the connection.
+                    self.handler_errors += 1
         except (OSError, ConnectionError, asyncio.CancelledError):
             pass
         finally:

@@ -173,6 +173,7 @@ class TestCollectors:
             frames_overflow = 0
             frames_rejected = 2
             frames_faulted = 0
+            handler_errors = 1
             epoch = 3
 
         bind_transport(registry, Transport(), node="n1")
@@ -181,6 +182,7 @@ class TestCollectors:
         assert frames['repro_transport_frames_total{node="n1",outcome="frames_sent"}'] == 5
         assert frames['repro_transport_frames_total{node="n1",outcome="frames_stale"}'] == 1
         assert frames['repro_transport_frames_total{node="n1",outcome="frames_malformed"}'] == 3
+        assert frames['repro_transport_frames_total{node="n1",outcome="handler_errors"}'] == 1
         assert snapshot["repro_transport_epoch"]['repro_transport_epoch{node="n1"}'] == 3
 
     def test_bind_pubsub_cluster_reads_facades_at_collect_time(self):
@@ -202,6 +204,7 @@ class TestCollectors:
             frames_overflow = 0
             frames_rejected = 0
             frames_faulted = 0
+            handler_errors = 0
             epoch = 1
 
         class Inner:

@@ -233,11 +233,37 @@ class TestHostileWireAndShutdown:
 
             assert await wait_until(lambda: transport.frames_received == 1)
             assert node.delivered == [(valid.message_id, "still here")]
-            assert transport.frames_malformed >= 7
+            assert transport.frames_malformed == 7
             # Same connection, reader still running, peer never reported down.
             assert transport._connections[ghost] is connection
             assert not connection.reader_task.done()
             assert downs == []
+
+            writer.close()
+            await node.stop()
+
+        run(scenario())
+
+    def test_oversize_line_whose_tail_arrives_later_counts_once(self):
+        async def scenario():
+            node = RuntimeNode(config=CONFIG)
+            await node.start()
+            transport = node.transport
+            ghost = NodeId("127.0.0.1", 45995)
+            _reader, writer = await _hello(node.node_id.port, ghost, epoch=0)
+            assert await wait_until(lambda: ghost in transport._connections)
+
+            writer.write(b"x" * (100 * 1024))  # over the 64 KiB limit, no newline yet
+            await writer.drain()
+            assert await wait_until(lambda: transport.frames_malformed == 1)
+            writer.write(b'y" , "not json either}\n')  # the same line's tail
+            valid = GossipData(MessageId(ghost, 1), "after the tail", 1, ghost)
+            writer.write((json.dumps(encode_message(valid)) + "\n").encode())
+            await writer.drain()
+
+            assert await wait_until(lambda: transport.frames_received == 1)
+            assert node.delivered == [(valid.message_id, "after the tail")]
+            assert transport.frames_malformed == 1
 
             writer.close()
             await node.stop()
