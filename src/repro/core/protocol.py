@@ -33,6 +33,7 @@ from ..common.messages import Message
 from ..protocols.base import PeerSamplingService
 from .config import HyParViewConfig
 from .events import ListenerSet, MembershipListener
+from .exchange import Exchange
 from .messages import (
     Disconnect,
     ForwardJoin,
@@ -85,9 +86,9 @@ class HyParView(PeerSamplingService):
         self.passive = BoundedView(self._config.passive_view_capacity)
         self.stats = HyParViewStats()
         self._listeners = ListenerSet()
+        self._exchanges: list[Exchange] = []
         # Promotion state: at most one outstanding NEIGHBOR request.
-        self._pending_neighbor: Optional[NodeId] = None
-        self._neighbor_timer: Optional[TimerHandle] = None
+        self._neighbor = self._exchange("neighbor", self._on_neighbor_timeout)
         self._fill_excluded: set[NodeId] = set()
         self._fill_passes_remaining = 0
         self._fill_retry_timer: Optional[TimerHandle] = None
@@ -162,8 +163,14 @@ class HyParView(PeerSamplingService):
             self.active.remove(peer)
             self._host.unwatch(peer)
             self._listeners.notify_down(peer)
-        self._cancel_pending_promotion()
+        for exchange in self._exchanges:
+            exchange.close()
+        self._end_fill_episode()
         self.stop()
+
+    def open_exchanges(self) -> tuple[tuple[str, object], ...]:
+        """``(name, key)`` of every open exchange; ``()`` at quiescence."""
+        return tuple((x.name, x.key) for x in self._exchanges if x.key is not None)
 
     def gossip_targets(self, fanout: int, exclude: Collection[NodeId] = ()) -> list[NodeId]:
         """The whole active view minus ``exclude``.
@@ -305,10 +312,9 @@ class HyParView(PeerSamplingService):
 
     def handle_neighbor_reply(self, message: NeighborReply) -> None:
         sender = message.sender
-        if sender != self._pending_neighbor:
+        if sender != self._neighbor.key:
             return  # stale reply from a timed-out or superseded request
-        self._cancel_neighbor_timer()
-        self._pending_neighbor = None
+        self._neighbor.close()
         if message.accepted:
             self.passive.discard(sender)
             self._add_to_active(sender)
@@ -495,7 +501,7 @@ class HyParView(PeerSamplingService):
         """
         if fresh_episode:
             self._fill_passes_remaining = self._config.promotion_max_passes
-        if self._pending_neighbor is not None:
+        if self._neighbor.key is not None:
             return
         if self.active.is_full:
             self._end_fill_episode()
@@ -515,7 +521,7 @@ class HyParView(PeerSamplingService):
                     self._config.promotion_retry_delay, self._retry_fill_pass
                 )
             return
-        self._pending_neighbor = candidate
+        self._neighbor.open(candidate)
         self._host.probe(candidate, self._on_probe_result)
 
     def _retry_fill_pass(self) -> None:
@@ -530,16 +536,16 @@ class HyParView(PeerSamplingService):
             self._fill_retry_timer = None
 
     def _on_probe_result(self, peer: NodeId, ok: bool) -> None:
-        if peer != self._pending_neighbor:
+        if peer != self._neighbor.key:
             return
         if not ok:
             self.passive.discard(peer)
-            self._pending_neighbor = None
+            self._neighbor.close()
             self._fill_active_view(fresh_episode=False)
             return
         if self.active.is_full:
             # Filled by incoming requests while we were probing.
-            self._pending_neighbor = None
+            self._neighbor.close()
             self._end_fill_episode()
             return
         high_priority = self.active.is_empty
@@ -548,37 +554,25 @@ class HyParView(PeerSamplingService):
             Neighbor(self._address, high_priority),
             on_failure=self._on_neighbor_request_failure,
         )
-        timeout = self._config.neighbor_request_timeout
-        if timeout is not None:
-            self._neighbor_timer = self._host.schedule(
-                timeout, lambda: self._on_neighbor_timeout(peer)
-            )
+        self._neighbor.arm(self._config.neighbor_request_timeout)
 
     def _on_neighbor_request_failure(self, peer: NodeId, _message: Message) -> None:
-        if peer != self._pending_neighbor:
+        if peer != self._neighbor.key:
             return
-        self._cancel_neighbor_timer()
+        self._neighbor.close()
         self.passive.discard(peer)
-        self._pending_neighbor = None
         self._fill_active_view(fresh_episode=False)
 
     def _on_neighbor_timeout(self, peer: NodeId) -> None:
-        if peer != self._pending_neighbor:
-            return
-        self._neighbor_timer = None
-        self._pending_neighbor = None
         self._fill_excluded.add(peer)
         self._fill_active_view(fresh_episode=False)
 
-    def _cancel_neighbor_timer(self) -> None:
-        if self._neighbor_timer is not None:
-            self._neighbor_timer.cancel()
-            self._neighbor_timer = None
-
-    def _cancel_pending_promotion(self) -> None:
-        self._cancel_neighbor_timer()
-        self._pending_neighbor = None
-        self._end_fill_episode()
+    def _exchange(self, name: str, on_expire: Callable[..., None]) -> Exchange:
+        """A guarded exchange slot that :meth:`leave` closes and
+        :meth:`open_exchanges` reports."""
+        exchange = Exchange(name, self._host, on_expire)
+        self._exchanges.append(exchange)
+        return exchange
 
     # ------------------------------------------------------------------
     # Failure plumbing

@@ -54,7 +54,7 @@ from typing import Callable, Optional
 
 from ..common.errors import ConfigurationError
 from ..common.ids import NodeId
-from ..common.interfaces import Host, TimerHandle
+from ..common.interfaces import Host
 from ..common.messages import Message, register_message
 from ..core.config import HyParViewConfig
 from ..core.messages import Disconnect
@@ -248,14 +248,11 @@ class XBot(HyParView):
         self.xbot_config = xbot if xbot is not None else XBotConfig()
         self.xbot_stats = XBotStats()
         # Initiator role: the (candidate, old) pair of the open round.
-        self._opt_pending: Optional[tuple[NodeId, NodeId]] = None
-        self._opt_timer: Optional[TimerHandle] = None
+        self._opt = self._exchange("optimization", self._on_opt_timeout)
         # Candidate role: (initiator, old, disconnected) awaiting ReplaceReply.
-        self._replace_pending: Optional[tuple[NodeId, NodeId, NodeId]] = None
-        self._replace_timer: Optional[TimerHandle] = None
+        self._replace = self._exchange("replace", self._on_replace_timeout)
         # Disconnected role: (initiator, candidate, old) awaiting SwitchReply.
-        self._switch_pending: Optional[tuple[NodeId, NodeId, NodeId]] = None
-        self._switch_timer: Optional[TimerHandle] = None
+        self._switch = self._exchange("switch", self._on_switch_timeout)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -277,12 +274,6 @@ class XBot(HyParView):
     def cycle(self) -> None:
         super().cycle()
         self.optimize_once()
-
-    def leave(self) -> None:
-        self._clear_opt_state()
-        self._clear_replace_state()
-        self._clear_switch_state()
-        super().leave()
 
     # ------------------------------------------------------------------
     # Unbiased-slot accounting
@@ -316,7 +307,7 @@ class XBot(HyParView):
         """Open one optimisation round if the view is full and a passive
         candidate strictly beats the worst biased neighbour."""
         cfg = self.xbot_config
-        if self._left or self._opt_pending is not None:
+        if self._left or self._opt.key is not None:
             return
         if not self.active.is_full or self.passive.is_empty:
             return
@@ -333,17 +324,15 @@ class XBot(HyParView):
                 best, best_cost = candidate, candidate_cost
         if best is None or best_cost + cfg.min_gain >= old_cost:
             return
-        self._opt_pending = (best, old)
-        self._opt_timer = self._host.schedule(cfg.swap_timeout, self._on_opt_timeout)
+        self._opt.open((best, old), cfg.swap_timeout)
         self.xbot_stats.rounds_initiated += 1
         self._host.send(best, Optimization(me, old))
 
     def handle_optimization_reply(self, message: OptimizationReply) -> None:
-        pending = self._opt_pending
-        if pending is None or (message.candidate, message.old) != pending:
+        if (message.candidate, message.old) != self._opt.key:
             return  # stale or duplicated reply
-        candidate, old = pending
-        self._clear_opt_state()
+        candidate, old = self._opt.key
+        self._opt.close()
         if not message.accepted:
             self.xbot_stats.swaps_rejected += 1
             if not self.active.is_full:
@@ -354,11 +343,7 @@ class XBot(HyParView):
         self._admit_swap_edge(candidate)
         self.xbot_stats.swaps_completed += 1
 
-    def _on_opt_timeout(self) -> None:
-        self._opt_timer = None
-        if self._opt_pending is None:
-            return
-        self._opt_pending = None
+    def _on_opt_timeout(self, _key: tuple[NodeId, NodeId]) -> None:
         self.xbot_stats.swap_timeouts += 1
         if not self.active.is_full:
             self._fill_active_view()
@@ -379,31 +364,21 @@ class XBot(HyParView):
             self._admit_swap_edge(initiator)
             self._host.send(initiator, OptimizationReply(me, old, True))
             return
-        if self._replace_pending is not None:
+        if self._replace.key is not None:
             self._host.send(initiator, OptimizationReply(me, old, False))
             return
         disconnected = self._worst_swappable(exclude=(initiator, old))
         if disconnected is None:
             self._host.send(initiator, OptimizationReply(me, old, False))
             return
-        self._replace_pending = (initiator, old, disconnected)
-        self._replace_timer = self._host.schedule(
-            self.xbot_config.swap_timeout, self._on_replace_timeout
-        )
+        self._replace.open((initiator, old, disconnected), self.xbot_config.swap_timeout)
         self._host.send(disconnected, Replace(me, initiator, old))
 
     def handle_replace_reply(self, message: ReplaceReply) -> None:
-        pending = self._replace_pending
-        if pending is None:
-            return
-        initiator, old, disconnected = pending
-        if (message.initiator, message.old, message.disconnected) != (
-            initiator,
-            old,
-            disconnected,
-        ):
+        if (message.initiator, message.old, message.disconnected) != self._replace.key:
             return  # stale or duplicated reply
-        self._clear_replace_state()
+        initiator, old, disconnected = self._replace.key
+        self._replace.close()
         if not message.accepted:
             self._host.send(initiator, OptimizationReply(self.address, old, False))
             return
@@ -414,16 +389,12 @@ class XBot(HyParView):
         self._admit_swap_edge(initiator)
         self._host.send(initiator, OptimizationReply(self.address, old, True))
 
-    def _on_replace_timeout(self) -> None:
-        self._replace_timer = None
-        pending = self._replace_pending
-        if pending is None:
-            return
-        self._replace_pending = None
+    def _on_replace_timeout(self, key: tuple[NodeId, NodeId, NodeId]) -> None:
+        initiator, old, _disconnected = key
         self.xbot_stats.swap_timeouts += 1
         # Tell the waiting initiator the round is dead rather than letting
         # both ends time out independently.
-        self._host.send(pending[0], OptimizationReply(self.address, pending[1], False))
+        self._host.send(initiator, OptimizationReply(self.address, old, False))
 
     # ------------------------------------------------------------------
     # Disconnected role (the candidate's dropped neighbour, ``d``)
@@ -439,7 +410,7 @@ class XBot(HyParView):
             and candidate in self.active
             and candidate in self._swappable()
             and old not in self.active
-            and self._switch_pending is None
+            and self._switch.key is None
         )
         if acceptable:
             # The aggregate-cost rule: the swap must strictly shrink the
@@ -456,22 +427,14 @@ class XBot(HyParView):
         if not acceptable:
             self._host.send(candidate, ReplaceReply(me, initiator, old, False))
             return
-        self._switch_pending = (initiator, candidate, old)
-        self._switch_timer = self._host.schedule(cfg.swap_timeout, self._on_switch_timeout)
+        self._switch.open((initiator, candidate, old), cfg.swap_timeout)
         self._host.send(old, Switch(me, initiator, candidate))
 
     def handle_switch_reply(self, message: SwitchReply) -> None:
-        pending = self._switch_pending
-        if pending is None:
-            return
-        initiator, candidate, old = pending
-        if (message.initiator, message.candidate, message.old) != (
-            initiator,
-            candidate,
-            old,
-        ):
+        if (message.initiator, message.candidate, message.old) != self._switch.key:
             return  # stale or duplicated reply
-        self._clear_switch_state()
+        initiator, candidate, old = self._switch.key
+        self._switch.close()
         if not message.accepted:
             self._host.send(candidate, ReplaceReply(self.address, initiator, old, False))
             return
@@ -486,16 +449,10 @@ class XBot(HyParView):
         self._host.send(old, Disconnect(self.address))
         self._host.send(candidate, ReplaceReply(self.address, initiator, old, False))
 
-    def _on_switch_timeout(self) -> None:
-        self._switch_timer = None
-        pending = self._switch_pending
-        if pending is None:
-            return
-        self._switch_pending = None
+    def _on_switch_timeout(self, key: tuple[NodeId, NodeId, NodeId]) -> None:
+        initiator, candidate, old = key
         self.xbot_stats.swap_timeouts += 1
-        self._host.send(
-            pending[1], ReplaceReply(self.address, pending[0], pending[2], False)
-        )
+        self._host.send(candidate, ReplaceReply(self.address, initiator, old, False))
 
     # ------------------------------------------------------------------
     # Old role (``o``)
@@ -565,11 +522,9 @@ class XBot(HyParView):
         slot (the reply or the timeout reclaims it).  Everything else goes
         through HyParView's handler unchanged."""
         peer = message.sender
-        reserved = (
-            self._opt_pending is not None
-            and peer == self._opt_pending[1]
-            or self._replace_pending is not None
-            and peer == self._replace_pending[2]
+        opt, replace = self._opt.key, self._replace.key
+        reserved = (opt is not None and peer == opt[1]) or (
+            replace is not None and peer == replace[2]
         )
         if not reserved:
             super().handle_disconnect(message)
@@ -580,24 +535,3 @@ class XBot(HyParView):
             self._host.unwatch(peer)
             self._listeners.notify_down(peer)
             self._add_to_passive(peer)
-
-    # ------------------------------------------------------------------
-    # State hygiene
-    # ------------------------------------------------------------------
-    def _clear_opt_state(self) -> None:
-        self._opt_pending = None
-        if self._opt_timer is not None:
-            self._opt_timer.cancel()
-            self._opt_timer = None
-
-    def _clear_replace_state(self) -> None:
-        self._replace_pending = None
-        if self._replace_timer is not None:
-            self._replace_timer.cancel()
-            self._replace_timer = None
-
-    def _clear_switch_state(self) -> None:
-        self._switch_pending = None
-        if self._switch_timer is not None:
-            self._switch_timer.cancel()
-            self._switch_timer = None

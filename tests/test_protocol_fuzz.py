@@ -120,6 +120,7 @@ class Fuzzer:
             assert not active & passive, "active and passive views overlap"
             assert len(active) <= CONFIG.active_view_capacity
             assert len(passive) <= CONFIG.passive_view_capacity
+            assert protocol.open_exchanges() == (), "exchange left open"
         # Symmetry over live pairs at quiescence.
         for node_id, protocol in live.items():
             for peer in protocol.active_members():

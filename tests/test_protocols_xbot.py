@@ -247,7 +247,7 @@ class TestTimeoutsAndStaleReplies:
         assert protos["i"].xbot_stats.rounds_initiated == 1
         assert protos["i"].xbot_stats.swap_timeouts == 1
         assert protos["i"].xbot_stats.swaps_completed == 0
-        assert protos["i"]._opt_pending is None
+        assert protos["i"].open_exchanges() == ()
         assert active_sets(protos)["i"] == before
 
     def test_stale_optimization_reply_is_ignored(self):
@@ -405,11 +405,9 @@ class XBotFuzzer:
             assert not active & passive, "active and passive views overlap"
             assert len(active) <= FUZZ_CONFIG.active_view_capacity
             assert len(passive) <= FUZZ_CONFIG.passive_view_capacity
-            # Quiescence resolves every exchange: each pending role holds a
+            # Quiescence resolves every exchange: each open swap leg holds a
             # live timer, and drain() runs timers to completion.
-            assert protocol._opt_pending is None, "initiator round left open"
-            assert protocol._replace_pending is None, "candidate round left open"
-            assert protocol._switch_pending is None, "disconnected round left open"
+            assert protocol.open_exchanges() == ()
             assert set(protocol.unbiased_members()) <= active
         for node_id, protocol in live.items():
             for peer in protocol.active_members():
