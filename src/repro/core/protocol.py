@@ -302,13 +302,12 @@ class HyParView(PeerSamplingService):
         self._send_neighbor_reply(sender, accepted=True)
 
     def _send_neighbor_reply(self, peer: NodeId, accepted: bool) -> None:
-        reply = NeighborReply(self._address, accepted)
-        if accepted:
-            # The reply rides the new symmetric link; its failure means the
-            # requester died and must be cleaned up.
-            self._host.send(peer, reply, on_failure=self._on_active_send_failure)
-        else:
-            self._host.send(peer, reply)
+        # Both answers ride the requester's connection (Section 4.3): a lost
+        # reply would leave its single promotion slot open forever.  Failure
+        # means the requester died and must be cleaned up.
+        self._host.send(
+            peer, NeighborReply(self._address, accepted), on_failure=self._on_active_send_failure
+        )
 
     def handle_neighbor_reply(self, message: NeighborReply) -> None:
         sender = message.sender

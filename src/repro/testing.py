@@ -134,3 +134,14 @@ def check_acked_channel_quiescent(scenario, live_baseline: int = 0) -> None:
     live = scenario.engine.live_pending
     if live != live_baseline:
         raise AssertionError(f"{live} live events at quiescence, {live_baseline} before")
+
+
+def check_no_open_exchange(scenario) -> None:
+    """Named invariant of the membership layer, checked on a drained
+    scenario: **no live node holds an open guarded exchange.**  Every
+    NEIGHBOR request and every X-BOT swap leg was answered, failed or timed
+    out; a slot left open never promotes or optimises again."""
+    for node_id in scenario.alive_ids():
+        open_exchanges = getattr(scenario.membership(node_id), "open_exchanges", tuple)()
+        if open_exchanges:
+            raise AssertionError(f"{node_id}: exchanges open at quiescence: {open_exchanges}")

@@ -14,7 +14,7 @@ import pytest
 from repro.experiments.reporting import encode_artifact
 from repro.experiments.runner import run_scenarios
 from repro.experiments.scenario import Scenario
-from repro.testing import World, check_acked_channel_quiescent
+from repro.testing import World, check_acked_channel_quiescent, check_no_open_exchange
 
 __all__ = ["World"]
 
@@ -51,17 +51,20 @@ def assert_modes_match_reference():
 
 
 @pytest.fixture
-def acked_channel_checked(monkeypatch):
-    """Every ``Scenario.drain`` in this process ends with the acked
-    channel's invariant (``check_acked_channel_quiescent``); yields the
-    list of drains checked, so a test can tell the hook really ran.  Use
-    with ``workers=1``: worker processes are not patched."""
+def channel_and_exchanges_checked(monkeypatch):
+    """Every ``Scenario.drain`` in this process ends with two named
+    invariants: the acked channel is quiescent
+    (``check_acked_channel_quiescent``) and no membership exchange is open
+    (``check_no_open_exchange``).  Yields the list of drains checked, so a
+    test can tell the hook really ran.  Use with ``workers=1``: worker
+    processes are not patched."""
     drains: list[int] = []
     drain = Scenario.drain
 
     def checked_drain(scenario) -> int:
         fired = drain(scenario)
         check_acked_channel_quiescent(scenario)
+        check_no_open_exchange(scenario)
         drains.append(fired)
         return fired
 

@@ -5,6 +5,8 @@ import pytest
 
 from repro.common.errors import ProtocolError
 from repro.core.exchange import Exchange
+from repro.experiments import ExperimentParams, Scenario
+from repro.testing import check_no_open_exchange
 
 
 def slot(world, timeouts):
@@ -82,3 +84,13 @@ def test_leave_closes_every_slot(world):
     a.leave()
     assert a.open_exchanges() == ()
     assert world.engine.live_pending == 0
+
+
+def test_quiescence_invariant_sees_an_open_exchange():
+    scenario = Scenario("hyparview", ExperimentParams.scaled(8))
+    scenario.build_overlay()
+    check_no_open_exchange(scenario)
+    first, second = scenario.alive_ids()[:2]
+    scenario.membership(first)._neighbor.open(second)
+    with pytest.raises(AssertionError, match="open at quiescence"):
+        check_no_open_exchange(scenario)

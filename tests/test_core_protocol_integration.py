@@ -4,10 +4,14 @@ These exercise the emergent properties the paper relies on: active-view
 symmetry, connectivity, bounded degrees, catastrophic-failure repair.
 """
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.params import ExperimentParams
 from repro.experiments.scenario import Scenario
+from repro.testing import check_no_open_exchange
 
 
 def hyparview_scenario(n, seed=42, cycles=15):
@@ -155,3 +159,21 @@ class TestCatastrophicFailureRepair:
         scenario.run_cycles(4)  # the paper's headline: ~4 rounds suffice
         series = [s.reliability for s in scenario.send_broadcasts(10)]
         assert sum(series) / len(series) > 0.9
+
+
+@pytest.mark.slow
+def test_lossy_reliable_stream_leaves_no_promotion_open():
+    """The ``sim_reliable_zoned`` shape: n = 256, zoned latency, 5 % loss
+    once stable, 500 broadcasts.  A lost rejecting NeighborReply used to
+    leave its requester's promotion slot open forever (30 such nodes after
+    500 ops); every reply now rides the requester's connection."""
+    params = replace(ExperimentParams.scaled(256), latency_model="zoned")
+    scenario = Scenario("hyparview-reliable", params)
+    scenario.build_overlay()
+    scenario.stabilize()
+    scenario.network.loss_rate = 0.05
+    origins = random.Random("second")
+    ids = scenario.alive_ids()
+    for _ in range(500):
+        scenario.send_broadcast(origins.choice(ids))
+    check_no_open_exchange(scenario)

@@ -132,6 +132,23 @@ class TestNeighbor:
         assert d.address not in target.active
         assert target.stats.neighbor_rejects >= 1
 
+    def test_rejection_survives_loss(self, world):
+        """The rejecting reply rides the requester's connection: loss cannot
+        drop it and leave the promotion open forever (the sim arms no
+        NEIGHBOR timeout to back it up)."""
+        _, target = world.hyparview(config=HyParViewConfig(active_view_capacity=1))
+        (_, requester), (_, other) = world.hyparview_many(2, config=SMALL)
+        for a, b in ((target, other), (requester, other)):
+            a.active.add(b.address)
+            b.active.add(a.address)
+        requester.passive.add(target.address)
+        world.network.loss_rate = 0.99
+        requester.cycle()
+        world.drain()
+        assert target.stats.neighbor_rejects >= 1
+        assert requester.open_exchanges() == ()
+        assert target.address in requester.passive
+
     def test_low_priority_accepted_with_free_slot(self, world):
         (_, a), (_, b) = world.hyparview_many(2, config=SMALL)
         a.handle_neighbor(Neighbor(b.address, False))

@@ -163,12 +163,13 @@ class TestByzantineScenarioFamily:
     def test_mode_matrix_determinism(self, assert_modes_match_reference):
         assert_modes_match_reference(["byz_equivocation"], **TINY)
 
-    def test_family_leaves_no_timer_behind(self, acked_channel_checked):
+    def test_family_leaves_no_timer_behind(self, channel_and_exchanges_checked):
         """Adversaries, churn and equivocation: after every drain of every
         cell, every live layer's acked channel is empty (three phases per
-        message, all acked, given up on or cancelled)."""
+        message, all acked, given up on or cancelled) and no membership
+        exchange is open."""
         run_scenarios(list(BYZ_IDS), "smoke", workers=1, **TINY)
-        assert len(acked_channel_checked) > 100
+        assert len(channel_and_exchanges_checked) > 100
 
     def test_equivocation_separates_brb_from_baseline(self):
         runs = run_scenarios(["byz_equivocation"], "smoke", workers=1, **TINY)

@@ -373,12 +373,12 @@ class TestReliableScenarioFamily:
     def test_mode_matrix_determinism(self, assert_modes_match_reference):
         assert_modes_match_reference(["reliable_loss", "reliable_churn"], **TINY)
 
-    def test_results_carry_ack_layer_counters(self, acked_channel_checked):
+    def test_results_carry_ack_layer_counters(self, channel_and_exchanges_checked):
         runs = run_scenarios(["reliable_loss"], "smoke", workers=1, **TINY)
         result = runs["reliable_loss"].first_result()
         for cell in result.values():
             assert cell["reliable"]["acks_received"] > 0
-        assert acked_channel_checked
+        assert channel_and_exchanges_checked
 
     def test_quiescence_invariant_sees_a_copy_left_in_flight(self):
         scenario = _scenario("hyparview-reliable", n=8)
@@ -389,8 +389,9 @@ class TestReliableScenarioFamily:
         scenario.drain()
         check_acked_channel_quiescent(scenario)
 
-    def test_family_leaves_no_timer_behind(self, acked_channel_checked):
+    def test_family_leaves_no_timer_behind(self, channel_and_exchanges_checked):
         """Loss, churn and stress: after every drain of every cell, every
-        live layer's channel is empty and the engine holds no live event."""
+        live layer's channel is empty, the engine holds no live event and
+        no membership exchange is open."""
         run_scenarios(list(RELIABLE_IDS), "smoke", workers=1, **TINY)
-        assert len(acked_channel_checked) > 100
+        assert len(channel_and_exchanges_checked) > 100
