@@ -12,20 +12,19 @@ Two halves, both strictly pay-for-what-you-use:
   artifacts stay byte-identical either way.
 * **A unified metrics registry** (:mod:`repro.obs.metrics`,
   :mod:`repro.obs.collectors`, :mod:`repro.obs.http`) — typed
-  ``Counter``/``Gauge``/``Histogram`` instruments with a deterministic
+  ``Counter``/``Gauge`` instruments with a deterministic
   snapshot surface for simulation artifacts and a dependency-free
   Prometheus text exposition endpoint for the live service layer.
 """
 
 from .context import activate_collector, current_collector, deactivate_collector
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Gauge, MetricsRegistry
 from .trace import DisseminationTrace, TraceCollector, TraceSegment
 
 __all__ = [
     "Counter",
     "DisseminationTrace",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "TraceCollector",
     "TraceSegment",

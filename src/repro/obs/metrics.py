@@ -20,13 +20,9 @@ Two output surfaces:
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 LabelKey = tuple[tuple[str, str], ...]
-
-#: Default histogram bucket upper bounds, in seconds (latency-oriented).
-DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
-
 
 def _label_key(labels: dict[str, str]) -> LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
@@ -108,51 +104,6 @@ class Gauge(_Instrument):
         self._values[key] = self._values.get(key, 0.0) + amount
 
 
-class Histogram:
-    """Cumulative-bucket histogram (Prometheus semantics)."""
-
-    kind = "histogram"
-
-    def __init__(
-        self, name: str, help: str = "", buckets: Sequence[float] = DEFAULT_BUCKETS
-    ) -> None:
-        self.name = name
-        self.help = help
-        self.buckets = tuple(sorted(buckets))
-        self._counts: dict[LabelKey, list[int]] = {}
-        self._sums: dict[LabelKey, float] = {}
-        self._totals: dict[LabelKey, int] = {}
-
-    def observe(self, value: float, **labels: str) -> None:
-        key = _label_key(labels)
-        counts = self._counts.setdefault(key, [0] * len(self.buckets))
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                counts[i] += 1
-        self._sums[key] = self._sums.get(key, 0.0) + value
-        self._totals[key] = self._totals.get(key, 0) + 1
-
-    def clear(self) -> None:
-        self._counts.clear()
-        self._sums.clear()
-        self._totals.clear()
-
-    def samples(self) -> list[tuple[str, LabelKey, float]]:
-        out: list[tuple[str, LabelKey, float]] = []
-        for key in sorted(self._counts):
-            counts = self._counts[key]
-            for bound, count in zip(self.buckets, counts):
-                le = (("le", _format_value(bound)),)
-                out.append((f"{self.name}_bucket", tuple(sorted(key + le)), float(count)))
-            inf = (("le", "+Inf"),)
-            out.append(
-                (f"{self.name}_bucket", tuple(sorted(key + inf)), float(self._totals[key]))
-            )
-            out.append((f"{self.name}_sum", key, self._sums[key]))
-            out.append((f"{self.name}_count", key, float(self._totals[key])))
-        return out
-
-
 class MetricsRegistry:
     """A named set of instruments plus collect-on-demand callbacks."""
 
@@ -176,16 +127,6 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         instrument = self._get(name, lambda: Gauge(name, help))
         if not isinstance(instrument, Gauge):
-            raise TypeError(f"metric {name!r} already registered as {instrument.kind}")
-        return instrument
-
-    def histogram(
-        self, name: str, help: str = "", buckets: Optional[Sequence[float]] = None
-    ) -> Histogram:
-        instrument = self._get(
-            name, lambda: Histogram(name, help, buckets or DEFAULT_BUCKETS)
-        )
-        if not isinstance(instrument, Histogram):
             raise TypeError(f"metric {name!r} already registered as {instrument.kind}")
         return instrument
 

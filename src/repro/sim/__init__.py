@@ -1,7 +1,7 @@
 """Discrete-event simulation substrate (the PeerSim equivalent)."""
 
 from .clock import SimClock
-from .engine import Engine, EventHandle, PeriodicTask
+from .engine import Engine, EventHandle
 from .latency import (
     ConstantLatency,
     CoordinateLatency,
@@ -25,7 +25,6 @@ __all__ = [
     "LatencyModel",
     "Network",
     "NetworkStats",
-    "PeriodicTask",
     "SimClock",
     "SimNode",
     "SimTransport",

@@ -1,9 +1,8 @@
 """Discrete-event simulation kernel.
 
 This is the substrate the paper gets from PeerSim [11]: a timestamp-ordered
-event queue plus helpers for periodic (cycle-driven) behaviour.  The kernel
-is deliberately minimal and fast because reproduction experiments push
-millions of message events through it.
+event queue.  The kernel is deliberately minimal and fast because
+reproduction experiments push millions of message events through it.
 
 Two driving styles are supported, matching PeerSim's two modes:
 
@@ -503,54 +502,3 @@ class Engine:
         state["_times"] = sorted(self._times)
         return state
 
-
-class PeriodicTask:
-    """Repeatedly invokes a callback every ``period`` seconds.
-
-    Used for self-driven protocol cycles (live simulations and the asyncio
-    runtime style); the experiment harness instead triggers cycles manually
-    for lock-step control.  An optional start ``jitter`` desynchronises node
-    cycles the way real deployments are desynchronised.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        period: float,
-        callback: Callable[[], None],
-        *,
-        jitter: float = 0.0,
-    ) -> None:
-        if period <= 0:
-            raise SimulationError(f"period must be positive: {period}")
-        if jitter < 0:
-            raise SimulationError(f"jitter must be non-negative: {jitter}")
-        self._engine = engine
-        self._period = period
-        self._callback = callback
-        self._jitter = jitter
-        self._handle: Optional[EventHandle] = None
-        self._running = False
-
-    @property
-    def running(self) -> bool:
-        return self._running
-
-    def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self._handle = self._engine.schedule(self._jitter + self._period, self._tick)
-
-    def stop(self) -> None:
-        self._running = False
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        self._callback()
-        if self._running:  # the callback may have stopped us
-            self._handle = self._engine.schedule(self._period, self._tick)

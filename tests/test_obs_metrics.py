@@ -22,7 +22,7 @@ from repro.obs.collectors import (
     bind_transport,
 )
 from repro.obs.http import CONTENT_TYPE, MetricsServer, scrape
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 
 
 def run(coroutine, timeout=30.0):
@@ -49,17 +49,6 @@ class TestInstruments:
         gauge.inc(-2, node="a")
         assert gauge.value(node="a") == 3
 
-    def test_histogram_cumulative_buckets(self):
-        histogram = Histogram("h", buckets=(0.1, 1.0))
-        for value in (0.05, 0.5, 5.0):
-            histogram.observe(value)
-        samples = {name + str(dict(key)): value for name, key, value in histogram.samples()}
-        assert samples["h_bucket{'le': '0.1'}"] == 1
-        assert samples["h_bucket{'le': '1'}"] == 2
-        assert samples["h_bucket{'le': '+Inf'}"] == 3
-        assert samples["h_count{}"] == 3
-        assert samples["h_sum{}"] == pytest.approx(5.55)
-
 
 class TestRegistry:
     def test_same_name_same_instrument(self):
@@ -71,8 +60,9 @@ class TestRegistry:
         registry.counter("x_total")
         with pytest.raises(TypeError, match="already registered as counter"):
             registry.gauge("x_total")
-        with pytest.raises(TypeError):
-            registry.histogram("x_total")
+        registry.gauge("depth")
+        with pytest.raises(TypeError, match="already registered as gauge"):
+            registry.counter("depth")
 
     def test_snapshot_is_sorted_and_insertion_order_free(self):
         def build(order):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import SimulationError
-from repro.sim.engine import Engine, PeriodicTask, events_fired_total
+from repro.sim.engine import Engine, events_fired_total
 
 
 class TestScheduling:
@@ -143,61 +143,6 @@ class TestRunawayGuard:
             engine.schedule(1.0, lambda: None)
         engine.run_until_idle()
         assert engine.processed == 5
-
-
-class TestPeriodicTask:
-    def test_fires_every_period(self):
-        engine = Engine()
-        ticks = []
-        task = PeriodicTask(engine, 1.0, lambda: ticks.append(engine.now))
-        task.start()
-        engine.run_until(5.5)
-        assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
-
-    def test_stop_halts_ticks(self):
-        engine = Engine()
-        ticks = []
-        task = PeriodicTask(engine, 1.0, lambda: ticks.append(engine.now))
-        task.start()
-        engine.run_until(2.5)
-        task.stop()
-        engine.run_until(10.0)
-        assert ticks == [1.0, 2.0]
-
-    def test_jitter_delays_first_tick(self):
-        engine = Engine()
-        ticks = []
-        task = PeriodicTask(engine, 1.0, lambda: ticks.append(engine.now), jitter=0.5)
-        task.start()
-        engine.run_until(2.0)
-        assert ticks == [1.5]
-
-    def test_callback_may_stop_task(self):
-        engine = Engine()
-        ticks = []
-
-        def tick():
-            ticks.append(engine.now)
-            if len(ticks) == 2:
-                task.stop()
-
-        task = PeriodicTask(engine, 1.0, tick)
-        task.start()
-        engine.run_until(10.0)
-        assert ticks == [1.0, 2.0]
-
-    def test_invalid_period_rejected(self):
-        with pytest.raises(SimulationError):
-            PeriodicTask(Engine(), 0.0, lambda: None)
-
-    def test_double_start_is_noop(self):
-        engine = Engine()
-        ticks = []
-        task = PeriodicTask(engine, 1.0, lambda: ticks.append(1))
-        task.start()
-        task.start()
-        engine.run_until(1.5)
-        assert ticks == [1]
 
 
 class TestPostFastPath:
