@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .common.errors import ConfigurationError
 from .experiments.params import ExperimentParams
-from .experiments.registry import REGISTRY, TIER_NAMES, get_scenario
+from .experiments.registry import REGISTRY, TIER_NAMES
 from .experiments.reporting import format_table
 from .experiments.scenario import Scenario
 
@@ -65,7 +65,7 @@ def cmd_quickstart(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     # Imported lazily: the runner pulls in multiprocessing machinery
     # quickstart never needs.
-    from .experiments.runner import profile_unit, run_and_report
+    from .experiments.runner import run_and_report
 
     if args.list:
         rows = [
@@ -75,42 +75,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(format_table(["scenario", "group", "tiers", "title"], rows,
                            title="registered scenarios"))
         return 0
-    if args.estimate is not None:
-        from .experiments.estimate import run_estimate
-
-        return run_estimate(args.estimate, args.scenario)
-    if args.scenario:
-        scenario_ids = []
-        for scenario_id in args.scenario:
-            spec = get_scenario(scenario_id)  # raises with the available ids
-            if args.tier not in spec.tiers:
-                raise ConfigurationError(
-                    f"scenario {scenario_id!r} has no {args.tier!r} tier "
-                    f"(available: {', '.join(sorted(spec.tiers))})"
-                )
-            if scenario_id not in scenario_ids:
-                scenario_ids.append(scenario_id)
-    else:
-        # An unfiltered run takes whatever provides the requested tier.
-        scenario_ids = [
-            scenario_id
-            for scenario_id in sorted(REGISTRY)
-            if args.tier in get_scenario(scenario_id).tiers
-        ]
-    if not scenario_ids:
-        print(f"no scenario provides tier {args.tier!r}", file=sys.stderr)
-        return 2
-    if args.profile:
-        # One work unit under cProfile, in-process; no artifacts.
-        profile_unit(
-            scenario_ids[0],
-            args.tier,
-            root_seed=args.seed,
-            n=args.n,
-            messages=args.messages,
-            unit_index=args.profile_unit,
-        )
-        return 0
+    # Unknown ids and tiers raise (with the available ones) before any work.
+    scenario_ids = list(dict.fromkeys(args.scenario or sorted(REGISTRY)))
     runs = run_and_report(
         scenario_ids,
         args.tier,
@@ -123,7 +89,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         trace=args.trace,
         trace_dir=args.trace_out,
         out_dir=None if args.no_artifacts else args.out,
-        timings_dir=args.timings_out,
         check=args.check,
     )
     for run in runs.values():
@@ -146,12 +111,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from .experiments.runner import run_scenarios
     from .obs.trace import DisseminationTrace
 
-    spec = get_scenario(args.scenario)  # raises with the available ids
-    if args.tier not in spec.tiers:
-        raise ConfigurationError(
-            f"scenario {args.scenario!r} has no {args.tier!r} tier "
-            f"(available: {', '.join(sorted(spec.tiers))})"
-        )
     traces: dict[str, list] = {}
     run_scenarios(
         [args.scenario],
@@ -395,29 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
         "artifacts; for debugging/verification)",
     )
     p.add_argument(
-        "--profile", action="store_true",
-        help="run one work unit under cProfile and print the top 20 "
-        "functions by cumulative time (combine with --scenario/--tier; "
-        "no artifacts are written)",
-    )
-    p.add_argument(
-        "--profile-unit", type=int, default=0, metavar="INDEX",
-        help="which work unit --profile profiles (default: the first)",
-    )
-    p.add_argument(
         "--out", type=pathlib.Path, default=pathlib.Path("benchmarks/results"),
         help="directory for BENCH_<scenario>.json artifacts",
     )
     p.add_argument(
         "--no-artifacts", action="store_true",
-        help="print reports without writing JSON artifacts (suppresses "
-        "TIMINGS files too unless --timings-out is given)",
-    )
-    p.add_argument(
-        "--timings-out", type=pathlib.Path, default=None, metavar="DIR",
-        help="directory for TIMINGS_<scenario>.json wall-clock records "
-        "(default: the --out directory; these are intentionally "
-        "non-deterministic and uploaded separately by CI)",
+        help="print reports without writing BENCH_ artifacts (timings "
+        "always go to stderr only)",
     )
     p.add_argument(
         "--check", action="store_true",
@@ -437,13 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--list", action="store_true",
         help="list registered scenarios and exit",
-    )
-    p.add_argument(
-        "--estimate", type=pathlib.Path, default=None, metavar="DIR",
-        help="dry run: project each scenario's paper-tier wall-clock from "
-        "the smoke-tier TIMINGS_*.json under DIR and print a 6-hour "
-        "budget verdict; nothing is executed (combine with --scenario "
-        "to restrict the projection)",
     )
     p.set_defaults(func=cmd_bench)
 
@@ -528,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--out", type=pathlib.Path, default=None, metavar="DIR",
-        help="write BENCH_service_live.json / TIMINGS_service_live.json here",
+        help="write BENCH_service_live.json here",
     )
     p.add_argument(
         "--metrics-port", type=int, default=0, metavar="PORT",

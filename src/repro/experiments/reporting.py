@@ -4,18 +4,15 @@ Two halves:
 
 * **Plain text** — ``repro bench`` prints the same rows and series
   the paper's tables and figures report; these helpers keep that output
-  aligned, stable and diff-friendly (EXPERIMENTS.md quotes it verbatim).
+  aligned, stable and diff-friendly.
 * **JSON artifacts** — the experiment orchestrator persists every scenario
   run as a versioned ``BENCH_<scenario>.json`` file.  Artifacts are
   canonically encoded (sorted keys, fixed indentation, no timestamps or
   host identity), so a parallel run is byte-identical to a serial run of
   the same seed and CI can diff benchmark trajectories across commits.
 
-A third, deliberately *non*-deterministic artifact family rides alongside:
-``TIMINGS_<scenario>.json`` records per-unit wall-clock and kernel
-events/s so CI can trend performance across commits (the ``perf-trend``
-job).  Timings never share a file with results — ``BENCH_*`` stays a pure
-function of the seed, ``TIMINGS_*`` is openly host- and load-dependent.
+Wall-clock is never persisted: :func:`format_timings` renders it for
+stderr, so every file written here stays a pure function of the seed.
 """
 
 from __future__ import annotations
@@ -28,9 +25,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 #: Version tag embedded in every artifact; bump on breaking layout changes.
 ARTIFACT_SCHEMA = "repro-bench/1"
-
-#: Version tag of the wall-clock trending artifacts (``TIMINGS_*.json``).
-TIMINGS_SCHEMA = "repro-timings/1"
 
 #: Version tag of the dissemination-trace artifacts (``TRACE_*.json``).
 #: Traces are deterministic (pure functions of the seed, like ``BENCH_*``)
@@ -95,39 +89,6 @@ def write_artifact(
     path = directory / artifact_filename(str(artifact["scenario"]))
     path.write_text(encode_artifact(artifact))
     return path
-
-
-def timings_filename(scenario_id: str) -> str:
-    """The on-disk name for one scenario's wall-clock record."""
-    return f"TIMINGS_{scenario_id}.json"
-
-
-def write_timings_file(
-    directory: pathlib.Path | str, timings: Mapping[str, object]
-) -> pathlib.Path:
-    """Persist one scenario's ``TIMINGS_*.json`` record; returns the path.
-
-    Same canonical encoding as :func:`write_artifact` for diffability —
-    but the *content* is wall-clock, so these files are expected to change
-    on every run and must never be byte-compared like ``BENCH_*`` files.
-    """
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / timings_filename(str(timings["scenario"]))
-    path.write_text(encode_artifact(timings))
-    return path
-
-
-def load_timings(path: pathlib.Path | str) -> dict:
-    """Read a timings record back; raises ``ValueError`` on schema mismatch."""
-    data = json.loads(pathlib.Path(path).read_text())
-    schema = data.get("schema")
-    if schema != TIMINGS_SCHEMA:
-        raise ValueError(
-            f"unsupported timings schema {schema!r} in {path} "
-            f"(expected {TIMINGS_SCHEMA!r})"
-        )
-    return data
 
 
 def load_artifact(path: pathlib.Path | str) -> dict:
@@ -261,10 +222,9 @@ def format_timings(
 ) -> str:
     """Render per-scenario wall-clock totals for job logs.
 
-    Strictly observability: this output goes to stderr/CI logs (and, in
-    machine-readable form, to ``TIMINGS_*.json``) and must never be
-    embedded in ``BENCH_*.json`` artifacts, which are required to be
-    deterministic.
+    Strictly observability: this output goes to stderr/CI logs only and
+    must never be embedded in ``BENCH_*.json`` artifacts, which are
+    required to be deterministic.
     """
     if not scenario_seconds:
         return "per-scenario timings: (none)"
@@ -283,7 +243,7 @@ def format_timings(
     return format_table(
         ["scenario", "units", "worker seconds", "kernel events/s"],
         rows,
-        title="per-scenario timings (TIMINGS_*.json / logs, never in BENCH artifacts)",
+        title="per-scenario timings (logs only, never in BENCH artifacts)",
     )
 
 

@@ -30,11 +30,9 @@ it — usually once per sweep — restoring the session-wide sharing the old
 ScenarioCache provided, but across process boundaries.
 
 Per-unit and per-scenario wall-clock (plus kernel events/s, sampled from
-the engine's process-wide fired-event counter) is reported to the progress
-stream and persisted as ``TIMINGS_<scenario>.json`` — a separate,
-openly non-deterministic artifact family that CI uploads and trends
-across commits.  Timings never enter the ``BENCH_*`` artifacts, which
-must stay deterministic.
+the engine's process-wide fired-event counter) goes to the progress
+stream (stderr) and nowhere else: timings never enter a file, so the
+``BENCH_*`` artifacts stay deterministic.
 
 The multiprocessing entry point (:func:`_execute_unit`) is a module-level
 function resolving scenarios by id from the registry, so it works under
@@ -64,13 +62,11 @@ from .registry import (
 )
 from .reporting import (
     ARTIFACT_SCHEMA,
-    TIMINGS_SCHEMA,
     format_timings,
     metrics_artifact,
     trace_artifact,
     write_artifact,
     write_metrics_file,
-    write_timings_file,
     write_trace_file,
 )
 from .snapshots import SnapshotCache
@@ -197,9 +193,9 @@ def _apply_overrides(
 class UnitOutcome:
     """What a worker sends back for one unit.
 
-    ``elapsed`` and ``events`` are observability only (logged and written
-    to ``TIMINGS_*.json``, never into ``BENCH_*``): artifacts are
-    assembled exclusively from ``result`` and the deterministic keys.
+    ``elapsed`` and ``events`` are observability only (logged to stderr,
+    never written to a file): artifacts are assembled exclusively from
+    ``result`` and the deterministic keys.
     ``events`` counts simulation-kernel events fired while the unit ran
     in its worker — elapsed and events together give per-unit kernel
     throughput.
@@ -351,8 +347,8 @@ class SweepTimings:
 
     Collected from :class:`UnitOutcome`; deliberately kept outside
     :class:`ScenarioRun` so nothing timing-shaped can leak into ``BENCH_*``
-    artifacts.  Serialised separately as ``TIMINGS_<scenario>.json`` via
-    :func:`write_timings_artifacts` for the CI perf-trend job.
+    artifacts.  Rendered to stderr only (the per-scenario table and the
+    snapshot-cache line).
     """
 
     #: scenario id -> summed worker-seconds over its units.
@@ -361,8 +357,6 @@ class SweepTimings:
     scenario_units: dict[str, int] = field(default_factory=dict)
     #: scenario id -> summed kernel events fired over its units.
     scenario_events: dict[str, int] = field(default_factory=dict)
-    #: scenario id -> per-unit records, in completion order.
-    unit_records: dict[str, list[dict]] = field(default_factory=dict)
     #: snapshot-cache behaviour summed over chunks: hit/miss/eviction
     #: counters plus per-worker peak entries/bytes (logs only, never in
     #: BENCH artifacts).
@@ -377,17 +371,6 @@ class SweepTimings:
         self.scenario_units[scenario_id] = self.scenario_units.get(scenario_id, 0) + 1
         self.scenario_events[scenario_id] = (
             self.scenario_events.get(scenario_id, 0) + outcome.events
-        )
-        self.unit_records.setdefault(scenario_id, []).append(
-            {
-                "replicate": outcome.replicate,
-                "cell": _cell_label(outcome.cell),
-                "elapsed_seconds": outcome.elapsed,
-                "events": outcome.events,
-                "events_per_second": (
-                    outcome.events / outcome.elapsed if outcome.elapsed > 0 else None
-                ),
-            }
         )
 
     def record_cache(self, delta: dict) -> None:
@@ -409,34 +392,6 @@ class SweepTimings:
             f"{cache.get('entries', 0)} entries / "
             f"{cache.get('cached_bytes', 0):,} bytes per worker"
         )
-
-    def timings_artifact(self, scenario_id: str, *, tier: str, workers: int) -> dict:
-        """The ``TIMINGS_<scenario>.json`` payload for one scenario.
-
-        Unit records are sorted by ``(replicate, cell)`` so the layout is
-        stable across scheduling orders even though the *values* are
-        wall-clock and change every run.
-        """
-        units = sorted(
-            self.unit_records.get(scenario_id, []),
-            key=lambda record: (record["replicate"], record["cell"]),
-        )
-        seconds = self.scenario_seconds.get(scenario_id, 0.0)
-        events = self.scenario_events.get(scenario_id, 0)
-        return {
-            "schema": TIMINGS_SCHEMA,
-            "scenario": scenario_id,
-            "tier": tier,
-            "workers": workers,
-            "units": units,
-            "totals": {
-                "units": self.scenario_units.get(scenario_id, 0),
-                "worker_seconds": seconds,
-                "events": events,
-                "events_per_second": events / seconds if seconds > 0 else None,
-            },
-            "sweep_wall_seconds": self.wall_seconds,
-        }
 
 
 def build_units(
@@ -608,26 +563,6 @@ def write_artifacts(
     return [write_artifact(directory, run.artifact()) for run in runs.values()]
 
 
-def write_timings_artifacts(
-    timings: SweepTimings,
-    directory: pathlib.Path | str,
-    *,
-    tier: str,
-    workers: int,
-) -> list[pathlib.Path]:
-    """Persist per-scenario ``TIMINGS_<scenario>.json`` under ``directory``.
-
-    Kept strictly apart from :func:`write_artifacts`: BENCH files must be
-    byte-stable across runs, TIMINGS files never are.
-    """
-    return [
-        write_timings_file(
-            directory, timings.timings_artifact(scenario_id, tier=tier, workers=workers)
-        )
-        for scenario_id in sorted(timings.scenario_units)
-    ]
-
-
 def write_trace_artifacts(
     traces: dict[str, list],
     directory: pathlib.Path | str,
@@ -689,16 +624,14 @@ def run_and_report(
     trace: bool = False,
     trace_dir: Optional[pathlib.Path | str] = None,
     out_dir: Optional[pathlib.Path | str] = None,
-    timings_dir: Optional[pathlib.Path | str] = None,
     check: bool = False,
     stream=None,
 ) -> dict[str, ScenarioRun]:
     """The CLI's whole job: run, render, optionally check and persist.
 
     Timing (per unit, per scenario, total) is reported to ``stream``
-    (default stderr) and — when ``timings_dir`` (default: ``out_dir``) is
-    set — persisted as ``TIMINGS_<scenario>.json`` for CI trending.  It
-    never enters the ``BENCH_*`` artifacts, which must stay deterministic.
+    (default stderr) and nowhere else; it never enters a file, so the
+    ``BENCH_*`` artifacts stay deterministic.
 
     With ``trace``, dissemination traces are collected and written as
     ``TRACE_*``/``METRICS_*`` files to ``trace_dir`` (default:
@@ -751,54 +684,8 @@ def run_and_report(
                 traces, trace_target, tier=tier, root_seed=root_seed
             ):
                 print(f"  wrote {path}", file=stream)
-    if timings_dir is None:
-        timings_dir = out_dir
-    if timings_dir is not None:
-        for path in write_timings_artifacts(
-            timings, timings_dir, tier=tier, workers=workers
-        ):
-            print(f"  wrote {path}", file=stream)
     if check:
         for run in runs.values():
             run.check()
     return runs
 
-
-def profile_unit(
-    scenario_id: str,
-    tier: str,
-    *,
-    root_seed: int = DEFAULT_ROOT_SEED,
-    n: Optional[int] = None,
-    messages: Optional[int] = None,
-    unit_index: int = 0,
-    top: int = 20,
-    stream=None,
-) -> None:
-    """Run one work unit under ``cProfile`` and print the top entries.
-
-    ``repro bench --profile``'s backend: profiles one cell (default: the
-    first) of ``scenario_id`` at ``tier`` scale, in-process, and prints the
-    ``top`` functions by cumulative time to ``stream`` (default stdout).
-    """
-    import cProfile
-    import pstats
-
-    stream = stream if stream is not None else sys.stdout
-    units = build_units(
-        [scenario_id], tier, root_seed=root_seed, n=n, messages=messages, replicates=1,
-    )
-    if not 0 <= unit_index < len(units):
-        raise ConfigurationError(
-            f"unit index {unit_index} out of range: {scenario_id!r} at tier "
-            f"{tier!r} has {len(units)} unit(s)"
-        )
-    unit = units[unit_index]
-    print(f"profiling {unit.describe()} at tier {tier!r} ...", file=stream)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    outcome = _execute_unit(unit)
-    profiler.disable()
-    print(f"unit finished in {outcome.elapsed:.2f}s; top {top} by cumulative time:",
-          file=stream)
-    pstats.Stats(profiler, stream=stream).sort_stats("cumulative").print_stats(top)

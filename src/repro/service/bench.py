@@ -15,12 +15,9 @@ crash + same-port restart of one node.  The run reports
   must stay at the transport level, with **zero** stale-incarnation
   deliveries reaching clients.
 
-Artifacts: ``BENCH_service_live.json`` (``repro-service-live/1``, the full
-report) and ``TIMINGS_service_live.json`` (``repro-timings/1`` with
-``totals.events_per_second`` = delivered msgs/s, feeding the existing
-``perf_trend.py --record-history`` nightly path).  Wall-clock latency on
-shared CI runners is noisy; the artifact is BENCH-grade in *shape*, the
-history line tracks the throughput median over runs.
+Artifact: ``BENCH_service_live.json`` (``repro-service-live/1``, the full
+report).  Wall-clock latency on shared CI runners is noisy; the artifact
+is BENCH-grade in *shape*, not in its numbers.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from __future__ import annotations
 import asyncio
 import json
 import pathlib
-from typing import Optional
 
 from ..common.errors import ConfigurationError, RateLimitedError, ServiceError
 from ..core.config import HyParViewConfig
@@ -294,22 +290,11 @@ async def run_service_bench(
 
 
 def write_artifacts(report: dict, out_dir: pathlib.Path) -> list[pathlib.Path]:
-    """Write ``BENCH_service_live.json`` + ``TIMINGS_service_live.json``."""
+    """Write ``BENCH_service_live.json``; returns the written paths."""
     out_dir.mkdir(parents=True, exist_ok=True)
     bench_path = out_dir / "BENCH_service_live.json"
     bench_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    timings = {
-        "schema": "repro-timings/1",
-        "scenario": "service_live",
-        "totals": {
-            "events_per_second": max(
-                report["delivered"] / report["config"]["duration"], 1e-9
-            ),
-        },
-    }
-    timings_path = out_dir / "TIMINGS_service_live.json"
-    timings_path.write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n")
-    return [bench_path, timings_path]
+    return [bench_path]
 
 
 def format_report(report: dict) -> str:

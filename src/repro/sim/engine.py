@@ -76,8 +76,9 @@ COMPACTION_FLOOR = 64
 _HANDLE = None
 
 # Process-wide count of events fired by every engine in this process; the
-# orchestrator samples it around each work unit to report kernel events/s
-# in the TIMINGS artifacts (observability only, never in BENCH artifacts).
+# orchestrator samples it around each work unit for the stderr kernel
+# events/s table, and obs.collectors.bind_kernel exports it as a metric
+# (observability only, never in BENCH artifacts).
 _fired_total = 0
 
 

@@ -238,40 +238,3 @@ class TestAblationCells:
             ["ablation_passive_size", "ablation_flood_resend"], **TINY
         )
 
-
-class TestTimingsArtifacts:
-    def test_timings_artifact_schema_and_separation(self, tmp_path):
-        from repro.experiments.reporting import load_timings, timings_filename
-        from repro.experiments.runner import write_timings_artifacts
-
-        timings = SweepTimings()
-        run_scenarios([GRID_ID], "smoke", workers=1, timings=timings, **TINY)
-        paths = write_timings_artifacts(timings, tmp_path, tier="smoke", workers=1)
-        assert [p.name for p in paths] == [timings_filename(GRID_ID)]
-        record = load_timings(paths[0])
-        assert record["scenario"] == GRID_ID
-        assert record["tier"] == "smoke"
-        assert record["workers"] == 1
-        assert record["totals"]["units"] == 8
-        assert record["totals"]["worker_seconds"] > 0.0
-        # Kernel throughput is folded in per unit and in the totals.
-        assert record["totals"]["events"] > 0
-        assert record["totals"]["events_per_second"] > 0
-        for unit in record["units"]:
-            assert unit["events"] > 0
-            assert unit["elapsed_seconds"] > 0.0
-        # Layout is stable: units sorted by (replicate, cell), not by
-        # completion order.
-        keys = [(u["replicate"], u["cell"]) for u in record["units"]]
-        assert keys == sorted(keys)
-        # TIMINGS files never collide with the deterministic BENCH family.
-        assert not paths[0].name.startswith("BENCH_")
-
-    def test_unit_outcomes_report_events(self):
-        timings = SweepTimings()
-        run_scenarios(["fig1_hyparview_reference"], "smoke", workers=1,
-                      timings=timings, **TINY)
-        records = timings.unit_records["fig1_hyparview_reference"]
-        assert len(records) == 1
-        assert records[0]["events"] > 0
-        assert records[0]["cell"] == ""  # the one-cell grid's empty key

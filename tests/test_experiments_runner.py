@@ -3,6 +3,7 @@ determinism of the JSON artifacts, and `repro bench` CLI handling."""
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -29,6 +30,7 @@ from repro.experiments.reporting import (
 from repro.experiments.runner import (
     build_units,
     replicate_seed,
+    run_and_report,
     run_scenarios,
     write_artifacts,
 )
@@ -68,6 +70,12 @@ class TestRegistry:
         spec = get_scenario("fig2_reliability")
         with pytest.raises(ConfigurationError, match="no 'nope' tier"):
             spec.tier("nope")
+
+    def test_build_units_unknown_tier_names_the_available_tiers(self):
+        with pytest.raises(ConfigurationError, match="no 'nope' tier") as error:
+            build_units(["fig2_reliability"], "nope")
+        for tier in TIER_NAMES:
+            assert repr(tier) in str(error.value)
 
     def test_duplicate_registration_rejected(self):
         spec = get_scenario("fig2_reliability")
@@ -213,6 +221,24 @@ class TestArtifacts:
         for forbidden in ("time", "date", "duration", "elapsed", "host"):
             assert forbidden not in text.lower()
 
+    def test_run_and_report_timings_go_to_the_stream_only(self, tmp_path):
+        buf = io.StringIO()
+        run_and_report(
+            ["fig1_hyparview_reference"], "smoke", out_dir=tmp_path, stream=buf, **TINY
+        )
+        text = buf.getvalue()
+        assert "per-scenario timings" in text
+        assert "kernel events/s" in text
+        row = next(
+            line for line in text.splitlines()
+            if line.startswith("fig1_hyparview_reference ")
+        )
+        assert row.split()[1] == "1"  # units: the one-cell grid
+        assert "snapshot cache:" in text
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "BENCH_fig1_hyparview_reference.json"
+        ]
+
 
 class TestBenchCli:
     def test_defaults(self):
@@ -262,13 +288,10 @@ class TestBenchCli:
         out = capsys.readouterr().out
         assert "===== fig1_hyparview_reference =====" in out
         written = sorted(p.name for p in tmp_path.iterdir())
+        # Wall-clock goes to stderr only: the BENCH_* files are all there is.
         assert written == [
             "BENCH_fig1_hyparview_reference.json",
             "BENCH_fig1c_failure50.json",
-            # Wall-clock records ride along, in separate files, so the
-            # BENCH_* family stays deterministic.
-            "TIMINGS_fig1_hyparview_reference.json",
-            "TIMINGS_fig1c_failure50.json",
         ]
 
     def test_cell_and_cache_flags(self, capsys, tmp_path):
@@ -284,15 +307,6 @@ class TestBenchCli:
         name = "BENCH_fig2_reliability.json"
         assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
         assert not hasattr(build_parser().parse_args(["bench"]), "cells")
-
-    def test_profile_mode(self, capsys):
-        assert main(
-            ["bench", "--profile", "--scenario", "fig1_hyparview_reference",
-             "--n", "32", "--messages", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "profiling fig1_hyparview_reference" in out
-        assert "cumulative" in out
 
     def test_no_artifacts_flag(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -280,3 +280,12 @@ class TestClusterMetrics:
             if line.startswith("repro_service_published_total{")
         ]
         assert sum(float(line.split()[-1]) for line in published) >= 1
+
+
+class TestServiceBenchArtifacts:
+    def test_write_artifacts_writes_only_the_bench_report(self, tmp_path):
+        from repro.service.bench import write_artifacts
+
+        report = {"delivered": 10}
+        assert write_artifacts(report, tmp_path) == [tmp_path / "BENCH_service_live.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_service_live.json"]
