@@ -289,3 +289,63 @@ class TestServiceBenchArtifacts:
         report = {"delivered": 10}
         assert write_artifacts(report, tmp_path) == [tmp_path / "BENCH_service_live.json"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_service_live.json"]
+
+    def test_artifact_is_canonical_json(self, tmp_path):
+        from repro.service.bench import write_artifacts
+
+        [path] = write_artifacts({"published": 3, "delivered": 9}, tmp_path / "out")
+        assert path.read_text() == '{\n  "delivered": 9,\n  "published": 3\n}\n'
+
+    def test_format_report_summarises_every_section(self):
+        from repro.service.bench import format_report
+
+        report = {
+            "config": {"nodes": 3, "clients": 100, "topics": 2, "duration": 6.0, "rate": 60.0},
+            "published": 350,
+            "delivered": 1000,
+            "received_by_clients": 990,
+            "throughput_msgs_per_s_per_node": 55.55,
+            "latency": {
+                "phases": [
+                    {"phase": "steady", "publishes": 120, "p50_ms": 1.234, "p99_ms": 9.87},
+                    {"phase": "faulted", "publishes": 0, "p50_ms": None, "p99_ms": None},
+                ]
+            },
+            "protection": {
+                "breaker_trips": 2, "breakers_open": 0,
+                "rate_limited": 1, "subscriber_sheds": 0,
+            },
+            "staleness": {"stale_deliveries": 0, "stale_handshakes": 1, "frames_stale": 4},
+        }
+        lines = format_report(report).splitlines()
+        assert lines[0] == "service bench — 3 nodes, 100 clients, 2 topics, 6s @ 60 msg/s"
+        assert "throughput 55.5 msg/s/node" in lines[2]
+        assert "p50=1.2ms p99=9.9ms" in lines[3]
+        assert "p50=- p99=-" in lines[4]
+        assert "breaker trips=2" in lines[5]
+        assert "stale handshakes=1 stale frames=4" in lines[6]
+        assert len(lines) == 7  # no metrics section in the report, no metrics line
+
+        report["metrics"] = {
+            "families": ["a", "b"], "exposition_bytes": 10, "endpoint": "http://h:1/metrics",
+        }
+        assert format_report(report).splitlines()[-1] == (
+            "  metrics: scraped 2 families (10 bytes) from http://h:1/metrics"
+        )
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            {"nodes": 1},
+            {"clients": 1, "topics": 2},
+            {"topics": 0},
+            {"duration": 0.0},
+            {"rate": -1.0},
+        ],
+        ids=["one-node", "fewer-clients-than-topics", "no-topics", "no-duration", "negative-rate"],
+    )
+    def test_invalid_shape_rejected_before_any_node_starts(self, shape):
+        from repro.service.bench import run_service_bench
+
+        with pytest.raises(ConfigurationError):
+            run(run_service_bench(**shape), timeout=5.0)
