@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
+import traceback
 from typing import Optional, Sequence
 
 from .common.errors import ConfigurationError
@@ -89,12 +90,26 @@ def cmd_bench(args: argparse.Namespace) -> int:
         trace=args.trace,
         trace_dir=args.trace_out,
         out_dir=None if args.no_artifacts else args.out,
-        check=args.check,
     )
     for run in runs.values():
         print(f"\n===== {run.spec.id} =====")
         print(run.render())
-    return 0
+    # Every scenario is checked, and every failure named, before exiting.
+    failed = False
+    if args.check:
+        for run in runs.values():
+            try:
+                run.check()
+            except AssertionError as error:
+                failed = True
+                print(f"check failed: {run.spec.id}: {_assertion(error)}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+def _assertion(error: AssertionError) -> str:
+    """The failing ``assert`` statement's source line, and its message."""
+    line = traceback.extract_tb(error.__traceback__)[-1].line
+    return f"{line} ({error})" if str(error) else str(line)
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -364,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--check", action="store_true",
-        help="run each scenario's shape assertions on the results",
+        help="run every scenario's shape assertions on the results; each "
+        "failure prints a 'check failed:' line on stderr and exits 1",
     )
     p.add_argument(
         "--trace", action="store_true",

@@ -26,9 +26,11 @@ Adding a scenario is one :func:`register` call; the orchestrator
 (:mod:`repro.experiments.runner`) and the ``repro bench`` CLI pick it up
 from :data:`REGISTRY`.
 
-**Cells.**  An :class:`Axis` is an option key plus its default values
-(``protocols`` x ``fractions`` for Figure 2, ``fanouts`` for Figure 1a, no
-axis at all for the one-cell HyParView reference point).
+**Cells.**  An :class:`Axis` is a tier-option key plus its default values
+(the protocols x ``fractions`` for Figure 2, ``fanouts`` for Figure 1a, no
+axis at all for the one-cell HyParView reference point); an axis no tier
+resizes has key ``None``.  A scenario reads ``ctx.option`` only for
+values some tier sets — everything else is a constant in its module.
 :meth:`ScenarioSpec.cells` enumerates the product of the declared axes and
 :meth:`ScenarioSpec.merge_cells` nests the per-cell results back along the
 same axes — always in declared order, never in the order results arrived
@@ -448,7 +450,7 @@ register(
         ),
         render=_render_fig1c,
         check=_check_fig1c,
-        axes=(Axis("protocols", _FIG1C_PROTOCOLS),),
+        axes=(Axis(None, _FIG1C_PROTOCOLS),),
         run_cell=_run_fig1c_cell,
     )
 )
@@ -460,7 +462,7 @@ register(
 def _failure_grid(protocols, fractions, header=lambda ctx: {}) -> dict:
     """Grid fields of a protocol x failure-fraction sweep (Figures 2-4)."""
     axes = (
-        Axis("protocols", protocols),
+        Axis(None, protocols),
         Axis("fractions", fractions, float, "{:.2f}".format),
     )
 
@@ -684,7 +686,7 @@ def _run_graphprops_cell(ctx: RunContext, key: CellKey) -> dict:
 
 
 _GRAPHPROPS_GRID = {
-    "axes": (Axis("protocols", TABLE1_PROTOCOLS),),
+    "axes": (Axis(None, TABLE1_PROTOCOLS),),
     "run_cell": _run_graphprops_cell,
     "frame": lambda ctx, grid: {
         # The symmetric-view bound checks need the configured capacity.
@@ -857,7 +859,7 @@ register(
         ),
         render=_render_overhead,
         check=_check_overhead,
-        axes=(Axis("protocols", _OVERHEAD_PROTOCOLS),),
+        axes=(Axis(None, _OVERHEAD_PROTOCOLS),),
         run_cell=_run_overhead_cell,
     )
 )
@@ -931,7 +933,7 @@ register(
         ),
         render=_render_churn,
         check=_check_churn,
-        axes=(Axis("protocols", _CHURN_PROTOCOLS),),
+        axes=(Axis(None, _CHURN_PROTOCOLS),),
         run_cell=_run_churn_cell,
     )
 )
@@ -940,20 +942,25 @@ register(
 # ----------------------------------------------------------------------
 # Ablations — every sweep point is one cell
 # ----------------------------------------------------------------------
-def _points(failure: float) -> Callable[[RunContext, dict], dict]:
+def _points(failure: Callable[[RunContext], float]) -> Callable[[RunContext, dict], dict]:
     """The ablations' result shape: the failure level the sweep ran at
-    (tier option ``failure``) and the grid's cells as an ordered list."""
-    return lambda ctx, grid: {
-        "failure": float(ctx.option("failure", failure)),  # type: ignore[arg-type]
-        "points": list(grid.values()),
-    }
+    and the grid's cells as an ordered list."""
+    return lambda ctx, grid: {"failure": failure(ctx), "points": list(grid.values())}
+
+
+def _failure(ctx: RunContext) -> float:
+    """The passive-size and resend sweeps' failure level (tier option)."""
+    return float(ctx.option("failure", 0.8))  # type: ignore[arg-type]
+
+
+#: The shuffle-TTL sweep's failure level.
+_SHUFFLE_TTL_FAILURE = 0.6
 
 
 def _run_passive_cell(ctx: RunContext, key: CellKey) -> dict:
-    failure = float(ctx.option("failure", 0.8))  # type: ignore[arg-type]
     scenario = ctx.stabilized("hyparview", passive_size_params(ctx.params(), key[0]))
     point = measure_passive_size_point(
-        scenario, failure_fraction=failure, messages=ctx.config.messages
+        scenario, failure_fraction=_failure(ctx), messages=ctx.config.messages
     )
     return json_safe(point)  # type: ignore[return-value]
 
@@ -1005,16 +1012,15 @@ register(
             ),
         ),
         run_cell=_run_passive_cell,
-        frame=_points(0.8),
+        frame=_points(_failure),
     )
 )
 
 
 def _run_shuffle_ttl_cell(ctx: RunContext, key: CellKey) -> dict:
-    failure = float(ctx.option("failure", 0.6))  # type: ignore[arg-type]
     scenario = ctx.stabilized("hyparview", shuffle_ttl_params(ctx.params(), key[0]))
     point = measure_shuffle_ttl_point(
-        scenario, failure_fraction=failure, messages=ctx.config.messages
+        scenario, failure_fraction=_SHUFFLE_TTL_FAILURE, messages=ctx.config.messages
     )
     return json_safe(point)  # type: ignore[return-value]
 
@@ -1057,16 +1063,15 @@ register(
         check=_check_ablation_shuffle_ttl,
         axes=(Axis("ttls", (1, 3, 6, 9), int),),
         run_cell=_run_shuffle_ttl_cell,
-        frame=_points(0.6),
+        frame=_points(lambda ctx: _SHUFFLE_TTL_FAILURE),
     )
 )
 
 
 def _run_resend_cell(ctx: RunContext, key: CellKey) -> dict:
-    failure = float(ctx.option("failure", 0.8))  # type: ignore[arg-type]
     point = measure_resend_point(
         ctx.stabilized("hyparview"), key[0],
-        failure_fraction=failure, messages=ctx.config.messages,
+        failure_fraction=_failure(ctx), messages=ctx.config.messages,
     )
     return json_safe(point)  # type: ignore[return-value]
 
@@ -1115,7 +1120,7 @@ register(
         cell_affinity=lambda key: "base",
         axes=(Axis(None, RESEND_VARIANTS, bool),),
         run_cell=_run_resend_cell,
-        frame=_points(0.8),
+        frame=_points(_failure),
     )
 )
 

@@ -624,10 +624,9 @@ def run_and_report(
     trace: bool = False,
     trace_dir: Optional[pathlib.Path | str] = None,
     out_dir: Optional[pathlib.Path | str] = None,
-    check: bool = False,
     stream=None,
 ) -> dict[str, ScenarioRun]:
-    """The CLI's whole job: run, render, optionally check and persist.
+    """Run and persist; what the CLI does before it prints and checks.
 
     Timing (per unit, per scenario, total) is reported to ``stream``
     (default stderr) and nowhere else; it never enters a file, so the
@@ -684,8 +683,5 @@ def run_and_report(
                 traces, trace_target, tier=tier, root_seed=root_seed
             ):
                 print(f"  wrote {path}", file=stream)
-    if check:
-        for run in runs.values():
-            run.check()
     return runs
 

@@ -22,10 +22,11 @@ scenario.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
-from ..faults.measure import measure_fault_plan
-from ..faults.scenarios import _churn_trace_factory, _phase, _sanity, _wan_factory
+from ..faults.measure import check_cell, measure_fault_plan, phase_row
+from ..faults.scenarios import WAN_JITTER, churn_trace, stream_interval
+from ..protocols.xbot import XBotStats
 from .params import ExperimentParams
 from .registry import (
     Axis,
@@ -42,21 +43,19 @@ from .scenario import Scenario
 #: The comparison the family makes: the optimiser and its baseline.
 TOPO_PROTOCOLS = ("hyparview-xbot", "hyparview")
 
+#: Post-stream settle time for fault measurements.  The default ten
+#: network delays assume the constant 0.01 s model; cross-continent links
+#: here run ~0.15 s per hop, so the tail needs real room.
+_SETTLE = 2.0
+
+#: ``topo_latency``'s reliability envelope: the churn trace
+#: ``faults_churn_trace`` replays at smoke tier.
+_CHURN = churn_trace(4, 3, 0.15)
+
 
 def _topo_params(ctx: RunContext) -> ExperimentParams:
     """Tier params moved onto the zoned RTT world model."""
-    return replace(
-        ctx.params(),
-        latency_model="zoned",
-        latency_zones=int(ctx.option("zones", 8)),  # type: ignore[arg-type]
-    )
-
-
-def _settle(ctx: RunContext) -> float:
-    """Post-stream settle time for fault measurements.  The default ten
-    network delays assume the constant 0.01 s model; cross-continent links
-    here run ~0.15 s per hop, so the tail needs real room."""
-    return float(ctx.option("settle", 2.0))  # type: ignore[arg-type]
+    return replace(ctx.params(), latency_model="zoned", latency_zones=8)
 
 
 def _quantile(ordered: list[float], q: float) -> float:
@@ -102,21 +101,13 @@ def _edge_cost_stats(scenario: Scenario) -> dict:
 
 def _optimizer_stats(scenario: Scenario) -> dict:
     """Summed X-BOT counters across live nodes (zeros for plain stacks)."""
-    totals = {
-        "rounds_initiated": 0,
-        "swaps_completed": 0,
-        "swaps_rejected": 0,
-        "swap_timeouts": 0,
-        "optimization_removals": 0,
-        "unbiased_protected": 0,
-        "edges_declined": 0,
-    }
+    totals = {field.name: 0 for field in fields(XBotStats)}
     for node_id in scenario.alive_ids():
         stats = getattr(scenario.membership(node_id), "xbot_stats", None)
         if stats is None:
             continue
-        for field in totals:
-            totals[field] += getattr(stats, field)
+        for name in totals:
+            totals[name] += getattr(stats, name)
     return totals
 
 
@@ -126,7 +117,6 @@ def _optimizer_stats(scenario: Scenario) -> dict:
 def _run_convergence_cell(ctx: RunContext, key: CellKey) -> dict:
     protocol = key[0]
     params = _topo_params(ctx)
-    samples = max(1, int(ctx.option("samples", 3)))  # type: ignore[arg-type]
     # Built by hand (not ctx.stabilized): the point is the link-cost
     # trajectory *across* stabilisation, which a cached stabilised base
     # has already fast-forwarded past.
@@ -134,18 +124,17 @@ def _run_convergence_cell(ctx: RunContext, key: CellKey) -> dict:
     scenario.build_overlay()
     trajectory = [_edge_cost_stats(scenario)]
     remaining = params.stabilization_cycles
-    chunk = max(1, params.stabilization_cycles // samples)
+    chunk = max(1, params.stabilization_cycles // 3)  # three samples
     while remaining > 0:
         step = min(chunk, remaining)
         scenario.run_cycles(step)
         remaining -= step
         trajectory.append(_edge_cost_stats(scenario))
-    plan, phases, end = _wan_factory(ctx)
-    interval = end / (ctx.config.messages - 1) if ctx.config.messages > 1 else None
+    plan, phases, end = WAN_JITTER
     result = measure_fault_plan(
         scenario, plan,
-        messages=ctx.config.messages, interval=interval,
-        settle=_settle(ctx), phases=phases,
+        messages=ctx.config.messages, interval=stream_interval(ctx, end),
+        settle=_SETTLE, phases=phases,
     )
     result["link_cost"] = {
         "trajectory": trajectory,
@@ -156,7 +145,8 @@ def _run_convergence_cell(ctx: RunContext, key: CellKey) -> dict:
 
 
 def _check_topo_convergence(result: dict, n: int) -> None:
-    _sanity(result)
+    for cell in result.values():
+        check_cell(cell)
     xb = result.get("hyparview-xbot")
     hv = result.get("hyparview")
     if xb:
@@ -243,12 +233,11 @@ def _run_latency_cell(ctx: RunContext, key: CellKey) -> dict:
     # replays, on a fresh checkout of the same stabilised base.  The
     # unbiased slots must keep X-BOT's healing inside HyParView's envelope.
     churn_scenario = ctx.stabilized(protocol, params)
-    plan, phases, end = _churn_trace_factory(ctx)
-    interval = end / (ctx.config.messages - 1) if ctx.config.messages > 1 else None
+    plan, phases, end = _CHURN
     churn = measure_fault_plan(
         churn_scenario, plan,
-        messages=ctx.config.messages, interval=interval,
-        settle=_settle(ctx), phases=phases,
+        messages=ctx.config.messages, interval=stream_interval(ctx, end),
+        settle=_SETTLE, phases=phases,
     )
     return json_safe(  # type: ignore[return-value]
         {
@@ -267,10 +256,7 @@ def _check_topo_latency(result: dict, n: int) -> None:
         latency = cell["latency"]
         assert latency["messages"] >= 1
         assert latency["t_full"]["median"] >= 0.0
-        churn = cell["churn"]
-        assert len(churn["series"]) == churn["messages"]
-        for value in churn["series"]:
-            assert 0.0 <= value <= 1.0
+        check_cell(cell["churn"])
     xb = result.get("hyparview-xbot")
     hv = result.get("hyparview")
     if xb and hv:
@@ -303,7 +289,7 @@ def _render_topo_latency(result: dict, n: int) -> str:
             f"({latency['atomic']}/{latency['messages']} atomic)  "
             f"churn avg={churn['average']:.3f}  {sparkline(churn['series'])}"
         )
-        late = _phase(churn, "late")
+        late = phase_row(churn, "late")
         if late["messages"]:
             blocks.append(f"  churn late-phase avg={late['average']:.3f}")
     return "\n".join(blocks)
@@ -312,56 +298,42 @@ def _render_topo_latency(result: dict, n: int) -> str:
 # ----------------------------------------------------------------------
 # Registration
 # ----------------------------------------------------------------------
-def _register_topo_scenario(
-    *,
-    scenario_id: str,
-    title: str,
-    description: str,
-    run_cell,
-    render,
-    check,
-    smoke: TierConfig,
-    paper: TierConfig,
-) -> None:
-    register(
-        ScenarioSpec(
-            id=scenario_id,
-            group="topology",
-            title=title,
-            description=description,
-            tiers=_tiers(smoke=smoke, paper=paper),
-            axes=(Axis("protocols", TOPO_PROTOCOLS),),
-            run_cell=run_cell,
-            render=render,
-            check=check,
-        )
+register(
+    ScenarioSpec(
+        id="topo_convergence",
+        group="topology",
+        title="Topology — link-cost convergence under optimisation",
+        description="Link-cost distribution of active-view edges before/during/"
+        "after X-BOT optimisation on the zoned RTT world model, then the WAN-"
+        "jitter fault window on the optimised overlay.",
+        tiers=_tiers(
+            smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
+            paper=TierConfig(n=10_000, messages=100, paper_params=True),
+        ),
+        axes=(Axis(None, TOPO_PROTOCOLS),),
+        run_cell=_run_convergence_cell,
+        render=_render_topo_convergence,
+        check=_check_topo_convergence,
     )
-
-
-_register_topo_scenario(
-    scenario_id="topo_convergence",
-    title="Topology — link-cost convergence under optimisation",
-    description="Link-cost distribution of active-view edges before/during/"
-    "after X-BOT optimisation on the zoned RTT world model, then the WAN-"
-    "jitter fault window on the optimised overlay.",
-    run_cell=_run_convergence_cell,
-    render=_render_topo_convergence,
-    check=_check_topo_convergence,
-    smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
-    paper=TierConfig(n=10_000, messages=100, paper_params=True),
 )
 
-_register_topo_scenario(
-    scenario_id="topo_latency",
-    title="Topology — broadcast latency, X-BOT vs HyParView",
-    description="Time-to-full-delivery and per-hop latency of a paced "
-    "broadcast stream, X-BOT vs plain HyParView on the zoned RTT world "
-    "model, with the churn-trace plan as the reliability envelope.",
-    run_cell=_run_latency_cell,
-    render=_render_topo_latency,
-    check=_check_topo_latency,
-    smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
-    paper=TierConfig(n=10_000, messages=100, paper_params=True),
+register(
+    ScenarioSpec(
+        id="topo_latency",
+        group="topology",
+        title="Topology — broadcast latency, X-BOT vs HyParView",
+        description="Time-to-full-delivery and per-hop latency of a paced "
+        "broadcast stream, X-BOT vs plain HyParView on the zoned RTT world "
+        "model, with the churn-trace plan as the reliability envelope.",
+        tiers=_tiers(
+            smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
+            paper=TierConfig(n=10_000, messages=100, paper_params=True),
+        ),
+        axes=(Axis(None, TOPO_PROTOCOLS),),
+        run_cell=_run_latency_cell,
+        render=_render_topo_latency,
+        check=_check_topo_latency,
+    )
 )
 
 

@@ -1,20 +1,12 @@
 """The ``byz_*`` scenario family: Byzantine senders vs quorum broadcast.
 
-:func:`measure_byzantine_plan` extends the fault-plan measurement loop
-with *value* judgment: the tracker only sees message ids, so a mutated
-payload that still flows end-to-end looks like a delivery.  Byzantine
-runs attach a payload recorder (:meth:`Scenario.set_delivery_recorder`)
-and score every message twice —
-
-* ``series``            — raw id-level reliability (the tracker's view);
-* ``validated_series``  — the fraction of the end population that
-  delivered the *sent* value (the paper's "correct nodes deliver the
-  correct message");
-
-plus per-message agreement (did any two nodes deliver different values?)
-and the count of wrong-value deliveries.  Origins are always drawn from
-honest nodes — the experiments measure dissemination *through* an
-adversarial relay population, not an adversarial source.
+Each scenario measures a constant plan through
+:func:`~repro.faults.measure.measure_byzantine_plan`, which scores every
+message twice — the tracker's raw id-level ``series`` and the
+``validated_series`` of correct-value deliveries — plus per-message
+agreement and the count of wrong-value deliveries.  Origins are always
+honest: the experiments measure dissemination *through* an adversarial
+relay population, not an adversarial source.
 
 Three registered scenarios compare the BRB stacks
 (:mod:`repro.gossip.byzantine`) against the ack/retransmit baseline:
@@ -27,14 +19,15 @@ Three registered scenarios compare the BRB stacks
 * ``byz_equivocation``       — equivocating senders; BRB's echo-once
   discipline keeps agreement exact while the baseline delivers
   conflicting values.
+
+Tiers set two values: ``brb_mode`` (the paper tier samples quorums) and
+``byz_churn``'s ``burst_size``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Sequence
 
-from ..common.errors import ConfigurationError
 from ..experiments.params import ExperimentParams
 from ..experiments.registry import (
     Axis,
@@ -47,6 +40,7 @@ from ..experiments.registry import (
 )
 from ..experiments.reporting import json_safe, sparkline
 from ..gossip.byzantine import BRBConfig
+from .measure import check_cell, measure_byzantine_plan, phase_row
 from .plan import (
     DEFAULT_MUTATION_TYPES,
     CrashEvent,
@@ -54,188 +48,19 @@ from .plan import (
     MutationEvent,
     Phase,
     RestartEvent,
-    validate_phases,
 )
-from .sim import SimFaultDriver
+from .scenarios import PlanSpec, stream_interval
 
 #: The Byzantine scenarios' default comparison: quorum broadcast vs the
 #: ack/retransmit stack that trusts whatever bytes arrive.
 BYZ_PROTOCOLS = ("hyparview-brb", "hyparview-reliable")
 
 
-class _DeliveryRecorder:
-    """Collects delivered payloads per (message, node) for value judgment."""
-
-    __slots__ = ("deliveries",)
-
-    def __init__(self) -> None:
-        self.deliveries: dict = {}
-
-    def note(self, node_id, message_id, payload) -> None:
-        self.deliveries.setdefault(message_id, {})[node_id] = payload
-
-
-def measure_byzantine_plan(
-    scenario,
-    plan: FaultPlan,
-    *,
-    messages: int,
-    interval: Optional[float] = None,
-    settle: Optional[float] = None,
-    phases: Sequence[Phase] = (),
-) -> dict:
-    """Run ``messages`` paced broadcasts under ``plan``, judging values.
-
-    Mirrors :func:`~repro.faults.measure.measure_fault_plan` (the
-    scenario is consumed; interval/settle default from the plan horizon)
-    but every broadcast carries a distinct payload, origins skip
-    currently-Byzantine nodes, and the result reports validated
-    (correct-value) reliability, agreement and delivery latency next to
-    the tracker's raw series.
-    """
-    if messages < 1:
-        raise ConfigurationError(f"messages must be >= 1: {messages}")
-    latency = scenario.params.latency_seconds
-    if interval is None:
-        if plan.horizon > 0.0 and messages > 1:
-            interval = plan.horizon / (messages - 1)
-        else:
-            interval = 5 * latency
-    if settle is None:
-        settle = 10 * latency
-    ordered_phases = validate_phases(phases)
-
-    recorder = _DeliveryRecorder()
-    scenario.set_delivery_recorder(recorder)
-    driver = SimFaultDriver(scenario, plan)
-    driver.install()
-    engine = scenario.engine
-    rng = scenario._rng  # the harness stream, exactly like paced broadcasts
-    start = engine.now
-    sends: list[tuple[float, object, object]] = []
-    for index in range(messages):
-        engine.run_until(start + index * interval)
-        corrupted = scenario.network.byzantine_ids()
-        honest = [node for node in scenario.alive_ids() if node not in corrupted]
-        origin = rng.choice(honest)
-        payload = ("m", index)
-        message_id = scenario.broadcast_layer(origin).broadcast(payload)
-        sends.append((index * interval, message_id, payload))
-    tail = max((messages - 1) * interval, plan.horizon) + settle
-    engine.run_until(start + tail)
-    scenario.drain()
-
-    population = frozenset(scenario.alive_ids())
-    series: list[float] = []
-    validated_series: list[float] = []
-    latencies: list[float] = []
-    send_times: list[float] = []
-    wrong_deliveries = 0
-    disagreements = 0
-    validated_records: list[tuple[float, float]] = []
-    for sent_at, message_id, payload in sends:
-        summary = scenario.tracker.finalize(message_id, population)
-        recorded = recorder.deliveries.get(message_id, {})
-        correct = sum(
-            1
-            for node, value in recorded.items()
-            if node in population and value == payload
-        )
-        wrong_deliveries += sum(1 for value in recorded.values() if value != payload)
-        if len({repr(value) for value in recorded.values()}) > 1:
-            disagreements += 1
-        validated = correct / len(population) if population else 0.0
-        series.append(summary.reliability)
-        validated_series.append(validated)
-        latencies.append(summary.last_delivery_at - summary.sent_at)
-        send_times.append(sent_at)
-        validated_records.append((sent_at, validated))
-    scenario.set_delivery_recorder(None)
-
-    phase_rows = []
-    for phase in ordered_phases:
-        window = [value for sent_at, value in validated_records
-                  if phase.contains(sent_at)]
-        phase_rows.append(
-            {
-                "phase": phase.name,
-                "start": phase.start,
-                "end": phase.end,
-                "messages": len(window),
-                "average": sum(window) / len(window) if window else None,
-                "min": min(window, default=None),
-                "atomic": (
-                    sum(1 for value in window if value == 1.0) / len(window)
-                    if window
-                    else None
-                ),
-            }
-        )
-
-    stats = scenario.network.stats
-    snapshot = scenario.snapshot()
-    reliable_totals: Optional[dict] = None
-    brb_totals: Optional[dict] = None
-    for node_id in population:
-        layer = scenario.broadcast_layer(node_id)
-        layer_stats = getattr(layer, "reliability_stats", None)
-        if layer_stats is None:
-            reliable_totals = None
-            break
-        if reliable_totals is None:
-            reliable_totals = {}
-        for key, value in layer_stats().items():
-            reliable_totals[key] = reliable_totals.get(key, 0) + value
-        quorum_stats = getattr(layer, "brb_stats", None)
-        if quorum_stats is not None:
-            if brb_totals is None:
-                brb_totals = {}
-            for key, value in quorum_stats().items():
-                brb_totals[key] = brb_totals.get(key, 0) + value
-    result = {
-        "protocol": scenario.protocol,
-        "n": scenario.params.n,
-        "messages": messages,
-        "interval": interval,
-        "plan": plan.describe(),
-        "series": series,
-        "validated_series": validated_series,
-        "latencies": latencies,
-        "send_times": send_times,
-        "average": sum(series) / len(series),
-        "validated_average": sum(validated_series) / len(validated_series),
-        "wrong_deliveries": wrong_deliveries,
-        "agreement": 1.0 - disagreements / messages,
-        "phases": phase_rows,
-        "fault_stats": {
-            "dropped_fault": stats.dropped_fault,
-            "duplicated_fault": stats.duplicated_fault,
-            "dropped_adversary": stats.dropped_adversary,
-            "dropped_collusion": stats.dropped_collusion,
-            "mutated_byz": stats.mutated_byz,
-            "equivocated_byz": stats.equivocated_byz,
-            "send_failures": stats.send_failures,
-            "dropped_dead": stats.dropped_dead,
-        },
-        "final": {
-            "alive": len(population),
-            "largest_component": snapshot.largest_component_fraction(),
-            "symmetry": snapshot.symmetry_fraction(),
-        },
-        "applied": [description for _at, description in driver.applied],
-    }
-    if reliable_totals is not None:
-        result["reliable"] = reliable_totals
-    if brb_totals is not None:
-        result["brb"] = brb_totals
-    return result
-
-
 # ----------------------------------------------------------------------
 # Registration plumbing
 # ----------------------------------------------------------------------
 def _byz_params(ctx: RunContext, protocol: str) -> ExperimentParams:
-    """Tier params, with the BRB quorum config resolved per tier options.
+    """Tier params, with the BRB quorum mode the tier asks for.
 
     Non-BRB protocols keep the default params object so their snapshot
     bases are shared with every other scenario at the same tier.
@@ -243,38 +68,17 @@ def _byz_params(ctx: RunContext, protocol: str) -> ExperimentParams:
     params = ctx.params()
     if not protocol.endswith("-brb"):
         return params
-    return replace(
-        params,
-        brb=BRBConfig(
-            mode=str(ctx.option("brb_mode", "bracha")),
-            fault_fraction=float(ctx.option("brb_fault_fraction", 0.25)),  # type: ignore[arg-type]
-        ),
-    )
+    return replace(params, brb=BRBConfig(mode=str(ctx.option("brb_mode", "bracha"))))
 
 
-def _run_byz_cell(ctx: RunContext, protocol: str, plan: FaultPlan,
-                  phases: tuple[Phase, ...], end: float) -> dict:
+def _run_byz_cell(ctx: RunContext, protocol: str, plan: PlanSpec) -> dict:
     scenario = ctx.stabilized(protocol, _byz_params(ctx, protocol))
-    interval = end / (ctx.config.messages - 1) if ctx.config.messages > 1 else None
+    timeline, phases, end = plan
     result = measure_byzantine_plan(
-        scenario, plan,
-        messages=ctx.config.messages, interval=interval, phases=phases,
+        scenario, timeline,
+        messages=ctx.config.messages, interval=stream_interval(ctx, end), phases=phases,
     )
     return json_safe(result)  # type: ignore[return-value]
-
-
-def _sanity(cell: dict) -> None:
-    assert len(cell["series"]) == cell["messages"]
-    assert len(cell["validated_series"]) == cell["messages"]
-    for raw, validated in zip(cell["series"], cell["validated_series"]):
-        # A validated delivery is a tracker delivery with the right value.
-        assert 0.0 <= validated <= raw <= 1.0
-    assert 0.0 <= cell["agreement"] <= 1.0
-    assert 0.0 <= cell["final"]["largest_component"] <= 1.0
-
-
-def _phase(cell: dict, name: str) -> dict:
-    return next(row for row in cell["phases"] if row["phase"] == name)
 
 
 def _cell_line(label: str, cell: dict) -> str:
@@ -292,29 +96,20 @@ def _cell_line(label: str, cell: dict) -> str:
 BYZ_FRACTIONS = (0.0, 0.1, 0.2, 0.3, 0.4)
 
 
-def _fraction_plan(ctx: RunContext, fraction: float) -> tuple[FaultPlan, tuple[Phase, ...], float]:
-    corrupt_at = float(ctx.option("corrupt_at", 0.1))    # type: ignore[arg-type]
-    end = float(ctx.option("end", 0.9))                  # type: ignore[arg-type]
+def _fraction_plan(fraction: float) -> PlanSpec:
     if fraction <= 0.0:
         plan = FaultPlan.empty()
     else:
         plan = FaultPlan(
-            events=(
-                MutationEvent(at=corrupt_at, fraction=fraction, rate=1.0),
-            ),
+            events=(MutationEvent(at=0.1, fraction=fraction, rate=1.0),),
             label=f"byz-fraction-{fraction:g}",
         )
-    phases = (
-        Phase("honest", 0.0, corrupt_at),
-        Phase("corrupted", corrupt_at, end + 1e-6),
-    )
-    return plan, phases, end
+    return plan, (Phase("honest", 0.0, 0.1), Phase("corrupted", 0.1, 0.9 + 1e-6)), 0.9
 
 
 def _fraction_run(ctx: RunContext, key: CellKey) -> dict:
     protocol, fraction = key
-    plan, phases, end = _fraction_plan(ctx, fraction)
-    cell = _run_byz_cell(ctx, protocol, plan, phases, end)
+    cell = _run_byz_cell(ctx, protocol, _fraction_plan(fraction))
     cell["fraction"] = fraction
     return cell
 
@@ -337,7 +132,7 @@ def _render_fraction(result: dict, n: int) -> str:
 def _check_fraction(result: dict, n: int) -> None:
     for cells in result.values():
         for cell in cells.values():
-            _sanity(cell)
+            check_cell(cell)
     brb = result.get("hyparview-brb")
     baseline = result.get("hyparview-reliable")
     if brb is None or n > 256:
@@ -351,12 +146,12 @@ def _check_fraction(result: dict, n: int) -> None:
     for fraction in ("0.1", "0.2", "0.3"):
         assert brb[fraction]["validated_average"] >= 0.99, fraction
         assert brb[fraction]["wrong_deliveries"] == 0
-    collapsed = _phase(brb["0.4"], "corrupted")
+    collapsed = phase_row(brb["0.4"], "corrupted")
     assert collapsed["average"] is not None and collapsed["average"] < 0.1
     if baseline is not None:
         # The ack/retransmit stack trusts arriving bytes: mutated relays
         # poison a visible share of first-copy deliveries.
-        degraded = _phase(baseline["0.3"], "corrupted")
+        degraded = phase_row(baseline["0.3"], "corrupted")
         assert degraded["average"] is not None and degraded["average"] < 0.95
         assert baseline["0.3"]["wrong_deliveries"] > 0
         assert (
@@ -379,8 +174,8 @@ register(
                              extra={"brb_mode": "sampled"}),
         ),
         axes=(
-            Axis("protocols", BYZ_PROTOCOLS),
-            Axis("fractions", BYZ_FRACTIONS, float, "{:g}".format),
+            Axis(None, BYZ_PROTOCOLS),
+            Axis(None, BYZ_FRACTIONS, float, "{:g}".format),
         ),
         run_cell=_fraction_run,
         render=_render_fraction,
@@ -392,18 +187,10 @@ register(
 # ----------------------------------------------------------------------
 # Sampled quorums under churn
 # ----------------------------------------------------------------------
-def _churn_plan(ctx: RunContext) -> tuple[FaultPlan, tuple[Phase, ...], float]:
-    corrupt_at = float(ctx.option("corrupt_at", 0.1))    # type: ignore[arg-type]
-    honest_at = float(ctx.option("honest_at", 0.6))      # type: ignore[arg-type]
-    end = float(ctx.option("end", 0.9))                  # type: ignore[arg-type]
-    burst = int(ctx.option("burst_size", 3))             # type: ignore[arg-type]
+def _churn_plan(burst: int) -> PlanSpec:
     plan = FaultPlan(
         events=(
-            MutationEvent(
-                at=corrupt_at,
-                fraction=float(ctx.option("byz_fraction", 0.15)),  # type: ignore[arg-type]
-                until=honest_at,
-            ),
+            MutationEvent(at=0.1, fraction=0.15, until=0.6),
             # Churn forces stack rebuilds (fresh rosters, fresh samples)
             # exactly while quorum votes are being corrupted.
             CrashEvent(at=0.25, count=burst),
@@ -412,19 +199,19 @@ def _churn_plan(ctx: RunContext) -> tuple[FaultPlan, tuple[Phase, ...], float]:
         label="byz-churn",
     )
     phases = (
-        Phase("honest", 0.0, corrupt_at),
-        Phase("byzantine", corrupt_at, honest_at),
-        Phase("recovered", honest_at, end + 1e-6),
+        Phase("honest", 0.0, 0.1),
+        Phase("byzantine", 0.1, 0.6),
+        Phase("recovered", 0.6, 0.9 + 1e-6),
     )
-    return plan, phases, end
+    return plan, phases, 0.9
 
 
 BYZ_CHURN_PROTOCOLS = ("hyparview-brb", "cyclon-brb")
 
 
 def _churn_run(ctx: RunContext, key: CellKey) -> dict:
-    plan, phases, end = _churn_plan(ctx)
-    return _run_byz_cell(ctx, key[0], plan, phases, end)
+    burst = int(ctx.option("burst_size", 3))  # type: ignore[arg-type]
+    return _run_byz_cell(ctx, key[0], _churn_plan(burst))
 
 
 def _render_churn(result: dict, n: int) -> str:
@@ -443,7 +230,7 @@ def _render_churn(result: dict, n: int) -> str:
 
 def _check_churn(result: dict, n: int) -> None:
     for cell in result.values():
-        _sanity(cell)
+        check_cell(cell)
         # The quorum machinery actually ran, the mutation actually bit,
         # and every crashed node restarted.
         assert cell["brb"]["quorum_deliveries"] > 0
@@ -473,7 +260,7 @@ register(
             paper=TierConfig(n=10_000, messages=100, paper_params=True,
                              extra={"brb_mode": "sampled", "burst_size": 150}),
         ),
-        axes=(Axis("protocols", BYZ_CHURN_PROTOCOLS),),
+        axes=(Axis(None, BYZ_CHURN_PROTOCOLS),),
         run_cell=_churn_run,
         render=_render_churn,
         check=_check_churn,
@@ -484,30 +271,21 @@ register(
 # ----------------------------------------------------------------------
 # Equivocation
 # ----------------------------------------------------------------------
-def _equivocation_plan(ctx: RunContext) -> tuple[FaultPlan, tuple[Phase, ...], float]:
-    corrupt_at = float(ctx.option("corrupt_at", 0.1))    # type: ignore[arg-type]
-    end = float(ctx.option("end", 0.9))                  # type: ignore[arg-type]
-    plan = FaultPlan(
+EQUIVOCATION: PlanSpec = (
+    FaultPlan(
         events=(
             MutationEvent(
-                at=corrupt_at,
-                fraction=float(ctx.option("byz_fraction", 0.25)),  # type: ignore[arg-type]
+                at=0.1,
+                fraction=0.25,
                 target_types=DEFAULT_MUTATION_TYPES,
                 equivocate=True,
             ),
         ),
         label="byz-equivocation",
-    )
-    phases = (
-        Phase("honest", 0.0, corrupt_at),
-        Phase("equivocating", corrupt_at, end + 1e-6),
-    )
-    return plan, phases, end
-
-
-def _equivocation_run(ctx: RunContext, key: CellKey) -> dict:
-    plan, phases, end = _equivocation_plan(ctx)
-    return _run_byz_cell(ctx, key[0], plan, phases, end)
+    ),
+    (Phase("honest", 0.0, 0.1), Phase("equivocating", 0.1, 0.9 + 1e-6)),
+    0.9,
+)
 
 
 def _render_equivocation(result: dict, n: int) -> str:
@@ -522,7 +300,7 @@ def _render_equivocation(result: dict, n: int) -> str:
 
 def _check_equivocation(result: dict, n: int) -> None:
     for cell in result.values():
-        _sanity(cell)
+        check_cell(cell)
         assert cell["fault_stats"]["equivocated_byz"] > 0
     brb = result.get("hyparview-brb")
     if brb is not None:
@@ -551,8 +329,8 @@ register(
             paper=TierConfig(n=10_000, messages=100, paper_params=True,
                              extra={"brb_mode": "sampled"}),
         ),
-        axes=(Axis("protocols", BYZ_PROTOCOLS),),
-        run_cell=_equivocation_run,
+        axes=(Axis(None, BYZ_PROTOCOLS),),
+        run_cell=lambda ctx, key: _run_byz_cell(ctx, key[0], EQUIVOCATION),
         render=_render_equivocation,
         check=_check_equivocation,
     )
@@ -563,5 +341,4 @@ __all__ = [
     "BYZ_FRACTIONS",
     "BYZ_CHURN_PROTOCOLS",
     "BYZ_PROTOCOLS",
-    "measure_byzantine_plan",
 ]

@@ -1,14 +1,29 @@
 """Measure a broadcast stream while a fault plan unfolds.
 
-The generic driver behind every ``faults_*`` registry scenario: install a
-plan on a stabilised scenario, pace a broadcast stream across (at least)
-the plan's horizon, then settle and report
+The one measuring loop behind every ``faults_*``, ``reliable_*``,
+``byz_*`` and ``topo_*`` registry scenario: install a plan on a
+stabilised scenario, pace a broadcast stream across (at least) the plan's
+horizon — every message from an honest alive origin, carrying a distinct
+payload — then settle and report
 
 * the per-message reliability series (timestamped by send time),
 * per-:class:`~repro.faults.plan.Phase` aggregates (average / min /
   atomic fraction per named window of the timeline),
 * the network's fault counters (rule drops, duplicates, adversary drops),
-* the final overlay state (alive, largest component, symmetry).
+* the final overlay state (alive, largest component, symmetry),
+* the ack/retransmit and quorum counters summed over the live population,
+  for the stacks that keep them.
+
+Two result shapes read that one loop.  :func:`measure_fault_plan` is the
+tracker's id-level view.  :func:`measure_byzantine_plan` also judges
+*values*: a mutated payload that still flows end-to-end looks like a
+delivery to the tracker, so it records delivered payloads and adds
+
+* ``validated_series`` — the fraction of the end population that
+  delivered the *sent* value (the paper's "correct nodes deliver the
+  correct message"); its phase rows aggregate this series;
+* per-message agreement (did any two nodes deliver different values?),
+  the count of wrong-value deliveries and the delivery latencies.
 
 Reliability is measured against the population alive at the *end* of the
 run — the paper's "correct nodes", extended to ongoing churn: a node that
@@ -17,11 +32,153 @@ crashed mid-plan and never restarted is not expected to deliver.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ..common.errors import ConfigurationError
 from .plan import FaultPlan, Phase, validate_phases
 from .sim import SimFaultDriver
+
+#: Network counters both result shapes report.
+_FAULT_STATS = (
+    "dropped_fault", "duplicated_fault", "dropped_adversary", "send_failures", "dropped_dead",
+)
+#: Byzantine-sender counters the value-judged shape adds.
+_BYZANTINE_STATS = ("dropped_collusion", "mutated_byz", "equivocated_byz")
+
+
+class _Stream(NamedTuple):
+    """What the paced-stream loop leaves behind, every message finalised."""
+
+    interval: float
+    phases: tuple[Phase, ...]
+    driver: SimFaultDriver
+    population: frozenset
+    send_times: list[float]
+    payloads: list[tuple]
+    summaries: list
+
+
+def _paced_stream(
+    scenario, plan: FaultPlan, messages: int, interval: Optional[float],
+    settle: Optional[float], phases: Sequence[Phase],
+) -> _Stream:
+    """The measuring loop: install the driver, send ``messages`` paced
+    broadcasts, run to the tail, drain, finalise against the end
+    population."""
+    if messages < 1:
+        raise ConfigurationError(f"messages must be >= 1: {messages}")
+    latency = scenario.params.latency_seconds
+    if interval is None:
+        if plan.horizon > 0.0 and messages > 1:
+            interval = plan.horizon / (messages - 1)
+        else:
+            interval = 5 * latency
+    if settle is None:
+        settle = 10 * latency
+    ordered_phases = validate_phases(phases)
+
+    driver = SimFaultDriver(scenario, plan)
+    driver.install()
+    engine = scenario.engine
+    rng = scenario._rng  # the harness stream, exactly like paced broadcasts
+    start = engine.now
+    send_times: list[float] = []
+    payloads: list[tuple] = []
+    message_ids = []
+    for index in range(messages):
+        engine.run_until(start + index * interval)
+        # Dissemination is measured *through* corrupted relays, never from
+        # a corrupted source.  ``byzantine_ids`` draws nothing, so with no
+        # Byzantine node this is ``rng.choice(alive_ids())``.
+        corrupted = scenario.network.byzantine_ids()
+        origin = rng.choice([node for node in scenario.alive_ids() if node not in corrupted])
+        # Only Network mutation ever reads the payload.
+        payload = ("m", index)
+        send_times.append(index * interval)
+        payloads.append(payload)
+        message_ids.append(scenario.broadcast_layer(origin).broadcast(payload))
+    tail = max((messages - 1) * interval, plan.horizon) + settle
+    engine.run_until(start + tail)
+    scenario.drain()
+
+    population = frozenset(scenario.alive_ids())
+    summaries = [scenario.tracker.finalize(message_id, population) for message_id in message_ids]
+    return _Stream(interval, ordered_phases, driver, population, send_times, payloads, summaries)
+
+
+def _phase_rows(
+    phases: Sequence[Phase], send_times: list[float], values: list[float]
+) -> list[dict]:
+    """Average / min / atomic fraction of ``values`` per phase window."""
+    rows = []
+    for phase in phases:
+        window = [value for sent_at, value in zip(send_times, values) if phase.contains(sent_at)]
+        rows.append(
+            {
+                "phase": phase.name,
+                "start": phase.start,
+                "end": phase.end,
+                "messages": len(window),
+                "average": sum(window) / len(window) if window else None,
+                "min": min(window, default=None),
+                "atomic": (
+                    sum(1 for value in window if value == 1.0) / len(window)
+                    if window
+                    else None
+                ),
+            }
+        )
+    return rows
+
+
+def _summed_counters(scenario, population: frozenset, method: str) -> Optional[dict]:
+    """A per-layer counter method's dict summed over ``population``;
+    ``None`` for stacks without it, which keeps their artifacts free of
+    the key."""
+    totals: Optional[dict] = None
+    for node_id in population:
+        counters = getattr(scenario.broadcast_layer(node_id), method, None)
+        if counters is None:
+            return None
+        if totals is None:
+            totals = {}
+        for key, value in counters().items():
+            totals[key] = totals.get(key, 0) + value
+    return totals
+
+
+def _result(
+    scenario, plan: FaultPlan, stream: _Stream, phase_values: list[float],
+    stat_names: tuple[str, ...],
+) -> dict:
+    """The result fields both shapes share; ``phase_values`` is the
+    series the phase rows aggregate."""
+    series = [summary.reliability for summary in stream.summaries]
+    stats = scenario.network.stats
+    snapshot = scenario.snapshot()
+    result = {
+        "protocol": scenario.protocol,
+        "n": scenario.params.n,
+        "messages": len(series),
+        "interval": stream.interval,
+        "plan": plan.describe(),
+        "series": series,
+        "send_times": stream.send_times,
+        "average": sum(series) / len(series),
+        "phases": _phase_rows(stream.phases, stream.send_times, phase_values),
+        "fault_stats": {name: getattr(stats, name) for name in stat_names},
+        "final": {
+            "alive": len(stream.population),
+            "largest_component": snapshot.largest_component_fraction(),
+            "symmetry": snapshot.symmetry_fraction(),
+        },
+        "applied": [description for _at, description in stream.driver.applied],
+    }
+    for method, key in (("reliability_stats", "reliable"), ("brb_stats", "brb")):
+        totals = _summed_counters(scenario, stream.population, method)
+        if totals is not None:
+            result[key] = totals
+    return result
 
 
 def measure_fault_plan(
@@ -42,103 +199,89 @@ def measure_fault_plan(
     ``settle`` defaults to ten network delays after the later of the last
     send and the plan horizon, giving repair traffic time to finish.
     """
-    if messages < 1:
-        raise ConfigurationError(f"messages must be >= 1: {messages}")
-    latency = scenario.params.latency_seconds
-    if interval is None:
-        if plan.horizon > 0.0 and messages > 1:
-            interval = plan.horizon / (messages - 1)
-        else:
-            interval = 5 * latency
-    if settle is None:
-        settle = 10 * latency
-    ordered_phases = validate_phases(phases)
+    stream = _paced_stream(scenario, plan, messages, interval, settle, phases)
+    series = [summary.reliability for summary in stream.summaries]
+    return _result(scenario, plan, stream, series, _FAULT_STATS)
 
-    driver = SimFaultDriver(scenario, plan)
-    driver.install()
-    engine = scenario.engine
-    rng = scenario._rng  # the harness stream, exactly like paced broadcasts
-    start = engine.now
-    sends: list[tuple[float, object]] = []
-    for index in range(messages):
-        engine.run_until(start + index * interval)
-        origin = rng.choice(scenario.alive_ids())
-        sends.append(
-            (index * interval, scenario.broadcast_layer(origin).broadcast(None))
+
+class _DeliveryRecorder:
+    """Collects delivered payloads per (message, node) for value judgment."""
+
+    __slots__ = ("deliveries",)
+
+    def __init__(self) -> None:
+        self.deliveries: dict = {}
+
+    def note(self, node_id, message_id, payload) -> None:
+        self.deliveries.setdefault(message_id, {})[node_id] = payload
+
+
+def measure_byzantine_plan(
+    scenario,
+    plan: FaultPlan,
+    *,
+    messages: int,
+    interval: Optional[float] = None,
+    settle: Optional[float] = None,
+    phases: Sequence[Phase] = (),
+) -> dict:
+    """:func:`measure_fault_plan` plus value judgment: validated
+    (correct-value) reliability, agreement, wrong deliveries and delivery
+    latency next to the tracker's raw series; phase rows aggregate the
+    validated series."""
+    recorder = _DeliveryRecorder()
+    scenario.set_delivery_recorder(recorder)
+    stream = _paced_stream(scenario, plan, messages, interval, settle, phases)
+    scenario.set_delivery_recorder(None)
+
+    population = stream.population
+    validated_series: list[float] = []
+    latencies: list[float] = []
+    wrong_deliveries = 0
+    disagreements = 0
+    for payload, summary in zip(stream.payloads, stream.summaries):
+        recorded = recorder.deliveries.get(summary.message_id, {})
+        correct = sum(
+            1
+            for node, value in recorded.items()
+            if node in population and value == payload
         )
-    tail = max((messages - 1) * interval, plan.horizon) + settle
-    engine.run_until(start + tail)
-    scenario.drain()
+        wrong_deliveries += sum(1 for value in recorded.values() if value != payload)
+        if len({repr(value) for value in recorded.values()}) > 1:
+            disagreements += 1
+        validated_series.append(correct / len(population) if population else 0.0)
+        latencies.append(summary.last_delivery_at - summary.sent_at)
 
-    population = frozenset(scenario.alive_ids())
-    records = []
-    for sent_at, message_id in sends:
-        summary = scenario.tracker.finalize(message_id, population)
-        records.append((sent_at, summary))
-
-    phase_rows = []
-    for phase in ordered_phases:
-        window = [summary for sent_at, summary in records if phase.contains(sent_at)]
-        phase_rows.append(
-            {
-                "phase": phase.name,
-                "start": phase.start,
-                "end": phase.end,
-                "messages": len(window),
-                "average": (
-                    sum(s.reliability for s in window) / len(window) if window else None
-                ),
-                "min": min((s.reliability for s in window), default=None),
-                "atomic": (
-                    sum(1 for s in window if s.reliability == 1.0) / len(window)
-                    if window
-                    else None
-                ),
-            }
-        )
-
-    series = [summary.reliability for _sent_at, summary in records]
-    stats = scenario.network.stats
-    snapshot = scenario.snapshot()
-    # Ack/retransmit counters, summed over the live population — present
-    # only for broadcast layers that expose them (the reliable stacks),
-    # so every pre-existing scenario's artifact stays byte-identical.
-    reliable_totals: Optional[dict] = None
-    for node_id in population:
-        layer_stats = getattr(scenario.broadcast_layer(node_id), "reliability_stats", None)
-        if layer_stats is None:
-            break
-        if reliable_totals is None:
-            reliable_totals = {}
-        for key, value in layer_stats().items():
-            reliable_totals[key] = reliable_totals.get(key, 0) + value
-    result = {
-        "protocol": scenario.protocol,
-        "n": scenario.params.n,
-        "messages": messages,
-        "interval": interval,
-        "plan": plan.describe(),
-        "series": series,
-        "send_times": [sent_at for sent_at, _summary in records],
-        "average": sum(series) / len(series),
-        "phases": phase_rows,
-        "fault_stats": {
-            "dropped_fault": stats.dropped_fault,
-            "duplicated_fault": stats.duplicated_fault,
-            "dropped_adversary": stats.dropped_adversary,
-            "send_failures": stats.send_failures,
-            "dropped_dead": stats.dropped_dead,
-        },
-        "final": {
-            "alive": len(population),
-            "largest_component": snapshot.largest_component_fraction(),
-            "symmetry": snapshot.symmetry_fraction(),
-        },
-        "applied": [description for _at, description in driver.applied],
-    }
-    if reliable_totals is not None:
-        result["reliable"] = reliable_totals
+    result = _result(
+        scenario, plan, stream, validated_series, _FAULT_STATS + _BYZANTINE_STATS
+    )
+    result.update(
+        validated_series=validated_series,
+        latencies=latencies,
+        validated_average=sum(validated_series) / len(validated_series),
+        wrong_deliveries=wrong_deliveries,
+        agreement=1.0 - disagreements / messages,
+    )
     return result
 
 
-__all__ = ["measure_fault_plan"]
+def phase_row(result: dict, name: str) -> dict:
+    """The phase row called ``name`` in a result of either shape."""
+    return next(row for row in result["phases"] if row["phase"] == name)
+
+
+def check_cell(result: dict) -> None:
+    """The invariants a result of either shape keeps at any scale."""
+    assert len(result["series"]) == result["messages"]
+    for value in result["series"]:
+        assert 0.0 <= value <= 1.0
+    assert 0.0 <= result["final"]["largest_component"] <= 1.0
+    if "validated_series" in result:
+        assert len(result["validated_series"]) == result["messages"]
+        for raw, validated in zip(result["series"], result["validated_series"]):
+            # A validated delivery is a tracker delivery with the right value.
+            assert 0.0 <= validated <= raw
+        assert 0.0 <= result["agreement"] <= 1.0
+
+
+__all__ = ["check_cell", "measure_byzantine_plan", "measure_fault_plan", "phase_row"]

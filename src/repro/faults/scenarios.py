@@ -1,10 +1,11 @@
 """The ``faults_*`` scenario family: chaos experiments from fault plans.
 
-Every scenario here is one :class:`~repro.faults.plan.FaultPlan` factory
-measured through :func:`~repro.faults.measure.measure_fault_plan` on a
-stabilised overlay, registered in the tiered registry as a one-axis
-``protocols`` grid (so the orchestrator shards them and serves bases from
-the snapshot cache like any grid scenario):
+Every scenario here is one constant :class:`~repro.faults.plan.FaultPlan`
+(with its phase windows and stream end) measured through
+:func:`~repro.faults.measure.measure_fault_plan` on a stabilised overlay,
+registered in the tiered registry as a one-axis protocol grid (so the
+orchestrator shards them and serves bases from the snapshot cache like any
+grid scenario):
 
 * ``faults_partition_heal``   — split-brain with heal and assisted remerge;
 * ``faults_cascade``          — correlated cascading crash waves;
@@ -27,13 +28,16 @@ TCP-masking the flood enjoys:
 * ``reliable_stress`` — loss window and a crash wave at once, the
   retry-budget worst case.
 
-Timeline times are seconds of simulated time (network delay is 0.01 s at
-every tier), so plans transfer unchanged to the live runtime via
-:class:`~repro.faults.chaos.ChaosController`.
+A plan is data: only an edit to this module changes it.  The one value a
+tier sets is the churn traces' ``burst_size`` (150 of the paper tier's
+10 000 nodes).  Timeline times are seconds of simulated time (network
+delay is 0.01 s at every tier), so plans transfer unchanged to the live
+runtime via :class:`~repro.faults.chaos.ChaosController`.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Optional
 
 from ..experiments.registry import (
@@ -47,7 +51,7 @@ from ..experiments.registry import (
     register,
 )
 from ..experiments.reporting import format_phases, json_safe, sparkline
-from .measure import measure_fault_plan
+from .measure import check_cell, measure_fault_plan, phase_row
 from .plan import (
     AdversaryEvent,
     CrashEvent,
@@ -58,21 +62,28 @@ from .plan import (
     RestartEvent,
 )
 
-#: A fault-plan factory: (plan, phases, stream end time) from the context.
-PlanFactory = Callable[[RunContext], tuple[FaultPlan, tuple[Phase, ...], float]]
+#: A scenario's plan: the timeline, its phase windows and the stream's end.
+PlanSpec = tuple[FaultPlan, tuple[Phase, ...], float]
 
 #: Protocols the fault scenarios compare by default: the paper's subject
 #: and its strongest baseline.
 FAULT_PROTOCOLS = ("hyparview", "cyclon-acked")
 
+_SMOKE = TierConfig(n=64, messages=12, stabilization_cycles=15)
+_PAPER = TierConfig(n=10_000, messages=100, paper_params=True)
 
-def _run_fault_cell(ctx: RunContext, key: CellKey, factory: PlanFactory) -> dict:
+
+def stream_interval(ctx: RunContext, end: float) -> Optional[float]:
+    """Send spacing that spreads the tier's messages over ``[0, end]``."""
+    return end / (ctx.config.messages - 1) if ctx.config.messages > 1 else None
+
+
+def _run_fault_cell(ctx: RunContext, key: CellKey, plan: PlanSpec) -> dict:
     scenario = ctx.stabilized(key[0])
-    plan, phases, end = factory(ctx)
-    interval = end / (ctx.config.messages - 1) if ctx.config.messages > 1 else None
+    timeline, phases, end = plan
     result = measure_fault_plan(
-        scenario, plan,
-        messages=ctx.config.messages, interval=interval, phases=phases,
+        scenario, timeline,
+        messages=ctx.config.messages, interval=stream_interval(ctx, end), phases=phases,
     )
     return json_safe(result)  # type: ignore[return-value]
 
@@ -110,14 +121,7 @@ def _render_fault(result: dict, n: int, *, title: str) -> str:
 
 def _sanity(result: dict) -> None:
     for cell in result.values():
-        assert len(cell["series"]) == cell["messages"]
-        for value in cell["series"]:
-            assert 0.0 <= value <= 1.0
-        assert 0.0 <= cell["final"]["largest_component"] <= 1.0
-
-
-def _phase(cell: dict, name: str) -> dict:
-    return next(row for row in cell["phases"] if row["phase"] == name)
+        check_cell(cell)
 
 
 def _register_fault_scenario(
@@ -125,21 +129,24 @@ def _register_fault_scenario(
     scenario_id: str,
     title: str,
     description: str,
-    factory: PlanFactory,
-    smoke: TierConfig,
-    paper: TierConfig,
-    check: Optional[Callable[[dict, int], None]] = None,
-    default_protocols: tuple[str, ...] = FAULT_PROTOCOLS,
+    plan: PlanSpec | Callable[[RunContext], PlanSpec],
+    check: Callable[[dict, int], None],
+    paper: TierConfig = _PAPER,
+    protocols: tuple[str, ...] = FAULT_PROTOCOLS,
 ) -> None:
+    """``plan`` is the scenario's constant plan, or a function of the run
+    context for the plans that read a tier option."""
     register(
         ScenarioSpec(
             id=scenario_id,
             group="faults",
             title=title,
             description=description,
-            tiers=_tiers(smoke=smoke, paper=paper),
-            axes=(Axis("protocols", default_protocols),),
-            run_cell=lambda ctx, key: _run_fault_cell(ctx, key, factory),
+            tiers=_tiers(smoke=_SMOKE, paper=paper),
+            axes=(Axis(None, protocols),),
+            run_cell=lambda ctx, key: _run_fault_cell(
+                ctx, key, plan(ctx) if callable(plan) else plan
+            ),
             render=lambda result, n: _render_fault(result, n, title=title),
             check=check,
         )
@@ -149,40 +156,33 @@ def _register_fault_scenario(
 # ----------------------------------------------------------------------
 # Partition and heal
 # ----------------------------------------------------------------------
-def _partition_factory(ctx: RunContext) -> tuple[FaultPlan, tuple[Phase, ...], float]:
-    split_at = float(ctx.option("split_at", 0.2))    # type: ignore[arg-type]
-    heal_at = float(ctx.option("heal_at", 0.5))      # type: ignore[arg-type]
-    end = float(ctx.option("end", 0.9))              # type: ignore[arg-type]
-    rejoin = int(ctx.option("rejoin", 4))            # type: ignore[arg-type]
-    plan = FaultPlan(
-        events=(
-            PartitionEvent(
-                at=split_at, weights=(0.5, 0.5), heal_at=heal_at, rejoin=rejoin
-            ),
-        ),
+PARTITION_HEAL: PlanSpec = (
+    FaultPlan(
+        events=(PartitionEvent(at=0.2, weights=(0.5, 0.5), heal_at=0.5, rejoin=4),),
         label="partition-heal",
-    )
-    phases = (
-        Phase("before", 0.0, split_at),
-        Phase("partitioned", split_at, heal_at),
-        Phase("healed", heal_at, end + 1e-6),
-    )
-    return plan, phases, end
+    ),
+    (
+        Phase("before", 0.0, 0.2),
+        Phase("partitioned", 0.2, 0.5),
+        Phase("healed", 0.5, 0.9 + 1e-6),
+    ),
+    0.9,
+)
 
 
 def _check_partition(result: dict, n: int) -> None:
     _sanity(result)
     for cell in result.values():
         # The cut is real: mid-partition broadcasts cannot be atomic.
-        during = _phase(cell, "partitioned")
+        during = phase_row(cell, "partitioned")
         if during["messages"]:
             assert during["min"] < 1.0
     if n < SHAPE_CHECK_MIN_N:
         return
     hv = result.get("hyparview")
     if hv:
-        before = _phase(hv, "before")
-        healed = _phase(hv, "healed")
+        before = phase_row(hv, "before")
+        healed = phase_row(hv, "healed")
         # Stable-overlay flood is atomic before the cut, and the assisted
         # remerge restores most of the reach after healing.
         assert before["average"] is None or before["average"] > 0.99
@@ -194,9 +194,7 @@ _register_fault_scenario(
     title="Faults — partition and heal",
     description="Split-brain 50/50 partition with later heal and an "
     "operator-assisted remerge; reliability per fault phase.",
-    factory=_partition_factory,
-    smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
-    paper=TierConfig(n=10_000, messages=100, paper_params=True),
+    plan=PARTITION_HEAL,
     check=_check_partition,
 )
 
@@ -204,20 +202,19 @@ _register_fault_scenario(
 # ----------------------------------------------------------------------
 # Correlated cascading failures
 # ----------------------------------------------------------------------
-def _cascade_factory(ctx: RunContext) -> tuple[FaultPlan, tuple[Phase, ...], float]:
-    wave = float(ctx.option("wave_fraction", 0.15))  # type: ignore[arg-type]
-    waves = tuple(ctx.option("waves", (0.2, 0.35, 0.5)))  # type: ignore[arg-type]
-    end = float(ctx.option("end", 0.9))              # type: ignore[arg-type]
-    plan = FaultPlan(
-        events=tuple(CrashEvent(at=float(at), fraction=wave) for at in waves),
+_WAVES = (0.2, 0.35, 0.5)
+CASCADE: PlanSpec = (
+    FaultPlan(
+        events=tuple(CrashEvent(at=at, fraction=0.15) for at in _WAVES),
         label="cascade",
-    )
-    phases = (
-        Phase("stable", 0.0, waves[0]),
-        Phase("cascading", waves[0], waves[-1] + 0.1),
-        Phase("aftermath", waves[-1] + 0.1, end + 1e-6),
-    )
-    return plan, phases, end
+    ),
+    (
+        Phase("stable", 0.0, _WAVES[0]),
+        Phase("cascading", _WAVES[0], _WAVES[-1] + 0.1),
+        Phase("aftermath", _WAVES[-1] + 0.1, 0.9 + 1e-6),
+    ),
+    0.9,
+)
 
 
 def _check_cascade(result: dict, n: int) -> None:
@@ -229,7 +226,7 @@ def _check_cascade(result: dict, n: int) -> None:
         return
     hv = result.get("hyparview")
     if hv:
-        aftermath = _phase(hv, "aftermath")
+        aftermath = phase_row(hv, "aftermath")
         # HyParView's claim under correlated waves: the tail recovers.
         assert aftermath["average"] is not None and aftermath["average"] > 0.7
 
@@ -239,9 +236,7 @@ _register_fault_scenario(
     title="Faults — correlated cascading failures",
     description="Three correlated crash waves mid-stream; per-wave-phase "
     "reliability and post-cascade recovery.",
-    factory=_cascade_factory,
-    smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
-    paper=TierConfig(n=10_000, messages=100, paper_params=True),
+    plan=CASCADE,
     check=_check_cascade,
 )
 
@@ -249,30 +244,32 @@ _register_fault_scenario(
 # ----------------------------------------------------------------------
 # WAN jitter / lossy links
 # ----------------------------------------------------------------------
-def _wan_factory(ctx: RunContext) -> tuple[FaultPlan, tuple[Phase, ...], float]:
-    degrade_at = float(ctx.option("degrade_at", 0.1))    # type: ignore[arg-type]
-    recover_at = float(ctx.option("recover_at", 0.5))    # type: ignore[arg-type]
-    end = float(ctx.option("end", 0.8))                  # type: ignore[arg-type]
+def _lossy_links(loss: float, jitter: float, phase: str, label: str) -> PlanSpec:
+    """Loss, jitter and 5 % duplication on half the links over
+    ``[0.1 s, 0.5 s)``; ``phase`` names that window."""
     plan = FaultPlan(
         events=(
             DegradeEvent(
-                at=degrade_at,
-                until=recover_at,
-                loss_rate=float(ctx.option("loss", 0.1)),       # type: ignore[arg-type]
-                jitter=(0.0, float(ctx.option("jitter", 0.05))),  # type: ignore[arg-type]
-                duplicate_rate=float(ctx.option("dup", 0.05)),  # type: ignore[arg-type]
+                at=0.1,
+                until=0.5,
+                loss_rate=loss,
+                jitter=(0.0, jitter),
+                duplicate_rate=0.05,
                 retransmit_delay=0.03,
-                link_fraction=float(ctx.option("links", 0.5)),  # type: ignore[arg-type]
+                link_fraction=0.5,
             ),
         ),
-        label="wan-jitter",
+        label=label,
     )
     phases = (
-        Phase("clean", 0.0, degrade_at),
-        Phase("degraded", degrade_at, recover_at),
-        Phase("recovered", recover_at, end + 1e-6),
+        Phase("clean", 0.0, 0.1),
+        Phase(phase, 0.1, 0.5),
+        Phase("recovered", 0.5, 0.8 + 1e-6),
     )
-    return plan, phases, end
+    return plan, phases, 0.8
+
+
+WAN_JITTER = _lossy_links(0.1, 0.05, "degraded", "wan-jitter")
 
 
 def _check_wan(result: dict, n: int) -> None:
@@ -291,35 +288,40 @@ _register_fault_scenario(
     title="Faults — WAN jitter and lossy links",
     description="A window of per-link loss, jitter and duplication on half "
     "the links; TCP-modelled flood vs datagram gossip.",
-    factory=_wan_factory,
-    smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
-    paper=TierConfig(n=10_000, messages=100, paper_params=True),
+    plan=WAN_JITTER,
     check=_check_wan,
-    default_protocols=("hyparview", "cyclon"),
+    protocols=("hyparview", "cyclon"),
 )
 
 
 # ----------------------------------------------------------------------
 # Churn-trace replay
 # ----------------------------------------------------------------------
-def _churn_trace_factory(ctx: RunContext) -> tuple[FaultPlan, tuple[Phase, ...], float]:
-    bursts = int(ctx.option("bursts", 4))            # type: ignore[arg-type]
-    burst_size = int(ctx.option("burst_size", 3))    # type: ignore[arg-type]
-    period = float(ctx.option("period", 0.15))       # type: ignore[arg-type]
-    end = float(ctx.option("end", 0.9))              # type: ignore[arg-type]
+def churn_trace(bursts: int, size: int, period: float, label: str = "churn-trace") -> PlanSpec:
+    """``bursts`` crashes of ``size`` nodes every ``period`` from 0.1 s,
+    each restarted half a period later; early / mid / late thirds of a
+    0.9 s stream."""
     trace = []
     for burst in range(bursts):
         at = 0.1 + burst * period
-        trace.append((at, "crash", burst_size))
-        trace.append((at + period / 2, "restart", burst_size))
-    plan = FaultPlan.churn_trace(trace)
+        trace.append((at, "crash", size))
+        trace.append((at + period / 2, "restart", size))
+    end = 0.9
     third = end / 3
     phases = (
         Phase("early", 0.0, third),
         Phase("mid", third, 2 * third),
         Phase("late", 2 * third, end + 1e-6),
     )
-    return plan, phases, end
+    return FaultPlan.churn_trace(trace, label=label), phases, end
+
+
+def _burst_size(ctx: RunContext, default: int) -> int:
+    return int(ctx.option("burst_size", default))  # type: ignore[arg-type]
+
+
+#: The paper tier's churn bursts: 150 of its 10 000 nodes at a time.
+_PAPER_BURSTS = replace(_PAPER, extra={"burst_size": 150})
 
 
 def _check_churn_trace(result: dict, n: int) -> None:
@@ -338,34 +340,29 @@ _register_fault_scenario(
     title="Faults — churn-trace replay",
     description="Deterministic crash/restart burst trace replayed against "
     "the overlay while the broadcast stream runs.",
-    factory=_churn_trace_factory,
-    smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
-    paper=TierConfig(n=10_000, messages=100, paper_params=True,
-                     extra={"burst_size": 150}),
+    plan=lambda ctx: churn_trace(4, _burst_size(ctx, 3), 0.15),
     check=_check_churn_trace,
+    paper=_PAPER_BURSTS,
 )
 
 
 # ----------------------------------------------------------------------
 # Flash-crowd join
 # ----------------------------------------------------------------------
-def _flash_factory(ctx: RunContext) -> tuple[FaultPlan, tuple[Phase, ...], float]:
-    crash_at = float(ctx.option("crash_at", 0.05))   # type: ignore[arg-type]
-    flash_at = float(ctx.option("flash_at", 0.45))   # type: ignore[arg-type]
-    end = float(ctx.option("end", 0.9))              # type: ignore[arg-type]
-    fraction = float(ctx.option("crash_fraction", 0.4))  # type: ignore[arg-type]
-    plan = FaultPlan(
+FLASH_CROWD: PlanSpec = (
+    FaultPlan(
         events=(
-            CrashEvent(at=crash_at, fraction=fraction),
-            RestartEvent(at=flash_at, fraction=1.0),
+            CrashEvent(at=0.05, fraction=0.4),
+            RestartEvent(at=0.45, fraction=1.0),
         ),
         label="flash-crowd",
-    )
-    phases = (
-        Phase("depleted", 0.0, flash_at),
-        Phase("flash", flash_at, end + 1e-6),
-    )
-    return plan, phases, end
+    ),
+    (
+        Phase("depleted", 0.0, 0.45),
+        Phase("flash", 0.45, 0.9 + 1e-6),
+    ),
+    0.9,
+)
 
 
 def _check_flash(result: dict, n: int) -> None:
@@ -386,9 +383,7 @@ _register_fault_scenario(
     title="Faults — flash-crowd join",
     description="40% of the population crashes, then every dead node "
     "rejoins at the same instant — a join storm through few contacts.",
-    factory=_flash_factory,
-    smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
-    paper=TierConfig(n=10_000, messages=100, paper_params=True),
+    plan=FLASH_CROWD,
     check=_check_flash,
 )
 
@@ -396,16 +391,12 @@ _register_fault_scenario(
 # ----------------------------------------------------------------------
 # Misbehaving peers
 # ----------------------------------------------------------------------
-def _adversary_factory(ctx: RunContext) -> tuple[FaultPlan, tuple[Phase, ...], float]:
-    corrupt_at = float(ctx.option("corrupt_at", 0.1))    # type: ignore[arg-type]
-    honest_at = float(ctx.option("honest_at", 0.6))      # type: ignore[arg-type]
-    crash_at = float(ctx.option("crash_at", 0.25))       # type: ignore[arg-type]
-    end = float(ctx.option("end", 0.9))                  # type: ignore[arg-type]
-    plan = FaultPlan(
+ADVERSARY: PlanSpec = (
+    FaultPlan(
         events=(
             AdversaryEvent(
-                at=corrupt_at,
-                fraction=float(ctx.option("adversary_fraction", 0.25)),  # type: ignore[arg-type]
+                at=0.1,
+                fraction=0.25,
                 # Each protocol family's repair/membership vocabulary; an
                 # adversary only matches the types its overlay actually
                 # speaks (the rest are inert).
@@ -413,24 +404,22 @@ def _adversary_factory(ctx: RunContext) -> tuple[FaultPlan, tuple[Phase, ...], f
                     "ForwardJoin", "Neighbor", "Shuffle", "ShuffleReply",
                     "CyclonJoinWalk", "CyclonShuffleRequest", "CyclonShuffleReply",
                 ),
-                until=honest_at,
+                until=0.6,
             ),
             # Crashes force repair traffic exactly while adversaries are
             # silently eating it.
-            CrashEvent(
-                at=crash_at,
-                fraction=float(ctx.option("crash_fraction", 0.25)),  # type: ignore[arg-type]
-            ),
-            RestartEvent(at=crash_at + 0.15, fraction=1.0),
+            CrashEvent(at=0.25, fraction=0.25),
+            RestartEvent(at=0.25 + 0.15, fraction=1.0),
         ),
         label="adversary",
-    )
-    phases = (
-        Phase("honest", 0.0, corrupt_at),
-        Phase("sabotaged", corrupt_at, honest_at),
-        Phase("recovered", honest_at, end + 1e-6),
-    )
-    return plan, phases, end
+    ),
+    (
+        Phase("honest", 0.0, 0.1),
+        Phase("sabotaged", 0.1, 0.6),
+        Phase("recovered", 0.6, 0.9 + 1e-6),
+    ),
+    0.9,
+)
 
 
 def _check_adversary(result: dict, n: int) -> None:
@@ -451,9 +440,7 @@ _register_fault_scenario(
     title="Faults — misbehaving peers",
     description="A quarter of the nodes silently drop FORWARDJOIN / "
     "NEIGHBOR / SHUFFLE traffic while crashes force repairs through them.",
-    factory=_adversary_factory,
-    smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
-    paper=TierConfig(n=10_000, messages=100, paper_params=True),
+    plan=ADVERSARY,
     check=_check_adversary,
 )
 
@@ -466,33 +453,8 @@ _register_fault_scenario(
 #: datagrams with per-copy acks.
 RELIABLE_PROTOCOLS = ("hyparview-reliable", "cyclon-reliable")
 
-
-def _reliable_loss_factory(ctx: RunContext) -> tuple[FaultPlan, tuple[Phase, ...], float]:
-    degrade_at = float(ctx.option("degrade_at", 0.1))    # type: ignore[arg-type]
-    recover_at = float(ctx.option("recover_at", 0.5))    # type: ignore[arg-type]
-    end = float(ctx.option("end", 0.8))                  # type: ignore[arg-type]
-    plan = FaultPlan(
-        events=(
-            DegradeEvent(
-                at=degrade_at,
-                until=recover_at,
-                loss_rate=float(ctx.option("loss", 0.25)),      # type: ignore[arg-type]
-                # No jitter: loss and duplication stress acks, not
-                # timestamps.
-                jitter=(0.0, 0.0),
-                duplicate_rate=float(ctx.option("dup", 0.05)),  # type: ignore[arg-type]
-                retransmit_delay=0.03,
-                link_fraction=float(ctx.option("links", 0.5)),  # type: ignore[arg-type]
-            ),
-        ),
-        label="reliable-loss",
-    )
-    phases = (
-        Phase("clean", 0.0, degrade_at),
-        Phase("lossy", degrade_at, recover_at),
-        Phase("recovered", recover_at, end + 1e-6),
-    )
-    return plan, phases, end
+#: No jitter: loss and duplication stress acks, not timestamps.
+RELIABLE_LOSS = _lossy_links(0.25, 0.0, "lossy", "reliable-loss")
 
 
 def _check_reliable_loss(result: dict, n: int) -> None:
@@ -503,7 +465,7 @@ def _check_reliable_loss(result: dict, n: int) -> None:
         # require traffic *inside* the degradation window (thinned
         # message counts may put the whole stream outside it).
         assert reliable["acks_received"] > 0
-        if _phase(cell, "lossy")["messages"]:
+        if phase_row(cell, "lossy")["messages"]:
             assert cell["fault_stats"]["dropped_fault"] > 0
             assert reliable["retransmissions"] > 0
     if n < SHAPE_CHECK_MIN_N:
@@ -511,7 +473,7 @@ def _check_reliable_loss(result: dict, n: int) -> None:
     hv = result.get("hyparview-reliable")
     if hv:
         # Retransmissions carry the flood through the loss window.
-        lossy = _phase(hv, "lossy")
+        lossy = phase_row(hv, "lossy")
         assert lossy["average"] is not None and lossy["average"] > 0.9
 
 
@@ -521,32 +483,10 @@ _register_fault_scenario(
     description="A window of per-link datagram loss and duplication on "
     "half the links; per-copy acks and retransmit timers repair the "
     "stream the transport no longer does.",
-    factory=_reliable_loss_factory,
-    smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
-    paper=TierConfig(n=10_000, messages=100, paper_params=True),
+    plan=RELIABLE_LOSS,
     check=_check_reliable_loss,
-    default_protocols=RELIABLE_PROTOCOLS,
+    protocols=RELIABLE_PROTOCOLS,
 )
-
-
-def _reliable_churn_factory(ctx: RunContext) -> tuple[FaultPlan, tuple[Phase, ...], float]:
-    bursts = int(ctx.option("bursts", 3))            # type: ignore[arg-type]
-    burst_size = int(ctx.option("burst_size", 4))    # type: ignore[arg-type]
-    period = float(ctx.option("period", 0.2))        # type: ignore[arg-type]
-    end = float(ctx.option("end", 0.9))              # type: ignore[arg-type]
-    trace = []
-    for burst in range(bursts):
-        at = 0.1 + burst * period
-        trace.append((at, "crash", burst_size))
-        trace.append((at + period / 2, "restart", burst_size))
-    plan = FaultPlan.churn_trace(trace, label="reliable-churn")
-    third = end / 3
-    phases = (
-        Phase("early", 0.0, third),
-        Phase("mid", third, 2 * third),
-        Phase("late", 2 * third, end + 1e-6),
-    )
-    return plan, phases, end
 
 
 def _check_reliable_churn(result: dict, n: int) -> None:
@@ -570,52 +510,44 @@ _register_fault_scenario(
     title="Reliable gossip — churn bursts",
     description="Crash/restart bursts mid-stream; retransmit give-ups "
     "(ack silence), not TCP resets, feed the membership repair.",
-    factory=_reliable_churn_factory,
-    smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
-    paper=TierConfig(n=10_000, messages=100, paper_params=True,
-                     extra={"burst_size": 150}),
+    plan=lambda ctx: churn_trace(3, _burst_size(ctx, 4), 0.2, label="reliable-churn"),
     check=_check_reliable_churn,
-    default_protocols=RELIABLE_PROTOCOLS,
+    paper=_PAPER_BURSTS,
+    protocols=RELIABLE_PROTOCOLS,
 )
 
 
-def _reliable_stress_factory(ctx: RunContext) -> tuple[FaultPlan, tuple[Phase, ...], float]:
-    degrade_at = float(ctx.option("degrade_at", 0.1))    # type: ignore[arg-type]
-    crash_at = float(ctx.option("crash_at", 0.3))        # type: ignore[arg-type]
-    recover_at = float(ctx.option("recover_at", 0.6))    # type: ignore[arg-type]
-    end = float(ctx.option("end", 0.9))                  # type: ignore[arg-type]
-    plan = FaultPlan(
+RELIABLE_STRESS: PlanSpec = (
+    FaultPlan(
         events=(
             DegradeEvent(
-                at=degrade_at,
-                until=recover_at,
-                loss_rate=float(ctx.option("loss", 0.35)),  # type: ignore[arg-type]
+                at=0.1,
+                until=0.6,
+                loss_rate=0.35,
                 jitter=(0.0, 0.0),
                 duplicate_rate=0.05,
                 retransmit_delay=0.03,
-                link_fraction=float(ctx.option("links", 0.6)),  # type: ignore[arg-type]
+                link_fraction=0.6,
             ),
-            CrashEvent(
-                at=crash_at,
-                fraction=float(ctx.option("crash_fraction", 0.2)),  # type: ignore[arg-type]
-            ),
+            CrashEvent(at=0.3, fraction=0.2),
         ),
         label="reliable-stress",
-    )
-    phases = (
-        Phase("clean", 0.0, degrade_at),
-        Phase("lossy", degrade_at, crash_at),
-        Phase("lossy+dead", crash_at, recover_at),
-        Phase("aftermath", recover_at, end + 1e-6),
-    )
-    return plan, phases, end
+    ),
+    (
+        Phase("clean", 0.0, 0.1),
+        Phase("lossy", 0.1, 0.3),
+        Phase("lossy+dead", 0.3, 0.6),
+        Phase("aftermath", 0.6, 0.9 + 1e-6),
+    ),
+    0.9,
+)
 
 
 def _check_reliable_stress(result: dict, n: int) -> None:
     _sanity(result)
     for cell in result.values():
         reliable = cell["reliable"]
-        if _phase(cell, "lossy")["messages"] or _phase(cell, "lossy+dead")["messages"]:
+        if phase_row(cell, "lossy")["messages"] or phase_row(cell, "lossy+dead")["messages"]:
             assert reliable["retransmissions"] > 0
         # The crash wave happened while retries were burning budget.
         assert cell["final"]["alive"] < cell["n"]
@@ -624,7 +556,7 @@ def _check_reliable_stress(result: dict, n: int) -> None:
     hv = result.get("hyparview-reliable")
     if hv:
         # Retries plus view repair pull the tail back up after the window.
-        aftermath = _phase(hv, "aftermath")
+        aftermath = phase_row(hv, "aftermath")
         assert aftermath["average"] is not None and aftermath["average"] > 0.7
 
 
@@ -634,12 +566,16 @@ _register_fault_scenario(
     description="Heavy correlated datagram loss with a crash wave in the "
     "middle of it: retransmit budgets, give-up failure reports and view "
     "repair all under fire at once.",
-    factory=_reliable_stress_factory,
-    smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
-    paper=TierConfig(n=10_000, messages=100, paper_params=True),
+    plan=RELIABLE_STRESS,
     check=_check_reliable_stress,
-    default_protocols=RELIABLE_PROTOCOLS,
+    protocols=RELIABLE_PROTOCOLS,
 )
 
 
-__all__ = ["FAULT_PROTOCOLS", "RELIABLE_PROTOCOLS"]
+__all__ = [
+    "FAULT_PROTOCOLS",
+    "RELIABLE_PROTOCOLS",
+    "WAN_JITTER",
+    "churn_trace",
+    "stream_interval",
+]

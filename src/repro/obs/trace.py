@@ -57,7 +57,7 @@ class TraceSegment:
         self._limit = limit
 
     def record(self, time: float, kind: str, src: Any, dst: Any, message: Any) -> None:
-        """Trace-sink entry point (same signature as ``EventTrace.record``)."""
+        """Trace-sink entry point (``Network.trace`` / ``AsyncioTransport.trace``)."""
         if getattr(message, "message_id", None) is None:
             return
         if len(self.records) >= self._limit:

@@ -13,7 +13,6 @@ from .latency import (
 from .network import ByzantineBehavior, Network, NetworkStats
 from .node import SimNode
 from .transport import SimTransport
-from .trace import EventTrace, TraceRecord
 
 __all__ = [
     "ByzantineBehavior",
@@ -21,14 +20,12 @@ __all__ = [
     "CoordinateLatency",
     "Engine",
     "EventHandle",
-    "EventTrace",
     "LatencyModel",
     "Network",
     "NetworkStats",
     "SimClock",
     "SimNode",
     "SimTransport",
-    "TraceRecord",
     "UniformLatency",
     "ZonedLatency",
     "build_latency_model",

@@ -58,9 +58,9 @@ from ..common.messages import Message
 from ..common.rng import SeedSequence
 from .engine import Engine
 from .latency import ConstantLatency, LatencyModel
-from .trace import EventTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..obs.trace import TraceSegment
     from .node import SimNode
 
 
@@ -245,7 +245,7 @@ class Network:
         # registry behind Transport.watch (see module docstring).
         self._watchers: dict[NodeId, dict[NodeId, Callable[[NodeId], None]]] = {}
         self.stats = NetworkStats()
-        self._trace: Optional[EventTrace] = None
+        self._trace: Optional["TraceSegment"] = None
         self._hooked = False
 
     def _rehook(self) -> None:
@@ -254,12 +254,12 @@ class Network:
         self._hooked = bool(faults or self._trace is not None or self._partition is not None)
 
     @property
-    def trace(self) -> Optional[EventTrace]:
+    def trace(self) -> Optional["TraceSegment"]:
         """The sink every send, drop and delivery is recorded into."""
         return self._trace
 
     @trace.setter
-    def trace(self, sink: Optional[EventTrace]) -> None:
+    def trace(self, sink: Optional["TraceSegment"]) -> None:
         self._trace = sink
         self._rehook()
 

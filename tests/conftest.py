@@ -2,12 +2,14 @@
 
 The ``World`` helper itself lives in :mod:`repro.testing` so test modules
 can import it directly (``from repro.testing import World``) without
-relying on pytest's conftest path magic.
+relying on pytest's conftest path magic.  ``FrameLog`` is test-only and
+lives here (``from conftest import FrameLog``).
 """
 
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 
 import pytest
 
@@ -16,7 +18,17 @@ from repro.experiments.runner import run_scenarios
 from repro.experiments.scenario import Scenario
 from repro.testing import World, check_acked_channel_quiescent, check_no_open_exchange
 
-__all__ = ["World"]
+__all__ = ["FrameLog", "World"]
+
+Frame = namedtuple("Frame", "time kind src dst message_type")
+
+
+class FrameLog(list):
+    """A ``Network.trace`` sink that keeps every frame, membership traffic
+    included (``TraceSegment`` keeps only gossip messages)."""
+
+    def record(self, time, kind, src, dst, message) -> None:
+        self.append(Frame(time, kind, src, dst, type(message).__name__))
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 4.2-4.5), driven through small wired simulated networks."""
 
 import pytest
+from conftest import FrameLog
 
 from repro.common.errors import ProtocolError
 from repro.core.config import HyParViewConfig
@@ -85,11 +86,13 @@ class TestForwardJoin:
         config = HyParViewConfig(active_view_capacity=4, passive_view_capacity=5, arwl=5, prwl=1)
         (na, a), (nb, b), (nc, c), (_, d) = world.hyparview_many(4, config=config)
         world.join_chain([a, b, c])
-        world.network.trace = __import__("repro.sim.trace", fromlist=["EventTrace"]).EventTrace()
+        world.network.trace = FrameLog()
         b.handle_forward_join(ForwardJoin(d.address, 5, a.address))
         world.drain()
-        forwards = world.network.trace.messages_of_type("ForwardJoin")
-        sends = [record for record in forwards if record.kind == "send"]
+        sends = [
+            record for record in world.network.trace
+            if record.kind == "send" and record.message_type == "ForwardJoin"
+        ]
         assert sends  # the walk continued rather than being absorbed at b
 
     def test_walk_reaching_joiner_is_dropped(self, world):
@@ -267,7 +270,7 @@ class TestShuffle:
         protocols = [p for _, p in world.hyparview_many(4, config=config)]
         world.join_chain(protocols)
         initiator = protocols[0]
-        world.network.trace = __import__("repro.sim.trace", fromlist=["EventTrace"]).EventTrace()
+        world.network.trace = FrameLog()
         initiator.shuffle_once()
         world.drain()
         assert initiator.stats.shuffles_initiated == 1

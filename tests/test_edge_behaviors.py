@@ -4,6 +4,7 @@ corrupt wire frames, Scamp's indirection factor, the Host bundle."""
 import asyncio
 import json
 
+from conftest import FrameLog
 from repro.core.config import HyParViewConfig
 from repro.gossip.flood import FloodBroadcast
 from repro.protocols.scamp import ScampForwardedSubscription, ScampSubscribe
@@ -54,16 +55,15 @@ class TestScampIndirection:
         world.join_chain(protocols)
         contact = protocols[0]
         view_size = len(contact.partial_view)
-        world.network.trace = __import__(
-            "repro.sim.trace", fromlist=["EventTrace"]
-        ).EventTrace()
+        world.network.trace = FrameLog()
         contact.handle_subscribe(ScampSubscribe(protocols[-1].address))
         # Count only the copies the contact itself fanned out (trace starts
         # empty, the cascade adds more forwards downstream).
         first_wave = [
             record
-            for record in world.network.trace.of_kind("send")
-            if record.message_type == "ScampForwardedSubscription"
+            for record in world.network.trace
+            if record.kind == "send"
+            and record.message_type == "ScampForwardedSubscription"
             and record.src == contact.address
         ]
         assert len(first_wave) == view_size + contact.config.c

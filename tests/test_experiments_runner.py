@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -92,6 +93,25 @@ class TestRegistry:
             assert text.strip(), scenario_id
             run.check()  # sanity invariants hold at any scale
             json.loads(encode_artifact(run.artifact()))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("scenario_id", scenario_ids())
+def test_tier_options_are_exactly_the_keys_tiers_set(scenario_id, monkeypatch):
+    """A value only an edit can change is a constant, not a tier option:
+    every key a replicate reads is set by some tier of its scenario, and
+    every key a tier sets is read (``option`` ignores typos silently)."""
+    read: set[str] = set()
+    option = RunContext.option
+
+    def recording(ctx, key, default):
+        read.add(key)
+        return option(ctx, key, default)
+
+    monkeypatch.setattr(RunContext, "option", recording)
+    run_scenarios([scenario_id], "smoke", workers=1, replicates=1, **TINY)
+    tiers = get_scenario(scenario_id).tiers.values()
+    assert read == {key for config in tiers for key in config.extra}
 
 
 class TestRunContext:
@@ -293,6 +313,30 @@ class TestBenchCli:
             "BENCH_fig1_hyparview_reference.json",
             "BENCH_fig1c_failure50.json",
         ]
+
+    def test_failed_checks_are_all_reported_and_exit_one(self, capsys, tmp_path, monkeypatch):
+        def failing(result, n):
+            raise AssertionError("needs a bigger system")
+
+        for scenario_id in FAST_IDS:
+            monkeypatch.setitem(
+                REGISTRY, scenario_id, replace(REGISTRY[scenario_id], check=failing)
+            )
+        args = ["bench", "--n", "32", "--messages", "2", "--check", "--out", str(tmp_path)]
+        for scenario_id in FAST_IDS:
+            args += ["--scenario", scenario_id]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        failures = [line for line in captured.err.splitlines() if line.startswith("check failed:")]
+        assert failures == [
+            f"check failed: {scenario_id}: "
+            'raise AssertionError("needs a bigger system") (needs a bigger system)'
+            for scenario_id in FAST_IDS
+        ]
+        for scenario_id in FAST_IDS:
+            assert f"===== {scenario_id} =====" in captured.out
+            assert (tmp_path / f"BENCH_{scenario_id}.json").exists()
+        assert "Traceback" not in captured.err
 
     def test_cell_and_cache_flags(self, capsys, tmp_path):
         """--no-snapshot-cache runs the same cells and writes byte-identical

@@ -31,6 +31,7 @@ from repro.faults import (
     measure_fault_plan,
     validate_phases,
 )
+from repro.faults.measure import measure_byzantine_plan
 from repro.sim.network import ByzantineBehavior, LinkFaultRule
 
 
@@ -270,6 +271,29 @@ class TestNoOpGuarantee:
             s.reliability for s in faulted.send_paced_broadcasts(2)
         ]
         assert plain.engine.processed == faulted.engine.processed
+
+
+class TestSharedMeasuringLoop:
+    def test_raw_and_value_judged_shapes_agree_on_an_honest_plan(self):
+        """Both result shapes read one loop: on two thaws of one base under
+        an honest crash + restart plan they agree exactly, and with no
+        Byzantine sender every tracker delivery is of the sent value."""
+        base = _tiny_base()
+        frozen = base.freeze()
+        plan = FaultPlan(
+            events=(CrashEvent(at=0.1, fraction=0.25), RestartEvent(at=0.3, fraction=1.0)),
+            label="crash-restart",
+        )
+        phases = (Phase("before", 0.0, 0.1), Phase("after", 0.1, 1.0))
+        raw = measure_fault_plan(base.thaw(frozen), plan, messages=6, phases=phases)
+        judged = measure_byzantine_plan(base.thaw(frozen), plan, messages=6, phases=phases)
+        for key in ("series", "send_times", "interval", "final", "applied", "phases"):
+            assert judged[key] == raw[key], key
+        assert raw["fault_stats"] == {key: judged["fault_stats"][key] for key in raw["fault_stats"]}
+        assert len(raw["applied"]) == 2
+        assert judged["validated_series"] == judged["series"]
+        assert judged["wrong_deliveries"] == 0
+        assert judged["agreement"] == 1.0
 
 
 class TestSimDriver:

@@ -6,17 +6,17 @@ costs is pinned exactly so a slower path cannot hide behind timing noise.
 from dataclasses import replace
 
 import pytest
+from conftest import FrameLog
 
 from repro.experiments import ExperimentParams, Scenario
 from repro.sim.network import ByzantineBehavior, LinkFaultRule
-from repro.sim.trace import EventTrace
 from repro.testing import check_acked_channel_quiescent
 
 NEVER = {"NoSuchMessageType"}
 
 
 def _install_trace(network, _ids):
-    network.trace = EventTrace()
+    network.trace = FrameLog()
     return lambda: setattr(network, "trace", None)
 
 

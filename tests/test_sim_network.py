@@ -4,6 +4,7 @@ injection, connection watching, partitions and loss."""
 from dataclasses import dataclass
 
 import pytest
+from conftest import FrameLog
 
 from repro.common.errors import SimulationError, UnknownNodeError
 from repro.common.ids import NodeId
@@ -12,7 +13,6 @@ from repro.common.rng import SeedSequence
 from repro.sim.engine import Engine
 from repro.sim.network import LinkFaultRule, Network
 from repro.sim.node import SimNode
-from repro.sim.trace import EventTrace
 
 
 @register_message("test.ping")
@@ -334,14 +334,14 @@ class TestStatsAndTrace:
 
     def test_trace_records_send_and_deliver(self):
         engine, network = make_network()
-        network.trace = EventTrace()
+        network.trace = FrameLog()
         a, _ = make_node(network, "a")
         b, _ = make_node(network, "b")
         network.send(a.node_id, b.node_id, Ping(1))
         engine.run_until_idle()
         kinds = [record.kind for record in network.trace]
         assert kinds == ["send", "deliver"]
-        assert network.trace.messages_of_type("Ping")
+        assert all(record.message_type == "Ping" for record in network.trace)
 
     def test_unhandled_messages_counted(self):
         engine, network = make_network()
@@ -387,7 +387,7 @@ class TestFramesInFlightMeetLaterHooks:
         a, _ = make_node(network, "a")
         b, received = make_node(network, "b")
         network.send(a.node_id, b.node_id, Ping(1))
-        network.trace = EventTrace()
+        network.trace = FrameLog()
         engine.run_until_idle()
         assert received == [Ping(1)]
         assert [record.kind for record in network.trace] == ["deliver"]

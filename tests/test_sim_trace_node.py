@@ -1,4 +1,4 @@
-"""Tests for event tracing and the SimNode protocol container."""
+"""Tests for the SimNode protocol container."""
 
 from dataclasses import dataclass
 
@@ -10,7 +10,6 @@ from repro.common.messages import Message, register_message
 from repro.sim.engine import Engine
 from repro.sim.network import Network
 from repro.sim.node import SimNode
-from repro.sim.trace import EventTrace
 
 
 @register_message("test.alpha")
@@ -23,49 +22,6 @@ class Alpha(Message):
 @dataclass(frozen=True, slots=True)
 class Beta(Message):
     value: int
-
-
-class TestEventTrace:
-    def test_record_and_filter(self):
-        trace = EventTrace()
-        a, b = NodeId("a", 1), NodeId("b", 1)
-        trace.record(0.0, "send", a, b, Alpha(1))
-        trace.record(0.1, "deliver", a, b, Alpha(1))
-        trace.record(0.2, "send", b, a, Beta(2))
-        assert len(trace) == 3
-        assert len(trace.of_kind("send")) == 2
-        assert len(trace.messages_of_type("Alpha")) == 2
-        assert trace.counts_by_type() == {"Alpha": 1, "Beta": 1}
-
-    def test_bounded_memory(self):
-        trace = EventTrace(limit=10)
-        a = NodeId("a", 1)
-        for i in range(25):
-            trace.record(float(i), "send", a, a, Alpha(i))
-        assert len(trace) <= 10
-        assert trace.dropped_records > 0
-        # newest records survive
-        assert list(trace)[-1].time == 24.0
-
-    def test_clear(self):
-        trace = EventTrace()
-        trace.record(0.0, "send", None, None, None)
-        trace.clear()
-        assert len(trace) == 0
-
-    def test_tiny_limits_stay_bounded(self):
-        # limit < 2 used to floor-divide the keep count to zero, and
-        # ``[-0:]`` keeps *everything* — the buffer grew without bound
-        # while claiming to be capped.
-        for limit in (1, 2, 3):
-            trace = EventTrace(limit=limit)
-            a = NodeId("a", 1)
-            for i in range(50):
-                trace.record(float(i), "send", a, a, Alpha(i))
-            assert len(trace) <= limit + 1
-            assert trace.dropped_records + len(trace) == 50
-            # newest record always survives
-            assert list(trace)[-1].time == 49.0
 
 
 class FakeProtocol:
