@@ -23,12 +23,12 @@ from .experiments.params import ExperimentParams
 from .experiments.scenario import Scenario
 from .gossip.eager import EagerGossip
 from .gossip.flood import FloodBroadcast
-from .gossip.plumtree import Plumtree, PlumtreeConfig
+from .gossip.plumtree import Plumtree
 from .gossip.tracker import BroadcastTracker
 from .metrics.graph import OverlaySnapshot
 from .protocols.cyclon import Cyclon, CyclonConfig
 from .protocols.cyclon_acked import CyclonAcked
-from .protocols.scamp import Scamp, ScampConfig
+from .protocols.scamp import Scamp
 
 __version__ = "1.0.0"
 
@@ -46,9 +46,7 @@ __all__ = [
     "NodeId",
     "OverlaySnapshot",
     "Plumtree",
-    "PlumtreeConfig",
     "Scamp",
-    "ScampConfig",
     "Scenario",
     "__version__",
 ]

@@ -7,7 +7,8 @@ Defaults are the exact values from Section 5.1 of the paper: active view of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..common.errors import ConfigurationError
@@ -109,21 +110,7 @@ class HyParViewConfig:
         paper's 30-at-10 000 as the anchor, honouring the "larger than
         log(n)" requirement from Section 4.1.
         """
-        import math
-
         if n < 2:
             raise ConfigurationError(f"system size must be >= 2: {n}")
         passive = max(6, round(30 * math.log(n) / math.log(10_000)))
-        return HyParViewConfig(
-            active_view_capacity=self.active_view_capacity,
-            passive_view_capacity=passive,
-            arwl=self.arwl,
-            prwl=self.prwl,
-            shuffle_ka=self.shuffle_ka,
-            shuffle_kp=self.shuffle_kp,
-            shuffle_ttl=self.shuffle_ttl,
-            shuffle_period=self.shuffle_period,
-            neighbor_request_timeout=self.neighbor_request_timeout,
-            promotion_retry_delay=self.promotion_retry_delay,
-            promotion_max_passes=self.promotion_max_passes,
-        )
+        return replace(self, passive_view_capacity=passive)

@@ -13,17 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from ..common.errors import ConfigurationError
 from ..core.config import HyParViewConfig
-from ..gossip.byzantine import BRBConfig
-from ..gossip.plumtree import PlumtreeConfig
-from ..gossip.reliable import ReliableConfig
+from ..gossip.byzantine import BRB_MODES
 from ..protocols.cyclon import CyclonConfig
 from ..protocols.registry import stack_names
-from ..protocols.scamp import ScampConfig
-from ..protocols.xbot import XBotConfig
 from ..sim.latency import LATENCY_MODEL_NAMES
 
 #: Protocol names accepted by the scenario builder, derived from the
@@ -36,54 +31,42 @@ PROTOCOL_NAMES = stack_names()
 
 @dataclass(frozen=True, slots=True)
 class ExperimentParams:
-    """Everything a scenario needs to be reproducible."""
+    """Everything a scenario needs to be reproducible.
+
+    The broadcast fanout is ``hyparview.fanout`` (Section 5.1: active view
+    = fanout + 1); the eager layers of the baselines read it there.
+    """
 
     n: int = 1_000
     seed: int = 42
-    fanout: int = 4
     stabilization_cycles: int = 50
     hyparview: HyParViewConfig = field(default_factory=HyParViewConfig)
     cyclon: CyclonConfig = field(default_factory=CyclonConfig)
-    scamp: ScampConfig = field(default_factory=ScampConfig)
-    reliable: ReliableConfig = field(default_factory=ReliableConfig)
-    #: Byzantine broadcast tuning (quorum mode, assumed fault fraction,
-    #: phase ack/retransmit knobs) for the ``*-brb`` stacks.
-    brb: BRBConfig = field(default_factory=BRBConfig)
-    #: Plumtree tuning; ``None`` uses the layer's defaults (the published
-    #: setting).  Carried here so the stack registry can build plumtree
-    #: stacks from one parameter object in both substrates.
-    plumtree: Optional[PlumtreeConfig] = None
-    #: X-BOT topology-optimisation tuning (swap rounds, unbiased slots)
-    #: for the ``hyparview-xbot`` stack.
-    xbot: XBotConfig = field(default_factory=XBotConfig)
-    latency_seconds: float = 0.01
     #: Which latency world model prices the links (``LATENCY_MODEL_NAMES``):
     #: ``"constant"`` is the paper's abstract model and the historical
     #: default (every pre-existing artifact is pinned with it); ``"zoned"``
     #: is the planetary RTT zone matrix the ``topo_*`` scenarios run on.
     latency_model: str = "constant"
-    #: Zone count for the ``"zoned"`` model; ignored by ``"constant"``.
-    latency_zones: int = 8
-    max_events_per_drain: Optional[int] = 50_000_000
+    #: Quorum mode of the ``*-brb`` stacks (``BRB_MODES``): Bracha's
+    #: full-roster quorums, or SBRB's sampled ones.
+    brb_mode: str = "bracha"
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ConfigurationError(f"system size must be >= 2: {self.n}")
-        if self.fanout < 1:
-            raise ConfigurationError(f"fanout must be >= 1: {self.fanout}")
         if self.stabilization_cycles < 0:
             raise ConfigurationError(
                 f"stabilisation cycles must be >= 0: {self.stabilization_cycles}"
             )
-        if self.latency_seconds < 0:
-            raise ConfigurationError(f"latency must be >= 0: {self.latency_seconds}")
         if self.latency_model not in LATENCY_MODEL_NAMES:
             raise ConfigurationError(
                 f"unknown latency model {self.latency_model!r}; "
                 f"expected one of {LATENCY_MODEL_NAMES}"
             )
-        if self.latency_zones < 1:
-            raise ConfigurationError(f"zone count must be >= 1: {self.latency_zones}")
+        if self.brb_mode not in BRB_MODES:
+            raise ConfigurationError(
+                f"unknown BRB mode {self.brb_mode!r}; expected one of {BRB_MODES}"
+            )
 
     @classmethod
     def paper(cls, n: int = 10_000, seed: int = 42) -> "ExperimentParams":
@@ -91,18 +74,9 @@ class ExperimentParams:
         return cls(
             n=n,
             seed=seed,
-            fanout=4,
             stabilization_cycles=50,
-            hyparview=HyParViewConfig(
-                active_view_capacity=5,
-                passive_view_capacity=30,
-                arwl=6,
-                prwl=3,
-                shuffle_ka=3,
-                shuffle_kp=4,
-            ),
-            cyclon=CyclonConfig(view_size=35, shuffle_length=14, walk_ttl=5),
-            scamp=ScampConfig(c=4),
+            hyparview=HyParViewConfig.paper(),
+            cyclon=CyclonConfig(view_size=35, shuffle_length=14),
         )
 
     @classmethod
@@ -122,15 +96,9 @@ class ExperimentParams:
         return cls(
             n=n,
             seed=seed,
-            fanout=4,
             stabilization_cycles=stabilization_cycles,
             hyparview=hyparview,
-            cyclon=CyclonConfig(
-                view_size=cyclon_view,
-                shuffle_length=shuffle_length,
-                walk_ttl=5,
-            ),
-            scamp=ScampConfig(c=4),
+            cyclon=CyclonConfig(view_size=cyclon_view, shuffle_length=shuffle_length),
         )
 
     def with_seed(self, seed: int) -> "ExperimentParams":

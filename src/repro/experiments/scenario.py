@@ -29,10 +29,14 @@ from ..obs.context import current_collector
 from ..protocols.base import PeerSamplingService
 from ..protocols.registry import get_stack
 from ..sim.engine import Engine
-from ..sim.latency import build_latency_model
+from ..sim.latency import LATENCY_SECONDS, build_latency_model
 from ..sim.network import Network
 from ..sim.node import SimNode
 from .params import PROTOCOL_NAMES, ExperimentParams
+
+#: Livelock guard: one drain that fires more events than this raises
+#: instead of spinning forever.
+MAX_EVENTS_PER_DRAIN = 50_000_000
 
 
 class _RecorderCallback:
@@ -151,7 +155,7 @@ class Scenario:
 
     def drain(self) -> int:
         """Process every pending event (one lock-step phase)."""
-        return self.engine.run_until_idle(self.params.max_events_per_drain)
+        return self.engine.run_until_idle(MAX_EVENTS_PER_DRAIN)
 
     # ------------------------------------------------------------------
     # Overlay construction (Section 5: join one by one, no cycles between)
@@ -283,7 +287,7 @@ class Scenario:
         overlay mid-repair.  ``interval`` defaults to five network delays.
         """
         if interval is None:
-            interval = 5 * self.params.latency_seconds
+            interval = 5 * LATENCY_SECONDS
         message_ids = []
         start = self.engine.now
         for index in range(count):

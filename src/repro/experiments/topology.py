@@ -55,7 +55,7 @@ _CHURN = churn_trace(4, 3, 0.15)
 
 def _topo_params(ctx: RunContext) -> ExperimentParams:
     """Tier params moved onto the zoned RTT world model."""
-    return replace(ctx.params(), latency_model="zoned", latency_zones=8)
+    return replace(ctx.params(), latency_model="zoned")
 
 
 def _quantile(ordered: list[float], q: float) -> float:

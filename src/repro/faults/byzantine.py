@@ -39,7 +39,6 @@ from ..experiments.registry import (
     register,
 )
 from ..experiments.reporting import json_safe, sparkline
-from ..gossip.byzantine import BRBConfig
 from .measure import check_cell, measure_byzantine_plan, phase_row
 from .plan import (
     DEFAULT_MUTATION_TYPES,
@@ -68,7 +67,7 @@ def _byz_params(ctx: RunContext, protocol: str) -> ExperimentParams:
     params = ctx.params()
     if not protocol.endswith("-brb"):
         return params
-    return replace(params, brb=BRBConfig(mode=str(ctx.option("brb_mode", "bracha"))))
+    return replace(params, brb_mode=str(ctx.option("brb_mode", "bracha")))
 
 
 def _run_byz_cell(ctx: RunContext, protocol: str, plan: PlanSpec) -> dict:

@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from ..common.errors import ConfigurationError
+from ..sim.latency import LATENCY_SECONDS
 from .plan import FaultPlan, Phase, validate_phases
 from .sim import SimFaultDriver
 
@@ -67,14 +68,13 @@ def _paced_stream(
     population."""
     if messages < 1:
         raise ConfigurationError(f"messages must be >= 1: {messages}")
-    latency = scenario.params.latency_seconds
     if interval is None:
         if plan.horizon > 0.0 and messages > 1:
             interval = plan.horizon / (messages - 1)
         else:
-            interval = 5 * latency
+            interval = 5 * LATENCY_SECONDS
     if settle is None:
-        settle = 10 * latency
+        settle = 10 * LATENCY_SECONDS
     ordered_phases = validate_phases(phases)
 
     driver = SimFaultDriver(scenario, plan)

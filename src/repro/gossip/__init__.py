@@ -12,7 +12,7 @@ from .messages import (
     PlumtreeIHave,
     PlumtreePrune,
 )
-from .plumtree import Plumtree, PlumtreeConfig
+from .plumtree import Plumtree
 from .reliable import ReliableGossip
 from .tracker import BroadcastSummary, BroadcastTracker, DeliveryRecord
 
@@ -26,7 +26,6 @@ __all__ = [
     "GossipAck",
     "GossipData",
     "Plumtree",
-    "PlumtreeConfig",
     "PlumtreeGossip",
     "PlumtreeGraft",
     "PlumtreeIHave",

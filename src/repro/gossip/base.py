@@ -15,7 +15,6 @@ subclasses differ only in target selection and transport discipline:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import deque
 from typing import Any, Callable, Optional
 
 from ..common.ids import MessageId, NodeId, SequenceGenerator
@@ -41,7 +40,6 @@ class BroadcastLayer(ABC):
         tracker: Optional[BroadcastTracker] = None,
         *,
         on_deliver: Optional[DeliverCallback] = None,
-        seen_capacity: Optional[int] = None,
     ) -> None:
         self._host = host
         #: This node's identity — read on every reception, so held directly.
@@ -53,10 +51,6 @@ class BroadcastLayer(ABC):
         # must never collide with ids its predecessor minted.
         self._sequence = SequenceGenerator(host.address, start=host.incarnation << 32)
         self._seen: set[MessageId] = set()
-        self._seen_order: Optional[deque[MessageId]] = (
-            deque() if seen_capacity is not None else None
-        )
-        self._seen_capacity = seen_capacity
         self.delivered_count = 0
         self.duplicate_count = 0
 
@@ -75,7 +69,7 @@ class BroadcastLayer(ABC):
         message_id = self._sequence.next_id()
         if self._tracker is not None:
             self._tracker.on_broadcast(message_id, self.address, self._host.now())
-        self._mark_seen(message_id)
+        self._seen.add(message_id)
         self._deliver(message_id, payload, hops=0)
         self._forward(message_id, payload, hops=1, exclude=())
         return message_id
@@ -87,7 +81,7 @@ class BroadcastLayer(ABC):
             if self._tracker is not None:
                 self._tracker.on_redundant(message_id, self.address)
             return
-        self._mark_seen(message_id)
+        self._seen.add(message_id)
         self._deliver(message_id, message.payload, message.hops)
         self._forward(message_id, message.payload, message.hops + 1, exclude=(message.sender,))
 
@@ -116,14 +110,6 @@ class BroadcastLayer(ABC):
             self._tracker.on_deliver(message_id, self.address, self._host.now(), hops)
         if self._on_deliver is not None:
             self._on_deliver(message_id, payload)
-
-    def _mark_seen(self, message_id: MessageId) -> None:
-        self._seen.add(message_id)
-        if self._seen_order is not None:
-            self._seen_order.append(message_id)
-            if len(self._seen_order) > self._seen_capacity:
-                evicted = self._seen_order.popleft()
-                self._seen.discard(evicted)
 
     def _record_transmissions(self, message_id: MessageId, copies: int) -> None:
         if self._tracker is not None and copies:

@@ -24,18 +24,19 @@ Protocol, per broadcast:
 * **DELIVER** — on ``2f + 1`` READYs for one digest, once the payload
   itself is known (the SEND may still be in flight; delivery waits).
 
-Two quorum modes (:class:`BRBConfig.mode`):
+Two quorum modes (``BRBGossip(mode=...)``, chosen by
+``ExperimentParams.brb_mode``):
 
 * ``"bracha"`` — deterministic quorums over the full roster of size
-  ``n``: with ``f = floor(fault_fraction * n)``, echo quorum
+  ``n``: with ``f = floor(FAULT_FRACTION * n)``, echo quorum
   ``ceil((n + f + 1) / 2)``, amplification ``f + 1``, delivery
   ``2f + 1``.  Safe and live for ``n > 3f``; per-broadcast cost O(n²).
 * ``"sampled"`` — Scalable Byzantine Reliable Broadcast (Guerraoui et
   al.): each node draws *static* echo and ready samples of size
-  ``k = ceil(3 * log2 n)`` (default) from the roster via its own seeded
+  ``k = ceil(3 * log2 n)`` from the roster via its own seeded
   :class:`~repro.common.rng.StreamRandom`, and applies the same
   thresholds with ``n -> k``.  Per-node cost drops to O(log n) per
-  broadcast at a (tunable) probability of per-node delivery failure;
+  broadcast at a small probability of per-node delivery failure;
   READY amplification pulls unlucky nodes over the line in practice.
   Samples are drawn lazily on first use and deterministically per node,
   so artifacts stay byte-identical across worker processes.
@@ -49,17 +50,26 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..common.errors import ConfigurationError, ProtocolError
+from ..common.errors import ProtocolError
 from ..common.ids import MessageId, NodeId
 from ..common.interfaces import Host
 from ..protocols.base import PeerSamplingService
 from .base import DeliverCallback
 from .messages import BRBAck, BRBEcho, BRBReady, BRBSend
-from .reliable import ReliableConfig, ReliableGossip
+from .reliable import ReliableGossip
 from .tracker import BroadcastTracker
+
+#: Quorum modes (see the module docstring).
+BRB_MODES = ("bracha", "sampled")
+#: The *assumed* adversary budget the quorum thresholds are sized for —
+#: Bracha mode is safe and live while the actual Byzantine fraction stays
+#: below it and ``n > 3f`` holds.
+FAULT_FRACTION = 0.25
+#: Sampled mode's group size per log2 of the roster (SBRB's
+#: ``k = ceil(3 * log2 n)``).
+SAMPLE_FACTOR = 3
 
 #: Phase tags used in acked-channel keys and :class:`BRBAck` frames.
 PHASE_SEND = "send"
@@ -75,41 +85,6 @@ def payload_digest(payload: Any) -> str:
     quadratic echo phase cheap on the wire.
     """
     return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
-
-
-@dataclass(frozen=True, slots=True)
-class BRBConfig:
-    """Tuning of the Byzantine broadcast layer.
-
-    ``fault_fraction`` is the *assumed* adversary budget the quorum
-    thresholds are sized for — Bracha mode is safe and live while the
-    actual Byzantine fraction stays below it and ``n > 3f`` holds.
-    ``sample_size=None`` uses SBRB's ``ceil(3 * log2 n)`` in sampled
-    mode.  The ack/retransmit knobs mirror :class:`~repro.gossip.
-    reliable.ReliableConfig`, which validates them and says what they
-    mean (``ack_timeout`` is the initial value and the floor of the
-    per-peer timeout the channel learns, here as there).
-    """
-
-    mode: str = "bracha"
-    fault_fraction: float = 0.25
-    sample_size: Optional[int] = None
-    ack_timeout: float = 0.05
-    backoff: float = 2.0
-    max_retries: int = 3
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("bracha", "sampled"):
-            raise ConfigurationError(
-                f"BRB mode must be 'bracha' or 'sampled': {self.mode!r}"
-            )
-        if not 0.0 <= self.fault_fraction < 0.5:
-            raise ConfigurationError(
-                f"fault fraction must be in [0, 0.5): {self.fault_fraction}"
-            )
-        if self.sample_size is not None and self.sample_size < 1:
-            raise ConfigurationError(f"sample size must be >= 1: {self.sample_size}")
-        ReliableConfig(self.ack_timeout, self.backoff, self.max_retries)
 
 
 class _BRBState:
@@ -151,23 +126,12 @@ class BRBGossip(ReliableGossip):
         membership: PeerSamplingService,
         tracker: Optional[BroadcastTracker] = None,
         *,
-        config: Optional[BRBConfig] = None,
+        mode: str = "bracha",
         on_deliver: Optional[DeliverCallback] = None,
-        seen_capacity: Optional[int] = None,
     ) -> None:
-        config = config if config is not None else BRBConfig()
-        super().__init__(
-            host,
-            membership,
-            tracker,
-            fanout=0,
-            ack_timeout=config.ack_timeout,
-            backoff=config.backoff,
-            max_retries=config.max_retries,
-            on_deliver=on_deliver,
-            seen_capacity=seen_capacity,
-        )
-        self.config = config
+        super().__init__(host, membership, tracker, fanout=0, on_deliver=on_deliver)
+        #: Quorum mode, one of :data:`BRB_MODES`.
+        self.mode = mode
         #: full node roster; the harness injects it (see ``set_roster``).
         self._roster: tuple[NodeId, ...] = ()
         #: sampled mode: static per-node echo/ready samples, drawn lazily
@@ -202,11 +166,9 @@ class BRBGossip(ReliableGossip):
     def group_size(self) -> int:
         """Members of one quorum group (n in Bracha mode, k in sampled)."""
         n = len(self._roster)
-        if self.config.mode == "bracha":
+        if self.mode == "bracha":
             return n
-        k = self.config.sample_size
-        if k is None:
-            k = math.ceil(3 * math.log2(n)) if n > 1 else 1
+        k = math.ceil(SAMPLE_FACTOR * math.log2(n)) if n > 1 else 1
         return min(k, n)
 
     def thresholds(self) -> tuple[int, int, int]:
@@ -215,7 +177,7 @@ class BRBGossip(ReliableGossip):
             if not self._roster:
                 raise ProtocolError("BRB roster not set (call set_roster first)")
             group = self.group_size()
-            f = math.floor(group * self.config.fault_fraction)
+            f = math.floor(group * FAULT_FRACTION)
             self._thresholds = (
                 math.ceil((group + f + 1) / 2),  # echo quorum
                 f + 1,                           # READY amplification
@@ -227,14 +189,14 @@ class BRBGossip(ReliableGossip):
         return [peer for peer in self._roster if peer != self.address]
 
     def _echo_targets(self) -> tuple[NodeId, ...]:
-        if self.config.mode == "bracha":
+        if self.mode == "bracha":
             return tuple(self._peers())
         if self._echo_sample is None:
             self._echo_sample = self._draw_sample()
         return self._echo_sample
 
     def _ready_targets(self) -> tuple[NodeId, ...]:
-        if self.config.mode == "bracha":
+        if self.mode == "bracha":
             return tuple(self._peers())
         if self._ready_sample is None:
             self._ready_sample = self._draw_sample()
@@ -265,7 +227,7 @@ class BRBGossip(ReliableGossip):
         message_id = self._sequence.next_id()
         if self._tracker is not None:
             self._tracker.on_broadcast(message_id, self.address, self._host.now())
-        self._mark_seen(message_id)
+        self._seen.add(message_id)
         state = self._state(message_id)
         state.origin = True
         digest = payload_digest(payload)
@@ -378,7 +340,7 @@ class BRBGossip(ReliableGossip):
             if len(voters) >= deliver and digest in state.payloads:
                 state.delivered = True
                 self.quorum_deliveries += 1
-                self._mark_seen(message_id)
+                self._seen.add(message_id)
                 hops = 0 if state.origin else 1
                 self._deliver(message_id, state.payloads[digest], hops)
                 return
@@ -404,7 +366,7 @@ class BRBGossip(ReliableGossip):
 
 
 __all__ = [
-    "BRBConfig",
+    "BRB_MODES",
     "BRBGossip",
     "payload_digest",
     "PHASE_ECHO",

@@ -41,13 +41,10 @@ class EagerGossip(BroadcastLayer):
         fanout: int = 4,
         acked: bool = False,
         on_deliver: Optional[DeliverCallback] = None,
-        seen_capacity: Optional[int] = None,
     ) -> None:
         if fanout < 1:
             raise ConfigurationError(f"fanout must be >= 1: {fanout}")
-        super().__init__(
-            host, membership, tracker, on_deliver=on_deliver, seen_capacity=seen_capacity
-        )
+        super().__init__(host, membership, tracker, on_deliver=on_deliver)
         self.fanout = fanout
         self.acked = acked
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Optional
 
-from ..common.errors import ConfigurationError
 from ..common.ids import MessageId, NodeId
 from ..common.interfaces import Host
 from ..common.messages import Message
@@ -26,6 +25,13 @@ from ..protocols.base import PeerSamplingService
 from .base import BroadcastLayer, DeliverCallback
 from .messages import GossipData
 from .tracker import BroadcastTracker
+
+#: Seconds a failed copy waits before the resend extension retries towards
+#: the repaired view: long enough for the membership layer to promote a
+#: replacement.
+RESEND_DELAY = 0.1
+#: Recent messages whose payload the resend extension keeps for retries.
+RESEND_MEMORY = 128
 
 
 class FloodBroadcast(BroadcastLayer):
@@ -40,21 +46,10 @@ class FloodBroadcast(BroadcastLayer):
         tracker: Optional[BroadcastTracker] = None,
         *,
         on_deliver: Optional[DeliverCallback] = None,
-        seen_capacity: Optional[int] = None,
         resend_on_repair: bool = False,
-        resend_delay: float = 0.1,
-        resend_memory: int = 128,
     ) -> None:
-        if resend_delay <= 0:
-            raise ConfigurationError(f"resend delay must be positive: {resend_delay}")
-        if resend_memory < 1:
-            raise ConfigurationError(f"resend memory must be >= 1: {resend_memory}")
-        super().__init__(
-            host, membership, tracker, on_deliver=on_deliver, seen_capacity=seen_capacity
-        )
+        super().__init__(host, membership, tracker, on_deliver=on_deliver)
         self.resend_on_repair = resend_on_repair
-        self._resend_delay = resend_delay
-        self._resend_memory = resend_memory
         # message id -> (payload, hops, peers already sent to); only
         # maintained when the resend extension is enabled.
         self._sent: OrderedDict[MessageId, tuple[Any, int, set[NodeId]]] = OrderedDict()
@@ -87,9 +82,7 @@ class FloodBroadcast(BroadcastLayer):
         """A flood copy hit a dead peer: this *is* the failure detector."""
         self._membership.report_failure(peer)
         if self.resend_on_repair and isinstance(message, GossipData):
-            self._host.schedule(
-                self._resend_delay, lambda: self._resend(message.message_id)
-            )
+            self._host.schedule(RESEND_DELAY, lambda: self._resend(message.message_id))
 
     def _remember_sent(
         self, message_id: MessageId, payload: Any, hops: int, targets: list[NodeId]
@@ -97,7 +90,7 @@ class FloodBroadcast(BroadcastLayer):
         entry = self._sent.get(message_id)
         if entry is None:
             self._sent[message_id] = (payload, hops, set(targets))
-            if len(self._sent) > self._resend_memory:
+            if len(self._sent) > RESEND_MEMORY:
                 self._sent.popitem(last=False)
         else:
             entry[2].update(targets)

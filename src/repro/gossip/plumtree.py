@@ -18,10 +18,8 @@ the API surface the paper's Section 4.5 view-manipulation primitives feed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from ..common.errors import ConfigurationError
 from ..common.ids import MessageId, NodeId, SequenceGenerator
 from ..common.interfaces import Host, TimerHandle
 from ..common.messages import Message
@@ -31,29 +29,11 @@ from .tracker import BroadcastTracker
 
 DeliverCallback = Callable[[MessageId, Any], None]
 
-
-@dataclass(frozen=True, slots=True)
-class PlumtreeConfig:
-    """Plumtree timers and caches.
-
-    Attributes:
-        missing_timeout: Wait after the first IHAVE for the eager copy
-            before grafting (should exceed one network round trip).
-        graft_timeout: Wait after sending a GRAFT before trying the next
-            announcer.
-        payload_cache: Payloads retained for answering GRAFTs (``None``
-            keeps everything — fine for bounded experiments).
-    """
-
-    missing_timeout: float = 0.1
-    graft_timeout: float = 0.05
-    payload_cache: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.missing_timeout <= 0 or self.graft_timeout <= 0:
-            raise ConfigurationError("plumtree timeouts must be positive")
-        if self.payload_cache is not None and self.payload_cache < 1:
-            raise ConfigurationError(f"payload cache must be >= 1: {self.payload_cache}")
+#: Wait after the first IHAVE for the eager copy before grafting (should
+#: exceed one network round trip).
+MISSING_TIMEOUT = 0.1
+#: Wait after sending a GRAFT before trying the next announcer.
+GRAFT_TIMEOUT = 0.05
 
 
 class Plumtree:
@@ -67,13 +47,11 @@ class Plumtree:
         membership: HyParView,
         tracker: Optional[BroadcastTracker] = None,
         *,
-        config: Optional[PlumtreeConfig] = None,
         on_deliver: Optional[DeliverCallback] = None,
     ) -> None:
         self._host = host
         self._membership = membership
         self._tracker = tracker
-        self._config = config if config is not None else PlumtreeConfig()
         self._on_deliver = on_deliver
         # Sequence ranges are incarnation-scoped: a restarted process
         # must never collide with ids its predecessor minted.
@@ -82,9 +60,8 @@ class Plumtree:
         self.lazy_peers: set[NodeId] = set()
         #: ids of every message ever received (deduplication; ids are tiny)
         self._seen: set[MessageId] = set()
-        #: message id -> payload for answering GRAFTs (evictable cache)
+        #: message id -> payload for answering GRAFTs (kept for the run)
         self._received: dict[MessageId, Any] = {}
-        self._received_order: list[MessageId] = []
         #: message id -> announcers (peer, round) for missing messages
         self._announcements: dict[MessageId, list[tuple[NodeId, int]]] = {}
         self._timers: dict[MessageId, TimerHandle] = {}
@@ -100,10 +77,6 @@ class Plumtree:
     @property
     def address(self) -> NodeId:
         return self._host.address
-
-    @property
-    def config(self) -> PlumtreeConfig:
-        return self._config
 
     def handlers(self) -> dict[type, Callable[[Message], None]]:
         return {
@@ -156,7 +129,7 @@ class Plumtree:
             (message.sender, message.round)
         )
         if message.message_id not in self._timers:
-            self._start_missing_timer(message.message_id, self._config.missing_timeout)
+            self._start_missing_timer(message.message_id, MISSING_TIMEOUT)
 
     def handle_graft(self, message: PlumtreeGraft) -> None:
         self._promote_to_eager(message.sender)
@@ -234,7 +207,7 @@ class Plumtree:
         self._host.send(
             peer, PlumtreeGraft(message_id, round_, self.address), on_failure=self._on_peer_failure
         )
-        self._start_missing_timer(message_id, self._config.graft_timeout)
+        self._start_missing_timer(message_id, GRAFT_TIMEOUT)
 
     # ------------------------------------------------------------------
     # Internals
@@ -253,12 +226,6 @@ class Plumtree:
     def _store(self, message_id: MessageId, payload: Any) -> None:
         self._seen.add(message_id)
         self._received[message_id] = payload
-        cache = self._config.payload_cache
-        if cache is not None:
-            self._received_order.append(message_id)
-            while len(self._received_order) > cache:
-                evicted = self._received_order.pop(0)
-                self._received.pop(evicted, None)
 
     def _deliver(self, message_id: MessageId, payload: Any, hops: int) -> None:
         self.delivered_count += 1

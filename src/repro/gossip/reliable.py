@@ -20,12 +20,12 @@ Mechanics:
   engine reclaims the cancelled handle lazily) and, if the copy was never
   re-sent, is a round-trip sample for that peer;
 * an expired timer resends the copy and re-arms with its delay multiplied
-  by ``backoff``; after ``max_retries`` resends the peer is reported to the
+  by ``BACKOFF``; after ``MAX_RETRIES`` resends the peer is reported to the
   membership layer as failed (ack silence is this layer's failure
   detector, the way TCP resets are the flood's) and forgotten.
 
 The retransmit timeout is per peer and learned from the acks themselves,
-RFC 6298 style: ``RTO = max(ack_timeout, SRTT + 4 * RTTVAR)`` with gains
+RFC 6298 style: ``RTO = max(ACK_TIMEOUT, SRTT + 4 * RTTVAR)`` with gains
 1/8 and 1/4, on ``Host.now()`` — so one code path is right under any
 simulated latency model and on the live runtime, with no oracle.  Two
 rules keep it honest.  *Karn's rule*: an ack for a copy that was re-sent
@@ -49,7 +49,6 @@ peer)`` here, ``(message id, phase, peer)`` for the BRB phases of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..common.errors import ConfigurationError
@@ -60,40 +59,21 @@ from .base import BroadcastLayer, DeliverCallback
 from .messages import GossipAck, GossipData
 from .tracker import BroadcastTracker
 
-
-@dataclass(frozen=True, slots=True)
-class ReliableConfig:
-    """Tuning of the ack/retransmit discipline.
-
-    ``ack_timeout`` is what a first copy waits for its ack before anything
-    is known about the peer, and the **floor** the learned per-peer timeout
-    (see the module docstring) never drops below.  The default exceeds one
-    round trip of the *constant* latency model (2 x 0.01 s), where a clean
-    network retransmits nothing; a cross-zone round trip of the zoned
-    model (0.08-0.31 s) is longer, so the first copies over such a link
-    are re-sent — each one multiplying the wait by ``backoff``, which the
-    peer then keeps — until one is acked clean, a handful of messages per
-    link.  ``backoff`` and ``max_retries`` apply per copy: a silent peer is
-    given up on ``timeout * (backoff^(r+1) - 1) / (backoff - 1)`` seconds
-    after the first copy (~0.75 s at the defaults from a fresh peer; longer
-    in proportion once the peer's timeout has grown).
-
-    This is the one place the three knobs are validated:
-    :class:`ReliableGossip` and :class:`~repro.gossip.byzantine.BRBConfig`
-    check theirs by constructing one.
-    """
-
-    ack_timeout: float = 0.05
-    backoff: float = 2.0
-    max_retries: int = 3
-
-    def __post_init__(self) -> None:
-        if self.ack_timeout <= 0:
-            raise ConfigurationError(f"ack timeout must be positive: {self.ack_timeout}")
-        if self.backoff < 1.0:
-            raise ConfigurationError(f"backoff factor must be >= 1: {self.backoff}")
-        if self.max_retries < 0:
-            raise ConfigurationError(f"max retries must be >= 0: {self.max_retries}")
+#: What a first copy waits for its ack before anything is known about the
+#: peer, and the **floor** the learned per-peer timeout (see the module
+#: docstring) never drops below.  It exceeds one round trip of the
+#: *constant* latency model (2 x 0.01 s), where a clean network retransmits
+#: nothing; a cross-zone round trip of the zoned model (0.08-0.31 s) is
+#: longer, so the first copies over such a link are re-sent — each one
+#: multiplying the wait by ``BACKOFF``, which the peer then keeps — until
+#: one is acked clean, a handful of messages per link.
+ACK_TIMEOUT = 0.05
+#: ``BACKOFF`` and ``MAX_RETRIES`` apply per copy: a silent peer is given up
+#: on ``timeout * (BACKOFF^(r+1) - 1) / (BACKOFF - 1)`` seconds after the
+#: first copy (0.75 s from a fresh peer; longer in proportion once the
+#: peer's timeout has grown).
+BACKOFF = 2.0
+MAX_RETRIES = 3
 
 
 class ReliableGossip(BroadcastLayer):
@@ -108,22 +88,12 @@ class ReliableGossip(BroadcastLayer):
         tracker: Optional[BroadcastTracker] = None,
         *,
         fanout: int = 0,
-        ack_timeout: float = 0.05,
-        backoff: float = 2.0,
-        max_retries: int = 3,
         on_deliver: Optional[DeliverCallback] = None,
-        seen_capacity: Optional[int] = None,
     ) -> None:
         if fanout < 0:
             raise ConfigurationError(f"fanout must be >= 0: {fanout}")
-        ReliableConfig(ack_timeout, backoff, max_retries)  # validates the knobs
-        super().__init__(
-            host, membership, tracker, on_deliver=on_deliver, seen_capacity=seen_capacity
-        )
+        super().__init__(host, membership, tracker, on_deliver=on_deliver)
         self.fanout = fanout
-        self.ack_timeout = ack_timeout
-        self.backoff = backoff
-        self.max_retries = max_retries
         #: channel key ``(message id, ..., peer)`` -> the copy in flight
         #: (its armed timer, send time, attempt and current delay).
         #: Entries leave on ack (cancel) or expiry (resend or give-up), so
@@ -134,7 +104,7 @@ class ReliableGossip(BroadcastLayer):
         self._rtt: dict[NodeId, tuple[float, float]] = {}
         #: peer -> retransmit timeout of the *next* first copy: the
         #: estimate, or the backed-off delay a retransmission left behind
-        #: until a clean sample replaces it.  Absent means ``ack_timeout``.
+        #: until a clean sample replaces it.  Absent means ``ACK_TIMEOUT``.
         self._rto: dict[NodeId, float] = {}
         self.acks_received = 0
         self.retransmissions = 0
@@ -184,7 +154,7 @@ class ReliableGossip(BroadcastLayer):
             # duplicate arrival widened the target set): keep one timer.
             previous.handle.cancel()
         peer = key[-1]
-        self._arm(_Copy(self, key, message, self._rto.get(peer, self.ack_timeout)))
+        self._arm(_Copy(self, key, message, self._rto.get(peer, ACK_TIMEOUT)))
 
     def _arm(self, copy: _Copy) -> None:
         host = self._host
@@ -212,14 +182,14 @@ class ReliableGossip(BroadcastLayer):
             srtt = 0.875 * srtt + 0.125 * sample
         self._rtt[peer] = (srtt, rttvar)
         # A clean sample also ends any backoff retained from earlier copies.
-        self._rto[peer] = max(self.ack_timeout, srtt + 4 * rttvar)
+        self._rto[peer] = max(ACK_TIMEOUT, srtt + 4 * rttvar)
 
     def _retransmit(self, copy: _Copy) -> None:
         key = copy.key
         if self._pending.get(key) is not copy:
             return  # acked in the same instant the timer fired
         peer = key[-1]
-        if copy.attempt >= self.max_retries:
+        if copy.attempt >= MAX_RETRIES:
             del self._pending[key]
             self.give_ups += 1
             self._rtt.pop(peer, None)
@@ -229,7 +199,7 @@ class ReliableGossip(BroadcastLayer):
             self._membership.report_failure(peer)
             return
         copy.attempt += 1
-        copy.delay *= self.backoff
+        copy.delay *= BACKOFF
         # Later messages to this peer wait as long as this copy now does
         # (never a product over concurrent copies) until a clean sample.
         if copy.delay > self.retransmit_timeout(peer):
@@ -250,7 +220,7 @@ class ReliableGossip(BroadcastLayer):
 
     def retransmit_timeout(self, peer: NodeId) -> float:
         """How long the next first copy to ``peer`` waits for its ack."""
-        return self._rto.get(peer, self.ack_timeout)
+        return self._rto.get(peer, ACK_TIMEOUT)
 
     def reliability_stats(self) -> dict[str, int]:
         """The layer's ack/retransmit counters (JSON-safe)."""

@@ -109,9 +109,6 @@ def bind_pubsub_cluster(registry: MetricsRegistry, service: Any) -> None:
     delivered = registry.counter("repro_service_delivered_total", "Messages delivered to subscribers")
     dropped = registry.counter("repro_service_dropped_total", "Subscriber-queue overflow sheds")
     ignored = registry.counter("repro_service_ignored_total", "Deliveries without a topic envelope")
-    topic_limited = registry.counter(
-        "repro_service_topic_rate_limited_total", "Publishes refused by per-topic budgets"
-    )
     client_limited = registry.counter(
         "repro_service_client_rate_limited_total", "Publishes refused by per-client buckets"
     )
@@ -130,7 +127,6 @@ def bind_pubsub_cluster(registry: MetricsRegistry, service: Any) -> None:
             delivered.set_total(facade.messages_delivered, node=node)
             dropped.set_total(facade.messages_dropped, node=node)
             ignored.set_total(facade.messages_ignored, node=node)
-            topic_limited.set_total(facade.topic_rate_limited, node=node)
             client_limited.set_total(
                 sum(client.rate_limited for client in facade.clients.values()), node=node
             )

@@ -3,7 +3,7 @@
 from .base import PeerSamplingService
 from .cyclon import AgedView, Cyclon, CyclonConfig
 from .cyclon_acked import CyclonAcked
-from .scamp import Scamp, ScampConfig
+from .scamp import Scamp
 
 __all__ = [
     "AgedView",
@@ -12,5 +12,4 @@ __all__ = [
     "CyclonConfig",
     "PeerSamplingService",
     "Scamp",
-    "ScampConfig",
 ]

@@ -33,6 +33,10 @@ from .base import PeerSamplingService
 
 #: Wire representation of a view entry: ``(node, age)``.
 WireEntry = tuple[NodeId, int]
+#: Hop count of join random walks (Section 5.1: 5).
+WALK_TTL = 5
+#: Seconds between self-driven cycles (live mode only).
+SHUFFLE_PERIOD = 10.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,18 +47,10 @@ class CyclonConfig:
         view_size: Fixed partial-view length (35).
         shuffle_length: Entries exchanged per shuffle (14), including the
             initiator's own fresh entry.
-        walk_ttl: Hop count of join random walks (5).
-        join_walks: Walks the introducer launches per join; the Cyclon
-            join fires one walk per view slot so the joiner's view fills
-            to ``view_size`` (``None`` means "use ``view_size``").
-        shuffle_period: Period for self-driven cycles (live mode only).
     """
 
     view_size: int = 35
     shuffle_length: int = 14
-    walk_ttl: int = 5
-    join_walks: Optional[int] = None
-    shuffle_period: float = 10.0
 
     def __post_init__(self) -> None:
         if self.view_size < 1:
@@ -63,16 +59,6 @@ class CyclonConfig:
             raise ConfigurationError(
                 f"shuffle length must be in [1, view size]: {self.shuffle_length}"
             )
-        if self.walk_ttl < 0:
-            raise ConfigurationError(f"walk TTL must be >= 0: {self.walk_ttl}")
-        if self.join_walks is not None and self.join_walks < 1:
-            raise ConfigurationError(f"join walks must be >= 1: {self.join_walks}")
-        if self.shuffle_period <= 0:
-            raise ConfigurationError(f"shuffle period must be positive: {self.shuffle_period}")
-
-    @property
-    def effective_join_walks(self) -> int:
-        return self.join_walks if self.join_walks is not None else self.view_size
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +269,7 @@ class Cyclon(PeerSamplingService):
         if self._running:
             return
         self._running = True
-        delay = self._rng.uniform(0, self._config.shuffle_period)
+        delay = self._rng.uniform(0, SHUFFLE_PERIOD)
         self._timer = self._host.schedule(delay, self._periodic)
 
     def stop(self) -> None:
@@ -306,10 +292,11 @@ class Cyclon(PeerSamplingService):
                 self.view.add(joiner, 0)
             self._host.send(joiner, CyclonJoinGrant(self.address, self.address, 0))
             return
-        # One walk per view slot; first hops are drawn with replacement so
-        # a sparsely connected introducer still launches a full set.
-        walk = CyclonJoinWalk(joiner, self._config.walk_ttl, self.address)
-        for _ in range(self._config.effective_join_walks):
+        # One walk per view slot, so the joiner's view fills to its size;
+        # first hops are drawn with replacement so a sparsely connected
+        # introducer still launches a full set.
+        walk = CyclonJoinWalk(joiner, WALK_TTL, self.address)
+        for _ in range(self._config.view_size):
             target = self.view.random_member(self._rng, exclude=(joiner,))
             if target is None:
                 break
@@ -411,7 +398,7 @@ class Cyclon(PeerSamplingService):
         if not self._running:
             return
         self.cycle()
-        self._timer = self._host.schedule(self._config.shuffle_period, self._periodic)
+        self._timer = self._host.schedule(SHUFFLE_PERIOD, self._periodic)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<Cyclon {self.address} view={len(self.view)}/{self.view.capacity}>"

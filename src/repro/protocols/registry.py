@@ -10,10 +10,11 @@ by the stack's public name.
 Factories receive a sans-io :class:`~repro.common.interfaces.Host` plus the
 experiment parameter object, so the *same* spec builds the stack over the
 discrete-event engine and over real TCP sockets.  The parameter object is
-duck-typed (anything exposing ``hyparview`` / ``cyclon`` / ``scamp`` /
-``fanout`` / ``reliable`` / ``plumtree`` as needed) to keep this module free
-of an import cycle with :mod:`repro.experiments.params`, which derives its
-``PROTOCOL_NAMES`` tuple from this registry.
+duck-typed (anything exposing ``hyparview`` — whose ``fanout`` the eager
+layers read — and, as needed, ``cyclon``, ``brb_mode`` and
+``latency_model``) to keep this module free of an import cycle with
+:mod:`repro.experiments.params`, which derives its ``PROTOCOL_NAMES`` tuple
+from this registry.  The runtime-capable stacks read ``hyparview`` alone.
 
 Adding a protocol stack is one :func:`register_stack` call::
 
@@ -22,7 +23,7 @@ Adding a protocol stack is one :func:`register_stack` call::
         membership=lambda host, params: MyMembership(host, params.myconfig),
         broadcast=lambda host, membership, params, tracker, on_deliver:
             EagerGossip(host, membership, tracker,
-                        fanout=params.fanout, on_deliver=on_deliver),
+                        fanout=params.hyparview.fanout, on_deliver=on_deliver),
         runtime=True,   # constructible over the asyncio runtime too
     ))
 
@@ -65,9 +66,10 @@ class StackSpec:
     membership: MembershipFactory
     broadcast: BroadcastFactory
     #: Whether the stack is constructible over the asyncio runtime.  The
-    #: simulator can run every stack; the runtime additionally calls
-    #: ``start``/``stop`` on the membership layer, which every protocol
-    #: provides, so this flag mostly records what has live test coverage.
+    #: simulator can run every stack; a runtime stack must build from the
+    #: runtime's parameter bag, which carries ``hyparview`` alone, and
+    #: must not need the roster.  Every stack that sets it is run on a
+    #: live cluster by the test suite.
     runtime: bool = False
     #: Whether the broadcast layer needs the full membership *set* injected
     #: after construction (``broadcast.set_roster(roster)``).  Quorum
@@ -152,7 +154,7 @@ register_stack(StackSpec(
     membership=lambda host, params: Cyclon(host, params.cyclon),
     broadcast=lambda host, membership, params, tracker, on_deliver: EagerGossip(
         host, membership, tracker,
-        fanout=params.fanout, acked=False, on_deliver=on_deliver,
+        fanout=params.hyparview.fanout, acked=False, on_deliver=on_deliver,
     ),
 ))
 
@@ -161,16 +163,16 @@ register_stack(StackSpec(
     membership=lambda host, params: CyclonAcked(host, params.cyclon),
     broadcast=lambda host, membership, params, tracker, on_deliver: EagerGossip(
         host, membership, tracker,
-        fanout=params.fanout, acked=True, on_deliver=on_deliver,
+        fanout=params.hyparview.fanout, acked=True, on_deliver=on_deliver,
     ),
 ))
 
 register_stack(StackSpec(
     name="scamp",
-    membership=lambda host, params: Scamp(host, params.scamp),
+    membership=lambda host, params: Scamp(host),
     broadcast=lambda host, membership, params, tracker, on_deliver: EagerGossip(
         host, membership, tracker,
-        fanout=params.fanout, acked=False, on_deliver=on_deliver,
+        fanout=params.hyparview.fanout, acked=False, on_deliver=on_deliver,
     ),
 ))
 
@@ -178,8 +180,7 @@ register_stack(StackSpec(
     name="plumtree",
     membership=lambda host, params: HyParView(host, params.hyparview),
     broadcast=lambda host, membership, params, tracker, on_deliver: Plumtree(
-        host, membership, tracker,
-        config=getattr(params, "plumtree", None), on_deliver=on_deliver,
+        host, membership, tracker, on_deliver=on_deliver
     ),
     runtime=True,
 ))
@@ -191,11 +192,7 @@ register_stack(StackSpec(
     name="hyparview-reliable",
     membership=lambda host, params: HyParView(host, params.hyparview),
     broadcast=lambda host, membership, params, tracker, on_deliver: ReliableGossip(
-        host, membership, tracker, fanout=0,
-        ack_timeout=params.reliable.ack_timeout,
-        backoff=params.reliable.backoff,
-        max_retries=params.reliable.max_retries,
-        on_deliver=on_deliver,
+        host, membership, tracker, fanout=0, on_deliver=on_deliver
     ),
     runtime=True,
 ))
@@ -206,11 +203,8 @@ register_stack(StackSpec(
     name="cyclon-reliable",
     membership=lambda host, params: CyclonAcked(host, params.cyclon),
     broadcast=lambda host, membership, params, tracker, on_deliver: ReliableGossip(
-        host, membership, tracker, fanout=params.fanout,
-        ack_timeout=params.reliable.ack_timeout,
-        backoff=params.reliable.backoff,
-        max_retries=params.reliable.max_retries,
-        on_deliver=on_deliver,
+        host, membership, tracker,
+        fanout=params.hyparview.fanout, on_deliver=on_deliver,
     ),
 ))
 
@@ -224,9 +218,7 @@ register_stack(StackSpec(
     name="hyparview-brb",
     membership=lambda host, params: HyParView(host, params.hyparview),
     broadcast=lambda host, membership, params, tracker, on_deliver: BRBGossip(
-        host, membership, tracker,
-        config=getattr(params, "brb", None),
-        on_deliver=on_deliver,
+        host, membership, tracker, mode=params.brb_mode, on_deliver=on_deliver
     ),
     needs_roster=True,
 ))
@@ -235,9 +227,7 @@ register_stack(StackSpec(
     name="cyclon-brb",
     membership=lambda host, params: CyclonAcked(host, params.cyclon),
     broadcast=lambda host, membership, params, tracker, on_deliver: BRBGossip(
-        host, membership, tracker,
-        config=getattr(params, "brb", None),
-        on_deliver=on_deliver,
+        host, membership, tracker, mode=params.brb_mode, on_deliver=on_deliver
     ),
     needs_roster=True,
 ))
@@ -251,9 +241,7 @@ register_stack(StackSpec(
 register_stack(StackSpec(
     name="hyparview-xbot",
     membership=lambda host, params: XBot(
-        host, params.hyparview,
-        oracle=LatencyCostOracle(build_latency_model(params)),
-        xbot=getattr(params, "xbot", None),
+        host, params.hyparview, oracle=LatencyCostOracle(build_latency_model(params))
     ),
     broadcast=lambda host, membership, params, tracker, on_deliver: FloodBroadcast(
         host, membership, tracker, on_deliver=on_deliver

@@ -10,11 +10,12 @@ The paper's reactive baseline (Sections 2.2/2.4).  Nodes keep two views:
 Joining is a *subscription*: the contact forwards the subscriber's id to
 every PartialView member plus ``c`` extra copies; each recipient keeps the
 subscription with probability ``1 / (1 + |PartialView|)`` and otherwise
-forwards it to a random neighbour.  Two periodic repair mechanisms exist —
-a *lease* after which a node re-subscribes, and *heartbeats* that let an
-isolated node (empty InView) detect it has been forgotten and rejoin.  The
-HyParView paper configures the lease long enough that it never fires during
-its failure experiments, which is part of why Scamp heals so slowly there.
+forwards it to a random neighbour.  SCAMP has two periodic repair
+mechanisms — a *lease* after which a node re-subscribes, and *heartbeats*
+that let an isolated node (empty InView) detect it has been forgotten and
+rejoin.  The HyParView paper configures the lease long enough that it never
+fires during its failure experiments, which is part of why Scamp heals so
+slowly there; this implementation therefore keeps only the heartbeats.
 
 Parameters follow Section 5.1: ``c = 4``, which yields PartialViews
 distributed around ~34 entries at n = 10 000.
@@ -22,7 +23,6 @@ distributed around ~34 entries at n = 10 000.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Collection, Optional
 
@@ -34,43 +34,20 @@ from ..common.rng import choice_or_none, sample_up_to
 from ..core.views import excluding
 from .base import PeerSamplingService
 
-
-@dataclass(frozen=True, slots=True)
-class ScampConfig:
-    """SCAMP tuning knobs.
-
-    Attributes:
-        c: Fault-tolerance/indirection parameter — extra subscription
-            copies the contact creates (paper: 4).
-        max_forward_hops: Safety cap on probabilistic subscription
-            forwarding.  The random forwarding terminates with probability
-            one; the cap bounds the tail.  On exhaustion the current node
-            integrates the subscription instead of dropping it.
-        lease_cycles: Membership cycles after which a node re-subscribes
-            (the paper keeps this "typically high"; ``None`` disables it).
-        isolation_cycles: Cycles without receiving any heartbeat after
-            which a node assumes isolation and re-subscribes.
-        heartbeat_period / cycle alignment: heartbeats are sent once per
-            :meth:`Scamp.cycle`, matching the paper's cycle-driven runs.
-    """
-
-    c: int = 4
-    max_forward_hops: int = 64
-    lease_cycles: Optional[int] = None
-    isolation_cycles: int = 10
-    shuffle_period: float = 10.0  # period for self-driven cycles (live mode)
-
-    def __post_init__(self) -> None:
-        if self.c < 0:
-            raise ConfigurationError(f"c must be >= 0: {self.c}")
-        if self.max_forward_hops < 1:
-            raise ConfigurationError(f"max_forward_hops must be >= 1: {self.max_forward_hops}")
-        if self.lease_cycles is not None and self.lease_cycles < 1:
-            raise ConfigurationError(f"lease_cycles must be >= 1: {self.lease_cycles}")
-        if self.isolation_cycles < 1:
-            raise ConfigurationError(f"isolation_cycles must be >= 1: {self.isolation_cycles}")
-        if self.shuffle_period <= 0:
-            raise ConfigurationError(f"shuffle_period must be positive: {self.shuffle_period}")
+#: Fault-tolerance/indirection parameter — extra subscription copies the
+#: contact creates (Section 5.1: 4).
+C = 4
+#: Safety cap on probabilistic subscription forwarding.  The random
+#: forwarding terminates with probability one; the cap bounds the tail.
+#: On exhaustion the current node integrates the subscription instead of
+#: dropping it.
+MAX_FORWARD_HOPS = 64
+#: Cycles without receiving any heartbeat after which a node assumes
+#: isolation and re-subscribes.  Heartbeats are sent once per
+#: :meth:`Scamp.cycle`, matching the paper's cycle-driven runs.
+ISOLATION_CYCLES = 10
+#: Seconds between self-driven cycles (live mode only).
+SHUFFLE_PERIOD = 10.0
 
 
 # ----------------------------------------------------------------------
@@ -125,15 +102,13 @@ class Scamp(PeerSamplingService):
 
     name = "scamp"
 
-    def __init__(self, host: Host, config: Optional[ScampConfig] = None) -> None:
+    def __init__(self, host: Host) -> None:
         self._host = host
-        self._config = config if config is not None else ScampConfig()
         self._rng = host.rng
         self.partial_view: list[NodeId] = []
         self._partial_set: set[NodeId] = set()
         self.in_view: set[NodeId] = set()
         self._cycles_since_heartbeat = 0
-        self._cycles_since_subscribe = 0
         self._joined = False
         self._timer: Optional[TimerHandle] = None
         self._running = False
@@ -146,10 +121,6 @@ class Scamp(PeerSamplingService):
     @property
     def address(self) -> NodeId:
         return self._host.address
-
-    @property
-    def config(self) -> ScampConfig:
-        return self._config
 
     def handlers(self) -> dict[type, Callable[[Message], None]]:
         return {
@@ -166,7 +137,6 @@ class Scamp(PeerSamplingService):
         if contact == self.address:
             raise ConfigurationError("a node cannot join through itself")
         self._joined = True
-        self._cycles_since_subscribe = 0
         self._cycles_since_heartbeat = 0
         self._add_partial(contact)
         self._host.send(contact, ScampSubscribe(self.address))
@@ -180,7 +150,7 @@ class Scamp(PeerSamplingService):
         """
         in_members = sorted(self.in_view)
         replacements = list(self.partial_view)
-        keep_unreplaced = min(self._config.c + 1, len(in_members))
+        keep_unreplaced = min(C + 1, len(in_members))
         for index, member in enumerate(in_members):
             if index < keep_unreplaced or not replacements:
                 replacement = None
@@ -204,18 +174,11 @@ class Scamp(PeerSamplingService):
         self.in_view.discard(peer)
 
     def cycle(self) -> None:
-        """Heartbeats, lease countdown and isolation detection."""
+        """Heartbeats and isolation detection."""
         for member in self.partial_view:
             self._host.send(member, ScampHeartbeat(self.address))
         self._cycles_since_heartbeat += 1
-        self._cycles_since_subscribe += 1
-        if not self._joined:
-            return
-        lease = self._config.lease_cycles
-        if lease is not None and self._cycles_since_subscribe >= lease:
-            self._resubscribe()
-            return
-        if self._cycles_since_heartbeat > self._config.isolation_cycles:
+        if self._joined and self._cycles_since_heartbeat > ISOLATION_CYCLES:
             # Nobody gossips to us any more: we were forgotten.  Rejoin.
             self._resubscribe()
 
@@ -229,7 +192,7 @@ class Scamp(PeerSamplingService):
         if self._running:
             return
         self._running = True
-        delay = self._rng.uniform(0, self._config.shuffle_period)
+        delay = self._rng.uniform(0, SHUFFLE_PERIOD)
         self._timer = self._host.schedule(delay, self._periodic)
 
     def stop(self) -> None:
@@ -253,7 +216,7 @@ class Scamp(PeerSamplingService):
         forwarded = ScampForwardedSubscription(subscriber, 0)
         for member in list(self.partial_view):
             self._host.send(member, forwarded)
-        for _ in range(self._config.c):
+        for _ in range(C):
             target = self._random_partial()
             if target is not None:
                 self._host.send(target, forwarded)
@@ -266,7 +229,7 @@ class Scamp(PeerSamplingService):
             if self._rng.random() < probability:
                 self._keep_subscription(subscriber)
                 return
-        if message.hops + 1 >= self._config.max_forward_hops:
+        if message.hops + 1 >= MAX_FORWARD_HOPS:
             # Forwarding cap reached: integrate rather than lose the
             # subscription (keeps the overlay connected).
             if keepable:
@@ -304,7 +267,6 @@ class Scamp(PeerSamplingService):
 
     def _resubscribe(self) -> None:
         contact = self._random_partial()
-        self._cycles_since_subscribe = 0
         self._cycles_since_heartbeat = 0
         if contact is None:
             return  # fully isolated with an empty view: nothing we can do
@@ -333,7 +295,7 @@ class Scamp(PeerSamplingService):
         if not self._running:
             return
         self.cycle()
-        self._timer = self._host.schedule(self._config.shuffle_period, self._periodic)
+        self._timer = self._host.schedule(SHUFFLE_PERIOD, self._periodic)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

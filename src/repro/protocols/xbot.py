@@ -31,7 +31,7 @@ overlay — the convergence argument of the paper.  Because the
 latency world model's jitter-free zone matrix), any participant can price
 any link locally and the rule can be evaluated entirely at ``d``.
 
-**Unbiased slots.**  The first ``unbiased_slots`` positions of a node's
+**Unbiased slots.**  The first ``UNBIASED_SLOTS`` positions of a node's
 active view are never chosen for removal by the optimisation (neither as
 ``o`` nor as ``d``), keeping a random, cost-blind core in every view —
 this is what preserves HyParView's healing and connectivity properties
@@ -52,7 +52,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..common.errors import ConfigurationError
 from ..common.ids import NodeId
 from ..common.interfaces import Host
 from ..common.messages import Message, register_message
@@ -105,36 +104,16 @@ class LatencyCostOracle(CostOracle):
 
 
 # ----------------------------------------------------------------------
-# Configuration and counters
+# Tuning and counters
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class XBotConfig:
-    """X-BOT tuning knobs (defaults follow the paper's small constants)."""
-
-    #: Leading active-view positions never removed by optimisation.
-    unbiased_slots: int = 1
-    #: Passive candidates sampled per optimisation round (the paper's PSL).
-    candidates_per_round: int = 2
-    #: Seconds before a swap participant abandons an unanswered exchange.
-    #: Must cover the whole 6-leg chain at the world model's worst-case
-    #: link delay (~0.16 s cross-continent), with slack for queueing.
-    swap_timeout: float = 2.0
-    #: Minimum strict aggregate-cost improvement a swap must show.
-    min_gain: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.unbiased_slots < 0:
-            raise ConfigurationError(
-                f"unbiased slots must be >= 0: {self.unbiased_slots}"
-            )
-        if self.candidates_per_round < 1:
-            raise ConfigurationError(
-                f"candidates per round must be >= 1: {self.candidates_per_round}"
-            )
-        if self.swap_timeout <= 0:
-            raise ConfigurationError(f"swap timeout must be positive: {self.swap_timeout}")
-        if self.min_gain < 0:
-            raise ConfigurationError(f"minimum gain must be >= 0: {self.min_gain}")
+#: Leading active-view positions never removed by optimisation.
+UNBIASED_SLOTS = 1
+#: Passive candidates sampled per optimisation round (the paper's PSL).
+CANDIDATES_PER_ROUND = 2
+#: Seconds before a swap participant abandons an unanswered exchange.
+#: Must cover the whole 6-leg chain at the world model's worst-case link
+#: delay (~0.16 s cross-continent), with slack for queueing.
+SWAP_TIMEOUT = 2.0
 
 
 @dataclass(slots=True)
@@ -227,7 +206,7 @@ class XBot(HyParView):
     """HyParView plus X-BOT optimisation swaps.
 
     Each node holds at most one in-flight exchange *per role* (initiator,
-    candidate, ``d``), each guarded by a ``swap_timeout`` timer, so lost
+    candidate, ``d``), each guarded by a ``SWAP_TIMEOUT`` timer, so lost
     messages and crashed participants can never wedge the optimiser.
     Sim mode drives rounds through :meth:`cycle`; live mode gets them for
     free through the inherited periodic shuffle, which calls ``cycle``.
@@ -241,11 +220,9 @@ class XBot(HyParView):
         config: Optional[HyParViewConfig] = None,
         *,
         oracle: Optional[CostOracle] = None,
-        xbot: Optional[XBotConfig] = None,
     ) -> None:
         super().__init__(host, config)
         self.oracle = oracle if oracle is not None else ConstantCostOracle()
-        self.xbot_config = xbot if xbot is not None else XBotConfig()
         self.xbot_stats = XBotStats()
         # Initiator role: the (candidate, old) pair of the open round.
         self._opt = self._exchange("optimization", self._on_opt_timeout)
@@ -280,10 +257,10 @@ class XBot(HyParView):
     # ------------------------------------------------------------------
     def unbiased_members(self) -> tuple[NodeId, ...]:
         """The protected head of the active view (never optimised away)."""
-        return self.active.members()[: self.xbot_config.unbiased_slots]
+        return self.active.members()[:UNBIASED_SLOTS]
 
     def _swappable(self) -> tuple[NodeId, ...]:
-        return self.active.members()[self.xbot_config.unbiased_slots :]
+        return self.active.members()[UNBIASED_SLOTS:]
 
     def _worst_swappable(self, exclude: tuple[NodeId, ...] = ()) -> Optional[NodeId]:
         """Highest-cost biased neighbour, or ``None``.  Ties resolve to the
@@ -306,7 +283,6 @@ class XBot(HyParView):
     def optimize_once(self) -> None:
         """Open one optimisation round if the view is full and a passive
         candidate strictly beats the worst biased neighbour."""
-        cfg = self.xbot_config
         if self._left or self._opt.key is not None:
             return
         if not self.active.is_full or self.passive.is_empty:
@@ -318,13 +294,13 @@ class XBot(HyParView):
         old_cost = self.oracle.cost(me, old)
         best: Optional[NodeId] = None
         best_cost = float("inf")
-        for candidate in self.passive.sample(self._rng, cfg.candidates_per_round):
+        for candidate in self.passive.sample(self._rng, CANDIDATES_PER_ROUND):
             candidate_cost = self.oracle.cost(me, candidate)
             if candidate_cost < best_cost:
                 best, best_cost = candidate, candidate_cost
-        if best is None or best_cost + cfg.min_gain >= old_cost:
+        if best is None or best_cost >= old_cost:
             return
-        self._opt.open((best, old), cfg.swap_timeout)
+        self._opt.open((best, old), SWAP_TIMEOUT)
         self.xbot_stats.rounds_initiated += 1
         self._host.send(best, Optimization(me, old))
 
@@ -371,7 +347,7 @@ class XBot(HyParView):
         if disconnected is None:
             self._host.send(initiator, OptimizationReply(me, old, False))
             return
-        self._replace.open((initiator, old, disconnected), self.xbot_config.swap_timeout)
+        self._replace.open((initiator, old, disconnected), SWAP_TIMEOUT)
         self._host.send(disconnected, Replace(me, initiator, old))
 
     def handle_replace_reply(self, message: ReplaceReply) -> None:
@@ -402,7 +378,6 @@ class XBot(HyParView):
     def handle_replace(self, message: Replace) -> None:
         candidate, initiator, old = message.candidate, message.initiator, message.old
         me = self.address
-        cfg = self.xbot_config
         acceptable = (
             not self._left
             and initiator != me
@@ -423,11 +398,11 @@ class XBot(HyParView):
                 - cost(initiator, candidate)
                 - cost(me, old)
             )
-            acceptable = gain > cfg.min_gain
+            acceptable = gain > 0.0
         if not acceptable:
             self._host.send(candidate, ReplaceReply(me, initiator, old, False))
             return
-        self._switch.open((initiator, candidate, old), cfg.swap_timeout)
+        self._switch.open((initiator, candidate, old), SWAP_TIMEOUT)
         self._host.send(old, Switch(me, initiator, candidate))
 
     def handle_switch_reply(self, message: SwitchReply) -> None:

@@ -16,7 +16,6 @@ from typing import Any, Callable, Optional
 from ..common.errors import ConfigurationError
 from ..common.ids import MessageId
 from ..core.config import HyParViewConfig
-from ..gossip.plumtree import PlumtreeConfig
 from .delivery import DeliveryLog
 from .node import RuntimeNode
 
@@ -30,14 +29,12 @@ class LocalCluster:
         *,
         config: Optional[HyParViewConfig] = None,
         protocol: str = "hyparview",
-        plumtree_config: Optional[PlumtreeConfig] = None,
         base_seed: int = 1,
     ) -> None:
         if size < 2:
             raise ConfigurationError(f"cluster needs at least 2 nodes: {size}")
         self._config = config
         self._protocol = protocol
-        self._plumtree_config = plumtree_config
         self._base_seed = base_seed
         self._spawned = size
         self.delivery_log = DeliveryLog()
@@ -48,7 +45,6 @@ class LocalCluster:
             RuntimeNode(
                 config=config,
                 protocol=protocol,
-                plumtree_config=plumtree_config,
                 seed=base_seed + index,
                 delivery_log=self.delivery_log,
             )
@@ -109,7 +105,6 @@ class LocalCluster:
             port=old.node_id.port if reuse_port else 0,
             config=self._config,
             protocol=self._protocol,
-            plumtree_config=self._plumtree_config,
             seed=self._base_seed + self._spawned,
             incarnation=old.incarnation + 1,
             delivery_log=self.delivery_log,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import asyncio
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from ..common.errors import ConfigurationError
@@ -28,8 +28,6 @@ from ..common.ids import MessageId, NodeId
 from ..common.interfaces import Host
 from ..common.messages import Message
 from ..core.config import HyParViewConfig
-from ..gossip.plumtree import PlumtreeConfig
-from ..gossip.reliable import ReliableConfig
 from ..gossip.tracker import BroadcastTracker
 from ..protocols.registry import get_stack, runtime_stack_names
 from .clock import AsyncioClock
@@ -48,14 +46,11 @@ RUNTIME_CONFIG = HyParViewConfig(neighbor_request_timeout=2.0, shuffle_period=5.
 class _RuntimeParams:
     """The parameter surface registry factories read, for live stacks.
 
-    Duck-typed against ``ExperimentParams`` — only the fields the
+    Duck-typed against ``ExperimentParams`` — only the field the
     runtime-capable stacks consume.
     """
 
     hyparview: HyParViewConfig
-    plumtree: Optional[PlumtreeConfig] = None
-    reliable: ReliableConfig = field(default_factory=ReliableConfig)
-    fanout: int = 4
 
 
 class RuntimeNode:
@@ -68,8 +63,6 @@ class RuntimeNode:
         *,
         config: Optional[HyParViewConfig] = None,
         protocol: str = "hyparview",
-        plumtree_config: Optional[PlumtreeConfig] = None,
-        reliable_config: Optional[ReliableConfig] = None,
         on_deliver: Optional[DeliverCallback] = None,
         seed: Optional[int] = None,
         tracker: Optional[BroadcastTracker] = None,
@@ -88,11 +81,7 @@ class RuntimeNode:
         self._requested_port = port
         self._config = config if config is not None else RUNTIME_CONFIG
         self.protocol = protocol
-        self._params = _RuntimeParams(
-            hyparview=self._config,
-            plumtree=plumtree_config,
-            reliable=reliable_config if reliable_config is not None else ReliableConfig(),
-        )
+        self._params = _RuntimeParams(hyparview=self._config)
         self._external_deliver = on_deliver
         self._seed = seed
         # Full membership set for roster-needing (quorum) stacks; resolved

@@ -5,7 +5,7 @@ See :mod:`repro.service.pubsub` for the facade and
 circuit breakers, the per-peer guard).
 """
 
-from .limits import BreakerConfig, CircuitBreaker, PeerGuard, TokenBucket, TopicBuckets
+from .limits import BreakerConfig, CircuitBreaker, PeerGuard, TokenBucket
 from .pubsub import (
     PubSubClient,
     PubSubCluster,
@@ -26,5 +26,4 @@ __all__ = [
     "Subscription",
     "TopicMessage",
     "TokenBucket",
-    "TopicBuckets",
 ]

@@ -13,7 +13,7 @@ production and a hand-cranked float in tests):
   ``failure_threshold`` consecutive send failures the breaker *opens* and
   every send to that peer is rejected locally (no socket work, no timeout
   waits).  After ``recovery_timeout`` seconds it goes *half-open* and lets
-  a limited number of probe sends through; ``half_open_successes``
+  ``HALF_OPEN_MAX_PROBES`` probe sends through; ``half_open_successes``
   consecutive successes close it again, any failure re-opens it.
 * :class:`PeerGuard` — wires one breaker per destination into an
   :class:`~repro.runtime.transport.AsyncioTransport` via its
@@ -34,6 +34,9 @@ from ..common.ids import NodeId
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
+
+#: Probe sends a half-open breaker lets through while undecided.
+HALF_OPEN_MAX_PROBES = 2
 
 
 class TokenBucket:
@@ -72,40 +75,6 @@ class TokenBucket:
         return min(self.burst, self._tokens + (now - self._updated) * self.rate)
 
 
-class TopicBuckets:
-    """One lazily-created :class:`TokenBucket` per key, shared tuning.
-
-    The per-*topic* counterpart of the per-client buckets: a hot topic
-    exhausts its own budget without starving the others, and a key that
-    never publishes never allocates a bucket.
-    """
-
-    __slots__ = ("rate", "burst", "_buckets")
-
-    def __init__(self, rate: float, burst: float) -> None:
-        if rate <= 0:
-            raise ConfigurationError(f"token rate must be positive: {rate}")
-        if burst < 1:
-            raise ConfigurationError(f"burst must be >= 1 token: {burst}")
-        self.rate = rate
-        self.burst = burst
-        self._buckets: dict[str, TokenBucket] = {}
-
-    def bucket(self, key: str) -> TokenBucket:
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = TokenBucket(self.rate, self.burst)
-            self._buckets[key] = bucket
-        return bucket
-
-    def allow(self, key: str, now: float, tokens: float = 1.0) -> bool:
-        return self.bucket(key).allow(now, tokens)
-
-    def denied(self) -> int:
-        """Total denials across all keys."""
-        return sum(bucket.denied for bucket in self._buckets.values())
-
-
 @dataclass(frozen=True, slots=True)
 class BreakerConfig:
     """Tuning for one :class:`CircuitBreaker`."""
@@ -116,8 +85,6 @@ class BreakerConfig:
     recovery_timeout: float = 1.0
     #: Consecutive half-open successes required to close again.
     half_open_successes: int = 2
-    #: Probe sends allowed through while half-open and undecided.
-    half_open_max_probes: int = 2
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
@@ -131,10 +98,6 @@ class BreakerConfig:
         if self.half_open_successes < 1:
             raise ConfigurationError(
                 f"half-open successes must be >= 1: {self.half_open_successes}"
-            )
-        if self.half_open_max_probes < 1:
-            raise ConfigurationError(
-                f"half-open probes must be >= 1: {self.half_open_max_probes}"
             )
 
 
@@ -173,7 +136,7 @@ class CircuitBreaker:
             self._probes_in_flight = 1
             return True
         # HALF_OPEN: admit a bounded number of undecided probes.
-        if self._probes_in_flight >= self.config.half_open_max_probes:
+        if self._probes_in_flight >= HALF_OPEN_MAX_PROBES:
             return False
         self._probes_in_flight += 1
         return True
@@ -279,7 +242,6 @@ __all__ = [
     "CircuitBreaker",
     "PeerGuard",
     "TokenBucket",
-    "TopicBuckets",
     "CLOSED",
     "OPEN",
     "HALF_OPEN",

@@ -37,7 +37,7 @@ from ..common.errors import ConfigurationError, RateLimitedError, ServiceError
 from ..common.ids import MessageId
 from ..runtime.cluster import LocalCluster
 from ..runtime.node import RuntimeNode
-from .limits import BreakerConfig, PeerGuard, TokenBucket, TopicBuckets
+from .limits import BreakerConfig, PeerGuard, TokenBucket
 
 _TOPIC_KEY = "@topic"
 _DATA_KEY = "@data"
@@ -53,11 +53,6 @@ class ServiceConfig:
     publish_burst: float = 50.0
     #: Bound of each subscription's delivery queue (oldest shed first).
     subscriber_queue: int = 128
-    #: Per-*topic* publish budget (tokens/second), enforced across every
-    #: client and operator publish on that topic; ``None`` disables it.
-    topic_rate: Optional[float] = None
-    #: Burst capacity of each topic bucket (used when ``topic_rate`` is set).
-    topic_burst: float = 50.0
     #: Per-peer circuit-breaker tuning (see :class:`BreakerConfig`).
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
 
@@ -192,20 +187,11 @@ class PubSubNode:
         self.node = node
         self.config = config if config is not None else ServiceConfig()
         self.guard = PeerGuard(node.transport, config=self.config.breaker)
-        # Per-topic budgets sit under the per-client buckets: a topic's
-        # budget is shared by every publisher, operator traffic included.
-        self._topic_buckets = (
-            TopicBuckets(self.config.topic_rate, self.config.topic_burst)
-            if self.config.topic_rate is not None
-            else None
-        )
         self._subscriptions: dict[str, list[Subscription]] = {}
         self.clients: dict[str, PubSubClient] = {}
         self._attached = True
         self.messages_published = 0
         self.messages_delivered = 0
-        #: Publishes refused because their *topic's* budget ran dry.
-        self.topic_rate_limited = 0
         #: Subscriber-queue overflow sheds across all subscriptions.
         self.messages_dropped = 0
         #: Deliveries that carried no topic envelope (plain broadcasts).
@@ -265,14 +251,6 @@ class PubSubNode:
             raise ServiceError(f"topic must be a non-empty string: {topic!r}")
         if not self.node.started:
             raise ServiceError(f"overlay node {self.node.node_id} is not running")
-        if self._topic_buckets is not None and not self._topic_buckets.allow(
-            topic, self._now()
-        ):
-            self.topic_rate_limited += 1
-            raise RateLimitedError(
-                f"topic {topic!r} exceeded its publish budget "
-                f"({self._topic_buckets.rate}/s, burst {self._topic_buckets.burst})"
-            )
         message_id = self.node.broadcast({_TOPIC_KEY: topic, _DATA_KEY: payload})
         self.messages_published += 1
         return message_id

@@ -25,6 +25,11 @@ from abc import ABC, abstractmethod
 from ..common.errors import ConfigurationError
 from ..common.ids import NodeId
 
+#: One-way delay of the constant model, in seconds.  The harness also paces
+#: broadcast streams and sizes settle times in multiples of it, whatever
+#: model prices the links.
+LATENCY_SECONDS = 0.01
+
 
 class LatencyModel(ABC):
     """Maps a (src, dst) pair to a one-way message delay in seconds."""
@@ -50,7 +55,7 @@ class ConstantLatency(LatencyModel):
 
     __slots__ = ("value",)
 
-    def __init__(self, value: float = 0.01) -> None:
+    def __init__(self, value: float = LATENCY_SECONDS) -> None:
         if value < 0:
             raise ConfigurationError(f"latency must be non-negative: {value}")
         self.value = value
@@ -215,9 +220,9 @@ def build_latency_model(params) -> LatencyModel:
     """
     name = str(getattr(params, "latency_model", "constant"))
     if name == "constant":
-        return ConstantLatency(float(getattr(params, "latency_seconds", 0.01)))
+        return ConstantLatency()
     if name == "zoned":
-        return ZonedLatency(zones=int(getattr(params, "latency_zones", 8)))
+        return ZonedLatency()
     raise ConfigurationError(
         f"unknown latency model {name!r}; expected one of {LATENCY_MODEL_NAMES}"
     )

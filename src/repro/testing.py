@@ -12,12 +12,12 @@ from .core.config import HyParViewConfig
 from .core.protocol import HyParView
 from .gossip.eager import EagerGossip
 from .gossip.flood import FloodBroadcast
-from .gossip.plumtree import Plumtree, PlumtreeConfig
+from .gossip.plumtree import Plumtree
 from .gossip.tracker import BroadcastTracker
 from .protocols.cyclon import Cyclon, CyclonConfig
 from .protocols.cyclon_acked import CyclonAcked
-from .protocols.scamp import Scamp, ScampConfig
-from .protocols.xbot import CostOracle, XBot, XBotConfig
+from .protocols.scamp import Scamp
+from .protocols.xbot import CostOracle, XBot
 from .sim.engine import Engine
 from .sim.network import Network
 from .sim.node import SimNode
@@ -59,13 +59,10 @@ class World:
         config: HyParViewConfig | None = None,
         *,
         oracle: CostOracle | None = None,
-        xbot: XBotConfig | None = None,
         cls: type[XBot] = XBot,
     ):
         node = self.new_node(name)
-        protocol = cls(
-            node.host("membership"), config or HyParViewConfig(), oracle=oracle, xbot=xbot
-        )
+        protocol = cls(node.host("membership"), config or HyParViewConfig(), oracle=oracle)
         node.wire("membership", protocol)
         return node, protocol
 
@@ -83,9 +80,9 @@ class World:
         node.wire("membership", protocol)
         return node, protocol
 
-    def scamp(self, name: str | None = None, config: ScampConfig | None = None):
+    def scamp(self, name: str | None = None):
         node = self.new_node(name)
-        protocol = Scamp(node.host("membership"), config or ScampConfig())
+        protocol = Scamp(node.host("membership"))
         node.wire("membership", protocol)
         return node, protocol
 
@@ -101,10 +98,8 @@ class World:
         node.wire("gossip", layer)
         return layer
 
-    def with_plumtree(
-        self, node: SimNode, membership: HyParView, config: PlumtreeConfig | None = None
-    ) -> Plumtree:
-        layer = Plumtree(node.host("gossip"), membership, self.tracker, config=config)
+    def with_plumtree(self, node: SimNode, membership: HyParView) -> Plumtree:
+        layer = Plumtree(node.host("gossip"), membership, self.tracker)
         node.wire("gossip", layer)
         return layer
 

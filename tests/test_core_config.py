@@ -1,12 +1,14 @@
 """Tests for HyParView and experiment configuration validation."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.core.config import HyParViewConfig
 from repro.experiments.params import ExperimentParams
+from repro.protocols import cyclon, scamp
 from repro.protocols.cyclon import CyclonConfig
-from repro.protocols.scamp import ScampConfig
 
 
 class TestHyParViewConfig:
@@ -61,6 +63,17 @@ class TestHyParViewConfig:
             scaled = HyParViewConfig().scaled(n)
             assert scaled.passive_view_capacity > math.log(n)
 
+    def test_scaled_changes_only_the_passive_view(self):
+        config = HyParViewConfig(
+            active_view_capacity=3, arwl=4, prwl=2, shuffle_ka=2, shuffle_kp=1,
+            shuffle_ttl=2, shuffle_period=0.3, neighbor_request_timeout=1.0,
+            promotion_retry_delay=0.1, promotion_max_passes=5,
+        )
+        scaled = config.scaled(500)
+        for field in fields(HyParViewConfig):
+            if field.name != "passive_view_capacity":
+                assert getattr(scaled, field.name) == getattr(config, field.name), field.name
+
     def test_scaled_rejects_tiny_system(self):
         with pytest.raises(ConfigurationError):
             HyParViewConfig().scaled(1)
@@ -71,8 +84,7 @@ class TestBaselineConfigs:
         config = CyclonConfig()
         assert config.view_size == 35
         assert config.shuffle_length == 14
-        assert config.walk_ttl == 5
-        assert config.effective_join_walks == 35
+        assert cyclon.WALK_TTL == 5
 
     def test_cyclon_validation(self):
         with pytest.raises(ConfigurationError):
@@ -81,39 +93,29 @@ class TestBaselineConfigs:
             CyclonConfig(shuffle_length=0)
         with pytest.raises(ConfigurationError):
             CyclonConfig(view_size=5, shuffle_length=6)
-        with pytest.raises(ConfigurationError):
-            CyclonConfig(walk_ttl=-1)
-        with pytest.raises(ConfigurationError):
-            CyclonConfig(join_walks=0)
 
     def test_scamp_paper_values(self):
-        assert ScampConfig().c == 4
-
-    def test_scamp_validation(self):
-        with pytest.raises(ConfigurationError):
-            ScampConfig(c=-1)
-        with pytest.raises(ConfigurationError):
-            ScampConfig(max_forward_hops=0)
-        with pytest.raises(ConfigurationError):
-            ScampConfig(lease_cycles=0)
-        with pytest.raises(ConfigurationError):
-            ScampConfig(isolation_cycles=0)
+        assert scamp.C == 4
 
 
 class TestExperimentParams:
     def test_paper_configuration(self):
         params = ExperimentParams.paper()
         assert params.n == 10_000
-        assert params.fanout == 4
+        assert params.hyparview == HyParViewConfig.paper()
+        assert params.hyparview.fanout == 4
         assert params.stabilization_cycles == 50
         assert params.cyclon.view_size == 35
-        assert params.scamp.c == 4
+        assert params.brb_mode == "bracha"
+
+    def test_paper_is_the_scaled_setting_at_its_anchor_size(self):
+        assert ExperimentParams.paper() == ExperimentParams.scaled(10_000)
 
     def test_scaled_preserves_relations(self):
         params = ExperimentParams.scaled(500)
         hv = params.hyparview
         assert params.cyclon.view_size == hv.active_view_capacity + hv.passive_view_capacity
-        assert params.fanout == 4
+        assert hv.fanout == 4
 
     def test_scaled_cyclon_view_bounded_by_n(self):
         params = ExperimentParams.scaled(20)
@@ -123,11 +125,9 @@ class TestExperimentParams:
         with pytest.raises(ConfigurationError):
             ExperimentParams(n=1)
         with pytest.raises(ConfigurationError):
-            ExperimentParams(fanout=0)
-        with pytest.raises(ConfigurationError):
             ExperimentParams(stabilization_cycles=-1)
-        with pytest.raises(ConfigurationError):
-            ExperimentParams(latency_seconds=-1)
+        with pytest.raises(ConfigurationError, match="latency model"):
+            ExperimentParams(latency_model="wormhole")
 
     def test_with_seed(self):
         params = ExperimentParams.scaled(100).with_seed(7)

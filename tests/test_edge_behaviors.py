@@ -6,7 +6,8 @@ import json
 
 from conftest import FrameLog
 from repro.core.config import HyParViewConfig
-from repro.gossip.flood import FloodBroadcast
+from repro.gossip.flood import RESEND_MEMORY, FloodBroadcast
+from repro.protocols import scamp
 from repro.protocols.scamp import ScampForwardedSubscription, ScampSubscribe
 
 
@@ -21,9 +22,7 @@ class TestFloodResendOnRepair:
         (na, a), (nb, b), (nc, c) = world.hyparview_many(3, config=SMALL)
         layer_a = na.wire(
             "gossip",
-            FloodBroadcast(
-                na.host("gossip"), a, world.tracker, resend_on_repair=True, resend_delay=0.05
-            ),
+            FloodBroadcast(na.host("gossip"), a, world.tracker, resend_on_repair=True),
         )
         layer_c = world.with_flood(nc, c)
         world.join_chain([a, b])
@@ -35,6 +34,21 @@ class TestFloodResendOnRepair:
         world.drain()
         assert c.address in a.active  # repair promoted c
         assert layer_c.has_delivered(message_id)  # resend delivered payload
+
+    def test_resend_memory_keeps_only_recent_messages(self, world):
+        (na, a), (nb, b) = world.hyparview_many(2, config=SMALL)
+        layer_a = na.wire(
+            "gossip",
+            FloodBroadcast(na.host("gossip"), a, world.tracker, resend_on_repair=True),
+        )
+        world.with_flood(nb, b)
+        world.join_chain([a, b])
+        first = layer_a.broadcast(0)
+        for index in range(RESEND_MEMORY):
+            layer_a.broadcast(index + 1)
+        world.drain()
+        assert len(layer_a._sent) == RESEND_MEMORY
+        assert first not in layer_a._sent
 
     def test_without_resend_payload_is_lost(self, world):
         (na, a), (nb, b), (nc, c) = world.hyparview_many(3, config=SMALL)
@@ -66,7 +80,7 @@ class TestScampIndirection:
             and record.message_type == "ScampForwardedSubscription"
             and record.src == contact.address
         ]
-        assert len(first_wave) == view_size + contact.config.c
+        assert len(first_wave) == view_size + scamp.C
 
     def test_forwarding_hop_cap_integrates_subscription(self, world):
         (_, a), (_, b) = world.scamp(), world.scamp()
@@ -75,7 +89,7 @@ class TestScampIndirection:
         # A forwarded subscription arriving at the cap is kept, not lost.
         stranger = world.scamp()[1]
         a.handle_forwarded_subscription(
-            ScampForwardedSubscription(stranger.address, a.config.max_forward_hops)
+            ScampForwardedSubscription(stranger.address, scamp.MAX_FORWARD_HOPS)
         )
         assert stranger.address in a.partial_view
 

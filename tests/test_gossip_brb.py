@@ -20,31 +20,25 @@ from repro.experiments.params import ExperimentParams
 from repro.experiments.registry import get_scenario, scenario_ids
 from repro.experiments.runner import build_units, run_scenarios
 from repro.experiments.scenario import Scenario
-from repro.gossip.byzantine import BRBConfig, BRBGossip, payload_digest
+from repro.gossip.byzantine import BRBGossip, payload_digest
 from repro.gossip.messages import BRBSend
 
 BYZ_IDS = tuple(s for s in scenario_ids() if s.startswith("byz_"))
 TINY = dict(n=32, messages=4)
 
 
-def _scenario(protocol: str = "hyparview-brb", n: int = 16, **brb_kwargs) -> Scenario:
-    params = ExperimentParams.scaled(n, stabilization_cycles=10)
-    if brb_kwargs:
-        params = replace(params, brb=BRBConfig(**brb_kwargs))
+def _scenario(protocol: str = "hyparview-brb", n: int = 16, mode: str = "bracha") -> Scenario:
+    params = replace(ExperimentParams.scaled(n, stabilization_cycles=10), brb_mode=mode)
     scenario = Scenario(protocol, params)
     scenario.build_overlay()
     scenario.stabilize()
     return scenario
 
 
-class TestBRBConfig:
+class TestBRBMode:
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="mode"):
-            BRBConfig(mode="paxos")
-        with pytest.raises(ConfigurationError, match="fault fraction"):
-            BRBConfig(fault_fraction=0.5)
-        with pytest.raises(ConfigurationError, match="sample size"):
-            BRBConfig(mode="sampled", sample_size=0)
+            ExperimentParams(brb_mode="paxos")
 
     def test_roster_required(self):
         scenario = _scenario(n=8)
@@ -79,7 +73,7 @@ class TestQuorumGeometry:
         samples = []
         for _ in range(2):
             params = ExperimentParams.scaled(24, seed=11, stabilization_cycles=5)
-            params = replace(params, brb=BRBConfig(mode="sampled"))
+            params = replace(params, brb_mode="sampled")
             scenario = Scenario("hyparview-brb", params)
             scenario.build_overlay()
             scenario.stabilize()

@@ -76,15 +76,6 @@ class TestFloodBroadcast:
         assert summary.max_hops >= 1
         assert summary.reliability == 1.0
 
-    def test_resend_on_repair_config_validation(self, world):
-        node, proto = world.hyparview(config=SMALL)
-        from repro.gossip.flood import FloodBroadcast
-
-        with pytest.raises(ConfigurationError):
-            FloodBroadcast(node.host("g1"), proto, resend_delay=0)
-        with pytest.raises(ConfigurationError):
-            FloodBroadcast(node.host("g2"), proto, resend_memory=0)
-
 
 class TestEagerGossip:
     def test_fanout_validation(self, world):
@@ -142,21 +133,21 @@ class TestEagerGossip:
         )
         assert holders == 0
 
-    def test_seen_capacity_bounds_memory(self, world):
+    def test_an_old_message_is_never_delivered_twice(self, world):
         (na, a), (nb, b) = world.cyclon(), world.cyclon()
-        world.with_eager(na, a, fanout=2)
-        from repro.gossip.eager import EagerGossip
-
-        layer_b = nb.wire(
-            "gossip",
-            EagerGossip(nb.host("gossip"), b, world.tracker, fanout=2, seen_capacity=5),
-        )
+        layer_a = world.with_eager(na, a, fanout=2)
+        layer_b = world.with_eager(nb, b, fanout=2)
         b.join(a.address)
         world.drain()
-        mids = [layer_b.broadcast(i) for i in range(10)]
+        mids = [layer_a.broadcast(i) for i in range(200)]
         world.drain()
-        assert not layer_b.has_delivered(mids[0])  # evicted
-        assert layer_b.has_delivered(mids[-1])
+        assert layer_b.delivered_count == 200
+        from repro.gossip.messages import GossipData
+
+        world.network.send(na.node_id, nb.node_id, GossipData(mids[0], 0, 1, na.node_id))
+        world.drain()
+        assert layer_b.delivered_count == 200
+        assert layer_b.duplicate_count == 1
 
 
 class TestScenarioLevelGossip:

@@ -24,9 +24,9 @@ from repro.experiments.params import ExperimentParams
 from repro.experiments.registry import get_scenario, scenario_ids
 from repro.experiments.runner import build_units, run_scenarios
 from repro.experiments.scenario import Scenario
-from repro.gossip.byzantine import BRBConfig, BRBGossip, payload_digest
+from repro.gossip.byzantine import BRBGossip, payload_digest
 from repro.gossip.messages import BRBEcho, GossipAck
-from repro.gossip.reliable import ReliableConfig, ReliableGossip
+from repro.gossip.reliable import ACK_TIMEOUT, BACKOFF, MAX_RETRIES, ReliableGossip
 from repro.testing import World, check_acked_channel_quiescent
 
 RELIABLE_IDS = tuple(s for s in scenario_ids() if s.startswith("reliable_"))
@@ -36,10 +36,8 @@ TINY = dict(n=32, messages=4)
 CLEAN_CONSTANT_RUN = {"events": 1520, "sent": 1520, "elapsed": 0.4}
 
 
-def _scenario(protocol: str, n: int = 24, **reliable_kwargs) -> Scenario:
+def _scenario(protocol: str, n: int = 24) -> Scenario:
     params = ExperimentParams.scaled(n, stabilization_cycles=10)
-    if reliable_kwargs:
-        params = replace(params, reliable=ReliableConfig(**reliable_kwargs))
     scenario = Scenario(protocol, params)
     scenario.build_overlay()
     scenario.stabilize()
@@ -54,12 +52,6 @@ class TestReliableLayerUnit:
         membership = host_layer.membership
         with pytest.raises(ConfigurationError):
             ReliableGossip(host, membership, fanout=-1)
-        with pytest.raises(ConfigurationError):
-            ReliableGossip(host, membership, ack_timeout=0.0)
-        with pytest.raises(ConfigurationError):
-            ReliableGossip(host, membership, backoff=0.5)
-        with pytest.raises(ConfigurationError):
-            ReliableConfig(max_retries=-1)
 
     def test_clean_network_acks_everything_and_retransmits_nothing(self):
         scenario = _scenario("hyparview-reliable")
@@ -89,7 +81,7 @@ class TestReliableLayerUnit:
         assert sum(s.reliability for s in summaries) / len(summaries) > 0.95
 
     def test_give_up_reports_failure_to_membership(self):
-        scenario = _scenario("hyparview-reliable", n=12, max_retries=1)
+        scenario = _scenario("hyparview-reliable", n=12)
         origin = scenario.node_ids[0]
         # Crash one of the origin's neighbours without telling anyone:
         # the dead peer never acks, so the copy retries then gives up.
@@ -122,16 +114,16 @@ class TestReliableLayerUnit:
         assert target_layer.duplicate_count == duplicates_before + 1
 
     def test_backoff_doubles_retransmit_delay(self):
-        scenario = _scenario("hyparview-reliable", n=12, ack_timeout=0.1, backoff=2.0,
-                             max_retries=2)
+        scenario = _scenario("hyparview-reliable", n=12)
         origin = scenario.node_ids[0]
         victim = scenario.membership(origin).gossip_targets(0)[0]
         scenario.network.fail_many([victim])
         start = scenario.engine.now
         scenario.broadcast_layer(origin).broadcast(None)
         scenario.drain()
-        # Give-up happens only after 0.1 + 0.2 + 0.4 seconds of silence.
-        assert scenario.engine.now - start >= 0.1 + 0.2 + 0.4 - 1e-9
+        # Give-up happens only after 0.05 + 0.1 + 0.2 + 0.4 seconds of silence.
+        assert (ACK_TIMEOUT, BACKOFF, MAX_RETRIES) == (0.05, 2.0, 3)
+        assert scenario.engine.now - start >= 0.05 + 0.1 + 0.2 + 0.4 - 1e-9
 
 
 class _Peers:
@@ -154,16 +146,16 @@ class _Sender:
     whether) each ack arrives, so every round trip is exactly the number
     written in the test."""
 
-    def __init__(self, peers=("b",), brb=None, **knobs):
+    def __init__(self, peers=("b",), brb_mode=None):
         self.world = World()
         self.engine = self.world.engine
         node = self.world.new_node("a")
         self.peers = [NodeId(name, 9000) for name in peers]
         self.membership = _Peers(self.peers)
-        if brb is None:
-            self.layer = ReliableGossip(node.host("gossip"), self.membership, **knobs)
+        if brb_mode is None:
+            self.layer = ReliableGossip(node.host("gossip"), self.membership)
         else:
-            self.layer = BRBGossip(node.host("gossip"), self.membership, config=brb)
+            self.layer = BRBGossip(node.host("gossip"), self.membership, mode=brb_mode)
             self.layer.set_roster([node.node_id, *self.peers])
         node.wire("gossip", self.layer)
 
@@ -243,14 +235,14 @@ class TestRetransmitTimeoutEstimator:
             layer = scenario.broadcast_layer(node_id)
             assert layer.retransmissions == 0
             for peer in scenario.membership(node_id).gossip_targets(0):
-                assert layer.retransmit_timeout(peer) >= layer.ack_timeout
+                assert layer.retransmit_timeout(peer) >= ACK_TIMEOUT
                 if layer.smoothed_rtt(peer) is not None:
                     sampled += 1
                     assert layer.smoothed_rtt(peer) == pytest.approx(0.02)
         assert sampled > 0
 
     def test_karn_a_retransmitted_copy_yields_no_sample_and_leaves_its_backoff(self):
-        sender = _Sender(ack_timeout=0.05, backoff=2.0)
+        sender = _Sender()
         (peer,) = sender.peers
         layer = sender.layer
         assert layer.retransmit_timeout(peer) == 0.05
@@ -274,7 +266,7 @@ class TestRetransmitTimeoutEstimator:
         timeout re-sends every first copy, so strict Karn would never take a
         sample.  The backed-off timeout carries over from message to message
         until one copy is acked clean (RFC 6298 5.5-5.7)."""
-        sender = _Sender(ack_timeout=0.05, backoff=2.0)
+        sender = _Sender()
         (peer,) = sender.peers
         layer = sender.layer
         assert [sender.exchange(0.12) for _ in range(5)] == [1, 1, 0, 0, 0]
@@ -283,7 +275,7 @@ class TestRetransmitTimeoutEstimator:
         assert layer.give_ups == 0 and sender.membership.reported == []
 
     def test_give_up_forgets_the_peer(self):
-        sender = _Sender(ack_timeout=0.05, backoff=2.0, max_retries=2)
+        sender = _Sender()
         (peer,) = sender.peers
         sender.exchange(0.03)
         assert sender.layer.smoothed_rtt(peer) == pytest.approx(0.03)
@@ -303,14 +295,13 @@ class TestRetransmitTimeoutEstimator:
             min_size=1,
             max_size=25,
         ),
-        floor=st.sampled_from((0.01, 0.05, 0.5)),
     )
-    def test_estimator_properties_over_random_round_trips(self, steps, floor):
+    def test_estimator_properties_over_random_round_trips(self, steps):
         """Whatever the round trips: the timeout is finite and never under
         the floor; SRTT stays between the smallest and largest *clean*
         sample; an exchange that was retransmitted moves no SRTT; a peer
         that was given up on leaves no state behind."""
-        sender = _Sender(ack_timeout=floor, backoff=2.0, max_retries=3)
+        sender = _Sender()
         (peer,) = sender.peers
         layer = sender.layer
         clean: list[float] = []
@@ -328,7 +319,7 @@ class TestRetransmitTimeoutEstimator:
                 clean.append(rtt)
                 assert layer.retransmit_timeout(peer) >= layer.smoothed_rtt(peer)
             timeout = layer.retransmit_timeout(peer)
-            assert timeout >= floor and math.isfinite(timeout)
+            assert timeout >= ACK_TIMEOUT and math.isfinite(timeout)
             if clean:
                 assert min(clean) - 1e-9 <= layer.smoothed_rtt(peer) <= max(clean) + 1e-9
             else:
@@ -338,10 +329,7 @@ class TestRetransmitTimeoutEstimator:
         """SEND, ECHO and READY copies to one crashed peer expire together.
         What later messages inherit is the longest single copy's delay —
         ``backoff ** attempt`` — not a factor per expiring copy."""
-        sender = _Sender(
-            peers=("b", "c", "d"),
-            brb=BRBConfig(ack_timeout=0.05, backoff=2.0, max_retries=3),
-        )
+        sender = _Sender(peers=("b", "c", "d"), brb_mode="bracha")
         layer = sender.layer
         b, c, dead = sender.peers  # nobody acks; ``dead`` is the one watched
         message_id = layer.broadcast("x")  # SEND + own ECHO to b, c and dead

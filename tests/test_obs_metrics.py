@@ -212,7 +212,6 @@ class TestCollectors:
             messages_delivered = 18
             messages_dropped = 1
             messages_ignored = 0
-            topic_rate_limited = 3
 
         class Service:
             facades = []

@@ -44,7 +44,9 @@ class TestDeterminism:
         def overlay(fanout):
             import dataclasses
 
-            p = dataclasses.replace(params, fanout=fanout)
+            hyparview = dataclasses.replace(params.hyparview, active_view_capacity=fanout + 1)
+            p = dataclasses.replace(params, hyparview=hyparview)
+            assert p.hyparview.fanout == fanout
             scenario = Scenario("cyclon", p)
             scenario.build_overlay()
             scenario.run_cycles(4)

@@ -12,12 +12,12 @@ from repro.common.ids import NodeId
 from repro.service.limits import (
     CLOSED,
     HALF_OPEN,
+    HALF_OPEN_MAX_PROBES,
     OPEN,
     BreakerConfig,
     CircuitBreaker,
     PeerGuard,
     TokenBucket,
-    TopicBuckets,
 )
 
 
@@ -54,35 +54,6 @@ class TestTokenBucket:
             TokenBucket(rate=1.0, burst=0.5)
 
 
-class TestTopicBuckets:
-    def test_hot_topic_exhausts_only_its_own_budget(self):
-        buckets = TopicBuckets(rate=1.0, burst=2)
-        assert buckets.allow("hot", 0.0)
-        assert buckets.allow("hot", 0.0)
-        assert not buckets.allow("hot", 0.0)
-        assert buckets.allow("cold", 0.0)  # unaffected by hot's spend
-        assert buckets.denied() == 1
-
-    def test_buckets_are_lazy_and_shared_per_key(self):
-        buckets = TopicBuckets(rate=1.0, burst=1)
-        assert buckets._buckets == {}
-        first = buckets.bucket("a")
-        assert buckets.bucket("a") is first
-        assert set(buckets._buckets) == {"a"}
-
-    def test_refill_is_per_topic(self):
-        buckets = TopicBuckets(rate=2.0, burst=1)
-        assert buckets.allow("a", 0.0)
-        assert not buckets.allow("a", 0.1)
-        assert buckets.allow("a", 1.0)
-
-    def test_validation_is_eager(self):
-        with pytest.raises(ConfigurationError, match="rate"):
-            TopicBuckets(rate=0.0, burst=1)
-        with pytest.raises(ConfigurationError, match="burst"):
-            TopicBuckets(rate=1.0, burst=0.0)
-
-
 class TestBreakerConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="threshold"):
@@ -91,8 +62,6 @@ class TestBreakerConfig:
             BreakerConfig(recovery_timeout=0.0)
         with pytest.raises(ConfigurationError, match="successes"):
             BreakerConfig(half_open_successes=0)
-        with pytest.raises(ConfigurationError, match="probes"):
-            BreakerConfig(half_open_max_probes=0)
 
 
 class TestCircuitBreaker:
@@ -100,7 +69,6 @@ class TestCircuitBreaker:
         failure_threshold=3,
         recovery_timeout=1.0,
         half_open_successes=2,
-        half_open_max_probes=2,
     )
 
     def test_trips_after_consecutive_failures(self):
@@ -134,8 +102,9 @@ class TestCircuitBreaker:
         breaker = CircuitBreaker(self.CONFIG)
         for t in (0.0, 0.1, 0.2):
             breaker.record_failure(t)
+        assert HALF_OPEN_MAX_PROBES == 2
         assert breaker.allow(1.5)
-        assert breaker.allow(1.5)  # second probe (max_probes=2)
+        assert breaker.allow(1.5)  # second probe
         assert not breaker.allow(1.5)  # budget exhausted, undecided
 
     def test_half_open_successes_close(self):

@@ -92,47 +92,6 @@ class TestPubSubNode:
 
         run(scenario())
 
-    def test_topic_budget_limits_hot_topics_only(self):
-        async def scenario():
-            cluster = LocalCluster(2, config=CONFIG)
-            await cluster.start()
-            service = PubSubCluster(
-                cluster,
-                config=ServiceConfig(topic_rate=10.0, topic_burst=2.0),
-            )
-            facade = service.facade(0)
-            client = facade.client("polite")
-            client.publish("hot")
-            client.publish("hot")
-            with pytest.raises(RateLimitedError, match="'hot'"):
-                client.publish("hot")
-            # The budget is per *topic*: other topics still publish, and
-            # the operator path shares the same hot-topic bucket.
-            client.publish("cold")
-            with pytest.raises(RateLimitedError, match="publish budget"):
-                facade.publish("hot")
-            assert facade.topic_rate_limited == 2
-            assert client.rate_limited == 0  # per-client buckets untouched
-            service.detach()
-            await cluster.stop()
-
-        run(scenario())
-
-    def test_topic_budget_disabled_by_default(self):
-        async def scenario():
-            cluster = LocalCluster(2, config=CONFIG)
-            await cluster.start()
-            service = PubSubCluster(cluster)
-            facade = service.facade(0)
-            for _ in range(20):
-                facade.publish("hot")
-            assert facade.topic_rate_limited == 0
-            assert facade._topic_buckets is None
-            service.detach()
-            await cluster.stop()
-
-        run(scenario())
-
     def test_slow_subscriber_sheds_oldest(self):
         async def scenario():
             cluster = LocalCluster(2, config=CONFIG)
@@ -262,11 +221,10 @@ class TestClusterMetrics:
 
         body = run(scenario())
         # One exposition covers the service counters, the breaker, the
-        # per-topic/per-client budgets and the transport epoch audits.
+        # per-client budgets and the transport epoch audits.
         for family in (
             "repro_service_published_total",
             "repro_service_delivered_total",
-            "repro_service_topic_rate_limited_total",
             "repro_service_client_rate_limited_total",
             "repro_breaker_trips_total",
             "repro_breaker_open",

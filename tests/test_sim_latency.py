@@ -12,6 +12,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.ids import NodeId
 from repro.common.rng import StreamRandom
 from repro.sim.latency import (
+    LATENCY_SECONDS,
     ConstantLatency,
     CoordinateLatency,
     UniformLatency,
@@ -175,16 +176,14 @@ class TestZonedLatency:
 
 class TestBuildLatencyModel:
     def test_default_is_the_historical_constant_model(self):
-        model = build_latency_model(SimpleNamespace(latency_seconds=0.01))
+        model = build_latency_model(SimpleNamespace())
         assert isinstance(model, ConstantLatency)
-        assert model.delay(A, B, random.Random(0)) == 0.01
+        assert model.delay(A, B, random.Random(0)) == LATENCY_SECONDS == 0.01
 
-    def test_zoned_selector_reads_zone_count(self):
-        model = build_latency_model(
-            SimpleNamespace(latency_model="zoned", latency_zones=5)
-        )
+    def test_zoned_selector_builds_eight_zones(self):
+        model = build_latency_model(SimpleNamespace(latency_model="zoned"))
         assert isinstance(model, ZonedLatency)
-        assert model.zones == 5
+        assert model.zones == 8
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
