@@ -6,7 +6,6 @@ from .errors import (
     ProtocolError,
     ReproError,
     SimulationError,
-    TransportError,
     UnknownNodeError,
 )
 from .ids import MessageId, NodeId, SequenceGenerator, simulated_node_ids
@@ -38,7 +37,6 @@ __all__ = [
     "SimulationError",
     "TimerHandle",
     "Transport",
-    "TransportError",
     "UnknownNodeError",
     "choice_or_none",
     "decode_message",

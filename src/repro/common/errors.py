@@ -24,11 +24,6 @@ class UnknownNodeError(ReproError):
     """An operation referenced a node the network has never seen."""
 
 
-class TransportError(ReproError):
-    """A runtime transport failed in a way that is a bug, not a normal
-    connection failure (normal failures are reported via callbacks)."""
-
-
 class CodecError(ReproError):
     """A wire message could not be encoded or decoded."""
 

@@ -135,9 +135,10 @@ def decode_message(payload: dict) -> Message:
 
     Raises :class:`CodecError` on unknown types or malformed payloads —
     including well-formed JSON of the wrong shape (``"fields": 3``, an
-    unhashable type name, a non-numeric or infinite port) — rather than
-    letting the underlying exception escape, so transport code can treat
-    any :class:`CodecError` as a corrupt frame.
+    unhashable type name, a non-numeric or infinite port, a field nested
+    deeper than the interpreter's recursion limit) — rather than letting
+    the underlying exception escape, so transport code can treat any
+    :class:`CodecError` as a corrupt frame.
     """
     try:
         wire_name = payload["type"]
@@ -156,5 +157,8 @@ def decode_message(payload: dict) -> Message:
         return cls(**decoded)
     except CodecError:
         raise
+    except RecursionError as exc:
+        # No repr of the payload here: it is as deep as what just overflowed.
+        raise CodecError("message payload nested too deeply") from exc
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CodecError(f"malformed message payload: {payload!r}") from exc

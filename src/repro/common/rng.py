@@ -191,15 +191,6 @@ class SeedSequence:
         digest = hashlib.sha256(f"{self._root_seed}/{label}".encode()).digest()
         return int.from_bytes(digest[:8], "big")
 
-    def spawn(self, label: str) -> "SeedSequence":
-        """An independent child sequence rooted at ``derive_seed(label)``.
-
-        Children of different labels (and their own descendants) never
-        collide, which lets a sweep give every (scenario, replicate) cell a
-        private seed universe.
-        """
-        return SeedSequence(self.derive_seed(label))
-
     def stream(self, label: str) -> StreamRandom:
         """A named child stream; the same label always yields the same
         stream for a given root seed.  Streams pickle compactly — see

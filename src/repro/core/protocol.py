@@ -128,9 +128,6 @@ class HyParView(PeerSamplingService):
     def add_listener(self, listener: MembershipListener) -> None:
         self._listeners.add(listener)
 
-    def remove_listener(self, listener: MembershipListener) -> None:
-        self._listeners.remove(listener)
-
     def active_members(self) -> tuple[NodeId, ...]:
         return self.active.members()
 

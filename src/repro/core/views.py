@@ -75,10 +75,6 @@ class BoundedView:
     def is_empty(self) -> bool:
         return not self._items
 
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - len(self._items)
-
     def members(self) -> tuple[NodeId, ...]:
         """Immutable snapshot of the current membership."""
         return tuple(self._items)

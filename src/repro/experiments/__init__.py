@@ -28,7 +28,6 @@ from .reporting import (
     ARTIFACT_SCHEMA,
     encode_artifact,
     format_histogram,
-    format_percent,
     format_series,
     format_table,
     json_safe,
@@ -77,7 +76,6 @@ __all__ = [
     "default_passive_sizes",
     "encode_artifact",
     "format_histogram",
-    "format_percent",
     "format_series",
     "format_table",
     "get_scenario",

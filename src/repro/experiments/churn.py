@@ -7,20 +7,28 @@ that the overlay's reliability and structure hold up — the property that
 made HyParView the membership layer of choice for long-lived systems
 (Partisan, libp2p).
 
-Event mix per churn step (weights configurable): crash a live node, leave
-gracefully, or revive a dead node as a fresh process that re-joins.
+Event mix per churn step (weighted by the module constants below): crash a
+live node, leave gracefully, or revive a dead node as a fresh process that
+re-joins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..common.errors import ConfigurationError
 from ..metrics.reliability import average_reliability
 from .failures import stabilized_scenario
 from .params import ExperimentParams
-from .scenario import Scenario
+
+#: Relative weights of the three churn events.
+CRASH_WEIGHT = 0.4
+LEAVE_WEIGHT = 0.2
+REVIVE_WEIGHT = 0.4
+#: Broadcasts sent after each churn step to probe reliability.
+PROBES_PER_STEP = 1
+#: The live population never drops below this fraction of ``n``.
+MIN_ALIVE_FRACTION = 0.3
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,37 +55,29 @@ def run_churn_experiment(
     params: ExperimentParams,
     *,
     steps: int = 60,
-    crash_weight: float = 0.4,
-    leave_weight: float = 0.2,
-    revive_weight: float = 0.4,
-    probes_per_step: int = 1,
-    min_alive_fraction: float = 0.3,
-    base: Optional[Scenario] = None,
 ) -> ChurnResult:
     """Subject a stabilised overlay to ``steps`` churn events.
 
     Each step applies one event (crash / graceful leave / revive, weighted)
-    and then probes reliability with ``probes_per_step`` broadcasts.  The
-    live population never drops below ``min_alive_fraction`` — below that,
+    and then probes reliability with ``PROBES_PER_STEP`` broadcasts.  The
+    live population never drops below ``MIN_ALIVE_FRACTION`` — below that,
     crash events are replaced by revives (if anyone is dead).
     """
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1: {steps}")
-    total = crash_weight + leave_weight + revive_weight
-    if total <= 0:
-        raise ConfigurationError("at least one churn weight must be positive")
-    scenario = base.clone() if base is not None else stabilized_scenario(protocol, params)
+    total = CRASH_WEIGHT + LEAVE_WEIGHT + REVIVE_WEIGHT
+    scenario = stabilized_scenario(protocol, params)
     rng = scenario.seeds.stream("churn")
     crashes = leaves = revives = 0
     summaries = []
-    floor = max(2, int(min_alive_fraction * params.n))
+    floor = max(2, int(MIN_ALIVE_FRACTION * params.n))
     for _step in range(steps):
         alive = scenario.alive_ids()
         dead = [node_id for node_id in scenario.node_ids if node_id not in set(alive)]
         roll = rng.random() * total
-        if roll < crash_weight:
+        if roll < CRASH_WEIGHT:
             action = "crash"
-        elif roll < crash_weight + leave_weight:
+        elif roll < CRASH_WEIGHT + LEAVE_WEIGHT:
             action = "leave"
         else:
             action = "revive"
@@ -94,7 +94,7 @@ def run_churn_experiment(
         elif action == "revive":
             scenario.revive_node(rng.choice(dead))
             revives += 1
-        summaries.extend(scenario.send_paced_broadcasts(probes_per_step))
+        summaries.extend(scenario.send_paced_broadcasts(PROBES_PER_STEP))
     snapshot = scenario.snapshot()
     alive_set = set(scenario.alive_ids())
     stale = sum(

@@ -43,8 +43,6 @@ def measure_failure(
     scenario: Scenario,
     failure_fraction: float,
     messages: int,
-    *,
-    paced: bool = True,
 ) -> FailureExperimentResult:
     """Crash, broadcast, measure — on a scenario the caller hands over.
 
@@ -53,10 +51,7 @@ def measure_failure(
     snapshot-cache checkout instead of the base itself.
     """
     scenario.fail_fraction(failure_fraction)
-    if paced:
-        summaries = scenario.send_paced_broadcasts(messages)
-    else:
-        summaries = scenario.send_broadcasts(messages)
+    summaries = scenario.send_paced_broadcasts(messages)
     return FailureExperimentResult(
         protocol=scenario.protocol,
         n=scenario.params.n,

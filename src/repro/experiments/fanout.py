@@ -14,7 +14,6 @@ one stabilised PeerSim network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..gossip.eager import EagerGossip
 from ..metrics.reliability import atomic_fraction, average_reliability
@@ -57,12 +56,10 @@ def measure_fanout_point(scenario: Scenario, fanout: int, messages: int) -> Fano
     )
 
 
-def hyparview_reference_point(
-    params: ExperimentParams, messages: int = 50, *, base: Optional[Scenario] = None
-) -> FanoutPoint:
+def hyparview_reference_point(params: ExperimentParams, messages: int = 50) -> FanoutPoint:
     """HyParView's single point for the Figure 1 comparison: flooding a
     ``fanout + 1`` active view in a stable overlay delivers atomically."""
-    scenario = base.clone() if base is not None else stabilized_scenario("hyparview", params)
+    scenario = stabilized_scenario("hyparview", params)
     summaries = scenario.send_broadcasts(messages)
     return FanoutPoint(
         protocol="hyparview",

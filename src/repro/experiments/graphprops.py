@@ -17,7 +17,6 @@ from ..metrics.reliability import max_hops
 from ..metrics.stats import SummaryStats, summarize
 from .failures import stabilized_scenario
 from .params import ExperimentParams
-from .scenario import Scenario
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,10 +42,9 @@ def run_graph_properties(
     *,
     messages: int = 50,
     path_sample_sources: Optional[int] = 100,
-    base: Optional[Scenario] = None,
 ) -> GraphPropertiesResult:
     """Measure one protocol's Table 1 row / Figure 5 distribution."""
-    scenario = base.clone() if base is not None else stabilized_scenario(protocol, params)
+    scenario = stabilized_scenario(protocol, params)
     snapshot: OverlaySnapshot = scenario.snapshot()
     in_degrees = snapshot.in_degrees()
     out_degrees = snapshot.out_degrees()

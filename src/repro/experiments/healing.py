@@ -19,6 +19,9 @@ from typing import Optional
 from ..metrics.reliability import average_reliability, healing_cycles
 from .scenario import Scenario
 
+#: Broadcasts behind the baseline and behind each cycle's reliability.
+PROBES = 10
+
 
 @dataclass(frozen=True, slots=True)
 class HealingResult:
@@ -39,9 +42,7 @@ def measure_healing(
     scenario: Scenario,
     failure_fraction: float,
     *,
-    probes_per_cycle: int = 10,
     max_cycles: int = 30,
-    baseline_probes: int = 10,
     tolerance: float = 0.001,
 ) -> HealingResult:
     """The Figure 4 measurement on a scenario the caller hands over.
@@ -50,12 +51,12 @@ def measure_healing(
     :func:`~repro.experiments.failures.measure_failure` for the ownership
     convention.
     """
-    baseline = average_reliability(scenario.send_broadcasts(baseline_probes))
+    baseline = average_reliability(scenario.send_broadcasts(PROBES))
     scenario.fail_fraction(failure_fraction)
     per_cycle: list[float] = []
     for _cycle in range(max_cycles):
         scenario.run_cycles(1)
-        probes = scenario.send_broadcasts(probes_per_cycle)
+        probes = scenario.send_broadcasts(PROBES)
         per_cycle.append(average_reliability(probes))
         if per_cycle[-1] >= baseline - tolerance:
             break

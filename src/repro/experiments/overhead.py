@@ -10,11 +10,9 @@ many *data* copies each broadcast costs, on identical overlays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .failures import stabilized_scenario
 from .params import ExperimentParams
-from .scenario import Scenario
 
 #: Message types that carry broadcast payloads; everything else is control.
 DATA_TYPES = frozenset({"GossipData", "PlumtreeGossip"})
@@ -45,10 +43,9 @@ def run_overhead_experiment(
     *,
     cycles: int = 10,
     messages: int = 20,
-    base: Optional[Scenario] = None,
 ) -> OverheadResult:
     """Count control vs data messages for ``protocol`` on a stable overlay."""
-    scenario = base.clone() if base is not None else stabilized_scenario(protocol, params)
+    scenario = stabilized_scenario(protocol, params)
 
     before = dict(scenario.network.stats.messages_by_type)
     scenario.run_cycles(cycles)

@@ -11,8 +11,7 @@ makes.  Scale is chosen where an experiment is run — a registry tier, or
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..common.errors import ConfigurationError
 from ..core.config import HyParViewConfig
@@ -100,10 +99,3 @@ class ExperimentParams:
             hyparview=hyparview,
             cyclon=CyclonConfig(view_size=cyclon_view, shuffle_length=shuffle_length),
         )
-
-    def with_seed(self, seed: int) -> "ExperimentParams":
-        return replace(self, seed=seed)
-
-    def expected_passive_floor(self) -> int:
-        """The "larger than log(n)" requirement from Section 4.1."""
-        return math.ceil(math.log(self.n))

@@ -272,11 +272,8 @@ def scenario_ids() -> tuple[str, ...]:
     return tuple(sorted(REGISTRY))
 
 
-def _tiers(
-    smoke: TierConfig, paper: TierConfig, full: Optional[TierConfig] = None
-) -> dict[str, TierConfig]:
-    if full is None:
-        full = replace(paper, n=1_000, paper_params=False, replicates=3)
+def _tiers(smoke: TierConfig, paper: TierConfig) -> dict[str, TierConfig]:
+    full = replace(paper, n=1_000, paper_params=False, replicates=3)
     return {"smoke": smoke, "paper": paper, "full": full}
 
 

@@ -277,11 +277,6 @@ def format_phases(
     )
 
 
-def format_percent(value: float) -> str:
-    """Render a [0, 1] ratio as a one-decimal percentage string."""
-    return f"{100.0 * value:.1f}%"
-
-
 def format_series(series: Sequence[float], *, per_line: int = 20) -> str:
     """Render a reliability series as wrapped rows of percentages."""
     chunks = []

@@ -210,7 +210,7 @@ class ChaosController:
             self._note(event.at, event.describe())
         elif isinstance(event, CrashEvent):
             alive = self.cluster.alive_nodes()
-            count = self._amount(event.fraction, event.count, len(alive))
+            count = pick_count(event.fraction, event.count, len(alive))
             count = min(count, max(0, len(alive) - 2))  # keep a quorum alive
             victims = self._rng.sample(alive, count) if count else []
             for node in victims:
@@ -222,7 +222,7 @@ class ChaosController:
                 for index, node in enumerate(self.cluster.nodes)
                 if not node.started
             ]
-            count = self._amount(event.fraction, event.count, len(dead))
+            count = pick_count(event.fraction, event.count, len(dead))
             victims = self._rng.sample(dead, count) if count else []
             for index in victims:
                 node = await self.cluster.restart_node(
@@ -232,7 +232,7 @@ class ChaosController:
             self._note(event.at, f"{event.describe()} -> {len(victims)} restarted")
         elif isinstance(event, AdversaryEvent):
             alive = self.cluster.alive_nodes()
-            count = self._amount(event.fraction, event.count, len(alive))
+            count = pick_count(event.fraction, event.count, len(alive))
             victims = self._rng.sample(alive, count) if count else []
             for node in victims:
                 node.drop_message_types |= set(event.drop_types)
@@ -244,7 +244,7 @@ class ChaosController:
             # per-sender sparing, so colluders drop from everyone — a
             # strictly harsher adversary than the sim's spared variant.
             alive = self.cluster.alive_nodes()
-            count = self._amount(event.fraction, event.count, len(alive))
+            count = pick_count(event.fraction, event.count, len(alive))
             victims = self._rng.sample(alive, count) if count else []
             for node in victims:
                 node.drop_message_types |= set(event.drop_types)
@@ -274,10 +274,6 @@ class ChaosController:
             if node.started:
                 node.drop_message_types -= drops
         self._note(event.until, f"adversary cleared@{event.until:g}")
-
-    @staticmethod
-    def _amount(fraction: Optional[float], count: Optional[int], population: int) -> int:
-        return pick_count(fraction, count, population)
 
     # ------------------------------------------------------------------
     # Latency measurement (the live counterpart of measure_fault_plan)

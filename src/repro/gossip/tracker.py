@@ -35,9 +35,6 @@ class DeliveryRecord:
     redundant: int = 0
     transmissions: int = 0
 
-    def delivered_to(self, node: NodeId) -> bool:
-        return node in self.deliveries
-
     @property
     def delivery_count(self) -> int:
         return len(self.deliveries)
@@ -114,9 +111,6 @@ class BroadcastTracker:
             return self._records[message_id]
         except KeyError:
             raise ProtocolError(f"unknown or finalised message: {message_id}") from None
-
-    def live_records(self) -> tuple[DeliveryRecord, ...]:
-        return tuple(self._records.values())
 
     def summary(self, message_id: MessageId) -> BroadcastSummary:
         try:

@@ -7,7 +7,6 @@ from .reliability import (
     average_reliability,
     healing_cycles,
     max_hops,
-    redundancy_ratio,
     reliability_series,
 )
 from .stats import SummaryStats, mean, percentile, stddev, summarize
@@ -23,7 +22,6 @@ __all__ = [
     "max_hops",
     "mean",
     "percentile",
-    "redundancy_ratio",
     "reliability_series",
     "stddev",
     "summarize",

@@ -10,7 +10,6 @@ paper evaluates:
   the standard convention for overlay-quality studies;
 * average shortest path (Table 1) — directed BFS, optionally from a sample
   of sources (exact all-pairs is quadratic and unnecessary at 10 000 nodes);
-* accuracy — live out-neighbours over total out-neighbours (Section 2.3);
 * active-view symmetry, the invariant HyParView's resilience rests on.
 
 The implementation is dependency-free for speed; the test-suite
@@ -36,11 +35,6 @@ class PathStats:
     maximum: int
     pairs_measured: int
     unreachable_pairs: int
-
-    @property
-    def reachable_fraction(self) -> float:
-        total = self.pairs_measured + self.unreachable_pairs
-        return self.pairs_measured / total if total else 0.0
 
 
 class OverlaySnapshot:
@@ -235,26 +229,6 @@ class OverlaySnapshot:
             return 1.0
         return len(self.connected_components()[0]) / len(self._ids)
 
-    # ------------------------------------------------------------------
-    # Quality metrics tied to liveness
-    # ------------------------------------------------------------------
-    def accuracy(self, alive: AbstractSet[NodeId]) -> float:
-        """Average over live nodes of (live out-neighbours / out-neighbours).
-
-        Section 2.3: low accuracy means gossip targets are frequently dead,
-        forcing higher fanouts.
-        """
-        ratios = []
-        for i, node in enumerate(self._ids):
-            if node not in alive:
-                continue
-            row = self._out[i]
-            if not row:
-                continue
-            live = sum(1 for target in row if self._ids[target] in alive)
-            ratios.append(live / len(row))
-        return sum(ratios) / len(ratios) if ratios else 0.0
-
     def symmetry_fraction(self) -> float:
         """Fraction of directed edges whose reverse edge also exists."""
         edge_set = {
@@ -264,10 +238,3 @@ class OverlaySnapshot:
             return 1.0
         symmetric = sum(1 for source, target in edge_set if (target, source) in edge_set)
         return symmetric / len(edge_set)
-
-    def isolated_nodes(self) -> tuple[NodeId, ...]:
-        """Nodes with neither in- nor out-edges."""
-        undirected = self._undirected_adjacency()
-        return tuple(
-            node for i, node in enumerate(self._ids) if not undirected[i]
-        )

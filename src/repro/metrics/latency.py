@@ -32,10 +32,6 @@ class LatencyHistogram:
         self._samples.append(seconds if seconds > 0.0 else 0.0)
         self._sorted = False
 
-    def merge(self, other: "LatencyHistogram") -> None:
-        self._samples.extend(other._samples)
-        self._sorted = False
-
     @property
     def count(self) -> int:
         return len(self._samples)
@@ -63,30 +59,14 @@ class LatencyHistogram:
     def p99(self) -> Optional[float]:
         return self.percentile(99.0)
 
-    def p999(self) -> Optional[float]:
-        return self.percentile(99.9)
-
     def max(self) -> Optional[float]:
         return max(self._samples) if self._samples else None
 
-    def summary(self) -> dict:
-        """Unscaled quantile summary (seconds), consumed by the metrics
-        registry (:func:`repro.obs.collectors.bind_latency`).  Empty
-        histograms report zeros so gauges always have a value."""
-        return {
-            "count": self.count,
-            "mean": self.mean() or 0.0,
-            "p50": self.p50() or 0.0,
-            "p99": self.p99() or 0.0,
-            "p999": self.p999() or 0.0,
-            "max": self.max() or 0.0,
-        }
-
-    def to_dict(self, *, scale: float = 1000.0) -> dict:
-        """Summary row for artifacts; latencies scaled (default to ms)."""
+    def to_dict(self) -> dict:
+        """Summary row for reports, latencies in milliseconds."""
 
         def scaled(value: Optional[float]) -> Optional[float]:
-            return None if value is None else value * scale
+            return None if value is None else value * 1000.0
 
         return {
             "samples": self.count,

@@ -45,13 +45,6 @@ def max_hops(summaries: Sequence[BroadcastSummary]) -> float:
     return mean([float(summary.max_hops) for summary in summaries])
 
 
-def redundancy_ratio(summaries: Sequence[BroadcastSummary]) -> float:
-    """Duplicate receptions per delivered copy (Section 3.1's waste)."""
-    delivered = sum(summary.delivered for summary in summaries)
-    redundant = sum(summary.redundant for summary in summaries)
-    return redundant / delivered if delivered else 0.0
-
-
 def healing_cycles(
     baseline: float,
     per_cycle_reliability: Sequence[float],

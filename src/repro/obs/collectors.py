@@ -1,72 +1,16 @@
-"""Bind existing stat sources to a :class:`MetricsRegistry`.
+"""Bind the live service's stat sources to a :class:`MetricsRegistry`.
 
-Each ``bind_*`` helper registers a collect-on-demand callback that mirrors
-a source's plain-int counters into typed instruments at snapshot/scrape
-time.  The sources keep their hot-path representation untouched — the
-registry costs nothing until someone asks for a snapshot.
+:func:`bind_pubsub_cluster` registers a collect-on-demand callback that
+mirrors plain-int counters into typed instruments at scrape time.  The
+sources keep their hot-path representation untouched — the registry
+costs nothing until someone asks for a snapshot.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any
 
 from .metrics import MetricsRegistry
-
-
-def bind_network(registry: MetricsRegistry, network: Any, **labels: str) -> None:
-    """Mirror a simulation ``Network``'s ``NetworkStats`` counters."""
-    totals = registry.counter("repro_net_events_total", "Simulated network events by outcome")
-    by_type = registry.counter("repro_net_messages_total", "Delivered messages by type")
-
-    def collect() -> None:
-        snapshot = network.stats.snapshot()
-        for outcome, value in snapshot.items():
-            if outcome == "messages_by_type":
-                for type_name, count in value.items():
-                    by_type.set_total(count, type=type_name, **labels)
-            else:
-                totals.set_total(value, outcome=outcome, **labels)
-
-    registry.register_collector(collect)
-
-
-def bind_kernel(registry: MetricsRegistry) -> None:
-    """Mirror the process-wide simulation kernel event counter."""
-    from ..sim.engine import events_fired_total
-
-    fired = registry.counter(
-        "repro_kernel_events_fired_total", "Events fired by the simulation kernel"
-    )
-    registry.register_collector(lambda: fired.set_total(events_fired_total()))
-
-
-def bind_latency(
-    registry: MetricsRegistry,
-    name: str,
-    supplier: Callable[[], Optional[Any]],
-    **labels: str,
-) -> None:
-    """Expose a ``LatencyHistogram`` (via its ``summary()``) as gauges.
-
-    ``supplier`` is called at scrape time so a histogram that is rebuilt
-    per phase keeps working; returning ``None`` skips the refresh.
-    """
-    quantiles = registry.gauge(name, "Latency quantiles in seconds")
-    count = registry.gauge(f"{name}_count", "Samples behind the latency quantiles")
-
-    def collect() -> None:
-        histogram = supplier()
-        if histogram is None:
-            return
-        summary = histogram.summary()
-        count.set(summary["count"], **labels)
-        for quantile, key in (("0.5", "p50"), ("0.99", "p99"), ("0.999", "p999")):
-            quantiles.set(summary[key], quantile=quantile, **labels)
-        quantiles.set(summary["mean"], quantile="mean", **labels)
-        quantiles.set(summary["max"], quantile="max", **labels)
-
-    registry.register_collector(collect)
-
 
 _TRANSPORT_COUNTERS = (
     "frames_sent",
@@ -79,23 +23,6 @@ _TRANSPORT_COUNTERS = (
     "frames_faulted",
     "handler_errors",
 )
-
-
-def bind_transport(registry: MetricsRegistry, transport: Any, **labels: str) -> None:
-    """Mirror an ``AsyncioTransport``'s frame counters and epoch audits."""
-    frames = registry.counter(
-        "repro_transport_frames_total", "Transport frames by outcome (staleness included)"
-    )
-    epoch = registry.gauge("repro_transport_epoch", "Current transport incarnation epoch")
-
-    def collect() -> None:
-        for counter_name in _TRANSPORT_COUNTERS:
-            frames.set_total(
-                getattr(transport, counter_name), outcome=counter_name, **labels
-            )
-        epoch.set(transport.epoch, **labels)
-
-    registry.register_collector(collect)
 
 
 def bind_pubsub_cluster(registry: MetricsRegistry, service: Any) -> None:

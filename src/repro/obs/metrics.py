@@ -1,9 +1,8 @@
 """Typed metric instruments and the unified registry.
 
-One registry per node/cluster absorbs the scattered stats the codebase
-grew organically (``Network`` drop counters, kernel ``events_fired_total``,
-transport epoch/staleness audits, service breaker and token-bucket
-counters, ``LatencyHistogram``): sources register *collector* callbacks
+One registry per live cluster absorbs its scattered stats (service
+publish / delivery / shed counters, breaker and token-bucket counters,
+transport epoch and frame audits): sources register *collector* callbacks
 that refresh instrument values at snapshot/scrape time, so the hot paths
 keep their existing plain-int counters and pay nothing for the registry's
 existence.
@@ -72,20 +71,10 @@ class _Instrument:
 
 
 class Counter(_Instrument):
-    """Monotonically increasing count.
-
-    ``set_total`` exists for collectors that mirror an externally-owned
-    plain-int counter (the common case here); ``inc`` is for code that
-    owns its count in the registry.
-    """
+    """Monotonically increasing count, mirrored from an externally-owned
+    plain-int counter by a collector."""
 
     kind = "counter"
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease (inc {amount})")
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
 
     def set_total(self, value: float, **labels: str) -> None:
         self._values[_label_key(labels)] = float(value)
@@ -98,10 +87,6 @@ class Gauge(_Instrument):
 
     def set(self, value: float, **labels: str) -> None:
         self._values[_label_key(labels)] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
 
 
 class MetricsRegistry:

@@ -25,7 +25,7 @@ from typing import Callable, Collection, Optional
 
 from ..common.errors import ConfigurationError, ProtocolError
 from ..common.ids import NodeId
-from ..common.interfaces import Host, TimerHandle
+from ..common.interfaces import Host
 from ..common.messages import Message, register_message
 from ..common.rng import choice_or_none, sample_up_to
 from ..core.views import excluding
@@ -35,8 +35,6 @@ from .base import PeerSamplingService
 WireEntry = tuple[NodeId, int]
 #: Hop count of join random walks (Section 5.1: 5).
 WALK_TTL = 5
-#: Seconds between self-driven cycles (live mode only).
-SHUFFLE_PERIOD = 10.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,10 +140,6 @@ class AgedView:
     def is_full(self) -> bool:
         return len(self._nodes) >= self.capacity
 
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - len(self._nodes)
-
     def members(self) -> tuple[NodeId, ...]:
         return tuple(self._nodes)
 
@@ -220,8 +214,6 @@ class Cyclon(PeerSamplingService):
         self.view = AgedView(self._config.view_size)
         # Entries sent in the last shuffle request, for the replacement rule.
         self._last_sent: tuple[WireEntry, ...] = ()
-        self._timer: Optional[TimerHandle] = None
-        self._running = False
         self.shuffles_initiated = 0
         self.shuffles_answered = 0
 
@@ -264,19 +256,6 @@ class Cyclon(PeerSamplingService):
 
     def out_neighbors(self) -> tuple[NodeId, ...]:
         return self.view.members()
-
-    def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        delay = self._rng.uniform(0, SHUFFLE_PERIOD)
-        self._timer = self._host.schedule(delay, self._periodic)
-
-    def stop(self) -> None:
-        self._running = False
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
 
     # ------------------------------------------------------------------
     # Join: in-degree-preserving random walks
@@ -393,12 +372,6 @@ class Cyclon(PeerSamplingService):
                         return
                 self.view.remove(victim)
             self.view.add(node, age)
-
-    def _periodic(self) -> None:
-        if not self._running:
-            return
-        self.cycle()
-        self._timer = self._host.schedule(SHUFFLE_PERIOD, self._periodic)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<Cyclon {self.address} view={len(self.view)}/{self.view.capacity}>"

@@ -28,7 +28,7 @@ from typing import Callable, Collection, Optional
 
 from ..common.errors import ConfigurationError
 from ..common.ids import NodeId
-from ..common.interfaces import Host, TimerHandle
+from ..common.interfaces import Host
 from ..common.messages import Message, register_message
 from ..common.rng import choice_or_none, sample_up_to
 from ..core.views import excluding
@@ -46,8 +46,6 @@ MAX_FORWARD_HOPS = 64
 #: isolation and re-subscribes.  Heartbeats are sent once per
 #: :meth:`Scamp.cycle`, matching the paper's cycle-driven runs.
 ISOLATION_CYCLES = 10
-#: Seconds between self-driven cycles (live mode only).
-SHUFFLE_PERIOD = 10.0
 
 
 # ----------------------------------------------------------------------
@@ -110,8 +108,6 @@ class Scamp(PeerSamplingService):
         self.in_view: set[NodeId] = set()
         self._cycles_since_heartbeat = 0
         self._joined = False
-        self._timer: Optional[TimerHandle] = None
-        self._running = False
         self.subscriptions_kept = 0
         self.resubscriptions = 0
 
@@ -184,22 +180,6 @@ class Scamp(PeerSamplingService):
 
     def out_neighbors(self) -> tuple[NodeId, ...]:
         return tuple(self.partial_view)
-
-    def in_neighbors(self) -> tuple[NodeId, ...]:
-        return tuple(sorted(self.in_view))
-
-    def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        delay = self._rng.uniform(0, SHUFFLE_PERIOD)
-        self._timer = self._host.schedule(delay, self._periodic)
-
-    def stop(self) -> None:
-        self._running = False
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
 
     # ------------------------------------------------------------------
     # Subscription machinery
@@ -290,12 +270,6 @@ class Scamp(PeerSamplingService):
     def _random_partial(self, exclude: Collection[NodeId] = ()) -> Optional[NodeId]:
         candidates = excluding(self.partial_view, self._partial_set, exclude)
         return choice_or_none(self._rng, candidates)
-
-    def _periodic(self) -> None:
-        if not self._running:
-            return
-        self.cycle()
-        self._timer = self._host.schedule(SHUFFLE_PERIOD, self._periodic)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

@@ -2,7 +2,7 @@
 
 from .clock import AsyncioClock, AsyncioTimerHandle
 from .cluster import LocalCluster
-from .delivery import DeliveryLog, DeliveryRecord, DeliveryStream
+from .delivery import DeliveryLog, DeliveryRecord
 from .node import RUNTIME_CONFIG, RuntimeNode
 from .transport import AsyncioTransport
 
@@ -12,7 +12,6 @@ __all__ = [
     "AsyncioTransport",
     "DeliveryLog",
     "DeliveryRecord",
-    "DeliveryStream",
     "LocalCluster",
     "RUNTIME_CONFIG",
     "RuntimeNode",

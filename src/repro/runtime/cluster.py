@@ -4,14 +4,13 @@ Used by the integration tests, the service layer and the ``live_network``
 example to stand up a real (multi-socket, single-process) overlay
 deployment in a few lines.  All nodes share one
 :class:`~repro.runtime.delivery.DeliveryLog`, which is the cluster's single
-delivery surface: counters, event-driven waits and the async-iterator
-stream all come from it.
+delivery surface: counters and event-driven waits both come from it.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from ..common.errors import ConfigurationError
 from ..common.ids import MessageId
@@ -72,12 +71,6 @@ class LocalCluster:
     def alive_nodes(self) -> list[RuntimeNode]:
         return [node for node in self.nodes if node.started]
 
-    async def crash_node(self, index: int) -> RuntimeNode:
-        """Abruptly kill one node (sockets reset, nobody is told)."""
-        node = self.nodes[index]
-        await node.crash()
-        return node
-
     async def restart_node(
         self, index: int, contact=None, *, reuse_port: bool = False
     ) -> RuntimeNode:
@@ -119,13 +112,6 @@ class LocalCluster:
         for listener in list(self.restart_listeners):
             listener(index, node)
         return node
-
-    async def broadcast_and_settle(
-        self, origin_index: int = 0, payload: Any = None, settle: float = 0.5
-    ) -> MessageId:
-        message_id = self.nodes[origin_index].broadcast(payload)
-        await asyncio.sleep(settle)
-        return message_id
 
     def delivery_count(self, message_id: MessageId) -> int:
         """How many distinct nodes delivered ``message_id``."""

@@ -4,26 +4,23 @@ Before this module every consumer of "which node delivered what, when"
 rolled its own: :class:`RuntimeNode` kept a ``delivered`` list,
 ``LocalCluster.wait_for_delivery`` polled those lists on a 50 ms timer, and
 each integration test wrote its own deadline loop.  A :class:`DeliveryLog`
-replaces all of that with one append-only record stream that offers three
+replaces all of that with one append-only record list that offers two
 read surfaces:
 
 * **counters** — :meth:`count` (distinct nodes that delivered a message)
-  and :meth:`records_for`;
+  and :meth:`records_for`, whose timestamps live latency measurement reads;
 * **event-driven waits** — :meth:`wait_count` resolves the moment the
-  expected delivery count is reached, no polling;
-* **an async iterator** — :meth:`subscribe` yields records as they are
-  appended; the pub/sub facade fans deliveries out to topic subscribers
-  through it, and live latency measurement consumes the same timestamps.
+  expected delivery count is reached, no polling.
 
 Appends are synchronous (delivery callbacks run inside the event loop);
-waiters and subscribers are woken via ``call_soon``-safe primitives.
+waiters are woken by completing their futures.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Any, AsyncIterator, Optional
+from typing import Any, Optional
 
 from ..common.ids import MessageId, NodeId
 
@@ -42,56 +39,6 @@ class DeliveryRecord:
     at: float
 
 
-class DeliveryStream:
-    """One subscriber's live view of a :class:`DeliveryLog`.
-
-    Async-iterate it (``async for record in stream``) or await
-    :meth:`get` directly; :meth:`close` detaches from the log and ends the
-    iteration.  The internal queue is unbounded — backpressure belongs to
-    the consumer built on top (the pub/sub facade bounds its per-client
-    queues), not to the measurement surface.
-    """
-
-    __slots__ = ("_log", "_queue", "_closed")
-
-    _SENTINEL = object()
-
-    def __init__(self, log: "DeliveryLog") -> None:
-        self._log = log
-        self._queue: asyncio.Queue = asyncio.Queue()
-        self._closed = False
-
-    def _feed(self, record: DeliveryRecord) -> None:
-        if not self._closed:
-            self._queue.put_nowait(record)
-
-    async def get(self) -> Optional[DeliveryRecord]:
-        """Next record, or ``None`` once the stream is closed and drained."""
-        if self._closed and self._queue.empty():
-            return None
-        item = await self._queue.get()
-        if item is DeliveryStream._SENTINEL:
-            return None
-        return item
-
-    def close(self) -> None:
-        """Detach from the log; pending iterations finish with the queue."""
-        if self._closed:
-            return
-        self._closed = True
-        self._log._streams.discard(self)
-        self._queue.put_nowait(DeliveryStream._SENTINEL)
-
-    def __aiter__(self) -> AsyncIterator[DeliveryRecord]:
-        return self
-
-    async def __anext__(self) -> DeliveryRecord:
-        record = await self.get()
-        if record is None:
-            raise StopAsyncIteration
-        return record
-
-
 class _CountWaiter:
     __slots__ = ("message_id", "expected", "future")
 
@@ -108,7 +55,6 @@ class DeliveryLog:
         self.records: list[DeliveryRecord] = []
         #: message id -> the distinct node identities that delivered it.
         self._nodes_by_message: dict[MessageId, set[NodeId]] = {}
-        self._streams: set[DeliveryStream] = set()
         self._waiters: list[_CountWaiter] = []
 
     # ------------------------------------------------------------------
@@ -118,8 +64,6 @@ class DeliveryLog:
         self.records.append(record)
         nodes = self._nodes_by_message.setdefault(record.message_id, set())
         nodes.add(record.node)
-        for stream in tuple(self._streams):
-            stream._feed(record)
         if self._waiters:
             count = len(nodes)
             still_waiting = []
@@ -180,11 +124,5 @@ class DeliveryLog:
             if waiter in self._waiters:
                 self._waiters.remove(waiter)
 
-    def subscribe(self) -> DeliveryStream:
-        """A live stream of records appended from now on."""
-        stream = DeliveryStream(self)
-        self._streams.add(stream)
-        return stream
 
-
-__all__ = ["DeliveryLog", "DeliveryRecord", "DeliveryStream"]
+__all__ = ["DeliveryLog", "DeliveryRecord"]

@@ -21,14 +21,13 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from ..common.errors import ConfigurationError
 from ..common.ids import MessageId, NodeId
 from ..common.interfaces import Host
 from ..common.messages import Message
 from ..core.config import HyParViewConfig
-from ..gossip.tracker import BroadcastTracker
 from ..protocols.registry import get_stack, runtime_stack_names
 from .clock import AsyncioClock
 from .delivery import DeliveryLog, DeliveryRecord
@@ -63,12 +62,9 @@ class RuntimeNode:
         *,
         config: Optional[HyParViewConfig] = None,
         protocol: str = "hyparview",
-        on_deliver: Optional[DeliverCallback] = None,
         seed: Optional[int] = None,
-        tracker: Optional[BroadcastTracker] = None,
         incarnation: int = 0,
         delivery_log: Optional[DeliveryLog] = None,
-        roster: Optional[Sequence[NodeId]] = None,
     ) -> None:
         if protocol not in runtime_stack_names():
             raise ConfigurationError(
@@ -82,12 +78,8 @@ class RuntimeNode:
         self._config = config if config is not None else RUNTIME_CONFIG
         self.protocol = protocol
         self._params = _RuntimeParams(hyparview=self._config)
-        self._external_deliver = on_deliver
+        self._external_deliver: Optional[DeliverCallback] = None
         self._seed = seed
-        # Full membership set for roster-needing (quorum) stacks; resolved
-        # uniformly by StackSpec.build — same code path as the simulator.
-        self._roster = list(roster) if roster is not None else None
-        self._tracker = tracker
         self.incarnation = incarnation
         self.delivery_log = delivery_log if delivery_log is not None else DeliveryLog()
         self.unhandled = 0
@@ -146,12 +138,7 @@ class RuntimeNode:
         )
         spec = get_stack(self.protocol)
         self.membership, self.broadcast_layer = spec.build(
-            host,
-            gossip_host,
-            self._params,
-            self._tracker,
-            on_deliver=self._on_deliver,
-            roster=self._roster,
+            host, gossip_host, self._params, on_deliver=self._on_deliver
         )
         for message_type, handler in self.membership.handlers().items():
             self._handlers[message_type] = handler

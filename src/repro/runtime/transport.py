@@ -438,7 +438,7 @@ class AsyncioTransport(Transport):
             hello = json.loads(hello_line)
             peer = NodeId.from_wire(hello["hello"])
             peer_epoch = int(hello.get("epoch", 0))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError):
+        except (KeyError, TypeError, ValueError, RecursionError, OSError):
             writer.close()
             return
         if peer_epoch < self._peer_epochs.get(peer, 0):
@@ -517,7 +517,7 @@ class AsyncioTransport(Transport):
                     continue
                 try:
                     payload = json.loads(line)
-                except ValueError:  # not JSON, or not UTF-8
+                except (ValueError, RecursionError):  # not JSON, not UTF-8, or too deep
                     self.frames_malformed += 1
                     continue  # corrupt frame: drop, keep the connection
                 if isinstance(payload, dict) and "hello" in payload:

@@ -2,14 +2,7 @@
 
 from .clock import SimClock
 from .engine import Engine, EventHandle
-from .latency import (
-    ConstantLatency,
-    CoordinateLatency,
-    LatencyModel,
-    UniformLatency,
-    ZonedLatency,
-    build_latency_model,
-)
+from .latency import ConstantLatency, LatencyModel, ZonedLatency, build_latency_model
 from .network import ByzantineBehavior, Network, NetworkStats
 from .node import SimNode
 from .transport import SimTransport
@@ -17,7 +10,6 @@ from .transport import SimTransport
 __all__ = [
     "ByzantineBehavior",
     "ConstantLatency",
-    "CoordinateLatency",
     "Engine",
     "EventHandle",
     "LatencyModel",
@@ -26,7 +18,6 @@ __all__ = [
     "SimClock",
     "SimNode",
     "SimTransport",
-    "UniformLatency",
     "ZonedLatency",
     "build_latency_model",
 ]

@@ -31,10 +31,9 @@ Two scheduling APIs serve two traffic classes:
 
 * :meth:`Engine.schedule` / :meth:`Engine.schedule_at` return a cancellable
   :class:`EventHandle` — for timers, which protocols routinely cancel;
-* :meth:`Engine.post` / :meth:`Engine.post_at` are the allocation-light fast
-  path for events that are *never* cancelled (message deliveries, probe
-  results): no handle object is created, the bucket holds the bare callback
-  and argument tuple.
+* :meth:`Engine.post` is the allocation-light fast path for events that
+  are *never* cancelled (message deliveries, probe results): no handle
+  object is created, the bucket holds the bare callback and argument tuple.
 
 Cancellation stays O(1) and lazy, and the engine *counts* lazily cancelled
 events and compacts the queue whenever they outnumber the live ones
@@ -77,8 +76,7 @@ _HANDLE = None
 
 # Process-wide count of events fired by every engine in this process; the
 # orchestrator samples it around each work unit for the stderr kernel
-# events/s table, and obs.collectors.bind_kernel exports it as a metric
-# (observability only, never in BENCH artifacts).
+# events/s table (observability only, never in BENCH artifacts).
 _fired_total = 0
 
 
@@ -233,20 +231,13 @@ class Engine:
         self._size += 1
         return handle
 
-    def post_at(self, when: float, callback: Callable[..., None], *args: Any) -> None:
-        """Fast path: schedule a *non-cancellable* event at time ``when``.
+    def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
+        """Fast path: schedule a *non-cancellable* event after ``delay`` seconds.
 
         No handle is allocated; the bucket holds the bare callback and
         argument tuple.  Use for high-volume events nothing ever cancels
         (message deliveries).
         """
-        if when < self._now:
-            raise SimulationError(f"cannot schedule in the past: {when} < {self._now}")
-        self._append(when, callback, args)
-        self._size += 1
-
-    def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        """Fast path: :meth:`post_at` after ``delay`` seconds."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         when = self._now + delay
@@ -482,10 +473,6 @@ class Engine:
             _fired_total += fired
         self._now = deadline
         return fired
-
-    def run_for(self, duration: float) -> int:
-        """Convenience: :meth:`run_until` ``now + duration``."""
-        return self.run_until(self._now + duration)
 
     # ------------------------------------------------------------------
     # Pickling (scenario snapshots)

@@ -1,9 +1,9 @@
 """Network latency models.
 
 The paper's PeerSim experiments use an abstract message-exchange model; we
-default to a small constant latency, and provide richer models (uniform
-jitter, coordinate-based wide-area delays, a zone-based planetary RTT
-matrix) for the runtime-flavoured simulations and ablations.
+default to a small constant latency, and provide one richer model (a
+zone-based planetary RTT matrix with per-message jitter) for the
+wide-area fault and topology scenarios.
 
 Every model exposes two views of a link:
 
@@ -18,7 +18,6 @@ Every model exposes two views of a link:
 
 from __future__ import annotations
 
-import math
 import random
 from abc import ABC, abstractmethod
 
@@ -67,66 +66,12 @@ class ConstantLatency(LatencyModel):
         return self.value
 
 
-class UniformLatency(LatencyModel):
-    """Delay drawn uniformly from ``[low, high]`` per message."""
-
-    __slots__ = ("low", "high")
-
-    def __init__(self, low: float, high: float) -> None:
-        if low < 0 or high < low:
-            raise ConfigurationError(f"invalid latency range: [{low}, {high}]")
-        self.low = low
-        self.high = high
-
-    def delay(self, src: NodeId, dst: NodeId, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
-
-    def base_delay(self, src: NodeId, dst: NodeId) -> float:
-        return (self.low + self.high) / 2.0
-
-
-class CoordinateLatency(LatencyModel):
-    """Wide-area model: nodes get stable synthetic 2-D coordinates and the
-    delay is ``base + distance * per_unit``.
-
-    Coordinates are derived deterministically from the node identity, so the
-    model needs no registration step and is stable across runs.  This gives
-    a PlanetLab-flavoured heterogeneous delay matrix for ablations.
-    """
-
-    __slots__ = ("base", "per_unit", "_cache")
-
-    def __init__(self, base: float = 0.005, per_unit: float = 0.05) -> None:
-        if base < 0 or per_unit < 0:
-            raise ConfigurationError("latency parameters must be non-negative")
-        self.base = base
-        self.per_unit = per_unit
-        self._cache: dict[NodeId, tuple[float, float]] = {}
-
-    def _coordinate(self, node: NodeId) -> tuple[float, float]:
-        coord = self._cache.get(node)
-        if coord is None:
-            stream = random.Random(f"{node.host}:{node.port}/coordinate")
-            coord = (stream.random(), stream.random())
-            self._cache[node] = coord
-        return coord
-
-    def delay(self, src: NodeId, dst: NodeId, rng: random.Random) -> float:
-        return self.base_delay(src, dst)
-
-    def base_delay(self, src: NodeId, dst: NodeId) -> float:
-        (x1, y1), (x2, y2) = self._coordinate(src), self._coordinate(dst)
-        distance = math.hypot(x1 - x2, y1 - y2)
-        return self.base + distance * self.per_unit
-
-
 class ZonedLatency(LatencyModel):
     """Planetary RTT world model: nodes live in latency zones (think cloud
     regions / continents) and link cost is a zone-pair matrix.
 
-    Each node's zone is a stable hash of its identity (the same idiom as
-    :class:`CoordinateLatency`'s coordinates), and each zone pair gets a
-    base one-way delay drawn once from a seeded stream keyed by the pair:
+    Each node's zone is a stable hash of its identity, and each zone pair
+    gets a base one-way delay drawn once from a seeded stream keyed by the pair:
     intra-zone links land in ``intra`` (single-digit-millisecond RTTs),
     cross-zone links in ``inter`` (defaults give ~80–250 ms RTTs, i.e.
     cross-continent).  Per-message ``delay`` multiplies the base by a

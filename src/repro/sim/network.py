@@ -373,10 +373,6 @@ class Network:
         self._link_rules.append(rule)
         self._rehook()
 
-    def clear_link_rules(self) -> None:
-        self._link_rules.clear()
-        self._rehook()
-
     @property
     def link_rules(self) -> Sequence[LinkFaultRule]:
         return tuple(self._link_rules)
@@ -397,14 +393,6 @@ class Network:
         else:
             self._adversaries.pop(node_id, None)
         self._rehook()
-
-    def clear_adversaries(self) -> None:
-        self._adversaries.clear()
-        self._rehook()
-
-    @property
-    def adversaries(self) -> dict[NodeId, frozenset[str]]:
-        return dict(self._adversaries)
 
     def set_byzantine(
         self, node_id: NodeId, behavior: Optional[ByzantineBehavior]

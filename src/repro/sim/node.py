@@ -105,9 +105,6 @@ class SimNode:
         except KeyError:
             raise SimulationError(f"no protocol {name!r} on node {self.node_id}") from None
 
-    def has_protocol(self, name: str) -> bool:
-        return name in self._protocols
-
     # ------------------------------------------------------------------
     # Message dispatch
     # ------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Tests for the message registry and generic wire codec."""
 
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import CodecError
@@ -18,6 +19,7 @@ from repro.common.messages import (
 )
 from repro.core.messages import ForwardJoin, Join, Shuffle
 from repro.gossip.messages import GossipData
+from repro.protocols import cyclon, scamp, xbot  # noqa: F401  (registers their messages)
 
 node_ids = st.builds(
     NodeId,
@@ -25,6 +27,65 @@ node_ids = st.builds(
     st.integers(min_value=1, max_value=65535),
 )
 message_ids = st.builds(MessageId, node_ids, st.integers(min_value=0, max_value=10**9))
+
+#: Every message type the library registers (tests register their own too).
+LIBRARY_TYPES = sorted(
+    (cls for cls in registered_message_types() if cls.__module__.startswith("repro.")),
+    key=lambda cls: cls.__module__ + "." + cls.__name__,
+)
+
+_SAMPLES = {
+    NodeId: NodeId("h", 9001),
+    MessageId: MessageId(NodeId("o", 9000), 7),
+    int: 3,
+    bool: True,
+    str: "d1",
+    typing.Any: ("payload", 1, None),
+    typing.Optional[NodeId]: NodeId("r", 9002),
+    tuple[NodeId, ...]: (NodeId("a", 1), NodeId("b", 2)),
+    tuple[tuple[NodeId, int], ...]: ((NodeId("a", 1), 4), (NodeId("b", 2), 0)),
+}
+
+
+def _sample(cls):
+    """One instance of ``cls`` with a representative value in every field."""
+    hints = typing.get_type_hints(cls)
+    return cls(**{field.name: _SAMPLES[hints[field.name]] for field in fields(cls)})
+
+
+def _json_values():
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers(min_value=-(2**70), max_value=2**70)
+        | st.floats()
+        | st.text(max_size=6)
+        | st.sampled_from(["@node", "@msgid", "@dict"])
+    )
+    return st.recursive(
+        scalars,
+        lambda children: st.lists(children, max_size=5)
+        | st.dictionaries(st.text(max_size=6) | st.just("@dict"), children, max_size=4),
+        max_leaves=24,
+    )
+
+
+def _framed_payloads():
+    """Arbitrary JSON values, many of them shaped like real frames so the
+    decoder gets past the type lookup into field decoding."""
+    values = _json_values()
+    names = st.sampled_from(
+        sorted(wire_name_of(_sample(cls)) for cls in LIBRARY_TYPES)
+    ) | values
+    field_names = st.sampled_from(
+        sorted({field.name for cls in LIBRARY_TYPES for field in fields(cls)})
+    ) | st.text(max_size=6)
+    frames = st.builds(
+        lambda name, body: {"type": name, "fields": body},
+        names,
+        st.dictionaries(field_names, values, max_size=5) | values,
+    )
+    return values | frames
 
 
 class TestRegistry:
@@ -107,6 +168,13 @@ class TestCodec:
         with pytest.raises(CodecError):
             decode_message({"type": ["x"], "fields": {}})
 
+    def test_decode_nesting_past_the_recursion_limit(self):
+        deep = 1
+        for _ in range(5_000):
+            deep = [deep]
+        with pytest.raises(CodecError, match="nested too deeply"):
+            decode_message({"type": "hyparview.join", "fields": {"new_node": deep}})
+
     def test_decode_field_mismatch(self):
         encoded = encode_message(Join(NodeId("a", 1)))
         encoded["fields"]["extra"] = 1
@@ -150,3 +218,21 @@ class TestCodec:
             assert list(decoded.payload) == payload
         else:
             assert decoded.payload == payload
+
+    @pytest.mark.parametrize(
+        "cls", LIBRARY_TYPES, ids=lambda cls: wire_name_of(_sample(cls))
+    )
+    def test_every_registered_type_roundtrips(self, cls):
+        message = _sample(cls)
+        decoded = decode_message(encode_message(message))
+        assert decoded == message
+        assert type(decoded) is cls
+
+    @settings(max_examples=300, deadline=None)
+    @given(_framed_payloads())
+    def test_decode_returns_a_message_or_raises_codec_error(self, payload):
+        try:
+            message = decode_message(payload)
+        except CodecError:
+            return
+        assert isinstance(message, Message)

@@ -128,8 +128,3 @@ class TestExperimentParams:
             ExperimentParams(stabilization_cycles=-1)
         with pytest.raises(ConfigurationError, match="latency model"):
             ExperimentParams(latency_model="wormhole")
-
-    def test_with_seed(self):
-        params = ExperimentParams.scaled(100).with_seed(7)
-        assert params.seed == 7
-        assert params.n == 100

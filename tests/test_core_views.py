@@ -23,7 +23,7 @@ class TestBasics:
         assert nid(1) in view
         assert len(view) == 1
         assert not view.is_full
-        assert view.free_slots == 2
+        assert view.capacity - len(view) == 2
 
     def test_capacity_validation(self):
         with pytest.raises(ProtocolError):

@@ -3,7 +3,6 @@
 from repro.experiments import (
     ExperimentParams,
     format_histogram,
-    format_percent,
     format_series,
     format_table,
     hyparview_reference_point,
@@ -62,7 +61,7 @@ class TestFanoutDriver:
 class TestHealingDriver:
     def test_hyparview_heals_quickly(self):
         result = measure_healing(
-            stabilized_scenario("hyparview", PARAMS), 0.3, probes_per_cycle=5, max_cycles=10
+            stabilized_scenario("hyparview", PARAMS), 0.3, max_cycles=10
         )
         assert result.cycles_to_heal is not None
         assert result.cycles_to_heal <= 3
@@ -70,7 +69,7 @@ class TestHealingDriver:
 
     def test_unhealed_run_reports_none(self):
         result = measure_healing(
-            stabilized_scenario("cyclon", PARAMS), 0.6, probes_per_cycle=3, max_cycles=1
+            stabilized_scenario("cyclon", PARAMS), 0.6, max_cycles=1
         )
         assert result.max_cycles == 1
         # One cycle is almost never enough for Cyclon at 60% failures.
@@ -140,9 +139,6 @@ class TestReporting:
         assert "name" in lines[1]
         assert all(len(line) == len(lines[2]) or True for line in lines)
         assert "1.5000" in table
-
-    def test_format_percent(self):
-        assert format_percent(0.985) == "98.5%"
 
     def test_format_series_wraps(self):
         text = format_series([0.5] * 45, per_line=20)

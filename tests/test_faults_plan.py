@@ -371,7 +371,7 @@ class TestSimDriver:
         scenario.network.set_adversary(victim, ("Shuffle",))
         scenario.fail_nodes([victim])
         scenario.revive_node(victim)
-        assert victim not in scenario.network.adversaries
+        assert victim not in scenario.network._adversaries
 
     def test_adversary_applies_and_clears(self):
         scenario = _tiny_base()
@@ -381,9 +381,9 @@ class TestSimDriver:
         SimFaultDriver(scenario, plan).install()
         engine = scenario.engine
         engine.run_until(engine.now + 0.2)
-        assert len(scenario.network.adversaries) == 6
+        assert len(scenario.network._adversaries) == 6
         engine.run_until(engine.now + 0.3)
-        assert scenario.network.adversaries == {}
+        assert scenario.network._adversaries == {}
 
     def test_driver_is_deterministic(self):
         frozen = _tiny_base().freeze()
@@ -453,7 +453,7 @@ class TestNetworkFaultHooks:
         assert stats["dropped_adversary"] > 0
         # Honesty restored: empty drop set removes the adversary.
         scenario.network.set_adversary(victim, ())
-        assert scenario.network.adversaries == {}
+        assert scenario.network._adversaries == {}
 
     def test_duplicate_rule_reposts_datagrams(self):
         params = ExperimentParams.scaled(16, seed=7, stabilization_cycles=2)

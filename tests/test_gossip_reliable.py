@@ -161,7 +161,7 @@ class _Sender:
 
     def after(self, seconds):
         """Let ``seconds`` pass (timers due in them fire)."""
-        self.engine.run_for(seconds)
+        self.engine.run_until(self.engine.now + seconds)
 
     def exchange(self, rtt, peer=None):
         """Broadcast, and ack ``rtt`` seconds later; returns how many times

@@ -25,8 +25,8 @@ class TestTracking:
         record = tracker.record(mid(1))
         assert record.delivery_count == 3
         assert record.max_hops == 3
-        assert record.delivered_to(nid(1))
-        assert not record.delivered_to(nid(9))
+        assert nid(1) in record.deliveries
+        assert nid(9) not in record.deliveries
 
     def test_duplicate_delivery_counted_as_redundant(self):
         tracker = BroadcastTracker()

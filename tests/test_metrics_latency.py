@@ -1,10 +1,9 @@
 """Tests for the live-runtime latency histogram (repro.metrics.latency).
 
 The hypothesis properties pin the subtle contract around the lazy-sort
-flag: querying a percentile sorts the sample buffer in place, and a
-``merge`` *after* that query must still yield exact nearest-rank
-quantiles over the concatenated samples (the flag must be invalidated,
-not trusted).
+flag: querying a percentile sorts the sample buffer in place, and samples
+recorded *after* that query must still yield exact nearest-rank
+quantiles over all samples (the flag must be invalidated, not trusted).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ class TestBasics:
     def test_empty_reports_none(self):
         histogram = LatencyHistogram()
         assert histogram.p50() is None
-        assert histogram.p999() is None
+        assert histogram.percentile(99.9) is None
         assert histogram.mean() is None
         assert histogram.max() is None
 
@@ -46,30 +45,29 @@ class TestBasics:
         histogram = LatencyHistogram()
         for i in range(1, 1001):
             histogram.record(i / 1000.0)
-        assert histogram.p999() == 1.0
+        assert histogram.percentile(99.9) == 1.0
         histogram.record(2.0)
-        assert histogram.p999() == 1.0  # rank 1001 of 1001 is ceil(999.(...))
+        assert histogram.percentile(99.9) == 1.0  # rank 1001 of 1001 is ceil(999.(...))
 
-    def test_summary_zero_fills_empty(self):
-        assert LatencyHistogram().summary() == {
-            "count": 0,
-            "mean": 0.0,
-            "p50": 0.0,
-            "p99": 0.0,
-            "p999": 0.0,
-            "max": 0.0,
+    def test_to_dict_is_empty_without_samples(self):
+        assert LatencyHistogram().to_dict() == {
+            "samples": 0,
+            "mean_ms": None,
+            "p50_ms": None,
+            "p99_ms": None,
+            "max_ms": None,
         }
 
-    def test_summary_matches_queries(self):
+    def test_to_dict_reports_milliseconds(self):
         histogram = LatencyHistogram()
         for i in range(1, 101):
             histogram.record(i / 100.0)
-        summary = histogram.summary()
-        assert summary["count"] == 100
-        assert summary["p50"] == histogram.p50() == 0.5
-        assert summary["p99"] == histogram.p99() == 0.99
-        assert summary["p999"] == histogram.p999() == 1.0
-        assert summary["max"] == 1.0
+        row = histogram.to_dict()
+        assert row["samples"] == 100
+        assert row["p50_ms"] == histogram.p50() * 1000.0 == 500.0
+        assert row["p99_ms"] == histogram.p99() * 1000.0 == 990.0
+        assert row["max_ms"] == 1000.0
+        assert row["mean_ms"] == histogram.mean() * 1000.0
 
 
 class TestProperties:
@@ -81,23 +79,21 @@ class TestProperties:
         assert histogram.percentile(p) == nearest_rank(values, p)
 
     @given(samples, samples, st.floats(min_value=0.001, max_value=100.0))
-    def test_merge_after_percentile_query(self, first, second, p):
-        left = LatencyHistogram()
+    def test_record_after_percentile_query(self, first, second, p):
+        histogram = LatencyHistogram()
         for value in first:
-            left.record(value)
-        left.percentile(50.0)  # force the in-place sort before merging
-        right = LatencyHistogram()
+            histogram.record(value)
+        histogram.percentile(50.0)  # force the in-place sort before recording more
         for value in second:
-            right.record(value)
-        right.percentile(99.0)
-        left.merge(right)
-        assert left.count == len(first) + len(second)
-        assert left.percentile(p) == nearest_rank(first + second, p)
+            histogram.record(value)
+        assert histogram.count == len(first) + len(second)
+        assert histogram.percentile(p) == nearest_rank(first + second, p)
 
     @given(samples)
     def test_quantiles_are_ordered(self, values):
         histogram = LatencyHistogram()
         for value in values:
             histogram.record(value)
-        summary = histogram.summary()
-        assert summary["p50"] <= summary["p99"] <= summary["p999"] <= summary["max"]
+        if values:
+            assert histogram.p50() <= histogram.p99() <= histogram.percentile(99.9)
+            assert histogram.percentile(99.9) <= histogram.max()

@@ -12,7 +12,6 @@ from repro.metrics.reliability import (
     average_reliability,
     healing_cycles,
     max_hops,
-    redundancy_ratio,
     reliability_series,
 )
 from repro.metrics.stats import SummaryStats, mean, percentile, stddev, summarize
@@ -88,11 +87,6 @@ class TestReliabilityAggregation:
     def test_max_hops_mean(self):
         summaries = [summary(0, 1.0, hops=8), summary(1, 1.0, hops=12)]
         assert max_hops(summaries) == 10.0
-
-    def test_redundancy_ratio(self):
-        summaries = [summary(0, 1.0, delivered=100, redundant=50)]
-        assert redundancy_ratio(summaries) == 0.5
-        assert redundancy_ratio([]) == 0.0
 
 
 class TestHealingCycles:

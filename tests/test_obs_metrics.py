@@ -13,14 +13,7 @@ import asyncio
 
 import pytest
 
-from repro.metrics.latency import LatencyHistogram
-from repro.obs.collectors import (
-    bind_kernel,
-    bind_latency,
-    bind_network,
-    bind_pubsub_cluster,
-    bind_transport,
-)
+from repro.obs.collectors import bind_pubsub_cluster
 from repro.obs.http import CONTENT_TYPE, MetricsServer, scrape
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 
@@ -30,24 +23,21 @@ def run(coroutine, timeout=30.0):
 
 
 class TestInstruments:
-    def test_counter_inc_and_mirror(self):
+    def test_counter_mirrors_totals_per_label_set(self):
         counter = Counter("c_total")
-        counter.inc()
-        counter.inc(2, node="a")
+        counter.set_total(1)
+        counter.set_total(2, node="a")
         assert counter.value() == 1
         assert counter.value(node="a") == 2
         counter.set_total(9, node="a")
         assert counter.value(node="a") == 9
 
-    def test_counter_rejects_decrease(self):
-        with pytest.raises(ValueError):
-            Counter("c_total").inc(-1)
-
     def test_gauge_moves_both_ways(self):
         gauge = Gauge("g")
         gauge.set(5, node="a")
-        gauge.inc(-2, node="a")
+        gauge.set(3, node="a")
         assert gauge.value(node="a") == 3
+        assert gauge.value(node="b") == 0
 
 
 class TestRegistry:
@@ -68,7 +58,7 @@ class TestRegistry:
         def build(order):
             registry = MetricsRegistry()
             for name, labels in order:
-                registry.counter(name).inc(1, **labels)
+                registry.counter(name).set_total(1, **labels)
             return registry.snapshot()
 
         series = [("b_total", {"node": "n2"}), ("a_total", {}), ("b_total", {"node": "n1"})]
@@ -79,7 +69,7 @@ class TestRegistry:
 
     def test_prometheus_rendering(self):
         registry = MetricsRegistry()
-        registry.counter("req_total", "Requests served").inc(3, path='/a"b\n')
+        registry.counter("req_total", "Requests served").set_total(3, path='/a"b\n')
         registry.gauge("depth").set(1.5)
         text = registry.render_prometheus()
         assert "# HELP req_total Requests served\n" in text
@@ -99,82 +89,7 @@ class TestRegistry:
         assert registry.snapshot()["live"] == {"live": 7}
 
 
-class FakeStats:
-    def __init__(self, snapshot):
-        self._snapshot = snapshot
-
-    def snapshot(self):
-        return dict(self._snapshot)
-
-
 class TestCollectors:
-    def test_bind_network(self):
-        registry = MetricsRegistry()
-
-        class Net:
-            stats = FakeStats(
-                {"delivered": 10, "dropped_loss": 2, "messages_by_type": {"GossipData": 8}}
-            )
-
-        bind_network(registry, Net())
-        snapshot = registry.snapshot()
-        assert snapshot["repro_net_events_total"]['repro_net_events_total{outcome="delivered"}'] == 10
-        assert snapshot["repro_net_messages_total"]['repro_net_messages_total{type="GossipData"}'] == 8
-
-    def test_bind_kernel_tracks_the_live_counter(self):
-        from repro.sim.engine import Engine, events_fired_total
-
-        registry = MetricsRegistry()
-        bind_kernel(registry)
-        engine = Engine()
-        engine.post(0.0, lambda: None)
-        engine.run_until_idle()
-        value = registry.snapshot()["repro_kernel_events_fired_total"][
-            "repro_kernel_events_fired_total"
-        ]
-        assert value == events_fired_total() > 0
-
-    def test_bind_latency_quantile_gauges(self):
-        registry = MetricsRegistry()
-        histogram = LatencyHistogram()
-        for i in range(1, 101):
-            histogram.record(i / 1000.0)
-        bind_latency(registry, "repro_lat", lambda: histogram, phase="steady")
-        series = registry.snapshot()["repro_lat"]
-        assert series['repro_lat{phase="steady",quantile="0.5"}'] == pytest.approx(0.05)
-        assert series['repro_lat{phase="steady",quantile="0.999"}'] == pytest.approx(0.1)
-        counts = registry.snapshot()["repro_lat_count"]
-        assert counts['repro_lat_count{phase="steady"}'] == 100
-
-    def test_bind_latency_none_supplier_skips(self):
-        registry = MetricsRegistry()
-        bind_latency(registry, "repro_lat", lambda: None)
-        assert registry.snapshot()["repro_lat"] == {}
-
-    def test_bind_transport(self):
-        registry = MetricsRegistry()
-
-        class Transport:
-            frames_sent = 5
-            frames_received = 4
-            frames_stale = 1
-            frames_malformed = 3
-            stale_handshakes = 0
-            frames_overflow = 0
-            frames_rejected = 2
-            frames_faulted = 0
-            handler_errors = 1
-            epoch = 3
-
-        bind_transport(registry, Transport(), node="n1")
-        snapshot = registry.snapshot()
-        frames = snapshot["repro_transport_frames_total"]
-        assert frames['repro_transport_frames_total{node="n1",outcome="frames_sent"}'] == 5
-        assert frames['repro_transport_frames_total{node="n1",outcome="frames_stale"}'] == 1
-        assert frames['repro_transport_frames_total{node="n1",outcome="frames_malformed"}'] == 3
-        assert frames['repro_transport_frames_total{node="n1",outcome="handler_errors"}'] == 1
-        assert snapshot["repro_transport_epoch"]['repro_transport_epoch{node="n1"}'] == 3
-
     def test_bind_pubsub_cluster_reads_facades_at_collect_time(self):
         class Guard:
             rejected = 2
@@ -246,7 +161,7 @@ class TestMetricsServer:
     def test_serves_and_scrapes_exposition(self):
         async def exercise():
             registry = MetricsRegistry()
-            registry.counter("up_total", "Liveness").inc(1)
+            registry.counter("up_total", "Liveness").set_total(1)
             server = await MetricsServer(registry).start()
             try:
                 body = await scrape("127.0.0.1", server.port)

@@ -56,7 +56,8 @@ class TestControllerValidation:
                 controller = ChaosController(cluster, FaultPlan.empty())
                 await controller.run()
                 assert controller.applied == []
-                message_id = await cluster.broadcast_and_settle(settle=0.4)
+                message_id = cluster.nodes[0].broadcast()
+                await asyncio.sleep(0.4)
                 assert cluster.delivery_count(message_id) == 3
             finally:
                 await cluster.stop()
@@ -157,7 +158,7 @@ class TestSamePortRestart:
                     for node in cluster.nodes
                     if node is not victim
                 )
-                await cluster.crash_node(2)
+                await cluster.nodes[2].crash()
                 await asyncio.sleep(0.2)
                 reborn = await cluster.restart_node(2, reuse_port=True)
                 # Same identity, fresh process: no delivered history, no
@@ -217,7 +218,8 @@ class TestAdversaryAndDegradeLive:
                     not node.drop_message_types for node in cluster.alive_nodes()
                 )
                 # Broadcast traffic still flows (GossipData is not dropped).
-                message_id = await cluster.broadcast_and_settle(settle=0.5)
+                message_id = cluster.nodes[0].broadcast()
+                await asyncio.sleep(0.5)
                 assert cluster.delivery_count(message_id) == 4
             finally:
                 await cluster.stop()

@@ -1,4 +1,4 @@
-"""The unified delivery surface: counters, event-driven waits, streams."""
+"""The unified delivery surface: counters and event-driven waits."""
 
 from __future__ import annotations
 
@@ -75,51 +75,5 @@ class TestWaitCount:
             count = await log.wait_count(record(1, 7).message_id, 5, timeout=0.05)
             assert count == 1
             assert log._waiters == []  # no leaked waiters after timeout
-
-        run(scenario())
-
-
-class TestStreams:
-    def test_stream_yields_records_in_order(self):
-        async def scenario():
-            log = DeliveryLog()
-            log.append(record(1, 1))  # before subscribe: not replayed
-            stream = log.subscribe()
-            log.append(record(1, 2))
-            log.append(record(2, 3))
-            first = await stream.get()
-            second = await stream.get()
-            assert (first.payload, second.payload) == ("m2", "m3")
-            stream.close()
-
-        run(scenario())
-
-    def test_close_ends_async_iteration(self):
-        async def scenario():
-            log = DeliveryLog()
-            stream = log.subscribe()
-            log.append(record(1, 1))
-            stream.close()
-            seen = [item.payload async for item in stream]
-            assert seen == ["m1"]
-            assert await stream.get() is None
-            # A closed stream no longer receives appends.
-            log.append(record(1, 2))
-            assert await stream.get() is None
-
-        run(scenario())
-
-    def test_independent_subscribers(self):
-        async def scenario():
-            log = DeliveryLog()
-            a = log.subscribe()
-            b = log.subscribe()
-            log.append(record(1, 1))
-            assert (await a.get()).payload == "m1"
-            assert (await b.get()).payload == "m1"
-            a.close()
-            log.append(record(1, 2))
-            assert (await b.get()).payload == "m2"
-            b.close()
 
         run(scenario())

@@ -64,7 +64,7 @@ class TestEpochHandshake:
             cluster = LocalCluster(3, config=CONFIG)
             await cluster.start()
             victim_id = cluster.nodes[2].node_id
-            await cluster.crash_node(2)
+            await cluster.nodes[2].crash()
             reborn = await cluster.restart_node(2, reuse_port=True)
             assert reborn.node_id == victim_id  # same address...
             assert reborn.incarnation == 1  # ...new identity
@@ -106,7 +106,7 @@ class TestEpochHandshake:
 
             publisher = asyncio.create_task(publish_loop())
             await asyncio.sleep(0.1)
-            await cluster.crash_node(2)
+            await cluster.nodes[2].crash()
             await asyncio.sleep(0.05)  # publishes keep flowing meanwhile
             reborn = await cluster.restart_node(2, reuse_port=True)
             await cluster.wait_for_views(1)
@@ -227,13 +227,18 @@ class TestHostileWireAndShutdown:
                     b'{"type": "hyparview.join", "fields": {"new_node": ["@node", "h", %s]}}\n'
                     % port
                 )
+            # Nesting past the recursion limit: in the decoder (1.3 KB) and
+            # in the JSON parser itself (10 KB, well under the line limit).
+            deep = b"[" * 600 + b"1" + b"]" * 600
+            writer.write(b'{"type": "hyparview.join", "fields": {"new_node": %s}}\n' % deep)
+            writer.write(b"[" * 5000 + b"]" * 5000 + b"\n")
             valid = GossipData(MessageId(ghost, 1), "still here", 1, ghost)
             writer.write((json.dumps(encode_message(valid)) + "\n").encode())
             await writer.drain()
 
             assert await wait_until(lambda: transport.frames_received == 1)
             assert node.delivered == [(valid.message_id, "still here")]
-            assert transport.frames_malformed == 7
+            assert transport.frames_malformed == 9
             # Same connection, reader still running, peer never reported down.
             assert transport._connections[ghost] is connection
             assert not connection.reader_task.done()

@@ -155,7 +155,7 @@ class TestPubSubCluster:
             service = PubSubCluster(cluster)
             old_facade = service.facade(2)
             old_subscription = old_facade.subscribe("t")
-            await cluster.crash_node(2)
+            await cluster.nodes[2].crash()
             await cluster.restart_node(2, reuse_port=True)
             assert service.reattached == 1
             assert service.facade(2) is not old_facade

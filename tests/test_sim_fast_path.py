@@ -22,7 +22,12 @@ def _install_trace(network, _ids):
 
 def _install_link_rule(network, _ids):
     network.add_link_rule(LinkFaultRule())  # zero loss, jitter and duplication
-    return network.clear_link_rules
+
+    def clear():
+        network._link_rules.clear()
+        network._rehook()
+
+    return clear
 
 
 def _install_partition(network, ids):

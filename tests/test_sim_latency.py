@@ -11,14 +11,7 @@ from hypothesis import strategies as st
 from repro.common.errors import ConfigurationError
 from repro.common.ids import NodeId
 from repro.common.rng import StreamRandom
-from repro.sim.latency import (
-    LATENCY_SECONDS,
-    ConstantLatency,
-    CoordinateLatency,
-    UniformLatency,
-    ZonedLatency,
-    build_latency_model,
-)
+from repro.sim.latency import LATENCY_SECONDS, ConstantLatency, ZonedLatency, build_latency_model
 
 A = NodeId("a", 1)
 B = NodeId("b", 2)
@@ -34,57 +27,6 @@ class TestConstantLatency:
     def test_negative_rejected(self):
         with pytest.raises(ConfigurationError):
             ConstantLatency(-1.0)
-
-
-class TestUniformLatency:
-    def test_within_bounds(self):
-        model = UniformLatency(0.01, 0.05)
-        rng = random.Random(0)
-        for _ in range(100):
-            delay = model.delay(A, B, rng)
-            assert 0.01 <= delay <= 0.05
-
-    def test_invalid_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            UniformLatency(0.05, 0.01)
-        with pytest.raises(ConfigurationError):
-            UniformLatency(-0.1, 0.1)
-
-    def test_varies_per_message(self):
-        model = UniformLatency(0.0, 1.0)
-        rng = random.Random(0)
-        delays = {model.delay(A, B, rng) for _ in range(10)}
-        assert len(delays) > 1
-
-
-class TestCoordinateLatency:
-    def test_symmetric_and_stable(self):
-        model = CoordinateLatency()
-        rng = random.Random(0)
-        d1 = model.delay(A, B, rng)
-        d2 = model.delay(A, B, rng)
-        d3 = model.delay(B, A, rng)
-        assert d1 == d2 == d3
-
-    def test_self_delay_is_base(self):
-        model = CoordinateLatency(base=0.005)
-        rng = random.Random(0)
-        assert model.delay(A, A, rng) == pytest.approx(0.005)
-
-    def test_distance_increases_delay(self):
-        model = CoordinateLatency(base=0.0, per_unit=1.0)
-        rng = random.Random(0)
-        assert model.delay(A, B, rng) > 0.0
-
-    def test_stable_across_instances(self):
-        rng = random.Random(0)
-        assert CoordinateLatency().delay(A, B, rng) == CoordinateLatency().delay(A, B, rng)
-
-    def test_negative_parameters_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CoordinateLatency(base=-1.0)
-        with pytest.raises(ConfigurationError):
-            CoordinateLatency(per_unit=-1.0)
 
 
 class TestZonedLatency:

@@ -44,7 +44,6 @@ class TestSimNode:
         node.deliver(Alpha(1))
         assert protocol.alphas == [Alpha(1)]
         assert node.protocol("proto") is protocol
-        assert node.has_protocol("proto")
 
     def test_duplicate_slot_rejected(self):
         engine, network, node = self.make()
