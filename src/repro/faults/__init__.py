@@ -17,7 +17,6 @@ from .measure import measure_fault_plan
 from .plan import (
     DEFAULT_MUTATION_TYPES,
     AdversaryEvent,
-    CollusionEvent,
     CrashEvent,
     DegradeEvent,
     FaultEvent,
@@ -33,7 +32,6 @@ from .sim import SimFaultDriver
 
 __all__ = [
     "AdversaryEvent",
-    "CollusionEvent",
     "CrashEvent",
     "DEFAULT_MUTATION_TYPES",
     "DegradeEvent",

@@ -100,7 +100,7 @@ def _fraction_plan(fraction: float) -> PlanSpec:
         plan = FaultPlan.empty()
     else:
         plan = FaultPlan(
-            events=(MutationEvent(at=0.1, fraction=fraction, rate=1.0),),
+            events=(MutationEvent(at=0.1, fraction=fraction),),
             label=f"byz-fraction-{fraction:g}",
         )
     return plan, (Phase("honest", 0.0, 0.1), Phase("corrupted", 0.1, 0.9 + 1e-6)), 0.9

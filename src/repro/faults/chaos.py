@@ -33,7 +33,6 @@ from ..metrics.latency import LatencyHistogram
 from ..runtime.cluster import LocalCluster
 from .plan import (
     AdversaryEvent,
-    CollusionEvent,
     CrashEvent,
     DegradeEvent,
     FaultEvent,
@@ -55,20 +54,16 @@ def reject_simulator_only(plan: FaultPlan) -> None:
     frames end-to-end, so a mutation/equivocation plan against live
     sockets would silently test nothing.  Raises the same structured
     :class:`ConfigurationError` the CLI turns into exit 2, so callers can
-    refuse *before* a single socket is opened.  (Drop-based collusion is
-    fine — it compiles to ``drop_message_types`` like an adversary.)
+    refuse *before* a single socket is opened.
     """
     unsupported = [
-        event.describe()
-        for event in plan.events
-        if isinstance(event, MutationEvent)
-        or (isinstance(event, CollusionEvent) and event.mutate_types)
+        event.describe() for event in plan.events if isinstance(event, MutationEvent)
     ]
     if unsupported:
         raise ConfigurationError(
             f"plan {plan.label!r} uses payload mutation/equivocation, "
-            f"which only the simulator substrate supports (live "
-            f"collusion is drop-only); offending events: {unsupported}"
+            f"which only the simulator substrate supports; "
+            f"offending events: {unsupported}"
         )
 
 
@@ -148,10 +143,7 @@ class ChaosController:
             steps.append((event.at, order, (self._apply, event)))
             if isinstance(event, PartitionEvent) and event.heal_at is not None:
                 steps.append((event.heal_at, order, (self._heal, event)))
-            if (
-                isinstance(event, (AdversaryEvent, CollusionEvent))
-                and event.until is not None
-            ):
+            if isinstance(event, AdversaryEvent) and event.until is not None:
                 steps.append((event.until, order, (self._honest, event)))
         steps.sort(key=lambda step: (step[0], step[1]))
         for at, _order, (method, event) in steps:
@@ -238,18 +230,6 @@ class ChaosController:
                 node.drop_message_types |= set(event.drop_types)
             self._adversary_victims[id(event)] = victims
             self._note(event.at, f"{event.describe()} -> {len(victims)} adversarial")
-        elif isinstance(event, CollusionEvent):
-            # Live collusion is drop-only (the constructor rejected any
-            # mutate_types) and blanket: RuntimeNode's drop filter has no
-            # per-sender sparing, so colluders drop from everyone — a
-            # strictly harsher adversary than the sim's spared variant.
-            alive = self.cluster.alive_nodes()
-            count = pick_count(event.fraction, event.count, len(alive))
-            victims = self._rng.sample(alive, count) if count else []
-            for node in victims:
-                node.drop_message_types |= set(event.drop_types)
-            self._adversary_victims[id(event)] = victims
-            self._note(event.at, f"{event.describe()} -> {len(victims)} colluding")
         else:  # pragma: no cover - vocabulary guard
             raise ConfigurationError(f"unknown fault event: {event!r}")
 

@@ -44,7 +44,7 @@ _FAULT_STATS = (
     "dropped_fault", "duplicated_fault", "dropped_adversary", "send_failures", "dropped_dead",
 )
 #: Byzantine-sender counters the value-judged shape adds.
-_BYZANTINE_STATS = ("dropped_collusion", "mutated_byz", "equivocated_byz")
+_BYZANTINE_STATS = ("mutated_byz", "equivocated_byz")
 
 
 class _Stream(NamedTuple):

@@ -36,9 +36,6 @@ The vocabulary:
                           types; ``equivocate=True`` sends a *different*
                           corrupted payload to each destination (the JSON
                           kind ``"equivocation"`` is this with the flag on)
-:class:`CollusionEvent`   recruit a coordinated adversary *set* whose
-                          members drop and/or mutate selected traffic from
-                          and to outsiders while sparing fellow colluders
 ========================  ====================================================
 
 An **empty plan is a strict no-op**: drivers install nothing, draw no
@@ -169,6 +166,13 @@ def _check_population(fraction: Optional[float], count: Optional[int]) -> None:
         raise ConfigurationError(f"count must be >= 1: {count}")
 
 
+def _check_until(at: float, until: Optional[float], what: str) -> None:
+    if until is not None and until <= at:
+        raise ConfigurationError(
+            f"{what} window must be non-empty: until {until} <= at {at}"
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class CrashEvent(FaultEvent):
     """Crash a random ``fraction`` (of live nodes) or fixed ``count``."""
@@ -227,11 +231,7 @@ class AdversaryEvent(FaultEvent):
         _check_population(self.fraction, self.count)
         if not self.drop_types:
             raise ConfigurationError("adversary needs at least one message type")
-        if self.until is not None and self.until <= self.at:
-            raise ConfigurationError(
-                f"adversary window must be non-empty: until {self.until} "
-                f"<= at {self.at}"
-            )
+        _check_until(self.at, self.until, "adversary")
 
     @property
     def end(self) -> float:
@@ -248,18 +248,6 @@ class AdversaryEvent(FaultEvent):
 DEFAULT_MUTATION_TYPES = ("GossipData", "BRBSend", "BRBEcho", "BRBReady")
 
 
-def _check_rate(rate: float) -> None:
-    if not 0.0 < rate <= 1.0:
-        raise ConfigurationError(f"rate must be in (0, 1]: {rate}")
-
-
-def _check_until(at: float, until: Optional[float], what: str) -> None:
-    if until is not None and until <= at:
-        raise ConfigurationError(
-            f"{what} window must be non-empty: until {until} <= at {at}"
-        )
-
-
 @dataclass(frozen=True, slots=True)
 class MutationEvent(FaultEvent):
     """Turn live nodes into Byzantine senders that corrupt payloads.
@@ -270,8 +258,8 @@ class MutationEvent(FaultEvent):
     *consistently* — every recipient of one ``(sender, message)`` pair
     sees the same wrong value; ``equivocate=True`` is the stronger
     Byzantine behaviour of sending a *different* value to each peer for
-    the same :class:`~repro.common.ids.MessageId`.  ``rate`` corrupts
-    only that fraction of matching sends; ``until`` restores honesty.
+    the same :class:`~repro.common.ids.MessageId`.  Every matching send
+    is corrupted; ``until`` restores honesty.
     Sender-side payload corruption only exists on the simulator substrate
     (the live runtime's codec owns its frames end-to-end).
     """
@@ -279,7 +267,6 @@ class MutationEvent(FaultEvent):
     fraction: Optional[float] = None
     count: Optional[int] = None
     target_types: tuple[str, ...] = DEFAULT_MUTATION_TYPES
-    rate: float = 1.0
     equivocate: bool = False
     until: Optional[float] = None
 
@@ -288,7 +275,6 @@ class MutationEvent(FaultEvent):
         _check_population(self.fraction, self.count)
         if not self.target_types:
             raise ConfigurationError("mutation needs at least one message type")
-        _check_rate(self.rate)
         _check_until(self.at, self.until, "mutation")
 
     @property
@@ -299,50 +285,6 @@ class MutationEvent(FaultEvent):
         amount = f"{self.fraction:.0%}" if self.fraction is not None else str(self.count)
         verb = "equivocate" if self.equivocate else "mutate"
         return f"{verb} {amount} on{list(self.target_types)}@{self.at:g}"
-
-
-@dataclass(frozen=True, slots=True)
-class CollusionEvent(FaultEvent):
-    """Recruit a coordinated adversary *set*.
-
-    The colluders act as one: they silently drop incoming ``drop_types``
-    traffic from outsiders, corrupt outgoing ``mutate_types`` payloads
-    sent to outsiders, and always spare fellow colluders — so the
-    adversary set keeps perfect mutual state while sabotaging everyone
-    else.  At least one of the two behaviours must be named.  The drop
-    dimension runs on both substrates; mutation is simulator-only (see
-    :class:`MutationEvent`).
-    """
-
-    fraction: Optional[float] = None
-    count: Optional[int] = None
-    drop_types: tuple[str, ...] = ()
-    mutate_types: tuple[str, ...] = ()
-    rate: float = 1.0
-    until: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        _check_at(self.at)
-        _check_population(self.fraction, self.count)
-        if not self.drop_types and not self.mutate_types:
-            raise ConfigurationError(
-                "collusion needs drop_types and/or mutate_types"
-            )
-        _check_rate(self.rate)
-        _check_until(self.at, self.until, "collusion")
-
-    @property
-    def end(self) -> float:
-        return self.until if self.until is not None else self.at
-
-    def describe(self) -> str:
-        amount = f"{self.fraction:.0%}" if self.fraction is not None else str(self.count)
-        parts = []
-        if self.drop_types:
-            parts.append(f"drop{list(self.drop_types)}")
-        if self.mutate_types:
-            parts.append(f"mutate{list(self.mutate_types)}")
-        return f"collude {amount} {'+'.join(parts)}@{self.at:g}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -467,9 +409,8 @@ class FaultPlan:
             # Equivocation is mutation with per-destination divergence
             # pre-selected; an explicit "equivocate" key still wins.
             "equivocation": MutationEvent,
-            "collusion": CollusionEvent,
         }
-        tuple_fields = ("weights", "jitter", "drop_types", "target_types", "mutate_types")
+        tuple_fields = ("weights", "jitter", "drop_types", "target_types")
         events: list[FaultEvent] = []
         for index, entry in enumerate(data.get("events", ())):
             if not isinstance(entry, dict) or "kind" not in entry:
@@ -578,7 +519,6 @@ def validate_phases(phases: Sequence[Phase]) -> tuple[Phase, ...]:
 
 __all__ = [
     "AdversaryEvent",
-    "CollusionEvent",
     "CrashEvent",
     "DEFAULT_MUTATION_TYPES",
     "DegradeEvent",

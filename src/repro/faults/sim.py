@@ -3,9 +3,10 @@
 The driver schedules one engine timer per event at ``install()`` time;
 each timer's callback mutates the :class:`~repro.sim.network.Network` /
 :class:`~repro.experiments.scenario.Scenario` (partitions, link rules,
-crashes, restarts, adversaries) while the measurement loop keeps the
-engine running.  Callbacks run *inside* the engine drain, so they never
-drain themselves — restarts queue their join traffic for the outer run.
+crashes, restarts, adversaries, Byzantine senders) while the measurement
+loop keeps the engine running.  Callbacks run *inside* the engine drain,
+so they never drain themselves — restarts queue their join traffic for
+the outer run.
 
 Determinism: every random choice (victim selection, group assignment,
 contacts) draws from a dedicated stream derived as
@@ -23,7 +24,6 @@ from ..common.ids import NodeId
 from ..sim.network import ByzantineBehavior, LinkFaultRule
 from .plan import (
     AdversaryEvent,
-    CollusionEvent,
     CrashEvent,
     DegradeEvent,
     FaultEvent,
@@ -79,8 +79,6 @@ class SimFaultDriver:
             self._apply_adversary(event)
         elif isinstance(event, MutationEvent):
             self._apply_mutation(event)
-        elif isinstance(event, CollusionEvent):
-            self._apply_collusion(event)
         else:  # pragma: no cover - vocabulary guard
             raise ConfigurationError(f"unknown fault event: {event!r}")
 
@@ -181,9 +179,7 @@ class SimFaultDriver:
         for node_id in victims:
             scenario.network.set_byzantine(
                 node_id,
-                ByzantineBehavior(
-                    event.target_types, rate=event.rate, equivocate=event.equivocate
-                ),
+                ByzantineBehavior(event.target_types, equivocate=event.equivocate),
             )
         self._note(f"{event.describe()} -> {len(victims)} byzantine")
         if event.until is not None:
@@ -196,26 +192,6 @@ class SimFaultDriver:
         for node_id in victims:
             network.set_byzantine(node_id, None)
         self._note(f"byzantine cleared ({len(victims)})")
-
-    def _apply_collusion(self, event: CollusionEvent) -> None:
-        scenario = self.scenario
-        victims = self._pick(scenario.alive_ids(), event.fraction, event.count)
-        if victims:
-            scenario.network.set_collusion(
-                victims,
-                drop_types=event.drop_types,
-                mutate_types=event.mutate_types,
-                rate=event.rate,
-            )
-        self._note(f"{event.describe()} -> {len(victims)} colluding")
-        if event.until is not None:
-            scenario.engine.schedule_at(
-                self.start + event.until, self._clear_collusion, tuple(victims)
-            )
-
-    def _clear_collusion(self, victims: tuple[NodeId, ...]) -> None:
-        self.scenario.network.clear_collusion(victims)
-        self._note(f"collusion cleared ({len(victims)})")
 
 
 __all__ = ["SimFaultDriver"]

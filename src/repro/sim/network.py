@@ -23,16 +23,14 @@ transport assumptions:
   the wire — the misbehaving-peer model of the fault-injection subsystem;
 * **Byzantine senders** (:class:`ByzantineBehavior`) corrupt outgoing
   payloads of selected message types — consistently per ``(sender,
-  message)`` for plain mutation (a pure hash, zero RNG draws at full
-  rate), or freshly per destination for *equivocation*; **collusion
-  sets** additionally drop selected traffic from outsiders while sparing
-  fellow colluders.  Together these are the adversary model the
+  message)`` for plain mutation (a pure hash, zero RNG draws), or freshly
+  per destination for *equivocation*.  This is the adversary model the
   Byzantine broadcast layer (:mod:`repro.gossip.byzantine`) is measured
   against.
 
 All hooks are strictly pay-for-what-you-use, and the price is one flag:
 ``Network._hooked`` is true while a trace sink, link rule, partition,
-adversary, Byzantine sender or collusion set is installed.  ``send`` and
+adversary or Byzantine sender is installed.  ``send`` and
 ``_deliver`` test it once each; unhooked, a message is a straight line —
 count, ``latency.delay``, liveness, loss draw, ``post``, then liveness
 again and the handler.  Every mutator that installs or removes
@@ -79,7 +77,6 @@ class NetworkStats:
         "dropped_fault",
         "duplicated_fault",
         "dropped_adversary",
-        "dropped_collusion",
         "mutated_byz",
         "equivocated_byz",
         "send_failures",
@@ -177,31 +174,18 @@ class ByzantineBehavior:
     """One Byzantine sender's corruption policy (see the module docstring).
 
     ``mutate_types`` names the message types whose outgoing payloads (or
-    vote digests) get corrupted; ``rate`` corrupts only that fraction of
-    matching sends (1.0 draws nothing extra for the gate); ``equivocate``
-    switches from consistent per-``(sender, message)`` corruption to a
-    fresh value per destination; ``spare`` destinations (fellow
-    colluders) always receive the genuine frame.
+    vote digests) get corrupted on every send; ``equivocate`` switches from
+    consistent per-``(sender, message)`` corruption to a fresh value per
+    destination.
     """
 
-    __slots__ = ("mutate_types", "rate", "equivocate", "spare")
+    __slots__ = ("mutate_types", "equivocate")
 
-    def __init__(
-        self,
-        mutate_types: Iterable[str],
-        *,
-        rate: float = 1.0,
-        equivocate: bool = False,
-        spare: Iterable[NodeId] = (),
-    ) -> None:
+    def __init__(self, mutate_types: Iterable[str], *, equivocate: bool = False) -> None:
         self.mutate_types = frozenset(mutate_types)
         if not self.mutate_types:
             raise SimulationError("Byzantine sender needs at least one message type")
-        if not 0.0 < rate <= 1.0:
-            raise SimulationError(f"mutation rate must be in (0, 1]: {rate}")
-        self.rate = rate
         self.equivocate = equivocate
-        self.spare = frozenset(spare)
 
 
 class Network:
@@ -236,10 +220,8 @@ class Network:
         # rules draw from (created lazily so unfaulted runs never touch it).
         self._link_rules: list[LinkFaultRule] = []
         self._adversaries: dict[NodeId, frozenset[str]] = {}
-        # Byzantine-sender hooks: per-node corruption policies and the
-        # colluders' receiver-side drop filters (drop_types, spared set).
+        # Byzantine-sender hooks: per-node corruption policies.
         self._byzantine: dict[NodeId, ByzantineBehavior] = {}
-        self._collusion_drops: dict[NodeId, tuple[frozenset[str], frozenset[NodeId]]] = {}
         self._fault_rng: Optional[random.Random] = None
         # watched node -> {watcher -> callback}: the open-TCP-connection
         # registry behind Transport.watch (see module docstring).
@@ -250,7 +232,7 @@ class Network:
 
     def _rehook(self) -> None:
         """Recompute the flag ``send``/``_deliver`` test (module docstring)."""
-        faults = self._link_rules or self._adversaries or self._byzantine or self._collusion_drops
+        faults = self._link_rules or self._adversaries or self._byzantine
         self._hooked = bool(faults or self._trace is not None or self._partition is not None)
 
     @property
@@ -334,7 +316,6 @@ class Network:
         self._alive[node_id] = self._nodes[node_id]._handlers
         self._adversaries.pop(node_id, None)
         self._byzantine.pop(node_id, None)
-        self._collusion_drops.pop(node_id, None)
         self._rehook()
 
     # ------------------------------------------------------------------
@@ -413,48 +394,9 @@ class Network:
             self._byzantine[node_id] = behavior
         self._rehook()
 
-    def set_collusion(
-        self,
-        members: Iterable[NodeId],
-        *,
-        drop_types: Iterable[str] = (),
-        mutate_types: Iterable[str] = (),
-        rate: float = 1.0,
-    ) -> None:
-        """Recruit ``members`` as one coordinated adversary set.
-
-        Members drop incoming ``drop_types`` frames from outsiders and
-        corrupt outgoing ``mutate_types`` payloads to outsiders — fellow
-        colluders are always spared on both dimensions.
-        """
-        spared = frozenset(members)
-        for node_id in spared:
-            if node_id not in self._nodes:
-                raise UnknownNodeError(f"unknown node: {node_id}")
-        drops = frozenset(drop_types)
-        mutates = frozenset(mutate_types)
-        if not drops and not mutates:
-            raise SimulationError("collusion needs drop_types and/or mutate_types")
-        for node_id in spared:
-            if mutates:
-                self.set_byzantine(
-                    node_id,
-                    ByzantineBehavior(mutates, rate=rate, spare=spared),
-                )
-            if drops:
-                self._collusion_drops[node_id] = (drops, spared)
-        self._rehook()
-
-    def clear_collusion(self, members: Iterable[NodeId]) -> None:
-        """Restore honesty for ``members`` (both collusion dimensions)."""
-        for node_id in members:
-            self._byzantine.pop(node_id, None)
-            self._collusion_drops.pop(node_id, None)
-        self._rehook()
-
     def byzantine_ids(self) -> set[NodeId]:
-        """Nodes currently running a corruption or collusion policy."""
-        return set(self._byzantine) | set(self._collusion_drops)
+        """Nodes currently running a corruption policy."""
+        return set(self._byzantine)
 
     def _degrade(
         self, src: NodeId, dst: NodeId, delay: float, reliable: bool
@@ -503,15 +445,11 @@ class Network:
         Only called when at least one policy is installed.  Plain
         mutation derives its wrong value as a pure hash of ``(sender,
         message id)`` — consistent across destinations and free of RNG
-        draws at rate 1.0; equivocation draws a fresh value per
-        destination from the fault stream.
+        draws; equivocation draws a fresh value per destination from the
+        fault stream.
         """
         behavior = self._byzantine.get(src)
-        if behavior is None or dst in behavior.spare:
-            return message
-        if type(message).__name__ not in behavior.mutate_types:
-            return message
-        if behavior.rate < 1.0 and self._fault_rng.random() >= behavior.rate:
+        if behavior is None or type(message).__name__ not in behavior.mutate_types:
             return message
         if behavior.equivocate:
             token = self._fault_rng.getrandbits(32)
@@ -527,18 +465,6 @@ class Network:
         if hasattr(message, "digest"):
             return dataclasses.replace(message, digest=f"byz:{token:08x}")
         return message  # type carries no corruptible field: inert
-
-    def _collusion_blocks(self, src: NodeId, dst: NodeId, message: Message) -> bool:
-        entry = self._collusion_drops.get(dst)
-        if entry is None:
-            return False
-        drops, spared = entry
-        if src in spared or type(message).__name__ not in drops:
-            return False
-        self.stats.dropped_collusion += 1
-        if self._trace is not None:
-            self._trace.record(self.engine.now, "drop-collusion", src, dst, message)
-        return True
 
     def _adversary_drops(self, dst: NodeId, message: Message) -> bool:
         drops = self._adversaries.get(dst)
@@ -697,8 +623,6 @@ class Network:
             # An adversary accepts a reliable frame over TCP and ignores
             # it: the sender observes a *successful* send.
             if self._adversaries and self._adversary_drops(dst, message):
-                return
-            if self._collusion_drops and self._collusion_blocks(src, dst, message):
                 return
             if self._trace is not None:
                 self._trace.record(self.engine.now, "deliver", src, dst, message)

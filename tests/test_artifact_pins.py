@@ -84,12 +84,15 @@ PR5_RELIABLE_SMOKE_SHA256 = {
 #: Byzantine sender hooks (mutation/equivocation) and the value-judged
 #: measurement pipeline.
 PR7_BYZ_SMOKE_SHA256 = {
-    "byz_adversary_fraction": "65787fe933e6c0cd587970915ab0a77ab909d9d1a690b2fcc2f94f80b71e3ada",
+    # All three re-pinned when the unused colluding-set fault kind was
+    # deleted: ``fault_stats`` lost its always-zero ``dropped_*`` key for
+    # it.  Every other byte is unchanged.
+    "byz_adversary_fraction": "470d4184a50fa5c324bfb7256e8a797a4a04312ad0608292b9da564b9af0ba5c",
     # Re-pinned in PR 24 (learned retransmit timeout under the BRB phases):
     # retransmissions 836 -> 644, give-ups 0 -> 0.  The other two retransmit
     # nothing before or after and did not move.
-    "byz_churn": "8998122b6dd6687e84dada215fd2d761e141e354dbcce1d82b3eb7b2be3c0425",
-    "byz_equivocation": "1299710d53979bd1de5f94a86d3cf1c120780fc60491fd896f8c0a78d3bc3184",
+    "byz_churn": "6eb34a8b03fd075949e8776bb0cdfa0a201e83167783b12af8f457a6d573607a",
+    "byz_equivocation": "bac491b555b067a2a65f9b6542b3f813ceddd6709da66a9356694138541f5332",
 }
 
 #: sha256 of the topology family's smoke artifacts at root seed 42,

@@ -112,18 +112,14 @@ class TestChaosAndServiceCli:
         assert "simulator" in err
         assert "equivocate" in err
 
-    def test_chaos_collusion_drop_plan_parses(self, tmp_path):
-        # Drop-only collusion runs on the live substrate, so it passes
-        # plan validation (the run itself needs sockets; not tested here).
-        from repro.faults import plan_from_file
-        from repro.faults.chaos import reject_simulator_only
-
-        plan = tmp_path / "collude.json"
+    def test_chaos_unknown_event_kind_is_structured_error(self, tmp_path, capsys):
+        plan = tmp_path / "unknown.json"
         plan.write_text(
-            '{"label": "collude", "events": [{"kind": "collusion", '
+            '{"label": "unknown", "events": [{"kind": "stampede", '
             '"at": 0.1, "count": 2, "drop_types": ["GossipData"]}]}'
         )
-        reject_simulator_only(plan_from_file(plan))  # does not raise
+        assert main(["chaos", "--nodes", "4", "--plan", str(plan)]) == 2
+        assert "unknown kind 'stampede'" in capsys.readouterr().err
 
     def test_chaos_missing_plan_file_is_structured_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

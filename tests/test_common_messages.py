@@ -167,10 +167,8 @@ class TestCodec:
                 decode_message({"type": "hyparview.join", "fields": fields})
         with pytest.raises(CodecError):
             decode_message({"type": ["x"], "fields": {}})
-
-    def test_decode_nesting_past_the_recursion_limit(self):
         deep = 1
-        for _ in range(5_000):
+        for _ in range(5_000):  # nested past the recursion limit
             deep = [deep]
         with pytest.raises(CodecError, match="nested too deeply"):
             decode_message({"type": "hyparview.join", "fields": {"new_node": deep}})

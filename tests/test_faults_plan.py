@@ -19,7 +19,6 @@ from repro.experiments.reporting import encode_artifact, json_safe
 from repro.faults import (
     DEFAULT_MUTATION_TYPES,
     AdversaryEvent,
-    CollusionEvent,
     CrashEvent,
     DegradeEvent,
     FaultPlan,
@@ -82,9 +81,11 @@ class TestPlanValidation:
         with pytest.raises(ConfigurationError, match="non-empty"):
             DegradeEvent(at=0.5, until=0.5)
 
-    def test_adversary_needs_types(self):
+    def test_adversary_needs_types_and_a_window(self):
         with pytest.raises(ConfigurationError, match="message type"):
             AdversaryEvent(at=0.0, fraction=0.5, drop_types=())
+        with pytest.raises(ConfigurationError, match="adversary window"):
+            AdversaryEvent(at=0.5, fraction=0.5, until=0.5)
 
     def test_churn_trace_constructor(self):
         plan = FaultPlan.churn_trace(
@@ -467,40 +468,27 @@ class TestByzantineVocabulary:
     def test_mutation_validation(self):
         with pytest.raises(ConfigurationError, match="message type"):
             MutationEvent(at=0.0, fraction=0.2, target_types=())
-        with pytest.raises(ConfigurationError, match="rate"):
-            MutationEvent(at=0.0, fraction=0.2, rate=0.0)
         with pytest.raises(ConfigurationError, match="mutation"):
             MutationEvent(at=0.5, fraction=0.2, until=0.5)
         event = MutationEvent(at=0.1, fraction=0.2)
         assert event.target_types == DEFAULT_MUTATION_TYPES
         assert not event.equivocate
 
-    def test_collusion_validation(self):
-        with pytest.raises(ConfigurationError, match="drop_types and/or"):
-            CollusionEvent(at=0.0, count=3)
-        event = CollusionEvent(at=0.1, count=3, drop_types=("GossipData",))
-        assert "collude 3" in event.describe()
-
     def test_from_dict_byzantine_kinds(self):
         plan = FaultPlan.from_dict(
             {
                 "events": [
                     {"kind": "mutation", "at": 0.1, "fraction": 0.2,
-                     "target_types": ["GossipData"], "rate": 0.5},
-                    {"kind": "equivocation", "at": 0.2, "count": 2},
-                    {"kind": "collusion", "at": 0.3, "count": 3,
-                     "drop_types": ["GossipData"],
-                     "mutate_types": ["BRBSend"], "until": 0.6},
+                     "target_types": ["GossipData"]},
+                    {"kind": "equivocation", "at": 0.2, "count": 2, "until": 0.6},
                 ]
             }
         )
-        mutation, equivocation, collusion = plan.events
+        mutation, equivocation = plan.events
         assert isinstance(mutation, MutationEvent) and not mutation.equivocate
         assert mutation.target_types == ("GossipData",)
         # The "equivocation" kind is mutation with the flag pre-set.
         assert isinstance(equivocation, MutationEvent) and equivocation.equivocate
-        assert isinstance(collusion, CollusionEvent)
-        assert collusion.mutate_types == ("BRBSend",)
         assert plan.horizon == 0.6
         assert json_safe(plan.describe()) == plan.describe()
 
@@ -508,7 +496,7 @@ class TestByzantineVocabulary:
         plan = FaultPlan(
             events=(
                 MutationEvent(at=0.1, count=4),
-                CollusionEvent(at=0.2, count=6, drop_types=("GossipData",)),
+                MutationEvent(at=0.2, count=6, equivocate=True),
             )
         )
         assert plan.min_population == 6
@@ -527,8 +515,6 @@ class TestByzantineNetworkHooks:
 
         with pytest.raises(SimulationError, match="message type"):
             ByzantineBehavior(())
-        with pytest.raises(SimulationError, match="rate"):
-            ByzantineBehavior(("GossipData",), rate=0.0)
 
     def test_consistent_mutation_draws_no_randomness(self):
         scenario = _tiny_base()
@@ -540,7 +526,7 @@ class TestByzantineNetworkHooks:
         to_a = network._corrupt(src, a, message)
         to_b = network._corrupt(src, b, message)
         # Consistent: every destination sees the same wrong value, derived
-        # by hashing — the fault RNG is untouched at rate 1.0.
+        # by hashing — the fault RNG is untouched.
         assert to_a.payload == to_b.payload != message.payload
         assert to_a.payload[0] == "byz"
         assert network._fault_rng.getstate() == state_before
@@ -559,17 +545,6 @@ class TestByzantineNetworkHooks:
         assert to_a.payload != to_b.payload
         assert network.stats.equivocated_byz == 2
 
-    def test_spared_destinations_get_genuine_frames(self):
-        scenario = _tiny_base()
-        network = scenario.network
-        src, friend, mark = scenario.node_ids[:3]
-        network.set_byzantine(
-            src, ByzantineBehavior(("BRBSend",), spare=(friend,))
-        )
-        message = self._message(scenario)
-        assert network._corrupt(src, friend, message) is message
-        assert network._corrupt(src, mark, message).payload != message.payload
-
     def test_untargeted_types_pass_through(self):
         scenario = _tiny_base()
         network = scenario.network
@@ -578,34 +553,12 @@ class TestByzantineNetworkHooks:
         message = self._message(scenario)
         assert network._corrupt(src, dst, message) is message
 
-    def test_collusion_spares_fellow_colluders(self):
-        scenario = _tiny_base()
-        network = scenario.network
-        colluders = scenario.node_ids[:3]
-        outsider = scenario.node_ids[5]
-        network.set_collusion(
-            colluders, drop_types=("BRBSend",), mutate_types=("BRBSend",)
-        )
-        assert network.byzantine_ids() == set(colluders)
-        message = self._message(scenario)
-        # Receiver-side: a colluder drops the outsider's frame but accepts
-        # a fellow colluder's.
-        assert network._collusion_blocks(outsider, colluders[1], message)
-        assert not network._collusion_blocks(colluders[0], colluders[1], message)
-        # Sender-side: outsiders get corrupted payloads, colluders don't.
-        corrupted = network._corrupt(colluders[0], outsider, message)
-        assert corrupted.payload != message.payload
-        assert network._corrupt(colluders[0], colluders[2], message) is message
-        network.clear_collusion(colluders)
-        assert network.byzantine_ids() == set()
-
     def test_revive_restores_honesty(self):
         scenario = _tiny_base()
         victim = scenario.alive_ids()[0]
         scenario.network.set_byzantine(
             victim, ByzantineBehavior(("GossipData",))
         )
-        scenario.network.set_collusion([victim], drop_types=("Shuffle",))
         scenario.fail_nodes([victim])
         scenario.revive_node(victim)
         assert victim not in scenario.network.byzantine_ids()
@@ -630,20 +583,3 @@ class TestByzantineNetworkHooks:
         descriptions = [d for _t, d in driver.applied]
         assert any("mutate" in d for d in descriptions)
         assert any("byzantine cleared" in d for d in descriptions)
-
-    def test_driver_applies_and_clears_collusion(self):
-        scenario = _tiny_base()
-        plan = FaultPlan(
-            events=(
-                CollusionEvent(
-                    at=0.1, count=4, drop_types=("GossipData",), until=0.4
-                ),
-            )
-        )
-        driver = SimFaultDriver(scenario, plan)
-        driver.install()
-        engine = scenario.engine
-        engine.run_until(engine.now + 0.2)
-        assert len(scenario.network.byzantine_ids()) == 4
-        engine.run_until(engine.now + 0.3)
-        assert scenario.network.byzantine_ids() == set()

@@ -45,18 +45,12 @@ def _install_byzantine(network, ids):
     return lambda: network.set_byzantine(ids[5], None)
 
 
-def _install_collusion(network, ids):
-    network.set_collusion(ids[7:10], drop_types=NEVER, mutate_types=NEVER)
-    return lambda: network.clear_collusion(ids[7:10])
-
-
 INERT_HOOKS = {
     "trace": _install_trace,
     "link-rule": _install_link_rule,
     "partition": _install_partition,
     "adversary": _install_adversary,
     "byzantine": _install_byzantine,
-    "collusion": _install_collusion,
 }
 
 
