@@ -18,6 +18,7 @@ _TRANSPORT_COUNTERS = (
     "frames_stale",
     "frames_malformed",
     "stale_handshakes",
+    "handshakes_refused",
     "frames_overflow",
     "frames_rejected",
     "frames_faulted",

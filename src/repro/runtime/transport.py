@@ -7,7 +7,10 @@ are ephemeral and useless as identities) and its **epoch**: the restart
 count of the process bound to that address.  Both sides send one: the
 dialer immediately after connecting, the acceptor in reply.  Every
 subsequent frame is an encoded message
-(:func:`repro.common.messages.encode_message`).
+(:func:`repro.common.messages.encode_message`).  Every inbound line is
+capped at :data:`MAX_FRAME_BYTES`, and an accepted connection that sends
+no valid hello within ``connect_timeout`` is closed
+(:attr:`handshakes_refused`).
 
 The epoch is how peers distinguish a restarted node from its predecessor
 when the address is reused.  The transport remembers the highest epoch it
@@ -81,6 +84,10 @@ SendGuard = Callable[[NodeId], bool]
 #: the network path (or was failed by the fault injector).
 SendObserver = Callable[[NodeId, bool], None]
 
+#: Longest inbound line (frame or hello) read, newline excluded: the
+#: ``limit`` of every stream this transport opens or accepts.
+MAX_FRAME_BYTES = 64 * 1024
+
 #: Never a message: the encode memo's initial key.
 _NOTHING = object()
 
@@ -153,7 +160,11 @@ class AsyncioTransport(Transport):
         self.frames_stale = 0
         #: Inbound handshakes rejected for claiming an outdated epoch.
         self.stale_handshakes = 0
-        #: Inbound lines dropped unread: over the stream's line limit (once
+        #: Inbound handshakes refused for their hello: none within
+        #: ``connect_timeout``, over :data:`MAX_FRAME_BYTES`, not JSON, or
+        #: bad fields.
+        self.handshakes_refused = 0
+        #: Inbound lines dropped unread: over :data:`MAX_FRAME_BYTES` (once
         #: per line, however many writes it spans), not JSON, or not a
         #: decodable message.
         self.frames_malformed = 0
@@ -260,17 +271,16 @@ class AsyncioTransport(Transport):
     async def start_server(self) -> None:
         """Listen on the local address (call before any protocol starts)."""
         self._server = await asyncio.start_server(
-            self._handle_incoming, self._local.host, self._local.port
+            self._handle_incoming, self._local.host, self._local.port, limit=MAX_FRAME_BYTES
         )
 
     async def close(self) -> None:
         """Tear everything down: server, pool, outboxes, background tasks."""
         self._closing = True
         self._watch_callbacks.clear()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
         for outbox in self._outboxes.values():
             outbox.task.cancel()
         self._outboxes.clear()
@@ -284,6 +294,10 @@ class AsyncioTransport(Transport):
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
         self._background.clear()
+        if server is not None:
+            # Last: from Python 3.12 this waits for every accepted socket to
+            # close, which the cancelled handshakes and readers did above.
+            await server.wait_closed()
 
     # ------------------------------------------------------------------
     # Outbound path
@@ -410,7 +424,8 @@ class AsyncioTransport(Transport):
 
     async def _dial(self, dst: NodeId) -> _Connection:
         reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(dst.host, dst.port), timeout=self._connect_timeout
+            asyncio.open_connection(dst.host, dst.port, limit=MAX_FRAME_BYTES),
+            timeout=self._connect_timeout,
         )
         hello = json.dumps({"hello": self._local.to_wire(), "epoch": self._epoch}) + "\n"
         try:
@@ -429,35 +444,45 @@ class AsyncioTransport(Transport):
     # ------------------------------------------------------------------
     # Inbound path
     # ------------------------------------------------------------------
-    async def _handle_incoming(self, reader, writer) -> None:
+    def _handle_incoming(self, reader, writer) -> None:
+        # A plain callback, so the handshake is a tracked task close() cancels.
+        self._spawn(self._handshake(reader, writer))
+
+    async def _handshake(self, reader, writer) -> None:
+        """Read the dialer's hello, reply with ours and pool the connection;
+        the socket is closed on every other way out."""
+        registered = False
         try:
-            hello_line = await reader.readline()
-            if not hello_line:
-                writer.close()
+            try:
+                hello_line = await asyncio.wait_for(reader.readline(), self._connect_timeout)
+                if not hello_line:
+                    return  # the dialer left before saying hello
+                hello = json.loads(hello_line)
+                peer = NodeId.from_wire(hello["hello"])
+                peer_epoch = int(hello.get("epoch", 0))
+            except (
+                asyncio.TimeoutError, KeyError, TypeError, ValueError, OverflowError, RecursionError
+            ):
+                # Silent, over MAX_FRAME_BYTES (readline's ValueError), not
+                # JSON, or bad fields: a peer this transport cannot identify.
+                self.handshakes_refused += 1
                 return
-            hello = json.loads(hello_line)
-            peer = NodeId.from_wire(hello["hello"])
-            peer_epoch = int(hello.get("epoch", 0))
-        except (KeyError, TypeError, ValueError, RecursionError, OSError):
-            writer.close()
-            return
-        if peer_epoch < self._peer_epochs.get(peer, 0):
-            # A handshake claiming an epoch this address has already moved
-            # past: the dead predecessor's half-open socket, or someone
-            # replaying its identity.  Refuse the connection entirely.
-            self.stale_handshakes += 1
-            writer.close()
-            return
-        self._note_epoch(peer, peer_epoch)
-        try:
+            if peer_epoch < self._peer_epochs.get(peer, 0):
+                # A handshake claiming an epoch this address has already moved
+                # past: the dead predecessor's half-open socket, or someone
+                # replaying its identity.  Refuse the connection entirely.
+                self.stale_handshakes += 1
+                return
+            self._note_epoch(peer, peer_epoch)
             reply = json.dumps({"hello": self._local.to_wire(), "epoch": self._epoch}) + "\n"
             writer.write(reply.encode("utf-8"))
             await writer.drain()
+            registered = self._register(_Connection(peer, reader, writer, epoch=peer_epoch))
         except (OSError, ConnectionError):
-            writer.close()
-            return
-        connection = _Connection(peer, reader, writer, epoch=peer_epoch)
-        self._register(connection)
+            pass
+        finally:
+            if not registered:
+                writer.close()
 
     def _note_epoch(self, peer: NodeId, epoch: int) -> None:
         """Record a claimed epoch; a *newer* one retires stale connections."""
@@ -500,9 +525,9 @@ class AsyncioTransport(Transport):
                 try:
                     line = await reader.readuntil(b"\n")
                 except asyncio.LimitOverrunError as exc:
-                    # A line over the stream's limit (64 KiB): the sender is
-                    # wrong, not gone.  Count it once and discard it through
-                    # its newline, however many writes its tail takes.
+                    # A line over MAX_FRAME_BYTES (the stream's limit): the
+                    # sender is wrong, not gone.  Count it once and discard it
+                    # through its newline, however many writes its tail takes.
                     if not oversize:
                         self.frames_malformed += 1
                         oversize = True
@@ -525,7 +550,7 @@ class AsyncioTransport(Transport):
                     # learn the peer's epoch, dispatch nothing.
                     try:
                         connection.epoch = int(payload.get("epoch", 0))
-                    except (TypeError, ValueError):
+                    except (TypeError, ValueError, OverflowError):
                         self.frames_malformed += 1
                         continue
                     self._note_epoch(connection.peer, connection.epoch)

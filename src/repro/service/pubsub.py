@@ -5,7 +5,7 @@ node); topics and clients are *multiplexed on top* of it.  One
 :class:`PubSubNode` per overlay process serves many lightweight
 :class:`PubSubClient` handles — this is how the reproduction serves "many
 users" without a socket per user: a client is a name, a token bucket and a
-set of bounded subscription queues, nothing more.
+set of subscriptions, each a bounded buffer and one reader, nothing more.
 
 The wire envelope is ``{"@topic": t, "@data": payload}`` carried as an
 ordinary broadcast payload, so every protocol stack the registry can build
@@ -15,7 +15,7 @@ Protection, per the bulkhead/limits playbook:
 
 * publishes spend a per-client :class:`~repro.service.limits.TokenBucket`
   token (over budget → :class:`~repro.common.errors.RateLimitedError`);
-* every subscription queue is bounded and sheds its *oldest* entry on
+* every subscription buffer is bounded and sheds its *oldest* entry on
   overflow (a slow reader lags, it does not grow the process);
 * a :class:`~repro.service.limits.PeerGuard` is installed on the node's
   transport, so sends to repeatedly-failing peers trip a circuit breaker
@@ -30,6 +30,7 @@ what the chaos latency histograms read.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, AsyncIterator, Optional
 
@@ -51,7 +52,7 @@ class ServiceConfig:
     publish_rate: float = 200.0
     #: ... and burst capacity.
     publish_burst: float = 50.0
-    #: Bound of each subscription's delivery queue (oldest shed first).
+    #: Bound of each subscription's delivery buffer (oldest shed first).
     subscriber_queue: int = 128
     #: Per-peer circuit-breaker tuning (see :class:`BreakerConfig`).
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
@@ -73,62 +74,49 @@ class TopicMessage:
 
 
 class Subscription:
-    """One client's bounded queue of messages on one topic."""
+    """One client's bounded buffer on one topic (full, it sheds its oldest
+    entry), read by one task; ``_waiter`` exists only while that task waits."""
 
-    __slots__ = ("topic", "client", "_node", "_queue", "_closed", "dropped")
-
-    _SENTINEL = object()
+    __slots__ = ("topic", "client", "_node", "_buffer", "_waiter", "_closed", "dropped")
 
     def __init__(self, node: "PubSubNode", topic: str, client: str, maxsize: int) -> None:
         self.topic = topic
         self.client = client
         self._node = node
-        self._queue: asyncio.Queue = asyncio.Queue(maxsize=maxsize)
+        self._buffer: deque = deque(maxlen=maxsize)
+        self._waiter: Optional[asyncio.Future] = None
         self._closed = False
         #: Messages shed because this subscriber was too slow to drain.
         self.dropped = 0
 
-    def _feed(self, message: TopicMessage) -> None:
-        if self._closed:
-            return
-        while self._queue.full():
-            # Shed the oldest entry: a lagging reader loses history, the
-            # process does not grow.
-            try:
-                self._queue.get_nowait()
-            except asyncio.QueueEmpty:  # pragma: no cover - race guard
-                break
-            self.dropped += 1
-            self._node.messages_dropped += 1
-        self._queue.put_nowait(message)
-
     def qsize(self) -> int:
-        return self._queue.qsize()
+        return len(self._buffer)
 
     async def get(self, timeout: Optional[float] = None) -> Optional[TopicMessage]:
-        """Next message; ``None`` on close or timeout."""
-        if self._closed and self._queue.empty():
-            return None
-        try:
-            if timeout is None:
-                item = await self._queue.get()
-            else:
-                item = await asyncio.wait_for(self._queue.get(), timeout)
-        except asyncio.TimeoutError:
-            return None
-        if item is Subscription._SENTINEL:
-            return None
-        return item
+        """Next message; ``None`` on close or timeout.  One reader at a
+        time: a second concurrent call raises :class:`ServiceError`."""
+        if self._waiter is not None:
+            raise ServiceError(f"subscription to {self.topic!r} already has a reader")
+        buffer = self._buffer
+        if not buffer and not self._closed:
+            waiter = self._waiter = asyncio.get_running_loop().create_future()
+            try:
+                await asyncio.wait_for(waiter, timeout)
+            except asyncio.TimeoutError:
+                pass
+            finally:
+                self._waiter = None
+        return buffer.popleft() if buffer else None
 
     def close(self) -> None:
+        """Stop deliveries; the reader gets what is buffered, then ``None``."""
         if self._closed:
             return
         self._closed = True
         self._node._drop_subscription(self)
-        try:
-            self._queue.put_nowait(Subscription._SENTINEL)
-        except asyncio.QueueFull:
-            pass  # a full queue already wakes the reader; _closed ends it
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
 
     def __aiter__(self) -> AsyncIterator[TopicMessage]:
         return self
@@ -192,7 +180,7 @@ class PubSubNode:
         self._attached = True
         self.messages_published = 0
         self.messages_delivered = 0
-        #: Subscriber-queue overflow sheds across all subscriptions.
+        #: Subscriber-buffer overflow sheds across all subscriptions.
         self.messages_dropped = 0
         #: Deliveries that carried no topic envelope (plain broadcasts).
         self.messages_ignored = 0
@@ -264,9 +252,20 @@ class PubSubNode:
         if not subscriptions:
             return
         message = TopicMessage(topic, payload.get(_DATA_KEY), message_id)
-        for subscription in list(subscriptions):
-            subscription._feed(message)
-            self.messages_delivered += 1
+        # Waking a reader only schedules it: the list cannot change mid-loop.
+        capacity = self.config.subscriber_queue
+        shed = 0
+        for subscription in subscriptions:
+            buffer = subscription._buffer
+            if len(buffer) == capacity:
+                subscription.dropped += 1  # the append drops the oldest
+                shed += 1
+            buffer.append(message)
+            waiter = subscription._waiter
+            if waiter is not None and not waiter.done():
+                waiter.set_result(None)
+        self.messages_delivered += len(subscriptions)
+        self.messages_dropped += shed
 
     def _drop_subscription(self, subscription: Subscription) -> None:
         subscriptions = self._subscriptions.get(subscription.topic)

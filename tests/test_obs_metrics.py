@@ -106,6 +106,7 @@ class TestCollectors:
             frames_stale = 0
             frames_malformed = 0
             stale_handshakes = 0
+            handshakes_refused = 0
             frames_overflow = 0
             frames_rejected = 0
             frames_faulted = 0

@@ -11,9 +11,13 @@ publish in flight across the crash/restart window.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import socket
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.common.ids import MessageId, NodeId
 from repro.common.messages import encode_message
@@ -21,7 +25,7 @@ from repro.core.config import HyParViewConfig
 from repro.gossip.messages import GossipData
 from repro.runtime.cluster import LocalCluster
 from repro.runtime.node import RuntimeNode
-from repro.runtime.transport import AsyncioTransport
+from repro.runtime.transport import MAX_FRAME_BYTES, AsyncioTransport
 
 CONFIG = HyParViewConfig(
     active_view_capacity=3,
@@ -56,6 +60,25 @@ async def _hello(port: int, claimed: NodeId, epoch: int):
     writer.write(frame.encode("utf-8"))
     await writer.drain()
     return reader, writer
+
+
+async def _listening(handler=lambda _peer, _message: None, **options) -> AsyncioTransport:
+    """An :class:`AsyncioTransport` serving on a free loopback port."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        address = NodeId("127.0.0.1", probe.getsockname()[1])
+    transport = AsyncioTransport(address, handler, **options)
+    await transport.start_server()
+    return transport
+
+
+def _complaints() -> list:
+    """Collect what the running loop would log as an unhandled error."""
+    complaints = []
+    asyncio.get_running_loop().set_exception_handler(
+        lambda _loop, context: complaints.append(context)
+    )
+    return complaints
 
 
 class TestEpochHandshake:
@@ -277,9 +300,7 @@ class TestHostileWireAndShutdown:
 
     def test_close_with_a_dial_in_flight_leaves_no_task_behind(self):
         async def scenario():
-            loop = asyncio.get_running_loop()
-            complaints = []
-            loop.set_exception_handler(lambda _loop, context: complaints.append(context))
+            complaints = _complaints()
             listener = RuntimeNode(config=CONFIG)
             await listener.start()
             tasks_before = asyncio.all_tasks()
@@ -296,6 +317,104 @@ class TestHostileWireAndShutdown:
             assert not dialer._connections and not dialer._background
             assert results == []  # a closing transport reports nothing
             await listener.stop()
+            assert complaints == []
+
+        run(scenario())
+
+    def test_silent_inbound_sockets_are_refused_after_connect_timeout(self):
+        async def scenario():
+            transport = await _listening(connect_timeout=0.2)
+            port = transport.local_address.port
+            silent = [await asyncio.open_connection("127.0.0.1", port) for _ in range(5)]
+            for reader, _writer in silent:
+                assert await reader.read() == b""  # closed, no reply hello
+            assert transport.handshakes_refused == 5
+            assert not transport._background  # no handshake task left
+            for _reader, writer in silent:
+                writer.close()
+            await transport.close()
+
+        run(scenario())
+
+    def test_close_with_a_silent_peer_attached_leaves_no_task_behind(self):
+        async def scenario():
+            complaints = _complaints()
+            tasks_before = asyncio.all_tasks()
+            transport = await _listening(connect_timeout=0.2)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", transport.local_address.port
+            )
+            assert await wait_until(lambda: transport._background, interval=0.01)
+            await transport.close()  # the handshake is still waiting for a hello
+            assert asyncio.all_tasks() == tasks_before
+            assert await reader.read() == b""
+            assert transport.handshakes_refused == 0  # cancelled, not refused
+            writer.close()
+            gc.collect()
+            await asyncio.sleep(0)
+            assert complaints == []
+
+        run(scenario())
+
+    def test_frame_cap_delivers_a_line_at_the_cap_and_drops_one_past_it(self):
+        async def scenario():
+            received = []
+            transport = await _listening(lambda _peer, message: received.append(message))
+            ghost = NodeId("127.0.0.1", 45994)
+            _reader, writer = await _hello(transport.local_address.port, ghost, epoch=0)
+
+            def line(sequence: int, size: int) -> bytes:
+                bare = GossipData(MessageId(ghost, sequence), "", 1, ghost)
+                pad = size - len(json.dumps(encode_message(bare)))
+                padded = GossipData(MessageId(ghost, sequence), "x" * pad, 1, ghost)
+                frame = json.dumps(encode_message(padded)).encode()
+                assert len(frame) == size
+                return frame + b"\n"
+
+            writer.write(line(1, MAX_FRAME_BYTES))
+            writer.write(line(2, MAX_FRAME_BYTES + 1))
+            writer.write(line(3, 1000))
+            await writer.drain()
+            assert await wait_until(lambda: len(received) == 2)
+            assert [m.message_id.sequence for m in received] == [1, 3]
+            assert transport.frames_malformed == 1
+            writer.close()
+            await transport.close()
+
+        run(scenario())
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.binary(max_size=256))
+    @example(b"x" * (MAX_FRAME_BYTES + 1))  # over the frame cap
+    @example(b'{"hello": ["127.0.0.1", 1e999]}')  # int(inf): OverflowError
+    @example(b'{"hello": ["127.0.0.1", 9], "epoch": 1e999}')
+    @example(b'{"hello": "127.0.0.1:9"}')
+    @example(b'{"epoch": 0}')
+    @example(b"[" * 5000)
+    def test_any_invalid_hello_is_refused_counted_and_survived(self, hello_line):
+        async def scenario():
+            complaints = _complaints()
+            transport = await _listening()
+            port = transport.local_address.port
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write(hello_line + b"\n")
+                await writer.drain()
+                reply = await reader.read()
+            except ConnectionResetError:  # closed with our bytes still unread
+                reply = b""
+            assert reply == b""
+            assert transport.handshakes_refused == 1
+            writer.close()
+            # A well-formed peer is still served.
+            good_reader, good_writer = await _hello(port, NodeId("127.0.0.1", 45993), epoch=0)
+            assert json.loads(await good_reader.readline()) == {
+                "hello": transport.local_address.to_wire(), "epoch": 0,
+            }
+            good_writer.close()
+            await transport.close()
+            gc.collect()
+            await asyncio.sleep(0)
             assert complaints == []
 
         run(scenario())

@@ -101,13 +101,13 @@ class TestPubSubNode:
             )
             facade = service.facade(0)
             subscription = facade.subscribe("firehose")
-            for n in range(4):  # local self-delivery fills the queue
+            for n in range(4):  # local self-delivery fills the buffer
                 facade.publish("firehose", n)
             await asyncio.sleep(0.1)
-            assert subscription.dropped >= 1
-            assert subscription.qsize() <= 2
+            assert subscription.dropped == 2
+            assert subscription.qsize() == 2
             first = await subscription.get(timeout=1.0)
-            assert first.payload >= 1  # the oldest entries were shed
+            assert first.payload == 2  # the two oldest were shed
             assert service.total_dropped() == subscription.dropped
             service.detach()
             await cluster.stop()
@@ -145,6 +145,95 @@ class TestPubSubNode:
             await cluster.stop()
 
         run(scenario())
+
+
+async def _single_facade(scenario) -> None:
+    """Run ``scenario(facade)`` against one facade of a started 2-node cluster."""
+    cluster = LocalCluster(2, config=CONFIG)
+    await cluster.start()
+    facade = PubSubNode(cluster.nodes[0])
+    try:
+        await scenario(facade)
+    finally:
+        facade.detach()
+        await cluster.stop()
+
+
+async def _parked(subscription) -> asyncio.Task:
+    """A task reading ``subscription``, run until it waits on an empty buffer."""
+    reader = asyncio.create_task(subscription.get())
+    while subscription._waiter is None:
+        await asyncio.sleep(0)
+    return reader
+
+
+async def _buffered(subscription, count: int) -> int:
+    """Wait until ``subscription`` buffers ``count`` messages; returns its size."""
+    deadline = asyncio.get_running_loop().time() + 2.0
+    while subscription.qsize() < count and asyncio.get_running_loop().time() < deadline:
+        await asyncio.sleep(0.01)
+    return subscription.qsize()
+
+
+class TestSubscriptionContract:
+    """One bounded buffer and one reader per subscription."""
+
+    def test_cancelled_reader_does_not_break_the_next_delivery(self):
+        async def scenario(facade):
+            abandoned = facade.subscribe("t")
+            others = [facade.subscribe("t") for _ in range(3)]
+            reader = await _parked(abandoned)
+            reader.cancel()
+            facade.publish("t", "next")  # before the cancelled reader runs again
+            await asyncio.gather(reader, return_exceptions=True)
+            assert reader.cancelled()
+            for subscription in [*others, abandoned]:
+                assert (await subscription.get(timeout=1.0)).payload == "next"
+
+        run(_single_facade(scenario))
+
+    def test_timed_out_get_consumes_nothing(self):
+        async def scenario(facade):
+            subscription = facade.subscribe("t")
+            assert await subscription.get(timeout=0.05) is None
+            facade.publish("t", "later")
+            assert (await subscription.get(timeout=1.0)).payload == "later"
+
+        run(_single_facade(scenario))
+
+    def test_close_returns_buffered_messages_then_none(self):
+        async def scenario(facade):
+            subscription = facade.subscribe("t")
+            facade.publish("t", 1)
+            facade.publish("t", 2)
+            assert await _buffered(subscription, 2) == 2
+            subscription.close()
+            facade.publish("t", 3)  # after close: not delivered
+            assert [(await subscription.get()).payload for _ in range(2)] == [1, 2]
+            assert await subscription.get() is None
+            assert [m.payload async for m in subscription] == []
+
+        run(_single_facade(scenario))
+
+    def test_close_wakes_a_parked_reader(self):
+        async def scenario(facade):
+            subscription = facade.subscribe("t")
+            reader = await _parked(subscription)
+            subscription.close()
+            assert await asyncio.wait_for(reader, 1.0) is None
+
+        run(_single_facade(scenario))
+
+    def test_second_concurrent_reader_raises(self):
+        async def scenario(facade):
+            subscription = facade.subscribe("t")
+            reader = await _parked(subscription)
+            with pytest.raises(ServiceError, match="already has a reader"):
+                await subscription.get(timeout=0.05)
+            facade.publish("t", "first reader's")
+            assert (await asyncio.wait_for(reader, 1.0)).payload == "first reader's"
+
+        run(_single_facade(scenario))
 
 
 class TestPubSubCluster:
@@ -202,13 +291,18 @@ class TestClusterMetrics:
 
             cluster = LocalCluster(2, config=CONFIG)
             await cluster.start()
-            service = PubSubCluster(cluster)
+            service = PubSubCluster(cluster, config=ServiceConfig(subscriber_queue=2))
             registry = service.metrics_registry()
             assert service.metrics_registry() is registry  # cached
             subscription = service.subscribe(1, "t", client="c1")
             message_id = service.publish(0, "t", {"n": 1})
             await cluster.wait_for_delivery(message_id, 2)
             assert (await subscription.get(timeout=2.0)).payload == {"n": 1}
+            # A subscriber that never reads: k = 5 messages at capacity 2.
+            idle = service.subscribe(1, "firehose", client="idle")
+            for n in range(5):
+                await cluster.wait_for_delivery(service.publish(0, "firehose", n), 2)
+            assert idle.dropped == service.total_dropped() == 3
 
             server = await MetricsServer(registry).start()
             try:
@@ -238,6 +332,12 @@ class TestClusterMetrics:
             if line.startswith("repro_service_published_total{")
         ]
         assert sum(float(line.split()[-1]) for line in published) >= 1
+        dropped = [
+            line
+            for line in body.splitlines()
+            if line.startswith("repro_service_dropped_total{")
+        ]
+        assert sum(float(line.split()[-1]) for line in dropped) == 3
 
 
 class TestServiceBenchArtifacts:
