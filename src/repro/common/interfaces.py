@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .ids import NodeId
 from .messages import Message
@@ -93,6 +93,18 @@ class Transport(ABC):
         on_failure: Optional[FailureCallback] = None,
     ) -> None:
         """Send ``message`` to ``dst`` (see class docstring for semantics)."""
+
+    def send_all(
+        self,
+        dsts: Sequence[NodeId],
+        message: Message,
+        on_failure: Optional[FailureCallback] = None,
+    ) -> None:
+        """Send ``message`` to every node in ``dsts``, in order: the same as
+        one :meth:`send` per destination, which is all this default does.
+        A substrate may make the fan-out cheaper, never different."""
+        for dst in dsts:
+            self.send(dst, message, on_failure)
 
     @abstractmethod
     def probe(self, dst: NodeId, on_result: ProbeCallback) -> None:

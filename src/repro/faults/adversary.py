@@ -3,8 +3,8 @@ honest and both fault drivers edit the node itself, through this module.
 
 An ``AdversaryEvent`` swaps the ignored types' entries in the node's handler
 table for a counting dropper (the frame was accepted: a reliable sender sees
-success).  A ``MutationEvent`` swaps the node's send entry point for one
-that rewrites the targeted payloads or vote digests, per ``(sender,
+success).  A ``MutationEvent`` swaps the node's send entry points for ones
+that rewrite the targeted payloads or vote digests, per ``(sender,
 message)`` by a pure hash, or per destination from the RNG when
 equivocating.  Honest nodes pay nothing; a restarted process is honest; a
 node misbehaves as the union of its open windows.  A trace sink sees
@@ -105,17 +105,19 @@ class Misbehaviour:
         return drop
 
     def _corrupting(self, node, victim: _Victim, honest):
-        """``honest``, a ``(src, dst, message, on_failure)`` send, behind the
-        victim's corruption."""
+        """``honest``, a ``(src, dsts, message, on_failure)`` fan-out, behind
+        the victim's corruption: a targeted type leaves as one corrupted
+        copy per destination, each followed by its ``mutate-byz``."""
 
-        def send(src, dst, message, on_failure) -> None:
+        def send_all(src, dsts, message, on_failure) -> None:
             equivocate = victim.mutate.get(type(message).__name__)
             if equivocate is None:
-                return honest(src, dst, message, on_failure)
-            honest(src, dst, self._corrupt(src, message, equivocate), on_failure)
-            self._record(node, "mutate-byz", src, dst, message)
+                return honest(src, dsts, message, on_failure)
+            for dst in dsts:
+                honest(src, (dst,), self._corrupt(src, message, equivocate), on_failure)
+                self._record(node, "mutate-byz", src, dst, message)
 
-        return send
+        return send_all
 
     def _corrupt(self, src, message, equivocate: bool):
         if equivocate:
@@ -135,8 +137,9 @@ class Misbehaviour:
 
 
 class SimMisbehaviour(Misbehaviour):
-    """On :class:`~repro.sim.node.SimNode`: the send slot is the transport's
-    pre-bound ``_network_send``, which ``SimNode.reset()`` rebinds."""
+    """On :class:`~repro.sim.node.SimNode`: the send slots are the transport's
+    pre-bound ``_network_send`` and ``_network_send_all``, which
+    ``SimNode.reset()`` rebinds."""
 
     def _incarnation(self, node):
         return node.generation if node.alive else None
@@ -146,10 +149,14 @@ class SimMisbehaviour(Misbehaviour):
             node.network.trace.record(node.network.engine.now, kind, src, dst, message)
 
     def _bind_send(self, node, victim) -> None:
-        node.transport._network_send = self._corrupting(node, victim, node.network.send)
+        send_all = self._corrupting(node, victim, node.network.send_all)
+        node.transport._network_send_all = send_all
+        node.transport._network_send = lambda src, dst, message, on_failure: send_all(
+            src, (dst,), message, on_failure
+        )
 
     def _unbind_send(self, node) -> None:
-        node.transport._network_send = node.network.send
+        node.transport.bind_honest_sends()
 
 
 class LiveMisbehaviour(Misbehaviour):
@@ -165,9 +172,15 @@ class LiveMisbehaviour(Misbehaviour):
 
     def _bind_send(self, node, victim) -> None:
         honest = node.transport.send
-        send = self._corrupting(node, victim, lambda _src, *frame: honest(*frame))
-        node.transport.send = lambda dst, message, on_failure=None: send(
-            node.node_id, dst, message, on_failure
+
+        def honest_all(_src, dsts, message, on_failure) -> None:
+            for dst in dsts:
+                honest(dst, message, on_failure)
+
+        send_all = self._corrupting(node, victim, honest_all)
+        # Transport.send_all loops over this instance-level send.
+        node.transport.send = lambda dst, message, on_failure=None: send_all(
+            node.node_id, (dst,), message, on_failure
         )
 
     def _unbind_send(self, node) -> None:

@@ -68,11 +68,7 @@ class FloodBroadcast(BroadcastLayer):
         if not targets:
             return
         message = GossipData(message_id, payload, hops, self.address)
-        # Bound once per fan-out rather than looked up through Host per copy.
-        send = self._host.transport.send
-        on_failure = self._on_send_failure
-        for target in targets:
-            send(target, message, on_failure)
+        self._host.transport.send_all(targets, message, self._on_send_failure)
         self._record_transmissions(message_id, len(targets))
 
     # ------------------------------------------------------------------
@@ -106,6 +102,5 @@ class FloodBroadcast(BroadcastLayer):
             return
         already.update(fresh)
         message = GossipData(message_id, payload, hops, self.address)
-        for target in fresh:
-            self._host.send(target, message, on_failure=self._on_send_failure)
+        self._host.transport.send_all(fresh, message, self._on_send_failure)
         self._record_transmissions(message_id, len(fresh))

@@ -31,6 +31,17 @@ expiry) recomputes the flag, and delivery reads the trace sink afresh, so a
 frame in flight when a sink is attached is still recorded.  Either way the
 path makes the same RNG draws and event posts: inert hooks and empty fault
 plans leave artifacts byte-identical.
+
+**One event per fan-out.**  A flood node forwards each message to its whole
+active view (Section 4.1) through ``send_all``: the same per-copy steps, in
+destination order, but the copies that arrive at one instant share one
+kernel event, posted at the first copy's place in its bucket; its callback
+walks them in send order.  Nothing else posts while ``send_all`` runs, so
+the other copies would have sat right behind the first anyway: handlers run
+in the same order at the same times.  With constant latency that is one
+event per fan-out instead of one per copy; only ``Engine.processed`` (and
+the kernel events/s derived from it) counts less.  The hooked path groups
+the same way, so hooks stay unobservable.
 """
 
 from __future__ import annotations
@@ -406,42 +417,104 @@ class Network:
             else:
                 self._post(delay, self._deliver, src, dst, message)
             return
-        trace = self._trace
-        if trace is not None:
-            trace.record(self.engine.now, "send", src, dst, message)
-        delay = self.latency.delay(src, dst, self._rng)
-        duplicates = 0
-        if self._link_rules:
-            delay, dropped, duplicates = self._degrade(src, dst, delay, on_failure is not None)
-            if dropped:
-                stats.dropped_fault += 1
-                if trace is not None:
-                    trace.record(self.engine.now, "drop-fault", src, dst, message)
-                return
-        post = self._post
-        if on_failure is not None:
-            if self.reachable(src, dst):
-                post(delay, self._deliver, src, dst, message, on_failure)
+        self._send_hooked(src, (dst,), message, on_failure)
+
+    def send_all(
+        self,
+        src: NodeId,
+        dsts: Sequence[NodeId],
+        message: Message,
+        on_failure: Optional[FailureCallback] = None,
+    ) -> None:
+        """Send ``message`` from ``src`` to every node in ``dsts``: to any
+        observer, :meth:`send` once per destination, in order; to the
+        kernel, one event per arrival instant (module docstring)."""
+        if not dsts:
+            return  # and leave no zero entry in messages_by_type
+        stats = self.stats
+        stats.sent += len(dsts)
+        stats.messages_by_type[type(message).__name__] += len(dsts)
+        if self._hooked:
+            self._send_hooked(src, dsts, message, on_failure)
+            return
+        # The straight line once per copy; copies are grouped by arrival.
+        now = self.engine.now
+        delay_of = self.latency.delay
+        rng = self._rng
+        alive = self._alive
+        loss_rate = self.loss_rate
+        arrivals: dict[float, list] = {}
+        for dst in dsts:
+            delay = delay_of(src, dst, rng)
+            if on_failure is not None:
+                reachable = dst in alive
+            elif dst not in alive:
+                stats.dropped_dead += 1
+                continue
+            elif loss_rate > 0.0 and rng.random() < loss_rate:
+                stats.dropped_loss += 1
+                continue
             else:
-                # TCP reset / connect failure: the sender learns after one
-                # network delay that the peer is gone.
-                post(delay, self._notify_failure, src, dst, message, on_failure)
-            return
-        if not self.reachable(src, dst):
-            stats.dropped_dead += 1
+                reachable = True
+            group = arrivals.get(now + delay)
+            if group is None:
+                group = arrivals[now + delay] = []
+                self._post(delay, self._deliver_all, src, message, on_failure, group)
+            if not reachable:
+                group.append(None)  # see _deliver_all
+            group.append(dst)
+
+    def _send_hooked(
+        self,
+        src: NodeId,
+        dsts: Sequence[NodeId],
+        message: Message,
+        on_failure: Optional[FailureCallback],
+    ) -> None:
+        """The per-copy steps of :meth:`send` and :meth:`send_all` (which
+        counted the copies) while a hook is installed, grouped as
+        :meth:`send_all` groups them."""
+        stats = self.stats
+        now = self.engine.now
+        trace = self._trace
+        reliable = on_failure is not None
+        arrivals: dict[float, list] = {}
+        for dst in dsts:
             if trace is not None:
-                trace.record(self.engine.now, "drop-dead", src, dst, message)
-            return
-        if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
-            stats.dropped_loss += 1
-            if trace is not None:
-                trace.record(self.engine.now, "drop-loss", src, dst, message)
-            return
-        post(delay, self._deliver, src, dst, message)
-        for _ in range(duplicates):
-            stats.duplicated_fault += 1
-            extra = delay * (1.0 + self._fault_rng.random())
-            post(extra, self._deliver, src, dst, message)
+                trace.record(now, "send", src, dst, message)
+            delay = self.latency.delay(src, dst, self._rng)
+            duplicates = 0
+            if self._link_rules:
+                delay, dropped, duplicates = self._degrade(src, dst, delay, reliable)
+                if dropped:
+                    stats.dropped_fault += 1
+                    if trace is not None:
+                        trace.record(now, "drop-fault", src, dst, message)
+                    continue
+            reachable = self.reachable(src, dst)
+            if not reliable:
+                if not reachable:
+                    stats.dropped_dead += 1
+                    if trace is not None:
+                        trace.record(now, "drop-dead", src, dst, message)
+                    continue
+                if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
+                    stats.dropped_loss += 1
+                    if trace is not None:
+                        trace.record(now, "drop-loss", src, dst, message)
+                    continue
+            delays = [delay]
+            for _ in range(duplicates):
+                stats.duplicated_fault += 1
+                delays.append(delay * (1.0 + self._fault_rng.random()))
+            for delay in delays:
+                group = arrivals.get(now + delay)
+                if group is None:
+                    group = arrivals[now + delay] = []
+                    self._post(delay, self._deliver_all, src, message, on_failure, group)
+                if not reachable:
+                    group.append(None)
+                group.append(dst)
 
     def watch(self, src: NodeId, dst: NodeId, on_down: Callable[[NodeId], None]) -> None:
         """``src`` holds an open connection to ``dst`` (Transport.watch).
@@ -510,6 +583,39 @@ class Network:
             self._nodes[dst].deliver(message)  # counts it as unhandled
         else:
             handler(message)
+
+    def _deliver_all(
+        self,
+        src: NodeId,
+        message: Message,
+        on_failure: Optional[FailureCallback],
+        arrivals: list,
+    ) -> None:
+        """The copies of one fan-out that arrive now, in send order, each
+        met as :meth:`_deliver` meets a lone frame (inlined: this runs once
+        per flood copy).  ``None`` marks a copy whose destination was
+        unreachable at send time: its sender learns now (TCP reset)."""
+        alive = self._alive
+        trace = self._trace
+        stats = self.stats
+        kind = type(message)
+        copies = iter(arrivals)
+        for dst in copies:
+            if dst is None:
+                self._notify_failure(src, next(copies), message, on_failure)
+                continue
+            handlers = alive.get(dst)
+            if handlers is None:
+                self._deliver(src, dst, message, on_failure)  # the peer died in flight
+                continue
+            if trace is not None:
+                trace.record(self.engine.now, "deliver", src, dst, message)
+            stats.delivered += 1
+            handler = handlers.get(kind)
+            if handler is None:
+                self._nodes[dst].deliver(message)  # counts it as unhandled
+            else:
+                handler(message)
 
     def _notify_failure(
         self,

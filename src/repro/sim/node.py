@@ -70,14 +70,14 @@ class SimNode:
     def reset(self) -> None:
         """Discard the protocol stack (a crashed process restarting fresh).
 
-        Handlers and protocol slots are cleared, the send entry point is
+        Handlers and protocol slots are cleared, the send entry points are
         rebound (a Byzantine predecessor's corruption dies with it) and the
         incarnation counter advances; the caller wires a new stack and
         re-joins the overlay.
         """
         self._handlers.clear()
         self._protocols.clear()
-        self.transport._network_send = self.network.send
+        self.transport.bind_honest_sends()
         self.generation += 1
 
     # ------------------------------------------------------------------

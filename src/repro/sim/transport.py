@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from ..common.ids import NodeId
 from ..common.interfaces import FailureCallback, ProbeCallback, Transport
@@ -18,17 +18,24 @@ class SimTransport(Transport):
     about one implementation.
     """
 
-    __slots__ = ("_network", "_local", "_network_send", "_network_probe")
+    __slots__ = ("_network", "_local", "_network_send", "_network_send_all", "_network_probe")
 
     def __init__(self, network: Network, local: NodeId) -> None:
         self._network = network
         self._local = local
         # Pre-bound network methods.  On CPython 3.11 a plain method call
-        # measures the same; they stay because the two objects per node are
+        # measures the same; they stay because the objects per node are
         # part of what a thaw allocates, and peak RSS over back-to-back
         # thaws is sensitive to that count (ROADMAP item 2).
-        self._network_send = network.send
         self._network_probe = network.probe
+        self.bind_honest_sends()
+
+    def bind_honest_sends(self) -> None:
+        """Point both send slots at the network itself.  A corrupting host
+        swaps them (:mod:`repro.faults.adversary`); a restart or the end of
+        its window calls this."""
+        self._network_send = self._network.send
+        self._network_send_all = self._network.send_all
 
     @property
     def local_address(self) -> NodeId:
@@ -41,6 +48,14 @@ class SimTransport(Transport):
         on_failure: Optional[FailureCallback] = None,
     ) -> None:
         self._network_send(self._local, dst, message, on_failure)
+
+    def send_all(
+        self,
+        dsts: Sequence[NodeId],
+        message: Message,
+        on_failure: Optional[FailureCallback] = None,
+    ) -> None:
+        self._network_send_all(self._local, dsts, message, on_failure)
 
     def probe(self, dst: NodeId, on_result: ProbeCallback) -> None:
         self._network_probe(self._local, dst, on_result)

@@ -548,6 +548,13 @@ class TestByzantineVocabulary:
         assert plan.min_population == 6
 
 
+class _Payloads(dict):
+    """Delivery recorder: node id -> the value it delivered last."""
+
+    def note(self, node_id, _message_id, payload) -> None:
+        self[node_id] = payload
+
+
 class TestMisbehavingHosts:
     """Adversaries and Byzantine senders live on the node (its handler table
     and its send slot), never in the network."""
@@ -616,6 +623,30 @@ class TestMisbehavingHosts:
         scenario.revive_node(victim)
         assert victim not in hosts.corrupted_ids()
         assert scenario.nodes[victim].transport._network_send == scenario.network.send
+
+    def test_corrupted_flood_node_corrupts_every_fan_out_copy(self):
+        """A flood node sends its k copies as one fan-out: under a mutation
+        window every copy leaves corrupted, so every other node delivers the
+        wrong value; after a restart the node floods honestly again."""
+        scenario = _tiny_base()
+        hosts = _hosts(scenario)
+        origin = scenario.node_ids[0]
+        node = scenario.nodes[origin]
+        delivered = _Payloads()
+        scenario.set_delivery_recorder(delivered)
+        hosts.apply(MutationEvent(at=0.0, count=1, target_types=("GossipData",)), [node])
+        fan_out = len(scenario.membership(origin).active_members())
+        assert scenario.send_broadcast(origin, payload="honest").reliability == 1.0
+        assert hosts.mutated_byz == fan_out > 1
+        assert delivered.pop(origin) == "honest"
+        assert {value[0] for value in delivered.values()} == {"byz"}
+        scenario.fail_nodes([origin])
+        scenario.revive_node(origin)
+        assert node.transport._network_send_all == scenario.network.send_all
+        delivered.clear()
+        scenario.send_broadcast(origin, payload="honest")
+        assert hosts.mutated_byz == fan_out
+        assert set(delivered.values()) == {"honest"}
 
     def test_victim_revived_inside_its_window_stays_honest(self):
         """A corrupted victim that crashes and restarts before ``until`` is a

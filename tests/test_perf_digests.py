@@ -23,7 +23,9 @@ PINNED = {
     "sim_flood_stable": (
         "0f9949073c8468fa55cc42975dd3c3574d717bc32711627dbfbe367868f2ef1e",
         {
-            "sim.engine.events_per_op": 196_800,
+            # One kernel event per flood fan-out, not per copy (was 196 800,
+            # the frame count): the same frames, handlers and digest.
+            "sim.engine.events_per_op": 49_152,
             "sim.network.sends_per_op": 196_800,
             "sim.network.delivered_per_op": 196_800,
             "sim.network.send_failures_per_op": 0,
@@ -34,7 +36,7 @@ PINNED = {
     "sim_heal_episodes": (
         "9faaa6d3b18273655e4852af8de13d649a8b7832a5f87364f86325dd1423af42",
         {
-            "sim.engine.events_per_op": 153_559,
+            "sim.engine.events_per_op": 100_355,  # 153 559 with an event per flood copy
             "sim.network.sends_per_op": 126_923,
             "sim.network.delivered_per_op": 126_909,
             "sim.network.send_failures_per_op": 14,

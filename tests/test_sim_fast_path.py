@@ -1,19 +1,28 @@
 """One behaviour, two speeds: ``Network``'s unhooked straight line and its
-hooked path must be indistinguishable from outside, and the work one flood
-costs is pinned exactly so a slower path cannot hide behind timing noise.
+hooked path must be indistinguishable from outside, so must one fan-out and
+a send per destination, and the work one flood costs is pinned exactly so a
+slower path cannot hide behind timing noise.
 Misbehaving hosts never hook the network: an inert one changes nothing and
 leaves the straight line in place.  (Frames in flight when a hook arrives:
 ``test_sim_network.py``.)"""
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 from conftest import FrameLog
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.common.ids import NodeId
+from repro.common.messages import Message, register_message
+from repro.common.rng import SeedSequence
 from repro.experiments import ExperimentParams, Scenario
 from repro.faults.adversary import SimMisbehaviour
 from repro.faults.plan import AdversaryEvent, MutationEvent
-from repro.sim.network import LinkFaultRule
+from repro.sim.engine import Engine
+from repro.sim.latency import ConstantLatency, ZonedLatency
+from repro.sim.network import LinkFaultRule, Network
+from repro.sim.node import SimNode
 from repro.testing import check_acked_channel_quiescent
 
 NEVER = ("NoSuchMessageType",)
@@ -120,6 +129,102 @@ def test_inert_hook_changes_nothing_observable(base, hook):
     assert _drive(blob, install, hooks) == unhooked
 
 
+@register_message("test.fanout")
+@dataclass(frozen=True, slots=True)
+class Fanned(Message):
+    value: int
+
+
+@st.composite
+def fan_out_cases(draw):
+    """A small world (4-12 nodes) and one fan-out from node 0: destinations
+    with repeats; dead, partitioned, lossy and duplicating links; crashes and
+    restarts while copies are in flight; constant or zoned latency (a few
+    zones without jitter, so copies share arrival times); datagram or
+    reliable; traced or not."""
+    n = draw(st.integers(4, 12))
+    nodes = st.integers(0, n - 1)
+    # Partitions and link rules come up one time in four each, so most cases
+    # leave the network unhooked (or only traced).
+    unhooked = st.sampled_from([None, None, None])
+    rule = draw(unhooked | st.fixed_dictionaries({
+        "loss_rate": st.sampled_from([0.0, 0.3]),
+        "duplicate_rate": st.sampled_from([0.0, 0.5, 1.0]),
+        "extra_latency": st.sampled_from([(0.0, 0.0), (0.0, 0.02)]),
+        "link_fraction": st.sampled_from([0.5, 1.0]),
+        "selector_seed": st.integers(0, 3),
+    }))
+    return {
+        "n": n,
+        "dsts": draw(st.lists(nodes, max_size=10)),
+        "dead": draw(st.sets(nodes, max_size=n // 2)),
+        "partition": draw(unhooked | st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+        "rule": rule,
+        "churn": draw(st.lists(st.tuples(
+            st.sampled_from([0.004, 0.01, 0.05]), nodes, st.booleans()), max_size=3)),
+        "latency": draw(st.sampled_from(["constant", "zoned", "zoned-jitter"])),
+        "loss_rate": draw(st.sampled_from([0.0, 0.3])),
+        "reliable": draw(st.booleans()),
+        "traced": draw(st.booleans()),
+    }
+
+
+def _fan_out_run(case, fan_out):
+    latency = {
+        "constant": ConstantLatency(),
+        "zoned": ZonedLatency(zones=2, jitter=0.0),
+        "zoned-jitter": ZonedLatency(zones=2),
+    }[case["latency"]]
+    engine = Engine()
+    engine.run_until(1 / 3)  # arrival times are sums, not the bare delays
+    network = Network(engine, latency=latency, seeds=SeedSequence(7), loss_rate=case["loss_rate"])
+    ids = [NodeId(f"n{index}", 1) for index in range(case["n"])]
+    log = []
+    for node_id in ids:
+        SimNode(node_id, network).register_handler(
+            Fanned, lambda message, to=node_id: log.append((engine.now, "deliver", to, message))
+        )
+    trace = FrameLog() if case["traced"] else None
+    network.trace = trace
+    for index in case["dead"]:
+        network.fail(ids[index])
+    if case["partition"] is not None:
+        sides = case["partition"]
+        network.set_partitions([[ids[i] for i, side in enumerate(sides) if side == g] for g in (0, 1)])
+    if case["rule"] is not None:
+        network.add_link_rule(LinkFaultRule(**case["rule"]))
+    for at, index, up in case["churn"]:
+        engine.schedule(at, network.recover if up else network.fail, ids[index])
+
+    def failed(peer, message):
+        log.append((engine.now, "failure", peer, message))
+
+    on_failure = failed if case["reliable"] else None
+    dsts = [ids[index] for index in case["dsts"]]
+    if fan_out:
+        network.send_all(ids[0], dsts, Fanned(1), on_failure)
+    else:
+        for dst in dsts:
+            network.send(ids[0], dst, Fanned(1), on_failure)
+    engine.run_until_idle()
+    fault_words = network._fault_rng.words_consumed if network._fault_rng else None
+    return log, network.stats.snapshot(), network._rng.words_consumed, fault_words, trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(fan_out_cases())
+def test_fan_out_matches_a_send_per_destination(case):
+    """``Network.send_all`` is one kernel event per arrival instant, yet from
+    outside it is a ``send`` per destination: handlers run in the same order
+    at the same times, and every stat, RNG word and trace record agrees.
+    A sink only records, so a traced fan-out must also match the untraced
+    loop, which takes ``send``'s straight line unless a fault hooks it."""
+    fanned = _fan_out_run(case, True)
+    assert fanned == _fan_out_run(case, False)
+    if case["traced"]:
+        assert fanned[:-1] == _fan_out_run({**case, "traced": False}, False)[:-1]
+
+
 def _work(scenario):
     """Everything the simulator counts exactly: events fired, frames by fate,
     and 32-bit RNG words drawn so far, per family of streams."""
@@ -154,10 +259,12 @@ def test_flood_work_is_pinned_exactly():
     summaries = scenario.send_broadcasts(20)
     assert all(summary.reliability == 1.0 for summary in summaries)
     floods = {key: value - before[key] for key, value in _work(scenario).items()}
-    # 257 frames per flood: one event each, every one delivered, none redrawn;
-    # the only randomness is the harness choosing twenty origins.
+    # 257 frames per flood, every one delivered, none redrawn; one event per
+    # fan-out (64 per flood: each node forwards once, and every copy of a
+    # fan-out arrives at one instant); the only randomness is the harness
+    # choosing twenty origins.
     assert floods == {
-        "events": 20 * 257,
+        "events": 20 * 64,
         "sent": 20 * 257,
         "delivered": 20 * 257,
         "send_failures": 0,
@@ -196,7 +303,7 @@ def test_membership_work_is_pinned_exactly():
     assert all(summary.reliability == 1.0 for summary in summaries)
     episode = {key: value - setup[key] for key, value in _work(scenario).items()}
     assert episode == {
-        "events": 6718,
+        "events": 5588,  # 6718 with one event per flood copy
         "sent": 5027,
         "delivered": 5026,
         "send_failures": 1,
