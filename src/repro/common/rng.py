@@ -11,11 +11,11 @@ Streams are :class:`StreamRandom` instances: Mersenne-Twister generators
 that *count the 32-bit words they consume* and pickle as the two-integer
 pair ``(seed, words_consumed)`` instead of the full 624-word MT state
 (~2.5 KB per stream).  A scenario snapshot therefore carries ~60 bytes per
-stream, and a rehydrated stream lazily fast-forwards to the exact same
-state on its first draw — same state, same future draws, byte-identical
-experiment results.  This is what keeps ``Scenario.freeze()`` blobs small
-at paper scale (three streams per node × 10 000 nodes used to dominate
-the snapshot cache).
+stream, and a rehydrated stream lazily seeds and fast-forwards to the
+exact same state on its first draw — same state, same future draws,
+byte-identical experiment results.  This is what keeps
+``Scenario.freeze()`` blobs small at paper scale (three streams per node ×
+10 000 nodes used to dominate the snapshot cache).
 
 The counting is exact because MT19937 is a stream of 32-bit words and
 every public drawing method of :class:`random.Random` funnels through the
@@ -45,15 +45,15 @@ _SKIP_WORDS = 4096
 def _replay_stream(seed: int, words: int) -> "StreamRandom":
     """Unpickling hook: rebuild a stream as (seed, fast-forward distance).
 
-    The fast-forward itself is deferred to the stream's first draw, so
-    thawing a snapshot never pays for streams the measurement phase does
-    not touch (most of them: failed nodes, flood layers with no random
-    choices, ...).
+    Seeding and the fast-forward are both deferred to the stream's first
+    draw, so thawing a snapshot never pays for streams the measurement
+    phase does not touch (most of them: failed nodes, flood layers with no
+    random choices, ...).
     """
-    stream = StreamRandom(seed)
-    if words:
-        stream._words = words
-        stream._pending_words = words
+    stream = StreamRandom.__new__(StreamRandom)
+    stream._seed_value = seed
+    stream._words = words
+    stream._thawed = True
     return stream
 
 
@@ -70,13 +70,13 @@ class StreamRandom(random.Random):
 
     # -- counted primitives -------------------------------------------
     def random(self) -> float:
-        if self._pending_words:
+        if self._thawed:
             self._materialize()
         self._words += 2
         return _mt_random(self)
 
     def getrandbits(self, k: int) -> int:
-        if self._pending_words:
+        if self._thawed:
             self._materialize()
         self._words += (k + 31) >> 5
         return _mt_getrandbits(self, k)
@@ -87,7 +87,7 @@ class StreamRandom(random.Random):
         generator: a membership round is mostly ``choice`` and ``sample``."""
         if not n:
             return 0  # 3.10's choice() relies on this to raise IndexError
-        if self._pending_words:
+        if self._thawed:
             self._materialize()
         k = n.bit_length()  # not (n - 1): n can be 1
         tries = 1
@@ -109,7 +109,7 @@ class StreamRandom(random.Random):
             )
         self._seed_value = a
         self._words = 0
-        self._pending_words = 0
+        self._thawed = False
         super().seed(a, version)
 
     def setstate(self, state) -> None:
@@ -135,21 +135,23 @@ class StreamRandom(random.Random):
         return _replay_stream, (self._seed_value, self._words)
 
     def getstate(self):
-        if self._pending_words:
+        if self._thawed:
             self._materialize()
         return super().getstate()
 
     def _materialize(self) -> None:
-        """Fast-forward a freshly unpickled stream to its recorded offset.
+        """Seed a freshly unpickled stream and fast-forward it to its
+        recorded offset.
 
         MT19937 state is a pure function of (seed, words consumed), so
-        advancing a newly seeded generator by ``_pending_words`` words
-        reproduces the frozen state exactly.  ``getrandbits(32 * w)``
-        consumes exactly ``w`` words in one C call; the skip is chunked so
-        the discarded integer stays small.
+        advancing a newly seeded generator by ``_words`` words reproduces
+        the frozen state exactly.  ``getrandbits(32 * w)`` consumes exactly
+        ``w`` words in one C call; the skip is chunked so the discarded
+        integer stays small.
         """
-        words = self._pending_words
-        self._pending_words = 0
+        self._thawed = False
+        random.Random.seed(self, self._seed_value)
+        words = self._words
         while words > _SKIP_WORDS:
             _mt_getrandbits(self, 32 * _SKIP_WORDS)
             words -= _SKIP_WORDS

@@ -153,13 +153,34 @@ class TestStreamRandom:
         original = StreamRandom(7)
         self._exercise(original)
         thawed = pickle.loads(pickle.dumps(original))
-        assert thawed._pending_words == original.words_consumed
-        # Re-pickling an untouched thawed stream costs no fast-forward and
-        # is byte-identical to the first freeze.
+        assert thawed._thawed and thawed.words_consumed == original.words_consumed
+        # Re-pickling an untouched thawed stream costs no seeding or
+        # fast-forward and is byte-identical to the first freeze.
         assert pickle.dumps(thawed) == pickle.dumps(original)
-        assert thawed._pending_words == original.words_consumed
-        thawed.random()  # first draw pays the (cheap) fast-forward
-        assert thawed._pending_words == 0
+        assert thawed._thawed
+        thawed.random()  # first draw pays the (cheap) seed and fast-forward
+        assert not thawed._thawed
+
+    def test_never_drawn_stream_is_seeded_only_when_used(self):
+        """A stream frozen before its first draw thaws unseeded; it re-freezes
+        to identical bytes, and seeding, counting and state read as for a
+        fresh stream."""
+        import pickle
+
+        from repro.common.rng import StreamRandom
+
+        fresh = StreamRandom(11)
+        blob = pickle.dumps(fresh)
+        thawed = pickle.loads(blob)
+        assert thawed._thawed and thawed.words_consumed == 0
+        assert pickle.dumps(thawed) == blob
+        assert pickle.dumps(pickle.loads(blob)) == blob
+        assert thawed.getstate() == fresh.getstate() and not thawed._thawed
+        assert thawed.random() == fresh.random()
+        reseeded = pickle.loads(blob)
+        reseeded.seed(12)
+        assert not reseeded._thawed and reseeded.words_consumed == 0
+        assert reseeded.random() == StreamRandom(12).random()
 
     def test_reseeding_resets_the_count(self):
         from repro.common.rng import StreamRandom
