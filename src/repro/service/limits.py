@@ -68,12 +68,6 @@ class TokenBucket:
         self.denied += 1
         return False
 
-    def tokens(self, now: float) -> float:
-        """Tokens available at ``now`` (without spending any)."""
-        if self._updated is None or now <= self._updated:
-            return self._tokens
-        return min(self.burst, self._tokens + (now - self._updated) * self.rate)
-
 
 @dataclass(frozen=True, slots=True)
 class BreakerConfig:

@@ -48,10 +48,9 @@ global ``(time, insertion)`` firing order is true by construction — one
 FIFO per timestamp — for any mix of the two APIs.
 
 **The dead-bucket clock rule.**  A bucket whose entries are all cancelled
-does not move the clock: :meth:`Engine.step` drops it before touching
-``now``, :meth:`Engine.run_until_idle` puts ``now`` back when a bucket
-fired nothing, and :meth:`Engine.run_until` ends at its deadline either
-way.  Otherwise ``now`` at idle would depend on whether compaction
+does not move the clock: :meth:`Engine.run_until_idle` puts ``now`` back
+when a bucket fired nothing, and :meth:`Engine.run_until` ends at its
+deadline either way.  Otherwise ``now`` at idle would depend on whether compaction
 happened to sweep a dead timer before the drain reached it — lazy-deletion
 garbage would be observable.  For the same reason pickling sweeps
 cancelled entries first: snapshot bytes hold live events only.
@@ -126,10 +125,6 @@ class EventHandle(TimerHandle):
     @property
     def cancelled(self) -> bool:
         return self._cancelled
-
-    def _fire(self) -> None:
-        if not self._cancelled and self._callback is not None:
-            self._callback(*self._args)
 
 
 class Engine:
@@ -323,54 +318,6 @@ class Engine:
             existing[:0] = remainder  # older entries fire first
         self._hot_time = None
         self._hot_bucket = None
-
-    def step(self) -> bool:
-        """Fire the earliest event.  Returns ``False`` when the queue is
-        empty (time does not advance in that case)."""
-        global _fired_total
-        times = self._times
-        buckets = self._buckets
-        while times:
-            when = times[0]
-            bucket = buckets[when]
-            index = 0
-            while index < len(bucket):
-                first = bucket[index]
-                second = bucket[index + 1]
-                index += 2
-                if first is _HANDLE:
-                    if second._cancelled:
-                        self._cancelled -= 1
-                        self._size -= 1
-                        continue
-                    second._engine = None
-                self._size -= 1
-                # Re-stash the un-fired remainder *before* the callback
-                # runs, so nested posts at the same instant land after it.
-                remainder = bucket[index:]
-                if remainder:
-                    bucket[:] = remainder
-                else:
-                    del buckets[when]
-                    heappop(times)
-                if when == self._hot_time:
-                    self._hot_time = None
-                    self._hot_bucket = None
-                self._now = when
-                self._processed += 1
-                _fired_total += 1
-                if first is _HANDLE:
-                    second._fire()
-                else:
-                    first(*second)
-                return True
-            # Entire bucket was cancelled entries: drop it, clock unmoved.
-            del buckets[when]
-            heappop(times)
-            if when == self._hot_time:
-                self._hot_time = None
-                self._hot_bucket = None
-        return False
 
     def run_until_idle(self, max_events: Optional[int] = None) -> int:
         """Drain the queue; returns the number of events fired.

@@ -243,10 +243,6 @@ class Network:
     def node_ids(self) -> list[NodeId]:
         return list(self._nodes)
 
-    @property
-    def size(self) -> int:
-        return len(self._nodes)
-
     def is_alive(self, node_id: NodeId) -> bool:
         return node_id in self._alive
 

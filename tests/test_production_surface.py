@@ -4,8 +4,11 @@ Production is ``src/`` (the library, the CLI and the ``repro.testing``
 invariant checks), ``benchmarks/`` and ``examples/``.  This parses every
 module under ``src/repro`` with ``ast`` and lists its functions, classes
 and methods.  A definition is reached when its name occurs in production
-code as a ``Name``, an ``Attribute``, a call keyword or a string constant
-that is an identifier (a ``getattr`` name, say).  Occurrences inside the
+code as an ``Attribute``, a call keyword or a string constant that is an
+identifier (a ``getattr`` name, say), or — for a module-level definition
+only — as a ``Name`` that is read.  A method is never reached by a bare
+name (a local or a parameter that happens to share it), and no definition
+by a name that is only assigned.  Occurrences inside the
 definition's own body, in docstrings, in ``__all__`` and in ``import``
 re-exports do not count.  Dunders and methods that override a method of a
 base class (found through the class MRO) are exempt, and so are
@@ -35,6 +38,7 @@ ALLOWED = {
     "repro.metrics.graph.OverlaySnapshot.edge_count": "read-only accessor tests inspect",
     "repro.sim.network.Network.link_rules": "read-only accessor tests inspect",
     "repro.runtime.node.RuntimeNode.passive_view": "read-only accessor tests inspect",
+    "repro.runtime.transport.AsyncioTransport.peer_epoch": "read-only accessor tests inspect",
     "repro.common.messages.registered_message_types": "read-only accessor tests inspect",
     "repro.experiments.reporting.load_artifact": "reads the BENCH artifacts the program writes",
     "repro.experiments.reporting.load_trace": "reads the TRACE artifacts the program writes",
@@ -80,13 +84,16 @@ def _all_lists(tree: ast.Module) -> set[int]:
 
 
 @functools.lru_cache(maxsize=1)
-def _occurrences() -> dict[str, list[tuple[pathlib.Path, int]]]:
-    """Every identifier occurrence in production code: name -> [(file, line)]."""
-    found: dict[str, list[tuple[pathlib.Path, int]]] = {}
+def _occurrences() -> dict[str, list[tuple[pathlib.Path, int, bool]]]:
+    """Every identifier occurrence in production code:
+    name -> [(file, line, whether it is a bare name)]."""
+    found: dict[str, list[tuple[pathlib.Path, int, bool]]] = {}
     for path, tree in _production_files():
         skipped = _docstrings(tree) | _all_lists(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
+                if not isinstance(node.ctx, ast.Load):
+                    continue
                 name = node.id
             elif isinstance(node, ast.Attribute):
                 name = node.attr
@@ -101,7 +108,7 @@ def _occurrences() -> dict[str, list[tuple[pathlib.Path, int]]]:
                 name = node.value
             else:
                 continue
-            found.setdefault(name, []).append((path, node.lineno))
+            found.setdefault(name, []).append((path, node.lineno, isinstance(node, ast.Name)))
     return found
 
 
@@ -154,8 +161,9 @@ def _unreached() -> list[str]:
         first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
         outside = [
             (where, line)
-            for where, line in occurrences.get(name, [])
+            for where, line, bare in occurrences.get(name, [])
             if not (where == path and first <= line <= node.end_lineno)
+            and not (bare and owner is not None)
         ]
         if not outside:
             unreached.append(qualname)

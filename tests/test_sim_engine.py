@@ -168,12 +168,12 @@ class TestPostFastPath:
         with pytest.raises(SimulationError):
             Engine().post(-0.1, lambda: None)
 
-    def test_posted_events_respect_run_until_and_step(self):
+    def test_posted_events_respect_run_until(self):
         engine = Engine()
         fired = []
         engine.post(1.0, fired.append, "a")
         engine.post(2.0, fired.append, "b")
-        assert engine.step() is True
+        engine.run_until(1.5)
         assert fired == ["a"]
         engine.run_until(5.0)
         assert fired == ["a", "b"]
@@ -549,16 +549,10 @@ class _ReferenceHeap:
             self.now = deadline
 
 
-def _step_until_idle(engine: Engine) -> None:
-    while engine.step():
-        pass
-
-
-#: How a test drains the engine: to idle by either API, or up to a
-#: horizon past which far timers stay queued across rounds.
+#: How a test drains the engine: to idle, or up to a horizon past which
+#: far timers stay queued across rounds.
 DRAINS = {
     "run_until_idle": Engine.run_until_idle,
-    "step": _step_until_idle,
     "run_until": lambda engine: engine.run_until(engine.now + 100.0),
 }
 
