@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-import traceback
 from typing import Optional, Sequence
 
 from .common.errors import ConfigurationError
@@ -80,36 +79,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
     scenario_ids = list(dict.fromkeys(args.scenario or sorted(REGISTRY)))
     runs = run_and_report(
         scenario_ids,
-        args.tier,
-        workers=args.workers,
-        root_seed=args.seed,
-        n=args.n,
-        messages=args.messages,
-        replicates=args.replicates,
-        snapshot_cache=not args.no_snapshot_cache,
         trace=args.trace,
         trace_dir=args.trace_out,
         out_dir=None if args.no_artifacts else args.out,
+        **_run_options(args),
     )
     for run in runs.values():
         print(f"\n===== {run.spec.id} =====")
         print(run.render())
-    # Every scenario is checked, and every failure named, before exiting.
-    failed = False
-    if args.check:
-        for run in runs.values():
-            try:
-                run.check()
-            except AssertionError as error:
-                failed = True
-                print(f"check failed: {run.spec.id}: {_assertion(error)}", file=sys.stderr)
-    return 1 if failed else 0
-
-
-def _assertion(error: AssertionError) -> str:
-    """The failing ``assert`` statement's source line, and its message."""
-    line = traceback.extract_tb(error.__traceback__)[-1].line
-    return f"{line} ({error})" if str(error) else str(line)
+    # Every claim of every scenario is checked, and every failure named,
+    # before exiting.
+    failures = [
+        failure
+        for run in (runs.values() if args.check else ())
+        for _, failure in run.check()
+        if failure is not None
+    ]
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -129,16 +117,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     traces: dict[str, list] = {}
     run_scenarios(
         [args.scenario],
-        args.tier,
-        workers=args.workers,
-        root_seed=args.seed,
-        n=args.n,
-        messages=args.messages,
-        replicates=args.replicates,
-        snapshot_cache=not args.no_snapshot_cache,
         trace=True,
         traces=traces,
         progress=lambda note: print(f"  [{args.tier}] {note}", file=sys.stderr),
+        **_run_options(args),
     )
     entries = traces.get(args.scenario, [])
     entry = next((e for e in entries if e["replicate"] == args.replicate), None)
@@ -320,6 +302,37 @@ def cmd_service_bench(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The flags ``bench`` and ``trace`` share: what to run, and how."""
+    p.add_argument("--tier", choices=list(TIER_NAMES), default="smoke",
+                   help="scale tier: smoke (CI), paper (DSN'07 figures) or full")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes to shard cells across (results are identical)")
+    p.add_argument("--seed", type=int, default=42, help="sweep root seed")
+    p.add_argument("--n", type=int, default=None,
+                   help="override the tier's system size (disables paper params)")
+    p.add_argument("--messages", type=int, default=None,
+                   help="override the tier's messages per measurement batch")
+    p.add_argument("--replicates", type=int, default=None,
+                   help="override the tier's replicate count")
+    p.add_argument("--no-snapshot-cache", action="store_true",
+                   help="rebuild every stabilised base instead of thawing the per-worker "
+                   "cache's snapshots (slower, identical results)")
+
+
+def _run_options(args: argparse.Namespace) -> dict:
+    """The runner keywords of the flags :func:`_add_run_flags` declares."""
+    return {
+        "tier": args.tier,
+        "workers": args.workers,
+        "root_seed": args.seed,
+        "n": args.n,
+        "messages": args.messages,
+        "replicates": args.replicates,
+        "snapshot_cache": not args.no_snapshot_cache,
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -341,36 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run registered scenarios through the parallel orchestrator",
     )
-    p.add_argument(
-        "--tier", choices=list(TIER_NAMES), default="smoke",
-        help="scale tier: smoke (CI), paper (DSN'07 figures) or full",
-    )
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes to shard replicates across",
-    )
+    _add_run_flags(p)
     p.add_argument(
         "--scenario", action="append", metavar="ID",
         help="run only this scenario (repeatable); default: all registered",
-    )
-    p.add_argument("--seed", type=int, default=42, help="sweep root seed")
-    p.add_argument(
-        "--n", type=int, default=None,
-        help="override the tier's system size (disables paper params)",
-    )
-    p.add_argument(
-        "--messages", type=int, default=None,
-        help="override the tier's messages per measurement batch",
-    )
-    p.add_argument(
-        "--replicates", type=int, default=None,
-        help="override the tier's replicate count",
-    )
-    p.add_argument(
-        "--no-snapshot-cache", action="store_true",
-        help="rebuild every stabilised base overlay instead of serving "
-        "frozen snapshots from the per-worker cache (slower, identical "
-        "artifacts; for debugging/verification)",
     )
     p.add_argument(
         "--out", type=pathlib.Path, default=pathlib.Path("benchmarks/results"),
@@ -383,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--check", action="store_true",
-        help="run every scenario's shape assertions on the results; each "
-        "failure prints a 'check failed:' line on stderr and exits 1",
+        help="check every scenario's claims on the results; each failed "
+        "claim prints a 'check failed:' line on stderr and exits 1",
     )
     p.add_argument(
         "--trace", action="store_true",
@@ -411,24 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario", default="fig2_reliability", metavar="ID",
         help="scenario to trace (default: fig2_reliability)",
     )
-    p.add_argument(
-        "--tier", choices=list(TIER_NAMES), default="smoke",
-        help="scale tier (default: smoke)",
-    )
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (traces are identical at any count)")
-    p.add_argument("--seed", type=int, default=42, help="sweep root seed")
-    p.add_argument("--n", type=int, default=None,
-                   help="override the tier's system size")
-    p.add_argument("--messages", type=int, default=None,
-                   help="override the tier's messages per measurement batch")
-    p.add_argument("--replicates", type=int, default=None,
-                   help="override the tier's replicate count")
+    _add_run_flags(p)
     p.add_argument("--replicate", type=int, default=0,
                    help="which replicate to inspect (default: 0)")
-    p.add_argument("--no-snapshot-cache", action="store_true",
-                   help="rebuild stabilised bases instead of thawing cached "
-                   "snapshots (traces are identical either way)")
     p.add_argument(
         "--message", default=None, metavar="KEY",
         help="dump one message's broadcast tree as Chrome trace JSON; KEY "

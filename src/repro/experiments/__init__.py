@@ -27,7 +27,6 @@ from .registry import (
 from .reporting import (
     ARTIFACT_SCHEMA,
     encode_artifact,
-    format_histogram,
     format_series,
     format_table,
     json_safe,
@@ -75,7 +74,6 @@ __all__ = [
     "build_units",
     "default_passive_sizes",
     "encode_artifact",
-    "format_histogram",
     "format_series",
     "format_table",
     "get_scenario",

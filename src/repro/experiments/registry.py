@@ -2,15 +2,17 @@
 
 One :class:`ScenarioSpec` per table/figure/ablation.  A scenario is a
 **grid of cells** and nothing else: the spec names the experiment,
-configures it per **tier**, declares the grid's **axes** once and binds
-three functions:
+configures it per **tier**, declares the grid's **axes** once, binds
+``run_cell(ctx, key)`` — measure one cell, return a JSON-safe dict — and
+declares as data what is printed and what is checked:
 
-* ``run_cell(ctx, key)`` — measure one cell, return a JSON-safe dict;
-* ``render(result, n)`` — the plain-text report (tables, series,
-  histograms) printed for the merged result;
-* ``check(result, n)``  — shape assertions.  Sanity invariants always run;
-  the paper's qualitative shapes (protocol orderings, thresholds) only
-  assert at bench scale (``n >= SHAPE_CHECK_MIN_N``) where they hold.
+* ``columns`` — the report's columns, one table row per cell;
+* ``claims``  — what the paper (or this repo) says about the cells, each
+  with its figure or section and the scale it holds at: sanity bounds at
+  any size, the paper's qualitative shapes (protocol orderings,
+  thresholds) at bench scale (``n >= SHAPE_CHECK_MIN_N``);
+* ``invariant`` — the structural checks of one cell that are not a
+  one-metric comparison, one function per result shape.
 
 Tiers:
 
@@ -71,13 +73,8 @@ from .graphprops import TABLE1_PROTOCOLS, run_graph_properties
 from .healing import FIGURE4_FRACTIONS, FIGURE4_PROTOCOLS, measure_healing
 from .overhead import run_overhead_experiment
 from .params import ExperimentParams
-from .reporting import (
-    format_histogram,
-    format_series,
-    format_table,
-    json_safe,
-    sparkline,
-)
+from ..core.config import HyParViewConfig
+from .reporting import ANY, SHAPE_CHECK_MIN_N, Claim, Column, Ref, Scale, json_safe
 from .scenario import Scenario
 from .snapshots import SnapshotCache
 
@@ -88,10 +85,6 @@ CellKey = tuple
 
 #: The orchestrator's tiers, cheapest first.
 TIER_NAMES = ("smoke", "paper", "full")
-
-#: Below this system size the paper's qualitative shapes are too noisy to
-#: assert on; ``check`` functions fall back to sanity invariants only.
-SHAPE_CHECK_MIN_N = 400
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,11 +197,17 @@ class ScenarioSpec:
     #: The grid's dimensions, outermost first; ``()`` is a one-cell grid.
     axes: tuple[Axis, ...]
     run_cell: Callable[[RunContext, CellKey], dict]
-    render: Callable[[dict, int], str]
-    check: Optional[Callable[[dict, int], None]] = None
+    #: The report's columns; it prints one row per cell.
+    columns: tuple[Column, ...]
+    #: What holds of the cells, checked by ``repro bench --check``.
+    claims: tuple[Claim, ...] = ()
+    #: Structural checks of one cell's result that no claim can state.
+    invariant: Optional[Callable[[dict], None]] = None
     #: Wraps the merged grid into the scenario's result shape (header
     #: fields, a ``points`` list ...); default: the nested grid itself.
     frame: Optional[Callable[[RunContext, dict], dict]] = None
+    #: Where ``frame`` put the grid (a key of the result); ``""``: no frame.
+    grid: str = ""
     #: Maps a cell key to the identity of the stabilised base it reuses
     #: (orchestrator scheduling hint; default: the key's first component).
     cell_affinity: Optional[Callable[[CellKey], object]] = None
@@ -235,6 +234,21 @@ class ScenarioSpec:
 
         grid = nest((), self.axes)
         return grid if self.frame is None else self.frame(ctx, grid)
+
+    def cell_rows(self, ctx: RunContext, result: dict) -> list[tuple[str, dict]]:
+        """Each cell's label (``hyparview/0.70``) and result in a merged
+        replicate result, in declared order: what claims select and the
+        report's rows."""
+        grid = result.get(self.grid) if self.grid else result
+        rows = []
+        for index, key in enumerate(self.cells(ctx)):
+            labels = [axis.label(value) for axis, value in zip(self.axes, key)]
+            cell = grid[index] if isinstance(grid, list) else grid
+            if not isinstance(grid, list):
+                for label in labels:
+                    cell = cell[label]
+            rows.append(("/".join(labels), cell))
+        return rows
 
     def tier(self, name: str) -> TierConfig:
         if name not in self.tiers:
@@ -278,6 +292,25 @@ def _tiers(smoke: TierConfig, paper: TierConfig) -> dict[str, TierConfig]:
 
 
 # ----------------------------------------------------------------------
+# Claims and invariants shared across result shapes
+# ----------------------------------------------------------------------
+def _unit(metric: str) -> tuple[Claim, Claim]:
+    """Sanity at any scale: ``metric`` of every cell lies in [0, 1]."""
+    return (
+        Claim("sanity", "*", metric, ">=", 0.0, ANY),
+        Claim("sanity", "*", metric, "<=", 1.0, ANY),
+    )
+
+
+def _failure_invariant(cell: dict) -> None:
+    assert len(cell["series"]) == cell["messages"], "one series entry per message"
+
+
+#: The active view the paper sets (Section 5.1) and every tier keeps.
+_CAPACITY = HyParViewConfig().active_view_capacity
+
+
+# ----------------------------------------------------------------------
 # Figure 1a/1b — fanout vs reliability (+ the HyParView reference point)
 # ----------------------------------------------------------------------
 def _fanout_grid(protocol: str) -> dict:
@@ -292,32 +325,23 @@ def _fanout_grid(protocol: str) -> dict:
         "axes": (Axis("fanouts", FIGURE1_FANOUTS, int),),
         "run_cell": run_cell,
         "frame": lambda ctx, grid: {"protocol": protocol, "points": list(grid.values())},
+        "grid": "points",
         "cell_affinity": lambda key: "base",
+        "columns": (
+            Column("avg reliability", "average_reliability"),
+            Column("min reliability", "min_reliability"),
+            Column("atomic fraction", "atomic_fraction"),
+        ),
     }
 
 
-def _render_fanout(result: dict, n: int) -> str:
-    protocol = result["protocol"]
-    rows = [
-        [p["fanout"], p["average_reliability"], p["min_reliability"], p["atomic_fraction"]]
-        for p in result["points"]
-    ]
-    return format_table(
-        ["fanout", "avg reliability", "min reliability", "atomic fraction"],
-        rows,
-        title=f"Figure 1 — {protocol} fanout sweep (n={n})",
+def _fanout_claims(ref: str, threshold: float) -> tuple[Claim, ...]:
+    """Reliability grows with fanout and is high by fanout 6."""
+    return (
+        *_unit("average_reliability"),
+        Claim(ref, "1", "average_reliability", "<", Ref("4", "average_reliability")),
+        Claim(ref, "6", "average_reliability", ">", threshold),
     )
-
-
-def _check_fanout(result: dict, n: int, *, threshold: float) -> None:
-    by_fanout = {p["fanout"]: p["average_reliability"] for p in result["points"]}
-    for value in by_fanout.values():
-        assert 0.0 <= value <= 1.0
-    if n < SHAPE_CHECK_MIN_N or {1, 4, 6} - set(by_fanout):
-        return
-    # Paper shape: reliability grows with fanout and is high by fanout ~6.
-    assert by_fanout[1] < by_fanout[4]
-    assert by_fanout[6] > threshold
 
 
 register(
@@ -331,8 +355,7 @@ register(
                              extra={"fanouts": (1, 4, 6)}),
             paper=TierConfig(n=10_000, messages=50, paper_params=True),
         ),
-        render=_render_fanout,
-        check=lambda result, n: _check_fanout(result, n, threshold=0.99),
+        claims=_fanout_claims("Fig. 1a", 0.99),
         **_fanout_grid("cyclon"),
     )
 )
@@ -348,8 +371,7 @@ register(
                              extra={"fanouts": (1, 4, 6)}),
             paper=TierConfig(n=10_000, messages=50, paper_params=True),
         ),
-        render=_render_fanout,
-        check=lambda result, n: _check_fanout(result, n, threshold=0.95),
+        claims=_fanout_claims("Fig. 1b", 0.95),
         **_fanout_grid("scamp"),
     )
 )
@@ -358,22 +380,6 @@ register(
 def _run_hyparview_reference(ctx: RunContext, key: CellKey) -> dict:
     point = hyparview_reference_point(ctx.params(), messages=ctx.config.messages)
     return {"point": json_safe(point)}
-
-
-def _render_hyparview_reference(result: dict, n: int) -> str:
-    p = result["point"]
-    return format_table(
-        ["protocol", "fanout", "avg reliability", "atomic fraction"],
-        [[p["protocol"], p["fanout"], p["average_reliability"], p["atomic_fraction"]]],
-        title=f"Figure 1 reference — HyParView flood on a stable overlay (n={n})",
-    )
-
-
-def _check_hyparview_reference(result: dict, n: int) -> None:
-    # The paper's headline holds at any scale: deterministic flooding of a
-    # stable, connected overlay is atomic.
-    assert result["point"]["average_reliability"] == 1.0
-    assert result["point"]["atomic_fraction"] == 1.0
 
 
 register(
@@ -388,8 +394,18 @@ register(
         ),
         axes=(),  # a single point: the one-cell grid
         run_cell=_run_hyparview_reference,
-        render=_render_hyparview_reference,
-        check=_check_hyparview_reference,
+        columns=(
+            Column("protocol", "point.protocol", ""),
+            Column("fanout", "point.fanout", ""),
+            Column("avg reliability", "point.average_reliability"),
+            Column("atomic fraction", "point.atomic_fraction"),
+        ),
+        # The headline holds at any scale: deterministic flooding of a
+        # stable, connected overlay is atomic.
+        claims=(
+            Claim("Fig. 1", "*", "point.average_reliability", "==", 1.0, ANY),
+            Claim("Fig. 1", "*", "point.atomic_fraction", "==", 1.0, ANY),
+        ),
     )
 )
 
@@ -405,35 +421,6 @@ def _run_fig1c_cell(ctx: RunContext, key: CellKey) -> dict:
     return json_safe(result)  # type: ignore[return-value]
 
 
-def _render_fig1c(result: dict, n: int) -> str:
-    blocks = [
-        format_table(
-            ["protocol", "avg reliability", "max msg reliability", "atomic fraction"],
-            [
-                [r["protocol"], r["average"], max(r["series"]), r["atomic"]]
-                for r in result.values()
-            ],
-            title=f"Figure 1c — messages after 50% failures (n={n})",
-        )
-    ]
-    for r in result.values():
-        blocks.append(f"\n{r['protocol']} series:  {sparkline(r['series'])}")
-        blocks.append(format_series(r["series"]))
-    return "\n".join(blocks)
-
-
-def _check_fig1c(result: dict, n: int) -> None:
-    for r in result.values():
-        assert 0.0 <= r["average"] <= 1.0
-    if n < SHAPE_CHECK_MIN_N:
-        return
-    # Paper shape: reliability is lost — neither baseline approaches 1.0.
-    for r in result.values():
-        assert max(r["series"]) < 0.999
-        assert r["atomic"] == 0.0
-        assert min(r["series"]) < 0.5
-
-
 register(
     ScenarioSpec(
         id="fig1c_failure50",
@@ -445,8 +432,20 @@ register(
             smoke=TierConfig(n=64, messages=10, stabilization_cycles=15),
             paper=TierConfig(n=10_000, messages=100, paper_params=True),
         ),
-        render=_render_fig1c,
-        check=_check_fig1c,
+        columns=(
+            Column("avg reliability", "average"),
+            Column("max msg reliability", "series|max"),
+            Column("atomic fraction", "atomic"),
+            Column("series", "series", "spark"),
+        ),
+        # Reliability is lost: neither baseline approaches 1.0.
+        claims=(
+            *_unit("average"),
+            Claim("Fig. 1c", "*", "series|max", "<", 0.999),
+            Claim("Fig. 1c", "*", "atomic", "==", 0.0),
+            Claim("Fig. 1c", "*", "series|min", "<", 0.5),
+        ),
+        invariant=_failure_invariant,
         axes=(Axis(None, _FIG1C_PROTOCOLS),),
         run_cell=_run_fig1c_cell,
     )
@@ -471,7 +470,7 @@ def _failure_grid(protocols, fractions, header=lambda ctx: {}) -> dict:
             "cells": grid,
         }
 
-    return {"axes": axes, "frame": frame}
+    return {"axes": axes, "frame": frame, "grid": "cells"}
 
 
 def _run_failure_grid_cell(ctx: RunContext, key: CellKey) -> dict:
@@ -480,44 +479,11 @@ def _run_failure_grid_cell(ctx: RunContext, key: CellKey) -> dict:
     return json_safe(result)  # type: ignore[return-value]
 
 
-def _render_fig2(result: dict, n: int) -> str:
-    protocols = result["protocols"]
-    rows = []
-    for fraction in result["fractions"]:
-        key = f"{fraction:.2f}"
-        rows.append(
-            [f"{fraction:.0%}"]
-            + [result["cells"][protocol][key]["average"] for protocol in protocols]
-        )
-    return format_table(
-        ["failure %"] + list(protocols),
-        rows,
-        title=f"Figure 2 — avg reliability vs failure % (n={n})",
-    )
-
-
-def _check_fig2(result: dict, n: int) -> None:
-    def get(protocol: str, fraction: float) -> float:
-        return result["cells"][protocol][f"{fraction:.2f}"]["average"]
-
-    for protocol in result["protocols"]:
-        for fraction in result["fractions"]:
-            assert 0.0 <= get(protocol, fraction) <= 1.0
-    fractions = set(result["fractions"])
-    if n < SHAPE_CHECK_MIN_N or not {0.5, 0.7, 0.8, 0.9}.issubset(fractions):
-        return
-    # Paper shape 1: HyParView is essentially unaffected below 90%.
-    for fraction in (0.5, 0.7, 0.8):
-        assert get("hyparview", fraction) > 0.95
-    assert get("hyparview", 0.9) > 0.8
-    # Paper shape 2: protocol ordering after heavy failures.
-    assert get("hyparview", 0.7) >= get("cyclon-acked", 0.7) - 0.02
-    assert get("cyclon-acked", 0.7) > get("cyclon", 0.7)
-    # Paper shape 3: baselines collapse above 50% while HyParView holds.
-    assert get("cyclon", 0.7) < 0.5
-    assert get("scamp", 0.7) < 0.5
-    assert get("hyparview", 0.8) - get("cyclon-acked", 0.8) > 0.2
-
+#: Figure 2's shapes hold on the sweep through 50-90 %, not a thinned one.
+_FIG2 = Scale(
+    min_n=SHAPE_CHECK_MIN_N,
+    grid=tuple(f"hyparview/{fraction:.2f}" for fraction in (0.5, 0.7, 0.8, 0.9)),
+)
 
 register(
     ScenarioSpec(
@@ -532,8 +498,27 @@ register(
             paper=TierConfig(n=10_000, messages=1_000, paper_params=True),
         ),
         run_cell=_run_failure_grid_cell,
-        render=_render_fig2,
-        check=_check_fig2,
+        columns=(Column("avg reliability", "average"), Column("atomic fraction", "atomic")),
+        claims=(
+            *_unit("average"),
+            # HyParView is essentially unaffected below 90 %...
+            *(
+                Claim("Fig. 2", f"hyparview/{fraction}", "average", ">", 0.95, _FIG2)
+                for fraction in ("0.50", "0.70", "0.80")
+            ),
+            Claim("Fig. 2", "hyparview/0.90", "average", ">", 0.8, _FIG2),
+            # ...the protocols order after heavy failures...
+            Claim("Fig. 2", "hyparview/0.70", "average", ">=",
+                  Ref("cyclon-acked/0.70", "average", slack=-0.02), _FIG2),
+            Claim("Fig. 2", "cyclon-acked/0.70", "average", ">",
+                  Ref("cyclon/0.70", "average"), _FIG2),
+            # ...and the baselines collapse above 50 % while HyParView holds.
+            Claim("Fig. 2", "cyclon/0.70", "average", "<", 0.5, _FIG2),
+            Claim("Fig. 2", "scamp/0.70", "average", "<", 0.5, _FIG2),
+            Claim("Fig. 2", "hyparview/0.80", "average", ">",
+                  Ref("cyclon-acked/0.80", "average", slack=0.2), _FIG2),
+        ),
+        invariant=_failure_invariant,
         **_failure_grid(PAPER_PROTOCOLS, FIGURE2_FRACTIONS),
     )
 )
@@ -542,39 +527,6 @@ register(
 # ----------------------------------------------------------------------
 # Figure 3 — per-message recovery curves
 # ----------------------------------------------------------------------
-def _render_fig3(result: dict, n: int) -> str:
-    blocks = [f"Figure 3 — reliability per message after failures (n={n})"]
-    for fraction in result["fractions"]:
-        key = f"{fraction:.2f}"
-        blocks.append(f"\n--- panel: {fraction:.0%} failures ---")
-        for protocol in result["protocols"]:
-            r = result["cells"][protocol][key]
-            blocks.append(
-                f"{protocol:13s} avg={r['average']:.3f}  {sparkline(r['series'])}"
-            )
-    return "\n".join(blocks)
-
-
-def _check_fig3(result: dict, n: int) -> None:
-    for protocol in result["protocols"]:
-        for cell in result["cells"][protocol].values():
-            assert len(cell["series"]) == cell["messages"]
-    if n < SHAPE_CHECK_MIN_N:
-        return
-
-    def tail(cell: dict, k: int = 10) -> float:
-        window = cell["series"][-k:]
-        return sum(window) / len(window) if window else 0.0
-
-    for fraction in (0.6, 0.7, 0.8):
-        if f"{fraction:.2f}" in result["cells"]["hyparview"]:
-            # Paper shape: HyParView's healed tail is ~100% for panels <= 80%.
-            assert tail(result["cells"]["hyparview"][f"{fraction:.2f}"]) > 0.95
-    if "0.60" in result["cells"].get("cyclon", {}):
-        # Plain Cyclon does not recover within the batch at 60%+.
-        assert tail(result["cells"]["cyclon"]["0.60"]) < 0.9
-
-
 register(
     ScenarioSpec(
         id="fig3_recovery",
@@ -588,8 +540,21 @@ register(
             paper=TierConfig(n=10_000, messages=1_000, paper_params=True),
         ),
         run_cell=_run_failure_grid_cell,
-        render=_render_fig3,
-        check=_check_fig3,
+        columns=(
+            Column("avg reliability", "average"),
+            Column("last-10 avg", "series|tail"),
+            Column("series", "series", "spark"),
+        ),
+        claims=(
+            # HyParView's healed tail is ~100 % for panels up to 80 %...
+            *(
+                Claim("Fig. 3", f"hyparview/{fraction}", "series|tail", ">", 0.95)
+                for fraction in ("0.60", "0.70", "0.80")
+            ),
+            # ...while plain Cyclon does not recover within the batch at 60 %.
+            Claim("Fig. 3", "cyclon/0.60", "series|tail", "<", 0.9),
+        ),
+        invariant=_failure_invariant,
         **_failure_grid(PAPER_PROTOCOLS, FIGURE3_FRACTIONS),
     )
 )
@@ -615,35 +580,9 @@ def _run_fig4_cell(ctx: RunContext, key: CellKey) -> dict:
     return json_safe(result)  # type: ignore[return-value]
 
 
-def _render_fig4(result: dict, n: int) -> str:
-    rows = []
-    for fraction in result["fractions"]:
-        key = f"{fraction:.2f}"
-        row = [f"{fraction:.0%}"]
-        for protocol in result["protocols"]:
-            healed = result["cells"][protocol][key]["cycles_to_heal"]
-            row.append(str(healed) if healed is not None else f">{result['max_cycles']}")
-        rows.append(row)
-    return format_table(
-        ["failure %"] + [f"{p} (cycles)" for p in result["protocols"]],
-        rows,
-        title=f"Figure 4 — healing time in membership cycles (n={n})",
-    )
-
-
-def _check_fig4(result: dict, n: int) -> None:
-    for protocol in result["protocols"]:
-        for cell in result["cells"][protocol].values():
-            healed = cell["cycles_to_heal"]
-            assert healed is None or 1 <= healed <= result["max_cycles"]
-    if n < SHAPE_CHECK_MIN_N:
-        return
-    # Paper shape: HyParView heals, and in only a few cycles, below 80%
-    # failures — never healing (None) is the regression to catch.
-    for fraction, cell in result["cells"]["hyparview"].items():
-        if float(fraction) <= 0.8:
-            healed = cell["cycles_to_heal"]
-            assert healed is not None and healed <= 5
+def _healing_invariant(cell: dict) -> None:
+    healed = cell["cycles_to_heal"]
+    assert healed is None or 1 <= healed <= cell["max_cycles"], "healed within the budget"
 
 
 register(
@@ -659,8 +598,18 @@ register(
             paper=TierConfig(n=10_000, messages=10, paper_params=True),
         ),
         run_cell=_run_fig4_cell,
-        render=_render_fig4,
-        check=_check_fig4,
+        columns=(
+            Column("cycles to heal", "cycles_to_heal", ""),
+            Column("baseline reliability", "baseline_reliability"),
+        ),
+        # HyParView heals, and in a few cycles, below 80 % failures; never
+        # healing (a missing value) is the regression to catch.
+        claims=tuple(
+            Claim("Fig. 4", f"hyparview/{fraction:.2f}", "cycles_to_heal", "<=", 5)
+            for fraction in FIGURE4_FRACTIONS
+            if fraction <= 0.8
+        ),
+        invariant=_healing_invariant,
         **_failure_grid(
             FIGURE4_PROTOCOLS, FIGURE4_FRACTIONS,
             header=lambda ctx: {"max_cycles": _max_cycles(ctx)},
@@ -682,47 +631,21 @@ def _run_graphprops_cell(ctx: RunContext, key: CellKey) -> dict:
     return json_safe(result)  # type: ignore[return-value]
 
 
+def _graph_invariant(cell: dict) -> None:
+    assert sum(cell["in_degree_histogram"].values()) <= cell["n"], "at most n nodes counted"
+    assert cell["connected"] in (True, False), "connectivity is a boolean"
+
+
 _GRAPHPROPS_GRID = {
     "axes": (Axis(None, TABLE1_PROTOCOLS),),
     "run_cell": _run_graphprops_cell,
     "frame": lambda ctx, grid: {
-        # The symmetric-view bound checks need the configured capacity.
         "active_view_capacity": ctx.params().hyparview.active_view_capacity,
         "protocols": grid,
     },
+    "grid": "protocols",
+    "invariant": _graph_invariant,
 }
-
-
-def _render_fig5(result: dict, n: int) -> str:
-    blocks = [f"Figure 5 — in-degree distribution after stabilisation (n={n})"]
-    for protocol, r in result["protocols"].items():
-        histogram = {int(k): v for k, v in r["in_degree_histogram"].items()}
-        blocks.append("")
-        blocks.append(format_histogram(histogram, title=f"{protocol}:"))
-    return "\n".join(blocks)
-
-
-def _check_fig5(result: dict, n: int) -> None:
-    for r in result["protocols"].values():
-        assert sum(r["in_degree_histogram"].values()) <= n
-    hv = result["protocols"].get("hyparview")
-    if hv is None:
-        return
-    # Symmetric active views bound the in-degree at any scale.
-    capacity = result["active_view_capacity"]
-    hv_histogram = {int(k): v for k, v in hv["in_degree_histogram"].items()}
-    assert max(hv_histogram, default=0) <= capacity
-    if n < SHAPE_CHECK_MIN_N:
-        return
-    # Paper shape: HyParView concentrates at the active-view size while
-    # the baselines spread in-degrees far wider.
-    assert hv_histogram.get(capacity, 0) / n > 0.75
-    cy = result["protocols"].get("cyclon")
-    sc = result["protocols"].get("scamp")
-    if cy and sc:
-        assert cy["in_degree_stats"]["stddev"] > 3 * hv["in_degree_stats"]["stddev"]
-        assert sc["in_degree_stats"]["stddev"] > 3 * hv["in_degree_stats"]["stddev"]
-
 
 register(
     ScenarioSpec(
@@ -736,51 +659,27 @@ register(
                              extra={"path_sample_sources": 20}),
             paper=TierConfig(n=10_000, messages=5, paper_params=True),
         ),
-        render=_render_fig5,
-        check=_check_fig5,
+        columns=(
+            Column(f"nodes at in-degree {_CAPACITY}", f"in_degree_histogram.{_CAPACITY}", ""),
+            Column("in-degree mean", "in_degree_stats.mean"),
+            Column("in-degree stddev", "in_degree_stats.stddev"),
+            Column("max in-degree", "in_degree_stats.maximum", ".0f"),
+        ),
+        claims=(
+            # Symmetric active views bound the in-degree at any scale...
+            Claim("§4.1", "hyparview", "in_degree_stats.maximum", "<=", _CAPACITY, ANY),
+            # ...and HyParView concentrates there while the baselines spread.
+            Claim("Fig. 5", "hyparview", f"in_degree_histogram.{_CAPACITY}", ">",
+                  Ref(None, "n", factor=0.75)),
+            *(
+                Claim("Fig. 5", baseline, "in_degree_stats.stddev", ">",
+                      Ref("hyparview", "in_degree_stats.stddev", factor=3.0))
+                for baseline in ("cyclon", "scamp")
+            ),
+        ),
         **_GRAPHPROPS_GRID,
     )
 )
-
-
-def _render_table1(result: dict, n: int) -> str:
-    rows = [
-        [
-            protocol,
-            f"{r['average_clustering']:.6f}",
-            f"{r['path_stats']['average']:.5f}",
-            f"{r['max_hops_to_delivery']:.1f}",
-        ]
-        for protocol, r in result["protocols"].items()
-    ]
-    return format_table(
-        ["protocol", "avg clustering", "avg shortest path", "max hops"],
-        rows,
-        title=f"Table 1 — graph properties after stabilisation (n={n})",
-    )
-
-
-def _check_table1(result: dict, n: int) -> None:
-    protocols = result["protocols"]
-    for r in protocols.values():
-        assert 0.0 <= r["average_clustering"] <= 1.0
-        assert r["connected"] in (True, False)
-    hv = protocols.get("hyparview")
-    if hv is not None:
-        # The symmetric active view holds at any scale.
-        assert hv["symmetry_fraction"] == 1.0
-    if n < SHAPE_CHECK_MIN_N or hv is None:
-        return
-    for protocol in ("cyclon", "scamp"):
-        if protocol in protocols:
-            baseline = protocols[protocol]
-            # Paper shapes: HyParView's clustering is far below the
-            # baselines', its shortest path is the longest (tiny active
-            # view) yet its delivery hop count is the smallest.
-            assert hv["average_clustering"] < baseline["average_clustering"]
-            assert hv["path_stats"]["average"] > baseline["path_stats"]["average"]
-            assert hv["max_hops_to_delivery"] < baseline["max_hops_to_delivery"]
-
 
 register(
     ScenarioSpec(
@@ -794,8 +693,27 @@ register(
                              extra={"path_sample_sources": 20}),
             paper=TierConfig(n=10_000, messages=50, paper_params=True),
         ),
-        render=_render_table1,
-        check=_check_table1,
+        columns=(
+            Column("avg clustering", "average_clustering", ".6f"),
+            Column("avg shortest path", "path_stats.average", ".5f"),
+            Column("max hops", "max_hops_to_delivery", ".1f"),
+        ),
+        claims=(
+            *_unit("average_clustering"),
+            Claim("§4.1", "hyparview", "symmetry_fraction", "==", 1.0, ANY),
+            # HyParView's clustering is far below the baselines', its
+            # shortest path the longest (tiny active view), yet its
+            # delivery hop count the smallest.
+            *(
+                Claim("Table 1", "hyparview", metric, op, Ref(baseline, metric))
+                for baseline in ("cyclon", "scamp")
+                for metric, op in (
+                    ("average_clustering", "<"),
+                    ("path_stats.average", ">"),
+                    ("max_hops_to_delivery", "<"),
+                )
+            ),
+        ),
         **_GRAPHPROPS_GRID,
     )
 )
@@ -815,33 +733,6 @@ def _run_overhead_cell(ctx: RunContext, key: CellKey) -> dict:
     return json_safe(result)  # type: ignore[return-value]
 
 
-def _render_overhead(result: dict, n: int) -> str:
-    rows = [
-        [
-            protocol,
-            r["control_per_node_cycle"],
-            r["data_per_broadcast"],
-            r["broadcast_control_per_broadcast"],
-        ]
-        for protocol, r in result.items()
-    ]
-    return format_table(
-        ["protocol", "control msgs/node/cycle", "data msgs/broadcast",
-         "control msgs/broadcast"],
-        rows,
-        title=f"Message overhead on a stable overlay (n={n})",
-    )
-
-
-def _check_overhead(result: dict, n: int) -> None:
-    for r in result.values():
-        assert r["control_per_node_cycle"] >= 0.0
-        assert r["data_per_broadcast"] >= 0.0
-    if "cyclon" in result:
-        # Cyclon's cycle is one request + one reply at any scale.
-        assert result["cyclon"]["control_per_node_cycle"] <= 2.5
-
-
 register(
     ScenarioSpec(
         id="overhead",
@@ -854,8 +745,17 @@ register(
                              extra={"cycles": 3}),
             paper=TierConfig(n=10_000, messages=20, paper_params=True),
         ),
-        render=_render_overhead,
-        check=_check_overhead,
+        columns=(
+            Column("control msgs/node/cycle", "control_per_node_cycle"),
+            Column("data msgs/broadcast", "data_per_broadcast"),
+            Column("control msgs/broadcast", "broadcast_control_per_broadcast"),
+        ),
+        claims=(
+            Claim("sanity", "*", "control_per_node_cycle", ">=", 0.0, ANY),
+            Claim("sanity", "*", "data_per_broadcast", ">=", 0.0, ANY),
+            # Cyclon's cycle is one request and one reply, at any scale.
+            Claim("Cyclon", "cyclon", "control_per_node_cycle", "<=", 2.5, ANY),
+        ),
         axes=(Axis(None, _OVERHEAD_PROTOCOLS),),
         run_cell=_run_overhead_cell,
     )
@@ -871,48 +771,9 @@ def _run_churn_cell(ctx: RunContext, key: CellKey) -> dict:
     return json_safe(result)  # type: ignore[return-value]
 
 
-def _render_churn(result: dict, n: int) -> str:
-    rows = [
-        [
-            protocol,
-            r["average"],
-            r["crashes"],
-            r["leaves"],
-            r["revives"],
-            r["final_largest_component"],
-            r["stale_active_entries"],
-        ]
-        for protocol, r in result.items()
-    ]
-    blocks = [
-        format_table(
-            ["protocol", "avg reliability", "crashes", "leaves", "revives",
-             "largest component", "stale entries"],
-            rows,
-            title=f"Churn — probe reliability under continuous churn (n={n})",
-        )
-    ]
-    for protocol, r in result.items():
-        blocks.append(f"{protocol:13s} {sparkline(r['series'])}")
-    return "\n".join(blocks)
-
-
-def _check_churn(result: dict, n: int) -> None:
-    for r in result.values():
-        assert r["crashes"] + r["leaves"] + r["revives"] <= r["steps"]
-        assert 0.0 <= r["average"] <= 1.0
-    if n < SHAPE_CHECK_MIN_N:
-        return
-    hv = result.get("hyparview")
-    if hv:
-        # Paper-motivated shape: HyParView stays essentially flat, keeps
-        # its active views free of dead entries, and matches CyclonAcked.
-        assert hv["average"] > 0.95
-        assert hv["final_largest_component"] > 0.95
-        assert hv["stale_active_entries"] <= 3
-        acked = result.get("cyclon-acked")
-        if acked:
-            assert hv["average"] >= acked["average"] - 0.01
+def _churn_invariant(cell: dict) -> None:
+    events = cell["crashes"] + cell["leaves"] + cell["revives"]
+    assert events <= cell["steps"], "at most one churn event per step"
 
 
 register(
@@ -928,8 +789,26 @@ register(
             paper=TierConfig(n=10_000, messages=1, paper_params=True,
                              extra={"steps": 200}),
         ),
-        render=_render_churn,
-        check=_check_churn,
+        columns=(
+            Column("avg reliability", "average"),
+            Column("crashes", "crashes", ""),
+            Column("leaves", "leaves", ""),
+            Column("revives", "revives", ""),
+            Column("largest component", "final_largest_component"),
+            Column("stale entries", "stale_active_entries", ""),
+            Column("series", "series", "spark"),
+        ),
+        claims=(
+            *_unit("average"),
+            # HyParView stays essentially flat, keeps its active views free
+            # of dead entries, and matches CyclonAcked.
+            Claim("extension", "hyparview", "average", ">", 0.95),
+            Claim("extension", "hyparview", "final_largest_component", ">", 0.95),
+            Claim("extension", "hyparview", "stale_active_entries", "<=", 3),
+            Claim("extension", "hyparview", "average", ">=",
+                  Ref("cyclon-acked", "average", slack=-0.01)),
+        ),
+        invariant=_churn_invariant,
         axes=(Axis(None, _CHURN_PROTOCOLS),),
         run_cell=_run_churn_cell,
     )
@@ -939,10 +818,13 @@ register(
 # ----------------------------------------------------------------------
 # Ablations — every sweep point is one cell
 # ----------------------------------------------------------------------
-def _points(failure: Callable[[RunContext], float]) -> Callable[[RunContext, dict], dict]:
+def _points(failure: Callable[[RunContext], float]) -> dict:
     """The ablations' result shape: the failure level the sweep ran at
     and the grid's cells as an ordered list."""
-    return lambda ctx, grid: {"failure": failure(ctx), "points": list(grid.values())}
+    return {
+        "frame": lambda ctx, grid: {"failure": failure(ctx), "points": list(grid.values())},
+        "grid": "points",
+    }
 
 
 def _failure(ctx: RunContext) -> float:
@@ -962,31 +844,6 @@ def _run_passive_cell(ctx: RunContext, key: CellKey) -> dict:
     return json_safe(point)  # type: ignore[return-value]
 
 
-def _render_ablation_passive(result: dict, n: int) -> str:
-    return format_table(
-        ["passive capacity", "avg reliability", "tail reliability", "largest component"],
-        [
-            [p["passive_capacity"], p["average_reliability"], p["tail_reliability"],
-             p["largest_component_fraction"]]
-            for p in result["points"]
-        ],
-        title=(
-            f"Ablation — passive view size vs resilience at "
-            f"{result['failure']:.0%} failures (n={n})"
-        ),
-    )
-
-
-def _check_ablation_passive(result: dict, n: int) -> None:
-    points = result["points"]
-    assert points == sorted(points, key=lambda p: p["passive_capacity"])
-    if n < SHAPE_CHECK_MIN_N:
-        return
-    # Larger passive views must not hurt resilience.
-    smallest, largest = points[0], points[-1]
-    assert largest.get("tail_reliability", 0) >= smallest.get("tail_reliability", 0) - 0.02
-
-
 register(
     ScenarioSpec(
         id="ablation_passive_size",
@@ -999,8 +856,18 @@ register(
                              extra={"passive_sizes": (3, 8), "failure": 0.6}),
             paper=TierConfig(n=10_000, messages=50, paper_params=True),
         ),
-        render=_render_ablation_passive,
-        check=_check_ablation_passive,
+        columns=(
+            Column("avg reliability", "average_reliability"),
+            Column("tail reliability", "tail_reliability"),
+            Column("largest component", "largest_component_fraction"),
+        ),
+        claims=(
+            # The sweep runs smallest to largest, and larger passive views
+            # must not hurt resilience.
+            Claim("sanity", -1, "passive_capacity", ">=", Ref(0, "passive_capacity"), ANY),
+            Claim("ablation", -1, "tail_reliability", ">=",
+                  Ref(0, "tail_reliability", slack=-0.02)),
+        ),
         axes=(
             Axis(
                 "passive_sizes",
@@ -1009,7 +876,7 @@ register(
             ),
         ),
         run_cell=_run_passive_cell,
-        frame=_points(_failure),
+        **_points(_failure),
     )
 )
 
@@ -1020,28 +887,6 @@ def _run_shuffle_ttl_cell(ctx: RunContext, key: CellKey) -> dict:
         scenario, failure_fraction=_SHUFFLE_TTL_FAILURE, messages=ctx.config.messages
     )
     return json_safe(point)  # type: ignore[return-value]
-
-
-def _render_ablation_shuffle_ttl(result: dict, n: int) -> str:
-    return format_table(
-        ["shuffle TTL", "avg clustering", "passive in-degree CV", "recovery avg"],
-        [
-            [p["shuffle_ttl"], p["average_clustering"], p["passive_balance"],
-             p["recovery_average"]]
-            for p in result["points"]
-        ],
-        title=f"Ablation — shuffle walk TTL (n={n}, {result['failure']:.0%} failures)",
-    )
-
-
-def _check_ablation_shuffle_ttl(result: dict, n: int) -> None:
-    for p in result["points"]:
-        assert 0.0 <= p["recovery_average"] <= 1.0
-    if n < SHAPE_CHECK_MIN_N:
-        return
-    for p in result["points"]:
-        assert p["recovery_average"] > 0.5
-        assert p["passive_balance"] < 2.0
 
 
 register(
@@ -1056,11 +901,19 @@ register(
                              extra={"ttls": (1, 6)}),
             paper=TierConfig(n=10_000, messages=30, paper_params=True),
         ),
-        render=_render_ablation_shuffle_ttl,
-        check=_check_ablation_shuffle_ttl,
+        columns=(
+            Column("avg clustering", "average_clustering"),
+            Column("passive in-degree CV", "passive_balance"),
+            Column("recovery avg", "recovery_average"),
+        ),
+        claims=(
+            *_unit("recovery_average"),
+            Claim("ablation", "*", "recovery_average", ">", 0.5),
+            Claim("ablation", "*", "passive_balance", "<", 2.0),
+        ),
         axes=(Axis("ttls", (1, 3, 6, 9), int),),
         run_cell=_run_shuffle_ttl_cell,
-        frame=_points(lambda ctx: _SHUFFLE_TTL_FAILURE),
+        **_points(lambda ctx: _SHUFFLE_TTL_FAILURE),
     )
 )
 
@@ -1071,32 +924,6 @@ def _run_resend_cell(ctx: RunContext, key: CellKey) -> dict:
         failure_fraction=_failure(ctx), messages=ctx.config.messages,
     )
     return json_safe(point)  # type: ignore[return-value]
-
-
-def _render_ablation_resend(result: dict, n: int) -> str:
-    return format_table(
-        ["resend on repair", "avg reliability", "first-10 avg", "payload transmissions"],
-        [
-            [str(p["resend_on_repair"]), p["average_reliability"], p["first10_average"],
-             p["data_transmissions"]]
-            for p in result["points"]
-        ],
-        title=(
-            f"Ablation — flood resend extension at {result['failure']:.0%} "
-            f"failures (n={n})"
-        ),
-    )
-
-
-def _check_ablation_resend(result: dict, n: int) -> None:
-    baseline = next(p for p in result["points"] if not p["resend_on_repair"])
-    resend = next(p for p in result["points"] if p["resend_on_repair"])
-    assert baseline["data_transmissions"] >= 0
-    if n < SHAPE_CHECK_MIN_N:
-        return
-    # The extension trades extra payload traffic for early reliability.
-    assert resend["average_reliability"] >= baseline["average_reliability"] - 0.02
-    assert resend["data_transmissions"] >= baseline["data_transmissions"]
 
 
 register(
@@ -1111,13 +938,25 @@ register(
                              extra={"failure": 0.6}),
             paper=TierConfig(n=10_000, messages=50, paper_params=True),
         ),
-        render=_render_ablation_resend,
-        check=_check_ablation_resend,
+        columns=(
+            Column("resend on repair", "resend_on_repair", ""),
+            Column("avg reliability", "average_reliability"),
+            Column("first-10 avg", "first10_average"),
+            Column("payload transmissions", "data_transmissions", ""),
+        ),
+        # The extension trades extra payload traffic for early reliability.
+        claims=(
+            Claim("sanity", "*", "data_transmissions", ">=", 0, ANY),
+            Claim("ablation", "True", "average_reliability", ">=",
+                  Ref("False", "average_reliability", slack=-0.02)),
+            Claim("ablation", "True", "data_transmissions", ">=",
+                  Ref("False", "data_transmissions")),
+        ),
         # Both arms fork one stabilised HyParView base.
         cell_affinity=lambda key: "base",
         axes=(Axis(None, RESEND_VARIANTS, bool),),
         run_cell=_run_resend_cell,
-        frame=_points(_failure),
+        **_points(_failure),
     )
 )
 
@@ -1129,38 +968,6 @@ def _run_plumtree_cell(ctx: RunContext, key: CellKey) -> dict:
     warmup = int(ctx.option("warmup", 5))  # type: ignore[arg-type]
     return measure_plumtree_point(
         ctx.stabilized(key[0]), warmup=warmup, messages=ctx.config.messages
-    )
-
-
-def _render_ablation_plumtree(result: dict, n: int) -> str:
-    return format_table(
-        ["layer", "avg reliability", "payload msgs / broadcast"],
-        [
-            ["flood", result["hyparview"]["reliability"],
-             result["hyparview"]["payloads_per_broadcast"]],
-            ["plumtree", result["plumtree"]["reliability"],
-             result["plumtree"]["payloads_per_broadcast"]],
-        ],
-        title=f"Ablation — Plumtree payload savings vs flood (n={n})",
-    )
-
-
-def _check_ablation_plumtree(result: dict, n: int) -> None:
-    # Both layers are atomic on a stable overlay at any scale, and the
-    # tree never sends more payloads than the flood.
-    assert result["hyparview"]["reliability"] == 1.0
-    assert result["plumtree"]["reliability"] == 1.0
-    assert (
-        result["plumtree"]["payloads_per_broadcast"]
-        <= result["hyparview"]["payloads_per_broadcast"]
-    )
-    if n < SHAPE_CHECK_MIN_N:
-        return
-    # A converged tree sends ~n-1 payloads vs the flood's ~n*(capacity-1):
-    # a material saving, not mere parity.
-    assert (
-        result["plumtree"]["payloads_per_broadcast"]
-        < 0.6 * result["hyparview"]["payloads_per_broadcast"]
     )
 
 
@@ -1176,8 +983,21 @@ register(
                              extra={"warmup": 3}),
             paper=TierConfig(n=10_000, messages=20, paper_params=True),
         ),
-        render=_render_ablation_plumtree,
-        check=_check_ablation_plumtree,
+        columns=(
+            Column("avg reliability", "reliability"),
+            Column("payload msgs / broadcast", "payloads_per_broadcast"),
+        ),
+        claims=(
+            # Both layers are atomic on a stable overlay at any scale, and
+            # the tree never sends more payloads than the flood...
+            Claim("ablation", "*", "reliability", "==", 1.0, ANY),
+            Claim("ablation", "plumtree", "payloads_per_broadcast", "<=",
+                  Ref("hyparview", "payloads_per_broadcast"), ANY),
+            # ...and a converged tree (~n-1 payloads vs the flood's
+            # ~n*(capacity-1)) saves materially.
+            Claim("ablation", "plumtree", "payloads_per_broadcast", "<",
+                  Ref("hyparview", "payloads_per_broadcast", factor=0.6)),
+        ),
         axes=(Axis(None, _PLUMTREE_LAYERS),),
         run_cell=_run_plumtree_cell,
     )

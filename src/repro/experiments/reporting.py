@@ -1,10 +1,15 @@
 """Rendering and persistence of experiment results.
 
-Two halves:
+Three parts:
 
 * **Plain text** — ``repro bench`` prints the same rows and series
   the paper's tables and figures report; these helpers keep that output
   aligned, stable and diff-friendly.
+* **Columns and claims** — a scenario declares its report columns and
+  what the paper says about its cells as data (:class:`Column`,
+  :class:`Claim`); :func:`render_report` prints every scenario and
+  :func:`check_claims` checks every scenario, naming the figure and the
+  numbers of each failed claim.
 * **JSON artifacts** — the experiment orchestrator persists every scenario
   run as a versioned ``BENCH_<scenario>.json`` file.  Artifacts are
   canonically encoded (sorted keys, fixed indentation, no timestamps or
@@ -20,8 +25,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 import pathlib
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from fnmatch import fnmatchcase
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 #: Version tag embedded in every artifact; bump on breaking layout changes.
 ARTIFACT_SCHEMA = "repro-bench/1"
@@ -247,36 +255,6 @@ def format_timings(
     )
 
 
-def format_phases(
-    phases: Sequence[Mapping[str, object]],
-    *,
-    title: Optional[str] = None,
-) -> str:
-    """Render per-fault-phase aggregates (the ``faults_*`` scenarios).
-
-    Each row is one named window of a fault-plan timeline with its message
-    count and reliability aggregates, as produced by
-    :func:`repro.faults.measure.measure_fault_plan`.
-    """
-    rows = []
-    for phase in phases:
-        rows.append(
-            [
-                phase["phase"],
-                f"{phase['start']:g}..{phase['end']:g}s",
-                phase["messages"],
-                "-" if phase["average"] is None else f"{phase['average']:.4f}",
-                "-" if phase["min"] is None else f"{phase['min']:.4f}",
-                "-" if phase["atomic"] is None else f"{phase['atomic']:.4f}",
-            ]
-        )
-    return format_table(
-        ["phase", "window", "msgs", "avg reliability", "min", "atomic"],
-        rows,
-        title=title,
-    )
-
-
 def format_series(series: Sequence[float], *, per_line: int = 20) -> str:
     """Render a reliability series as wrapped rows of percentages."""
     chunks = []
@@ -301,19 +279,153 @@ def sparkline(series: Sequence[float], *, low: float = 0.0, high: float = 1.0) -
     return "".join(out)
 
 
-def format_histogram(
-    histogram: Mapping[int, int],
-    *,
-    max_width: int = 50,
-    title: Optional[str] = None,
+# ----------------------------------------------------------------------
+# Declared columns and claims: one report and one check for every scenario
+# ----------------------------------------------------------------------
+#: Below this size the paper's shapes are too noisy: BENCH claims skip it.
+SHAPE_CHECK_MIN_N = 400
+
+#: What a path may end in: ``series|tail`` is the mean of the last ten.
+REDUCERS: dict[str, Callable[[list], float]] = {
+    "max": max, "min": min, "mean": lambda values: sum(values) / len(values),
+    "tail": lambda values: sum(values[-10:]) / len(values[-10:]) if values else 0.0,
+}
+
+COMPARATORS: dict[str, Callable[[object, object], bool]] = {
+    "<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge, ">": operator.gt,
+}
+
+
+def resolve(value: object, path: str) -> object:
+    """Read ``path`` from a result: dot-separated keys; on a list an integer
+    is an index and a name picks the phase row of that name; a trailing
+    ``|reducer`` reduces the list it reached.  ``None`` if a key is missing."""
+    path, _, reducer = path.partition("|")
+    for part in filter(None, path.split(".")):
+        if isinstance(value, list):
+            if part.lstrip("-").isdigit():
+                value = value[int(part)]
+            else:
+                value = next((row for row in value if row.get("phase") == part), None)
+        elif isinstance(value, Mapping):
+            value = value.get(part)
+        if value is None:
+            return None
+    return REDUCERS[reducer](value) if reducer else value  # type: ignore[arg-type]
+
+
+@dataclass(frozen=True, slots=True)
+class Column:
+    """A report column: header, path into a cell, format (``spark``: a sparkline)."""
+
+    header: str
+    path: str
+    fmt: str = ".4f"
+
+    def text(self, cell: dict) -> str:
+        value: Any = resolve(cell, self.path)
+        if value is None:
+            return "-"
+        return sparkline(value) if self.fmt == "spark" else format(value, self.fmt)
+
+
+@dataclass(frozen=True, slots=True)
+class Scale:
+    """Where a claim holds: a system-size range, a minimum stream length,
+    and cells the run's grid must hold (a thinned sweep is not the figure)."""
+
+    min_n: int = 0
+    max_n: Optional[int] = None
+    min_messages: int = 0
+    grid: tuple[str, ...] = ()
+
+
+ANY = Scale()  # sanity bounds, and what the repo claims at any size
+BENCH = Scale(min_n=SHAPE_CHECK_MIN_N)  # where the paper's shapes hold
+
+
+@dataclass(frozen=True, slots=True)
+class Ref:
+    """A bound read from a cell, ``factor * metric + slack``.  ``cell`` is a
+    label, an index into the grid's cells, or ``None`` for the claim's own."""
+
+    cell: str | int | None
+    metric: str
+    slack: float = 0.0
+    factor: float = 1.0
+
+
+@dataclass(frozen=True, slots=True)
+class Claim:
+    """``metric op bound`` on every cell ``cells`` selects (a label, an
+    ``fnmatch`` pattern or an index), where ``ref`` — a figure, a section or
+    the repo's own extension — says it holds, at ``scale``."""
+
+    ref: str
+    cells: str | int
+    metric: str
+    op: str
+    bound: float | Ref
+    scale: Scale = BENCH
+
+
+def _pick(rows: list[tuple[str, dict]], selector: str | int) -> list[tuple[str, dict]]:
+    if isinstance(selector, int):
+        return [rows[selector]]
+    return [(label, cell) for label, cell in rows if fnmatchcase(label, selector)]
+
+
+def _number(value: object) -> str:
+    return format(value, ".4g") if isinstance(value, float) else str(value)
+
+
+def check_claims(
+    scenario: str, claims: Sequence[Claim], invariant: Optional[Callable[[dict], None]],
+    rows: list[tuple[str, dict]], n: int, messages: int,
+) -> Iterator[tuple[Optional[Claim], Optional[str]]]:
+    """Every evaluation of a claim in scale on one replicate's cells, with
+    ``None`` or its ``check failed:`` line; invariant failures first."""
+    for label, cell in rows if invariant is not None else ():
+        try:
+            invariant(cell)  # type: ignore[misc]
+        except AssertionError as error:
+            yield None, f"check failed: {scenario} invariant: {label or '-'}: {error}"
+    labels = dict(rows)
+    for claim in claims:
+        scale = claim.scale
+        if not (scale.min_n <= n <= (scale.max_n or n) and messages >= scale.min_messages
+                and labels.keys() >= set(scale.grid)):
+            continue
+        for label, cell in _pick(rows, claim.cells):
+            bound, source = claim.bound, ""
+            if isinstance(bound, Ref):
+                if isinstance(bound.cell, str) and bound.cell not in labels:
+                    continue
+                name, other = (label, cell) if bound.cell is None else _pick(rows, bound.cell)[0]
+                value = resolve(other, bound.metric)
+                factor = f"{bound.factor:g} * " if bound.factor != 1.0 else ""
+                slack = f" {bound.slack:+g}" if bound.slack else ""
+                source = f" ({factor}{name} {bound.metric}{slack})"
+                bound = None if value is None else value * bound.factor + bound.slack
+            actual = resolve(cell, claim.metric)
+            if actual is not None and bound is not None and COMPARATORS[claim.op](actual, bound):
+                yield claim, None
+            else:
+                yield claim, (
+                    f"check failed: {scenario} {claim.ref}: {label or '-'} {claim.metric} = "
+                    f"{_number(actual)} {claim.op} {_number(bound)}{source}"
+                )
+
+
+def render_report(
+    title: str, result: dict, grid: str, rows: list[tuple[str, dict]], columns: Sequence[Column]
 ) -> str:
-    """Render a degree histogram (Figure 5 style) with proportional bars."""
-    if not histogram:
-        return "(empty histogram)"
-    peak = max(histogram.values())
-    lines = [title] if title else []
-    for degree in sorted(histogram):
-        count = histogram[degree]
-        bar = "#" * max(1, round(max_width * count / peak)) if count else ""
-        lines.append(f"  in-degree {degree:>4}: {count:>6} {bar}")
-    return "\n".join(lines)
+    """One table, a row per cell; the result's scalar fields beside the grid
+    (a sweep's failure level, say) join the title."""
+    scalars = (item for item in result.items() if isinstance(item[1], (int, float, str)))
+    fields = [f"{key}={value}" for key, value in scalars if key != grid]
+    return format_table(
+        ["cell", *(column.header for column in columns)],
+        [[label or "-", *(column.text(cell) for column in columns)] for label, cell in rows],
+        title="; ".join([title, *fields]),
+    )

@@ -62,8 +62,11 @@ from .registry import (
 )
 from .reporting import (
     ARTIFACT_SCHEMA,
+    Claim,
+    check_claims,
     format_timings,
     metrics_artifact,
+    render_report,
     trace_artifact,
     write_artifact,
     write_metrics_file,
@@ -302,9 +305,6 @@ class ScenarioRun:
     #: per-replicate ``{"replicate", "seed", "result"}`` records, in order.
     replicates: tuple[dict, ...]
 
-    def first_result(self) -> dict:
-        return self.replicates[0]["result"]
-
     def artifact(self) -> dict:
         """The versioned JSON artifact for this run.
 
@@ -331,14 +331,31 @@ class ScenarioRun:
             "replicates": list(self.replicates),
         }
 
-    def render(self) -> str:
-        return self.spec.render(self.first_result(), self.config.n)
+    def _rows(self, record: dict) -> list[tuple[str, dict]]:
+        replicate, seed = record["replicate"], record["seed"]
+        context = RunContext(self.spec.id, self.tier, self.config, replicate, seed)
+        return self.spec.cell_rows(context, record["result"])
 
-    def check(self) -> None:
-        if self.spec.check is None:
-            return
+    def render(self) -> str:
+        """The first replicate's report: one row per cell."""
+        record = self.replicates[0]
+        return render_report(
+            f"{self.spec.title} (n={self.config.n})",
+            record["result"], self.spec.grid, self._rows(record), self.spec.columns,
+        )
+
+    def check(self) -> list[tuple[Optional[Claim], Optional[str]]]:
+        """Every claim and invariant evaluated on every replicate: each
+        with ``None`` or its ``check failed:`` line."""
+        spec, outcomes = self.spec, []
         for record in self.replicates:
-            self.spec.check(record["result"], self.config.n)
+            # With replicates, a failure names the one it holds for.
+            name = spec.id if len(self.replicates) == 1 else f"{spec.id}[{record['replicate']}]"
+            rows = self._rows(record)
+            outcomes += check_claims(
+                name, spec.claims, spec.invariant, rows, self.config.n, self.config.messages
+            )
+        return outcomes
 
 
 @dataclass

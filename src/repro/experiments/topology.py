@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import fields, replace
 
-from ..faults.measure import check_cell, measure_fault_plan, phase_row
+from ..faults.measure import check_cell, measure_fault_plan
 from ..faults.scenarios import WAN_JITTER, churn_trace, stream_interval
 from ..protocols.xbot import XBotStats
 from .params import ExperimentParams
@@ -37,7 +37,7 @@ from .registry import (
     _tiers,
     register,
 )
-from .reporting import format_phases, json_safe, sparkline
+from .reporting import ANY, Claim, Column, Ref, json_safe
 from .scenario import Scenario
 
 #: The comparison the family makes: the optimiser and its baseline.
@@ -144,50 +144,6 @@ def _run_convergence_cell(ctx: RunContext, key: CellKey) -> dict:
     return json_safe(result)  # type: ignore[return-value]
 
 
-def _check_topo_convergence(result: dict, n: int) -> None:
-    for cell in result.values():
-        check_cell(cell)
-    xb = result.get("hyparview-xbot")
-    hv = result.get("hyparview")
-    if xb:
-        trajectory = xb["link_cost"]["trajectory"]
-        # Optimisation is real and strictly decreases the summed edge cost.
-        assert xb["optimizer"]["swaps_completed"] > 0
-        assert trajectory[-1]["mean"] < trajectory[0]["mean"]
-    if xb and hv:
-        # ...and beats the cost-blind baseline on the same world model.
-        assert xb["link_cost"]["final"]["mean"] < hv["link_cost"]["final"]["mean"]
-        # Topology bias must not cost reliability under the WAN window.
-        assert xb["average"] >= hv["average"] - 0.05
-
-
-def _render_topo_convergence(result: dict, n: int) -> str:
-    blocks = [f"Topology — link-cost convergence under optimisation (n={n})"]
-    for protocol, cell in result.items():
-        cost = cell["link_cost"]
-        means = [point["mean"] for point in cost["trajectory"]]
-        optimizer = cell["optimizer"]
-        blocks.append("")
-        blocks.append(
-            format_phases(cell["phases"], title=f"{protocol} — plan: "
-                          f"{'; '.join(cell['plan']) or '(none)'}")
-        )
-        blocks.append(
-            f"{protocol:15s} edge-cost mean {means[0]:.4f} -> {means[-1]:.4f}  "
-            f"{sparkline(means, high=max(means))}  "
-            f"(median {cost['final']['median']:.4f}, "
-            f"p90 {cost['final']['p90']:.4f})"
-        )
-        blocks.append(
-            f"  swaps: completed={optimizer['swaps_completed']} "
-            f"rejected={optimizer['swaps_rejected']} "
-            f"timeouts={optimizer['swap_timeouts']} "
-            f"unbiased-protected={optimizer['unbiased_protected']}  "
-            f"wan reliability avg={cell['average']:.3f}"
-        )
-    return "\n".join(blocks)
-
-
 # ----------------------------------------------------------------------
 # topo_latency
 # ----------------------------------------------------------------------
@@ -251,50 +207,6 @@ def _run_latency_cell(ctx: RunContext, key: CellKey) -> dict:
     )
 
 
-def _check_topo_latency(result: dict, n: int) -> None:
-    for cell in result.values():
-        latency = cell["latency"]
-        assert latency["messages"] >= 1
-        assert latency["t_full"]["median"] >= 0.0
-        check_cell(cell["churn"])
-    xb = result.get("hyparview-xbot")
-    hv = result.get("hyparview")
-    if xb and hv:
-        # The headline claim, asserted at every tier: X-BOT strictly
-        # lowers both median time-to-full-delivery and active-view link
-        # cost on the zoned world model...
-        assert xb["latency"]["t_full"]["median"] < hv["latency"]["t_full"]["median"]
-        assert xb["link_cost"]["median"] < hv["link_cost"]["median"]
-        assert xb["link_cost"]["mean"] < hv["link_cost"]["mean"]
-        # ...while the unbiased slots keep churn reliability within the
-        # plain-HyParView envelope.
-        assert xb["churn"]["average"] >= hv["churn"]["average"] - 0.05
-        assert xb["optimizer"]["swaps_completed"] > 0
-
-
-def _render_topo_latency(result: dict, n: int) -> str:
-    blocks = [f"Topology — broadcast latency, X-BOT vs HyParView (n={n})"]
-    for protocol, cell in result.items():
-        latency = cell["latency"]
-        t_full = latency["t_full"]
-        churn = cell["churn"]
-        blocks.append("")
-        blocks.append(
-            f"{protocol:15s} t-full median={t_full['median']:.3f}s "
-            f"p90={t_full['p90']:.3f}s  per-hop={latency['per_hop_mean']*1000:.1f}ms  "
-            f"hops<= {latency['hops_max']}  edge-cost mean={cell['link_cost']['mean']:.4f}"
-        )
-        blocks.append(
-            f"  clean reliability={latency['reliability_mean']:.3f} "
-            f"({latency['atomic']}/{latency['messages']} atomic)  "
-            f"churn avg={churn['average']:.3f}  {sparkline(churn['series'])}"
-        )
-        late = phase_row(churn, "late")
-        if late["messages"]:
-            blocks.append(f"  churn late-phase avg={late['average']:.3f}")
-    return "\n".join(blocks)
-
-
 # ----------------------------------------------------------------------
 # Registration
 # ----------------------------------------------------------------------
@@ -312,8 +224,27 @@ register(
         ),
         axes=(Axis(None, TOPO_PROTOCOLS),),
         run_cell=_run_convergence_cell,
-        render=_render_topo_convergence,
-        check=_check_topo_convergence,
+        columns=(
+            Column("edge-cost mean first", "link_cost.trajectory.0.mean"),
+            Column("edge-cost mean last", "link_cost.trajectory.-1.mean"),
+            Column("edge-cost p90", "link_cost.final.p90"),
+            Column("swaps", "optimizer.swaps_completed", ""),
+            Column("wan avg", "average"),
+            Column("degraded avg", "phases.degraded.average"),
+        ),
+        claims=(
+            # Optimisation is real and strictly lowers the mean edge cost,
+            # below the cost-blind baseline's on the same world model...
+            Claim("X-BOT", "hyparview-xbot", "optimizer.swaps_completed", ">", 0, ANY),
+            Claim("X-BOT", "hyparview-xbot", "link_cost.trajectory.-1.mean", "<",
+                  Ref(None, "link_cost.trajectory.0.mean"), ANY),
+            Claim("X-BOT", "hyparview-xbot", "link_cost.final.mean", "<",
+                  Ref("hyparview", "link_cost.final.mean"), ANY),
+            # ...and topology bias costs no reliability under the WAN window.
+            Claim("X-BOT", "hyparview-xbot", "average", ">=",
+                  Ref("hyparview", "average", slack=-0.05), ANY),
+        ),
+        invariant=check_cell,
     )
 )
 
@@ -331,8 +262,33 @@ register(
         ),
         axes=(Axis(None, TOPO_PROTOCOLS),),
         run_cell=_run_latency_cell,
-        render=_render_topo_latency,
-        check=_check_topo_latency,
+        columns=(
+            Column("t-full median (s)", "latency.t_full.median"),
+            Column("t-full p90 (s)", "latency.t_full.p90"),
+            Column("per-hop (s)", "latency.per_hop_mean"),
+            Column("max hops", "latency.hops_max", ""),
+            Column("edge-cost mean", "link_cost.mean"),
+            Column("clean reliability", "latency.reliability_mean"),
+            Column("churn avg", "churn.average"),
+            Column("churn late avg", "churn.phases.late.average"),
+        ),
+        claims=(
+            Claim("sanity", "*", "latency.messages", ">=", 1, ANY),
+            Claim("sanity", "*", "latency.t_full.median", ">=", 0.0, ANY),
+            # The headline, at every tier: X-BOT strictly lowers median
+            # time-to-full-delivery and active-view link cost on the zoned
+            # world model...
+            *(
+                Claim("X-BOT", "hyparview-xbot", metric, "<", Ref("hyparview", metric), ANY)
+                for metric in ("latency.t_full.median", "link_cost.median", "link_cost.mean")
+            ),
+            # ...while the unbiased slots keep churn reliability within the
+            # plain-HyParView envelope.
+            Claim("X-BOT", "hyparview-xbot", "churn.average", ">=",
+                  Ref("hyparview", "churn.average", slack=-0.05), ANY),
+            Claim("X-BOT", "hyparview-xbot", "optimizer.swaps_completed", ">", 0, ANY),
+        ),
+        invariant=lambda cell: check_cell(cell["churn"]),
     )
 )
 

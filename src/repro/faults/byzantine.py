@@ -38,8 +38,8 @@ from ..experiments.registry import (
     _tiers,
     register,
 )
-from ..experiments.reporting import json_safe, sparkline
-from .measure import check_cell, measure_byzantine_plan, phase_row
+from ..experiments.reporting import ANY, Claim, Column, Ref, Scale, json_safe
+from .measure import check_cell, measure_byzantine_plan
 from .plan import (
     DEFAULT_MUTATION_TYPES,
     CrashEvent,
@@ -80,12 +80,16 @@ def _run_byz_cell(ctx: RunContext, protocol: str, plan: PlanSpec) -> dict:
     return json_safe(result)  # type: ignore[return-value]
 
 
-def _cell_line(label: str, cell: dict) -> str:
+def _columns(*extra: Column) -> tuple[Column, ...]:
+    """The Byzantine report: validated (correct-value) and raw reliability,
+    wrong values, agreement, the scenario's own counters and the series."""
     return (
-        f"{label:24s} validated={cell['validated_average']:.3f} "
-        f"raw={cell['average']:.3f} wrong={cell['wrong_deliveries']} "
-        f"agreement={cell['agreement']:.2f}  "
-        f"{sparkline(cell['validated_series'])}"
+        Column("validated avg", "validated_average"),
+        Column("raw avg", "average"),
+        Column("wrong", "wrong_deliveries", ""),
+        Column("agreement", "agreement", ".2f"),
+        *extra,
+        Column("validated series", "validated_series", "spark"),
     )
 
 
@@ -93,6 +97,11 @@ def _cell_line(label: str, cell: dict) -> str:
 # Adversary-fraction sweep
 # ----------------------------------------------------------------------
 BYZ_FRACTIONS = (0.0, 0.1, 0.2, 0.3, 0.4)
+
+#: The smoke tier runs Bracha quorums, where the n > 3f cliff is exact;
+#: larger tiers may run sampled (SBRB) quorums, whose guarantees are
+#: probabilistic, so the cliff is claimed up to n = 256 only.
+_BRACHA = Scale(max_n=256)
 
 
 def _fraction_plan(fraction: float) -> PlanSpec:
@@ -113,52 +122,6 @@ def _fraction_run(ctx: RunContext, key: CellKey) -> dict:
     return cell
 
 
-def _render_fraction(result: dict, n: int) -> str:
-    blocks = [f"Byzantine broadcast — adversary-fraction sweep (n={n})"]
-    for protocol, cells in result.items():
-        blocks.append("")
-        blocks.append(f"{protocol}:")
-        for fraction in sorted(cells, key=float):
-            cell = cells[fraction]
-            mean_latency = sum(cell["latencies"]) / len(cell["latencies"])
-            blocks.append(
-                "  " + _cell_line(f"{float(fraction):.0%} adversaries", cell)
-                + f" latency={mean_latency * 1e3:.1f}ms"
-            )
-    return "\n".join(blocks)
-
-
-def _check_fraction(result: dict, n: int) -> None:
-    for cells in result.values():
-        for cell in cells.values():
-            check_cell(cell)
-    brb = result.get("hyparview-brb")
-    baseline = result.get("hyparview-reliable")
-    if brb is None or n > 256:
-        # The small-n smoke tier runs Bracha quorums, where the cliff is
-        # exact; larger tiers may run sampled (SBRB) quorums, whose
-        # guarantees are probabilistic — sanity only.
-        return
-    # Below the n > 3f cliff (f = 25% of the roster) every correct node
-    # delivers the correct value; past it, echo quorums become
-    # unreachable and the corrupted window stalls entirely.
-    for fraction in ("0.1", "0.2", "0.3"):
-        assert brb[fraction]["validated_average"] >= 0.99, fraction
-        assert brb[fraction]["wrong_deliveries"] == 0
-    collapsed = phase_row(brb["0.4"], "corrupted")
-    assert collapsed["average"] is not None and collapsed["average"] < 0.1
-    if baseline is not None:
-        # The ack/retransmit stack trusts arriving bytes: mutated relays
-        # poison a visible share of first-copy deliveries.
-        degraded = phase_row(baseline["0.3"], "corrupted")
-        assert degraded["average"] is not None and degraded["average"] < 0.95
-        assert baseline["0.3"]["wrong_deliveries"] > 0
-        assert (
-            brb["0.3"]["validated_average"]
-            > baseline["0.3"]["validated_average"]
-        )
-
-
 register(
     ScenarioSpec(
         id="byz_adversary_fraction",
@@ -177,8 +140,35 @@ register(
             Axis(None, BYZ_FRACTIONS, float, "{:g}".format),
         ),
         run_cell=_fraction_run,
-        render=_render_fraction,
-        check=_check_fraction,
+        columns=_columns(
+            Column("corrupted avg", "phases.corrupted.average"),
+            Column("latency (s)", "latencies|mean"),
+        ),
+        claims=(
+            # Below the n > 3f cliff (f = 25 % of the roster) every correct
+            # node delivers the correct value...
+            *(
+                claim
+                for fraction in ("0.1", "0.2", "0.3")
+                for claim in (
+                    Claim("Bracha", f"hyparview-brb/{fraction}", "validated_average", ">=",
+                          0.99, _BRACHA),
+                    Claim("Bracha", f"hyparview-brb/{fraction}", "wrong_deliveries", "==", 0,
+                          _BRACHA),
+                )
+            ),
+            # ...past it, echo quorums are unreachable and the corrupted
+            # window stalls entirely.
+            Claim("Bracha", "hyparview-brb/0.4", "phases.corrupted.average", "<", 0.1, _BRACHA),
+            # The ack/retransmit stack trusts arriving bytes: mutated relays
+            # poison a visible share of first-copy deliveries.
+            Claim("Bracha", "hyparview-reliable/0.3", "phases.corrupted.average", "<", 0.95,
+                  _BRACHA),
+            Claim("Bracha", "hyparview-reliable/0.3", "wrong_deliveries", ">", 0, _BRACHA),
+            Claim("Bracha", "hyparview-brb/0.3", "validated_average", ">",
+                  Ref("hyparview-reliable/0.3", "validated_average"), _BRACHA),
+        ),
+        invariant=check_cell,
     )
 )
 
@@ -213,38 +203,6 @@ def _churn_run(ctx: RunContext, key: CellKey) -> dict:
     return _run_byz_cell(ctx, key[0], _churn_plan(burst))
 
 
-def _render_churn(result: dict, n: int) -> str:
-    blocks = [f"Byzantine broadcast — sampled quorums under churn (n={n})"]
-    for protocol, cell in result.items():
-        brb = cell["brb"]
-        blocks.append(_cell_line(protocol, cell))
-        blocks.append(
-            f"  brb: echoes={brb['echoes_sent']} readies={brb['readies_sent']} "
-            f"quorum-deliveries={brb['quorum_deliveries']}  "
-            f"mutated={cell['fault_stats']['mutated_byz']}  "
-            f"final alive={cell['final']['alive']}"
-        )
-    return "\n".join(blocks)
-
-
-def _check_churn(result: dict, n: int) -> None:
-    for cell in result.values():
-        check_cell(cell)
-        # The quorum machinery actually ran, the mutation actually bit,
-        # and every crashed node restarted.
-        assert cell["brb"]["quorum_deliveries"] > 0
-        # Fault times are absolute seconds: the paced stream only samples
-        # the [0.1s, 0.6s) corruption window when it is dense enough
-        # (tiny sanity runs with 2-3 sends straddle it entirely).
-        if cell["messages"] >= 4:
-            assert cell["fault_stats"]["mutated_byz"] > 0
-        assert cell["final"]["alive"] == cell["n"]
-        # Quorum delivery never hands over a corrupted value, even while
-        # rosters churn mid-stream.
-        assert cell["wrong_deliveries"] == 0
-        assert cell["agreement"] == 1.0
-
-
 register(
     ScenarioSpec(
         id="byz_churn",
@@ -261,8 +219,26 @@ register(
         ),
         axes=(Axis(None, BYZ_CHURN_PROTOCOLS),),
         run_cell=_churn_run,
-        render=_render_churn,
-        check=_check_churn,
+        columns=_columns(
+            Column("echoes", "brb.echoes_sent", ""),
+            Column("readies", "brb.readies_sent", ""),
+            Column("quorum deliveries", "brb.quorum_deliveries", ""),
+            Column("mutated", "fault_stats.mutated_byz", ""),
+            Column("alive", "final.alive", ""),
+        ),
+        claims=(
+            # The quorum machinery ran, every crashed node restarted, and
+            # quorum delivery never hands over a corrupted value, even while
+            # rosters churn mid-stream.
+            Claim("BRB", "*", "brb.quorum_deliveries", ">", 0, ANY),
+            Claim("BRB", "*", "final.alive", "==", Ref(None, "n"), ANY),
+            Claim("BRB", "*", "wrong_deliveries", "==", 0, ANY),
+            Claim("BRB", "*", "agreement", "==", 1.0, ANY),
+            # The mutation bit: fault times are absolute seconds, so the
+            # paced stream samples the [0.1 s, 0.6 s) window once it is dense.
+            Claim("BRB", "*", "fault_stats.mutated_byz", ">", 0, Scale(min_messages=4)),
+        ),
+        invariant=check_cell,
     )
 )
 
@@ -287,34 +263,6 @@ EQUIVOCATION: PlanSpec = (
 )
 
 
-def _render_equivocation(result: dict, n: int) -> str:
-    blocks = [f"Byzantine broadcast — equivocating relays (n={n})"]
-    for protocol, cell in result.items():
-        blocks.append(_cell_line(protocol, cell))
-        blocks.append(
-            f"  equivocated-frames={cell['fault_stats']['equivocated_byz']}"
-        )
-    return "\n".join(blocks)
-
-
-def _check_equivocation(result: dict, n: int) -> None:
-    for cell in result.values():
-        check_cell(cell)
-        assert cell["fault_stats"]["equivocated_byz"] > 0
-    brb = result.get("hyparview-brb")
-    if brb is not None:
-        # Echo-once plus payload-bound quorums: no wrong value is ever
-        # delivered and no two nodes ever disagree, at any tier.
-        assert brb["wrong_deliveries"] == 0
-        assert brb["agreement"] == 1.0
-    baseline = result.get("hyparview-reliable")
-    if baseline is not None:
-        # First-copy-wins delivery swallows per-destination forgeries:
-        # conflicting values are delivered for the same message id.
-        assert baseline["wrong_deliveries"] > 0
-        assert baseline["agreement"] < 1.0
-
-
 register(
     ScenarioSpec(
         id="byz_equivocation",
@@ -330,8 +278,19 @@ register(
         ),
         axes=(Axis(None, BYZ_PROTOCOLS),),
         run_cell=lambda ctx, key: _run_byz_cell(ctx, key[0], EQUIVOCATION),
-        render=_render_equivocation,
-        check=_check_equivocation,
+        columns=_columns(Column("equivocated frames", "fault_stats.equivocated_byz", "")),
+        claims=(
+            Claim("BRB", "*", "fault_stats.equivocated_byz", ">", 0, ANY),
+            # Echo-once plus payload-bound quorums: no wrong value is ever
+            # delivered and no two nodes ever disagree, at any tier...
+            Claim("BRB", "hyparview-brb", "wrong_deliveries", "==", 0, ANY),
+            Claim("BRB", "hyparview-brb", "agreement", "==", 1.0, ANY),
+            # ...while first-copy-wins delivery swallows per-destination
+            # forgeries: conflicting values for the same message id.
+            Claim("BRB", "hyparview-reliable", "wrong_deliveries", ">", 0, ANY),
+            Claim("BRB", "hyparview-reliable", "agreement", "<", 1.0, ANY),
+        ),
+        invariant=check_cell,
     )
 )
 

@@ -270,23 +270,19 @@ def measure_byzantine_plan(
     return result
 
 
-def phase_row(result: dict, name: str) -> dict:
-    """The phase row called ``name`` in a result of either shape."""
-    return next(row for row in result["phases"] if row["phase"] == name)
-
-
 def check_cell(result: dict) -> None:
     """The invariants a result of either shape keeps at any scale."""
-    assert len(result["series"]) == result["messages"]
-    for value in result["series"]:
-        assert 0.0 <= value <= 1.0
-    assert 0.0 <= result["final"]["largest_component"] <= 1.0
+    assert len(result["series"]) == result["messages"], "one series entry per message"
+    assert all(0.0 <= value <= 1.0 for value in result["series"]), "reliability in [0, 1]"
+    assert 0.0 <= result["final"]["largest_component"] <= 1.0, "component share in [0, 1]"
     if "validated_series" in result:
-        assert len(result["validated_series"]) == result["messages"]
-        for raw, validated in zip(result["series"], result["validated_series"]):
-            # A validated delivery is a tracker delivery with the right value.
-            assert 0.0 <= validated <= raw
-        assert 0.0 <= result["agreement"] <= 1.0
+        assert len(result["validated_series"]) == result["messages"], "one per message"
+        # A validated delivery is a tracker delivery with the right value.
+        assert all(
+            0.0 <= validated <= raw
+            for raw, validated in zip(result["series"], result["validated_series"])
+        ), "validated reliability within [0, raw]"
+        assert 0.0 <= result["agreement"] <= 1.0, "agreement in [0, 1]"
 
 
-__all__ = ["check_cell", "measure_byzantine_plan", "measure_fault_plan", "phase_row"]
+__all__ = ["check_cell", "measure_byzantine_plan", "measure_fault_plan"]

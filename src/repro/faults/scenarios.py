@@ -41,7 +41,6 @@ from dataclasses import replace
 from typing import Callable, Optional
 
 from ..experiments.registry import (
-    SHAPE_CHECK_MIN_N,
     Axis,
     CellKey,
     RunContext,
@@ -50,8 +49,8 @@ from ..experiments.registry import (
     _tiers,
     register,
 )
-from ..experiments.reporting import format_phases, json_safe, sparkline
-from .measure import check_cell, measure_fault_plan, phase_row
+from ..experiments.reporting import ANY, Claim, Column, Ref, Scale, json_safe
+from .measure import check_cell, measure_fault_plan
 from .plan import (
     AdversaryEvent,
     CrashEvent,
@@ -88,40 +87,22 @@ def _run_fault_cell(ctx: RunContext, key: CellKey, plan: PlanSpec) -> dict:
     return json_safe(result)  # type: ignore[return-value]
 
 
-def _render_fault(result: dict, n: int, *, title: str) -> str:
-    blocks = [f"{title} (n={n})"]
-    for protocol, cell in result.items():
-        stats = cell["fault_stats"]
-        blocks.append("")
-        blocks.append(
-            format_phases(cell["phases"], title=f"{protocol} — plan: "
-                          f"{'; '.join(cell['plan']) or '(none)'}")
-        )
-        blocks.append(
-            f"{protocol:13s} avg={cell['average']:.3f}  "
-            f"{sparkline(cell['series'])}"
-        )
-        blocks.append(
-            f"  faults: rule-drops={stats['dropped_fault']} "
-            f"dups={stats['duplicated_fault']} "
-            f"adversary-drops={stats['dropped_adversary']} "
-            f"send-failures={stats['send_failures']}  "
-            f"final: alive={cell['final']['alive']} "
-            f"component={cell['final']['largest_component']:.3f}"
-        )
-        reliable = cell.get("reliable")
-        if reliable is not None:
-            blocks.append(
-                f"  ack layer: acks={reliable['acks_received']} "
-                f"retransmissions={reliable['retransmissions']} "
-                f"give-ups={reliable['give_ups']}"
-            )
-    return "\n".join(blocks)
+#: A claim about a fault window holds once the stream has a send inside
+#: it: paced over the plan's end, three messages put one mid-stream.
+_DENSE = Scale(min_messages=3)
 
 
-def _sanity(result: dict) -> None:
-    for cell in result.values():
-        check_cell(cell)
+def fault_columns(phases: tuple[Phase, ...], *extra: Column) -> tuple[Column, ...]:
+    """The fault report: reliability overall and per phase, the scenario's
+    own counters, the survivors and the reliability series."""
+    return (
+        Column("avg", "average"),
+        *(Column(f"{phase.name} avg", f"phases.{phase.name}.average") for phase in phases),
+        *extra,
+        Column("alive", "final.alive", ""),
+        Column("component", "final.largest_component"),
+        Column("series", "series", "spark"),
+    )
 
 
 def _register_fault_scenario(
@@ -130,12 +111,15 @@ def _register_fault_scenario(
     title: str,
     description: str,
     plan: PlanSpec | Callable[[RunContext], PlanSpec],
-    check: Callable[[dict, int], None],
+    claims: tuple[Claim, ...],
     paper: TierConfig = _PAPER,
     protocols: tuple[str, ...] = FAULT_PROTOCOLS,
+    phases: tuple[Phase, ...] = (),
+    columns: tuple[Column, ...] = (),
 ) -> None:
     """``plan`` is the scenario's constant plan, or a function of the run
-    context for the plans that read a tier option."""
+    context (with its ``phases``) for the plans that read a tier option;
+    ``columns`` are the scenario's own counters."""
     register(
         ScenarioSpec(
             id=scenario_id,
@@ -147,8 +131,9 @@ def _register_fault_scenario(
             run_cell=lambda ctx, key: _run_fault_cell(
                 ctx, key, plan(ctx) if callable(plan) else plan
             ),
-            render=lambda result, n: _render_fault(result, n, title=title),
-            check=check,
+            columns=fault_columns(phases or plan[1], *columns),  # type: ignore[index]
+            claims=claims,
+            invariant=check_cell,
         )
     )
 
@@ -170,32 +155,20 @@ PARTITION_HEAL: PlanSpec = (
 )
 
 
-def _check_partition(result: dict, n: int) -> None:
-    _sanity(result)
-    for cell in result.values():
-        # The cut is real: mid-partition broadcasts cannot be atomic.
-        during = phase_row(cell, "partitioned")
-        if during["messages"]:
-            assert during["min"] < 1.0
-    if n < SHAPE_CHECK_MIN_N:
-        return
-    hv = result.get("hyparview")
-    if hv:
-        before = phase_row(hv, "before")
-        healed = phase_row(hv, "healed")
-        # Stable-overlay flood is atomic before the cut, and the assisted
-        # remerge restores most of the reach after healing.
-        assert before["average"] is None or before["average"] > 0.99
-        assert healed["average"] is not None and healed["average"] > 0.6
-
-
 _register_fault_scenario(
     scenario_id="faults_partition_heal",
     title="Faults — partition and heal",
     description="Split-brain 50/50 partition with later heal and an "
     "operator-assisted remerge; reliability per fault phase.",
     plan=PARTITION_HEAL,
-    check=_check_partition,
+    claims=(
+        # The cut is real: mid-partition broadcasts cannot be atomic.
+        Claim("faults", "*", "phases.partitioned.min", "<", 1.0, _DENSE),
+        # Stable-overlay flood is atomic before the cut, and the assisted
+        # remerge restores most of the reach after healing.
+        Claim("faults", "hyparview", "phases.before.average", ">", 0.99),
+        Claim("faults", "hyparview", "phases.healed.average", ">", 0.6),
+    ),
 )
 
 
@@ -217,27 +190,17 @@ CASCADE: PlanSpec = (
 )
 
 
-def _check_cascade(result: dict, n: int) -> None:
-    _sanity(result)
-    for cell in result.values():
-        # The waves actually happened: survivors < starting population.
-        assert cell["final"]["alive"] < cell["n"]
-    if n < SHAPE_CHECK_MIN_N:
-        return
-    hv = result.get("hyparview")
-    if hv:
-        aftermath = phase_row(hv, "aftermath")
-        # HyParView's claim under correlated waves: the tail recovers.
-        assert aftermath["average"] is not None and aftermath["average"] > 0.7
-
-
 _register_fault_scenario(
     scenario_id="faults_cascade",
     title="Faults — correlated cascading failures",
     description="Three correlated crash waves mid-stream; per-wave-phase "
     "reliability and post-cascade recovery.",
     plan=CASCADE,
-    check=_check_cascade,
+    claims=(
+        # The waves happened, and HyParView's tail recovers after them.
+        Claim("faults", "*", "final.alive", "<", Ref(None, "n"), ANY),
+        Claim("faults", "hyparview", "phases.aftermath.average", ">", 0.7),
+    ),
 )
 
 
@@ -272,24 +235,15 @@ def _lossy_links(loss: float, jitter: float, phase: str, label: str) -> PlanSpec
 WAN_JITTER = _lossy_links(0.1, 0.05, "degraded", "wan-jitter")
 
 
-def _check_wan(result: dict, n: int) -> None:
-    _sanity(result)
-    if n < SHAPE_CHECK_MIN_N:
-        return
-    hv = result.get("hyparview")
-    if hv:
-        # TCP-modelled links mask loss as latency: the flood stays near
-        # atomic straight through the degradation window.
-        assert hv["average"] > 0.9
-
-
 _register_fault_scenario(
     scenario_id="faults_wan_jitter",
     title="Faults — WAN jitter and lossy links",
     description="A window of per-link loss, jitter and duplication on half "
     "the links; TCP-modelled flood vs datagram gossip.",
     plan=WAN_JITTER,
-    check=_check_wan,
+    # TCP-modelled links mask loss as latency: the flood stays near atomic
+    # straight through the degradation window.
+    claims=(Claim("faults", "hyparview", "average", ">", 0.9),),
     protocols=("hyparview", "cyclon"),
 )
 
@@ -297,6 +251,14 @@ _register_fault_scenario(
 # ----------------------------------------------------------------------
 # Churn-trace replay
 # ----------------------------------------------------------------------
+#: A churn trace's phases: the early / mid / late thirds of its stream.
+CHURN_PHASES = (
+    Phase("early", 0.0, 0.9 / 3),
+    Phase("mid", 0.9 / 3, 2 * (0.9 / 3)),
+    Phase("late", 2 * (0.9 / 3), 0.9 + 1e-6),
+)
+
+
 def churn_trace(bursts: int, size: int, period: float, label: str = "churn-trace") -> PlanSpec:
     """``bursts`` crashes of ``size`` nodes every ``period`` from 0.1 s,
     each restarted half a period later; early / mid / late thirds of a
@@ -306,14 +268,7 @@ def churn_trace(bursts: int, size: int, period: float, label: str = "churn-trace
         at = 0.1 + burst * period
         trace.append((at, "crash", size))
         trace.append((at + period / 2, "restart", size))
-    end = 0.9
-    third = end / 3
-    phases = (
-        Phase("early", 0.0, third),
-        Phase("mid", third, 2 * third),
-        Phase("late", 2 * third, end + 1e-6),
-    )
-    return FaultPlan.churn_trace(trace, label=label), phases, end
+    return FaultPlan.churn_trace(trace, label=label), CHURN_PHASES, 0.9
 
 
 def _burst_size(ctx: RunContext, default: int) -> int:
@@ -324,25 +279,19 @@ def _burst_size(ctx: RunContext, default: int) -> int:
 _PAPER_BURSTS = replace(_PAPER, extra={"burst_size": 150})
 
 
-def _check_churn_trace(result: dict, n: int) -> None:
-    _sanity(result)
-    if n < SHAPE_CHECK_MIN_N:
-        return
-    hv = result.get("hyparview")
-    if hv:
-        # Continuous churn at this rate barely dents HyParView.
-        assert hv["average"] > 0.9
-        assert hv["final"]["largest_component"] > 0.9
-
-
 _register_fault_scenario(
     scenario_id="faults_churn_trace",
     title="Faults — churn-trace replay",
     description="Deterministic crash/restart burst trace replayed against "
     "the overlay while the broadcast stream runs.",
     plan=lambda ctx: churn_trace(4, _burst_size(ctx, 3), 0.15),
-    check=_check_churn_trace,
+    # Continuous churn at this rate barely dents HyParView.
+    claims=(
+        Claim("faults", "hyparview", "average", ">", 0.9),
+        Claim("faults", "hyparview", "final.largest_component", ">", 0.9),
+    ),
     paper=_PAPER_BURSTS,
+    phases=CHURN_PHASES,
 )
 
 
@@ -365,26 +314,18 @@ FLASH_CROWD: PlanSpec = (
 )
 
 
-def _check_flash(result: dict, n: int) -> None:
-    _sanity(result)
-    for cell in result.values():
-        # Every crashed node restarted: the full population is back.
-        assert cell["final"]["alive"] == cell["n"]
-    if n < SHAPE_CHECK_MIN_N:
-        return
-    hv = result.get("hyparview")
-    if hv:
-        # The join storm is absorbed: the overlay ends connected.
-        assert hv["final"]["largest_component"] > 0.9
-
-
 _register_fault_scenario(
     scenario_id="faults_flash_crowd",
     title="Faults — flash-crowd join",
     description="40% of the population crashes, then every dead node "
     "rejoins at the same instant — a join storm through few contacts.",
     plan=FLASH_CROWD,
-    check=_check_flash,
+    # Every crashed node restarted, and the join storm is absorbed: the
+    # overlay ends connected.
+    claims=(
+        Claim("faults", "*", "final.alive", "==", Ref(None, "n"), ANY),
+        Claim("faults", "hyparview", "final.largest_component", ">", 0.9),
+    ),
 )
 
 
@@ -422,26 +363,18 @@ ADVERSARY: PlanSpec = (
 )
 
 
-def _check_adversary(result: dict, n: int) -> None:
-    _sanity(result)
-    if n < SHAPE_CHECK_MIN_N:
-        return
-    hv = result.get("hyparview")
-    if hv:
-        # The sabotage was real: repair traffic was silently dropped
-        # (crash repair guarantees NEIGHBOR/FORWARDJOIN flows through the
-        # adversaries; baseline protocols only shuffle on cycles, which
-        # the paced measurement never runs).
-        assert hv["fault_stats"]["dropped_adversary"] > 0
-
-
 _register_fault_scenario(
     scenario_id="faults_adversary",
     title="Faults — misbehaving peers",
     description="A quarter of the nodes silently drop FORWARDJOIN / "
     "NEIGHBOR / SHUFFLE traffic while crashes force repairs through them.",
     plan=ADVERSARY,
-    check=_check_adversary,
+    # The sabotage was real: repair traffic was silently dropped (crash
+    # repair guarantees NEIGHBOR/FORWARDJOIN flows through the adversaries;
+    # baseline protocols only shuffle on cycles, which the paced
+    # measurement never runs).
+    claims=(Claim("faults", "hyparview", "fault_stats.dropped_adversary", ">", 0),),
+    columns=(Column("adversary drops", "fault_stats.dropped_adversary", ""),),
 )
 
 
@@ -457,24 +390,11 @@ RELIABLE_PROTOCOLS = ("hyparview-reliable", "cyclon-reliable")
 RELIABLE_LOSS = _lossy_links(0.25, 0.0, "lossy", "reliable-loss")
 
 
-def _check_reliable_loss(result: dict, n: int) -> None:
-    _sanity(result)
-    for cell in result.values():
-        reliable = cell["reliable"]
-        # The stream was acked at any scale; loss and retransmissions
-        # require traffic *inside* the degradation window (thinned
-        # message counts may put the whole stream outside it).
-        assert reliable["acks_received"] > 0
-        if phase_row(cell, "lossy")["messages"]:
-            assert cell["fault_stats"]["dropped_fault"] > 0
-            assert reliable["retransmissions"] > 0
-    if n < SHAPE_CHECK_MIN_N:
-        return
-    hv = result.get("hyparview-reliable")
-    if hv:
-        # Retransmissions carry the flood through the loss window.
-        lossy = phase_row(hv, "lossy")
-        assert lossy["average"] is not None and lossy["average"] > 0.9
+#: The ack layer's counters in a ``reliable_*`` report.
+_ACK_COLUMNS = (
+    Column("retransmissions", "reliable.retransmissions", ""),
+    Column("give-ups", "reliable.give_ups", ""),
+)
 
 
 _register_fault_scenario(
@@ -484,25 +404,18 @@ _register_fault_scenario(
     "half the links; per-copy acks and retransmit timers repair the "
     "stream the transport no longer does.",
     plan=RELIABLE_LOSS,
-    check=_check_reliable_loss,
+    claims=(
+        # The stream was acked at any scale; loss and retransmissions need
+        # traffic inside the degradation window.
+        Claim("reliable", "*", "reliable.acks_received", ">", 0, ANY),
+        Claim("reliable", "*", "fault_stats.dropped_fault", ">", 0, _DENSE),
+        Claim("reliable", "*", "reliable.retransmissions", ">", 0, _DENSE),
+        # Retransmissions carry the flood through the loss window.
+        Claim("reliable", "hyparview-reliable", "phases.lossy.average", ">", 0.9),
+    ),
     protocols=RELIABLE_PROTOCOLS,
+    columns=_ACK_COLUMNS,
 )
-
-
-def _check_reliable_churn(result: dict, n: int) -> None:
-    _sanity(result)
-    for cell in result.values():
-        # Every crashed node restarted, and the ack machinery ran.
-        assert cell["final"]["alive"] == cell["n"]
-        assert cell["reliable"]["acks_received"] > 0
-    if n < SHAPE_CHECK_MIN_N:
-        return
-    hv = result.get("hyparview-reliable")
-    if hv:
-        # Ack silence (give-ups) is the failure detector here; modest
-        # churn must not dent the stream much.
-        assert hv["average"] > 0.85
-        assert hv["final"]["largest_component"] > 0.9
 
 
 _register_fault_scenario(
@@ -511,9 +424,19 @@ _register_fault_scenario(
     description="Crash/restart bursts mid-stream; retransmit give-ups "
     "(ack silence), not TCP resets, feed the membership repair.",
     plan=lambda ctx: churn_trace(3, _burst_size(ctx, 4), 0.2, label="reliable-churn"),
-    check=_check_reliable_churn,
+    claims=(
+        # Every crashed node restarted, and the ack machinery ran.
+        Claim("reliable", "*", "final.alive", "==", Ref(None, "n"), ANY),
+        Claim("reliable", "*", "reliable.acks_received", ">", 0, ANY),
+        # Ack silence (give-ups) is the failure detector here; modest
+        # churn must not dent the stream much.
+        Claim("reliable", "hyparview-reliable", "average", ">", 0.85),
+        Claim("reliable", "hyparview-reliable", "final.largest_component", ">", 0.9),
+    ),
     paper=_PAPER_BURSTS,
     protocols=RELIABLE_PROTOCOLS,
+    phases=CHURN_PHASES,
+    columns=_ACK_COLUMNS,
 )
 
 
@@ -543,23 +466,6 @@ RELIABLE_STRESS: PlanSpec = (
 )
 
 
-def _check_reliable_stress(result: dict, n: int) -> None:
-    _sanity(result)
-    for cell in result.values():
-        reliable = cell["reliable"]
-        if phase_row(cell, "lossy")["messages"] or phase_row(cell, "lossy+dead")["messages"]:
-            assert reliable["retransmissions"] > 0
-        # The crash wave happened while retries were burning budget.
-        assert cell["final"]["alive"] < cell["n"]
-    if n < SHAPE_CHECK_MIN_N:
-        return
-    hv = result.get("hyparview-reliable")
-    if hv:
-        # Retries plus view repair pull the tail back up after the window.
-        aftermath = phase_row(hv, "aftermath")
-        assert aftermath["average"] is not None and aftermath["average"] > 0.7
-
-
 _register_fault_scenario(
     scenario_id="reliable_stress",
     title="Reliable gossip — loss window plus crash wave",
@@ -567,8 +473,15 @@ _register_fault_scenario(
     "middle of it: retransmit budgets, give-up failure reports and view "
     "repair all under fire at once.",
     plan=RELIABLE_STRESS,
-    check=_check_reliable_stress,
+    claims=(
+        # Retries burned budget inside the window, the crash wave happened,
+        # and retries plus view repair pull the tail back up after it.
+        Claim("reliable", "*", "reliable.retransmissions", ">", 0, _DENSE),
+        Claim("reliable", "*", "final.alive", "<", Ref(None, "n"), ANY),
+        Claim("reliable", "hyparview-reliable", "phases.aftermath.average", ">", 0.7),
+    ),
     protocols=RELIABLE_PROTOCOLS,
+    columns=_ACK_COLUMNS,
 )
 
 

@@ -38,7 +38,7 @@ class TestCommands:
     def test_figure_1a(self, capsys):
         assert self._bench("fig1a_cyclon_fanout", "--messages", "5") == 0
         out = capsys.readouterr().out
-        assert "Figure 1 — cyclon fanout sweep (n=60)" in out
+        assert "Figure 1a — Cyclon fanout sweep (n=60)" in out
         assert "atomic fraction" in out
 
     def test_figure_1c(self, capsys):
@@ -61,14 +61,14 @@ class TestCommands:
     def test_healing(self, capsys):
         assert self._bench("fig4_healing") == 0
         out = capsys.readouterr().out
-        assert "hyparview (cycles)" in out
-        assert "30%" in out
+        assert "cycles to heal" in out
+        assert "hyparview/0.30" in out
 
     def test_ablation_resend(self, capsys):
         assert self._bench("ablation_flood_resend", "--messages", "3") == 0
         out = capsys.readouterr().out
         assert "resend on repair" in out
-        assert "60% failures" in out
+        assert "failure=0.6" in out
 
 
 class TestChaosAndServiceCli:

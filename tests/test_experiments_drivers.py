@@ -2,7 +2,6 @@
 
 from repro.experiments import (
     ExperimentParams,
-    format_histogram,
     format_series,
     format_table,
     hyparview_reference_point,
@@ -150,12 +149,3 @@ class TestReporting:
         assert len(line) == 3
         assert line[0] == " "
         assert line[-1] == "█"
-
-    def test_format_histogram(self):
-        text = format_histogram({1: 5, 3: 10}, title="H")
-        assert "in-degree    1" in text
-        assert "in-degree    3" in text
-        assert text.splitlines()[0] == "H"
-
-    def test_format_histogram_empty(self):
-        assert "empty" in format_histogram({})

@@ -1,6 +1,7 @@
 """Reporting-surface tests: canonical artifact encoding, the BENCH / TRACE /
-METRICS file families, the plain-text renderers, and the stderr-only
-timing summary (per-scenario table and snapshot-cache line)."""
+METRICS file families, the plain-text renderers, the declared columns and
+claims with their one report and one check, and the stderr-only timing
+summary (per-scenario table and snapshot-cache line)."""
 
 from __future__ import annotations
 
@@ -11,13 +12,19 @@ from collections import namedtuple
 import pytest
 
 from repro.experiments.reporting import (
+    ANY,
     ARTIFACT_SCHEMA,
+    BENCH,
     METRICS_SCHEMA,
+    SHAPE_CHECK_MIN_N,
     TRACE_SCHEMA,
+    Claim,
+    Column,
+    Ref,
+    Scale,
     artifact_filename,
+    check_claims,
     encode_artifact,
-    format_histogram,
-    format_phases,
     format_series,
     format_table,
     format_timings,
@@ -25,6 +32,8 @@ from repro.experiments.reporting import (
     load_trace,
     metrics_artifact,
     metrics_filename,
+    render_report,
+    resolve,
     sparkline,
     trace_artifact,
     trace_filename,
@@ -160,31 +169,111 @@ class TestFormatTimings:
         assert row.split() == ["s", "1", "0.00s", "-"]
 
 
-class TestFormatPhases:
-    def test_window_and_aggregates(self):
-        text = format_phases(
-            [
-                {
-                    "phase": "faulted", "start": 2.0, "end": 4.5, "messages": 7,
-                    "average": 0.91, "min": 0.5, "atomic": 0.25,
-                }
-            ],
-            title="P",
+#: Two cells of a fault-shaped result, as ``ScenarioSpec.cell_rows`` yields them.
+CELL = {
+    "n": 10,
+    "series": [0.5, 1.0, 1.0],
+    "final": {"alive": 8},
+    "phases": [
+        {"phase": "before", "average": 1.0},
+        {"phase": "during", "average": None},
+    ],
+}
+ROWS = [("hyparview", CELL), ("cyclon", {**CELL, "series": [0.25, 0.5, 0.75]})]
+
+
+def _failures(claims, *, rows=ROWS, n=SHAPE_CHECK_MIN_N, messages=3, invariant=None):
+    return [
+        failure
+        for _, failure in check_claims("s", claims, invariant, rows, n, messages)
+        if failure is not None
+    ]
+
+
+class TestPaths:
+    def test_keys_indexes_phase_rows_and_reducers(self):
+        assert resolve(CELL, "final.alive") == 8
+        assert resolve(CELL, "series.-1") == 1.0
+        assert resolve(CELL, "phases.before.average") == 1.0
+        assert resolve(CELL, "series|max") == 1.0
+        assert resolve(CELL, "series|min") == 0.5
+        assert resolve(CELL, "series|mean") == pytest.approx(2.5 / 3)
+        assert resolve({"series": [0.0] * 5 + [1.0] * 10}, "series|tail") == 1.0
+        assert resolve(CELL, "") is CELL
+
+    def test_a_missing_key_or_value_is_none(self):
+        assert resolve(CELL, "final.nope") is None
+        assert resolve(CELL, "phases.after.average") is None
+        assert resolve(CELL, "phases.during.average") is None
+
+    def test_columns_format_and_dash_missing_values(self):
+        assert Column("a", "final.alive", "").text(CELL) == "8"
+        assert Column("a", "series.0").text(CELL) == "0.5000"
+        assert Column("a", "series", "spark").text(CELL) == sparkline(CELL["series"])
+        assert Column("a", "phases.during.average").text(CELL) == "-"
+
+
+class TestClaims:
+    def test_a_failed_claim_names_its_reference_cell_and_numbers(self):
+        claim = Claim("Fig. 3", "*", "series|tail", ">", 0.8)
+        assert _failures([claim]) == ["check failed: s Fig. 3: cyclon series|tail = 0.5 > 0.8"]
+
+    def test_a_cell_bound_is_spelled_out(self):
+        claim = Claim("Fig. 2", "cyclon", "series.0", ">=", Ref("hyparview", "series.0", -0.2))
+        assert _failures([claim]) == [
+            "check failed: s Fig. 2: cyclon series.0 = 0.25 >= 0.3 (hyparview series.0 -0.2)"
+        ]
+
+    def test_own_cell_and_index_bounds(self):
+        assert _failures([Claim("x", "*", "final.alive", "<", Ref(None, "n"), ANY)]) == []
+        scaled = Claim("x", -1, "series.2", ">", Ref(0, "series.2", factor=0.5), ANY)
+        assert _failures([scaled]) == []
+        twice = Claim("x", -1, "series.2", ">", Ref(0, "series.2", factor=2.0), ANY)
+        assert _failures([twice]) == [
+            "check failed: s x: cyclon series.2 = 0.75 > 2 (2 * hyparview series.2)"
+        ]
+
+    def test_a_missing_value_fails_the_claim(self):
+        claim = Claim("x", "hyparview", "phases.during.average", "<", 1.0, ANY)
+        assert _failures([claim]) == [
+            "check failed: s x: hyparview phases.during.average = None < 1"
+        ]
+
+    def test_claims_outside_their_scale_or_cells_are_skipped(self):
+        never = "final.alive", ">", 100
+        skipped = [
+            Claim("x", "*", *never, BENCH),
+            Claim("x", "*", *never, Scale(min_messages=4)),
+            Claim("x", "*", *never, Scale(grid=("hyparview", "scamp"))),
+            Claim("x", "scamp", *never, ANY),
+            Claim("x", "*", "final.alive", ">", Ref("scamp", "n"), ANY),
+        ]
+        assert list(check_claims("s", skipped, None, ROWS, SHAPE_CHECK_MIN_N - 1, 3)) == []
+        small = [Claim("x", "*", *never, Scale(max_n=SHAPE_CHECK_MIN_N - 1))]
+        assert list(check_claims("s", small, None, ROWS, SHAPE_CHECK_MIN_N, 3)) == []
+        assert len(_failures(small, n=SHAPE_CHECK_MIN_N - 1)) == 2
+
+    def test_invariant_failures_name_the_cell(self):
+        def invariant(cell):
+            # Raised by hand: pytest rewrites the asserts of test modules.
+            if cell["series"][0] < 0.3:
+                raise AssertionError("first message reached a third")
+
+        assert _failures([], invariant=invariant) == [
+            "check failed: s invariant: cyclon: first message reached a third"
+        ]
+
+    def test_the_report_has_a_row_per_cell_and_scalars_in_the_title(self):
+        text = render_report(
+            "Title (n=10)", {"failure": 0.5, "grid": {}}, "grid", ROWS,
+            [Column("alive", "final.alive", ""), Column("before", "phases.before.average")],
         )
         lines = text.splitlines()
-        assert lines[0] == "P"
-        assert lines[-1].split() == ["faulted", "2..4.5s", "7", "0.9100", "0.5000", "0.2500"]
-
-    def test_missing_aggregates_render_as_dashes(self):
-        text = format_phases(
-            [
-                {
-                    "phase": "quiet", "start": 0.0, "end": 1.0, "messages": 0,
-                    "average": None, "min": None, "atomic": None,
-                }
-            ]
-        )
-        assert text.splitlines()[-1].split() == ["quiet", "0..1s", "0", "-", "-", "-"]
+        assert lines[0] == "Title (n=10); failure=0.5"
+        assert lines[1].split() == ["cell", "alive", "before"]
+        assert [line.split() for line in lines[3:]] == [
+            ["hyparview", "8", "1.0000"], ["cyclon", "8", "1.0000"],
+        ]
 
 
 class TestTextRenderers:
@@ -201,11 +290,6 @@ class TestTextRenderers:
 
     def test_sparkline_with_empty_range_is_blank(self):
         assert sparkline([0.2, 0.8], low=1.0, high=1.0) == "  "
-
-    def test_histogram_bars_scale_to_the_peak(self):
-        lines = format_histogram({4: 5, 2: 10, 1: 0, 7: 1}, max_width=10).splitlines()
-        assert [int(line.split()[1].rstrip(":")) for line in lines] == [1, 2, 4, 7]
-        assert [line.count("#") for line in lines] == [0, 10, 5, 1]
 
 
 class TestSweepTimings:

@@ -3,9 +3,11 @@ determinism of the JSON artifacts, and `repro bench` CLI handling."""
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 from dataclasses import replace
+from fnmatch import fnmatchcase
 
 import pytest
 
@@ -22,13 +24,18 @@ from repro.experiments.registry import (
     scenario_ids,
 )
 from repro.experiments.reporting import (
+    ANY,
     ARTIFACT_SCHEMA,
+    SHAPE_CHECK_MIN_N,
+    Claim,
+    Ref,
     encode_artifact,
     json_safe,
     load_artifact,
     write_artifact,
 )
 from repro.experiments.runner import (
+    WorkUnit,
     build_units,
     replicate_seed,
     run_and_report,
@@ -52,7 +59,7 @@ class TestRegistry:
                 config = spec.tier(tier)
                 assert config.n >= 2
             assert callable(spec.run_cell)
-            assert callable(spec.render)
+            assert spec.columns
             # One execution model: every scenario enumerates >= 1 cell.
             units = build_units([scenario_id], "smoke", replicates=1)
             assert units and all(isinstance(unit.cell, tuple) for unit in units)
@@ -85,14 +92,111 @@ class TestRegistry:
 
     def test_every_scenario_smoke_runs(self):
         """Every registry entry executes end-to-end at a tiny scale and
-        produces a JSON-encodable, render-able, check-passing result."""
+        produces a JSON-encodable, render-able, check-passing result whose
+        cells hold every path its claims read."""
         runs = run_scenarios(scenario_ids(), "smoke", workers=1, **TINY)
         for scenario_id, run in runs.items():
             assert run.replicates, scenario_id
             text = run.render()
             assert text.strip(), scenario_id
-            run.check()  # sanity invariants hold at any scale
+            # Sanity claims and invariants hold at any scale.
+            assert [failure for _, failure in run.check() if failure] == []
             json.loads(encode_artifact(run.artifact()))
+            rows = dict(_rows(run))
+            for claim in run.spec.claims:
+                # Cells of one scenario share a shape: a claim on a cell the
+                # thinned smoke grid lacks is read off its first cell.
+                selected = [cell for _, cell in _selected(rows, claim.cells)]
+                for cell in selected or list(rows.values())[:1]:
+                    assert _has_path(cell, claim.metric), (scenario_id, claim)
+                    ref = claim.bound
+                    if isinstance(ref, Ref):
+                        source = (
+                            list(rows.values())[ref.cell] if isinstance(ref.cell, int)
+                            else rows.get(ref.cell, cell) if ref.cell is not None else cell
+                        )
+                        assert _has_path(source, ref.metric), (scenario_id, claim)
+
+    def test_every_claim_names_cells_of_the_paper_grid(self):
+        """A typo in a selector would make a claim vacuous: every claim's
+        cells, bound cells and required grid are cells of the paper tier."""
+        for scenario_id in scenario_ids():
+            spec, context = WorkUnit(scenario_id, "paper", 0, 42).resolve()
+            labels = dict(spec.cell_rows(context, _labelled_grid(spec, context)))
+            for claim in spec.claims:
+                assert _selected(labels, claim.cells), (scenario_id, claim)
+                bound_cell = getattr(claim.bound, "cell", None)
+                assert not isinstance(bound_cell, str) or bound_cell in labels, claim
+                assert set(claim.scale.grid) <= labels.keys(), claim
+
+
+def _rows(run, replicate: int = 0) -> list[tuple[str, dict]]:
+    record = run.replicates[replicate]
+    context = RunContext(run.spec.id, run.tier, run.config, replicate, record["seed"])
+    return run.spec.cell_rows(context, record["result"])
+
+
+def _selected(rows: dict, selector) -> list:
+    if isinstance(selector, int):
+        return [list(rows.items())[selector]]
+    return [(label, cell) for label, cell in rows.items() if fnmatchcase(label, selector)]
+
+
+def _labelled_grid(spec, context) -> dict:
+    """A merged result whose every cell is its own label (nothing is run)."""
+    cells = {key: {"/".join(map(str, key))} for key in spec.cells(context)}
+    return spec.merge_cells(context, cells)
+
+
+def _has_path(cell, path: str) -> bool:
+    """Every key of ``path`` exists in ``cell`` (its value may be ``None``)."""
+    value = cell
+    for part in filter(None, path.partition("|")[0].split(".")):
+        if isinstance(value, list):
+            if part.lstrip("-").isdigit():
+                if not -len(value) <= int(part) < len(value):
+                    return False
+                value = value[int(part)]
+            else:
+                value = next((row for row in value if row.get("phase") == part), None)
+                if value is None:
+                    return False
+        elif isinstance(value, dict) and part in value:
+            value = value[part]
+        else:
+            return False
+    return True
+
+
+class TestClaimChecks:
+    def test_a_result_pushed_past_one_bound_fails_exactly_that_claim(self):
+        run = run_scenarios(["fig1_hyparview_reference"], "smoke", workers=1, **TINY)[
+            "fig1_hyparview_reference"
+        ]
+        assert [failure for _, failure in run.check() if failure] == []
+        record = copy.deepcopy(run.replicates[0])
+        record["result"]["point"]["atomic_fraction"] = 0.5
+        failures = [failure for _, failure in replace(run, replicates=(record,)).check() if failure]
+        assert failures == [
+            "check failed: fig1_hyparview_reference Fig. 1: - point.atomic_fraction = 0.5 == 1"
+        ]
+
+    def test_render_is_the_same_for_any_worker_count(self):
+        serial = run_scenarios(["fig2_reliability"], "smoke", workers=1, **TINY)
+        parallel = run_scenarios(["fig2_reliability"], "smoke", workers=2, **TINY)
+        assert serial["fig2_reliability"].render() == parallel["fig2_reliability"].render()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("scenario_id", ["fig4_healing", "table1_graph"])
+def test_bench_scale_claims_hold_on_the_smoke_grid(scenario_id):
+    """No tier-1 run reaches n = 400 otherwise: the paper's shape claims of
+    Figure 4 and Table 1 are evaluated there, and all hold."""
+    run = run_scenarios([scenario_id], "smoke", workers=2, n=SHAPE_CHECK_MIN_N)[scenario_id]
+    outcomes = run.check()
+    assert [failure for _, failure in outcomes if failure] == []
+    assert any(claim is not None and claim.scale.min_n >= SHAPE_CHECK_MIN_N
+               for claim, _ in outcomes)
 
 
 @pytest.mark.slow
@@ -315,12 +419,14 @@ class TestBenchCli:
         ]
 
     def test_failed_checks_are_all_reported_and_exit_one(self, capsys, tmp_path, monkeypatch):
-        def failing(result, n):
-            raise AssertionError("needs a bigger system")
-
-        for scenario_id in FAST_IDS:
+        impossible = {
+            "fig1_hyparview_reference": Claim("Fig. 0", "*", "point.fanout", ">", 99, ANY),
+            "fig1c_failure50": Claim("Fig. 0", "*", "messages", ">", 99, ANY),
+        }
+        for scenario_id, claim in impossible.items():
+            spec = REGISTRY[scenario_id]
             monkeypatch.setitem(
-                REGISTRY, scenario_id, replace(REGISTRY[scenario_id], check=failing)
+                REGISTRY, scenario_id, replace(spec, claims=spec.claims + (claim,))
             )
         args = ["bench", "--n", "32", "--messages", "2", "--check", "--out", str(tmp_path)]
         for scenario_id in FAST_IDS:
@@ -329,9 +435,9 @@ class TestBenchCli:
         captured = capsys.readouterr()
         failures = [line for line in captured.err.splitlines() if line.startswith("check failed:")]
         assert failures == [
-            f"check failed: {scenario_id}: "
-            'raise AssertionError("needs a bigger system") (needs a bigger system)'
-            for scenario_id in FAST_IDS
+            "check failed: fig1_hyparview_reference Fig. 0: - point.fanout = 4 > 99",
+            "check failed: fig1c_failure50 Fig. 0: cyclon messages = 2 > 99",
+            "check failed: fig1c_failure50 Fig. 0: scamp messages = 2 > 99",
         ]
         for scenario_id in FAST_IDS:
             assert f"===== {scenario_id} =====" in captured.out

@@ -69,7 +69,7 @@ class TestFaultDeterminismMatrix:
 class TestFaultResults:
     def test_partition_heal_phases_cover_all_messages(self):
         runs = run_scenarios(["faults_partition_heal"], "smoke", workers=1, **TINY)
-        result = runs["faults_partition_heal"].first_result()
+        result = runs["faults_partition_heal"].replicates[0]["result"]
         for cell in result.values():
             assert sum(row["messages"] for row in cell["phases"]) == cell["messages"]
             assert [row["phase"] for row in cell["phases"]] == [
@@ -80,16 +80,16 @@ class TestFaultResults:
         runs = run_scenarios(list(FAULT_IDS), "smoke", workers=1, **TINY)
         for scenario_id, run in runs.items():
             assert run.render().strip(), scenario_id
-            run.check()
+            assert [failure for _, failure in run.check() if failure] == [], scenario_id
 
     def test_flash_crowd_restores_population(self):
         runs = run_scenarios(["faults_flash_crowd"], "smoke", workers=1, **TINY)
-        result = runs["faults_flash_crowd"].first_result()
+        result = runs["faults_flash_crowd"].replicates[0]["result"]
         for cell in result.values():
             assert cell["final"]["alive"] == TINY["n"]
 
     def test_adversary_drops_repair_traffic(self):
         runs = run_scenarios(["faults_adversary"], "smoke", workers=1,
                              n=48, messages=6)
-        result = runs["faults_adversary"].first_result()
+        result = runs["faults_adversary"].replicates[0]["result"]
         assert result["hyparview"]["fault_stats"]["dropped_adversary"] > 0

@@ -167,7 +167,7 @@ class TestByzantineScenarioFamily:
 
     def test_equivocation_separates_brb_from_baseline(self):
         runs = run_scenarios(["byz_equivocation"], "smoke", workers=1, **TINY)
-        result = runs["byz_equivocation"].first_result()
+        result = runs["byz_equivocation"].replicates[0]["result"]
         brb = result["hyparview-brb"]
         baseline = result["hyparview-reliable"]
         # BRB: exact agreement, no wrong value ever delivered, quorum

@@ -363,7 +363,7 @@ class TestReliableScenarioFamily:
 
     def test_results_carry_ack_layer_counters(self, channel_and_exchanges_checked):
         runs = run_scenarios(["reliable_loss"], "smoke", workers=1, **TINY)
-        result = runs["reliable_loss"].first_result()
+        result = runs["reliable_loss"].replicates[0]["result"]
         for cell in result.values():
             assert cell["reliable"]["acks_received"] > 0
         assert channel_and_exchanges_checked
