@@ -122,6 +122,24 @@ def _decode_value(value: Any) -> Any:
     return value
 
 
+def encode_value(value: Any) -> Any:
+    """Encode one field value (a broadcast payload, say) into a
+    JSON-compatible value; raises :class:`CodecError` on a type the wire
+    cannot carry."""
+    return _encode_value(value)
+
+
+def decode_value(value: Any) -> Any:
+    """Inverse of :func:`encode_value`; raises :class:`CodecError` on any
+    malformed input, as :func:`decode_message` does."""
+    try:
+        return _decode_value(value)
+    except RecursionError as exc:
+        raise CodecError("value nested too deeply") from exc
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise CodecError("malformed value") from exc
+
+
 def encode_message(message: Message) -> dict:
     """Encode a registered message into a JSON-compatible dict."""
     fields = {}

@@ -139,6 +139,8 @@ class RuntimeNode:
             self._handlers[message_type] = handler
         for message_type, handler in self.broadcast_layer.handlers().items():
             self._handlers[message_type] = handler
+        # A gossip copy of an id already delivered is dispatched unread.
+        self.transport.delivered = self.broadcast_layer.has_delivered
         self._started = True
         return self.node_id
 

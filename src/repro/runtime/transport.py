@@ -6,11 +6,20 @@ identifying the *listening* address of the sending side (TCP source ports
 are ephemeral and useless as identities) and its **epoch**: the restart
 count of the process bound to that address.  Both sides send one: the
 dialer immediately after connecting, the acceptor in reply.  Every
-subsequent frame is an encoded message
-(:func:`repro.common.messages.encode_message`).  Every inbound line is
-capped at :data:`MAX_FRAME_BYTES`, and an accepted connection that sends
-no valid hello within ``connect_timeout`` is closed
-(:attr:`handshakes_refused`).
+subsequent frame is a message.  A :class:`~repro.gossip.messages.GossipData`
+frame is a small per-hop header, a tab, and the payload's JSON body on the
+same line: ``[origin host, origin port, sequence, hops, sender host, sender
+port]\t<body>``.  The header is what changes from hop to hop, so a node
+relaying a payload re-sends the body bytes it received and the payload is
+encoded once per broadcast, at its origin.  A receiver reads the header
+first and parses the body only when the id is fresh (the :attr:`delivered`
+hook the node installs says so): a duplicate is dropped unread, so a
+duplicate with a malformed body is not counted as malformed.  Every other
+frame is the generic JSON encoding
+(:func:`repro.common.messages.encode_message`), which a receiver also
+accepts for GossipData.  Every inbound line is capped at
+:data:`MAX_FRAME_BYTES`, and an accepted connection that sends no valid
+hello within ``connect_timeout`` is closed (:attr:`handshakes_refused`).
 
 The epoch is how peers distinguish a restarted node from its predecessor
 when the address is reused.  The transport remembers the highest epoch it
@@ -27,7 +36,9 @@ fan-out: ``send`` remembers the last message it encoded, and the flood,
 Plumtree's eager push and BRB's roster sends hand one message to k peers
 in a row, so the k copies share one frame.  A message must therefore not
 be mutated after it is sent (they are frozen dataclasses; a mutable
-payload inside one is the caller's to leave alone).  Each pump wakeup
+payload inside one is the caller's to leave alone).  A relay re-sends the
+received body only while the frame that carried it is being handled; a
+later send of the same payload object encodes it afresh.  Each pump wakeup
 takes everything queued as one batch and writes it with one
 ``writelines`` and one ``drain()``; outcomes stay per frame
 (:attr:`frames_sent`, :attr:`send_observer`, each frame's own failure
@@ -60,9 +71,16 @@ import json
 from typing import Awaitable, Callable, Optional
 
 from ..common.errors import CodecError
-from ..common.ids import NodeId
+from ..common.ids import MessageId, NodeId
 from ..common.interfaces import FailureCallback, ProbeCallback, Transport
-from ..common.messages import Message, decode_message, encode_message
+from ..common.messages import (
+    Message,
+    decode_message,
+    decode_value,
+    encode_message,
+    encode_value,
+)
+from ..gossip.messages import GossipData
 
 #: Handler invoked with (peer, message) for every decoded incoming frame.
 IncomingHandler = Callable[[NodeId, Message], None]
@@ -90,6 +108,53 @@ MAX_FRAME_BYTES = 64 * 1024
 
 #: Never a message: the encode memo's initial key.
 _NOTHING = object()
+
+#: Largest TCP port: a header port outside ``0..65535`` is malformed.
+_MAX_PORT = 65535
+
+#: Delivery test for gossip ids (see :attr:`AsyncioTransport.delivered`).
+DeliveredTest = Callable[[MessageId], bool]
+
+
+def _gossip_frame(message: GossipData, body: bytes) -> bytes:
+    """A GossipData frame: the per-hop header, a tab, the payload's body."""
+    try:
+        (origin_host, origin_port), sequence = message.message_id
+        sender_host, sender_port = message.sender
+        header = json.dumps(
+            [origin_host, origin_port, sequence, message.hops, sender_host, sender_port]
+        )
+    except (TypeError, ValueError) as exc:
+        raise CodecError("malformed gossip header fields") from exc
+    return b"%s\t%s\n" % (header.encode("utf-8"), body)
+
+
+def _gossip_header(line: bytes) -> tuple[MessageId, int, NodeId, bytes]:
+    """Split a GossipData frame into its message id, hops, sender and body
+    (newline excluded); raises ``ValueError`` (or ``RecursionError``) when
+    the header is malformed.  The body is not read."""
+    end = line.index(b"\t")
+    origin_host, origin_port, sequence, hops, sender_host, sender_port = json.loads(line[:end])
+    if not (
+        type(origin_host) is str
+        and type(sender_host) is str
+        and type(origin_port) is int
+        and type(sender_port) is int
+        and type(sequence) is int
+        and type(hops) is int
+        and 0 <= origin_port <= _MAX_PORT
+        and 0 <= sender_port <= _MAX_PORT
+        and sequence >= 0
+        and hops >= 0
+    ):
+        raise ValueError("malformed gossip header")
+    body = line[end + 1 : -1] if line.endswith(b"\n") else line[end + 1 :]
+    return (
+        MessageId(NodeId(origin_host, origin_port), sequence),
+        hops,
+        NodeId(sender_host, sender_port),
+        body,
+    )
 
 
 class _Connection:
@@ -165,8 +230,9 @@ class AsyncioTransport(Transport):
         #: bad fields.
         self.handshakes_refused = 0
         #: Inbound lines dropped unread: over :data:`MAX_FRAME_BYTES` (once
-        #: per line, however many writes it spans), not JSON, or not a
-        #: decodable message.
+        #: per line, however many writes it spans), not JSON, not a
+        #: decodable message, a GossipData header that does not parse, or a
+        #: fresh GossipData body that does not decode.
         self.frames_malformed = 0
         #: Decoded frames whose handler raised; the connection stays up.
         self.handler_errors = 0
@@ -185,9 +251,18 @@ class AsyncioTransport(Transport):
         #: uses (e.g. :class:`repro.obs.trace.TraceSegment`).  ``None``
         #: (the default) keeps the hot path at one ``if`` check.
         self.trace = None
+        #: Gossip dedup hook: ``True`` when the local broadcast layer has
+        #: delivered the id.  A GossipData frame it names is a duplicate,
+        #: dispatched with its body unread (``payload`` ``None``).
+        #: ``None`` (the default) reads every body.
+        self.delivered: Optional[DeliveredTest] = None
         #: One-entry encode memo: a fan-out sends one message k times.
         self._last_message: object = _NOTHING
         self._last_frame = b""
+        #: The payload of the GossipData frame being handled and its body as
+        #: received: a relay of that payload re-sends the bytes.
+        self._body_payload: object = _NOTHING
+        self._body = b""
 
     # ------------------------------------------------------------------
     # Transport interface
@@ -216,7 +291,7 @@ class AsyncioTransport(Transport):
         if message is self._last_message:
             frame = self._last_frame
         else:
-            frame = (json.dumps(encode_message(message)) + "\n").encode("utf-8")
+            frame = self._encode(message)
             self._last_message = message
             self._last_frame = frame
         if self.trace is not None:
@@ -246,6 +321,16 @@ class AsyncioTransport(Transport):
                 )
                 return
         self._enqueue(dst, frame, message, on_failure)
+
+    def _encode(self, message: Message) -> bytes:
+        if type(message) is not GossipData:
+            return (json.dumps(encode_message(message)) + "\n").encode("utf-8")
+        payload = message.payload
+        if payload is self._body_payload:
+            body = self._body  # a relay: the bytes the payload arrived as
+        else:
+            body = json.dumps(encode_value(payload)).encode("utf-8")
+        return _gossip_frame(message, body)
 
     def probe(self, dst: NodeId, on_result: ProbeCallback) -> None:
         injector = self.fault_injector
@@ -540,33 +625,8 @@ class AsyncioTransport(Transport):
                 if oversize:
                     oversize = False  # the oversize line's tail
                     continue
-                try:
-                    payload = json.loads(line)
-                except (ValueError, RecursionError):  # not JSON, not UTF-8, or too deep
-                    self.frames_malformed += 1
-                    continue  # corrupt frame: drop, keep the connection
-                if isinstance(payload, dict) and "hello" in payload:
-                    # The acceptor's reply hello on a dialed connection:
-                    # learn the peer's epoch, dispatch nothing.
-                    try:
-                        connection.epoch = int(payload.get("epoch", 0))
-                    except (TypeError, ValueError, OverflowError):
-                        self.frames_malformed += 1
-                        continue
-                    self._note_epoch(connection.peer, connection.epoch)
-                    continue
-                if (
-                    connection.epoch is not None
-                    and connection.epoch < self._peer_epochs.get(connection.peer, 0)
-                ):
-                    # This connection belongs to a superseded incarnation
-                    # of the peer; whatever it says is from the past.
-                    self.frames_stale += 1
-                    continue
-                try:
-                    message = decode_message(payload)
-                except CodecError:
-                    self.frames_malformed += 1
+                message = self._decode(connection, line)
+                if message is None:
                     continue
                 self.frames_received += 1
                 if self.trace is not None:
@@ -579,10 +639,62 @@ class AsyncioTransport(Transport):
                     # A local handler bug, not a peer failure: count it and
                     # keep the connection.
                     self.handler_errors += 1
+                finally:
+                    # The received body is relayable only while its own
+                    # frame is handled: a later send of that payload object
+                    # may follow a mutation.
+                    self._body_payload = _NOTHING
         except (OSError, ConnectionError, asyncio.CancelledError):
             pass
         finally:
             self._connection_lost(connection)
+
+    def _decode(self, connection: _Connection, line: bytes) -> Optional[Message]:
+        """The message one inbound line carries, or ``None`` when the line
+        was consumed here: a hello, or a counted malformed or stale frame."""
+        gossip = line[:1] == b"["
+        try:
+            if gossip:
+                message_id, hops, sender, body = _gossip_header(line)
+            else:
+                payload = json.loads(line)
+        except (ValueError, RecursionError):  # not JSON, not UTF-8, too deep, bad header
+            self.frames_malformed += 1
+            return None  # corrupt frame: drop, keep the connection
+        if not gossip and isinstance(payload, dict) and "hello" in payload:
+            # The acceptor's reply hello on a dialed connection: learn the
+            # peer's epoch, dispatch nothing.
+            try:
+                connection.epoch = int(payload.get("epoch", 0))
+            except (TypeError, ValueError, OverflowError):
+                self.frames_malformed += 1
+                return None
+            self._note_epoch(connection.peer, connection.epoch)
+            return None
+        if connection.epoch is not None and connection.epoch < self._peer_epochs.get(
+            connection.peer, 0
+        ):
+            # This connection belongs to a superseded incarnation of the
+            # peer; whatever it says is from the past.
+            self.frames_stale += 1
+            return None
+        if not gossip:
+            try:
+                return decode_message(payload)
+            except CodecError:
+                self.frames_malformed += 1
+                return None
+        delivered = self.delivered
+        if delivered is not None and delivered(message_id):
+            return GossipData(message_id, None, hops, sender)  # a duplicate, unread
+        try:
+            payload = decode_value(json.loads(body))
+        except (ValueError, RecursionError, CodecError):
+            self.frames_malformed += 1
+            return None
+        self._body_payload = payload
+        self._body = body
+        return GossipData(message_id, payload, hops, sender)
 
     def _connection_lost(self, connection: _Connection) -> None:
         if connection.closed:

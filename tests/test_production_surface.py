@@ -29,8 +29,6 @@ PRODUCTION = ("src", "benchmarks", "examples")
 EXEMPT_PREFIXES = ("repro.testing.World", "repro.testing.check_")
 
 ALLOWED = {
-    "repro.gossip.base.BroadcastLayer.has_delivered": "read-only accessor tests inspect",
-    "repro.gossip.plumtree.Plumtree.has_delivered": "read-only accessor tests inspect",
     "repro.gossip.reliable.ReliableGossip.smoothed_rtt": "read-only accessor tests inspect",
     "repro.sim.engine.Engine.cancelled_pending": "read-only accessor tests inspect",
     "repro.common.rng.StreamRandom.words_consumed": "read-only accessor tests inspect",

@@ -11,15 +11,32 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import json
 import socket
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import CodecError
 from repro.common.ids import MessageId, NodeId
+from repro.common.messages import encode_value
+from repro.core.config import HyParViewConfig
 from repro.gossip.messages import GossipData
 from repro.runtime import transport as transport_module
-from repro.runtime.transport import AsyncioTransport
+from repro.runtime.cluster import LocalCluster
+from repro.runtime.node import RuntimeNode
+from repro.runtime.transport import MAX_FRAME_BYTES, AsyncioTransport
+
+CLUSTER_CONFIG = HyParViewConfig(
+    active_view_capacity=3,
+    passive_view_capacity=8,
+    arwl=3,
+    prwl=2,
+    neighbor_request_timeout=1.0,
+    promotion_retry_delay=0.1,
+    promotion_max_passes=10,
+)
 
 
 def run(coroutine, timeout=30.0):
@@ -64,6 +81,20 @@ async def started(handler=None, **options) -> AsyncioTransport:
     return transport
 
 
+def counting(monkeypatch, name: str) -> list:
+    """Record the first argument of every call the transport makes to the
+    codec function ``name``."""
+    calls = []
+    function = getattr(transport_module, name)
+
+    def counted(value):
+        calls.append(value)
+        return function(value)
+
+    monkeypatch.setattr(transport_module, name, counted)
+    return calls
+
+
 async def pooled(sender: AsyncioTransport, dst: NodeId) -> None:
     """Open and pool the connection ``sender`` -> ``dst``."""
     results = []
@@ -71,16 +102,9 @@ async def pooled(sender: AsyncioTransport, dst: NodeId) -> None:
     assert await wait_until(lambda: results == [True])
 
 
-class TestEncodeOncePerFanOut:
+class TestOnePayloadEncodePerBroadcast:
     def test_fan_out_to_three_pooled_peers_encodes_once(self, monkeypatch):
-        calls = []
-        encode = transport_module.encode_message
-
-        def counting_encode(message):
-            calls.append(message)
-            return encode(message)
-
-        monkeypatch.setattr(transport_module, "encode_message", counting_encode)
+        calls = counting(monkeypatch, "encode_value")
 
         async def scenario():
             sender = await started()
@@ -94,13 +118,49 @@ class TestEncodeOncePerFanOut:
             assert await wait_until(
                 lambda: all(inbox.payloads == ["fan-out"] for inbox in inboxes)
             )
-            assert calls == [message]
+            assert calls == ["fan-out"]
             assert sender.frames_sent == 3
             # A new message object is a new encode, even if equal.
             sender.send(peers[0].local_address, gossip(sender.local_address, 1, "fan-out"))
             assert len(calls) == 2
             for transport in (sender, *peers):
                 await transport.close()
+
+        run(scenario())
+
+    def test_relays_resend_the_received_bytes_across_a_four_node_cluster(self, monkeypatch):
+        """The origin encodes the payload once; every other node parses it
+        once, on its first copy, relays those bytes and never reads a
+        duplicate's body."""
+        encodes = counting(monkeypatch, "encode_value")
+        decodes = counting(monkeypatch, "decode_value")
+
+        async def scenario():
+            cluster = LocalCluster(4, config=CLUSTER_CONFIG, base_seed=5)
+            await cluster.start()
+            try:
+                assert await cluster.wait_for_views(2)
+                encodes.clear()
+                decodes.clear()
+                payload = {"seq": 1, "data": ("x" * 64, 3, None)}
+                message_id = cluster.nodes[0].broadcast(payload)
+                assert await cluster.wait_for_delivery(message_id, 4) == 4
+                # The origin sends to its whole view, every other node to its
+                # view but the sender of its first copy; three copies are
+                # first copies, the rest duplicates.
+                copies = sum(len(node.active_view()) for node in cluster.nodes) - 3
+                layers = [node.broadcast_layer for node in cluster.nodes]
+                assert await wait_until(
+                    lambda: sum(layer.duplicate_count for layer in layers) == copies - 3
+                )
+                assert copies - 3 > 0
+                assert encodes == [payload]
+                assert len(decodes) == 3
+                assert [record.payload for record in cluster.delivery_log.records] == [
+                    payload
+                ] * 4
+            finally:
+                await cluster.stop()
 
         run(scenario())
 
@@ -114,6 +174,19 @@ class TestEncodeOncePerFanOut:
                     sender.send(dst, bad)
             assert not sender._outboxes
             await sender.close()
+
+        run(scenario())
+
+    def test_unencodable_payload_raises_at_the_origin_send(self):
+        async def scenario():
+            cluster = LocalCluster(2, config=CLUSTER_CONFIG, base_seed=9)
+            await cluster.start()
+            try:
+                assert await cluster.wait_for_views(1)
+                with pytest.raises(CodecError):
+                    cluster.nodes[0].broadcast(object())
+            finally:
+                await cluster.stop()
 
         run(scenario())
 
@@ -250,3 +323,242 @@ class TestHandlerFaults:
             assert complaints == []
 
         run(scenario())
+
+
+# ----------------------------------------------------------------------
+# GossipData frames: header, tab, body
+# ----------------------------------------------------------------------
+GHOST = NodeId("127.0.0.1", 45990)
+
+
+def header(sequence: int, hops: int = 1) -> list:
+    """A valid per-hop header: a message of GHOST's, sent by GHOST."""
+    return [GHOST.host, GHOST.port, sequence, hops, GHOST.host, GHOST.port]
+
+
+def body_of(payload) -> bytes:
+    return json.dumps(encode_value(payload)).encode()
+
+
+def gossip_line(fields: list, body: bytes) -> bytes:
+    return json.dumps(fields).encode() + b"\t" + body + b"\n"
+
+
+def padded_line(sequence: int, size: int) -> bytes:
+    """A valid frame of exactly ``size`` bytes, newline excluded."""
+    bare = len(gossip_line(header(sequence), body_of(""))) - 1
+    line = gossip_line(header(sequence), body_of("x" * (size - bare)))
+    assert len(line) == size + 1
+    return line
+
+
+class _Writer:
+    def close(self) -> None:
+        pass
+
+
+async def read_lines(transport: AsyncioTransport, lines: list) -> None:
+    """Run the transport's read loop over ``lines`` on a connection from
+    GHOST, to EOF."""
+    reader = asyncio.StreamReader(limit=MAX_FRAME_BYTES)
+    for line in lines:
+        reader.feed_data(line)
+    reader.feed_eof()
+    connection = transport_module._Connection(GHOST, reader, _Writer(), epoch=0)
+    await transport._read_loop(connection)
+
+
+HOSTS = st.one_of(st.integers(), st.booleans(), st.none(), st.lists(st.text(max_size=3), max_size=2))
+PORTS = st.one_of(
+    st.booleans(),
+    st.integers(max_value=-1),
+    st.integers(min_value=65536),
+    st.floats(),
+    st.text(max_size=3),
+    st.none(),
+)
+COUNTS = st.one_of(st.booleans(), st.integers(max_value=-1), st.floats(), st.text(max_size=3), st.none())
+BAD_FIELDS = st.one_of(
+    st.tuples(st.sampled_from([0, 4]), HOSTS),
+    st.tuples(st.sampled_from([1, 5]), PORTS),
+    st.tuples(st.sampled_from([2, 3]), COUNTS),
+)
+BAD_BODIES = [
+    b"",
+    b"{broken",
+    b"\xff\xfe not utf-8",
+    b"[" * 20000 + b"]" * 20000,  # too deep for the JSON parser
+    b'{"no": "tag"}',
+    b'["@node", "h", "abc"]',
+    b'["@node", "h", 1e999]',
+    b'{"@dict": {"k": {"x": 1}}}',
+]
+#: ``(kind, detail)``: what one hostile line is made of (see ``hostile``).
+LINES = st.one_of(
+    st.tuples(st.just("good"), st.none()),
+    st.tuples(st.just("bad-field"), BAD_FIELDS),
+    st.tuples(st.just("bad-length"), st.sampled_from([0, 1, 5, 7])),
+    st.tuples(st.just("truncated"), st.integers(min_value=1)),
+    st.tuples(st.just("bad-body"), st.sampled_from(BAD_BODIES)),
+    st.tuples(st.just("garbage"), st.binary(max_size=64)),
+    st.tuples(st.just("sized"), st.sampled_from([0, 1])),
+)
+
+
+def hostile(kind: str, detail, sequence: int) -> tuple[bytes, str]:
+    """One line and what the reader must make of it: ``good`` (delivered),
+    ``bad`` (counted malformed) or ``any`` (one or the other)."""
+    if kind == "good":
+        return gossip_line(header(sequence), body_of(f"payload-{sequence}")), "good"
+    if kind == "bad-field":
+        index, value = detail
+        fields = header(sequence)
+        fields[index] = value
+        return gossip_line(fields, body_of("payload")), "bad"
+    if kind == "bad-length":
+        fields = (header(sequence) + [0])[:detail]
+        return gossip_line(fields, body_of("payload")), "bad"
+    if kind == "truncated":
+        full = gossip_line(header(sequence), body_of("payload"))
+        return full[: 1 + detail % (len(full) - 2)] + b"\n", "bad"
+    if kind == "bad-body":
+        return gossip_line(header(sequence), detail), "bad"
+    if kind == "garbage":
+        return b"[" + detail.replace(b"\n", b" ") + b"\n", "any"
+    return padded_line(sequence, MAX_FRAME_BYTES + detail), "bad" if detail else "good"
+
+
+class TestGossipFrames:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(LINES, max_size=5))
+    @example([("sized", 0), ("sized", 1)])
+    @example([("bad-field", (1, True)), ("bad-field", (3, -1)), ("bad-field", (0, 7))])
+    @example([("bad-body", b"[" * 20000 + b"]" * 20000), ("truncated", 40)])
+    def test_hostile_lines_are_counted_once_and_the_reader_survives(self, drawn):
+        lines, expected = [], []
+        for sequence, (kind, detail) in enumerate(drawn, 1):
+            line, expect = hostile(kind, detail, sequence)
+            lines.append(line)
+            expected.append((sequence, expect))
+        lines.append(gossip_line(header(0), body_of("sentinel")))
+
+        async def scenario():
+            received, seen = [], set()
+
+            def handler(_peer, message):
+                seen.add(message.message_id)
+                received.append((message.message_id.sequence, message.payload))
+
+            transport = AsyncioTransport(free_address(), handler)
+            transport.delivered = seen.__contains__
+            await read_lines(transport, lines)  # returns at EOF: never raised
+            assert received[-1] == (0, "sentinel")
+            delivered = {sequence for sequence, _payload in received}
+            for sequence, expect in expected:
+                if expect == "good":
+                    assert sequence in delivered
+                elif expect == "bad":
+                    assert sequence not in delivered
+            # Every line is received or counted malformed, exactly once.
+            assert transport.frames_received == len(received)
+            assert transport.frames_received + transport.frames_malformed == len(lines)
+            assert transport.handler_errors == 0
+            await transport.close()
+
+        run(scenario())
+
+    def test_every_bad_body_is_counted_once(self):
+        # Outside Hypothesis, which raises the recursion limit: at the
+        # interpreter's default, 600 levels overflow the value decoder
+        # (two frames a level) but not the JSON parser (one).
+        bodies = [*BAD_BODIES, b"[" * 600 + b"1" + b"]" * 600]
+
+        async def scenario():
+            received = []
+            transport = AsyncioTransport(
+                free_address(), lambda _peer, message: received.append(message.payload)
+            )
+            lines = [gossip_line(header(sequence), body) for sequence, body in enumerate(bodies)]
+            await read_lines(transport, [*lines, gossip_line(header(99), body_of("after"))])
+            assert received == ["after"]
+            assert transport.frames_malformed == len(bodies)
+            await transport.close()
+
+        run(scenario())
+
+    def test_a_payload_changed_after_its_frame_was_handled_is_encoded_afresh(self):
+        async def scenario():
+            handled = []
+            relay = await started(lambda _peer, message: handled.append(message))
+            inbox = Inbox()
+            receiver = await started(inbox)
+            await read_lines(relay, [gossip_line(header(1), body_of({"k": "as received"}))])
+            payload = handled[0].payload
+            payload["k"] = "changed"
+            relay.send(
+                receiver.local_address,
+                GossipData(MessageId(GHOST, 1), payload, 2, relay.local_address),
+            )
+            assert await wait_until(lambda: inbox.payloads == [{"k": "changed"}])
+            await relay.close()
+            await receiver.close()
+
+        run(scenario())
+
+    def test_a_fresh_copy_with_a_bad_body_is_dropped_and_a_good_copy_later_delivered(self):
+        async def scenario():
+            cluster = LocalCluster(2, config=CLUSTER_CONFIG, base_seed=3)
+            await cluster.start()
+            try:
+                assert await cluster.wait_for_views(1)
+                node = cluster.nodes[0]
+                writer = await hello(node.node_id)
+                message_id = MessageId(GHOST, 1)
+                writer.write(gossip_line(header(1), b'{"@dict": {"k": '))
+                await writer.drain()
+                assert await wait_until(lambda: node.transport.frames_malformed == 1)
+                assert not node.broadcast_layer.has_delivered(message_id)
+
+                writer.write(gossip_line(header(1), body_of({"k": "good"})))
+                await writer.drain()
+                # Delivered here, and forwarded to the other node.
+                assert await cluster.wait_for_delivery(message_id, 2) == 2
+                assert [record.payload for record in cluster.delivery_log.records] == [
+                    {"k": "good"}
+                ] * 2
+                assert node.transport.frames_malformed == 1
+                writer.close()
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
+    def test_a_duplicate_body_is_never_parsed(self, monkeypatch):
+        decodes = counting(monkeypatch, "decode_value")
+
+        async def scenario():
+            node = RuntimeNode(config=CLUSTER_CONFIG)
+            await node.start()
+            writer = await hello(node.node_id)
+            writer.write(gossip_line(header(1), body_of("first")))
+            writer.write(gossip_line(header(1, hops=2), b"{not json at all"))
+            writer.write(gossip_line(header(1, hops=3), body_of("second")))
+            await writer.drain()
+            assert await wait_until(lambda: node.broadcast_layer.duplicate_count == 2)
+            assert decodes == ["first"]
+            assert node.delivered == [(MessageId(GHOST, 1), "first")]
+            assert node.transport.frames_malformed == 0
+            assert node.transport.frames_received == 3
+            writer.close()
+            await node.stop()
+
+        run(scenario())
+
+
+async def hello(dst: NodeId):
+    """A raw connection to ``dst`` that has said hello as GHOST; returns its
+    writer."""
+    _reader, writer = await asyncio.open_connection(dst.host, dst.port)
+    writer.write(json.dumps({"hello": GHOST.to_wire(), "epoch": 0}).encode() + b"\n")
+    await writer.drain()
+    return writer
