@@ -56,8 +56,11 @@ class Plumtree:
         # Sequence ranges are incarnation-scoped: a restarted process
         # must never collide with ids its predecessor minted.
         self._sequence = SequenceGenerator(host.address, start=host.incarnation << 32)
-        self.eager_peers: set[NodeId] = set(membership.out_neighbors())
-        self.lazy_peers: set[NodeId] = set()
+        # Insertion-ordered sets (dicts with ``None`` values): a push walks
+        # its peers in the order they became tree or lazy edges, never in
+        # string-hash order, so a run does not depend on PYTHONHASHSEED.
+        self.eager_peers: dict[NodeId, None] = dict.fromkeys(membership.out_neighbors())
+        self.lazy_peers: dict[NodeId, None] = {}
         #: ids of every message ever received (deduplication; ids are tiny)
         self._seen: set[MessageId] = set()
         #: message id -> payload for answering GRAFTs (kept for the run)
@@ -149,12 +152,12 @@ class Plumtree:
     # ------------------------------------------------------------------
     def on_neighbor_up(self, peer: NodeId) -> None:
         """New active-view links start as tree edges (paper's rule)."""
-        self.lazy_peers.discard(peer)
-        self.eager_peers.add(peer)
+        self.lazy_peers.pop(peer, None)
+        self.eager_peers[peer] = None
 
     def on_neighbor_down(self, peer: NodeId) -> None:
-        self.eager_peers.discard(peer)
-        self.lazy_peers.discard(peer)
+        self.eager_peers.pop(peer, None)
+        self.lazy_peers.pop(peer, None)
         # Forget its announcements; pending grafts fall through to the next
         # announcer when their timer fires.
         for announcers in self._announcements.values():
@@ -213,15 +216,14 @@ class Plumtree:
     # Internals
     # ------------------------------------------------------------------
     def _promote_to_eager(self, peer: NodeId) -> None:
-        if peer in self.lazy_peers:
-            self.lazy_peers.discard(peer)
+        self.lazy_peers.pop(peer, None)
         if peer in self._membership.active:
-            self.eager_peers.add(peer)
+            self.eager_peers[peer] = None
 
     def _demote_to_lazy(self, peer: NodeId) -> None:
-        self.eager_peers.discard(peer)
+        self.eager_peers.pop(peer, None)
         if peer in self._membership.active:
-            self.lazy_peers.add(peer)
+            self.lazy_peers[peer] = None
 
     def _store(self, message_id: MessageId, payload: Any) -> None:
         self._seen.add(message_id)

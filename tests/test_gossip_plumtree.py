@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.ids import NodeId
 from repro.core.config import HyParViewConfig
 from repro.experiments.params import ExperimentParams
 from repro.experiments.scenario import Scenario
@@ -27,9 +28,11 @@ class TestDissemination:
     def test_eager_peers_track_active_view(self, world):
         nodes, layers = plumtree_world(world, 6)
         for (node, proto), layer in zip(nodes, layers):
-            assert layer.eager_peers | layer.lazy_peers <= set(proto.active_members())
+            assert layer.eager_peers.keys() | layer.lazy_peers.keys() <= set(
+                proto.active_members()
+            )
             # before any traffic, every active link is eager
-            assert layer.eager_peers == set(proto.active_members())
+            assert layer.eager_peers.keys() == set(proto.active_members())
 
     def test_duplicates_prune_tree_edges(self, world):
         nodes, layers = plumtree_world(world, 10)
@@ -96,6 +99,19 @@ class TestTreeRepair:
         if proto_b.address not in proto_a.active:
             proto_a._add_to_active(proto_b.address)
             assert proto_b.address in layer_a.eager_peers
+
+    def test_peers_keep_link_order(self, world):
+        """Pushes walk peers in the order their links formed, not in string
+        hash order, so a run does not depend on PYTHONHASHSEED."""
+        nodes, layers = plumtree_world(world, 6)
+        layer = layers[0]
+        before = list(layer.eager_peers)
+        late = [NodeId(f"late-{index}", 1) for index in (3, 1, 4, 2)]
+        for peer in late:
+            layer.on_neighbor_up(peer)
+        layer.on_neighbor_down(late[2])
+        layer.on_neighbor_up(late[0])  # already a tree edge: keeps its place
+        assert list(layer.eager_peers) == before + [late[0], late[1], late[3]]
 
     def test_graft_answers_with_payload(self, world):
         nodes, layers = plumtree_world(world, 8)
