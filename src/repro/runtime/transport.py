@@ -117,8 +117,8 @@ _MAX_PORT = 65535
 DeliveredTest = Callable[[MessageId], bool]
 
 
-#: ``json.loads`` minus its per-call checks: a header is parsed for every
-#: copy a flood delivers, duplicates included.
+#: ``json.loads`` minus its per-call checks (and the encoding detection
+#: bytes get): a header is parsed for every copy a flood delivers.
 _parse_json = json.JSONDecoder().decode
 
 
@@ -272,9 +272,9 @@ class AsyncioTransport(Transport):
         #: One-entry encode memo: a fan-out sends one message k times.
         self._last_message: object = _NOTHING
         self._last_frame = b""
-        #: The payload of the GossipData frame being handled and its body as
-        #: received: a relay of that payload re-sends the bytes.
-        self._body_payload: object = _NOTHING
+        #: The GossipData frame being handled and its body as received: a
+        #: relay of that message's payload re-sends the bytes.
+        self._received: Optional[GossipData] = None
         self._body = b""
 
     # ------------------------------------------------------------------
@@ -339,7 +339,12 @@ class AsyncioTransport(Transport):
         if type(message) is not GossipData:
             return (json.dumps(encode_message(message)) + "\n").encode("utf-8")
         payload = message.payload
-        if payload is self._body_payload:
+        received = self._received
+        if (
+            received is not None
+            and payload is received.payload
+            and message.message_id == received.message_id
+        ):
             body = self._body  # a relay: the bytes the payload arrived as
         else:
             body = json.dumps(encode_value(payload)).encode("utf-8")
@@ -656,7 +661,7 @@ class AsyncioTransport(Transport):
                     # The received body is relayable only while its own
                     # frame is handled: a later send of that payload object
                     # may follow a mutation.
-                    self._body_payload = _NOTHING
+                    self._received = None
         except (OSError, ConnectionError, asyncio.CancelledError):
             pass
         finally:
@@ -701,13 +706,13 @@ class AsyncioTransport(Transport):
         if delivered is not None and delivered(message_id):
             return GossipData(message_id, None, hops, sender)  # a duplicate, unread
         try:
-            payload = decode_value(json.loads(body))
+            payload = decode_value(_parse_json(body.decode("utf-8")))
         except (ValueError, RecursionError, CodecError):
             self.frames_malformed += 1
             return None
-        self._body_payload = payload
+        self._received = GossipData(message_id, payload, hops, sender)
         self._body = body
-        return GossipData(message_id, payload, hops, sender)
+        return self._received
 
     def _connection_lost(self, connection: _Connection) -> None:
         if connection.closed:

@@ -486,20 +486,35 @@ class TestGossipFrames:
 
         run(scenario())
 
-    def test_a_payload_changed_after_its_frame_was_handled_is_encoded_afresh(self):
+    def test_a_changed_payload_is_encoded_afresh(self):
+        """Only a relay of the message being handled re-sends its bytes: a
+        new message carrying the payload, or a send after the frame was
+        handled, encodes the payload as it is now."""
+
         async def scenario():
             handled = []
-            relay = await started(lambda _peer, message: handled.append(message))
             inbox = Inbox()
             receiver = await started(inbox)
+
+            def rebroadcast(_peer, message):
+                handled.append(message)
+                message.payload["k"] = "changed"
+                relay.send(
+                    receiver.local_address,
+                    GossipData(MessageId(GHOST, 2), message.payload, 0, relay.local_address),
+                )
+
+            relay = await started(rebroadcast)
             await read_lines(relay, [gossip_line(header(1), body_of({"k": "as received"}))])
             payload = handled[0].payload
-            payload["k"] = "changed"
+            payload["k"] = "changed again"
             relay.send(
                 receiver.local_address,
                 GossipData(MessageId(GHOST, 1), payload, 2, relay.local_address),
             )
-            assert await wait_until(lambda: inbox.payloads == [{"k": "changed"}])
+            assert await wait_until(
+                lambda: inbox.payloads == [{"k": "changed"}, {"k": "changed again"}]
+            )
             await relay.close()
             await receiver.close()
 
