@@ -86,19 +86,22 @@ def registered_message_types() -> Iterable[Type[Message]]:
     return tuple(_REGISTRY_BY_NAME.values())
 
 
-def _encode_value(value: Any) -> Any:
+def encode_value(value: Any) -> Any:
+    """Encode one field value (a broadcast payload, say) into a
+    JSON-compatible value; raises :class:`CodecError` on a type the wire
+    cannot carry."""
     if isinstance(value, NodeId):
         return [_NODE_TAG, value.host, value.port]
     if isinstance(value, MessageId):
         return [_MSGID_TAG, value.origin.host, value.origin.port, value.sequence]
     if isinstance(value, (list, tuple)):
-        return [_encode_value(item) for item in value]
+        return [encode_value(item) for item in value]
     if isinstance(value, dict):
         encoded = {}
         for key, item in value.items():
             if not isinstance(key, str):
                 raise CodecError(f"dict payload keys must be strings, got {key!r}")
-            encoded[key] = _encode_value(item)
+            encoded[key] = encode_value(item)
         return {"@dict": encoded}
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
@@ -122,13 +125,6 @@ def _decode_value(value: Any) -> Any:
     return value
 
 
-def encode_value(value: Any) -> Any:
-    """Encode one field value (a broadcast payload, say) into a
-    JSON-compatible value; raises :class:`CodecError` on a type the wire
-    cannot carry."""
-    return _encode_value(value)
-
-
 def decode_value(value: Any) -> Any:
     """Inverse of :func:`encode_value`; raises :class:`CodecError` on any
     malformed input, as :func:`decode_message` does."""
@@ -144,7 +140,7 @@ def encode_message(message: Message) -> dict:
     """Encode a registered message into a JSON-compatible dict."""
     fields = {}
     for field in dataclasses.fields(message):
-        fields[field.name] = _encode_value(getattr(message, field.name))
+        fields[field.name] = encode_value(getattr(message, field.name))
     return {"type": wire_name_of(message), "fields": fields}
 
 

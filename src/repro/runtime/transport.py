@@ -36,9 +36,9 @@ fan-out: ``send`` remembers the last message it encoded, and the flood,
 Plumtree's eager push and BRB's roster sends hand one message to k peers
 in a row, so the k copies share one frame.  A message must therefore not
 be mutated after it is sent (they are frozen dataclasses; a mutable
-payload inside one is the caller's to leave alone).  A relay re-sends the
-received body only while the frame that carried it is being handled; a
-later send of the same payload object encodes it afresh.  Each pump wakeup
+payload inside one is the caller's to leave alone).  Only a relay of the
+GossipData being handled re-sends the received body; any other send of
+that payload object encodes it afresh.  Each pump wakeup
 takes everything queued as one batch and writes it with one
 ``writelines`` and one ``drain()``; outcomes stay per frame
 (:attr:`frames_sent`, :attr:`send_observer`, each frame's own failure
