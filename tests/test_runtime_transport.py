@@ -1,10 +1,14 @@
 """Work pins for the live transport's data path.
 
-A fan-out of one message encodes it once; everything queued for a peer at
-one pump wakeup leaves in one write and one ``drain()``; outcomes (sent
-counts, observer calls, failure callbacks) stay per frame; the per-peer
-bulkhead bounds queued plus in-flight frames by ``max_queue``; and a
-handler that raises costs one counted frame, not the connection.
+A fan-out of one message encodes it once, and a broadcast's payload is
+encoded once across a cluster: relays re-send the body bytes they
+received, and a duplicate's body is never parsed; everything queued for
+a peer at one pump wakeup leaves in one write and one ``drain()``;
+outcomes (sent counts, observer calls, failure callbacks) stay per
+frame; the per-peer bulkhead bounds queued plus in-flight frames by
+``max_queue``; a handler that raises costs one counted frame, not the
+connection; and a hostile GossipData header or body costs one counted
+line, not the reader.
 """
 
 from __future__ import annotations
@@ -368,7 +372,9 @@ async def read_lines(transport: AsyncioTransport, lines: list) -> None:
     await transport._read_loop(connection)
 
 
-HOSTS = st.one_of(st.integers(), st.booleans(), st.none(), st.lists(st.text(max_size=3), max_size=2))
+HOSTS = st.one_of(
+    st.integers(), st.booleans(), st.none(), st.lists(st.text(max_size=3), max_size=2)
+)
 PORTS = st.one_of(
     st.booleans(),
     st.integers(max_value=-1),
@@ -377,7 +383,9 @@ PORTS = st.one_of(
     st.text(max_size=3),
     st.none(),
 )
-COUNTS = st.one_of(st.booleans(), st.integers(max_value=-1), st.floats(), st.text(max_size=3), st.none())
+COUNTS = st.one_of(
+    st.booleans(), st.integers(max_value=-1), st.floats(), st.text(max_size=3), st.none()
+)
 BAD_FIELDS = st.one_of(
     st.tuples(st.sampled_from([0, 4]), HOSTS),
     st.tuples(st.sampled_from([1, 5]), PORTS),
