@@ -7,14 +7,16 @@ Examples::
     repro bench --scenario fig2_reliability --tier paper --n 500 --messages 100
     repro bench --tier smoke --workers 2 --out benchmarks/results
     repro bench --tier paper --scenario fig2_reliability
-    repro trace --scenario fig2_reliability
+    repro bench --trace --scenario fig2_reliability --out traces
+    repro trace traces/TRACE_fig2_reliability.json
 
 ``bench`` is the one way to run a paper experiment: it drives the parallel
 orchestrator over the tiered scenario registry (every figure, table and
 ablation is a registered grid of cells), prints each scenario's plain-text
 report and persists ``BENCH_<scenario>.json`` artifacts.  Scale and seed
 are flags (``--n``, ``--messages``, ``--seed``); ``--tier paper`` alone is
-the full DSN'07 configuration.
+the full DSN'07 configuration.  ``bench --trace`` also writes each
+scenario's ``TRACE_<scenario>.json``, and ``trace`` reads one back.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from typing import Optional, Sequence
 from .common.errors import ConfigurationError
 from .experiments.params import ExperimentParams
 from .experiments.registry import REGISTRY, TIER_NAMES
-from .experiments.reporting import format_table
+from .experiments.reporting import TRACE_SCHEMA, format_table, load_artifact
 from .experiments.scenario import Scenario
+from .obs.trace import DisseminationTrace
 
 
 # ----------------------------------------------------------------------
@@ -79,10 +82,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     scenario_ids = list(dict.fromkeys(args.scenario or sorted(REGISTRY)))
     runs = run_and_report(
         scenario_ids,
+        args.tier,
+        workers=args.workers,
+        root_seed=args.seed,
+        n=args.n,
+        messages=args.messages,
+        replicates=args.replicates,
+        snapshot_cache=not args.no_snapshot_cache,
         trace=args.trace,
-        trace_dir=args.trace_out,
         out_dir=None if args.no_artifacts else args.out,
-        **_run_options(args),
     )
     for run in runs.values():
         print(f"\n===== {run.spec.id} =====")
@@ -101,7 +109,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    """Run one scenario with dissemination tracing and inspect the result.
+    """Inspect the ``TRACE_<scenario>.json`` that ``bench --trace`` wrote.
 
     Summary mode (default) prints one row per traced message: deliveries,
     tree depth, fan-out, redundancy, time-to-full-delivery.  With
@@ -110,26 +118,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """
     import json
 
-    # Imported lazily, mirroring cmd_bench.
-    from .experiments.runner import run_scenarios
-    from .obs.trace import DisseminationTrace
-
-    traces: dict[str, list] = {}
-    run_scenarios(
-        [args.scenario],
-        trace=True,
-        traces=traces,
-        progress=lambda note: print(f"  [{args.tier}] {note}", file=sys.stderr),
-        **_run_options(args),
-    )
-    entries = traces.get(args.scenario, [])
-    entry = next((e for e in entries if e["replicate"] == args.replicate), None)
-    if entry is None:
-        raise ConfigurationError(
-            f"replicate {args.replicate} not traced "
-            f"(have {[e['replicate'] for e in entries]})"
-        )
-    view = DisseminationTrace(entry["segments"])
+    if args.out is not None and args.message is None:
+        raise ConfigurationError("--out writes one message's tree: it needs --message")
+    artifact = load_artifact(args.path, TRACE_SCHEMA)
+    view = DisseminationTrace.from_artifact(artifact, args.replicate)
     if args.message is not None:
         try:
             message = view.message(args.message)
@@ -139,8 +131,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
             ) from error
         payload = json.dumps(message.chrome_trace(), indent=2, sort_keys=True) + "\n"
         if args.out is not None:
-            args.out.parent.mkdir(parents=True, exist_ok=True)
-            args.out.write_text(payload)
+            try:
+                args.out.parent.mkdir(parents=True, exist_ok=True)
+                args.out.write_text(payload)
+            except OSError as error:
+                raise ConfigurationError(f"cannot write {args.out}: {error}") from error
             print(f"wrote {args.out}", file=sys.stderr)
         else:
             print(payload, end="")
@@ -159,8 +154,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
             ],
             view.summary_rows(),
             title=(
-                f"dissemination trace: {args.scenario} tier={args.tier} "
-                f"replicate={args.replicate}"
+                f"dissemination trace: {artifact.get('scenario')} "
+                f"tier={artifact.get('tier')} replicate={args.replicate}"
             ),
         )
     )
@@ -302,37 +297,6 @@ def cmd_service_bench(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    """The flags ``bench`` and ``trace`` share: what to run, and how."""
-    p.add_argument("--tier", choices=list(TIER_NAMES), default="smoke",
-                   help="scale tier: smoke (CI), paper (DSN'07 figures) or full")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes to shard cells across (results are identical)")
-    p.add_argument("--seed", type=int, default=42, help="sweep root seed")
-    p.add_argument("--n", type=int, default=None,
-                   help="override the tier's system size (disables paper params)")
-    p.add_argument("--messages", type=int, default=None,
-                   help="override the tier's messages per measurement batch")
-    p.add_argument("--replicates", type=int, default=None,
-                   help="override the tier's replicate count")
-    p.add_argument("--no-snapshot-cache", action="store_true",
-                   help="rebuild every stabilised base instead of thawing the per-worker "
-                   "cache's snapshots (slower, identical results)")
-
-
-def _run_options(args: argparse.Namespace) -> dict:
-    """The runner keywords of the flags :func:`_add_run_flags` declares."""
-    return {
-        "tier": args.tier,
-        "workers": args.workers,
-        "root_seed": args.seed,
-        "n": args.n,
-        "messages": args.messages,
-        "replicates": args.replicates,
-        "snapshot_cache": not args.no_snapshot_cache,
-    }
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -354,14 +318,28 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run registered scenarios through the parallel orchestrator",
     )
-    _add_run_flags(p)
+    p.add_argument("--tier", choices=list(TIER_NAMES), default="smoke",
+                   help="scale tier: smoke (CI), paper (DSN'07 figures) or full")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes to shard cells across (results are identical)")
+    p.add_argument("--seed", type=int, default=42, help="sweep root seed")
+    p.add_argument("--n", type=int, default=None,
+                   help="override the tier's system size (disables paper params)")
+    p.add_argument("--messages", type=int, default=None,
+                   help="override the tier's messages per measurement batch")
+    p.add_argument("--replicates", type=int, default=None,
+                   help="override the tier's replicate count")
+    p.add_argument("--no-snapshot-cache", action="store_true",
+                   help="rebuild every stabilised base instead of thawing the per-worker "
+                   "cache's snapshots (slower, identical results)")
     p.add_argument(
         "--scenario", action="append", metavar="ID",
         help="run only this scenario (repeatable); default: all registered",
     )
     p.add_argument(
         "--out", type=pathlib.Path, default=pathlib.Path("benchmarks/results"),
-        help="directory for BENCH_<scenario>.json artifacts",
+        help="directory for BENCH_<scenario>.json (and, with --trace, "
+        "TRACE_<scenario>.json) artifacts",
     )
     p.add_argument(
         "--no-artifacts", action="store_true",
@@ -375,14 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--trace", action="store_true",
-        help="collect dissemination traces and write TRACE_/METRICS_ "
-        "files alongside (never into) the BENCH artifacts; traces are "
-        "deterministic but live in their own files",
-    )
-    p.add_argument(
-        "--trace-out", type=pathlib.Path, default=None, metavar="DIR",
-        help="directory for TRACE_/METRICS_ files (default: the --out "
-        "directory)",
+        help="collect dissemination traces and write a TRACE_ file beside "
+        "(never into) each BENCH artifact; read one with 'repro trace'",
     )
     p.add_argument(
         "--list", action="store_true",
@@ -392,13 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "trace",
-        help="trace one scenario's dissemination and reconstruct broadcast trees",
+        help="reconstruct broadcast trees from a TRACE_ file 'bench --trace' wrote",
     )
-    p.add_argument(
-        "--scenario", default="fig2_reliability", metavar="ID",
-        help="scenario to trace (default: fig2_reliability)",
-    )
-    _add_run_flags(p)
+    p.add_argument("path", type=pathlib.Path, metavar="PATH",
+                   help="a TRACE_<scenario>.json file")
     p.add_argument("--replicate", type=int, default=0,
                    help="which replicate to inspect (default: 0)")
     p.add_argument(
@@ -410,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--out", type=pathlib.Path, default=None, metavar="FILE",
         help="write the Chrome trace JSON here instead of stdout "
-        "(only with --message)",
+        "(needs --message)",
     )
     p.set_defaults(func=cmd_trace)
 

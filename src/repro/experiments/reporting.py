@@ -11,7 +11,8 @@ Three parts:
   :func:`check_claims` checks every scenario, naming the figure and the
   numbers of each failed claim.
 * **JSON artifacts** — the experiment orchestrator persists every scenario
-  run as a versioned ``BENCH_<scenario>.json`` file.  Artifacts are
+  run as a versioned ``BENCH_<scenario>.json`` file, and its dissemination
+  trace, when collected, as ``TRACE_<scenario>.json``.  Artifacts are
   canonically encoded (sorted keys, fixed indentation, no timestamps or
   host identity), so a parallel run is byte-identical to a serial run of
   the same seed and CI can diff benchmark trajectories across commits.
@@ -31,17 +32,17 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-#: Version tag embedded in every artifact; bump on breaking layout changes.
-ARTIFACT_SCHEMA = "repro-bench/1"
+from ..common.errors import ConfigurationError
 
-#: Version tag of the dissemination-trace artifacts (``TRACE_*.json``).
-#: Traces are deterministic (pure functions of the seed, like ``BENCH_*``)
-#: but live in their own files: tracing must never touch a BENCH byte.
+#: Version tag of each artifact family; bump on breaking layout changes.
+#: ``BENCH_*`` holds a scenario's results, ``TRACE_*`` its dissemination
+#: trace.  Both are pure functions of the seed, but a trace lives in its
+#: own file: tracing must never touch a BENCH byte.
+ARTIFACT_SCHEMA = "repro-bench/1"
 TRACE_SCHEMA = "repro-trace/1"
 
-#: Version tag of the metrics-snapshot artifacts (``METRICS_*.json``),
-#: derived from the trace and equally deterministic.
-METRICS_SCHEMA = "repro-metrics/1"
+#: The file prefix each schema is written under.
+ARTIFACT_PREFIXES = {ARTIFACT_SCHEMA: "BENCH", TRACE_SCHEMA: "TRACE"}
 
 
 # ----------------------------------------------------------------------
@@ -83,114 +84,36 @@ def encode_artifact(artifact: Mapping[str, object]) -> str:
     return json.dumps(json_safe(artifact), sort_keys=True, indent=2) + "\n"
 
 
-def artifact_filename(scenario_id: str) -> str:
-    """The on-disk name for one scenario's results."""
-    return f"BENCH_{scenario_id}.json"
+def artifact_filename(scenario_id: str, schema: str = ARTIFACT_SCHEMA) -> str:
+    """The on-disk name of one scenario's artifact of ``schema``."""
+    return f"{ARTIFACT_PREFIXES[schema]}_{scenario_id}.json"
 
 
 def write_artifact(
     directory: pathlib.Path | str, artifact: Mapping[str, object]
 ) -> pathlib.Path:
-    """Persist one scenario artifact under ``directory``; returns the path."""
+    """Persist one artifact under ``directory``, named by its scenario and
+    schema; returns the path."""
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / artifact_filename(str(artifact["scenario"]))
+    path = directory / artifact_filename(str(artifact["scenario"]), str(artifact["schema"]))
     path.write_text(encode_artifact(artifact))
     return path
 
 
-def load_artifact(path: pathlib.Path | str) -> dict:
-    """Read an artifact back; raises ``ValueError`` on schema mismatch."""
-    data = json.loads(pathlib.Path(path).read_text())
-    schema = data.get("schema")
-    if schema != ARTIFACT_SCHEMA:
-        raise ValueError(
-            f"unsupported artifact schema {schema!r} in {path} "
-            f"(expected {ARTIFACT_SCHEMA!r})"
-        )
-    return data
-
-
-def trace_filename(scenario_id: str) -> str:
-    """The on-disk name for one scenario's dissemination trace."""
-    return f"TRACE_{scenario_id}.json"
-
-
-def metrics_filename(scenario_id: str) -> str:
-    """The on-disk name for one scenario's metrics snapshot."""
-    return f"METRICS_{scenario_id}.json"
-
-
-def trace_artifact(
-    scenario_id: str,
-    *,
-    tier: str,
-    root_seed: int,
-    replicates: Sequence[Mapping[str, object]],
-) -> dict:
-    """The ``TRACE_<scenario>.json`` payload.
-
-    ``replicates`` entries are ``{"replicate": i, "segments": [...]}``
-    with segments flattened in cell-enumeration order, so the trace is
-    byte-identical across the workers × snapshot-cache matrix.
-    """
-    return {
-        "schema": TRACE_SCHEMA,
-        "scenario": scenario_id,
-        "tier": tier,
-        "root_seed": root_seed,
-        "replicates": list(replicates),
-    }
-
-
-def metrics_artifact(
-    scenario_id: str,
-    *,
-    tier: str,
-    root_seed: int,
-    replicates: Sequence[Mapping[str, object]],
-) -> dict:
-    """The ``METRICS_<scenario>.json`` payload: per-replicate counter
-    snapshots derived from the dissemination trace (deterministic)."""
-    return {
-        "schema": METRICS_SCHEMA,
-        "scenario": scenario_id,
-        "tier": tier,
-        "root_seed": root_seed,
-        "replicates": list(replicates),
-    }
-
-
-def write_trace_file(
-    directory: pathlib.Path | str, trace: Mapping[str, object]
-) -> pathlib.Path:
-    """Persist one scenario's ``TRACE_*.json``; returns the path."""
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / trace_filename(str(trace["scenario"]))
-    path.write_text(encode_artifact(trace))
-    return path
-
-
-def write_metrics_file(
-    directory: pathlib.Path | str, metrics: Mapping[str, object]
-) -> pathlib.Path:
-    """Persist one scenario's ``METRICS_*.json``; returns the path."""
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / metrics_filename(str(metrics["scenario"]))
-    path.write_text(encode_artifact(metrics))
-    return path
-
-
-def load_trace(path: pathlib.Path | str) -> dict:
-    """Read a trace artifact back; raises ``ValueError`` on schema mismatch."""
-    data = json.loads(pathlib.Path(path).read_text())
-    schema = data.get("schema")
-    if schema != TRACE_SCHEMA:
-        raise ValueError(
-            f"unsupported trace schema {schema!r} in {path} "
-            f"(expected {TRACE_SCHEMA!r})"
+def load_artifact(path: pathlib.Path | str, schema: str = ARTIFACT_SCHEMA) -> dict:
+    """Read an artifact of ``schema`` back.  An unreadable file, invalid
+    JSON or another schema is a :class:`ConfigurationError`."""
+    try:
+        data = json.loads(pathlib.Path(path).read_text())
+    except OSError as error:
+        raise ConfigurationError(f"cannot read artifact {path}: {error}") from error
+    except (ValueError, RecursionError) as error:
+        raise ConfigurationError(f"artifact {path} is not valid JSON: {error}") from error
+    found = data.get("schema") if isinstance(data, dict) else None
+    if found != schema:
+        raise ConfigurationError(
+            f"unsupported artifact schema {found!r} in {path} (expected {schema!r})"
         )
     return data
 

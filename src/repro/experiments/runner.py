@@ -62,15 +62,12 @@ from .registry import (
 )
 from .reporting import (
     ARTIFACT_SCHEMA,
+    TRACE_SCHEMA,
     Claim,
     check_claims,
     format_timings,
-    metrics_artifact,
     render_report,
-    trace_artifact,
     write_artifact,
-    write_metrics_file,
-    write_trace_file,
 )
 from .snapshots import SnapshotCache
 
@@ -139,7 +136,7 @@ class WorkUnit:
     snapshot_cache: bool = True
     #: Collect a dissemination trace while the unit runs.  Never part of
     #: the BENCH artifact: trace output travels in ``UnitOutcome.trace``
-    #: and lands in the separate ``TRACE_*``/``METRICS_*`` files.
+    #: and lands in the separate ``TRACE_*`` file.
     trace: bool = False
 
     def resolve(
@@ -461,7 +458,6 @@ def run_scenarios(
     messages: Optional[int] = None,
     replicates: Optional[int] = None,
     snapshot_cache: bool = True,
-    trace: bool = False,
     traces: Optional[dict[str, list]] = None,
     progress: Optional[Callable[[str], None]] = None,
     timings: Optional[SweepTimings] = None,
@@ -472,8 +468,8 @@ def run_scenarios(
     identical regardless of worker count, snapshot caching or completion
     order.
 
-    With ``trace``, workers collect dissemination-trace segments; pass a
-    dict as ``traces`` to receive, per scenario id, one
+    Handed a ``traces`` dict, workers collect dissemination-trace
+    segments, and ``traces`` receives, per scenario id, one
     ``{"replicate", "segments"}`` record per replicate with segments
     flattened in cell-enumeration order (so the collected trace is
     identical across the workers × snapshot-cache matrix).  ``BENCH_*``
@@ -485,7 +481,7 @@ def run_scenarios(
     units = build_units(
         scenario_ids, tier,
         root_seed=root_seed, n=n, messages=messages, replicates=replicates,
-        snapshot_cache=snapshot_cache, trace=trace,
+        snapshot_cache=snapshot_cache, trace=traces is not None,
     )
     unit_by_key = {(u.scenario_id, u.replicate, u.cell): u for u in units}
     completed: list[UnitOutcome] = []
@@ -544,7 +540,7 @@ def run_scenarios(
             records.append(
                 {"replicate": replicate, "seed": context.seed, "result": result}
             )
-            if traces is not None and trace:
+            if traces is not None:
                 # Flatten per-cell segments in the scenario's own cell
                 # enumeration order, so scheduling never shows.
                 cell_map = unit_traces.get(key, {})
@@ -552,7 +548,7 @@ def run_scenarios(
                 for cell_key in spec.cells(context):
                     segments.extend(cell_map.get(cell_key, ()))
                 trace_records.append({"replicate": replicate, "segments": segments})
-        if traces is not None and trace:
+        if traces is not None:
             traces[scenario_id] = trace_records
         runs[scenario_id] = ScenarioRun(
             spec=spec,
@@ -580,54 +576,6 @@ def write_artifacts(
     return [write_artifact(directory, run.artifact()) for run in runs.values()]
 
 
-def write_trace_artifacts(
-    traces: dict[str, list],
-    directory: pathlib.Path | str,
-    *,
-    tier: str,
-    root_seed: int,
-) -> list[pathlib.Path]:
-    """Persist ``TRACE_*`` and trace-derived ``METRICS_*`` files.
-
-    Both families are deterministic (pure functions of the seed, like
-    ``BENCH_*``) but live strictly apart so tracing can never perturb a
-    benchmark artifact byte.
-    """
-    paths: list[pathlib.Path] = []
-    for scenario_id in sorted(traces):
-        replicates = traces[scenario_id]
-        paths.append(
-            write_trace_file(
-                directory,
-                trace_artifact(
-                    scenario_id, tier=tier, root_seed=root_seed, replicates=replicates
-                ),
-            )
-        )
-        metric_rows = []
-        for entry in replicates:
-            view = DisseminationTrace(entry["segments"])
-            metric_rows.append(
-                {
-                    "replicate": entry["replicate"],
-                    "segments": view.segment_count,
-                    "records": view.record_count,
-                    "dropped_records": view.dropped_records,
-                    "messages": len(view.message_keys()),
-                    "counters": view.kind_counts(),
-                }
-            )
-        paths.append(
-            write_metrics_file(
-                directory,
-                metrics_artifact(
-                    scenario_id, tier=tier, root_seed=root_seed, replicates=metric_rows
-                ),
-            )
-        )
-    return paths
-
-
 def run_and_report(
     scenario_ids: Sequence[str],
     tier: str,
@@ -639,7 +587,6 @@ def run_and_report(
     replicates: Optional[int] = None,
     snapshot_cache: bool = True,
     trace: bool = False,
-    trace_dir: Optional[pathlib.Path | str] = None,
     out_dir: Optional[pathlib.Path | str] = None,
     stream=None,
 ) -> dict[str, ScenarioRun]:
@@ -650,10 +597,15 @@ def run_and_report(
     ``BENCH_*`` artifacts stay deterministic.
 
     With ``trace``, dissemination traces are collected and written as
-    ``TRACE_*``/``METRICS_*`` files to ``trace_dir`` (default:
-    ``out_dir``); a stderr summary surfaces record and drop counts so
+    ``TRACE_*`` files beside the ``BENCH_*`` ones in ``out_dir``, which
+    must be given; a stderr summary surfaces record and drop counts so
     silent trace truncation is visible.
     """
+    if trace and out_dir is None:
+        raise ConfigurationError(
+            "tracing writes TRACE_ files beside the BENCH_ artifacts: "
+            "it needs an output directory (drop --no-artifacts)"
+        )
     stream = stream if stream is not None else sys.stderr
     timings = SweepTimings()
     traces: Optional[dict[str, list]] = {} if trace else None
@@ -661,7 +613,7 @@ def run_and_report(
         scenario_ids, tier,
         workers=workers, root_seed=root_seed,
         n=n, messages=messages, replicates=replicates,
-        snapshot_cache=snapshot_cache, trace=trace, traces=traces,
+        snapshot_cache=snapshot_cache, traces=traces,
         progress=lambda note: print(f"  [{tier}] {note}", file=stream),
         timings=timings,
     )
@@ -677,28 +629,24 @@ def run_and_report(
         file=stream,
     )
     print(timings.format_cache(), file=stream)
-    if traces is not None:
-        for scenario_id in sorted(traces):
-            views = [
-                DisseminationTrace(entry["segments"]) for entry in traces[scenario_id]
-            ]
-            records = sum(view.record_count for view in views)
-            dropped = sum(view.dropped_records for view in views)
-            segments = sum(view.segment_count for view in views)
-            print(
-                f"trace [{scenario_id}]: {segments} segment(s), "
-                f"{records} record(s), {dropped} dropped",
-                file=stream,
-            )
     if out_dir is not None:
         for path in write_artifacts(runs, out_dir):
             print(f"  wrote {path}", file=stream)
-    if traces is not None:
-        trace_target = trace_dir if trace_dir is not None else out_dir
-        if trace_target is not None:
-            for path in write_trace_artifacts(
-                traces, trace_target, tier=tier, root_seed=root_seed
-            ):
-                print(f"  wrote {path}", file=stream)
+    for scenario_id, entries in sorted((traces or {}).items()):
+        views = [DisseminationTrace(entry["segments"]) for entry in entries]
+        print(
+            f"trace [{scenario_id}]: {sum(v.segment_count for v in views)} segment(s), "
+            f"{sum(v.record_count for v in views)} record(s), "
+            f"{sum(v.dropped_records for v in views)} dropped",
+            file=stream,
+        )
+        trace_file = {
+            "schema": TRACE_SCHEMA,
+            "scenario": scenario_id,
+            "tier": tier,
+            "root_seed": root_seed,
+            "replicates": entries,
+        }
+        path = write_artifact(out_dir, trace_file)  # type: ignore[arg-type]
+        print(f"  wrote {path}", file=stream)
     return runs
-

@@ -13,8 +13,9 @@ Two halves, both strictly pay-for-what-you-use:
 * **A unified metrics registry** (:mod:`repro.obs.metrics`,
   :mod:`repro.obs.collectors`, :mod:`repro.obs.http`) — typed
   ``Counter``/``Gauge`` instruments with a deterministic
-  snapshot surface for simulation artifacts and a dependency-free
-  Prometheus text exposition endpoint for the live service layer.
+  snapshot surface (embedded in the ``repro service-bench`` report) and a
+  dependency-free Prometheus text exposition endpoint for the live
+  service layer.
 """
 
 from .context import activate_collector, current_collector, deactivate_collector

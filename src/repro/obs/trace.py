@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
+from ..common.errors import ConfigurationError
+
 #: Message types that carry the broadcast payload: their first delivery at a
 #: node is that node's position in the broadcast tree.
 PAYLOAD_TYPES = frozenset({"GossipData", "PlumtreeGossip", "BRBSend"})
@@ -38,6 +40,25 @@ ACK_TYPES = frozenset({"GossipAck", "BRBAck"})
 #: counted in ``dropped`` and discarded (the tree prefix stays intact);
 #: the runner surfaces the drop count on stderr so truncation is visible.
 DEFAULT_SEGMENT_LIMIT = 500_000
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_segment(segment: object) -> bool:
+    """Whether ``segment`` has :meth:`TraceSegment.export`'s shape."""
+    if not isinstance(segment, dict) or not _is_int(segment.get("dropped")):
+        return False
+    records = segment.get("records")
+    return isinstance(records, list) and all(
+        isinstance(r, list)
+        and len(r) == 7
+        and isinstance(r[0], float)
+        and all(isinstance(field, str) for field in r[1:6])
+        and (r[6] is None or _is_int(r[6]))
+        for r in records
+    )
 
 
 class TraceSegment:
@@ -283,11 +304,30 @@ class DisseminationTrace:
 
     @classmethod
     def from_artifact(cls, artifact: dict, replicate: int = 0) -> "DisseminationTrace":
-        """Build from a ``repro-trace/1`` artifact, selecting one replicate."""
-        for entry in artifact.get("replicates", ()):
-            if entry.get("replicate") == replicate:
-                return cls(entry.get("segments", ()))
-        raise KeyError(f"replicate {replicate} not present in trace artifact")
+        """Build from a ``repro-trace/1`` artifact, selecting one replicate.
+
+        The artifact comes from a file, so its shape is checked: a missing
+        replicate, or segments unlike :meth:`TraceSegment.export`'s, is a
+        :class:`ConfigurationError`.
+        """
+        replicates = artifact.get("replicates")
+        if not isinstance(replicates, list) or not all(isinstance(e, dict) for e in replicates):
+            raise ConfigurationError("trace artifact: 'replicates' is not a list of objects")
+        have = [entry.get("replicate") for entry in replicates]
+        entry = next(
+            (e for e, index in zip(replicates, have) if _is_int(index) and index == replicate),
+            None,
+        )
+        if entry is None:
+            raise ConfigurationError(f"replicate {replicate} not in trace artifact (have {have})")
+        segments = entry.get("segments")
+        if not isinstance(segments, list) or not all(map(_is_segment, segments)):
+            raise ConfigurationError(
+                f"trace artifact: replicate {replicate}'s segments are not "
+                "{'records': [[time, kind, type, src, dst, message_id, depth], ...], "
+                "'dropped': count} objects"
+            )
+        return cls(segments)
 
     @property
     def segment_count(self) -> int:
@@ -322,7 +362,7 @@ class DisseminationTrace:
         segment_index: Optional[int] = None
         mid = key
         head, sep, tail = key.partition("/")
-        if sep and head.isdigit():
+        if sep and head.isdecimal():
             segment_index, mid = int(head), tail
         if segment_index is None:
             matches = [
@@ -347,15 +387,6 @@ class DisseminationTrace:
 
     def messages(self) -> list[MessageView]:
         return [self.message(key) for key in self.message_keys()]
-
-    def kind_counts(self) -> dict[str, int]:
-        """Total records per ``kind/type`` across all segments (deterministic)."""
-        counts: dict[str, int] = {}
-        for segment in self._segments:
-            for record in segment["records"]:
-                key = f"{record[1]}/{record[2]}"
-                counts[key] = counts.get(key, 0) + 1
-        return dict(sorted(counts.items()))
 
     def summary_rows(self) -> list[list]:
         """One row per message for the CLI summary table."""

@@ -1,7 +1,8 @@
-"""Reporting-surface tests: canonical artifact encoding, the BENCH / TRACE /
-METRICS file families, the plain-text renderers, the declared columns and
-claims with their one report and one check, and the stderr-only timing
-summary (per-scenario table and snapshot-cache line)."""
+"""Reporting-surface tests: canonical artifact encoding, the BENCH / TRACE
+file families with their one writer and one loader, the plain-text
+renderers, the declared columns and claims with their one report and one
+check, and the stderr-only timing summary (per-scenario table and
+snapshot-cache line)."""
 
 from __future__ import annotations
 
@@ -11,11 +12,11 @@ from collections import namedtuple
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.experiments.reporting import (
     ANY,
     ARTIFACT_SCHEMA,
     BENCH,
-    METRICS_SCHEMA,
     SHAPE_CHECK_MIN_N,
     TRACE_SCHEMA,
     Claim,
@@ -29,17 +30,11 @@ from repro.experiments.reporting import (
     format_table,
     format_timings,
     json_safe,
-    load_trace,
-    metrics_artifact,
-    metrics_filename,
+    load_artifact,
     render_report,
     resolve,
     sparkline,
-    trace_artifact,
-    trace_filename,
     write_artifact,
-    write_metrics_file,
-    write_trace_file,
 )
 from repro.experiments.runner import SweepTimings, UnitOutcome, WorkUnit
 
@@ -82,10 +77,9 @@ class TestEncodeArtifact:
 
 
 class TestArtifactFiles:
-    def test_each_family_has_its_own_prefix(self):
+    def test_each_schema_has_its_own_prefix(self):
         assert artifact_filename("churn") == "BENCH_churn.json"
-        assert trace_filename("churn") == "TRACE_churn.json"
-        assert metrics_filename("churn") == "METRICS_churn.json"
+        assert artifact_filename("churn", TRACE_SCHEMA) == "TRACE_churn.json"
 
     def test_write_artifact_creates_missing_directories(self, tmp_path):
         out = tmp_path / "a" / "b"
@@ -95,35 +89,35 @@ class TestArtifactFiles:
             {"schema": ARTIFACT_SCHEMA, "scenario": "s"}
         )
 
-    def test_trace_payload_and_round_trip(self, tmp_path):
-        trace = trace_artifact(
-            "s", tier="smoke", root_seed=42,
-            replicates=({"replicate": 0, "segments": []},),
-        )
-        assert trace == {
+    def test_trace_round_trip(self, tmp_path):
+        trace = {
             "schema": TRACE_SCHEMA,
             "scenario": "s",
             "tier": "smoke",
             "root_seed": 42,
             "replicates": [{"replicate": 0, "segments": []}],
         }
-        path = write_trace_file(tmp_path / "traces", trace)
+        path = write_artifact(tmp_path, trace)
         assert path.name == "TRACE_s.json"
-        assert load_trace(path) == trace
+        assert load_artifact(path, TRACE_SCHEMA) == trace
 
-    def test_load_trace_rejects_other_schemas(self, tmp_path):
+    def test_loader_rejects_other_schemas(self, tmp_path):
         path = write_artifact(tmp_path, {"schema": ARTIFACT_SCHEMA, "scenario": "s"})
-        with pytest.raises(ValueError, match="unsupported trace schema"):
-            load_trace(path)
+        with pytest.raises(ConfigurationError, match="unsupported artifact schema"):
+            load_artifact(path, TRACE_SCHEMA)
+        (tmp_path / "list.json").write_text("[1, 2]")
+        with pytest.raises(ConfigurationError, match="unsupported artifact schema None"):
+            load_artifact(tmp_path / "list.json")
 
-    def test_metrics_file_is_canonical(self, tmp_path):
-        metrics = metrics_artifact(
-            "s", tier="paper", root_seed=1, replicates=[{"replicate": 0}]
-        )
-        assert metrics["schema"] == METRICS_SCHEMA
-        path = write_metrics_file(tmp_path, metrics)
-        assert path.name == "METRICS_s.json"
-        assert path.read_text() == encode_artifact(metrics)
+    def test_loader_rejects_unreadable_and_invalid_files(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="cannot read"):
+            load_artifact(tmp_path / "missing.json")
+        with pytest.raises(ConfigurationError, match="cannot read"):
+            load_artifact(tmp_path)  # a directory
+        for text in (b"{not json", b"\xff\xfe", b"[" * 100_000):
+            (tmp_path / "bad.json").write_bytes(text)
+            with pytest.raises(ConfigurationError, match="not valid JSON"):
+                load_artifact(tmp_path / "bad.json")
 
 
 class TestFormatTable:

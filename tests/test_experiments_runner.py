@@ -325,7 +325,7 @@ class TestArtifacts:
 
         bogus = tmp_path / "BENCH_bogus.json"
         bogus.write_text('{"schema": "other/9", "scenario": "bogus"}')
-        with pytest.raises(ValueError, match="unsupported artifact schema"):
+        with pytest.raises(ConfigurationError, match="unsupported artifact schema"):
             load_artifact(bogus)
 
     def test_json_safe_conversions(self):

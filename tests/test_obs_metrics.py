@@ -1,10 +1,10 @@
 """Tests for the unified metrics plane (repro.obs.metrics / collectors / http).
 
 Instruments must render deterministically (sorted names, sorted label
-sets) for the ``METRICS_*.json`` artifacts; the collectors must mirror
-the codebase's scattered plain-int counters without touching them; the
-exposition endpoint must serve valid Prometheus text format over a bare
-socket.
+sets) for the snapshot the service-bench report embeds; the collectors
+must mirror the codebase's scattered plain-int counters without touching
+them; the exposition endpoint must serve valid Prometheus text format over
+a bare socket.
 """
 
 from __future__ import annotations

@@ -10,10 +10,14 @@ snapshot-cache execution matrix and across the Kernel seam.
 
 from __future__ import annotations
 
+import io
+
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.experiments.params import ExperimentParams
-from repro.experiments.runner import run_scenarios
+from repro.experiments.reporting import TRACE_SCHEMA, load_artifact
+from repro.experiments.runner import run_and_report, run_scenarios
 from repro.experiments.scenario import Scenario
 from repro.obs.context import activate_collector, current_collector, deactivate_collector
 from repro.obs.trace import DisseminationTrace, MessageView, TraceCollector, TraceSegment
@@ -205,11 +209,6 @@ class TestDisseminationTrace:
         with pytest.raises(KeyError, match="unknown"):
             trace.message("7/a#0")
 
-    def test_kind_counts_are_sorted(self):
-        counts = self._two_segments().kind_counts()
-        assert counts == {"send/GossipData": 3}
-        assert list(counts) == sorted(counts)
-
     def test_from_artifact_selects_replicate(self):
         artifact = {
             "schema": "repro-trace/1",
@@ -224,7 +223,7 @@ class TestDisseminationTrace:
             ],
         }
         assert DisseminationTrace.from_artifact(artifact, replicate=1).record_count == 1
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigurationError, match=r"replicate 9 not in .* \(have \[0, 1\]\)"):
             DisseminationTrace.from_artifact(artifact, replicate=9)
 
 
@@ -290,50 +289,71 @@ class TestScenarioIntegration:
 def _traced_fig2(**overrides):
     traces: dict[str, list] = {}
     overrides.setdefault("workers", 1)
-    run_scenarios(["fig2_reliability"], "smoke", trace=True, traces=traces, **overrides)
+    run_scenarios(["fig2_reliability"], "smoke", traces=traces, **overrides)
     return traces["fig2_reliability"]
 
 
+@pytest.fixture(scope="module")
+def fig2_traces():
+    return _traced_fig2()
+
+
 class TestExecutionMatrix:
-    def test_traces_identical_across_workers_cells_and_cache(self):
-        baseline = _traced_fig2()
-        assert baseline, "fig2 smoke produced no trace"
-        assert any(e["segments"] for e in baseline)
-        assert baseline == _traced_fig2(snapshot_cache=False)
-        assert baseline == _traced_fig2(workers=2)
+    def test_traces_identical_across_workers_cells_and_cache(self, fig2_traces):
+        assert fig2_traces, "fig2 smoke produced no trace"
+        assert any(e["segments"] for e in fig2_traces)
+        assert fig2_traces == _traced_fig2(snapshot_cache=False)
+        assert fig2_traces == _traced_fig2(workers=2)
 
 
 class TestArtifactRoundTrip:
-    def test_trace_and_metrics_files(self, tmp_path):
-        import json
-
-        from repro.experiments.reporting import load_trace
-        from repro.experiments.runner import write_trace_artifacts
-
-        traces = {"fig2_reliability": _traced_fig2()}
-        paths = write_trace_artifacts(traces, tmp_path, tier="smoke", root_seed=42)
-        assert sorted(p.name for p in paths) == [
-            "METRICS_fig2_reliability.json",
+    def test_trace_file_beside_the_bench_file(self, tmp_path, fig2_traces):
+        run_and_report(
+            ["fig2_reliability"], "smoke", trace=True, out_dir=tmp_path, stream=io.StringIO()
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "BENCH_fig2_reliability.json",
             "TRACE_fig2_reliability.json",
         ]
-        artifact = load_trace(tmp_path / "TRACE_fig2_reliability.json")
+        artifact = load_artifact(tmp_path / "TRACE_fig2_reliability.json", TRACE_SCHEMA)
+        assert artifact["replicates"] == fig2_traces
         reloaded = DisseminationTrace.from_artifact(artifact, replicate=0)
-        original = DisseminationTrace(traces["fig2_reliability"][0]["segments"])
+        original = DisseminationTrace(fig2_traces[0]["segments"])
         assert reloaded.message_keys() == original.message_keys()
-        assert reloaded.kind_counts() == original.kind_counts()
-        metrics = json.loads((tmp_path / "METRICS_fig2_reliability.json").read_text())
-        assert metrics["schema"] == "repro-metrics/1"
-        row = metrics["replicates"][0]
-        assert row["records"] == original.record_count
-        assert row["dropped_records"] == 0
-        assert row["messages"] == len(original.message_keys())
+        assert reloaded.summary_rows() == original.summary_rows()
 
-    def test_trace_loader_rejects_other_schemas(self, tmp_path):
-        import json
+    def test_tracing_needs_an_output_directory(self):
+        with pytest.raises(ConfigurationError, match="output directory"):
+            run_and_report(["fig2_reliability"], "smoke", trace=True, out_dir=None)
 
-        from repro.experiments.reporting import load_trace
+    @pytest.mark.parametrize(
+        "replicates",
+        [
+            {"replicate": 0},
+            [[0, []]],
+            [{"replicate": 0, "segments": {"records": []}}],
+            [{"replicate": 0, "segments": [{"records": [], "dropped": "0"}]}],
+            [{"replicate": 0, "segments": [{"records": [[0.0, "send"]], "dropped": 0}]}],
+            [{"replicate": 0, "segments": [{"records": ["a#0"], "dropped": 0}]}],
+            [{"replicate": 0, "segments": [
+                {"records": [[0.0, "send", "GossipData", "a", "b", 7, 1]], "dropped": 0}
+            ]}],
+            [{"replicate": 0, "segments": [
+                {"records": [["0", "send", "GossipData", "a", "b", "a#0", 1]], "dropped": 0}
+            ]}],
+            [{"replicate": 0, "segments": [
+                {"records": [[0.0, "send", "GossipData", None, "b", "a#0", 1]], "dropped": 0}
+            ]}],
+            [{"replicate": 0, "segments": [
+                {"records": [[0.0, "send", "GossipData", "a", "b", "a#0", "1"]], "dropped": 0}
+            ]}],
+        ],
+    )
+    def test_malformed_replicates_are_configuration_errors(self, replicates):
+        with pytest.raises(ConfigurationError, match="trace artifact"):
+            DisseminationTrace.from_artifact({"replicates": replicates}, replicate=0)
 
-        bogus = tmp_path / "TRACE_x.json"
-        bogus.write_text(json.dumps({"schema": "repro-bench/1"}))
-        with pytest.raises(ValueError, match="unsupported trace schema"):
-            load_trace(bogus)
+    def test_a_boolean_replicate_is_not_an_index(self):
+        artifact = {"replicates": [{"replicate": True, "segments": []}]}
+        with pytest.raises(ConfigurationError, match="replicate 1 not in"):
+            DisseminationTrace.from_artifact(artifact, replicate=1)

@@ -38,9 +38,6 @@ ALLOWED = {
     "repro.runtime.node.RuntimeNode.passive_view": "read-only accessor tests inspect",
     "repro.runtime.transport.AsyncioTransport.peer_epoch": "read-only accessor tests inspect",
     "repro.common.messages.registered_message_types": "read-only accessor tests inspect",
-    "repro.experiments.reporting.load_artifact": "reads the BENCH artifacts the program writes",
-    "repro.experiments.reporting.load_trace": "reads the TRACE artifacts the program writes",
-    "repro.obs.trace.DisseminationTrace.from_artifact": "reads the trace block of an artifact",
     "repro.runtime.node.RuntimeNode.start_cycles": "the live node's only way to start shuffles",
 }
 
