@@ -458,6 +458,11 @@ class HyParView(PeerSamplingService):
         victim = self.active.random_member(self._rng)
         if victim is None:
             return
+        if victim == self._neighbor.key:
+            # Our own NEIGHBOR request to the victim is still open (both
+            # sides asked at once, and we admitted its request): its late
+            # accepting reply must not re-add the link we just dropped.
+            self._neighbor.close()
         self._host.send(victim, Disconnect(self._address))
         self.active.remove(victim)
         self._host.unwatch(victim)

@@ -167,6 +167,23 @@ class TestNeighbor:
         assert b.address in a.active
         assert len([p for p in a.active if p == b.address]) == 1
 
+    def test_evicting_the_requested_peer_closes_the_request(self, world):
+        """Both sides ask at once and ``a`` admits ``b``'s request; ``a``
+        then evicts ``b`` while its own request to ``b`` is open.  ``b``
+        answers that request after the eviction: the late accept must not
+        re-add ``b`` to ``a``, whose link ``b`` has already dropped."""
+        _, a = world.hyparview(config=HyParViewConfig(active_view_capacity=1))
+        (_, b), (_, c) = world.hyparview_many(2, config=SMALL)
+        a.passive.add(b.address)
+        a._fill_active_view()
+        assert a.open_exchanges() != ()
+        a.handle_neighbor(Neighbor(b.address, False))
+        assert a.active.members() == (b.address,)
+        a._add_to_active(c.address)  # full: evicts b
+        assert a.open_exchanges() == ()
+        a.handle_neighbor_reply(NeighborReply(b.address, True))
+        assert a.active.members() == (c.address,)
+
     def test_stale_reply_ignored(self, world):
         (_, a), (_, b) = world.hyparview_many(2, config=SMALL)
         # No promotion pending: a stray reply must not corrupt state.

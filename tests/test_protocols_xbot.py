@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.ids import NodeId
@@ -410,6 +410,10 @@ class TestXBotFuzz:
         st.integers(min_value=0, max_value=10_000),
         st.lists(operation, max_size=25),
     )
+    # Simultaneous NEIGHBOR requests, then an eviction of the requested
+    # peer while its accepting reply is in flight: the reply re-added an
+    # evicted peer, leaving a one-sided link.
+    @example(71, [("join", 3, 4), ("crash", 4, 0), ("join", 6, 3)])
     def test_invariants_hold_under_any_event_sequence(self, seed, operations):
         fuzzer = XBotFuzzer(seed)
         for op in operations:
