@@ -205,6 +205,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     async def demo() -> list[list[object]]:
         cluster = LocalCluster(args.nodes, base_seed=args.seed)
+        # Built before any socket opens, so a refused plan exits 2 cleanly.
+        controller = ChaosController(
+            cluster, plan, time_scale=args.time_scale, seed=args.seed
+        )
         await cluster.start()
         rows: list[list[object]] = []
 
@@ -222,9 +226,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                  len(cluster.alive_nodes())]
             )
 
-        controller = ChaosController(
-            cluster, plan, time_scale=args.time_scale, seed=args.seed
-        )
         await probe("before")
         chaos = asyncio.create_task(controller.run())
         await asyncio.sleep(0.4 * args.time_scale)

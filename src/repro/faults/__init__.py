@@ -1,12 +1,14 @@
 """Fault injection: declarative fault plans for sim and live runtime.
 
-One vocabulary (:mod:`repro.faults.plan`), two substrates:
+One vocabulary and one reader (:class:`~repro.faults.plan.PlanDriver`),
+two sets of substrate seams:
 
-* :class:`~repro.faults.sim.SimFaultDriver` compiles a plan onto the
-  discrete-event simulator;
+* :class:`~repro.faults.sim.SimFaultDriver` on the discrete-event
+  simulator;
 * :class:`~repro.faults.chaos.ChaosController` (imported explicitly —
-  it pulls in asyncio runtime machinery) replays the same plan against a
-  loopback-TCP :class:`~repro.runtime.cluster.LocalCluster`.
+  it pulls in asyncio runtime machinery) on a loopback-TCP
+  :class:`~repro.runtime.cluster.LocalCluster`, which refuses a
+  ``duplicate_rate`` it cannot apply.
 
 The ``faults_*`` registry scenarios live in
 :mod:`repro.faults.scenarios` and are registered when the experiment

@@ -1,66 +1,56 @@
-"""Replay a :class:`~repro.faults.plan.FaultPlan` against a live cluster.
+"""The live cluster's seams for :class:`~repro.faults.plan.PlanDriver`.
 
-The :class:`ChaosController` is the runtime twin of
-:class:`~repro.faults.sim.SimFaultDriver`: the same declarative plan, but
-applied over wall-clock time to a loopback-TCP
-:class:`~repro.runtime.cluster.LocalCluster` —
+The :class:`ChaosController` reads a plan exactly as
+:class:`~repro.faults.sim.SimFaultDriver` does — the same dispatch, picks
+and ``applied`` lines — but over wall-clock time against a loopback-TCP
+:class:`~repro.runtime.cluster.LocalCluster`:
 
 * partitions install outbound fault injectors on every node's transport
   ("fail" across the cut: sends report failure exactly like a TCP reset,
   probes refuse, so the failure detector and repair path run for real);
-* degradation windows drop/delay frames probabilistically (lossy, jittery
-  links);
+* degradation windows are the simulator's
+  :class:`~repro.sim.network.LinkFaultRule` on the same link subset; a
+  lost frame is dropped and jitter delays it, drawn from a stream of
+  their own, and ``duplicate_rate > 0`` is refused at construction (the
+  transport cannot duplicate a frame);
 * crashes call :meth:`RuntimeNode.crash` (abrupt socket resets);
-* restarts spawn fresh processes that re-join through live contacts;
+* restarts spawn fresh processes that re-join through the plan's contact;
 * adversaries and Byzantine senders edit the victim nodes, through the
   applier the simulator driver uses (:mod:`repro.faults.adversary`).
 
 ``time_scale`` maps plan seconds to wall seconds (sim plans are written
 against a 10 ms network delay; loopback TCP is faster, so live runs
 usually stretch the timeline, e.g. ``time_scale=2.0``).  The controller
-is for integration tests and the ``repro chaos`` demo — it makes no
-determinism promises (real sockets, real clocks), only vocabulary parity.
+is for integration tests and the ``repro chaos`` demo: its picks are
+seeded, but real sockets and clocks make no determinism promise.
 """
 
 from __future__ import annotations
 
 import asyncio
+import heapq
+import itertools
 import random
 from typing import Optional, Sequence
 
 from ..common.errors import ConfigurationError
 from ..common.ids import MessageId, NodeId
+from ..common.rng import SeedSequence
 from ..metrics.latency import LatencyHistogram
 from ..runtime.cluster import LocalCluster
+from ..sim.network import LinkFaultRule
 from .adversary import LiveMisbehaviour
-from .plan import (
-    AdversaryEvent,
-    CrashEvent,
-    DegradeEvent,
-    FaultEvent,
-    FaultPlan,
-    MutationEvent,
-    PartitionEvent,
-    Phase,
-    RestartEvent,
-    pick_count,
-    split_weighted,
-    validate_phases,
-)
+from .plan import FaultPlan, Phase, PlanDriver, validate_phases
 
 
-class _DegradeWindow:
-    """One active live degradation (wall-clock bounded)."""
+class ChaosController(PlanDriver):
+    """Drives one fault plan against one :class:`LocalCluster`.
 
-    __slots__ = ("until", "event")
+    Its clock is plan time: steps and link rules are read against
+    ``(loop time - run start) / time_scale``.
+    """
 
-    def __init__(self, until: float, event: DegradeEvent) -> None:
-        self.until = until
-        self.event = event
-
-
-class ChaosController:
-    """Drives one fault plan against one :class:`LocalCluster`."""
+    _misbehaviour = LiveMisbehaviour
 
     def __init__(
         self,
@@ -74,29 +64,35 @@ class ChaosController:
     ) -> None:
         if time_scale <= 0:
             raise ConfigurationError(f"time_scale must be positive: {time_scale}")
-        # Fail here, at construction, when the plan names more nodes than
-        # the cluster has — not at apply time inside victim sampling.
-        plan.validate_for(len(cluster.nodes))
+        if any(getattr(event, "duplicate_rate", 0.0) for event in plan.events):
+            raise ConfigurationError(
+                f"plan {plan.label!r}: the live transport cannot duplicate a "
+                f"frame; duplicate_rate must be 0"
+            )
+        seeds = SeedSequence(seed)
+        super().__init__(plan, len(cluster.nodes), seeds, 0.0, lambda: random.Random(seed))
         self.cluster = cluster
-        self.plan = plan
         self.time_scale = time_scale
         self.phases = validate_phases(phases)
         self.restart_reuse_port = restart_reuse_port
-        self._rng = random.Random(seed)
         #: message id -> (publish wall time, publish plan time); fed by
         #: :meth:`mark_publish`, read by :meth:`latency_report`.
         self._publishes: dict[MessageId, tuple[float, float]] = {}
         self._run_start: Optional[float] = None
-        #: (plan time, description) per applied effect, in order.
-        self.applied: list[tuple[float, str]] = []
-        self._partition: Optional[dict[NodeId, int]] = None
-        self._degradations: list[_DegradeWindow] = []
-        self.misbehaviour = LiveMisbehaviour(lambda: random.Random(seed))
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: (plan time, order, callback, event) heap; the step being applied.
+        self._steps: list = []
+        self._order = itertools.count()
+        self._step = 0.0
+        #: crash / restart coroutines a step queued, awaited after it.
+        self._pending: list = []
+        self._cut: Optional[dict[NodeId, int]] = None
+        self._rules: list[LinkFaultRule] = []
+        self._link_rng = seeds.stream("network/faults")
 
     # ------------------------------------------------------------------
     async def run(self) -> None:
-        """Apply the whole plan; returns when the last effect has fired.
+        """Apply the whole plan; returns when the last step has fired.
 
         Injectors are installed up front on every node (and on every node
         the controller restarts), so the verdict function sees partitions
@@ -104,128 +100,94 @@ class ChaosController:
         """
         self._loop = asyncio.get_running_loop()
         for node in self.cluster.alive_nodes():
-            self._install(node)
-        start = self._loop.time()
-        self._run_start = start
-        for at, apply in self._timeline():
-            delay = start + at * self.time_scale - self._loop.time()
+            self._inject(node)
+        self._run_start = self._loop.time()
+        self.install()
+        while self._steps:
+            self._step, _order, callback, event = heapq.heappop(self._steps)
+            delay = self._run_start + self._step * self.time_scale - self._loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
-            await apply()
-
-    def _timeline(self):
-        """The plan expanded to (plan-time, coroutine factory) steps,
-        including the implicit heal / go-honest follow-ups."""
-        steps: list[tuple[float, int, object]] = []
-        for order, event in enumerate(self.plan.events):
-            steps.append((event.at, order, (self._apply, event)))
-            if isinstance(event, PartitionEvent) and event.heal_at is not None:
-                steps.append((event.heal_at, order, (self._heal, event)))
-            if isinstance(event, (AdversaryEvent, MutationEvent)) and event.until is not None:
-                steps.append((event.until, order, (self._honest, event)))
-        steps.sort(key=lambda step: (step[0], step[1]))
-        for at, _order, (method, event) in steps:
-            yield at, (lambda method=method, event=event: method(event))
+            callback(event)
+            pending, self._pending = self._pending, []
+            for coroutine in pending:
+                await coroutine
 
     # ------------------------------------------------------------------
     # Verdicts (transport fault injectors)
     # ------------------------------------------------------------------
-    def _install(self, node) -> None:
+    def _inject(self, node) -> None:
         local = node.node_id
         node.transport.fault_injector = (
             lambda dst, message, local=local: self._verdict(local, dst)
         )
 
     def _verdict(self, src: NodeId, dst: NodeId) -> object:
-        partition = self._partition
-        if partition is not None and partition.get(src, -1) != partition.get(dst, -1):
+        cut = self._cut
+        if cut is not None and cut.get(src, -1) != cut.get(dst, -1):
             return "fail"
-        if self._degradations:
-            now = self._loop.time() if self._loop is not None else 0.0
-            self._degradations = [w for w in self._degradations if now < w.until]
+        if self._rules:
+            now = (self._loop.time() - self._run_start) / self.time_scale
+            self._rules = [rule for rule in self._rules if now < rule.until]
             delay = 0.0
-            for window in self._degradations:
-                event = window.event
-                if event.loss_rate and self._rng.random() < event.loss_rate:
+            for rule in self._rules:
+                if not rule.applies(src, dst):
+                    continue
+                if rule.loss_rate and self._link_rng.random() < rule.loss_rate:
                     return "drop"
-                if event.jitter[1] > 0.0:
-                    delay += self._rng.uniform(*event.jitter) * self.time_scale
+                low, high = rule.extra_latency
+                if high > 0.0:
+                    delay += self._link_rng.uniform(low, high) * self.time_scale
             if delay > 0.0:
                 return delay
         return None
 
-    def _note(self, at: float, description: str) -> None:
-        self.applied.append((at, description))
-
     # ------------------------------------------------------------------
-    # Event application
+    # Seams
     # ------------------------------------------------------------------
-    async def _apply(self, event: FaultEvent) -> None:
-        if isinstance(event, PartitionEvent):
-            alive = self.cluster.alive_nodes()
-            members = [node.node_id for node in alive]
-            self._rng.shuffle(members)
-            mapping: dict[NodeId, int] = {}
-            for index, group in enumerate(split_weighted(members, event.weights)):
-                for node_id in group:
-                    mapping[node_id] = index
-            self._partition = mapping
-            self._note(event.at, event.describe())
-        elif isinstance(event, DegradeEvent):
-            until = (
-                self._loop.time()
-                + (event.until - event.at) * self.time_scale
-            )
-            self._degradations.append(_DegradeWindow(until, event))
-            self._note(event.at, event.describe())
-        elif isinstance(event, CrashEvent):
-            alive = self.cluster.alive_nodes()
-            count = pick_count(event.fraction, event.count, len(alive))
-            count = min(count, max(0, len(alive) - 2))  # keep a quorum alive
-            victims = self._rng.sample(alive, count) if count else []
-            for node in victims:
-                await node.crash()
-            self._note(event.at, f"{event.describe()} -> {len(victims)} crashed")
-        elif isinstance(event, RestartEvent):
-            dead = [
-                index
-                for index, node in enumerate(self.cluster.nodes)
-                if not node.started
-            ]
-            count = pick_count(event.fraction, event.count, len(dead))
-            victims = self._rng.sample(dead, count) if count else []
-            for index in victims:
-                node = await self.cluster.restart_node(
-                    index, reuse_port=self.restart_reuse_port
-                )
-                self._install(node)
-            self._note(event.at, f"{event.describe()} -> {len(victims)} restarted")
-        elif isinstance(event, (AdversaryEvent, MutationEvent)):
-            alive = self.cluster.alive_nodes()
-            count = pick_count(event.fraction, event.count, len(alive))
-            victims = self._rng.sample(alive, count) if count else []
-            self.misbehaviour.apply(event, victims)
-            role = "adversarial" if isinstance(event, AdversaryEvent) else "byzantine"
-            self._note(event.at, f"{event.describe()} -> {len(victims)} {role}")
-        else:  # pragma: no cover - vocabulary guard
-            raise ConfigurationError(f"unknown fault event: {event!r}")
+    def _index(self, node_id: NodeId) -> int:
+        return next(
+            index for index, node in enumerate(self.cluster.nodes) if node.node_id == node_id
+        )
 
-    async def _heal(self, event: PartitionEvent) -> None:
-        self._partition = None
-        self._note(event.heal_at, f"heal@{event.heal_at:g}")
-        if event.rejoin:
-            alive = self.cluster.alive_nodes()
-            movers = self._rng.sample(alive, min(event.rejoin, len(alive)))
-            for node in movers:
-                contacts = [peer for peer in alive if peer is not node]
-                if contacts:
-                    node.join(self._rng.choice(contacts).node_id)
-            self._note(event.heal_at, f"rejoin {len(movers)}@{event.heal_at:g}")
+    def _alive(self) -> list[NodeId]:
+        return [node.node_id for node in self.cluster.alive_nodes()]
 
-    async def _honest(self, event: AdversaryEvent | MutationEvent) -> None:
-        self.misbehaviour.clear(event)  # other open windows keep their types
-        role = "adversary" if isinstance(event, AdversaryEvent) else "byzantine"
-        self._note(event.until, f"{role} cleared@{event.until:g}")
+    def _dead(self) -> list[NodeId]:
+        return [node.node_id for node in self.cluster.nodes if not node.started]
+
+    def _at(self, t: float, callback, event) -> None:
+        heapq.heappush(self._steps, (t, next(self._order), callback, event))
+
+    def _now(self) -> float:
+        return self._step
+
+    def _partition(self, groups: list[list[NodeId]]) -> None:
+        self._cut = {node_id: index for index, group in enumerate(groups) for node_id in group}
+
+    def _heal(self) -> None:
+        self._cut = None
+
+    def _degrade(self, rule: LinkFaultRule) -> None:
+        self._rules.append(rule)
+
+    def _crash(self, victims: list[NodeId]) -> None:
+        self._pending += [node.crash() for node in self._hosts(victims)]
+
+    def _restart(self, node_id: NodeId, contact: NodeId) -> None:
+        self._pending.append(self._restart_at(self._index(node_id), contact))
+
+    async def _restart_at(self, index: int, contact: NodeId) -> None:
+        node = await self.cluster.restart_node(
+            index, contact, reuse_port=self.restart_reuse_port
+        )
+        self._inject(node)
+
+    def _join(self, node_id: NodeId, contact: NodeId) -> None:
+        self.cluster.nodes[self._index(node_id)].join(contact)
+
+    def _hosts(self, victims: list[NodeId]) -> list:
+        return [self.cluster.nodes[self._index(node_id)] for node_id in victims]
 
     # ------------------------------------------------------------------
     # Latency measurement (the live counterpart of measure_fault_plan)

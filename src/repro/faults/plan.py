@@ -1,20 +1,25 @@
-"""Declarative fault plans: one timeline, two execution substrates.
+"""Declarative fault plans: one timeline, one reader, two substrates.
 
 A :class:`FaultPlan` is an ordered set of fault *events* on a relative
-timeline (seconds from plan start).  The same plan runs against both
-deployment substrates:
+timeline (seconds from plan start).  :class:`PlanDriver` is the one reader
+of a plan: it dispatches each event, schedules the follow-ups (heal at
+``heal_at``, honesty at ``until``), makes every pick (victims, partition
+groups, rejoin movers, join and restart contacts), keeps the survivor floor
+and writes the ``applied`` log.  Its two subclasses only name a
+substrate's seams:
 
-* the discrete-event simulator — :class:`~repro.faults.sim.SimFaultDriver`
-  compiles events onto the :class:`~repro.sim.engine.Engine` /
+* :class:`~repro.faults.sim.SimFaultDriver` — the discrete-event
+  simulator's :class:`~repro.sim.engine.Engine` /
   :class:`~repro.sim.network.Network`;
-* the asyncio TCP runtime — :class:`~repro.faults.chaos.ChaosController`
-  replays the same events against a
-  :class:`~repro.runtime.cluster.LocalCluster` over loopback sockets.
+* :class:`~repro.faults.chaos.ChaosController` — a loopback-TCP
+  :class:`~repro.runtime.cluster.LocalCluster` over wall-clock time.  It
+  refuses ``duplicate_rate > 0`` (the live transport cannot duplicate a
+  frame) and drops a lost frame where the simulator delays a reliable send.
 
 Events name *populations* (fractions, counts, group weights), never
-concrete node identities: victim selection happens at apply time from a
-seeded RNG owned by the driver, so a plan is portable across system sizes
-and substrates while staying fully deterministic for a given seed.
+concrete node identities: victim selection happens at apply time from the
+plan's private seeded stream, so a plan is portable across system sizes
+and substrates, and the same plan logs the same ``applied`` lines on both.
 
 The vocabulary:
 
@@ -50,6 +55,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from ..common.errors import ConfigurationError
+from ..sim.network import LinkFaultRule
 
 
 def _check_at(at: float) -> None:
@@ -118,11 +124,14 @@ class PartitionEvent(FaultEvent):
 class DegradeEvent(FaultEvent):
     """Degrade matching links from ``at`` until ``until``.
 
-    Field semantics match :class:`~repro.sim.network.LinkFaultRule`: loss
-    drops datagrams and delays reliable sends by ``retransmit_delay`` (TCP
-    masks loss as latency), ``jitter=(low, high)`` adds uniform extra
-    latency, ``duplicate_rate`` re-posts datagram copies, and
-    ``link_fraction`` picks a stable subset of directed links.
+    Both substrates read it as a :class:`~repro.sim.network.LinkFaultRule`:
+    ``jitter=(low, high)`` adds uniform extra latency, ``duplicate_rate``
+    re-posts datagram copies, and ``link_fraction`` picks the same
+    hash-stable subset of directed links.  In the simulator loss drops
+    datagrams and delays reliable sends by ``retransmit_delay`` (TCP masks
+    loss as latency); on the live cluster loss drops the frame, and a
+    ``duplicate_rate`` is refused because the live transport cannot
+    duplicate one.
     """
 
     until: float = 0.0
@@ -458,25 +467,16 @@ class Phase:
 
 
 def pick_count(fraction: Optional[float], count: Optional[int], population: int) -> int:
-    """How many victims an event selects from ``population`` members.
-
-    The single rounding rule both substrates share: drivers must never
-    re-implement this, or sim and live would pick different victim counts
-    for the same plan.
-    """
+    """How many victims an event selects from ``population`` members (the
+    rounding rule :class:`PlanDriver` applies on both substrates)."""
     if fraction is not None:
         count = int(round(fraction * population))
     return min(count or 0, population)
 
 
 def split_weighted(members: Sequence, weights: Sequence[float]) -> list[list]:
-    """Split ``members`` (already shuffled by the caller) into groups
-    proportional to ``weights``; the last group takes the remainder.
-
-    Shared by :class:`~repro.faults.sim.SimFaultDriver` and
-    :class:`~repro.faults.chaos.ChaosController` so a partition plan cuts
-    both substrates identically (up to each driver's own shuffle).
-    """
+    """Split ``members`` (already shuffled by :class:`PlanDriver`) into
+    groups proportional to ``weights``; the last group takes the remainder."""
     total = sum(weights)
     groups: list[list] = []
     offset = 0
@@ -516,6 +516,123 @@ def validate_phases(phases: Sequence[Phase]) -> tuple[Phase, ...]:
     return ordered
 
 
+class PlanDriver:
+    """Reads one :class:`FaultPlan` against one deployment.
+
+    This class owns what a plan means; a subclass names its substrate's
+    seams, all over node ids: ``_alive`` / ``_dead``; ``_at(t, callback,
+    event)`` (run ``callback(event)`` at plan time ``t``) and ``_now``
+    (the time an ``applied`` note carries); ``_partition(groups)`` /
+    ``_heal``, ``_degrade(rule)``, ``_crash(ids)``, ``_restart(id,
+    contact)``, ``_join(id, contact)``; ``_hosts(ids)``, the node objects
+    its ``_misbehaviour`` class edits.  ``start`` is the substrate clock at
+    plan time 0, which a link rule's ``until`` is read against;
+    ``make_rng`` makes the plan's private stream.
+    """
+
+    def __init__(self, plan: FaultPlan, size: int, seeds, start: float, make_rng) -> None:
+        # Fail here, when the plan names more nodes than the deployment
+        # has, not at apply time inside victim sampling.
+        plan.validate_for(size)
+        self.plan = plan
+        self.start = start
+        #: (time, description) per applied effect, in order.
+        self.applied: list[tuple[float, str]] = []
+        self._seeds = seeds
+        self._installed = False
+        # The plan's private stream; never created for an empty plan so
+        # the no-op path has zero observable footprint.
+        self._rng = make_rng() if plan else None
+        # Equivocation draws from the label link rules draw from.  No
+        # registered plan combines the two, so every draw matches.
+        self.misbehaviour = self._misbehaviour(lambda: seeds.stream("network/faults"))
+
+    def install(self) -> None:
+        """Schedule every event on the plan's timeline."""
+        if self._installed:
+            raise ConfigurationError("fault plan already installed")
+        self._installed = True
+        for event in self.plan.events:
+            self._at(event.at, self._apply, event)
+
+    def _note(self, description: str) -> None:
+        self.applied.append((self._now(), description))
+
+    def _pick(self, population: list, fraction: Optional[float],
+              count: Optional[int]) -> list:
+        chosen = pick_count(fraction, count, len(population))
+        return self._rng.sample(population, chosen) if chosen else []
+
+    def _apply(self, event: FaultEvent) -> None:
+        if isinstance(event, PartitionEvent):
+            members = self._alive()
+            self._rng.shuffle(members)
+            self._partition(split_weighted(members, event.weights))
+            self._note(event.describe())
+            if event.heal_at is not None:
+                self._at(event.heal_at, self._heal_partition, event)
+        elif isinstance(event, DegradeEvent):
+            self._degrade(
+                LinkFaultRule(
+                    until=self.start + event.until,
+                    loss_rate=event.loss_rate,
+                    extra_latency=event.jitter,
+                    duplicate_rate=event.duplicate_rate,
+                    retransmit_delay=event.retransmit_delay,
+                    link_fraction=event.link_fraction,
+                    selector_seed=self._seeds.derive_seed(
+                        f"{self.plan.label}/links/{event.at:g}"
+                    ),
+                )
+            )
+            self._note(event.describe())
+        elif isinstance(event, CrashEvent):
+            alive = self._alive()
+            victims = self._pick(alive, event.fraction, event.count)
+            if len(victims) >= len(alive):
+                victims = victims[:-1]  # never kill the last survivor
+            if victims:
+                self._crash(victims)
+            self._note(f"{event.describe()} -> {len(victims)} crashed")
+        elif isinstance(event, RestartEvent):
+            # Concurrent rejoins (a flash crowd): every joiner dials a
+            # member of the pre-restart live set, like a bootstrap list.
+            live = self._alive()
+            victims = self._pick(self._dead(), event.fraction, event.count)
+            for node_id in victims:
+                self._restart(node_id, self._rng.choice(live))
+            self._note(f"{event.describe()} -> {len(victims)} restarted")
+        elif isinstance(event, (AdversaryEvent, MutationEvent)):
+            victims = self._pick(self._alive(), event.fraction, event.count)
+            self.misbehaviour.apply(event, self._hosts(victims))
+            role = "adversarial" if isinstance(event, AdversaryEvent) else "byzantine"
+            self._note(f"{event.describe()} -> {len(victims)} {role}")
+            if event.until is not None:
+                self._at(event.until, self._clear_misbehaviour, event)
+        else:  # pragma: no cover - vocabulary guard
+            raise ConfigurationError(f"unknown fault event: {event!r}")
+
+    def _heal_partition(self, event: PartitionEvent) -> None:
+        self._heal()
+        self._note(f"heal@{event.heal_at:g}")
+        if event.rejoin:
+            # Operator-assisted remerge: a handful of nodes re-join through
+            # uniformly random contacts; with balanced groups roughly half
+            # of the joins cross the former cut and stitch the components.
+            alive = self._alive()
+            movers = self._pick(alive, None, event.rejoin)
+            for node_id in movers:
+                others = [other for other in alive if other != node_id]
+                if others:
+                    self._join(node_id, self._rng.choice(others))
+            self._note(f"rejoin {len(movers)}@{event.heal_at:g}")
+
+    def _clear_misbehaviour(self, event: AdversaryEvent | MutationEvent) -> None:
+        count = self.misbehaviour.clear(event)  # other open windows stay
+        role = "adversary" if isinstance(event, AdversaryEvent) else "byzantine"
+        self._note(f"{role} cleared ({count})")
+
+
 __all__ = [
     "AdversaryEvent",
     "CrashEvent",
@@ -526,6 +643,7 @@ __all__ = [
     "MutationEvent",
     "PartitionEvent",
     "Phase",
+    "PlanDriver",
     "RestartEvent",
     "pick_count",
     "plan_from_file",

@@ -32,7 +32,9 @@ A plan is data: only an edit to this module changes it.  The one value a
 tier sets is the churn traces' ``burst_size`` (150 of the paper tier's
 10 000 nodes).  Timeline times are seconds of simulated time (network
 delay is 0.01 s at every tier), so plans transfer unchanged to the live
-runtime via :class:`~repro.faults.chaos.ChaosController`.
+runtime via :class:`~repro.faults.chaos.ChaosController` — except the
+duplicating link windows (``WAN_JITTER``, ``RELIABLE_LOSS``,
+``RELIABLE_STRESS``), which it refuses.
 """
 
 from __future__ import annotations

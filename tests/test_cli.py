@@ -101,6 +101,18 @@ class TestChaosAndServiceCli:
         assert "error:" in err
         assert "64" in err and "4" in err  # needed vs. actual, for operators
 
+    def test_chaos_duplicating_plan_is_structured_error(self, tmp_path, capsys):
+        # The live transport cannot duplicate a frame: refused, not weakened.
+        plan = tmp_path / "dup.json"
+        plan.write_text(
+            '{"label": "dup", "events": [{"kind": "degrade", "at": 0.0, '
+            '"until": 1.0, "duplicate_rate": 0.2}]}'
+        )
+        assert main(["chaos", "--nodes", "4", "--plan", str(plan)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "duplicate_rate" in err
+
     def test_chaos_malformed_plan_file_is_structured_error(self, tmp_path, capsys):
         plan = tmp_path / "bad.json"
         plan.write_text("{this is not json")

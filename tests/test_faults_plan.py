@@ -317,6 +317,14 @@ class TestSimDriver:
         with pytest.raises(ConfigurationError, match="already installed"):
             driver.install()
 
+    def test_plan_larger_than_the_deployment_is_refused(self):
+        """The sim refuses what the live cluster refuses, at construction,
+        instead of quietly taking fewer victims."""
+        scenario = _tiny_base(n=8)
+        plan = FaultPlan(events=(CrashEvent(at=0.1, count=9),))
+        with pytest.raises(ConfigurationError, match="references 9 nodes"):
+            SimFaultDriver(scenario, plan)
+
     def test_crash_event_kills_fraction(self):
         scenario = _tiny_base()
         plan = FaultPlan(events=(CrashEvent(at=0.1, fraction=0.5),))

@@ -18,6 +18,8 @@ from conftest import FrameLog, ignored_types
 from repro.common.errors import ConfigurationError
 from repro.core.config import HyParViewConfig
 from repro.faults.adversary import LiveMisbehaviour
+from repro.experiments.failures import stabilized_scenario
+from repro.experiments.params import ExperimentParams
 from repro.faults.chaos import ChaosController
 from repro.faults.plan import (
     AdversaryEvent,
@@ -28,7 +30,9 @@ from repro.faults.plan import (
     PartitionEvent,
     RestartEvent,
 )
+from repro.faults.sim import SimFaultDriver
 from repro.runtime.cluster import LocalCluster
+from repro.sim.network import LinkFaultRule
 
 CONFIG = HyParViewConfig(
     active_view_capacity=3,
@@ -50,6 +54,14 @@ class TestControllerValidation:
         cluster = LocalCluster(2, config=CONFIG)
         with pytest.raises(ConfigurationError, match="time_scale"):
             ChaosController(cluster, FaultPlan.empty(), time_scale=0)
+
+    def test_duplicate_rate_is_refused(self):
+        """The live transport cannot duplicate a frame, so a plan asking
+        for it is refused rather than run weaker than it reads."""
+        cluster = LocalCluster(2, config=CONFIG)
+        plan = FaultPlan(events=(DegradeEvent(at=0.0, until=1.0, duplicate_rate=0.1),))
+        with pytest.raises(ConfigurationError, match="duplicate"):
+            ChaosController(cluster, plan)
 
     def test_empty_plan_is_a_noop(self):
         async def scenario():
@@ -346,3 +358,72 @@ class TestAdversaryAndDegradeLive:
                 await cluster.stop()
 
         run(scenario())
+
+    def test_degrade_selects_the_sim_rules_links(self):
+        """A DegradeEvent is the simulator's own LinkFaultRule: only the
+        links ``rule.applies`` selects are degraded."""
+
+        async def scenario():
+            cluster = LocalCluster(4, config=CONFIG, base_seed=91)
+            await cluster.start()
+            try:
+                plan = FaultPlan(
+                    events=(
+                        DegradeEvent(
+                            at=0.0, until=60.0, jitter=(0.01, 0.01), link_fraction=0.5
+                        ),
+                    ),
+                    label="live-links",
+                )
+                controller = ChaosController(cluster, plan, seed=23)
+                await controller.run()  # returns once the rule is open
+                (rule,) = controller._rules
+                assert isinstance(rule, LinkFaultRule)
+                ids = [node.node_id for node in cluster.nodes]
+                links = [(src, dst) for src in ids for dst in ids if src != dst]
+                selected = [link for link in links if rule.applies(*link)]
+                assert 0 < len(selected) < len(links)
+                for link in links:
+                    assert (controller._verdict(*link) is not None) == (link in selected)
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
+
+class TestSimLiveAgreement:
+    def test_one_plan_logs_the_same_applied_lines_on_both_substrates(self):
+        """The plan half of the sim<->live differential: one plan read by
+        SimFaultDriver on an 8-node Scenario and by ChaosController on an
+        8-node LocalCluster logs the same ``applied`` descriptions."""
+        plan = FaultPlan(
+            events=(
+                CrashEvent(at=0.1, fraction=0.9),
+                RestartEvent(at=0.3, fraction=1.0),
+                PartitionEvent(at=0.5, weights=(0.5, 0.5), heal_at=0.7, rejoin=2),
+                AdversaryEvent(at=0.8, fraction=0.5, until=1.0),
+            ),
+            label="agreement",
+        )
+        params = ExperimentParams.scaled(8, seed=5, stabilization_cycles=3)
+        scenario = stabilized_scenario("hyparview", params)
+        driver = SimFaultDriver(scenario, plan)
+        driver.install()
+        scenario.engine.run_until(scenario.engine.now + plan.horizon + 0.1)
+
+        async def live():
+            cluster = LocalCluster(8, config=CONFIG, base_seed=101)
+            await cluster.start()
+            try:
+                controller = ChaosController(cluster, plan, time_scale=0.5, seed=7)
+                await controller.run()
+                return controller.applied
+            finally:
+                await cluster.stop()
+
+        sim_lines = [description for _at, description in driver.applied]
+        live_lines = [description for _at, description in run(live())]
+        assert sim_lines == live_lines
+        assert len(sim_lines) == 7
+        assert sim_lines[0].endswith("-> 7 crashed")
+        assert sim_lines[1].endswith("-> 7 restarted")
