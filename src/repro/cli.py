@@ -167,116 +167,33 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    """Live-cluster chaos demo: one fault plan against loopback TCP.
+    """One live run of a fault plan on a loopback-TCP pub/sub cluster.
 
-    Spins up a real :class:`LocalCluster`, replays a partition / crash /
-    flash-restart plan through :class:`ChaosController`, and probes
-    delivery before, during and after the faults — the same plan
-    vocabulary the ``faults_*`` simulator scenarios use.
+    Many multiplexed clients publish across the plan timeline while
+    :class:`ChaosController` applies it — the same plan vocabulary the
+    ``faults_*`` simulator scenarios use.  Prints one row per phase
+    (reliability, wrong deliveries, latency) and exits 1 if any
+    stale-incarnation delivery reached a client.
     """
     # Imported lazily: asyncio runtime machinery that the simulator
     # commands never need.
     import asyncio
 
-    from .faults.chaos import ChaosController
-    from .faults.plan import (
-        CrashEvent,
-        FaultPlan,
-        PartitionEvent,
-        RestartEvent,
-        plan_from_file,
+    from .faults.plan import plan_from_file
+    from .service.bench import (
+        BUILTIN_PLAN,
+        TAIL,
+        format_report,
+        run_live_plan,
+        write_artifacts,
     )
-    from .runtime.cluster import LocalCluster
 
-    if args.plan is not None:
-        plan = plan_from_file(args.plan)
-    else:
-        plan = FaultPlan(
-            events=(
-                PartitionEvent(at=0.0, weights=(0.5, 0.5), heal_at=1.0, rejoin=3),
-                CrashEvent(at=1.5, fraction=0.25),
-                RestartEvent(at=2.0, fraction=1.0),
-            ),
-            label="chaos-demo",
-        )
-    # Reject impossible plans before a single socket is opened — the
-    # structured ConfigurationError surfaces as `error: ...`, exit 2.
-    plan.validate_for(args.nodes)
-
-    async def demo() -> list[list[object]]:
-        cluster = LocalCluster(args.nodes, base_seed=args.seed)
-        # Built before any socket opens, so a refused plan exits 2 cleanly.
-        controller = ChaosController(
-            cluster, plan, time_scale=args.time_scale, seed=args.seed
-        )
-        await cluster.start()
-        rows: list[list[object]] = []
-
-        async def probe(label: str) -> None:
-            origin = cluster.alive_nodes()[0]
-            message_id = origin.broadcast(label)
-            await asyncio.sleep(args.settle)
-            # A wrong delivery carries a payload a corrupted relay rewrote.
-            wrong = sum(
-                record.message_id == message_id and record.payload != label
-                for record in cluster.delivery_log.records
-            )
-            rows.append(
-                [label, cluster.delivery_count(message_id), wrong,
-                 len(cluster.alive_nodes())]
-            )
-
-        await probe("before")
-        chaos = asyncio.create_task(controller.run())
-        await asyncio.sleep(0.4 * args.time_scale)
-        await probe("partitioned")
-        await chaos
-        await asyncio.sleep(args.settle)
-        await probe("after")
-        await cluster.stop()
-        for at, description in controller.applied:
-            print(f"  t={at:g}  {description}", file=sys.stderr)
-        return rows
-
-    budget = (plan.horizon + 1.0) * args.time_scale + 4 * args.settle + 30.0
-    rows = asyncio.run(asyncio.wait_for(demo(), timeout=budget))
-    print(
-        format_table(
-            ["probe", "delivered", "wrong", "alive"],
-            rows,
-            title=f"repro chaos — {args.nodes} loopback-TCP nodes, plan: "
-            f"{'; '.join(plan.describe())}",
-        )
-    )
-    return 0
-
-
-def cmd_service_bench(args: argparse.Namespace) -> int:
-    """Sustained-throughput live benchmark of the pub/sub service layer.
-
-    Many multiplexed clients publish on a few topics over a loopback-TCP
-    cluster while (by default) one node crashes mid-run and restarts on
-    the *same* port — exercising the epoch handshake, circuit breakers
-    and per-phase latency measurement end to end.
-    """
-    # Imported lazily: asyncio runtime machinery that the simulator
-    # commands never need.
-    import asyncio
-
-    from .service.bench import format_report, run_service_bench, write_artifacts
-
-    budget = args.duration * 3.0 + 60.0
+    plan = BUILTIN_PLAN if args.plan is None else plan_from_file(args.plan)
+    budget = (plan.horizon + TAIL) * max(args.time_scale, 0.0) + 60.0
     report = asyncio.run(
         asyncio.wait_for(
-            run_service_bench(
-                nodes=args.nodes,
-                clients=args.clients,
-                topics=args.topics,
-                duration=args.duration,
-                rate=args.rate,
-                seed=args.seed,
-                chaos=not args.no_chaos,
-                metrics_port=args.metrics_port,
+            run_live_plan(
+                plan, nodes=args.nodes, seed=args.seed, time_scale=args.time_scale
             ),
             timeout=budget,
         )
@@ -386,54 +303,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "chaos",
-        help="live-cluster fault-plan demo (loopback TCP + ChaosController)",
+        help="one live run of a fault plan: pub/sub clients on loopback TCP, "
+        "reliability and latency per phase",
     )
-    p.add_argument("--nodes", type=int, default=8, help="cluster size")
     p.add_argument(
         "--plan", type=pathlib.Path, default=None, metavar="FILE",
-        help="JSON fault plan to replay (default: the built-in demo plan)",
+        help="JSON fault plan to replay (default: the built-in crash / "
+        "partition / same-port restart plan)",
     )
+    p.add_argument("--nodes", type=int, default=8, help="cluster size")
+    p.add_argument("--seed", type=int, default=7, help="base seed")
     p.add_argument(
         "--time-scale", type=float, default=1.0,
         help="wall seconds per plan second (stretch for slow machines)",
     )
     p.add_argument(
-        "--settle", type=float, default=0.5,
-        help="seconds to let each probe broadcast disseminate",
-    )
-    p.add_argument("--seed", type=int, default=7, help="chaos RNG seed")
-    p.set_defaults(func=cmd_chaos)
-
-    p = sub.add_parser(
-        "service-bench",
-        help="sustained-throughput pub/sub benchmark on a live cluster",
-    )
-    p.add_argument("--nodes", type=int, default=3, help="cluster size")
-    p.add_argument("--clients", type=int, default=100, help="multiplexed clients")
-    p.add_argument("--topics", type=int, default=2, help="topic count")
-    p.add_argument(
-        "--duration", type=float, default=6.0,
-        help="seconds of sustained publish load (split into phases)",
-    )
-    p.add_argument(
-        "--rate", type=float, default=60.0,
-        help="aggregate publish rate (messages/second across all clients)",
-    )
-    p.add_argument("--seed", type=int, default=7, help="base seed")
-    p.add_argument(
-        "--no-chaos", action="store_true",
-        help="skip the mid-run crash/restart (steady-state baseline)",
-    )
-    p.add_argument(
         "--out", type=pathlib.Path, default=None, metavar="DIR",
         help="write BENCH_service_live.json here",
     )
-    p.add_argument(
-        "--metrics-port", type=int, default=0, metavar="PORT",
-        help="TCP port for the Prometheus exposition endpoint the bench "
-        "serves and self-scrapes (default: an ephemeral port)",
-    )
-    p.set_defaults(func=cmd_service_bench)
+    p.set_defaults(func=cmd_chaos)
 
     return parser
 

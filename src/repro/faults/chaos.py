@@ -14,15 +14,18 @@ and ``applied`` lines — but over wall-clock time against a loopback-TCP
   their own, and ``duplicate_rate > 0`` is refused at construction (the
   transport cannot duplicate a frame);
 * crashes call :meth:`RuntimeNode.crash` (abrupt socket resets);
-* restarts spawn fresh processes that re-join through the plan's contact;
+* restarts spawn fresh processes on their predecessors' ports (the
+  stale-identity case the epoch handshake exists for) that re-join
+  through the plan's contact;
 * adversaries and Byzantine senders edit the victim nodes, through the
   applier the simulator driver uses (:mod:`repro.faults.adversary`).
 
 ``time_scale`` maps plan seconds to wall seconds (sim plans are written
 against a 10 ms network delay; loopback TCP is faster, so live runs
 usually stretch the timeline, e.g. ``time_scale=2.0``).  The controller
-is for integration tests and the ``repro chaos`` demo: its picks are
-seeded, but real sockets and clocks make no determinism promise.
+only names seams; what a live run measures is
+:func:`~repro.service.bench.run_live_plan`'s (``repro chaos``).  Its picks
+are seeded, but real sockets and clocks make no determinism promise.
 """
 
 from __future__ import annotations
@@ -31,16 +34,15 @@ import asyncio
 import heapq
 import itertools
 import random
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..common.errors import ConfigurationError
-from ..common.ids import MessageId, NodeId
+from ..common.ids import NodeId
 from ..common.rng import SeedSequence
-from ..metrics.latency import LatencyHistogram
 from ..runtime.cluster import LocalCluster
 from ..sim.network import LinkFaultRule
 from .adversary import LiveMisbehaviour
-from .plan import FaultPlan, Phase, PlanDriver, validate_phases
+from .plan import FaultPlan, PlanDriver
 
 
 class ChaosController(PlanDriver):
@@ -59,8 +61,6 @@ class ChaosController(PlanDriver):
         *,
         time_scale: float = 1.0,
         seed: int = 0,
-        phases: Sequence[Phase] = (),
-        restart_reuse_port: bool = False,
     ) -> None:
         if time_scale <= 0:
             raise ConfigurationError(f"time_scale must be positive: {time_scale}")
@@ -73,11 +73,6 @@ class ChaosController(PlanDriver):
         super().__init__(plan, len(cluster.nodes), seeds, 0.0, lambda: random.Random(seed))
         self.cluster = cluster
         self.time_scale = time_scale
-        self.phases = validate_phases(phases)
-        self.restart_reuse_port = restart_reuse_port
-        #: message id -> (publish wall time, publish plan time); fed by
-        #: :meth:`mark_publish`, read by :meth:`latency_report`.
-        self._publishes: dict[MessageId, tuple[float, float]] = {}
         self._run_start: Optional[float] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: (plan time, order, callback, event) heap; the step being applied.
@@ -178,9 +173,7 @@ class ChaosController(PlanDriver):
         self._pending.append(self._restart_at(self._index(node_id), contact))
 
     async def _restart_at(self, index: int, contact: NodeId) -> None:
-        node = await self.cluster.restart_node(
-            index, contact, reuse_port=self.restart_reuse_port
-        )
+        node = await self.cluster.restart_node(index, contact, reuse_port=True)
         self._inject(node)
 
     def _join(self, node_id: NodeId, contact: NodeId) -> None:
@@ -188,84 +181,6 @@ class ChaosController(PlanDriver):
 
     def _hosts(self, victims: list[NodeId]) -> list:
         return [self.cluster.nodes[self._index(node_id)] for node_id in victims]
-
-    # ------------------------------------------------------------------
-    # Latency measurement (the live counterpart of measure_fault_plan)
-    # ------------------------------------------------------------------
-    def mark_publish(self, message_id: MessageId) -> None:
-        """Stamp a just-published message for latency accounting.
-
-        Call immediately after ``broadcast``/``publish``.  The stamp pins
-        the message to a plan-time instant, so :meth:`latency_report` can
-        bucket its deliveries into the plan's phases.
-        """
-        if self._loop is not None:
-            now = self._loop.time()
-        else:
-            now = asyncio.get_running_loop().time()
-        start = self._run_start if self._run_start is not None else now
-        self._publishes[message_id] = (now, (now - start) / self.time_scale)
-
-    def latency_report(self) -> dict:
-        """Per-phase publish→deliver latency over the cluster's delivery log.
-
-        Each marked message belongs to the phase containing its *publish*
-        plan-time (deliveries of one message always count together, even
-        when they land after the phase boundary).  Messages published
-        outside every phase pool under ``"unphased"``.  Latency is wall
-        time from the publish stamp to each node's delivery record.
-        """
-        phase_names = [phase.name for phase in self.phases]
-        histograms = {name: LatencyHistogram() for name in phase_names}
-        histograms["unphased"] = LatencyHistogram()
-        publish_counts = {name: 0 for name in histograms}
-        overall = LatencyHistogram()
-
-        def phase_of(plan_time: float) -> str:
-            for phase in self.phases:
-                if phase.contains(plan_time):
-                    return phase.name
-            return "unphased"
-
-        for wall, plan_time in self._publishes.values():
-            publish_counts[phase_of(plan_time)] += 1
-        for record in self.cluster.delivery_log.records:
-            stamp = self._publishes.get(record.message_id)
-            if stamp is None:
-                continue
-            wall, plan_time = stamp
-            latency = record.at - wall
-            histograms[phase_of(plan_time)].record(latency)
-            overall.record(latency)
-
-        rows = []
-        for phase in self.phases:
-            row = {
-                "phase": phase.name,
-                "start": phase.start,
-                "end": phase.end,
-                "publishes": publish_counts[phase.name],
-            }
-            row.update(histograms[phase.name].to_dict())
-            rows.append(row)
-        if publish_counts["unphased"] or not self.phases:
-            row = {
-                "phase": "unphased",
-                "start": None,
-                "end": None,
-                "publishes": publish_counts["unphased"],
-            }
-            row.update(histograms["unphased"].to_dict())
-            rows.append(row)
-        report = {
-            "schema": "repro-live-latency/1",
-            "time_scale": self.time_scale,
-            "plan": self.plan.describe(),
-            "publishes": len(self._publishes),
-            "phases": rows,
-        }
-        report.update(overall.to_dict())
-        return report
 
 
 __all__ = ["ChaosController"]

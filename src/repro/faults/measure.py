@@ -108,10 +108,12 @@ def _paced_stream(
     return _Stream(interval, ordered_phases, driver, population, send_times, payloads, summaries)
 
 
-def _phase_rows(
+def phase_rows(
     phases: Sequence[Phase], send_times: list[float], values: list[float]
 ) -> list[dict]:
-    """Average / min / atomic fraction of ``values`` per phase window."""
+    """Average / min / atomic fraction of ``values`` per phase window: the
+    phase rows of the simulator and of the live run
+    (:func:`~repro.service.bench.run_live_plan`) alike."""
     rows = []
     for phase in phases:
         window = [value for sent_at, value in zip(send_times, values) if phase.contains(sent_at)]
@@ -167,7 +169,7 @@ def _result(
         "series": series,
         "send_times": stream.send_times,
         "average": sum(series) / len(series),
-        "phases": _phase_rows(stream.phases, stream.send_times, phase_values),
+        "phases": phase_rows(stream.phases, stream.send_times, phase_values),
         "fault_stats": {
             name: getattr(hosts if name in MISBEHAVIOUR_STATS else network, name)
             for name in stat_names
@@ -285,4 +287,4 @@ def check_cell(result: dict) -> None:
         assert 0.0 <= result["agreement"] <= 1.0, "agreement in [0, 1]"
 
 
-__all__ = ["check_cell", "measure_byzantine_plan", "measure_fault_plan"]
+__all__ = ["check_cell", "measure_byzantine_plan", "measure_fault_plan", "phase_rows"]

@@ -36,10 +36,6 @@ class DeliveryRecord:
     transmissions: int = 0
 
     @property
-    def delivery_count(self) -> int:
-        return len(self.deliveries)
-
-    @property
     def max_hops(self) -> int:
         if not self.deliveries:
             return 0

@@ -3,7 +3,7 @@
 The simulator reports dissemination in *hops* and simulated seconds; the
 live runtime measures real publish→deliver latency.  A
 :class:`LatencyHistogram` collects one sample per delivery and reports the
-quantiles the service benchmark and the chaos latency report publish
+quantiles the phase rows of a live run (``repro chaos``) publish
 (p50/p99, the industry-standard pair for latency SLOs).
 
 Samples are kept exactly (a float each) — bench-scale runs collect

@@ -13,7 +13,7 @@ Two halves, both strictly pay-for-what-you-use:
 * **A unified metrics registry** (:mod:`repro.obs.metrics`,
   :mod:`repro.obs.collectors`, :mod:`repro.obs.http`) — typed
   ``Counter``/``Gauge`` instruments with a deterministic
-  snapshot surface (embedded in the ``repro service-bench`` report) and a
+  snapshot surface (embedded in the ``repro chaos`` report) and a
   dependency-free Prometheus text exposition endpoint for the live
   service layer.
 """

@@ -10,7 +10,7 @@ existence.
 Two output surfaces:
 
 * :meth:`MetricsRegistry.snapshot` — a deterministic, sorted, JSON-safe
-  dict, embedded in the ``repro service-bench`` report.
+  dict, embedded in the ``repro chaos`` report.
 * :meth:`MetricsRegistry.render_prometheus` — the Prometheus text
   exposition format (version 0.0.4), dependency-free, served by
   :mod:`repro.obs.http` on the live service.

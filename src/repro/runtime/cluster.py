@@ -113,10 +113,6 @@ class LocalCluster:
             listener(index, node)
         return node
 
-    def delivery_count(self, message_id: MessageId) -> int:
-        """How many distinct nodes delivered ``message_id``."""
-        return self.delivery_log.count(message_id)
-
     async def wait_for_delivery(
         self, message_id: MessageId, expected: int, *, timeout: float = 5.0
     ) -> int:

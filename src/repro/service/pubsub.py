@@ -24,7 +24,7 @@ Protection, per the bulkhead/limits playbook:
 Deliveries reach the facade through the node's delivery callback; the
 records themselves land in the shared
 :class:`~repro.runtime.delivery.DeliveryLog` as for any broadcast, which is
-what the chaos latency histograms read.
+what a live run's phase rows (:mod:`repro.service.bench`) read.
 """
 
 from __future__ import annotations

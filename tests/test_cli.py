@@ -77,18 +77,21 @@ class TestCommands:
         assert "failure=0.6" in out
 
 
-class TestChaosAndServiceCli:
-    """The live-runtime subcommands' argument and error surfaces.
+class TestChaosCli:
+    """The live-run subcommand's argument and error surfaces.
 
-    (The happy paths open real sockets and are covered by the runtime
-    integration tests; here we pin parsing and the structured exit-2
-    error contract.)
+    (The happy path of the run itself is tested beside it, in
+    ``test_service_pubsub.py``; here we pin parsing, the structured exit-2
+    error contract and the exit-1 staleness contract.)
     """
 
     def test_chaos_defaults(self):
         args = build_parser().parse_args(["chaos"])
         assert args.nodes == 8
         assert args.plan is None
+        assert args.seed == 7
+        assert args.time_scale == 1.0
+        assert args.out is None
 
     def test_chaos_oversized_plan_is_structured_error(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"
@@ -120,8 +123,9 @@ class TestChaosAndServiceCli:
         assert "not valid JSON" in capsys.readouterr().err
 
     def test_chaos_mutation_plan_reports_wrong_deliveries(self, tmp_path, capsys):
-        # Every relay is corrupted, so every delivery of the "after" probe
-        # but the origin's own is wrong, however the timing falls.
+        # Every relay is corrupted from t=0.1 on, so every delivery of an
+        # "after" message but the origin's own is wrong, however the
+        # timing falls.
         plan = tmp_path / "byz.json"
         plan.write_text(
             '{"label": "byz", "events": '
@@ -147,20 +151,27 @@ class TestChaosAndServiceCli:
         assert main(["chaos", "--plan", str(missing)]) == 2
         assert "cannot read" in capsys.readouterr().err
 
-    def test_service_bench_defaults(self):
-        args = build_parser().parse_args(["service-bench"])
-        assert args.nodes == 3
-        assert args.clients == 100
-        assert args.topics == 2
-        assert args.no_chaos is False
-        assert args.out is None
-
-    def test_service_bench_invalid_size_is_structured_error(self, capsys):
-        assert main(["service-bench", "--nodes", "1"]) == 2
+    def test_chaos_invalid_size_is_structured_error(self, capsys):
+        assert main(["chaos", "--nodes", "1"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_service_bench_metrics_port_default_is_ephemeral(self):
-        assert build_parser().parse_args(["service-bench"]).metrics_port == 0
+    def test_chaos_invalid_time_scale_is_structured_error(self, capsys):
+        # Refused by the controller before any socket opens, not timed out.
+        assert main(["chaos", "--nodes", "4", "--time-scale", "0"]) == 2
+        assert "time_scale must be positive" in capsys.readouterr().err
+
+    def test_chaos_stale_delivery_exits_1(self, monkeypatch, tmp_path, capsys):
+        import repro.service.bench as bench
+
+        async def stale_run(plan, **_options):
+            return {"staleness": {"stale_deliveries": 2}}
+
+        monkeypatch.setattr(bench, "run_live_plan", stale_run)
+        monkeypatch.setattr(bench, "format_report", lambda report: "report")
+        assert main(["chaos", "--out", str(tmp_path)]) == 1
+        assert (tmp_path / "BENCH_service_live.json").exists()
+        err = capsys.readouterr().err
+        assert "error: 2 stale-incarnation deliveries reached clients" in err
 
 
 #: Any JSON value, with the trace artifact's keys over-represented.
@@ -358,8 +369,9 @@ class TestTraceCli:
     def test_retired_flags_and_commands_exit_2(self):
         # There is one kernel and one execution model, and no flag or
         # subcommand to pick another; ``trace`` reads a file and runs
-        # nothing.  All are argparse's exit 2.  (Retired flags are spelled
-        # in halves so a grep for them over the tree is empty.)
+        # nothing; ``chaos`` is the one live run, its client load a
+        # constant.  All are argparse's exit 2.  (Retired flags are
+        # spelled in halves so a grep for them over the tree is empty.)
         for argv in (
             ["bench", "--kernel", "sharded"],
             ["bench", "--" + "cells", "off"],
@@ -372,6 +384,9 @@ class TestTraceCli:
             ["healing"],
             ["ablation", "resend"],
             ["compare"],
+            ["service" + "-bench"],
+            ["chaos", "--" + "settle", "0.5"],
+            ["chaos", "--" + "clients", "100"],
         ):
             with pytest.raises(SystemExit) as exit_info:
                 main(argv)

@@ -23,7 +23,7 @@ class TestTracking:
         tracker.on_deliver(mid(1), nid(1), now=0.1, hops=1)
         tracker.on_deliver(mid(1), nid(2), now=0.3, hops=3)
         record = tracker.record(mid(1))
-        assert record.delivery_count == 3
+        assert len(record.deliveries) == 3
         assert record.max_hops == 3
         assert nid(1) in record.deliveries
         assert nid(9) not in record.deliveries
@@ -34,7 +34,7 @@ class TestTracking:
         tracker.on_deliver(mid(1), nid(1), now=0.1, hops=1)
         tracker.on_deliver(mid(1), nid(1), now=0.2, hops=2)
         record = tracker.record(mid(1))
-        assert record.delivery_count == 1
+        assert len(record.deliveries) == 1
         assert record.redundant == 1
 
     def test_explicit_redundant_and_transmissions(self):

@@ -1,7 +1,7 @@
 """Tests for the unified metrics plane (repro.obs.metrics / collectors / http).
 
 Instruments must render deterministically (sorted names, sorted label
-sets) for the snapshot the service-bench report embeds; the collectors
+sets) for the snapshot the ``repro chaos`` report embeds; the collectors
 must mirror the codebase's scattered plain-int counters without touching
 them; the exposition endpoint must serve valid Prometheus text format over
 a bare socket.

@@ -73,7 +73,7 @@ class TestControllerValidation:
                 assert controller.applied == []
                 message_id = cluster.nodes[0].broadcast()
                 await asyncio.sleep(0.4)
-                assert cluster.delivery_count(message_id) == 3
+                assert cluster.delivery_log.count(message_id) == 3
             finally:
                 await cluster.stop()
 
@@ -100,7 +100,7 @@ class TestPartitionLive:
                 origin = cluster.alive_nodes()[0]
                 mid_partition = origin.broadcast("split")
                 await asyncio.sleep(0.4)
-                partitioned_count = cluster.delivery_count(mid_partition)
+                partitioned_count = cluster.delivery_log.count(mid_partition)
                 assert partitioned_count < 6  # the cut blocked someone
                 await chaos
                 await asyncio.sleep(1.0)  # let rejoin + repair settle
@@ -129,10 +129,14 @@ class TestChurnLive:
                     ),
                     label="live-churn",
                 )
+                ids = [node.node_id for node in cluster.nodes]
                 controller = ChaosController(cluster, plan, seed=5)
                 await controller.run()
-                # Everyone is back (fresh processes on fresh ports).
+                # Everyone is back: fresh processes on their predecessors'
+                # ports, so the same NodeIds at the next incarnation.
                 assert len(cluster.alive_nodes()) == 5
+                assert [node.node_id for node in cluster.nodes] == ids
+                assert sorted(node.incarnation for node in cluster.nodes) == [0, 0, 0, 1, 1]
                 assert await cluster.wait_for_views(minimum=1, timeout=8.0)
                 # Recovery, not instant convergence: repair may still be
                 # stitching views, so probe until a flood reaches everyone.
@@ -233,7 +237,7 @@ class TestAdversaryAndDegradeLive:
                 # Broadcast traffic still flows (GossipData is not dropped).
                 message_id = cluster.nodes[0].broadcast()
                 await asyncio.sleep(0.5)
-                assert cluster.delivery_count(message_id) == 4
+                assert cluster.delivery_log.count(message_id) == 4
             finally:
                 await cluster.stop()
 

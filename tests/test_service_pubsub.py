@@ -12,6 +12,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError, RateLimitedError, ServiceError
 from repro.core.config import HyParViewConfig
+from repro.faults.plan import CrashEvent, DegradeEvent, FaultPlan
 from repro.runtime.cluster import LocalCluster
 from repro.runtime.node import RuntimeNode
 from repro.service import PubSubCluster, PubSubNode, ServiceConfig
@@ -357,53 +358,93 @@ class TestServiceBenchArtifacts:
     def test_format_report_summarises_every_section(self):
         from repro.service.bench import format_report
 
+        def row(phase, messages, average, wrong, p50):
+            return {
+                "phase": phase, "messages": messages, "average": average, "min": average,
+                "atomic": average, "wrong": wrong, "p50_ms": p50, "p99_ms": p50,
+            }
+
         report = {
-            "config": {"nodes": 3, "clients": 100, "topics": 2, "duration": 6.0, "rate": 60.0},
+            "config": {
+                "nodes": 8, "clients": 100, "topics": 2, "rate": 60.0,
+                "plan": ["crash 1@1", "restart 1@3"],
+            },
             "published": 350,
             "delivered": 1000,
             "received_by_clients": 990,
             "throughput_msgs_per_s_per_node": 55.55,
-            "latency": {
-                "phases": [
-                    {"phase": "steady", "publishes": 120, "p50_ms": 1.234, "p99_ms": 9.87},
-                    {"phase": "faulted", "publishes": 0, "p50_ms": None, "p99_ms": None},
-                ]
-            },
+            "phases": [row("before", 60, 1.0, 0, 1.234), row("during", 0, None, 0, None)],
             "protection": {
                 "breaker_trips": 2, "breakers_open": 0,
                 "rate_limited": 1, "subscriber_sheds": 0,
             },
             "staleness": {"stale_deliveries": 0, "stale_handshakes": 1, "frames_stale": 4},
+            "metrics": {"families": ["a", "b"], "exposition_bytes": 10},
+            "chaos_applied": ["t=1 crash 1@1 -> 1 crashed"],
         }
         lines = format_report(report).splitlines()
-        assert lines[0] == "service bench — 3 nodes, 100 clients, 2 topics, 6s @ 60 msg/s"
-        assert "throughput 55.5 msg/s/node" in lines[2]
-        assert "p50=1.2ms p99=9.9ms" in lines[3]
-        assert "p50=- p99=-" in lines[4]
-        assert "breaker trips=2" in lines[5]
-        assert "stale handshakes=1 stale frames=4" in lines[6]
-        assert len(lines) == 7  # no metrics section in the report, no metrics line
-
-        report["metrics"] = {
-            "families": ["a", "b"], "exposition_bytes": 10, "endpoint": "http://h:1/metrics",
-        }
-        assert format_report(report).splitlines()[-1] == (
-            "  metrics: scraped 2 families (10 bytes) from http://h:1/metrics"
+        assert lines[0] == (
+            "repro chaos — 8 loopback-TCP nodes, 100 clients on 2 topics at 60 msg/s, "
+            "plan: crash 1@1; restart 1@3"
         )
+        assert lines[1].split() == [
+            "phase", "messages", "average", "min", "atomic", "wrong", "p50_ms", "p99_ms",
+        ]
+        assert lines[3].split() == [
+            "before", "60", "1.0000", "1.0000", "1.0000", "0", "1.2340", "1.2340",
+        ]
+        assert lines[4].split() == ["during", "0", "-", "-", "-", "0", "-", "-"]
+        assert "throughput 55.5 msg/s/node" in lines[5]
+        assert "breaker trips=2" in lines[6]
+        assert "stale handshakes=1 stale frames=4" in lines[7]
+        assert lines[8] == "  metrics: scraped 2 families (10 bytes)"
+        assert lines[9:] == ["  t=1 crash 1@1 -> 1 crashed"]
 
     @pytest.mark.parametrize(
-        "shape",
+        "nodes, events",
         [
-            {"nodes": 1},
-            {"clients": 1, "topics": 2},
-            {"topics": 0},
-            {"duration": 0.0},
-            {"rate": -1.0},
+            (1, ()),
+            (4, (DegradeEvent(at=0.0, until=1.0, duplicate_rate=0.2),)),
+            (4, (CrashEvent(at=0.1, count=5),)),
         ],
-        ids=["one-node", "fewer-clients-than-topics", "no-topics", "no-duration", "negative-rate"],
+        ids=["one-node", "duplicating-plan", "plan-larger-than-cluster"],
     )
-    def test_invalid_shape_rejected_before_any_node_starts(self, shape):
-        from repro.service.bench import run_service_bench
+    def test_invalid_shape_rejected_before_any_node_starts(self, monkeypatch, nodes, events):
+        from repro.service.bench import run_live_plan
 
+        async def no_start(*_args, **_kwargs):
+            raise AssertionError("a node started")
+
+        monkeypatch.setattr(LocalCluster, "start", no_start)
         with pytest.raises(ConfigurationError):
-            run(run_service_bench(**shape), timeout=5.0)
+            run(run_live_plan(FaultPlan(events=events), nodes=nodes), timeout=5.0)
+
+
+class TestLiveRun:
+    """One live run of the built-in plan, end to end on loopback TCP."""
+
+    def test_builtin_plan_reports_the_fault_and_the_heal(self):
+        from repro.service.bench import BENCH_SCHEMA, run_live_plan
+
+        report = run(run_live_plan(nodes=4, time_scale=0.5), timeout=30.0)
+        assert report["schema"] == BENCH_SCHEMA
+        rows = {row["phase"]: row for row in report["phases"]}
+        assert list(rows) == ["before", "during", "after"]
+        assert rows["before"]["average"] == 1.0
+        # The partition cuts the survivors in two: the report shows it.
+        assert rows["during"]["average"] < rows["before"]["average"]
+        # Heal + rejoin + same-port restart stitch the overlay back.
+        assert rows["after"]["average"] >= 0.95
+        assert all(row["wrong"] == 0 for row in rows.values())
+        assert sum(row["messages"] for row in rows.values()) == report["published"]
+        assert report["staleness"]["stale_deliveries"] == 0
+        assert "restart 1@3 -> 1 restarted" in " ".join(report["chaos_applied"])
+
+    def test_empty_plan_has_one_after_row(self):
+        from repro.service.bench import TAIL, run_live_plan
+
+        report = run(run_live_plan(FaultPlan.empty(), nodes=3, time_scale=0.25), timeout=30.0)
+        [row] = report["phases"]
+        assert (row["phase"], row["start"], row["end"]) == ("after", 0.0, TAIL)
+        assert row["average"] == 1.0
+        assert report["chaos_applied"] == []
