@@ -1,7 +1,6 @@
 """Overlay analytics and reliability measurement."""
 
 from .graph import OverlaySnapshot, PathStats
-from .latency import LatencyHistogram
 from .reliability import (
     atomic_fraction,
     average_reliability,
@@ -12,7 +11,6 @@ from .reliability import (
 from .stats import SummaryStats, mean, percentile, stddev, summarize
 
 __all__ = [
-    "LatencyHistogram",
     "OverlaySnapshot",
     "PathStats",
     "SummaryStats",

@@ -16,12 +16,14 @@ and each phase row holds
   (a corrupted relay rewrote it);
 * publish→deliver latency (p50/p99).
 
-The report also carries the protection counters (circuit-breaker trips,
-rate-limited publishes, subscriber-queue sheds), the epoch-handshake
-audit — stale frames die in the transport, and **zero** stale-incarnation
-deliveries may reach clients — and one scrape of the metrics endpoint.
+The report also carries every live counter, read from the facades and
+transports where they are kept: the protection counts (circuit-breaker
+trips and rejected sends, rate-limited publishes, subscriber-queue sheds,
+deliveries without a topic) and the staleness audit — every transport
+frame counter beside the stale-incarnation deliveries, of which **zero**
+may reach clients (stale frames die in the transport).
 
-Artifact: ``BENCH_service_live.json`` (``repro-service-live/2``, the full
+Artifact: ``BENCH_service_live.json`` (``repro-service-live/3``, the full
 report).  Wall-clock latency on shared CI runners is noisy; the artifact
 is BENCH-grade in *shape*, not in its numbers.
 """
@@ -39,8 +41,7 @@ from ..experiments.reporting import format_table
 from ..faults.chaos import ChaosController
 from ..faults.measure import phase_rows
 from ..faults.plan import CrashEvent, FaultPlan, PartitionEvent, Phase, RestartEvent
-from ..metrics.latency import LatencyHistogram
-from ..obs.http import MetricsServer, scrape
+from ..metrics.stats import mean, percentile
 from ..runtime.cluster import LocalCluster
 from .limits import BreakerConfig
 from .pubsub import _DATA_KEY, _TOPIC_KEY, PubSubCluster, ServiceConfig
@@ -57,7 +58,7 @@ BENCH_CONFIG = HyParViewConfig(
     promotion_max_passes=10,
 )
 
-BENCH_SCHEMA = "repro-service-live/2"
+BENCH_SCHEMA = "repro-service-live/3"
 
 #: The client load: lightweight clients multiplexed over the nodes, spread
 #: over a few topics, publishing round-robin at an aggregate rate
@@ -102,6 +103,59 @@ BUILTIN_PLAN = FaultPlan(
     label="crash-partition-restart",
 )
 
+#: Every counter a live transport keeps: frame outcomes (outbox sheds and
+#: injected faults included), the epoch handshake audit and handler errors.
+TRANSPORT_COUNTERS = (
+    "frames_sent",
+    "frames_received",
+    "frames_stale",
+    "frames_malformed",
+    "stale_handshakes",
+    "handshakes_refused",
+    "frames_overflow",
+    "frames_rejected",
+    "frames_faulted",
+    "handler_errors",
+)
+
+
+def latency_row(latencies: list[float]) -> dict:
+    """A phase row's latency keys from publish→deliver samples in seconds:
+    milliseconds, a negative sample (clock skew) clamped to 0, and
+    ``None`` for an empty phase."""
+    ms = [max(0.0, latency) * 1000.0 for latency in latencies]
+    row = {"samples": len(ms), "mean_ms": mean(ms) if ms else None}
+    for key, q in (("p50_ms", 50), ("p99_ms", 99), ("max_ms", 100)):
+        row[key] = percentile(ms, q) if ms else None
+    return row
+
+
+def protection_counts(service: PubSubCluster) -> dict:
+    """The service's protection counters summed over its facades.  The
+    facade list is read at call time, so a facade swapped in by a node
+    restart is the one counted."""
+    facades = service.facades
+    return {
+        "rate_limited": sum(
+            client.rate_limited for facade in facades for client in facade.clients.values()
+        ),
+        "breaker_trips": sum(facade.guard.trips() for facade in facades),
+        "breaker_rejected": sum(facade.guard.rejected for facade in facades),
+        "breakers_open": sum(len(facade.guard.open_peers()) for facade in facades),
+        "subscriber_sheds": sum(facade.messages_dropped for facade in facades),
+        "ignored": sum(facade.messages_ignored for facade in facades),
+        "facades_reattached": service.reattached,
+    }
+
+
+def transport_counts(service: PubSubCluster) -> dict:
+    """Each of :data:`TRANSPORT_COUNTERS` summed over the facades' nodes."""
+    transports = [facade.node.transport for facade in service.facades]
+    return {
+        name: sum(getattr(transport, name) for transport in transports)
+        for name in TRANSPORT_COUNTERS
+    }
+
 
 async def run_live_plan(
     plan: FaultPlan = BUILTIN_PLAN,
@@ -111,7 +165,7 @@ async def run_live_plan(
     time_scale: float = 1.0,
 ) -> dict:
     """Run ``plan`` on a live pub/sub cluster under a paced publish stream;
-    returns the ``repro-service-live/2`` report."""
+    returns the ``repro-service-live/3`` report."""
     cluster = LocalCluster(nodes, config=BENCH_CONFIG, base_seed=seed)
     # Built before any socket opens: a refused plan raises with nothing to
     # stop.
@@ -150,7 +204,7 @@ async def run_live_plan(
         start = loop.time()
         # message id -> (publish plan time, publish wall time, envelope)
         sent = {}
-        rate_limited = publish_errors = 0
+        publish_errors = 0
         for tick in itertools.count():
             now = loop.time()
             if now - start >= phases[-1].end * time_scale:
@@ -162,7 +216,7 @@ async def run_live_plan(
                 try:
                     message_id = facade.client(client_name).publish(topic, data)
                 except RateLimitedError:
-                    rate_limited += 1
+                    pass  # the client counts it
                 except ServiceError:
                     publish_errors += 1
                 else:
@@ -187,14 +241,14 @@ async def run_live_plan(
             ],
         )
         for phase, row in zip(phases, rows):
-            histogram = LatencyHistogram()
+            latencies = []
             row["wrong"] = 0
             for message_id, (plan_time, wall, envelope) in sent.items():
                 if phase.contains(plan_time):
                     for record in deliveries[message_id]:
-                        histogram.record(record.at - wall)
+                        latencies.append(record.at - wall)
                         row["wrong"] += record.payload != envelope
-            row.update(histogram.to_dict())
+            row.update(latency_row(latencies))
 
         # --- stale-incarnation audit -----------------------------------
         # Every delivery record carries (node, incarnation); a predecessor
@@ -214,17 +268,9 @@ async def run_live_plan(
             incarnation, started_at = successor
             if record.incarnation < incarnation and record.at > started_at:
                 stale_deliveries += 1
-        transport_counters = dict.fromkeys(
-            ("frames_stale", "stale_handshakes", "frames_overflow", "frames_rejected"), 0
-        )
-        for node in cluster.nodes:
-            if node.transport is None:
-                continue
-            for key in transport_counters:
-                transport_counters[key] += getattr(node.transport, key)
 
         delivered = sum(len(records) for records in deliveries.values())
-        report = {
+        return {
             "schema": BENCH_SCHEMA,
             "scenario": "service_live",
             "config": {
@@ -243,46 +289,13 @@ async def run_live_plan(
                 delivered / (phases[-1].end * time_scale) / nodes
             ),
             "phases": rows,
-            "protection": {
-                "rate_limited": rate_limited,
-                "publish_errors": publish_errors,
-                "breaker_trips": service.total_breaker_trips(),
-                "breakers_open": sum(
-                    len(facade.guard.open_peers()) for facade in service.facades
-                ),
-                "subscriber_sheds": service.total_dropped(),
-                "facades_reattached": service.reattached,
-            },
-            "staleness": {"stale_deliveries": stale_deliveries, **transport_counters},
+            # Read before detach / stop, while the facades are live.
+            "protection": {"publish_errors": publish_errors, **protection_counts(service)},
+            "staleness": {"stale_deliveries": stale_deliveries, **transport_counts(service)},
             "chaos_applied": [
                 f"t={at:g} {description}" for at, description in controller.applied
             ],
         }
-
-        # --- unified metrics plane: serve one scrape of the run ---------
-        # The registry's collectors read the live facades/transports, so
-        # the scrape happens before detach/stop.  The exposition covers
-        # breaker state, epoch/staleness audits and topic rate-limit
-        # counters — the families an external Prometheus would collect
-        # from a long-lived deployment.
-        registry = service.metrics_registry()
-        metrics_server = await MetricsServer(registry).start()
-        try:
-            exposition = await scrape(metrics_server.host, metrics_server.port)
-        finally:
-            await metrics_server.close()
-        report["metrics"] = {
-            "exposition_bytes": len(exposition),
-            "families": sorted(
-                {
-                    line.split("{", 1)[0].split(" ", 1)[0]
-                    for line in exposition.splitlines()
-                    if line and not line.startswith("#")
-                }
-            ),
-            "snapshot": registry.snapshot(),
-        }
-        return report
     finally:
         for task in tasks:
             task.cancel()
@@ -333,8 +346,6 @@ def format_report(report: dict) -> str:
         f"  stale deliveries={staleness['stale_deliveries']} "
         f"stale handshakes={staleness['stale_handshakes']} "
         f"stale frames={staleness['frames_stale']}",
-        f"  metrics: scraped {len(report['metrics']['families'])} families "
-        f"({report['metrics']['exposition_bytes']} bytes)",
     ]
     lines += [f"  {applied}" for applied in report["chaos_applied"]]
     return "\n".join(lines)
@@ -345,7 +356,11 @@ __all__ = [
     "BENCH_SCHEMA",
     "BUILTIN_PLAN",
     "TAIL",
+    "TRANSPORT_COUNTERS",
     "format_report",
+    "latency_row",
+    "protection_counts",
     "run_live_plan",
+    "transport_counts",
     "write_artifacts",
 ]

@@ -178,7 +178,6 @@ class PubSubNode:
         self._subscriptions: dict[str, list[Subscription]] = {}
         self.clients: dict[str, PubSubClient] = {}
         self._attached = True
-        self.messages_published = 0
         self.messages_delivered = 0
         #: Subscriber-buffer overflow sheds across all subscriptions.
         self.messages_dropped = 0
@@ -239,9 +238,7 @@ class PubSubNode:
             raise ServiceError(f"topic must be a non-empty string: {topic!r}")
         if not self.node.started:
             raise ServiceError(f"overlay node {self.node.node_id} is not running")
-        message_id = self.node.broadcast({_TOPIC_KEY: topic, _DATA_KEY: payload})
-        self.messages_published += 1
-        return message_id
+        return self.node.broadcast({_TOPIC_KEY: topic, _DATA_KEY: payload})
 
     def _on_deliver(self, message_id: MessageId, payload: Any) -> None:
         if not isinstance(payload, dict) or _TOPIC_KEY not in payload:
@@ -307,40 +304,16 @@ class PubSubCluster:
         self.config = config if config is not None else ServiceConfig()
         self.facades = [PubSubNode(node, config=self.config) for node in cluster.nodes]
         self.reattached = 0
-        self._metrics = None
         cluster.restart_listeners.append(self._on_restart)
 
     def facade(self, index: int) -> PubSubNode:
         return self.facades[index]
-
-    def metrics_registry(self):
-        """The cluster's unified metrics registry (built lazily, cached).
-
-        Covers every facade's service counters, circuit-breaker state,
-        token-bucket denials and transport epoch/staleness audits.  The
-        collector reads the facade list at scrape time, so facades swapped
-        in by a node restart are picked up automatically.  Costs nothing
-        until the first snapshot/scrape.
-        """
-        if self._metrics is None:
-            from ..obs.collectors import bind_pubsub_cluster
-            from ..obs.metrics import MetricsRegistry
-
-            self._metrics = MetricsRegistry()
-            bind_pubsub_cluster(self._metrics, self)
-        return self._metrics
 
     def subscribe(self, index: int, topic: str, *, client: str = "") -> Subscription:
         return self.facades[index].subscribe(topic, client=client)
 
     def publish(self, index: int, topic: str, payload: Any = None) -> MessageId:
         return self.facades[index].publish(topic, payload)
-
-    def total_dropped(self) -> int:
-        return sum(facade.messages_dropped for facade in self.facades)
-
-    def total_breaker_trips(self) -> int:
-        return sum(facade.guard.trips() for facade in self.facades)
 
     def detach(self) -> None:
         if self._on_restart in self.cluster.restart_listeners:

@@ -109,7 +109,7 @@ class TestPubSubNode:
             assert subscription.qsize() == 2
             first = await subscription.get(timeout=1.0)
             assert first.payload == 2  # the two oldest were shed
-            assert service.total_dropped() == subscription.dropped
+            assert facade.messages_dropped == subscription.dropped
             service.detach()
             await cluster.stop()
 
@@ -285,16 +285,14 @@ class TestPubSubCluster:
         run(scenario())
 
 
-class TestClusterMetrics:
-    def test_registry_mirrors_service_and_transport_counters(self):
-        async def scenario():
-            from repro.obs.http import MetricsServer, scrape
+class TestLiveCounters:
+    def test_report_sums_service_and_transport_counters(self):
+        from repro.service.bench import TRANSPORT_COUNTERS, protection_counts, transport_counts
 
+        async def scenario():
             cluster = LocalCluster(2, config=CONFIG)
             await cluster.start()
             service = PubSubCluster(cluster, config=ServiceConfig(subscriber_queue=2))
-            registry = service.metrics_registry()
-            assert service.metrics_registry() is registry  # cached
             subscription = service.subscribe(1, "t", client="c1")
             message_id = service.publish(0, "t", {"n": 1})
             await cluster.wait_for_delivery(message_id, 2)
@@ -303,42 +301,79 @@ class TestClusterMetrics:
             idle = service.subscribe(1, "firehose", client="idle")
             for n in range(5):
                 await cluster.wait_for_delivery(service.publish(0, "firehose", n), 2)
-            assert idle.dropped == service.total_dropped() == 3
-
-            server = await MetricsServer(registry).start()
-            try:
-                body = await scrape("127.0.0.1", server.port)
-            finally:
-                await server.close()
+            assert idle.dropped == 3
+            counts = protection_counts(service), transport_counts(service)
             service.detach()
             await cluster.stop()
-            return body
+            return counts
 
-        body = run(scenario())
-        # One exposition covers the service counters, the breaker, the
-        # per-client budgets and the transport epoch audits.
-        for family in (
-            "repro_service_published_total",
-            "repro_service_delivered_total",
-            "repro_service_client_rate_limited_total",
-            "repro_breaker_trips_total",
-            "repro_breaker_open",
-            "repro_transport_frames_total",
-            "repro_transport_epoch",
-        ):
-            assert f"# TYPE {family} " in body, family
-        published = [
-            line
-            for line in body.splitlines()
-            if line.startswith("repro_service_published_total{")
-        ]
-        assert sum(float(line.split()[-1]) for line in published) >= 1
-        dropped = [
-            line
-            for line in body.splitlines()
-            if line.startswith("repro_service_dropped_total{")
-        ]
-        assert sum(float(line.split()[-1]) for line in dropped) == 3
+        protection, transport = run(scenario())
+        assert protection["subscriber_sheds"] == 3
+        assert protection["rate_limited"] == protection["breaker_trips"] == 0
+        # The six publishes from node 0 are among the frames sent.
+        assert transport["frames_sent"] >= 6
+        assert list(transport) == list(TRANSPORT_COUNTERS)
+        assert len(TRANSPORT_COUNTERS) == 10
+
+    def test_sums_read_the_facades_at_call_time(self):
+        from repro.service.bench import protection_counts, transport_counts
+
+        class Guard:
+            rejected = 2
+
+            def trips(self):
+                return 1
+
+            def open_peers(self):
+                return ["x"]
+
+        class Transport:
+            frames_sent = 7
+            frames_received = 6
+            frames_stale = 0
+            frames_malformed = 0
+            stale_handshakes = 1
+            handshakes_refused = 0
+            frames_overflow = 0
+            frames_rejected = 0
+            frames_faulted = 0
+            handler_errors = 0
+
+        class Inner:
+            transport = Transport()
+
+        class Client:
+            rate_limited = 4
+
+        class Facade:
+            node = Inner()
+            guard = Guard()
+            clients = {"c1": Client(), "c2": Client()}
+            messages_dropped = 1
+            messages_ignored = 5
+
+        class Service:
+            facades = []
+            reattached = 0
+
+        service = Service()
+        # No facades yet: every sum is zero.
+        assert set(protection_counts(service).values()) == {0}
+        assert set(transport_counts(service).values()) == {0}
+        # A facade swapped in by a node restart is picked up.
+        service.facades = [Facade()]
+        service.reattached = 1
+        assert protection_counts(service) == {
+            "rate_limited": 8,
+            "breaker_trips": 1,
+            "breaker_rejected": 2,
+            "breakers_open": 1,
+            "subscriber_sheds": 1,
+            "ignored": 5,
+            "facades_reattached": 1,
+        }
+        transport = transport_counts(service)
+        assert (transport["frames_sent"], transport["stale_handshakes"]) == (7, 1)
 
 
 class TestServiceBenchArtifacts:
@@ -354,6 +389,19 @@ class TestServiceBenchArtifacts:
 
         [path] = write_artifacts({"published": 3, "delivered": 9}, tmp_path / "out")
         assert path.read_text() == '{\n  "delivered": 9,\n  "published": 3\n}\n'
+
+    def test_latency_row_clamps_skew_and_reads_none_when_empty(self):
+        from repro.service.bench import latency_row
+
+        assert latency_row([]) == {
+            "samples": 0, "mean_ms": None, "p50_ms": None, "p99_ms": None, "max_ms": None,
+        }
+        row = latency_row([0.003, -0.001, 0.002, 0.001])
+        assert row["samples"] == 4
+        assert row["mean_ms"] == pytest.approx(1.5)  # the -1 ms sample reads 0
+        assert row["p50_ms"] == pytest.approx(1.5)  # linear interpolation
+        assert row["p99_ms"] == pytest.approx(2.97)
+        assert row["max_ms"] == pytest.approx(3.0)
 
     def test_format_report_summarises_every_section(self):
         from repro.service.bench import format_report
@@ -379,7 +427,6 @@ class TestServiceBenchArtifacts:
                 "rate_limited": 1, "subscriber_sheds": 0,
             },
             "staleness": {"stale_deliveries": 0, "stale_handshakes": 1, "frames_stale": 4},
-            "metrics": {"families": ["a", "b"], "exposition_bytes": 10},
             "chaos_applied": ["t=1 crash 1@1 -> 1 crashed"],
         }
         lines = format_report(report).splitlines()
@@ -397,8 +444,7 @@ class TestServiceBenchArtifacts:
         assert "throughput 55.5 msg/s/node" in lines[5]
         assert "breaker trips=2" in lines[6]
         assert "stale handshakes=1 stale frames=4" in lines[7]
-        assert lines[8] == "  metrics: scraped 2 families (10 bytes)"
-        assert lines[9:] == ["  t=1 crash 1@1 -> 1 crashed"]
+        assert lines[8:] == ["  t=1 crash 1@1 -> 1 crashed"]
 
     @pytest.mark.parametrize(
         "nodes, events",
@@ -427,7 +473,8 @@ class TestLiveRun:
         from repro.service.bench import BENCH_SCHEMA, run_live_plan
 
         report = run(run_live_plan(nodes=4, time_scale=0.5), timeout=30.0)
-        assert report["schema"] == BENCH_SCHEMA
+        assert report["schema"] == BENCH_SCHEMA == "repro-service-live/3"
+        assert "metrics" not in report
         rows = {row["phase"]: row for row in report["phases"]}
         assert list(rows) == ["before", "during", "after"]
         assert rows["before"]["average"] == 1.0
