@@ -50,6 +50,26 @@ class TestStats:
         assert percentile([], 50) == 0.0
         assert percentile([7.0], 99) == 7.0
 
+    def test_percentile_hits_each_sample_at_its_rank(self):
+        data = [50.0, 10.0, 40.0, 20.0, 30.0]
+        # Five samples: rank k of the sorted data sits at q = 25 k.
+        assert [percentile(data, 25 * k) for k in range(5)] == [10.0, 20.0, 30.0, 40.0, 50.0]
+        assert percentile(data, 12.5) == pytest.approx(15.0)
+
+    @given(
+        st.lists(st.floats(-1000, 1000), min_size=1, max_size=40),
+        st.floats(0, 100),
+        st.floats(0, 100),
+    )
+    def test_percentile_is_monotone_in_q_property(self, values, q1, q2):
+        low, high = sorted((q1, q2))
+        ulp = 1e-9  # the blend rounds, so equal neighbours may drift by an ulp
+        assert percentile(values, low) <= percentile(values, high) + ulp
+
+    @given(st.lists(st.floats(-1000, 1000), min_size=1, max_size=40), st.floats(0, 100))
+    def test_percentile_ignores_sample_order_property(self, values, q):
+        assert percentile(values, q) == percentile(list(reversed(values)), q)
+
     def test_percentile_validation(self):
         with pytest.raises(ConfigurationError):
             percentile([1.0], 101)

@@ -7,8 +7,12 @@ Real loopback sockets, small clusters — same conventions as
 from __future__ import annotations
 
 import asyncio
+import json
+import statistics
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError, RateLimitedError, ServiceError
 from repro.core.config import HyParViewConfig
@@ -16,6 +20,7 @@ from repro.faults.plan import CrashEvent, DegradeEvent, FaultPlan
 from repro.runtime.cluster import LocalCluster
 from repro.runtime.node import RuntimeNode
 from repro.service import PubSubCluster, PubSubNode, ServiceConfig
+from repro.service.limits import BreakerConfig
 
 CONFIG = HyParViewConfig(
     active_view_capacity=3,
@@ -30,6 +35,15 @@ CONFIG = HyParViewConfig(
 
 def run(coroutine, timeout=30.0):
     return asyncio.run(asyncio.wait_for(coroutine, timeout))
+
+
+def _latencies(*, min_value, min_size):
+    """Publish→deliver samples in seconds; negative ones are clock skew."""
+    return st.lists(
+        st.floats(min_value=min_value, max_value=5.0, allow_nan=False),
+        min_size=min_size,
+        max_size=60,
+    )
 
 
 class TestPubSubNode:
@@ -285,6 +299,54 @@ class TestPubSubCluster:
         run(scenario())
 
 
+class _FakeGuard:
+    rejected = 2
+
+    def trips(self):
+        return 1
+
+    def open_peers(self):
+        return ["x"]
+
+
+class _FakeTransport:
+    frames_sent = 7
+    frames_received = 6
+    frames_stale = 0
+    frames_malformed = 0
+    stale_handshakes = 1
+    handshakes_refused = 0
+    frames_overflow = 0
+    frames_rejected = 0
+    frames_faulted = 0
+    handler_errors = 0
+
+
+class _FakeNode:
+    transport = _FakeTransport()
+
+
+class _FakeClient:
+    rate_limited = 4
+
+
+class _FakeFacade:
+    """Just the counters :mod:`repro.service.bench` sums over a facade."""
+
+    def __init__(self):
+        self.node = _FakeNode()
+        self.guard = _FakeGuard()
+        self.clients = {"c1": _FakeClient(), "c2": _FakeClient()}
+        self.messages_dropped = 1
+        self.messages_ignored = 5
+
+
+class _FakeService:
+    def __init__(self):
+        self.facades = []
+        self.reattached = 0
+
+
 class TestLiveCounters:
     def test_report_sums_service_and_transport_counters(self):
         from repro.service.bench import TRANSPORT_COUNTERS, protection_counts, transport_counts
@@ -318,50 +380,12 @@ class TestLiveCounters:
     def test_sums_read_the_facades_at_call_time(self):
         from repro.service.bench import protection_counts, transport_counts
 
-        class Guard:
-            rejected = 2
-
-            def trips(self):
-                return 1
-
-            def open_peers(self):
-                return ["x"]
-
-        class Transport:
-            frames_sent = 7
-            frames_received = 6
-            frames_stale = 0
-            frames_malformed = 0
-            stale_handshakes = 1
-            handshakes_refused = 0
-            frames_overflow = 0
-            frames_rejected = 0
-            frames_faulted = 0
-            handler_errors = 0
-
-        class Inner:
-            transport = Transport()
-
-        class Client:
-            rate_limited = 4
-
-        class Facade:
-            node = Inner()
-            guard = Guard()
-            clients = {"c1": Client(), "c2": Client()}
-            messages_dropped = 1
-            messages_ignored = 5
-
-        class Service:
-            facades = []
-            reattached = 0
-
-        service = Service()
+        service = _FakeService()
         # No facades yet: every sum is zero.
         assert set(protection_counts(service).values()) == {0}
         assert set(transport_counts(service).values()) == {0}
         # A facade swapped in by a node restart is picked up.
-        service.facades = [Facade()]
+        service.facades = [_FakeFacade()]
         service.reattached = 1
         assert protection_counts(service) == {
             "rate_limited": 8,
@@ -374,6 +398,185 @@ class TestLiveCounters:
         }
         transport = transport_counts(service)
         assert (transport["frames_sent"], transport["stale_handshakes"]) == (7, 1)
+
+    def test_sums_add_every_facade(self):
+        from repro.service.bench import TRANSPORT_COUNTERS, protection_counts, transport_counts
+
+        service = _FakeService()
+        service.facades = [_FakeFacade(), _FakeFacade()]
+        service.facades[1].messages_ignored = 1
+        protection = protection_counts(service)
+        assert (protection["rate_limited"], protection["breaker_rejected"]) == (16, 4)
+        assert (protection["ignored"], protection["facades_reattached"]) == (6, 0)
+        transport = transport_counts(service)
+        assert transport == {
+            name: 2 * getattr(_FakeTransport, name) for name in TRANSPORT_COUNTERS
+        }
+
+    def test_transport_counters_are_live_transport_attributes(self):
+        from repro.service.bench import TRANSPORT_COUNTERS
+
+        async def scenario():
+            node = RuntimeNode(config=CONFIG)
+            await node.start()
+            counts = {name: getattr(node.transport, name) for name in TRANSPORT_COUNTERS}
+            await node.stop()
+            return counts
+
+        counts = run(scenario())
+        assert all(type(count) is int for count in counts.values()), counts
+
+    def test_report_counts_rate_limited_publishes_on_every_node(self):
+        from repro.service.bench import protection_counts
+
+        async def scenario():
+            cluster = LocalCluster(2, config=CONFIG)
+            await cluster.start()
+            service = PubSubCluster(
+                cluster, config=ServiceConfig(publish_rate=0.1, publish_burst=1.0)
+            )
+            for index in range(2):
+                client = service.facade(index).client(f"c{index}")
+                client.publish("t")
+                for _ in range(index + 1):
+                    with pytest.raises(RateLimitedError):
+                        client.publish("t")
+            counts = protection_counts(service)
+            service.detach()
+            await cluster.stop()
+            return counts
+
+        assert run(scenario())["rate_limited"] == 3
+
+    def test_report_counts_plain_broadcasts_as_ignored(self):
+        from repro.service.bench import protection_counts
+
+        async def scenario():
+            cluster = LocalCluster(2, config=CONFIG)
+            await cluster.start()
+            service = PubSubCluster(cluster)
+            message_id = cluster.nodes[0].broadcast("raw payload")
+            await cluster.wait_for_delivery(message_id, 2)
+            counts = protection_counts(service)
+            service.detach()
+            await cluster.stop()
+            return counts
+
+        # Each node delivers the plain broadcast once, the origin included.
+        assert run(scenario())["ignored"] == 2
+
+    def test_report_counts_breaker_trips_and_rejections(self):
+        from repro.service.bench import protection_counts
+
+        async def scenario():
+            cluster = LocalCluster(2, config=CONFIG)
+            await cluster.start()
+            service = PubSubCluster(
+                cluster,
+                config=ServiceConfig(
+                    breaker=BreakerConfig(failure_threshold=1, recovery_timeout=60.0)
+                ),
+            )
+            transport = cluster.nodes[0].transport
+            peer = cluster.nodes[1].node_id
+            transport.send_observer(peer, False)  # one failed send trips it
+            assert not transport.send_guard(peer)
+            counts = protection_counts(service)
+            service.detach()
+            await cluster.stop()
+            return counts
+
+        counts = run(scenario())
+        assert (counts["breaker_trips"], counts["breakers_open"]) == (1, 1)
+        assert counts["breaker_rejected"] >= 1
+
+    def test_restarted_node_is_counted_through_its_fresh_facade(self):
+        from repro.service.bench import protection_counts
+
+        async def scenario():
+            cluster = LocalCluster(2, config=CONFIG)
+            await cluster.start()
+            service = PubSubCluster(cluster)
+            message_id = cluster.nodes[0].broadcast("raw payload")
+            await cluster.wait_for_delivery(message_id, 2)
+            before = protection_counts(service)
+            await cluster.nodes[1].crash()
+            await cluster.restart_node(1, reuse_port=True)
+            after = protection_counts(service)
+            service.detach()
+            await cluster.stop()
+            return before, after
+
+        before, after = run(scenario())
+        assert (before["ignored"], before["facades_reattached"]) == (2, 0)
+        # The crashed facade's count went with it; the fresh one starts at 0.
+        assert (after["ignored"], after["facades_reattached"]) == (1, 1)
+
+
+class TestLatencyRow:
+    """Phase latency through the one percentile helper: milliseconds,
+    linear interpolation, skew clamped to 0."""
+
+    def test_negative_sample_clamps_to_zero(self):
+        from repro.service.bench import latency_row
+
+        assert latency_row([-0.5]) == {
+            "samples": 1, "mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0, "max_ms": 0.0,
+        }
+
+    def test_single_sample_is_every_quantile(self):
+        from repro.service.bench import latency_row
+
+        row = latency_row([0.25])
+        assert row["mean_ms"] == row["p50_ms"] == row["p99_ms"] == row["max_ms"] == 250.0
+
+    def test_reports_milliseconds(self):
+        from repro.service.bench import latency_row
+
+        row = latency_row([i / 100.0 for i in range(1, 101)])
+        assert row["samples"] == 100
+        assert row["mean_ms"] == pytest.approx(505.0)
+        assert row["p50_ms"] == pytest.approx(505.0)  # halfway between 500 and 510
+        assert row["p99_ms"] == pytest.approx(990.1)
+        assert row["max_ms"] == pytest.approx(1000.0)
+
+    def test_one_outlier_moves_the_max_not_the_median(self):
+        from repro.service.bench import latency_row
+
+        row = latency_row([0.01] * 99 + [5.0])
+        assert row["p50_ms"] == pytest.approx(10.0)
+        assert row["p99_ms"] == pytest.approx(10.0 + 0.01 * 4990.0)
+        assert row["max_ms"] == pytest.approx(5000.0)
+
+    @given(_latencies(min_value=0.0, min_size=2))
+    def test_quantiles_match_inclusive_linear_interpolation(self, latencies):
+        from repro.service.bench import latency_row
+
+        ms = [latency * 1000.0 for latency in latencies]
+        cuts = statistics.quantiles(ms, n=100, method="inclusive")
+        row = latency_row(latencies)
+        assert row["p50_ms"] == pytest.approx(cuts[49], abs=1e-6)
+        assert row["p99_ms"] == pytest.approx(cuts[98], abs=1e-6)
+        assert row["max_ms"] == max(ms)
+
+    @given(_latencies(min_value=-1.0, min_size=0))
+    def test_quantiles_are_ordered(self, latencies):
+        from repro.service.bench import latency_row
+
+        row = latency_row(latencies)
+        assert row["samples"] == len(latencies)
+        if latencies:
+            ulp = 1e-9  # the interpolation rounds
+            assert 0.0 <= row["p50_ms"] <= row["p99_ms"] + ulp
+            assert row["p99_ms"] <= row["max_ms"] + ulp
+            assert row["mean_ms"] <= row["max_ms"] + ulp
+
+    @given(_latencies(min_value=-1.0, min_size=0))
+    def test_skew_reads_as_a_zero_sample(self, latencies):
+        from repro.service.bench import latency_row
+
+        clamped = [max(0.0, latency) for latency in latencies]
+        assert latency_row(latencies) == latency_row(clamped)
 
 
 class TestServiceBenchArtifacts:
@@ -466,6 +669,14 @@ class TestServiceBenchArtifacts:
             run(run_live_plan(FaultPlan(events=events), nodes=nodes), timeout=5.0)
 
 
+@pytest.fixture(scope="module")
+def empty_plan_report():
+    """One short live run without faults, shared by the report-shape tests."""
+    from repro.service.bench import run_live_plan
+
+    return run(run_live_plan(FaultPlan.empty(), nodes=3, time_scale=0.25), timeout=30.0)
+
+
 class TestLiveRun:
     """One live run of the built-in plan, end to end on loopback TCP."""
 
@@ -495,3 +706,31 @@ class TestLiveRun:
         assert (row["phase"], row["start"], row["end"]) == ("after", 0.0, TAIL)
         assert row["average"] == 1.0
         assert report["chaos_applied"] == []
+
+    def test_report_carries_every_protection_and_transport_counter(self, empty_plan_report):
+        from repro.service.bench import TRANSPORT_COUNTERS
+
+        protection = empty_plan_report["protection"]
+        staleness = empty_plan_report["staleness"]
+        assert sorted(protection) == sorted([
+            "publish_errors", "rate_limited", "breaker_trips", "breaker_rejected",
+            "breakers_open", "subscriber_sheds", "ignored", "facades_reattached",
+        ])
+        assert sorted(staleness) == sorted(["stale_deliveries", *TRANSPORT_COUNTERS])
+        assert all(type(count) is int for count in [*protection.values(), *staleness.values()])
+        assert staleness["frames_sent"] >= empty_plan_report["published"] > 0
+
+    def test_report_round_trips_through_its_artifact(self, empty_plan_report, tmp_path):
+        from repro.service.bench import write_artifacts
+
+        [path] = write_artifacts(empty_plan_report, tmp_path)
+        assert json.loads(path.read_text()) == empty_plan_report
+
+    def test_format_report_reads_a_live_report(self, empty_plan_report):
+        from repro.service.bench import format_report
+
+        lines = format_report(empty_plan_report).splitlines()
+        assert lines[0].endswith("plan: empty")
+        assert lines[3].split()[0] == "after"
+        assert lines[4].startswith(f"  published {empty_plan_report['published']} ")
+        assert len(lines) == 7  # no chaos was applied
