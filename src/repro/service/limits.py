@@ -135,6 +135,14 @@ class CircuitBreaker:
         self._probes_in_flight += 1
         return True
 
+    def refusing(self, now: float) -> bool:
+        """Would a send be held off right now?  Open and still serving its
+        recovery timeout, or half-open and undecided.  Reads the state
+        without the half-open transition :meth:`allow` makes."""
+        if self.state == OPEN:
+            return now - self._opened_at < self.config.recovery_timeout
+        return self.state == HALF_OPEN
+
     def record_success(self, now: float) -> None:
         if self.state == HALF_OPEN:
             self._probes_in_flight = max(0, self._probes_in_flight - 1)
@@ -207,7 +215,11 @@ class PeerGuard:
         return sum(breaker.trips for breaker in self.breakers.values())
 
     def open_peers(self) -> list[NodeId]:
-        return [peer for peer, b in self.breakers.items() if b.state != CLOSED]
+        """Peers whose breaker refuses sends now.  A breaker left OPEN past
+        its recovery timeout only because nothing was sent to the peer
+        since the trip is not counted."""
+        now = self._time_fn()
+        return [peer for peer, b in self.breakers.items() if b.refusing(now)]
 
     def detach(self) -> None:
         """Remove the hooks (the transport reverts to unguarded sends)."""

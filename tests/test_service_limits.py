@@ -183,6 +183,33 @@ class TestPeerGuard:
         assert guard.open_peers() == [bad]
         assert guard.rejected == 1
 
+    def test_open_peers_counts_only_breakers_that_refuse(self):
+        transport = _StubTransport()
+        clock = [0.0]
+        guard = PeerGuard(
+            transport,
+            config=BreakerConfig(failure_threshold=1, recovery_timeout=0.5),
+            time_fn=lambda: clock[0],
+        )
+        peer = NodeId("127.0.0.1", 1)
+        transport.send_observer(peer, False)
+        assert guard.open_peers() == [peer]
+        clock[0] = 0.49
+        assert guard.open_peers() == [peer]
+        # Time served with nothing sent since the trip: the breaker still
+        # reads OPEN but would admit the next send, and asking must not
+        # move it to half-open.
+        clock[0] = 0.5
+        assert guard.open_peers() == []
+        assert guard.breaker(peer).state == OPEN
+        assert transport.send_guard(peer)  # the half-open probe
+        assert guard.breaker(peer).state == HALF_OPEN
+        assert guard.open_peers() == [peer]
+        transport.send_observer(peer, False)  # the probe fails: re-trip
+        assert guard.open_peers() == [peer]
+        clock[0] = 1.0
+        assert guard.open_peers() == []
+
     def test_recovery_through_half_open(self):
         transport = _StubTransport()
         clock = [0.0]
