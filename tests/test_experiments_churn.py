@@ -93,8 +93,17 @@ class TestChurnExperiment:
 
 
 class TestPartitions:
-    def test_partition_splits_delivery_then_heals(self):
-        scenario = small_scenario(n=100, cycles=10)
+    #: One seed is one draw of a heal that sometimes leaves the halves
+    #: joined by a handful of one-sided edges, so the bar is set on the
+    #: spread: the mean over these seeds, and how many fall short.
+    SEEDS = (*range(1, 21), 42)
+
+    @staticmethod
+    def partition_then_heal(seed):
+        params = ExperimentParams.scaled(100, seed=seed, stabilization_cycles=10)
+        scenario = Scenario("hyparview", params)
+        scenario.build_overlay()
+        scenario.run_cycles(10)
         half = scenario.node_ids[:50]
         other = scenario.node_ids[50:]
         scenario.network.set_partitions([half, other])
@@ -110,4 +119,9 @@ class TestPartitions:
         scenario.network.clear_partitions()
         scenario.run_cycles(3)
         healed = [s.reliability for s in scenario.send_broadcasts(5)]
+        return sum(healed) / len(healed)
+
+    def test_partition_splits_delivery_then_heals(self):
+        healed = [self.partition_then_heal(seed) for seed in self.SEEDS]
         assert sum(healed) / len(healed) > 0.9
+        assert sum(1 for value in healed if value <= 0.9) <= 3
