@@ -43,14 +43,19 @@ class HyParViewConfig:
         promotion_retry_delay: Section 4.3's repair loop never gives up: a
             rejected initiator "will select another node from its passive
             view and repeat the whole procedure (without removing q from
-            its passive view)".  After a full pass of rejections the loop
+            its passive view)".  After a full pass of rejections in a
+            repair episode started by a failure or a disconnect, the loop
             therefore starts over; this delay paces consecutive passes so
             the retries poll the (changing) global state instead of
-            hammering it.
-        promotion_max_passes: Termination bound on those retry passes per
-            repair episode.  A fresh failure detection starts a new
-            episode.  The bound exists so simulations always quiesce; it is
-            generous enough that it is not reached in practice.
+            hammering it.  A cycle or a shuffle reply makes one pass and
+            arms no such timer: the next cycle is its retry.
+        promotion_max_passes: Retry passes a failure- or
+            disconnect-triggered repair episode may make after its first,
+            so simulations always quiesce; each new failure or disconnect
+            renews the budget.  A cycle or a shuffle reply gets no retry
+            passes and leaves a running episode's budget alone.  Repairs
+            that face full views everywhere (a heal, a mass crash) do
+            reach the bound.
     """
 
     active_view_capacity: int = 5

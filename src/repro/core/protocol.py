@@ -189,17 +189,21 @@ class HyParView(PeerSamplingService):
             self._host.unwatch(peer)
             self.stats.failures_detected += 1
             self._listeners.notify_down(peer)
-            self._fill_active_view()
+            self._start_fill_episode()
         else:
             # A stale passive entry (e.g. the gossip layer probing an old
             # candidate) — expunge it so it is not promoted later.
             self.passive.discard(peer)
 
     def cycle(self) -> None:
-        """One membership round: a shuffle, plus a repair attempt if the
-        active view is under-full (reactive steps are always allowed)."""
+        """One membership round: a shuffle, plus one promotion pass over
+        the passive view if the active view is under-full.
+
+        The pass arms no retry timer: the next cycle is the retry.  A
+        failure or disconnect episode already running keeps its paced
+        budget (see :meth:`_start_fill_pass`)."""
         if not self.active.is_full:
-            self._fill_active_view()
+            self._start_fill_pass()
         self.shuffle_once()
 
     def out_neighbors(self) -> tuple[NodeId, ...]:
@@ -320,7 +324,7 @@ class HyParView(PeerSamplingService):
             # Rejected candidates stay in the passive view (Section 4.3)
             # but are not retried within the same pass.
             self._fill_excluded.add(sender)
-        self._fill_active_view(fresh_episode=False)
+        self._fill_active_view()
 
     def handle_disconnect(self, message: Disconnect) -> None:
         peer = message.sender
@@ -350,9 +354,9 @@ class HyParView(PeerSamplingService):
         if self._reactive_fill_streak >= 3:
             self._fill_passes_remaining -= 1
             if self._fill_passes_remaining >= 0:
-                self._fill_active_view(fresh_episode=False)
+                self._fill_active_view()
         else:
-            self._fill_active_view()
+            self._start_fill_episode()
 
     # ------------------------------------------------------------------
     # Passive view management (Section 4.4)
@@ -406,8 +410,9 @@ class HyParView(PeerSamplingService):
         self.stats.shuffle_replies_received += 1
         self._integrate_exchange(message.exchange, sent=self._last_shuffle_exchange)
         if not self.active.is_full:
-            # Fresh candidates may unblock a stalled repair.
-            self._fill_active_view()
+            # Fresh candidates may unblock a stalled repair: one pass over
+            # them, like a cycle's, with no retry timer of its own.
+            self._start_fill_pass()
 
     def _integrate_exchange(self, received: tuple[NodeId, ...], sent: tuple[NodeId, ...]) -> None:
         """Merge shuffle identifiers into the passive view (Section 4.4).
@@ -484,7 +489,27 @@ class HyParView(PeerSamplingService):
     # ------------------------------------------------------------------
     # Passive -> active promotion (Section 4.3)
     # ------------------------------------------------------------------
-    def _fill_active_view(self, *, fresh_episode: bool = True) -> None:
+    def _start_fill_episode(self) -> None:
+        """A failure or disconnect: promote with a full budget of
+        ``promotion_max_passes`` retry passes, paced by
+        ``promotion_retry_delay``."""
+        self._fill_passes_remaining = self._config.promotion_max_passes
+        self._fill_active_view()
+
+    def _start_fill_pass(self) -> None:
+        """A periodic trigger (cycle, shuffle reply): one pass over the
+        passive view, with no retry budget and so no retry timer.
+
+        An episode already running (an open NEIGHBOR exchange or an armed
+        retry timer) is left alone, budget and all: the periodic trigger
+        neither renews nor spends it.
+        """
+        if self._neighbor.key is not None or self._fill_retry_timer is not None:
+            return
+        self._fill_passes_remaining = 0
+        self._fill_active_view()
+
+    def _fill_active_view(self) -> None:
         """Promote passive candidates until the active view is full.
 
         One NEIGHBOR request is outstanding at a time; each candidate is
@@ -494,14 +519,13 @@ class HyParView(PeerSamplingService):
 
         Section 4.3's loop never gives up after a rejection ("the initiator
         will select another node ... and repeat the whole procedure"):
-        after a full pass of rejections the pass restarts, paced by
-        ``promotion_retry_delay`` and bounded by ``promotion_max_passes``
-        so simulations always quiesce.  A fresh trigger (new failure,
-        disconnect, new candidates) starts a new episode with a full
-        budget.
+        after a full pass of rejections the pass restarts after
+        ``promotion_retry_delay`` while the episode's budget lasts.  A
+        failure or disconnect starts an episode with
+        ``promotion_max_passes`` retries (:meth:`_start_fill_episode`); a
+        cycle or a shuffle reply starts one pass with none
+        (:meth:`_start_fill_pass`), so its retry is the next cycle.
         """
-        if fresh_episode:
-            self._fill_passes_remaining = self._config.promotion_max_passes
         if self._neighbor.key is not None:
             return
         if self.active.is_full:
@@ -527,7 +551,7 @@ class HyParView(PeerSamplingService):
 
     def _retry_fill_pass(self) -> None:
         self._fill_retry_timer = None
-        self._fill_active_view(fresh_episode=False)
+        self._fill_active_view()
 
     def _end_fill_episode(self) -> None:
         self._fill_excluded.clear()
@@ -542,7 +566,7 @@ class HyParView(PeerSamplingService):
         if not ok:
             self.passive.discard(peer)
             self._neighbor.close()
-            self._fill_active_view(fresh_episode=False)
+            self._fill_active_view()
             return
         if self.active.is_full:
             # Filled by incoming requests while we were probing.
@@ -562,11 +586,11 @@ class HyParView(PeerSamplingService):
             return
         self._neighbor.close()
         self.passive.discard(peer)
-        self._fill_active_view(fresh_episode=False)
+        self._fill_active_view()
 
     def _on_neighbor_timeout(self, peer: NodeId) -> None:
         self._fill_excluded.add(peer)
-        self._fill_active_view(fresh_episode=False)
+        self._fill_active_view()
 
     def _exchange(self, name: str, on_expire: Callable[..., None]) -> Exchange:
         """A guarded exchange slot that :meth:`leave` closes and

@@ -312,7 +312,7 @@ class XBot(HyParView):
         if not message.accepted:
             self.xbot_stats.swaps_rejected += 1
             if not self.active.is_full:
-                self._fill_active_view()
+                self._start_fill_episode()
             return
         if old in self.active:
             self._demote_for_swap(old, notify_peer=True)
@@ -322,7 +322,7 @@ class XBot(HyParView):
     def _on_opt_timeout(self, _key: tuple[NodeId, NodeId]) -> None:
         self.xbot_stats.swap_timeouts += 1
         if not self.active.is_full:
-            self._fill_active_view()
+            self._start_fill_episode()
 
     # ------------------------------------------------------------------
     # Candidate role

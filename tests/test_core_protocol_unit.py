@@ -6,7 +6,14 @@ from conftest import FrameLog
 
 from repro.common.errors import ProtocolError
 from repro.core.config import HyParViewConfig
-from repro.core.messages import Disconnect, ForwardJoin, Neighbor, NeighborReply, Shuffle
+from repro.core.messages import (
+    Disconnect,
+    ForwardJoin,
+    Neighbor,
+    NeighborReply,
+    Shuffle,
+    ShuffleReply,
+)
 
 SMALL = HyParViewConfig(active_view_capacity=3, passive_view_capacity=5, arwl=3, prwl=2)
 
@@ -277,6 +284,87 @@ class TestFailureHandling:
         a._add_to_passive(b.address)
         a.report_failure(b.address)
         assert b.address not in a.passive
+
+
+#: Promotion pacing made visible: a retry pass comes 30 s after the last.
+PACED = HyParViewConfig(
+    active_view_capacity=3,
+    passive_view_capacity=5,
+    promotion_retry_delay=30.0,
+    promotion_max_passes=3,
+)
+
+
+class TestPromotionTriggers:
+    """A failure or disconnect gets ``promotion_max_passes`` paced retry
+    passes; a cycle or a shuffle reply gets one pass and no timer."""
+
+    @staticmethod
+    def rejecting_world(world, count=4):
+        """``a`` with one active neighbour and ``count`` passive candidates
+        whose one-slot active views are taken: every request is rejected."""
+        _, a = world.hyparview(config=PACED)
+        _, neighbour = world.hyparview(config=PACED)
+        _, filler = world.hyparview(config=SMALL)
+        a.active.add(neighbour.address)
+        neighbour.active.add(a.address)
+        for _ in range(count):
+            _, candidate = world.hyparview(config=HyParViewConfig(active_view_capacity=1))
+            candidate.active.add(filler.address)
+            a.passive.add(candidate.address)
+        world.network.trace = FrameLog()
+        return a, neighbour
+
+    @staticmethod
+    def neighbor_passes(world):
+        """NEIGHBOR requests sent, keyed by the retry period they fell in."""
+        passes = {}
+        for frame in world.network.trace:
+            if frame.kind == "send" and frame.message_type == "Neighbor":
+                index = int(frame.time // PACED.promotion_retry_delay)
+                passes[index] = passes.get(index, 0) + 1
+        return passes
+
+    def test_cycle_makes_one_pass_and_arms_no_timer(self, world):
+        a, _ = self.rejecting_world(world)
+        candidates = len(a.passive)
+        a.cycle()
+        world.drain()
+        assert self.neighbor_passes(world) == {0: candidates}
+        assert world.engine.now < PACED.promotion_retry_delay
+        assert a.open_exchanges() == ()
+        assert len(a.passive) == candidates  # rejected candidates stay
+        a.cycle()  # the next cycle is the retry
+        world.drain()
+        assert self.neighbor_passes(world) == {0: 2 * candidates}
+
+    def test_shuffle_reply_makes_one_pass_and_arms_no_timer(self, world):
+        a, neighbour = self.rejecting_world(world)
+        a.handle_shuffle_reply(ShuffleReply(neighbour.address, ()))
+        world.drain()
+        assert self.neighbor_passes(world) == {0: len(a.passive)}
+        assert world.engine.now < PACED.promotion_retry_delay
+
+    def test_failure_runs_the_paced_budget(self, world):
+        a, _ = self.rejecting_world(world)
+        _, lost = world.hyparview(config=PACED)
+        a.active.add(lost.address)
+        a.report_failure(lost.address)
+        world.drain()
+        passes = PACED.promotion_max_passes + 1
+        assert self.neighbor_passes(world) == {i: len(a.passive) for i in range(passes)}
+
+    def test_cycle_leaves_a_running_failure_episode_its_budget(self, world):
+        a, _ = self.rejecting_world(world)
+        _, lost = world.hyparview(config=PACED)
+        a.active.add(lost.address)
+        a.report_failure(lost.address)
+        a.cycle()  # a NEIGHBOR request is open
+        world.engine.run_until(1.5 * PACED.promotion_retry_delay)
+        a.cycle()  # the retry timer is armed
+        world.drain()
+        passes = PACED.promotion_max_passes + 1
+        assert self.neighbor_passes(world) == {i: len(a.passive) for i in range(passes)}
 
 
 class TestShuffle:
