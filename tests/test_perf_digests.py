@@ -11,7 +11,9 @@ re-pins these with the reason, exactly as for the sha256 artifact pins.
 """
 
 import importlib
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -96,3 +98,24 @@ def test_seed_1_simulates_exactly_what_it_did(run, name):
     assert totals == counters
     assert detail["sim_digest"] == digest
 
+
+@pytest.mark.slow
+def test_heal_digest_does_not_depend_on_the_hash_seed():
+    """The membership workload once more, in a fresh interpreter under
+    another ``PYTHONHASHSEED``: set or dict order leaking into the
+    simulation would move its digest off the pin."""
+    foreign = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import run; "
+        "spec = run.workloads()['sim_heal_episodes']; "
+        "_, detail = run.execute(spec, 1, 0.1, False); "
+        "print(detail['sim_digest'])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(PERF)],
+        env={**os.environ, "PYTHONHASHSEED": foreign},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.split()[-1] == PINNED["sim_heal_episodes"][0]
