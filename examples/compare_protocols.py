@@ -9,10 +9,11 @@ number of messages measured.  Prints the comparison table plus each
 protocol's recovery curve.
 """
 
-from repro import ExperimentParams
-from repro.experiments.failures import PAPER_PROTOCOLS, measure_failure, stabilized_scenario
+from repro import ExperimentParams, Scenario
 from repro.experiments.reporting import format_table, sparkline
+from repro.metrics.reliability import average_reliability, reliability_series
 
+PROTOCOLS = ("hyparview", "cyclon-acked", "cyclon", "scamp")
 N = 300
 MESSAGES = 50
 FAILURES = (0.3, 0.6, 0.8)
@@ -20,31 +21,37 @@ FAILURES = (0.3, 0.6, 0.8)
 
 def main() -> None:
     params = ExperimentParams.scaled(N, seed=3, stabilization_cycles=20)
-    print(f"comparing {', '.join(PAPER_PROTOCOLS)} at n={N} "
+    print(f"comparing {', '.join(PROTOCOLS)} at n={N} "
           f"({MESSAGES} msgs per cell)\n")
 
     results = {}
-    for protocol in PAPER_PROTOCOLS:
+    for protocol in PROTOCOLS:
         print(f"  stabilising {protocol} ...")
-        base = stabilized_scenario(protocol, params)
+        base = Scenario(protocol, params)
+        base.build_overlay()
+        base.stabilize()
+        frozen = base.freeze()
         for fraction in FAILURES:
-            results[(protocol, fraction)] = measure_failure(base.clone(), fraction, MESSAGES)
+            # Each failure level crashes and streams on its own thawed copy.
+            scenario = Scenario.thaw(frozen)
+            scenario.fail_fraction(fraction)
+            results[(protocol, fraction)] = scenario.send_paced_broadcasts(MESSAGES)
 
     rows = []
     for fraction in FAILURES:
         rows.append(
             [f"{fraction:.0%}"]
-            + [results[(p, fraction)].average for p in PAPER_PROTOCOLS]
+            + [average_reliability(results[(p, fraction)]) for p in PROTOCOLS]
         )
     print()
-    print(format_table(["failure %"] + list(PAPER_PROTOCOLS), rows,
+    print(format_table(["failure %"] + list(PROTOCOLS), rows,
                        title="average reliability (Figure 2 shape)"))
 
     print("\nrecovery curves at 60% failures (one char per message):")
-    for protocol in PAPER_PROTOCOLS:
-        result = results[(protocol, 0.6)]
-        print(f"  {protocol:13s} {sparkline(result.series)}  "
-              f"tail={result.tail_average(10):.1%}")
+    for protocol in PROTOCOLS:
+        curve = reliability_series(results[(protocol, 0.6)])
+        print(f"  {protocol:13s} {sparkline(curve)}  "
+              f"tail={sum(curve[-10:]) / 10:.1%}")
 
     print("\nwhat to look for (the paper's Section 5.2 story):")
     print("  - hyparview: barely dented, recovers within a couple of messages")

@@ -10,8 +10,8 @@ Public surface:
   Plumtree) and delivery tracking;
 * :mod:`repro.sim` — discrete-event simulation substrate;
 * :mod:`repro.metrics` — overlay analytics (Section 2.3 properties);
-* :mod:`repro.experiments` — the evaluation harness (one driver per
-  table/figure);
+* :mod:`repro.experiments` — the evaluation harness (one registered
+  scenario per table/figure, whose cells measure and return its rows);
 * :mod:`repro.runtime` — asyncio TCP runtime driving the same protocol
   code over real sockets.
 """

@@ -3,8 +3,10 @@
 One :class:`ScenarioSpec` per table/figure/ablation.  A scenario is a
 **grid of cells** and nothing else: the spec names the experiment,
 configures it per **tier**, declares the grid's **axes** once, binds
-``run_cell(ctx, key)`` — measure one cell, return a JSON-safe dict — and
-declares as data what is printed and what is checked:
+``run_cell(ctx, key)`` — check out a stabilised base with
+``ctx.stabilized``, measure one cell on it and return the row as a
+JSON-safe dict; the paper family's cells sit beside their specs below —
+and declares as data what is printed and what is checked:
 
 * ``columns`` — the report's columns, one table row per cell;
 * ``claims``  — what the paper (or this repo) says about the cells, each
@@ -32,7 +34,8 @@ from :data:`REGISTRY`.
 (the protocols x ``fractions`` for Figure 2, ``fanouts`` for Figure 1a, no
 axis at all for the one-cell HyParView reference point); an axis no tier
 resizes has key ``None``.  A scenario reads ``ctx.option`` only for
-values some tier sets — everything else is a constant in its module.
+values some tier sets — everything else is a literal or a private
+constant beside its spec.
 :meth:`ScenarioSpec.cells` enumerates the product of the declared axes and
 :meth:`ScenarioSpec.merge_cells` nests the per-cell results back along the
 same axes — always in declared order, never in the order results arrived
@@ -50,33 +53,21 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional
 
 from ..common.errors import ConfigurationError
-from .ablations import (
-    RESEND_VARIANTS,
-    default_passive_sizes,
-    measure_passive_size_point,
-    measure_plumtree_point,
-    measure_resend_point,
-    measure_shuffle_ttl_point,
-    passive_size_params,
-    shuffle_ttl_params,
-)
-from .churn import run_churn_experiment
-from .failures import (
-    FIGURE2_FRACTIONS,
-    FIGURE3_FRACTIONS,
-    PAPER_PROTOCOLS,
-    measure_failure,
-    stabilized_scenario,
-)
-from .fanout import FIGURE1_FANOUTS, hyparview_reference_point, measure_fanout_point
-from .graphprops import TABLE1_PROTOCOLS, run_graph_properties
-from .healing import FIGURE4_FRACTIONS, FIGURE4_PROTOCOLS, measure_healing
-from .overhead import run_overhead_experiment
-from .params import ExperimentParams
 from ..core.config import HyParViewConfig
+from ..gossip.eager import EagerGossip
+from ..gossip.flood import FloodBroadcast
+from ..metrics.reliability import (
+    atomic_fraction,
+    average_reliability,
+    healing_cycles,
+    max_hops,
+    reliability_series,
+)
+from ..metrics.stats import summarize
+from .params import ExperimentParams
 from .reporting import ANY, SHAPE_CHECK_MIN_N, Claim, Column, Ref, Scale, json_safe
 from .scenario import Scenario
-from .snapshots import SnapshotCache
+from .snapshots import SnapshotCache, stabilized_scenario
 
 #: A cell's identity inside one replicate: a flat tuple of primitives
 #: (protocol names, fractions, fanouts ...) — picklable, hashable, and
@@ -313,16 +304,40 @@ _CAPACITY = HyParViewConfig().active_view_capacity
 # ----------------------------------------------------------------------
 # Figure 1a/1b — fanout vs reliability (+ the HyParView reference point)
 # ----------------------------------------------------------------------
+def _fanout_point(protocol: str, fanout: int, summaries: list) -> dict:
+    """One Figure 1 point: reliability of a failure-free message batch."""
+    return {
+        "protocol": protocol,
+        "fanout": fanout,
+        "messages": len(summaries),
+        "average_reliability": average_reliability(summaries),
+        "atomic_fraction": atomic_fraction(summaries),
+        "min_reliability": min(summary.reliability for summary in summaries),
+    }
+
+
 def _fanout_grid(protocol: str) -> dict:
     """Grid fields of a Figure 1 fanout sweep: one cell per fanout, every
-    cell flooding the same stabilised ``protocol`` base."""
+    cell flooding the same stabilised ``protocol`` base.
+
+    Section 3.1 motivates HyParView by how much fanout plain gossip needs:
+    Cyclon needs 5-6 and Scamp 6 to cross 99 % on 10 000 nodes.  The
+    membership structure does not depend on the gossip fanout, so every
+    fanout rewires the gossip layer of the identical overlay, exactly like
+    re-running the paper's dissemination over one stabilised PeerSim
+    network.
+    """
 
     def run_cell(ctx: RunContext, key: CellKey) -> dict:
-        point = measure_fanout_point(ctx.stabilized(protocol), key[0], ctx.config.messages)
-        return json_safe(point)  # type: ignore[return-value]
+        scenario = ctx.stabilized(protocol)
+        for node_id in scenario.node_ids:
+            layer = scenario.broadcast_layer(node_id)
+            assert isinstance(layer, EagerGossip)
+            layer.fanout = key[0]
+        return _fanout_point(protocol, key[0], scenario.send_broadcasts(ctx.config.messages))
 
     return {
-        "axes": (Axis("fanouts", FIGURE1_FANOUTS, int),),
+        "axes": (Axis("fanouts", (1, 2, 3, 4, 5, 6, 7, 8), int),),
         "run_cell": run_cell,
         "frame": lambda ctx, grid: {"protocol": protocol, "points": list(grid.values())},
         "grid": "points",
@@ -378,8 +393,11 @@ register(
 
 
 def _run_hyparview_reference(ctx: RunContext, key: CellKey) -> dict:
-    point = hyparview_reference_point(ctx.params(), messages=ctx.config.messages)
-    return {"point": json_safe(point)}
+    """HyParView floods its ``fanout + 1`` active view: on a stable
+    overlay that delivers atomically."""
+    scenario = ctx.stabilized("hyparview")
+    summaries = scenario.send_broadcasts(ctx.config.messages)
+    return {"point": _fanout_point("hyparview", scenario.params.hyparview.fanout, summaries)}
 
 
 register(
@@ -413,12 +431,32 @@ register(
 # ----------------------------------------------------------------------
 # Figure 1c — baselines after 50% failures
 # ----------------------------------------------------------------------
-_FIG1C_PROTOCOLS = ("cyclon", "scamp")
+def _run_failure_cell(ctx: RunContext, key: CellKey) -> dict:
+    """One (protocol, failure fraction) cell of Figures 1c, 2 and 3.
 
-
-def _run_fig1c_cell(ctx: RunContext, key: CellKey) -> dict:
-    result = measure_failure(ctx.stabilized(key[0]), 0.5, ctx.config.messages)
-    return json_safe(result)  # type: ignore[return-value]
+    Section 5.2's procedure on the stabilised overlay: crash a random
+    fraction of the nodes, then send a paced batch of messages from random
+    correct nodes *before any further membership cycle* — reactive steps
+    (failure detection, passive-view promotion) still run, concurrently
+    with the stream.
+    """
+    protocol, fraction = key
+    scenario = ctx.stabilized(protocol)
+    scenario.fail_fraction(fraction)
+    summaries = scenario.send_paced_broadcasts(ctx.config.messages)
+    return {
+        "protocol": protocol,
+        "n": scenario.params.n,
+        "failure_fraction": fraction,
+        "messages": ctx.config.messages,
+        # per-message reliability in send order (Figures 1c / 3)
+        "series": reliability_series(summaries),
+        # batch average (Figure 2)
+        "average": average_reliability(summaries),
+        # fraction of messages that reached every correct node
+        "atomic": atomic_fraction(summaries),
+        "correct_nodes": len(scenario.alive_ids()),
+    }
 
 
 register(
@@ -446,8 +484,8 @@ register(
             Claim("Fig. 1c", "*", "series|min", "<", 0.5),
         ),
         invariant=_failure_invariant,
-        axes=(Axis(None, _FIG1C_PROTOCOLS),),
-        run_cell=_run_fig1c_cell,
+        axes=(Axis(None, ("cyclon", "scamp")),),
+        run_cell=lambda ctx, key: _run_failure_cell(ctx, (key[0], 0.5)),
     )
 )
 
@@ -473,11 +511,8 @@ def _failure_grid(protocols, fractions, header=lambda ctx: {}) -> dict:
     return {"axes": axes, "frame": frame, "grid": "cells"}
 
 
-def _run_failure_grid_cell(ctx: RunContext, key: CellKey) -> dict:
-    protocol, fraction = key
-    result = measure_failure(ctx.stabilized(protocol), fraction, ctx.config.messages)
-    return json_safe(result)  # type: ignore[return-value]
-
+#: The protocols compared throughout Section 5.
+_PAPER_PROTOCOLS = ("hyparview", "cyclon-acked", "cyclon", "scamp")
 
 #: Figure 2's shapes hold on the sweep through 50-90 %, not a thinned one.
 _FIG2 = Scale(
@@ -497,7 +532,7 @@ register(
                              extra={"fractions": (0.3, 0.7)}),
             paper=TierConfig(n=10_000, messages=1_000, paper_params=True),
         ),
-        run_cell=_run_failure_grid_cell,
+        run_cell=_run_failure_cell,
         columns=(Column("avg reliability", "average"), Column("atomic fraction", "atomic")),
         claims=(
             *_unit("average"),
@@ -519,7 +554,9 @@ register(
                   Ref("cyclon-acked/0.80", "average", slack=0.2), _FIG2),
         ),
         invariant=_failure_invariant,
-        **_failure_grid(PAPER_PROTOCOLS, FIGURE2_FRACTIONS),
+        **_failure_grid(
+            _PAPER_PROTOCOLS, (0.10, 0.20, 0.30, 0.40, 0.50, 0.60, 0.70, 0.80, 0.90, 0.95)
+        ),
     )
 )
 
@@ -539,7 +576,7 @@ register(
                              extra={"fractions": (0.4, 0.7)}),
             paper=TierConfig(n=10_000, messages=1_000, paper_params=True),
         ),
-        run_cell=_run_failure_grid_cell,
+        run_cell=_run_failure_cell,
         columns=(
             Column("avg reliability", "average"),
             Column("last-10 avg", "series|tail"),
@@ -555,7 +592,7 @@ register(
             Claim("Fig. 3", "cyclon/0.60", "series|tail", "<", 0.9),
         ),
         invariant=_failure_invariant,
-        **_failure_grid(PAPER_PROTOCOLS, FIGURE3_FRACTIONS),
+        **_failure_grid(_PAPER_PROTOCOLS, (0.20, 0.40, 0.60, 0.70, 0.80, 0.95)),
     )
 )
 
@@ -567,17 +604,45 @@ def _max_cycles(ctx: RunContext) -> int:
     return int(ctx.option("max_cycles", 30))  # type: ignore[arg-type]
 
 
+#: Broadcasts behind the baseline and behind each cycle's reliability.
+_HEALING_PROBES = 10
+
+#: The failure levels plotted in Figure 4.
+_FIG4_FRACTIONS = (0.10, 0.20, 0.30, 0.40, 0.50, 0.60, 0.70, 0.80, 0.90)
+
+
 def _run_fig4_cell(ctx: RunContext, key: CellKey) -> dict:
+    """Section 5.3's procedure: measure the protocol's own pre-failure
+    reliability baseline on the stabilised overlay, induce failures, then
+    run membership cycles; after each cycle random correct nodes
+    broadcast, and the cycle count at which average reliability returns to
+    the baseline is the healing time."""
     protocol, fraction = key
-    params = ctx.params()
+    max_cycles = _max_cycles(ctx)
+    scenario = ctx.stabilized(protocol)
     # At laptop scale a couple of orphaned survivors would dominate
     # a strict tolerance; allow two stragglers (see bench history).
-    survivors = max(1, round(params.n * (1 - fraction)))
+    survivors = max(1, round(scenario.params.n * (1 - fraction)))
     tolerance = max(0.01, 2.0 / survivors)
-    result = measure_healing(
-        ctx.stabilized(protocol), fraction, max_cycles=_max_cycles(ctx), tolerance=tolerance
-    )
-    return json_safe(result)  # type: ignore[return-value]
+    baseline = average_reliability(scenario.send_broadcasts(_HEALING_PROBES))
+    scenario.fail_fraction(fraction)
+    per_cycle: list[float] = []
+    for _cycle in range(max_cycles):
+        scenario.run_cycles(1)
+        per_cycle.append(average_reliability(scenario.send_broadcasts(_HEALING_PROBES)))
+        if per_cycle[-1] >= baseline - tolerance:
+            break
+    return {
+        "protocol": protocol,
+        "n": scenario.params.n,
+        "failure_fraction": fraction,
+        "baseline_reliability": baseline,
+        # average probe reliability after each membership cycle
+        "per_cycle": per_cycle,
+        # 1-based cycle count to regain the baseline, None if not within budget
+        "cycles_to_heal": healing_cycles(baseline, per_cycle, tolerance=tolerance),
+        "max_cycles": max_cycles,
+    }
 
 
 def _healing_invariant(cell: dict) -> None:
@@ -606,12 +671,13 @@ register(
         # healing (a missing value) is the regression to catch.
         claims=tuple(
             Claim("Fig. 4", f"hyparview/{fraction:.2f}", "cycles_to_heal", "<=", 5)
-            for fraction in FIGURE4_FRACTIONS
+            for fraction in _FIG4_FRACTIONS
             if fraction <= 0.8
         ),
         invariant=_healing_invariant,
+        # Scamp is left out: its healing hinges on the (long) lease time.
         **_failure_grid(
-            FIGURE4_PROTOCOLS, FIGURE4_FRACTIONS,
+            ("hyparview", "cyclon-acked", "cyclon"), _FIG4_FRACTIONS,
             header=lambda ctx: {"max_cycles": _max_cycles(ctx)},
         ),
     )
@@ -622,13 +688,28 @@ register(
 # Figure 5 / Table 1 — overlay graph properties
 # ----------------------------------------------------------------------
 def _run_graphprops_cell(ctx: RunContext, key: CellKey) -> dict:
+    """One protocol's Table 1 row and Figure 5 in-degree distribution,
+    measured on the stabilised overlay (HyParView's numbers concern its
+    active view, footnote 5 of the paper)."""
     sources = ctx.option("path_sample_sources", 100)
-    result = run_graph_properties(
-        key[0], ctx.params(),
-        messages=ctx.config.messages,
-        path_sample_sources=None if sources is None else int(sources),  # type: ignore[arg-type]
-    )
-    return json_safe(result)  # type: ignore[return-value]
+    scenario = ctx.stabilized(key[0])
+    snapshot = scenario.snapshot()
+    summaries = scenario.send_broadcasts(ctx.config.messages)
+    return json_safe({  # type: ignore[return-value]
+        "protocol": key[0],
+        "n": scenario.params.n,
+        "average_clustering": snapshot.average_clustering(),
+        "path_stats": snapshot.shortest_paths(
+            sample_sources=None if sources is None else int(sources)  # type: ignore[arg-type]
+        ),
+        # mean over messages of the per-message maximum delivery hop count
+        "max_hops_to_delivery": max_hops(summaries),
+        "in_degree_histogram": snapshot.in_degree_histogram(),
+        "in_degree_stats": summarize(float(v) for v in snapshot.in_degrees().values()),
+        "out_degree_stats": summarize(float(v) for v in snapshot.out_degrees().values()),
+        "symmetry_fraction": snapshot.symmetry_fraction(),
+        "connected": snapshot.is_connected(),
+    })
 
 
 def _graph_invariant(cell: dict) -> None:
@@ -637,7 +718,7 @@ def _graph_invariant(cell: dict) -> None:
 
 
 _GRAPHPROPS_GRID = {
-    "axes": (Axis(None, TABLE1_PROTOCOLS),),
+    "axes": (Axis(None, ("cyclon", "scamp", "hyparview")),),
     "run_cell": _run_graphprops_cell,
     "frame": lambda ctx, grid: {
         "active_view_capacity": ctx.params().hyparview.active_view_capacity,
@@ -722,15 +803,59 @@ register(
 # ----------------------------------------------------------------------
 # Extensions — overhead accounting and continuous churn
 # ----------------------------------------------------------------------
-_OVERHEAD_PROTOCOLS = ("hyparview", "plumtree", "cyclon", "cyclon-acked", "scamp")
+#: Message types that carry broadcast payloads; everything else is control.
+_DATA_TYPES = frozenset({"GossipData", "PlumtreeGossip"})
 
 
 def _run_overhead_cell(ctx: RunContext, key: CellKey) -> dict:
+    """Control vs data messages of one protocol on a stable overlay.
+
+    The paper planned to measure the packet overhead of its approach on
+    PlanetLab (Section 6); the simulator's per-type counters give the
+    protocol-level half of that answer: membership maintenance messages
+    per node per cycle, and payload copies per broadcast.
+    """
     cycles = int(ctx.option("cycles", 10))  # type: ignore[arg-type]
-    result = run_overhead_experiment(
-        key[0], ctx.params(), cycles=cycles, messages=ctx.config.messages
+    messages = ctx.config.messages
+    scenario = ctx.stabilized(key[0])
+    n = scenario.params.n
+    counts = scenario.network.stats.messages_by_type
+
+    before = dict(counts)
+    scenario.run_cycles(cycles)
+    after_cycles = dict(counts)
+    cycle_delta = {
+        name: count - before.get(name, 0)
+        for name, count in after_cycles.items()
+        if count != before.get(name, 0)
+    }
+    control_total = sum(
+        count for name, count in cycle_delta.items() if name not in _DATA_TYPES
     )
-    return json_safe(result)  # type: ignore[return-value]
+
+    scenario.send_broadcasts(messages)
+    broadcast_delta = {
+        name: count - after_cycles.get(name, 0) for name, count in counts.items()
+    }
+    data_total = sum(broadcast_delta.get(name, 0) for name in _DATA_TYPES)
+    broadcast_control = sum(
+        count for name, count in broadcast_delta.items() if name not in _DATA_TYPES
+    )
+    return {
+        "protocol": key[0],
+        "n": n,
+        "cycles": cycles,
+        "messages": messages,
+        # membership maintenance messages per node per cycle
+        "control_per_node_cycle": control_total / (n * cycles),
+        # payload-carrying copies per broadcast
+        "data_per_broadcast": data_total / messages,
+        # non-payload messages sent during the broadcast batch (acks,
+        # IHAVEs, repair traffic; ~0 for a stable flood)
+        "broadcast_control_per_broadcast": broadcast_control / messages,
+        # full per-type breakdown of the cycle phase
+        "control_breakdown": cycle_delta,
+    }
 
 
 register(
@@ -756,19 +881,88 @@ register(
             # Cyclon's cycle is one request and one reply, at any scale.
             Claim("Cyclon", "cyclon", "control_per_node_cycle", "<=", 2.5, ANY),
         ),
-        axes=(Axis(None, _OVERHEAD_PROTOCOLS),),
+        axes=(Axis(None, ("hyparview", "plumtree", "cyclon", "cyclon-acked", "scamp")),),
         run_cell=_run_overhead_cell,
     )
 )
 
 
-_CHURN_PROTOCOLS = ("hyparview", "cyclon-acked")
+#: Relative weights of the three churn events.
+_CRASH_WEIGHT = 0.4
+_LEAVE_WEIGHT = 0.2
+_REVIVE_WEIGHT = 0.4
+#: The live population never drops below this fraction of ``n``.
+_MIN_ALIVE_FRACTION = 0.3
 
 
 def _run_churn_cell(ctx: RunContext, key: CellKey) -> dict:
+    """Continuous churn, beyond the paper's one-shot failures.
+
+    Each step applies one event to the stabilised overlay — crash a live
+    node, leave gracefully, or revive a dead node as a fresh process that
+    re-joins, weighted by the constants above — then probes reliability
+    with one paced broadcast.  The live population never drops below
+    ``_MIN_ALIVE_FRACTION``: below it, crashes and leaves become revives
+    (if anyone is dead).
+    """
     steps = int(ctx.option("steps", 60))  # type: ignore[arg-type]
-    result = run_churn_experiment(key[0], ctx.params(), steps=steps)
-    return json_safe(result)  # type: ignore[return-value]
+    if steps < 1:
+        raise ConfigurationError(f"steps must be >= 1: {steps}")
+    total = _CRASH_WEIGHT + _LEAVE_WEIGHT + _REVIVE_WEIGHT
+    scenario = ctx.stabilized(key[0])
+    n = scenario.params.n
+    rng = scenario.seeds.stream("churn")
+    crashes = leaves = revives = 0
+    summaries = []
+    floor = max(2, int(_MIN_ALIVE_FRACTION * n))
+    for _step in range(steps):
+        alive = scenario.alive_ids()
+        alive_set = set(alive)
+        dead = [node_id for node_id in scenario.node_ids if node_id not in alive_set]
+        roll = rng.random() * total
+        if roll < _CRASH_WEIGHT:
+            action = "crash"
+        elif roll < _CRASH_WEIGHT + _LEAVE_WEIGHT:
+            action = "leave"
+        else:
+            action = "revive"
+        if action in ("crash", "leave") and len(alive) <= floor:
+            action = "revive" if dead else "none"
+        if action == "revive" and not dead:
+            action = "crash" if len(alive) > floor else "none"
+        if action == "crash":
+            scenario.fail_nodes([rng.choice(alive)])
+            crashes += 1
+        elif action == "leave":
+            scenario.leave_gracefully(rng.choice(alive))
+            leaves += 1
+        elif action == "revive":
+            scenario.revive_node(rng.choice(dead))
+            revives += 1
+        summaries.extend(scenario.send_paced_broadcasts(1))
+    snapshot = scenario.snapshot()
+    alive_set = set(scenario.alive_ids())
+    stale = sum(
+        1
+        for node_id in alive_set
+        for peer in scenario.membership(node_id).out_neighbors()
+        if peer not in alive_set
+    )
+    return {
+        "protocol": key[0],
+        "n": n,
+        "steps": steps,
+        "crashes": crashes,
+        "leaves": leaves,
+        "revives": revives,
+        # reliability of the probe message sent after each churn step
+        "series": [summary.reliability for summary in summaries],
+        "average": average_reliability(summaries),
+        "final_alive": len(alive_set),
+        "final_largest_component": snapshot.largest_component_fraction(),
+        "final_symmetry": snapshot.symmetry_fraction(),
+        "stale_active_entries": stale,
+    }
 
 
 def _churn_invariant(cell: dict) -> None:
@@ -809,7 +1003,7 @@ register(
                   Ref("cyclon-acked", "average", slack=-0.01)),
         ),
         invariant=_churn_invariant,
-        axes=(Axis(None, _CHURN_PROTOCOLS),),
+        axes=(Axis(None, ("hyparview", "cyclon-acked")),),
         run_cell=_run_churn_cell,
     )
 )
@@ -836,12 +1030,34 @@ def _failure(ctx: RunContext) -> float:
 _SHUFFLE_TTL_FAILURE = 0.6
 
 
+def _hyparview_params(ctx: RunContext, **changes: object) -> ExperimentParams:
+    """The tier params with some HyParView settings replaced (one sweep
+    point, stabilised through the cache like any other base)."""
+    params = ctx.params()
+    return replace(params, hyparview=replace(params.hyparview, **changes))
+
+
+def _passive_sizes(ctx: RunContext) -> tuple[int, ...]:
+    """A sweep bracketing the configured passive capacity."""
+    anchor = ctx.params().hyparview.passive_view_capacity
+    return tuple(sorted({max(2, anchor // 4), max(3, anchor // 2), anchor, anchor * 2}))
+
+
 def _run_passive_cell(ctx: RunContext, key: CellKey) -> dict:
-    scenario = ctx.stabilized("hyparview", passive_size_params(ctx.params(), key[0]))
-    point = measure_passive_size_point(
-        scenario, failure_fraction=_failure(ctx), messages=ctx.config.messages
-    )
-    return json_safe(point)  # type: ignore[return-value]
+    """The paper's future-work item (Section 6): the passive view size vs
+    the resilience level — crash, stream, and measure the recovery."""
+    fraction = _failure(ctx)
+    scenario = ctx.stabilized("hyparview", _hyparview_params(ctx, passive_view_capacity=key[0]))
+    scenario.fail_fraction(fraction)
+    summaries = scenario.send_paced_broadcasts(ctx.config.messages)
+    tail = [summary.reliability for summary in summaries][-10:]
+    return {
+        "passive_capacity": key[0],
+        "failure_fraction": fraction,
+        "average_reliability": average_reliability(summaries),
+        "tail_reliability": sum(tail) / len(tail) if tail else 0.0,
+        "largest_component_fraction": scenario.snapshot().largest_component_fraction(),
+    }
 
 
 register(
@@ -868,13 +1084,7 @@ register(
             Claim("ablation", -1, "tail_reliability", ">=",
                   Ref(0, "tail_reliability", slack=-0.02)),
         ),
-        axes=(
-            Axis(
-                "passive_sizes",
-                lambda ctx: default_passive_sizes(ctx.params().hyparview),
-                int,
-            ),
-        ),
+        axes=(Axis("passive_sizes", _passive_sizes, int),),
         run_cell=_run_passive_cell,
         **_points(_failure),
     )
@@ -882,11 +1092,35 @@ register(
 
 
 def _run_shuffle_ttl_cell(ctx: RunContext, key: CellKey) -> dict:
-    scenario = ctx.stabilized("hyparview", shuffle_ttl_params(ctx.params(), key[0]))
-    point = measure_shuffle_ttl_point(
-        scenario, failure_fraction=_SHUFFLE_TTL_FAILURE, messages=ctx.config.messages
-    )
-    return json_safe(point)  # type: ignore[return-value]
+    """Overlay quality and recovery at one shuffle walk TTL (the paper
+    leaves it unspecified).
+
+    ``passive_balance`` is the coefficient of variation of the passive
+    in-degree (how many passive views each node appears in): short walks
+    exchange views with nearby nodes only, concentrating representation;
+    longer walks mix the system and flatten it (lower is more uniform).
+    """
+    scenario = ctx.stabilized("hyparview", _hyparview_params(ctx, shuffle_ttl=key[0]))
+    snapshot = scenario.snapshot()
+    passive_in_degree: dict = {}
+    for node_id in scenario.node_ids:
+        for peer in scenario.membership(node_id).passive_members():
+            passive_in_degree[peer] = passive_in_degree.get(peer, 0) + 1
+    degrees = [float(passive_in_degree.get(n, 0)) for n in scenario.node_ids]
+    mean_count = sum(degrees) / len(degrees) if degrees else 0.0
+    if mean_count > 0:
+        variance = sum((c - mean_count) ** 2 for c in degrees) / len(degrees)
+        balance = variance**0.5 / mean_count
+    else:
+        balance = 0.0
+    scenario.fail_fraction(_SHUFFLE_TTL_FAILURE)
+    summaries = scenario.send_paced_broadcasts(ctx.config.messages)
+    return {
+        "shuffle_ttl": key[0],
+        "average_clustering": snapshot.average_clustering(),
+        "passive_balance": balance,
+        "recovery_average": average_reliability(summaries),
+    }
 
 
 register(
@@ -919,11 +1153,27 @@ register(
 
 
 def _run_resend_cell(ctx: RunContext, key: CellKey) -> dict:
-    point = measure_resend_point(
-        ctx.stabilized("hyparview"), key[0],
-        failure_fraction=_failure(ctx), messages=ctx.config.messages,
-    )
-    return json_safe(point)  # type: ignore[return-value]
+    """One arm of the flood resend-on-repair extension: a failed flood
+    copy is retransmitted towards the repaired active view, trading extra
+    traffic for reliability during the repair transient."""
+    fraction = _failure(ctx)
+    scenario = ctx.stabilized("hyparview")
+    for node_id in scenario.node_ids:
+        layer = scenario.broadcast_layer(node_id)
+        assert isinstance(layer, FloodBroadcast)
+        layer.resend_on_repair = key[0]
+    counts = scenario.network.stats.messages_by_type
+    before = counts.get("GossipData", 0)
+    scenario.fail_fraction(fraction)
+    summaries = scenario.send_paced_broadcasts(ctx.config.messages)
+    head = [summary.reliability for summary in summaries][:10]
+    return {
+        "resend_on_repair": key[0],
+        "failure_fraction": fraction,
+        "average_reliability": average_reliability(summaries),
+        "first10_average": sum(head) / len(head) if head else 0.0,
+        "data_transmissions": counts.get("GossipData", 0) - before,
+    }
 
 
 register(
@@ -952,23 +1202,39 @@ register(
             Claim("ablation", "True", "data_transmissions", ">=",
                   Ref("False", "data_transmissions")),
         ),
-        # Both arms fork one stabilised HyParView base.
+        # Both arms fork one stabilised HyParView base: the paper's flood,
+        # then the extension.
         cell_affinity=lambda key: "base",
-        axes=(Axis(None, RESEND_VARIANTS, bool),),
+        axes=(Axis(None, (False, True), bool),),
         run_cell=_run_resend_cell,
         **_points(_failure),
     )
 )
 
 
-_PLUMTREE_LAYERS = ("hyparview", "plumtree")
+#: The payload message class each broadcast layer of the Plumtree study
+#: counts (tree dissemination vs flood over the same overlay).
+_PLUMTREE_PAYLOADS = {"hyparview": "GossipData", "plumtree": "PlumtreeGossip"}
 
 
 def _run_plumtree_cell(ctx: RunContext, key: CellKey) -> dict:
+    """Payload traffic and reliability of one broadcast layer.
+
+    ``warmup`` broadcasts converge Plumtree's tree (a no-op for the flood)
+    before the measured batch, mirroring a long-running deployment.
+    """
     warmup = int(ctx.option("warmup", 5))  # type: ignore[arg-type]
-    return measure_plumtree_point(
-        ctx.stabilized(key[0]), warmup=warmup, messages=ctx.config.messages
-    )
+    messages = ctx.config.messages
+    payload_type = _PLUMTREE_PAYLOADS[key[0]]
+    scenario = ctx.stabilized(key[0])
+    scenario.send_broadcasts(warmup)
+    counts = scenario.network.stats.messages_by_type
+    before = counts.get(payload_type, 0)
+    summaries = scenario.send_broadcasts(messages)
+    return {
+        "reliability": average_reliability(summaries),
+        "payloads_per_broadcast": (counts.get(payload_type, 0) - before) / messages,
+    }
 
 
 register(
@@ -998,7 +1264,7 @@ register(
             Claim("ablation", "plumtree", "payloads_per_broadcast", "<",
                   Ref("hyparview", "payloads_per_broadcast", factor=0.6)),
         ),
-        axes=(Axis(None, _PLUMTREE_LAYERS),),
+        axes=(Axis(None, tuple(_PLUMTREE_PAYLOADS)),),
         run_cell=_run_plumtree_cell,
     )
 )

@@ -8,10 +8,10 @@ inject failures, send message batches, snapshot the overlay graph.
 
 Building and stabilising a large overlay dominates experiment cost, so a
 stabilised scenario can be :meth:`frozen <Scenario.freeze>` to bytes once
-and :meth:`rehydrated <Scenario.thaw>` per measurement — the sweep drivers
-and the orchestrator's snapshot cache rely on this.  :meth:`Scenario.clone`
-is the freeze+thaw round trip; it replaced the original ``copy.deepcopy``,
-which re-walked the whole object graph per clone and was ~3x slower than
+and :meth:`rehydrated <Scenario.thaw>` per measurement — every registered
+cell gets its base that way, through the orchestrator's snapshot cache.
+The freeze/thaw round trip replaced the original ``copy.deepcopy``, which
+re-walked the whole object graph per copy and was ~3x slower than
 ``pickle.loads`` of a pre-frozen blob.
 """
 
@@ -352,14 +352,6 @@ class Scenario:
         if collector is not None:
             scenario.network.trace = collector.new_segment()
         return scenario
-
-    def clone(self) -> "Scenario":
-        """A private copy sharing nothing with the original.
-
-        ``thaw(freeze())``; callers forking one base many times should
-        freeze once and thaw per fork instead of cloning repeatedly.
-        """
-        return Scenario.thaw(self.freeze())
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

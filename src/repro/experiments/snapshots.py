@@ -1,11 +1,14 @@
-"""Per-worker cache of frozen, stabilised base overlays.
+"""Stabilised base overlays and the per-worker cache of their frozen blobs.
 
-Building and stabilising an overlay is by far the most expensive prefix of
-every failure/healing/fanout cell — at paper scale (n = 10 000) it
-dominates wall-clock.  A scenario's grid measures many cells against the
-*same* stabilised base (one per protocol), so each worker process keeps a
-small LRU of ``Scenario.freeze()`` blobs keyed by ``(protocol, params)``
-and rehydrates a private copy per cell with one ``pickle.loads``.
+Building and stabilising an overlay (:func:`stabilized_scenario`) is by
+far the most expensive prefix of every cell — at paper scale (n = 10 000)
+it dominates wall-clock.  A scenario's grid measures many cells against
+the *same* stabilised base (one per protocol), so each worker process
+keeps a small LRU of ``Scenario.freeze()`` blobs keyed by ``(protocol,
+params)`` and rehydrates a private copy per cell with one
+``pickle.loads``.  Cells never call :func:`stabilized_scenario` directly:
+they take their base from ``RunContext.stabilized``, which reads this
+cache or, with the cache off, makes the same freeze/thaw round trip.
 
 Determinism: a cache *hit* and a cache *miss* hand out byte-identical
 state — the miss path freezes the freshly stabilised scenario and thaws it
@@ -31,12 +34,19 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from ..common.errors import ConfigurationError
-from .failures import stabilized_scenario
 from .params import ExperimentParams
 from .scenario import Scenario
 
 #: Default number of frozen bases kept per worker process.
 DEFAULT_CAPACITY = 4
+
+
+def stabilized_scenario(protocol: str, params: ExperimentParams) -> Scenario:
+    """Build + join + stabilise (the reusable expensive prefix)."""
+    scenario = Scenario(protocol, params)
+    scenario.build_overlay()
+    scenario.stabilize()
+    return scenario
 
 
 class SnapshotCache:
@@ -82,8 +92,8 @@ class SnapshotCache:
     def checkout(self, protocol: str, params: ExperimentParams) -> Scenario:
         """A private, ready-to-mutate stabilised scenario.
 
-        A fresh thaw of :meth:`frozen`; the caller owns it outright (no
-        cloning needed before mutating).
+        A fresh thaw of :meth:`frozen`; the caller owns it outright and
+        may mutate it freely.
         """
         return Scenario.thaw(self.frozen(protocol, params))
 

@@ -8,7 +8,7 @@ execute after the failure was injected, which no real crashed process
 could do.
 
 The clock stores plain object references (no closures) so that a stabilised
-scenario can be cloned with :func:`copy.deepcopy` — the experiment harness
+scenario can be pickled (``Scenario.freeze``) — the experiment harness
 relies on that to stabilise an overlay once and fork it per failure level.
 """
 

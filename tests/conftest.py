@@ -2,9 +2,9 @@
 
 The ``World`` helper itself lives in :mod:`repro.testing` so test modules
 can import it directly (``from repro.testing import World``) without
-relying on pytest's conftest path magic.  ``FrameLog`` and
-``ignored_types`` are test-only and live here (``from conftest import
-FrameLog``).
+relying on pytest's conftest path magic.  ``FrameLog``,
+``ignored_types`` and ``run_cell`` are test-only and live here (``from
+conftest import FrameLog``).
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ from collections import namedtuple
 
 import pytest
 
+from repro.experiments.registry import RunContext, TierConfig, get_scenario
 from repro.experiments.reporting import encode_artifact
 from repro.experiments.runner import run_scenarios
 from repro.experiments.scenario import Scenario
 from repro.testing import World, check_acked_channel_quiescent, check_no_open_exchange
 
-__all__ = ["FrameLog", "World", "ignored_types"]
+__all__ = ["FrameLog", "World", "ignored_types", "run_cell"]
 
 Frame = namedtuple("Frame", "time kind src dst message_type")
 
@@ -40,6 +41,18 @@ def ignored_types(node) -> set[str]:
         for cls, handler in node._handlers.items()
         if getattr(handler, "__qualname__", "").endswith("_dropper.<locals>.drop")
     }
+
+
+def run_cell(
+    scenario_id, key, *, n=80, messages=10, cycles=8, seed=42, snapshots=None, **options
+) -> dict:
+    """One registered cell's result dict at a test's own scale, through
+    ``spec.run_cell``: ``options`` are the tier options the cell reads
+    (``fractions``, ``steps`` ...).  Without ``snapshots`` the cell
+    stabilises its own base, as in the reference run."""
+    config = TierConfig(n=n, messages=messages, stabilization_cycles=cycles, extra=options)
+    ctx = RunContext(scenario_id, "smoke", config, 0, seed, snapshots)
+    return get_scenario(scenario_id).run_cell(ctx, key)
 
 
 @pytest.fixture

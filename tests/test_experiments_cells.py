@@ -15,7 +15,6 @@ import random
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.experiments.failures import stabilized_scenario
 from repro.experiments.params import ExperimentParams
 from repro.experiments.registry import get_scenario, scenario_ids
 from repro.experiments.reporting import encode_artifact
@@ -27,7 +26,7 @@ from repro.experiments.runner import (
     write_artifacts,
 )
 from repro.experiments.scenario import Scenario
-from repro.experiments.snapshots import SnapshotCache
+from repro.experiments.snapshots import SnapshotCache, stabilized_scenario
 
 #: The headline grid scenario (protocol x fraction cells) at toy scale.
 GRID_ID = "fig2_reliability"
@@ -121,9 +120,21 @@ class TestShardingDeterminism:
         assert _artifact_bytes(cached) == _artifact_bytes(uncached)
 
     def test_all_modes_agree_for_fanout_and_healing(self, assert_modes_match_reference):
-        """A second shape of grid (fanout cells, healing cells) across the
+        """More shapes of grid (fanout cells, healing cells, the one-cell
+        reference point, graph rows, overhead and churn cells) across the
         full mode matrix."""
-        assert_modes_match_reference(["fig1a_cyclon_fanout", "fig4_healing"], **TINY)
+        assert_modes_match_reference(
+            [
+                "fig1a_cyclon_fanout",
+                "fig4_healing",
+                "fig1_hyparview_reference",
+                "fig5_indegree",
+                "table1_graph",
+                "overhead",
+                "churn",
+            ],
+            **TINY,
+        )
 
 
 class TestTimings:
@@ -181,11 +192,11 @@ class TestSnapshotCache:
 
 
 class TestFreezeThaw:
-    def test_clone_equals_thaw_of_freeze(self):
+    def test_refreeze_equals_first_freeze(self):
         params = ExperimentParams.scaled(24, seed=3, stabilization_cycles=3)
         base = stabilized_scenario("hyparview", params)
         frozen = base.freeze()
-        a, b = Scenario.thaw(frozen), base.clone()
+        a, b = Scenario.thaw(frozen), Scenario.thaw(base.freeze())
         assert _edges(a) == _edges(b)
         # Downstream randomness matches too: same victims, same traffic.
         assert a.fail_fraction(0.5) == b.fail_fraction(0.5)
@@ -209,7 +220,7 @@ class TestFreezeThaw:
         for handle in handles:
             handle.cancel()
         assert scenario.engine.pending > 0
-        clone = scenario.clone()  # would raise before the fix
+        clone = Scenario.thaw(scenario.freeze())  # would raise before the fix
         assert clone.engine.live_pending == 0
 
 

@@ -1,9 +1,9 @@
 """Tests for continuous churn and node revival."""
 
 import pytest
+from conftest import run_cell
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.experiments.churn import MIN_ALIVE_FRACTION, run_churn_experiment
 from repro.experiments.params import ExperimentParams
 from repro.experiments.scenario import Scenario
 
@@ -66,30 +66,32 @@ class TestRevive:
 
 
 class TestChurnExperiment:
+    """The ``churn`` scenario's cell, at a test's own scale."""
+
     def test_validation(self):
-        params = ExperimentParams.scaled(60, stabilization_cycles=3)
         with pytest.raises(ConfigurationError):
-            run_churn_experiment("hyparview", params, steps=0)
+            run_cell("churn", ("hyparview",), n=60, cycles=3, steps=0)
 
     def test_hyparview_survives_churn(self):
-        params = ExperimentParams.scaled(80, stabilization_cycles=8)
-        result = run_churn_experiment("hyparview", params, steps=25)
-        assert result.steps == 25
-        assert result.crashes + result.leaves + result.revives <= 25
-        assert result.average > 0.95
-        assert result.final_largest_component > 0.95
-        assert result.stale_active_entries <= 2
+        result = run_cell("churn", ("hyparview",), steps=25)
+        assert result["steps"] == 25
+        assert len(result["series"]) == 25  # one probe per step
+        assert result["crashes"] + result["leaves"] + result["revives"] <= 25
+        assert result["average"] > 0.95
+        assert result["final_largest_component"] > 0.95
+        assert result["stale_active_entries"] <= 2
 
     def test_population_floor_respected(self):
-        params = ExperimentParams.scaled(12, stabilization_cycles=5)
-        result = run_churn_experiment("hyparview", params, steps=40)
-        assert result.final_alive >= max(2, int(MIN_ALIVE_FRACTION * 12))
-        assert result.final_alive == 12 - result.crashes - result.leaves + result.revives
+        result = run_cell("churn", ("hyparview",), n=12, cycles=5, steps=40)
+        # The live population never drops below 30 % of n (at least two).
+        assert result["final_alive"] >= max(2, int(0.3 * 12))
+        assert result["final_alive"] == (
+            12 - result["crashes"] - result["leaves"] + result["revives"]
+        )
 
     def test_cyclon_acked_under_churn(self):
-        params = ExperimentParams.scaled(80, stabilization_cycles=8)
-        result = run_churn_experiment("cyclon-acked", params, steps=20)
-        assert result.average > 0.7  # probabilistic gossip, lower bar
+        result = run_cell("churn", ("cyclon-acked",), steps=20)
+        assert result["average"] > 0.7  # probabilistic gossip, lower bar
 
 
 class TestPartitions:

@@ -1,131 +1,118 @@
-"""Tests for the per-figure cell measurements and reporting helpers."""
+"""Tests for the per-figure cell measurements and reporting helpers.
 
-from repro.experiments import (
-    ExperimentParams,
-    format_series,
-    format_table,
-    hyparview_reference_point,
-    run_graph_properties,
-    sparkline,
-    stabilized_scenario,
-)
-from repro.experiments.ablations import (
-    measure_passive_size_point,
-    measure_resend_point,
-    measure_shuffle_ttl_point,
-    passive_size_params,
-    shuffle_ttl_params,
-)
-from repro.experiments.failures import measure_failure
-from repro.experiments.fanout import measure_fanout_point
-from repro.experiments.healing import measure_healing
+Each paper cell is called through ``spec.run_cell`` at n = 80 with eight
+stabilisation cycles and asserts on the row it returns.
+"""
+
+from conftest import run_cell
+
+from repro.experiments import ExperimentParams, format_series, format_table, sparkline
+from repro.experiments.reporting import resolve
+from repro.experiments.snapshots import SnapshotCache
 
 PARAMS = ExperimentParams.scaled(80, stabilization_cycles=8)
 
 
-class TestFailureDriver:
+class TestFailureCells:
     def test_result_fields(self):
-        result = measure_failure(stabilized_scenario("hyparview", PARAMS), 0.3, messages=10)
-        assert result.protocol == "hyparview"
-        assert result.failure_fraction == 0.3
-        assert len(result.series) == 10
-        assert 0.0 <= result.average <= 1.0
-        assert result.correct_nodes == 56
-        assert 0.0 <= result.atomic <= 1.0
-        assert result.tail_average(3) == sum(result.series[-3:]) / 3
+        result = run_cell("fig2_reliability", ("hyparview", 0.3), messages=10)
+        assert result["protocol"] == "hyparview"
+        assert result["failure_fraction"] == 0.3
+        assert len(result["series"]) == 10
+        assert 0.0 <= result["average"] <= 1.0
+        assert result["correct_nodes"] == 56
+        assert 0.0 <= result["atomic"] <= 1.0
+        assert resolve(result, "series|tail") == sum(result["series"][-10:]) / 10
 
     def test_base_scenario_not_mutated(self):
-        base = stabilized_scenario("hyparview", PARAMS)
-        measure_failure(base.clone(), 0.5, messages=5)
-        assert len(base.alive_ids()) == 80
+        cache = SnapshotCache()
+        run_cell("fig2_reliability", ("hyparview", 0.5), messages=5, snapshots=cache)
+        assert len(cache.checkout("hyparview", PARAMS).alive_ids()) == 80
+        assert cache.stats()["hits"] == 1
 
     def test_hyparview_beats_cyclon_after_heavy_failure(self):
-        hyparview = measure_failure(stabilized_scenario("hyparview", PARAMS), 0.5, messages=15)
-        cyclon = measure_failure(stabilized_scenario("cyclon", PARAMS), 0.5, messages=15)
-        assert hyparview.average > cyclon.average
+        hyparview = run_cell("fig2_reliability", ("hyparview", 0.5), messages=15)
+        cyclon = run_cell("fig2_reliability", ("cyclon", 0.5), messages=15)
+        assert hyparview["average"] > cyclon["average"]
 
 
-class TestFanoutDriver:
+class TestFanoutCells:
     def test_sweep_monotone_in_fanout(self):
-        base = stabilized_scenario("cyclon", PARAMS)
-        low, high = (measure_fanout_point(base.clone(), f, messages=10) for f in (1, 4))
-        assert low.average_reliability < high.average_reliability
+        cache = SnapshotCache()
+        low, high = (
+            run_cell("fig1a_cyclon_fanout", (fanout,), snapshots=cache) for fanout in (1, 4)
+        )
+        assert (low["fanout"], high["fanout"]) == (1, 4)
+        assert low["average_reliability"] < high["average_reliability"]
+        assert cache.stats()["misses"] == 1  # both fanouts rewire one base
 
     def test_reference_point_is_atomic(self):
-        point = hyparview_reference_point(PARAMS, messages=5)
-        assert point.average_reliability == 1.0
-        assert point.atomic_fraction == 1.0
+        point = run_cell("fig1_hyparview_reference", (), messages=5)["point"]
+        assert point["fanout"] == PARAMS.hyparview.fanout
+        assert point["average_reliability"] == 1.0
+        assert point["atomic_fraction"] == 1.0
 
 
-class TestHealingDriver:
+class TestHealingCells:
     def test_hyparview_heals_quickly(self):
-        result = measure_healing(
-            stabilized_scenario("hyparview", PARAMS), 0.3, max_cycles=10
-        )
-        assert result.cycles_to_heal is not None
-        assert result.cycles_to_heal <= 3
-        assert result.baseline_reliability == 1.0
+        result = run_cell("fig4_healing", ("hyparview", 0.3), max_cycles=10)
+        assert result["cycles_to_heal"] is not None
+        assert result["cycles_to_heal"] <= 3
+        assert result["baseline_reliability"] == 1.0
 
     def test_unhealed_run_reports_none(self):
-        result = measure_healing(
-            stabilized_scenario("cyclon", PARAMS), 0.6, max_cycles=1
-        )
-        assert result.max_cycles == 1
+        result = run_cell("fig4_healing", ("cyclon", 0.6), max_cycles=1)
+        assert result["max_cycles"] == 1
+        assert len(result["per_cycle"]) == 1
         # One cycle is almost never enough for Cyclon at 60% failures.
-        assert result.cycles_to_heal is None or result.cycles_to_heal == 1
+        assert result["cycles_to_heal"] is None or result["cycles_to_heal"] == 1
 
 
-class TestGraphPropertiesDriver:
+class TestGraphPropertiesCells:
     def test_table1_row_fields(self):
-        result = run_graph_properties("hyparview", PARAMS, messages=5, path_sample_sources=20)
-        assert result.connected
-        assert result.symmetry_fraction == 1.0
-        assert result.average_clustering < 0.2
-        assert result.path_stats.average > 1.0
-        assert result.max_hops_to_delivery >= 1.0
-        assert sum(result.in_degree_histogram.values()) == 80
+        result = run_cell("table1_graph", ("hyparview",), messages=5, path_sample_sources=20)
+        assert result["connected"]
+        assert result["symmetry_fraction"] == 1.0
+        assert result["average_clustering"] < 0.2
+        assert result["path_stats"]["average"] > 1.0
+        assert result["max_hops_to_delivery"] >= 1.0
+        assert sum(result["in_degree_histogram"].values()) == 80
 
     def test_cyclon_row_has_wider_in_degree_spread(self):
-        hv = run_graph_properties("hyparview", PARAMS, messages=5, path_sample_sources=20)
-        cy = run_graph_properties("cyclon", PARAMS, messages=5, path_sample_sources=20)
-        assert cy.in_degree_stats.stddev > hv.in_degree_stats.stddev
+        hv, cy = (
+            run_cell("fig5_indegree", (protocol,), messages=5, path_sample_sources=20)
+            for protocol in ("hyparview", "cyclon")
+        )
+        assert cy["in_degree_stats"]["stddev"] > hv["in_degree_stats"]["stddev"]
 
 
 class TestAblations:
     def test_passive_size_points(self):
         points = [
-            measure_passive_size_point(
-                stabilized_scenario("hyparview", passive_size_params(PARAMS, capacity)),
-                failure_fraction=0.5, messages=8,
-            )
+            run_cell("ablation_passive_size", (capacity,), messages=8, failure=0.5)
             for capacity in (4, 16)
         ]
-        assert [p.passive_capacity for p in points] == [4, 16]
+        assert [p["passive_capacity"] for p in points] == [4, 16]
         for point in points:
-            assert 0.0 <= point.average_reliability <= 1.0
-            assert 0.0 < point.largest_component_fraction <= 1.0
+            assert point["failure_fraction"] == 0.5
+            assert 0.0 <= point["average_reliability"] <= 1.0
+            assert 0.0 < point["largest_component_fraction"] <= 1.0
 
     def test_shuffle_ttl_points(self):
-        points = [
-            measure_shuffle_ttl_point(
-                stabilized_scenario("hyparview", shuffle_ttl_params(PARAMS, ttl)),
-                failure_fraction=0.4, messages=5,
-            )
-            for ttl in (1, 4)
-        ]
-        assert [p.shuffle_ttl for p in points] == [1, 4]
+        points = [run_cell("ablation_shuffle_ttl", (ttl,), messages=5) for ttl in (1, 4)]
+        assert [p["shuffle_ttl"] for p in points] == [1, 4]
         for point in points:
-            assert point.passive_balance >= 0.0
+            assert point["passive_balance"] >= 0.0
 
     def test_resend_ablation_improves_transient(self):
-        base = stabilized_scenario("hyparview", PARAMS)
+        cache = SnapshotCache()
         baseline, resend = (
-            measure_resend_point(base.clone(), arm, failure_fraction=0.5, messages=10)
+            run_cell("ablation_flood_resend", (arm,), failure=0.5, snapshots=cache)
             for arm in (False, True)
         )
-        assert not baseline.resend_on_repair and resend.resend_on_repair
-        assert resend.data_transmissions >= baseline.data_transmissions
-        assert resend.first10_average >= baseline.first10_average - 0.05
+        assert not baseline["resend_on_repair"] and resend["resend_on_repair"]
+        assert resend["data_transmissions"] >= baseline["data_transmissions"]
+        assert resend["first10_average"] >= baseline["first10_average"] - 0.05
 
 
 class TestReporting:

@@ -99,7 +99,7 @@ class TestClone:
         scenario = Scenario("hyparview", small_params())
         scenario.build_overlay()
         scenario.stabilize()
-        clone = scenario.clone()
+        clone = Scenario.thaw(scenario.freeze())
         clone.fail_fraction(0.5)
         assert len(scenario.alive_ids()) == 60
         assert len(clone.alive_ids()) == 30
@@ -114,8 +114,9 @@ class TestClone:
         scenario = Scenario("hyparview", small_params())
         scenario.build_overlay()
         scenario.stabilize()
-        first = [s.reliability for s in scenario.clone().send_broadcasts(3)]
-        second = [s.reliability for s in scenario.clone().send_broadcasts(3)]
+        frozen = scenario.freeze()
+        first = [s.reliability for s in Scenario.thaw(frozen).send_broadcasts(3)]
+        second = [s.reliability for s in Scenario.thaw(frozen).send_broadcasts(3)]
         assert first == second
 
     def test_clone_with_pending_events_rejected(self):
@@ -124,7 +125,7 @@ class TestClone:
         origin = scenario.alive_ids()[0]
         scenario.broadcast_layer(origin).broadcast(None)  # in flight
         with pytest.raises(SimulationError):
-            scenario.clone()
+            scenario.freeze()
         scenario.drain()
 
 

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
-from repro.experiments.failures import stabilized_scenario
 from repro.experiments.params import ExperimentParams
 from repro.experiments.reporting import encode_artifact, json_safe
+from repro.experiments.snapshots import stabilized_scenario
 from repro.faults import (
     DEFAULT_MUTATION_TYPES,
     AdversaryEvent,
@@ -233,7 +233,7 @@ class TestNoOpGuarantee:
         base = _tiny_base()
         frozen = base.freeze()
 
-        plain = base.clone()
+        plain = base.thaw(frozen)
         summaries_plain = [
             s.reliability for s in plain.send_paced_broadcasts(4)
         ]

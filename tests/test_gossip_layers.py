@@ -164,9 +164,10 @@ class TestScenarioLevelGossip:
         scenario = Scenario("cyclon", params)
         scenario.build_overlay()
         scenario.stabilize()
+        frozen = scenario.freeze()
         averages = []
         for fanout in (1, 3, 6):
-            clone = scenario.clone()
+            clone = Scenario.thaw(frozen)
             for node_id in clone.node_ids:
                 clone.broadcast_layer(node_id).fanout = fanout
             summaries = clone.send_broadcasts(15)

@@ -6,8 +6,8 @@ targets here.
 """
 
 import pytest
+from conftest import run_cell
 
-from repro.experiments.failures import measure_failure, stabilized_scenario
 from repro.experiments.params import ExperimentParams
 from repro.experiments.scenario import Scenario
 
@@ -64,13 +64,18 @@ class TestSeedRobustness:
         """Figure 2's key cell — HyParView at 60% failures — must hold for
         any seed, not just the default."""
         for seed in (1, 7, 1234):
-            params = ExperimentParams.scaled(200, seed=seed, stabilization_cycles=15)
-            result = measure_failure(stabilized_scenario("hyparview", params), 0.6, 30)
-            assert result.tail_average(10) > 0.93, f"seed {seed}: {result.series}"
+            result = run_cell(
+                "fig2_reliability", ("hyparview", 0.6), n=200, messages=30, cycles=15, seed=seed
+            )
+            tail = result["series"][-10:]
+            assert sum(tail) / len(tail) > 0.93, f"seed {seed}: {result['series']}"
 
     def test_protocol_ordering_holds_across_seeds(self):
         for seed in (3, 99):
-            params = ExperimentParams.scaled(200, seed=seed, stabilization_cycles=15)
-            hyparview = measure_failure(stabilized_scenario("hyparview", params), 0.5, 20)
-            cyclon = measure_failure(stabilized_scenario("cyclon", params), 0.5, 20)
-            assert hyparview.average > cyclon.average + 0.1, f"seed {seed}"
+            hyparview, cyclon = (
+                run_cell(
+                    "fig2_reliability", (protocol, 0.5), n=200, messages=20, cycles=15, seed=seed
+                )
+                for protocol in ("hyparview", "cyclon")
+            )
+            assert hyparview["average"] > cyclon["average"] + 0.1, f"seed {seed}"

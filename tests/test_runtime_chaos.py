@@ -18,8 +18,8 @@ from conftest import FrameLog, ignored_types
 from repro.common.errors import ConfigurationError
 from repro.core.config import HyParViewConfig
 from repro.faults.adversary import LiveMisbehaviour
-from repro.experiments.failures import stabilized_scenario
 from repro.experiments.params import ExperimentParams
+from repro.experiments.snapshots import stabilized_scenario
 from repro.faults.chaos import ChaosController
 from repro.faults.plan import (
     AdversaryEvent,

@@ -13,10 +13,9 @@ import pickle
 import random
 
 from repro.common.rng import StreamRandom
-from repro.experiments.failures import stabilized_scenario
 from repro.experiments.params import ExperimentParams
 from repro.experiments.scenario import Scenario
-from repro.experiments.snapshots import SnapshotCache
+from repro.experiments.snapshots import SnapshotCache, stabilized_scenario
 
 PROXY = ExperimentParams.scaled(150, seed=11, stabilization_cycles=8)
 
