@@ -15,7 +15,7 @@ compare ``hyparview-xbot`` — HyParView plus X-BOT optimisation swaps
   slots must keep healing intact while the biased slots buy speed.
 
 Link costs are priced by the world model's jitter-free ``base_delay`` (the
-same pure function the X-BOT oracle reads), so every reported number is
+same pure function X-BOT prices links by), so every reported number is
 deterministic and the artifacts pin byte-for-byte like every other
 scenario.
 """

@@ -49,7 +49,7 @@ from .base import PeerSamplingService
 from .cyclon import Cyclon
 from .cyclon_acked import CyclonAcked
 from .scamp import Scamp
-from .xbot import LatencyCostOracle, XBot
+from .xbot import XBot
 
 #: ``(host, params) -> membership`` — the peer-sampling half of a stack.
 MembershipFactory = Callable[[Host, Any], PeerSamplingService]
@@ -233,15 +233,15 @@ register_stack(StackSpec(
 ))
 
 
-# X-BOT: HyParView plus topology-aware optimisation swaps, with the link
-# cost oracle reading the jitter-free base of whatever latency world model
-# the parameters select.  Parameter bags without a ``latency_model`` field
+# X-BOT: HyParView plus topology-aware optimisation swaps, pricing links by
+# the jitter-free base delay of whatever latency world model the
+# parameters select.  Parameter bags without a ``latency_model`` field
 # (the live runtime's) get the constant model, whose uniform costs make
 # the optimiser a no-op — safe degradation to plain HyParView.
 register_stack(StackSpec(
     name="hyparview-xbot",
     membership=lambda host, params: XBot(
-        host, params.hyparview, oracle=LatencyCostOracle(build_latency_model(params))
+        host, params.hyparview, latency=build_latency_model(params)
     ),
     broadcast=lambda host, membership, params, tracker, on_deliver: FloodBroadcast(
         host, membership, tracker, on_deliver=on_deliver

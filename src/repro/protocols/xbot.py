@@ -26,10 +26,11 @@ under the aggregate-cost rule
     cost(i,o) + cost(c,d)  >  cost(i,c) + cost(d,o)
 
 so every completed swap strictly decreases the total edge cost of the
-overlay — the convergence argument of the paper.  Because the
-:class:`CostOracle` here is a pure function of node identities (the
-latency world model's jitter-free zone matrix), any participant can price
-any link locally and the rule can be evaluated entirely at ``d``.
+overlay — the convergence argument of the paper.  Links are priced by the
+latency model's :meth:`~repro.sim.latency.LatencyModel.base_delay`, a pure
+symmetric function of node identities (the world model's jitter-free
+zone matrix), so any participant can price any link locally and the rule
+can be evaluated entirely at ``d``.
 
 **Unbiased slots.**  The first ``UNBIASED_SLOTS`` positions of a node's
 active view are never chosen for removal by the optimisation (neither as
@@ -42,13 +43,13 @@ of starving nodes is a reliability primitive and always wins.
 **Reliability first.**  Swap commits never evict an unrelated neighbour
 to make room: if a view filled up mid-exchange the new edge is refused
 with a ``Disconnect`` so both sides agree, and the overlay falls back to
-the plain-HyParView repair path.  A node with a cost-blind oracle (the
-default) initiates no swaps at all and behaves exactly like HyParView.
+the plain-HyParView repair path.  A node on the cost-blind
+:class:`~repro.sim.latency.ConstantLatency` (the default) initiates no
+swaps at all and behaves exactly like HyParView.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -58,49 +59,7 @@ from ..common.messages import Message, register_message
 from ..core.config import HyParViewConfig
 from ..core.messages import Disconnect
 from ..core.protocol import HyParView
-
-
-# ----------------------------------------------------------------------
-# Link-cost oracles
-# ----------------------------------------------------------------------
-class CostOracle(ABC):
-    """Prices a link between two nodes for the optimisation.
-
-    Implementations must be pure functions of the node identities —
-    deterministic and symmetric — so that every participant of a swap
-    computes identical costs without coordination.
-    """
-
-    __slots__ = ()
-
-    @abstractmethod
-    def cost(self, a: NodeId, b: NodeId) -> float:
-        """Cost of the ``a``–``b`` link (lower is better)."""
-
-
-class ConstantCostOracle(CostOracle):
-    """Cost-blind oracle: every link prices the same, so no swap ever
-    shows a strict gain and X-BOT degrades to plain HyParView.  The safe
-    default for substrates without a latency world model (live runtime)."""
-
-    __slots__ = ()
-
-    def cost(self, a: NodeId, b: NodeId) -> float:
-        return 0.0
-
-
-class LatencyCostOracle(CostOracle):
-    """Reads link cost from a latency model's jitter-free ``base_delay``
-    — the zone matrix of :class:`~repro.sim.latency.ZonedLatency` in the
-    ``topo_*`` scenarios."""
-
-    __slots__ = ("model",)
-
-    def __init__(self, model) -> None:
-        self.model = model
-
-    def cost(self, a: NodeId, b: NodeId) -> float:
-        return self.model.base_delay(a, b)
+from ..sim.latency import ConstantLatency, LatencyModel
 
 
 # ----------------------------------------------------------------------
@@ -219,10 +178,14 @@ class XBot(HyParView):
         host: Host,
         config: Optional[HyParViewConfig] = None,
         *,
-        oracle: Optional[CostOracle] = None,
+        latency: Optional[LatencyModel] = None,
     ) -> None:
         super().__init__(host, config)
-        self.oracle = oracle if oracle is not None else ConstantCostOracle()
+        # Link prices: the jitter-free ``base_delay`` of the world model.
+        # The constant default prices every link the same, so no swap ever
+        # shows a strict gain — the safe choice for substrates without a
+        # latency world model (the live runtime).
+        self.latency = latency if latency is not None else ConstantLatency()
         self.xbot_stats = XBotStats()
         # Initiator role: the (candidate, old) pair of the open round.
         self._opt = self._exchange("optimization", self._on_opt_timeout)
@@ -272,7 +235,7 @@ class XBot(HyParView):
         for peer in self._swappable():
             if peer in exclude:
                 continue
-            peer_cost = self.oracle.cost(me, peer)
+            peer_cost = self.latency.base_delay(me, peer)
             if peer_cost > worst_cost:
                 worst, worst_cost = peer, peer_cost
         return worst
@@ -291,11 +254,11 @@ class XBot(HyParView):
         if old is None:
             return
         me = self.address
-        old_cost = self.oracle.cost(me, old)
+        old_cost = self.latency.base_delay(me, old)
         best: Optional[NodeId] = None
         best_cost = float("inf")
         for candidate in self.passive.sample(self._rng, CANDIDATES_PER_ROUND):
-            candidate_cost = self.oracle.cost(me, candidate)
+            candidate_cost = self.latency.base_delay(me, candidate)
             if candidate_cost < best_cost:
                 best, best_cost = candidate, candidate_cost
         if best is None or best_cost >= old_cost:
@@ -390,8 +353,8 @@ class XBot(HyParView):
         if acceptable:
             # The aggregate-cost rule: the swap must strictly shrink the
             # summed cost of the two edges it touches.  The shared pure
-            # oracle lets d evaluate all four terms locally.
-            cost = self.oracle.cost
+            # pure link price lets d evaluate all four terms locally.
+            cost = self.latency.base_delay
             gain = (
                 cost(initiator, old)
                 + cost(candidate, me)

@@ -11,7 +11,7 @@ Every model exposes two views of a link:
   network's RNG stream (jitter lives here);
 * :meth:`LatencyModel.base_delay` — the jitter-free structural cost of the
   link, a pure function of the two node identities.  This is what a
-  topology-optimisation oracle (X-BOT) reads: because it needs no shared
+  topology optimiser (X-BOT) prices links by: because it needs no shared
   state, every node can price any link locally and two nodes always agree
   on a cost.
 """
@@ -78,8 +78,8 @@ class ZonedLatency(LatencyModel):
     uniform jitter factor drawn from the network's RNG stream, so the
     world model is deterministic while individual messages still spread.
 
-    ``base_delay`` (the zone matrix, no jitter) is the link cost the X-BOT
-    oracle reads: any two nodes price any link identically with no
+    ``base_delay`` (the zone matrix, no jitter) is the link cost X-BOT
+    reads: any two nodes price any link identically with no
     coordination, which is what lets the 4-node swap evaluate its
     aggregate-gain rule at a single participant.
     """

@@ -17,8 +17,9 @@ from .gossip.tracker import BroadcastTracker
 from .protocols.cyclon import Cyclon, CyclonConfig
 from .protocols.cyclon_acked import CyclonAcked
 from .protocols.scamp import Scamp
-from .protocols.xbot import CostOracle, XBot
+from .protocols.xbot import XBot
 from .sim.engine import Engine
+from .sim.latency import LatencyModel
 from .sim.network import Network
 from .sim.node import SimNode
 
@@ -58,11 +59,11 @@ class World:
         name: str | None = None,
         config: HyParViewConfig | None = None,
         *,
-        oracle: CostOracle | None = None,
+        latency: LatencyModel | None = None,
         cls: type[XBot] = XBot,
     ):
         node = self.new_node(name)
-        protocol = cls(node.host("membership"), config or HyParViewConfig(), oracle=oracle)
+        protocol = cls(node.host("membership"), config or HyParViewConfig(), latency=latency)
         node.wire("membership", protocol)
         return node, protocol
 

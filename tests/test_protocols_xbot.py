@@ -3,7 +3,7 @@
 The crafted tests wire the four swap roles by hand — initiator ``i``,
 candidate ``c``, old ``o`` and disconnected ``d``, each padded with an
 unbiased slot-0 neighbour — and drive one round against a dict-backed
-cost oracle, so every branch of the 6-leg exchange (commit, aggregate
+fake latency model, so every branch of the 6-leg exchange (commit, aggregate
 rejection, direct accept, timeout, stale replies) is pinned
 deterministically.
 
@@ -28,6 +28,7 @@ the fuzz pins down.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -36,14 +37,10 @@ from repro.common.ids import NodeId
 from repro.core.config import HyParViewConfig
 from repro.faults.adversary import SimMisbehaviour
 from repro.faults.plan import AdversaryEvent
-from repro.protocols.xbot import (
-    ConstantCostOracle,
-    CostOracle,
-    LatencyCostOracle,
-    OptimizationReply,
-    XBot,
-)
-from repro.sim.latency import ZonedLatency
+from repro.experiments.params import ExperimentParams
+from repro.experiments.scenario import Scenario
+from repro.protocols.xbot import OptimizationReply, XBot
+from repro.sim.latency import ConstantLatency, ZonedLatency
 from repro.testing import World
 
 CONFIG = HyParViewConfig(
@@ -58,8 +55,9 @@ CONFIG = HyParViewConfig(
 )
 
 
-class MapOracle(CostOracle):
-    """Symmetric cost table keyed by unordered host-name pairs."""
+class MapLatency:
+    """Fake latency model: a symmetric ``base_delay`` table keyed by
+    unordered host-name pairs (X-BOT reads nothing else of the model)."""
 
     __slots__ = ("table", "default")
 
@@ -67,7 +65,7 @@ class MapOracle(CostOracle):
         self.table = {frozenset(pair): cost for pair, cost in table.items()}
         self.default = default
 
-    def cost(self, a: NodeId, b: NodeId) -> float:
+    def base_delay(self, a: NodeId, b: NodeId) -> float:
         return self.table.get(frozenset((a.host, b.host)), self.default)
 
 
@@ -80,7 +78,7 @@ def link(pa: XBot, pb: XBot) -> None:
     pb._host.watch(pa.address, pb._on_link_down)
 
 
-def quad_world(oracle: CostOracle, *, with_d: bool = True):
+def quad_world(latency, *, with_d: bool = True):
     """The four swap roles, each shielded by an unbiased filler neighbour.
 
     ``i``: active [ui, o], passive [c] — a full view whose only swappable
@@ -89,7 +87,7 @@ def quad_world(oracle: CostOracle, *, with_d: bool = True):
     """
     world = World(seed=11)
     names = ("i", "c", "o", "d", "ui", "uc", "uo", "ud")
-    built = {name: world.xbot(name, CONFIG, oracle=oracle) for name in names}
+    built = {name: world.xbot(name, CONFIG, latency=latency) for name in names}
     protos = {name: proto for name, (_, proto) in built.items()}
     nodes = {name: node for name, (node, _) in built.items()}
     link(protos["i"], protos["ui"])
@@ -107,22 +105,22 @@ def active_sets(protos) -> dict[str, set[NodeId]]:
     return {name: set(proto.active_members()) for name, proto in protos.items()}
 
 
-def total_cost(protos, oracle: CostOracle) -> float:
+def total_cost(protos, latency) -> float:
     edges = set()
     for proto in protos.values():
         for peer in proto.active_members():
             edges.add(frozenset((proto.address, peer)))
-    return sum(oracle.cost(*sorted(edge, key=str)) for edge in edges)
+    return sum(latency.base_delay(*sorted(edge, key=str)) for edge in edges)
 
 
 class TestSwapCommit:
-    ORACLE = MapOracle(
+    COSTS = MapLatency(
         {("i", "o"): 10.0, ("i", "c"): 1.0, ("c", "d"): 10.0, ("d", "o"): 1.0}
     )
 
     def test_four_node_swap_rewires_both_edges(self):
-        world, _, protos = quad_world(self.ORACLE)
-        before = total_cost(protos, self.ORACLE)
+        world, _, protos = quad_world(self.COSTS)
+        before = total_cost(protos, self.COSTS)
         protos["i"].optimize_once()
         world.drain()
         views = active_sets(protos)
@@ -130,7 +128,7 @@ class TestSwapCommit:
         assert views["c"] == {protos["uc"].address, protos["i"].address}
         assert views["o"] == {protos["uo"].address, protos["d"].address}
         assert views["d"] == {protos["ud"].address, protos["o"].address}
-        assert total_cost(protos, self.ORACLE) < before
+        assert total_cost(protos, self.COSTS) < before
         stats = protos["i"].xbot_stats
         assert stats.rounds_initiated == 1
         assert stats.swaps_completed == 1
@@ -144,14 +142,14 @@ class TestSwapCommit:
             assert proto.xbot_stats.edges_declined == 0
 
     def test_swap_demotes_old_edges_to_passive(self):
-        world, _, protos = quad_world(self.ORACLE)
+        world, _, protos = quad_world(self.COSTS)
         protos["i"].optimize_once()
         world.drain()
         assert protos["o"].address in protos["i"].passive_members()
         assert protos["i"].address in protos["o"].passive_members()
 
     def test_views_stay_symmetric_after_swap(self):
-        world, _, protos = quad_world(self.ORACLE)
+        world, _, protos = quad_world(self.COSTS)
         protos["i"].optimize_once()
         world.drain()
         for proto in protos.values():
@@ -160,7 +158,7 @@ class TestSwapCommit:
                 assert proto.address in owner.active_members()
 
     def test_direct_accept_when_candidate_has_room(self):
-        world, _, protos = quad_world(self.ORACLE, with_d=False)
+        world, _, protos = quad_world(self.COSTS, with_d=False)
         protos["i"].optimize_once()
         world.drain()
         assert protos["c"].address in protos["i"].active_members()
@@ -175,10 +173,10 @@ class TestSwapRejection:
     def test_aggregate_cost_rule_rejects_at_d(self):
         # i sees a local gain (1 < 10) but the swap would hand d a worse
         # edge than it gives up (15 > 1), so the aggregate rule refuses.
-        oracle = MapOracle(
+        costs = MapLatency(
             {("i", "o"): 10.0, ("i", "c"): 1.0, ("c", "d"): 1.0, ("d", "o"): 15.0}
         )
-        world, _, protos = quad_world(oracle)
+        world, _, protos = quad_world(costs)
         before = active_sets(protos)
         protos["i"].optimize_once()
         world.drain()
@@ -187,8 +185,9 @@ class TestSwapRejection:
         assert protos["i"].xbot_stats.swaps_rejected == 1
         assert protos["i"].xbot_stats.swaps_completed == 0
 
-    def test_constant_oracle_never_initiates(self):
-        world, _, protos = quad_world(ConstantCostOracle())
+    def test_constant_latency_never_initiates(self):
+        world, _, protos = quad_world(None)  # the default: ConstantLatency
+        assert isinstance(protos["i"].latency, ConstantLatency)
         before = active_sets(protos)
         for proto in protos.values():
             proto.optimize_once()
@@ -199,8 +198,8 @@ class TestSwapRejection:
     def test_no_round_without_strict_gain(self):
         # A candidate exactly as costly as the worst neighbour is no strict
         # improvement — no round opens.
-        oracle = MapOracle({("i", "o"): 10.0, ("i", "c"): 10.0})
-        world, _, protos = quad_world(oracle)
+        costs = MapLatency({("i", "o"): 10.0, ("i", "c"): 10.0})
+        world, _, protos = quad_world(costs)
         protos["i"].optimize_once()
         world.drain()
         assert protos["i"].xbot_stats.rounds_initiated == 0
@@ -208,7 +207,7 @@ class TestSwapRejection:
 
 class TestUnbiasedSlots:
     def test_demote_refuses_unbiased_member(self):
-        _, _, protos = quad_world(TestSwapCommit.ORACLE)
+        _, _, protos = quad_world(TestSwapCommit.COSTS)
         ui = protos["ui"].address
         assert protos["i"].unbiased_members() == (ui,)
         assert not protos["i"]._demote_for_swap(ui, notify_peer=False)
@@ -218,7 +217,7 @@ class TestUnbiasedSlots:
     def test_optimizer_skips_expensive_unbiased_edge(self):
         # The i-ui edge is the costliest in the overlay, but it sits in the
         # unbiased slot: the round must target o instead and leave ui alone.
-        oracle = MapOracle(
+        costs = MapLatency(
             {
                 ("i", "ui"): 100.0,
                 ("i", "o"): 10.0,
@@ -227,7 +226,7 @@ class TestUnbiasedSlots:
                 ("d", "o"): 1.0,
             }
         )
-        world, _, protos = quad_world(oracle)
+        world, _, protos = quad_world(costs)
         protos["i"].optimize_once()
         world.drain()
         assert protos["i"].xbot_stats.swaps_completed == 1
@@ -237,7 +236,7 @@ class TestUnbiasedSlots:
 
 class TestTimeoutsAndStaleReplies:
     def test_initiator_timeout_on_dead_candidate(self):
-        world, nodes, protos = quad_world(TestSwapCommit.ORACLE)
+        world, nodes, protos = quad_world(TestSwapCommit.COSTS)
         before = active_sets(protos)["i"]
         world.network.fail(nodes["c"].node_id)
         protos["i"].optimize_once()
@@ -249,7 +248,7 @@ class TestTimeoutsAndStaleReplies:
         assert active_sets(protos)["i"] == before
 
     def test_stale_optimization_reply_is_ignored(self):
-        world, _, protos = quad_world(TestSwapCommit.ORACLE)
+        world, _, protos = quad_world(TestSwapCommit.COSTS)
         before = active_sets(protos)
         reply = OptimizationReply(
             candidate=protos["c"].address, old=protos["o"].address, accepted=True
@@ -260,14 +259,14 @@ class TestTimeoutsAndStaleReplies:
         assert protos["i"].xbot_stats.swaps_completed == 0
 
 
-class TestOracles:
-    def test_latency_oracle_reads_jitter_free_base_delay(self):
-        model = ZonedLatency(zones=4)
-        oracle = LatencyCostOracle(model)
-        a, b = NodeId("n0", 9000), NodeId("n7", 9000)
-        assert oracle.cost(a, b) == model.base_delay(a, b)
-        assert oracle.cost(a, b) == oracle.cost(b, a)
-        assert oracle.cost(a, b) > 0.0
+class TestLinkPrices:
+    def test_sim_stack_prices_links_by_the_world_model(self):
+        params = ExperimentParams.scaled(8, stabilization_cycles=1)
+        scenario = Scenario("hyparview-xbot", replace(params, latency_model="zoned"))
+        a, b = scenario.node_ids[:2]
+        latency = scenario.membership(a).latency
+        assert isinstance(latency, ZonedLatency)
+        assert latency.base_delay(a, b) == scenario.latency.base_delay(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -286,12 +285,13 @@ class CheckedXBot(XBot):
         return removed
 
 
-class HashCostOracle(CostOracle):
-    """Deterministic symmetric pseudo-random costs from node identities."""
+class HashLatency:
+    """Fake latency model: deterministic symmetric pseudo-random
+    ``base_delay`` from node identities."""
 
     __slots__ = ()
 
-    def cost(self, a: NodeId, b: NodeId) -> float:
+    def base_delay(self, a: NodeId, b: NodeId) -> float:
         if a == b:
             return 0.0
         lo, hi = sorted((f"{a.host}:{a.port}", f"{b.host}:{b.port}"))
@@ -331,9 +331,9 @@ operation = st.one_of(
 class XBotFuzzer:
     def __init__(self, seed: int) -> None:
         self.world = World(seed=seed)
-        self.oracle = HashCostOracle()
+        self.latency = HashLatency()
         self.pairs = [
-            self.world.xbot(config=FUZZ_CONFIG, oracle=self.oracle, cls=CheckedXBot)
+            self.world.xbot(config=FUZZ_CONFIG, latency=self.latency, cls=CheckedXBot)
             for _ in range(NODES)
         ]
         self.nodes = [node for node, _ in self.pairs]
@@ -437,7 +437,7 @@ class TestXBotFuzz:
                 for peer in proto.active_members():
                     edges.add(frozenset((proto.address, peer)))
             return sum(
-                fuzzer.oracle.cost(*sorted(edge, key=str))
+                fuzzer.latency.base_delay(*sorted(edge, key=str))
                 for edge in edges
                 if len(edge) == 2
             )
