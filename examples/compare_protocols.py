@@ -10,10 +10,11 @@ protocol's recovery curve.
 """
 
 from repro import ExperimentParams, Scenario
+from repro.experiments.registry import PAPER_PROTOCOLS
 from repro.experiments.reporting import format_table, sparkline
+from repro.experiments.snapshots import stabilized_scenario
 from repro.metrics.reliability import average_reliability, reliability_series
 
-PROTOCOLS = ("hyparview", "cyclon-acked", "cyclon", "scamp")
 N = 300
 MESSAGES = 50
 FAILURES = (0.3, 0.6, 0.8)
@@ -21,16 +22,13 @@ FAILURES = (0.3, 0.6, 0.8)
 
 def main() -> None:
     params = ExperimentParams.scaled(N, seed=3, stabilization_cycles=20)
-    print(f"comparing {', '.join(PROTOCOLS)} at n={N} "
+    print(f"comparing {', '.join(PAPER_PROTOCOLS)} at n={N} "
           f"({MESSAGES} msgs per cell)\n")
 
     results = {}
-    for protocol in PROTOCOLS:
+    for protocol in PAPER_PROTOCOLS:
         print(f"  stabilising {protocol} ...")
-        base = Scenario(protocol, params)
-        base.build_overlay()
-        base.stabilize()
-        frozen = base.freeze()
+        frozen = stabilized_scenario(protocol, params).freeze()
         for fraction in FAILURES:
             # Each failure level crashes and streams on its own thawed copy.
             scenario = Scenario.thaw(frozen)
@@ -41,14 +39,14 @@ def main() -> None:
     for fraction in FAILURES:
         rows.append(
             [f"{fraction:.0%}"]
-            + [average_reliability(results[(p, fraction)]) for p in PROTOCOLS]
+            + [average_reliability(results[(p, fraction)]) for p in PAPER_PROTOCOLS]
         )
     print()
-    print(format_table(["failure %"] + list(PROTOCOLS), rows,
+    print(format_table(["failure %"] + list(PAPER_PROTOCOLS), rows,
                        title="average reliability (Figure 2 shape)"))
 
     print("\nrecovery curves at 60% failures (one char per message):")
-    for protocol in PROTOCOLS:
+    for protocol in PAPER_PROTOCOLS:
         curve = reliability_series(results[(protocol, 0.6)])
         print(f"  {protocol:13s} {sparkline(curve)}  "
               f"tail={sum(curve[-10:]) / 10:.1%}")
