@@ -18,7 +18,7 @@ re-walked the whole object graph per copy and was ~3x slower than
 from __future__ import annotations
 
 import pickle
-from typing import Optional
+from typing import Callable, Container, Optional
 
 from ..common.errors import ConfigurationError, SimulationError
 from ..common.ids import NodeId, simulated_node_ids
@@ -276,7 +276,12 @@ class Scenario:
         return [self.send_broadcast() for _ in range(count)]
 
     def send_paced_broadcasts(
-        self, count: int, interval: Optional[float] = None
+        self,
+        count: int,
+        interval: Optional[float] = None,
+        *,
+        until: Optional[float] = None,
+        exclude: Optional[Callable[[], Container[NodeId]]] = None,
     ) -> list[BroadcastSummary]:
         """Broadcast ``count`` messages at a fixed application rate.
 
@@ -285,6 +290,12 @@ class Scenario:
         repair proceed *concurrently* with the message stream — the paper's
         Figure 3 setting, where early post-failure messages observe the
         overlay mid-repair.  ``interval`` defaults to five network delays.
+
+        Message ``i`` carries payload ``("m", i)`` from a random live
+        origin that ``exclude()`` (read at each send) does not name.  The
+        engine runs to ``until`` (seconds after the first send; a fault
+        plan's tail) before the final drain, and every message is
+        finalised against the population alive at the end.
         """
         if interval is None:
             interval = 5 * LATENCY_SECONDS
@@ -292,10 +303,17 @@ class Scenario:
         start = self.engine.now
         for index in range(count):
             self.engine.run_until(start + index * interval)
-            origin = self._rng.choice(self.alive_ids())
-            message_ids.append(self.broadcast_layer(origin).broadcast(None))
+            candidates = self.alive_ids()
+            if exclude is not None:
+                barred = exclude()
+                candidates = [node for node in candidates if node not in barred]
+            origin = self._rng.choice(candidates)
+            message_ids.append(self.broadcast_layer(origin).broadcast(("m", index)))
+        if until is not None:
+            self.engine.run_until(start + until)
         self.drain()
-        return [self.tracker.finalize(mid, self.population) for mid in message_ids]
+        population = frozenset(self.alive_ids())
+        return [self.tracker.finalize(mid, population) for mid in message_ids]
 
     # ------------------------------------------------------------------
     # Graph analytics

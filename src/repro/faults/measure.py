@@ -1,10 +1,12 @@
 """Measure a broadcast stream while a fault plan unfolds.
 
-The one measuring loop behind every ``faults_*``, ``reliable_*``,
-``byz_*`` and ``topo_*`` registry scenario: install a plan on a
-stabilised scenario, pace a broadcast stream across (at least) the plan's
-horizon — every message from an honest alive origin, carrying a distinct
-payload — then settle and report
+The measurement behind every ``faults_*``, ``reliable_*``, ``byz_*`` and
+``topo_*`` registry scenario: install a plan on a stabilised scenario,
+pace a broadcast stream across (at least) the plan's horizon through the
+scenario's one paced loop
+(:meth:`~repro.experiments.scenario.Scenario.send_paced_broadcasts`) —
+every message from an honest alive origin, carrying a distinct payload —
+then settle and report
 
 * the per-message reliability series (timestamped by send time),
 * per-:class:`~repro.faults.plan.Phase` aggregates (average / min /
@@ -65,9 +67,9 @@ def _paced_stream(
     scenario, plan: FaultPlan, messages: int, interval: Optional[float],
     settle: Optional[float], phases: Sequence[Phase],
 ) -> _Stream:
-    """The measuring loop: install the driver, send ``messages`` paced
-    broadcasts, run to the tail, drain, finalise against the end
-    population."""
+    """Install the plan's driver, then run the scenario's paced stream
+    (:meth:`~repro.experiments.scenario.Scenario.send_paced_broadcasts`)
+    on to the plan's tail."""
     if messages < 1:
         raise ConfigurationError(f"messages must be >= 1: {messages}")
     if interval is None:
@@ -81,31 +83,19 @@ def _paced_stream(
 
     driver = SimFaultDriver(scenario, plan)
     driver.install()
-    engine = scenario.engine
-    rng = scenario._rng  # the harness stream, exactly like paced broadcasts
-    start = engine.now
-    send_times: list[float] = []
-    payloads: list[tuple] = []
-    message_ids = []
-    for index in range(messages):
-        engine.run_until(start + index * interval)
-        # Dissemination is measured *through* corrupted relays, never from
-        # a corrupted source.  ``corrupted_ids`` draws nothing, so with no
-        # Byzantine node this is ``rng.choice(alive_ids())``.
-        corrupted = driver.misbehaviour.corrupted_ids()
-        origin = rng.choice([node for node in scenario.alive_ids() if node not in corrupted])
-        # Only a corrupted sender ever rewrites the payload.
-        payload = ("m", index)
-        send_times.append(index * interval)
-        payloads.append(payload)
-        message_ids.append(scenario.broadcast_layer(origin).broadcast(payload))
-    tail = max((messages - 1) * interval, plan.horizon) + settle
-    engine.run_until(start + tail)
-    scenario.drain()
-
-    population = frozenset(scenario.alive_ids())
-    summaries = [scenario.tracker.finalize(message_id, population) for message_id in message_ids]
-    return _Stream(interval, ordered_phases, driver, population, send_times, payloads, summaries)
+    # Dissemination is measured *through* corrupted relays, never from a
+    # corrupted source; only a corrupted sender rewrites a payload.
+    summaries = scenario.send_paced_broadcasts(
+        messages, interval,
+        until=max((messages - 1) * interval, plan.horizon) + settle,
+        exclude=driver.misbehaviour.corrupted_ids,
+    )
+    return _Stream(
+        interval, ordered_phases, driver, frozenset(scenario.alive_ids()),
+        [index * interval for index in range(messages)],
+        [("m", index) for index in range(messages)],
+        summaries,
+    )
 
 
 def phase_rows(
