@@ -54,6 +54,8 @@ from typing import Callable, Mapping, Optional
 
 from ..common.errors import ConfigurationError
 from ..core.config import HyParViewConfig
+from ..faults.measure import check_cell, measure_fault_plan
+from ..faults.plan import CrashEvent, FaultPlan
 from ..gossip.eager import EagerGossip
 from ..gossip.flood import FloodBroadcast
 from ..metrics.reliability import (
@@ -61,7 +63,6 @@ from ..metrics.reliability import (
     average_reliability,
     healing_cycles,
     max_hops,
-    reliability_series,
 )
 from ..metrics.stats import summarize
 from .params import ExperimentParams
@@ -293,10 +294,6 @@ def _unit(metric: str) -> tuple[Claim, Claim]:
     )
 
 
-def _failure_invariant(cell: dict) -> None:
-    assert len(cell["series"]) == cell["messages"], "one series entry per message"
-
-
 #: The active view the paper sets (Section 5.1) and every tier keeps.
 _CAPACITY = HyParViewConfig().active_view_capacity
 
@@ -431,32 +428,35 @@ register(
 # ----------------------------------------------------------------------
 # Figure 1c — baselines after 50% failures
 # ----------------------------------------------------------------------
-def _run_failure_cell(ctx: RunContext, key: CellKey) -> dict:
-    """One (protocol, failure fraction) cell of Figures 1c, 2 and 3.
+def _crash_then_stream(ctx: RunContext, scenario: Scenario, fraction: float) -> dict:
+    """Section 5.2's procedure on a stabilised overlay, as a one-event
+    fault plan: crash a random ``fraction`` of the nodes at plan time 0,
+    then send the tier's paced batch from random correct nodes *before any
+    further membership cycle* — reactive steps (failure detection,
+    passive-view promotion) still run, concurrently with the stream.
 
-    Section 5.2's procedure on the stabilised overlay: crash a random
-    fraction of the nodes, then send a paced batch of messages from random
-    correct nodes *before any further membership cycle* — reactive steps
-    (failure detection, passive-view promotion) still run, concurrently
-    with the stream.
+    The plan's own ``"crash"`` stream draws the victims.  The row is
+    :func:`~repro.faults.measure.measure_fault_plan`'s (``series`` in send
+    order for Figures 1c / 3, ``average`` for Figure 2, ``phases``,
+    ``fault_stats``, ``final``, ``applied``) plus the failure level, the
+    fraction of messages that reached every correct node and the number of
+    correct nodes.
     """
+    plan = FaultPlan((CrashEvent(at=0.0, fraction=fraction),), label="crash")
+    result = measure_fault_plan(scenario, plan, messages=ctx.config.messages)
+    series = result["series"]
+    result.update(
+        failure_fraction=fraction,
+        atomic=sum(1 for value in series if value >= 1.0) / len(series),
+        correct_nodes=result["final"]["alive"],
+    )
+    return json_safe(result)  # type: ignore[return-value]
+
+
+def _run_failure_cell(ctx: RunContext, key: CellKey) -> dict:
+    """One (protocol, failure fraction) cell of Figures 1c, 2 and 3."""
     protocol, fraction = key
-    scenario = ctx.stabilized(protocol)
-    scenario.fail_fraction(fraction)
-    summaries = scenario.send_paced_broadcasts(ctx.config.messages)
-    return {
-        "protocol": protocol,
-        "n": scenario.params.n,
-        "failure_fraction": fraction,
-        "messages": ctx.config.messages,
-        # per-message reliability in send order (Figures 1c / 3)
-        "series": reliability_series(summaries),
-        # batch average (Figure 2)
-        "average": average_reliability(summaries),
-        # fraction of messages that reached every correct node
-        "atomic": atomic_fraction(summaries),
-        "correct_nodes": len(scenario.alive_ids()),
-    }
+    return _crash_then_stream(ctx, ctx.stabilized(protocol), fraction)
 
 
 register(
@@ -483,7 +483,7 @@ register(
             Claim("Fig. 1c", "*", "atomic", "==", 0.0),
             Claim("Fig. 1c", "*", "series|min", "<", 0.5),
         ),
-        invariant=_failure_invariant,
+        invariant=check_cell,
         axes=(Axis(None, ("cyclon", "scamp")),),
         run_cell=lambda ctx, key: _run_failure_cell(ctx, (key[0], 0.5)),
     )
@@ -553,7 +553,7 @@ register(
             Claim("Fig. 2", "hyparview/0.80", "average", ">",
                   Ref("cyclon-acked/0.80", "average", slack=0.2), _FIG2),
         ),
-        invariant=_failure_invariant,
+        invariant=check_cell,
         **_failure_grid(
             PAPER_PROTOCOLS, (0.10, 0.20, 0.30, 0.40, 0.50, 0.60, 0.70, 0.80, 0.90, 0.95)
         ),
@@ -591,7 +591,7 @@ register(
             # ...while plain Cyclon does not recover within the batch at 60 %.
             Claim("Fig. 3", "cyclon/0.60", "series|tail", "<", 0.9),
         ),
-        invariant=_failure_invariant,
+        invariant=check_cell,
         **_failure_grid(PAPER_PROTOCOLS, (0.20, 0.40, 0.60, 0.70, 0.80, 0.95)),
     )
 )
@@ -1046,17 +1046,15 @@ def _passive_sizes(ctx: RunContext) -> tuple[int, ...]:
 def _run_passive_cell(ctx: RunContext, key: CellKey) -> dict:
     """The paper's future-work item (Section 6): the passive view size vs
     the resilience level — crash, stream, and measure the recovery."""
-    fraction = _failure(ctx)
     scenario = ctx.stabilized("hyparview", _hyparview_params(ctx, passive_view_capacity=key[0]))
-    scenario.fail_fraction(fraction)
-    summaries = scenario.send_paced_broadcasts(ctx.config.messages)
-    tail = [summary.reliability for summary in summaries][-10:]
+    row = _crash_then_stream(ctx, scenario, _failure(ctx))
+    tail = row["series"][-10:]
     return {
         "passive_capacity": key[0],
-        "failure_fraction": fraction,
-        "average_reliability": average_reliability(summaries),
-        "tail_reliability": sum(tail) / len(tail) if tail else 0.0,
-        "largest_component_fraction": scenario.snapshot().largest_component_fraction(),
+        **row,
+        "average_reliability": row["average"],
+        "tail_reliability": sum(tail) / len(tail),
+        "largest_component_fraction": row["final"]["largest_component"],
     }
 
 
@@ -1086,6 +1084,7 @@ register(
         ),
         axes=(Axis("passive_sizes", _passive_sizes, int),),
         run_cell=_run_passive_cell,
+        invariant=check_cell,
         **_points(_failure),
     )
 )
@@ -1113,13 +1112,13 @@ def _run_shuffle_ttl_cell(ctx: RunContext, key: CellKey) -> dict:
         balance = variance**0.5 / mean_count
     else:
         balance = 0.0
-    scenario.fail_fraction(_SHUFFLE_TTL_FAILURE)
-    summaries = scenario.send_paced_broadcasts(ctx.config.messages)
+    row = _crash_then_stream(ctx, scenario, _SHUFFLE_TTL_FAILURE)
     return {
         "shuffle_ttl": key[0],
+        **row,
         "average_clustering": snapshot.average_clustering(),
         "passive_balance": balance,
-        "recovery_average": average_reliability(summaries),
+        "recovery_average": row["average"],
     }
 
 
@@ -1147,6 +1146,7 @@ register(
         ),
         axes=(Axis("ttls", (1, 3, 6, 9), int),),
         run_cell=_run_shuffle_ttl_cell,
+        invariant=check_cell,
         **_points(lambda ctx: _SHUFFLE_TTL_FAILURE),
     )
 )
@@ -1156,7 +1156,6 @@ def _run_resend_cell(ctx: RunContext, key: CellKey) -> dict:
     """One arm of the flood resend-on-repair extension: a failed flood
     copy is retransmitted towards the repaired active view, trading extra
     traffic for reliability during the repair transient."""
-    fraction = _failure(ctx)
     scenario = ctx.stabilized("hyparview")
     for node_id in scenario.node_ids:
         layer = scenario.broadcast_layer(node_id)
@@ -1164,14 +1163,13 @@ def _run_resend_cell(ctx: RunContext, key: CellKey) -> dict:
         layer.resend_on_repair = key[0]
     counts = scenario.network.stats.messages_by_type
     before = counts.get("GossipData", 0)
-    scenario.fail_fraction(fraction)
-    summaries = scenario.send_paced_broadcasts(ctx.config.messages)
-    head = [summary.reliability for summary in summaries][:10]
+    row = _crash_then_stream(ctx, scenario, _failure(ctx))
+    head = row["series"][:10]
     return {
         "resend_on_repair": key[0],
-        "failure_fraction": fraction,
-        "average_reliability": average_reliability(summaries),
-        "first10_average": sum(head) / len(head) if head else 0.0,
+        **row,
+        "average_reliability": row["average"],
+        "first10_average": sum(head) / len(head),
         "data_transmissions": counts.get("GossipData", 0) - before,
     }
 
@@ -1207,6 +1205,7 @@ register(
         cell_affinity=lambda key: "base",
         axes=(Axis(None, (False, True), bool),),
         run_cell=_run_resend_cell,
+        invariant=check_cell,
         **_points(_failure),
     )
 )

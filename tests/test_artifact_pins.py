@@ -24,23 +24,41 @@ from repro.experiments.runner import run_scenarios
 PR2_SMOKE_SHA256 = {
     # One promotion pass per cycle or shuffle reply: flood reliability at 60 %
     # crashed: 0.947 -> 0.990 without resend, 1.000 -> 0.990 with it.
-    "ablation_flood_resend": "9d56ac50c3c076728279c6cbec51d520af491ac5567ea63bd8656c0ec7b2299a",
-    "ablation_passive_size": "79a553cc0d30b6c9004e1225ad27583ee08f81c89215293ddbb59ab38bbcd694",
+    # Section 5.2 as a one-event fault plan (the plan's "crash" stream draws
+    # the victims; the row gains phases, fault_stats, final, applied): average
+    # 0.990 -> 0.870 without resend, 0.990 -> 0.875 with it.
+    "ablation_flood_resend": "968b295a2674f95befc42531db510ed0e938954ffaed2cd7d29899d39d4f6bd0",
+    # Section 5.2 as a one-event fault plan (the plan's "crash" stream draws
+    # the victims; the row gains phases, fault_stats, final, applied): average
+    # at capacity 3 0.936 -> 0.840, at capacity 8 0.974 -> 0.840.
+    "ablation_passive_size": "c56ab5cd35934a6adef6f70b1d80557b5160a4ab40c4f200fa44c4246f6a29ac",
     "ablation_plumtree": "29ad4100ee07b4495e96f62528b909bdfed5db68d7052d4d128d982f667d8f5c",
     # One promotion pass per cycle or shuffle reply: recovery at shuffle TTL 1:
     # 1.000 -> 0.795; at TTL 6: 1.000 -> 0.987.
-    "ablation_shuffle_ttl": "420381361b18ac31febed36e576b6c34dfa2fa750c953f81b7358f397652c432",
+    # Section 5.2 as a one-event fault plan (the plan's "crash" stream draws
+    # the victims; the row gains phases, fault_stats, final, applied): recovery
+    # at TTL 1 0.795 -> 1.000, at TTL 6 0.987 -> 0.994.
+    "ablation_shuffle_ttl": "c15153b1c066c1198112b3c262e7fbb3da104d899057fce738ff30560104e8e1",
     "churn": "0765852f3e5922d91faf35c95974af2314177614110f2f1074dbf4bf48a06594",
     "fig1_hyparview_reference": "c8d7e26bcce14fe1b5ba2807334d2b5f547e78bc2988fcf0b5ea0ea680d9c928",
     "fig1a_cyclon_fanout": "ecd2e364928a0ebf6b4a7aad8857bf82e81934ad82aa62222b8338ef404f5333",
     "fig1b_scamp_fanout": "652cc0e5030789b9cb958a4bd7b0f4df9b3d20befbfc087547d89bfb2638487e",
-    "fig1c_failure50": "b2fbb79117e4078b11f1ad764cbbb8a30c8815bd761acc23efa02fa9c0fa876e",
+    # Section 5.2 as a one-event fault plan (the plan's "crash" stream draws
+    # the victims; the row gains phases, fault_stats, final, applied): average
+    # cyclon 0.656 -> 0.700, scamp 0.478 -> 0.528.
+    "fig1c_failure50": "4fe3b37d0f6d27fa75151bb61f11645cd8bde3535b35c4e8a9a9af5c55b863d6",
     # One promotion pass per cycle or shuffle reply: hyparview/0.70 average
     # 0.719 -> 0.868; every other cell unchanged.
-    "fig2_reliability": "0b113dd9a93b315d4b85aa3ecd799f811fe408833e5ef7656e9b45bf3c34c38a",
+    # Section 5.2 as a one-event fault plan (the plan's "crash" stream draws
+    # the victims; the row gains phases, fault_stats, final, applied): hyparview/0.70
+    # average 0.868 -> 1.000, cyclon/0.70 0.281 -> 0.149.
+    "fig2_reliability": "761ae6309643d7b93c63d12ea7a6a97ac02c46a7b34cd1fd2cd6ade9ef710957",
     # One promotion pass per cycle or shuffle reply: hyparview/0.70 average
     # 0.900 -> 0.884; every other cell unchanged.
-    "fig3_recovery": "c9933f82a565dcc03d2b53d482fa03cd04b4a8d0cb16aea47792d346731551d7",
+    # Section 5.2 as a one-event fault plan (the plan's "crash" stream draws
+    # the victims; the row gains phases, fault_stats, final, applied): hyparview/0.70
+    # average 0.884 -> 0.811, cyclon-acked/0.70 0.605 -> 0.711.
+    "fig3_recovery": "0d4126e0a4d03d97e668366f937936c79c08658afb75d30a0d1ad6e7cd045381",
     "fig4_healing": "5d915cce24b53bcc7caad3d881acc17a838253ced679ed91d59b5fb5808f98e2",
     "fig5_indegree": "34bda314256aa0b0667445eefbf7a0ac18dd924a91596d0eb7445ca66aaa1ce3",
     "overhead": "bdce9df4930b2b56d5e32b65d3c37345af1189f1ef1e880d005bf41453fb7a3b",
