@@ -429,19 +429,14 @@ register(
 # Figure 1c — baselines after 50% failures
 # ----------------------------------------------------------------------
 def _crash_then_stream(ctx: RunContext, scenario: Scenario, fraction: float) -> dict:
-    """Section 5.2's procedure on a stabilised overlay, as a one-event
-    fault plan: crash a random ``fraction`` of the nodes at plan time 0,
+    """Section 5.2's procedure as a one-event fault plan: crash a random
+    ``fraction`` of the nodes (drawn from the plan's ``"crash"`` stream),
     then send the tier's paced batch from random correct nodes *before any
     further membership cycle* — reactive steps (failure detection,
-    passive-view promotion) still run, concurrently with the stream.
-
-    The plan's own ``"crash"`` stream draws the victims.  The row is
-    :func:`~repro.faults.measure.measure_fault_plan`'s (``series`` in send
-    order for Figures 1c / 3, ``average`` for Figure 2, ``phases``,
-    ``fault_stats``, ``final``, ``applied``) plus the failure level, the
-    fraction of messages that reached every correct node and the number of
-    correct nodes.
-    """
+    passive-view promotion) still run, concurrently with the stream.  The
+    row is :func:`~repro.faults.measure.measure_fault_plan`'s (``series``
+    for Figures 1c / 3, ``average`` for Figure 2) plus the failure level,
+    the fraction of atomic messages and the number of correct nodes."""
     plan = FaultPlan((CrashEvent(at=0.0, fraction=fraction),), label="crash")
     result = measure_fault_plan(scenario, plan, messages=ctx.config.messages)
     series = result["series"]
@@ -801,7 +796,7 @@ register(
 
 
 # ----------------------------------------------------------------------
-# Extensions — overhead accounting and continuous churn
+# Extension — overhead accounting
 # ----------------------------------------------------------------------
 #: Message types that carry broadcast payloads; everything else is control.
 _DATA_TYPES = frozenset({"GossipData", "PlumtreeGossip"})
@@ -883,128 +878,6 @@ register(
         ),
         axes=(Axis(None, ("hyparview", "plumtree", "cyclon", "cyclon-acked", "scamp")),),
         run_cell=_run_overhead_cell,
-    )
-)
-
-
-#: Relative weights of the three churn events.
-_CRASH_WEIGHT = 0.4
-_LEAVE_WEIGHT = 0.2
-_REVIVE_WEIGHT = 0.4
-#: The live population never drops below this fraction of ``n``.
-_MIN_ALIVE_FRACTION = 0.3
-
-
-def _run_churn_cell(ctx: RunContext, key: CellKey) -> dict:
-    """Continuous churn, beyond the paper's one-shot failures.
-
-    Each step applies one event to the stabilised overlay — crash a live
-    node, leave gracefully, or revive a dead node as a fresh process that
-    re-joins, weighted by the constants above — then probes reliability
-    with one paced broadcast.  The live population never drops below
-    ``_MIN_ALIVE_FRACTION``: below it, crashes and leaves become revives
-    (if anyone is dead).
-    """
-    steps = int(ctx.option("steps", 60))  # type: ignore[arg-type]
-    if steps < 1:
-        raise ConfigurationError(f"steps must be >= 1: {steps}")
-    total = _CRASH_WEIGHT + _LEAVE_WEIGHT + _REVIVE_WEIGHT
-    scenario = ctx.stabilized(key[0])
-    n = scenario.params.n
-    rng = scenario.seeds.stream("churn")
-    crashes = leaves = revives = 0
-    summaries = []
-    floor = max(2, int(_MIN_ALIVE_FRACTION * n))
-    for _step in range(steps):
-        alive = scenario.alive_ids()
-        alive_set = set(alive)
-        dead = [node_id for node_id in scenario.node_ids if node_id not in alive_set]
-        roll = rng.random() * total
-        if roll < _CRASH_WEIGHT:
-            action = "crash"
-        elif roll < _CRASH_WEIGHT + _LEAVE_WEIGHT:
-            action = "leave"
-        else:
-            action = "revive"
-        if action in ("crash", "leave") and len(alive) <= floor:
-            action = "revive" if dead else "none"
-        if action == "revive" and not dead:
-            action = "crash" if len(alive) > floor else "none"
-        if action == "crash":
-            scenario.fail_nodes([rng.choice(alive)])
-            crashes += 1
-        elif action == "leave":
-            scenario.leave_gracefully(rng.choice(alive))
-            leaves += 1
-        elif action == "revive":
-            scenario.revive_node(rng.choice(dead))
-            revives += 1
-        summaries.extend(scenario.send_paced_broadcasts(1))
-    snapshot = scenario.snapshot()
-    alive_set = set(scenario.alive_ids())
-    stale = sum(
-        1
-        for node_id in alive_set
-        for peer in scenario.membership(node_id).out_neighbors()
-        if peer not in alive_set
-    )
-    return {
-        "protocol": key[0],
-        "n": n,
-        "steps": steps,
-        "crashes": crashes,
-        "leaves": leaves,
-        "revives": revives,
-        # reliability of the probe message sent after each churn step
-        "series": [summary.reliability for summary in summaries],
-        "average": average_reliability(summaries),
-        "final_alive": len(alive_set),
-        "final_largest_component": snapshot.largest_component_fraction(),
-        "final_symmetry": snapshot.symmetry_fraction(),
-        "stale_active_entries": stale,
-    }
-
-
-def _churn_invariant(cell: dict) -> None:
-    events = cell["crashes"] + cell["leaves"] + cell["revives"]
-    assert events <= cell["steps"], "at most one churn event per step"
-
-
-register(
-    ScenarioSpec(
-        id="churn",
-        group="extension",
-        title="Extension — continuous churn",
-        description="Crashes, graceful leaves and fresh-process revivals "
-        "interleaved with probe broadcasts.",
-        tiers=_tiers(
-            smoke=TierConfig(n=64, messages=1, stabilization_cycles=15,
-                             extra={"steps": 12}),
-            paper=TierConfig(n=10_000, messages=1, paper_params=True,
-                             extra={"steps": 200}),
-        ),
-        columns=(
-            Column("avg reliability", "average"),
-            Column("crashes", "crashes", ""),
-            Column("leaves", "leaves", ""),
-            Column("revives", "revives", ""),
-            Column("largest component", "final_largest_component"),
-            Column("stale entries", "stale_active_entries", ""),
-            Column("series", "series", "spark"),
-        ),
-        claims=(
-            *_unit("average"),
-            # HyParView stays essentially flat, keeps its active views free
-            # of dead entries, and matches CyclonAcked.
-            Claim("extension", "hyparview", "average", ">", 0.95),
-            Claim("extension", "hyparview", "final_largest_component", ">", 0.95),
-            Claim("extension", "hyparview", "stale_active_entries", "<=", 3),
-            Claim("extension", "hyparview", "average", ">=",
-                  Ref("cyclon-acked", "average", slack=-0.01)),
-        ),
-        invariant=_churn_invariant,
-        axes=(Axis(None, ("hyparview", "cyclon-acked")),),
-        run_cell=_run_churn_cell,
     )
 )
 

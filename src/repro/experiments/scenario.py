@@ -213,17 +213,6 @@ class Scenario:
         self.network.fail_many(victims)
         self.population = frozenset(self.alive_ids())
 
-    def leave_gracefully(self, node_id: NodeId) -> None:
-        """A node announces departure (DISCONNECT / unsubscription) and then
-        stops; protocols without a leave primitive just crash."""
-        membership = self.membership(node_id)
-        leave = getattr(membership, "leave", None)
-        if callable(leave):
-            leave()
-            self.drain()
-        self.fail_nodes([node_id])
-        self.drain()
-
     def revive_node(
         self,
         node_id: NodeId,

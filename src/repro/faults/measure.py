@@ -59,7 +59,6 @@ class _Stream(NamedTuple):
     driver: SimFaultDriver
     population: frozenset
     send_times: list[float]
-    payloads: list[tuple]
     summaries: list
 
 
@@ -92,9 +91,7 @@ def _paced_stream(
     )
     return _Stream(
         interval, ordered_phases, driver, frozenset(scenario.alive_ids()),
-        [index * interval for index in range(messages)],
-        [("m", index) for index in range(messages)],
-        summaries,
+        [index * interval for index in range(messages)], summaries,
     )
 
 
@@ -236,7 +233,8 @@ def measure_byzantine_plan(
     latencies: list[float] = []
     wrong_deliveries = 0
     disagreements = 0
-    for payload, summary in zip(stream.payloads, stream.summaries):
+    for index, summary in enumerate(stream.summaries):
+        payload = ("m", index)  # what the paced stream sent
         recorded = recorder.deliveries.get(summary.message_id, {})
         correct = sum(
             1

@@ -141,3 +141,15 @@ def check_no_open_exchange(scenario) -> None:
         open_exchanges = getattr(scenario.membership(node_id), "open_exchanges", tuple)()
         if open_exchanges:
             raise AssertionError(f"{node_id}: exchanges open at quiescence: {open_exchanges}")
+
+
+def check_no_dead_active_peers(scenario) -> None:
+    """Named invariant of HyParView's active view, checked on a drained
+    scenario: **no live node keeps a crashed peer as an active neighbour.**
+    A crash fails every connection to the dead node, and §4.2 uses that
+    failure as the detector, so a drained overlay has purged it."""
+    alive = frozenset(scenario.alive_ids())
+    for node_id in scenario.alive_ids():
+        dead = [peer for peer in scenario.membership(node_id).out_neighbors() if peer not in alive]
+        if dead:
+            raise AssertionError(f"{node_id}: crashed peers in the active view: {dead}")

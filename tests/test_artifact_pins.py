@@ -7,8 +7,8 @@ rework: the simulation substrate may change, the measured artifacts may
 not — ever, by a single byte.
 
 A cheap three-scenario subset runs in the regular suite; the full
-fifteen-scenario sweep is slow-marked (a few minutes) and runs with the
-slow tier of CI.
+fourteen-scenario paper-family sweep is slow-marked (a few minutes) and
+runs with the slow tier of CI.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ PR2_SMOKE_SHA256 = {
     # the victims; the row gains phases, fault_stats, final, applied): recovery
     # at TTL 1 0.795 -> 1.000, at TTL 6 0.987 -> 0.994.
     "ablation_shuffle_ttl": "c15153b1c066c1198112b3c262e7fbb3da104d899057fce738ff30560104e8e1",
-    "churn": "0765852f3e5922d91faf35c95974af2314177614110f2f1074dbf4bf48a06594",
     "fig1_hyparview_reference": "c8d7e26bcce14fe1b5ba2807334d2b5f547e78bc2988fcf0b5ea0ea680d9c928",
     "fig1a_cyclon_fanout": "ecd2e364928a0ebf6b4a7aad8857bf82e81934ad82aa62222b8338ef404f5333",
     "fig1b_scamp_fanout": "652cc0e5030789b9cb958a4bd7b0f4df9b3d20befbfc087547d89bfb2638487e",
@@ -225,7 +224,7 @@ def test_tracing_on_fig2_matches_pin():
 
 
 @pytest.mark.slow
-def test_all_fifteen_smoke_artifacts_match_pr2():
+def test_all_paper_family_smoke_artifacts_match_pr2():
     assert _hashes(PR2_SMOKE_SHA256) == PR2_SMOKE_SHA256
 
 

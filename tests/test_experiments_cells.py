@@ -94,7 +94,7 @@ class TestAffinityChunks:
             assert len(chunks) >= min(workers, len(units))
 
     def test_chunks_cover_all_units_exactly_once(self):
-        units = build_units([GRID_ID, "churn", "fig1a_cyclon_fanout"], "smoke", **TINY)
+        units = build_units([GRID_ID, "overhead", "fig1a_cyclon_fanout"], "smoke", **TINY)
         chunks = build_chunks(units, 6)
         flattened = [unit for chunk in chunks for unit in chunk]
         assert sorted(map(repr, flattened)) == sorted(map(repr, units))
@@ -121,7 +121,7 @@ class TestShardingDeterminism:
 
     def test_all_modes_agree_for_fanout_and_healing(self, assert_modes_match_reference):
         """More shapes of grid (fanout cells, healing cells, the one-cell
-        reference point, graph rows, overhead and churn cells) across the
+        reference point, graph rows and overhead cells) across the
         full mode matrix."""
         assert_modes_match_reference(
             [
@@ -131,7 +131,6 @@ class TestShardingDeterminism:
                 "fig5_indegree",
                 "table1_graph",
                 "overhead",
-                "churn",
             ],
             **TINY,
         )

@@ -1,9 +1,8 @@
-"""Tests for continuous churn and node revival."""
+"""Tests for node revival, graceful leaves and partitions."""
 
 import pytest
-from conftest import run_cell
 
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import SimulationError
 from repro.experiments.params import ExperimentParams
 from repro.experiments.scenario import Scenario
 
@@ -54,7 +53,11 @@ class TestRevive:
     def test_leave_gracefully_removes_node(self):
         scenario = small_scenario()
         leaver = scenario.node_ids[7]
-        scenario.leave_gracefully(leaver)
+        # A graceful leave: DISCONNECT every active peer, then stop.
+        scenario.membership(leaver).leave()
+        scenario.drain()
+        scenario.fail_nodes([leaver])
+        scenario.drain()
         assert not scenario.network.is_alive(leaver)
         alive = set(scenario.alive_ids())
         holders = sum(
@@ -63,35 +66,6 @@ class TestRevive:
             if leaver in scenario.membership(node_id).active_members()
         )
         assert holders == 0  # DISCONNECTs landed before the crash
-
-
-class TestChurnExperiment:
-    """The ``churn`` scenario's cell, at a test's own scale."""
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            run_cell("churn", ("hyparview",), n=60, cycles=3, steps=0)
-
-    def test_hyparview_survives_churn(self):
-        result = run_cell("churn", ("hyparview",), steps=25)
-        assert result["steps"] == 25
-        assert len(result["series"]) == 25  # one probe per step
-        assert result["crashes"] + result["leaves"] + result["revives"] <= 25
-        assert result["average"] > 0.95
-        assert result["final_largest_component"] > 0.95
-        assert result["stale_active_entries"] <= 2
-
-    def test_population_floor_respected(self):
-        result = run_cell("churn", ("hyparview",), n=12, cycles=5, steps=40)
-        # The live population never drops below 30 % of n (at least two).
-        assert result["final_alive"] >= max(2, int(0.3 * 12))
-        assert result["final_alive"] == (
-            12 - result["crashes"] - result["leaves"] + result["revives"]
-        )
-
-    def test_cyclon_acked_under_churn(self):
-        result = run_cell("churn", ("cyclon-acked",), steps=20)
-        assert result["average"] > 0.7  # probabilistic gossip, lower bar
 
 
 class TestPartitions:

@@ -256,7 +256,7 @@ class TestSeedDerivation:
         seeds = {
             replicate_seed(root, scenario, replicate)
             for root in (1, 2)
-            for scenario in ("fig2_reliability", "churn")
+            for scenario in ("fig2_reliability", "table1_graph")
             for replicate in range(3)
         }
         assert len(seeds) == 12
@@ -270,9 +270,9 @@ class TestSeedDerivation:
         assert len({context.seed for context in resolved}) == 3
 
     def test_cell_units_share_their_replicate_seed(self):
-        # churn is one cell per protocol; every cell of one replicate must
-        # observe the replicate's seed, whichever worker runs it.
-        units = build_units(["churn"], "smoke", root_seed=7, replicates=2)
+        # fig1c_failure50 is one cell per baseline; every cell of one
+        # replicate must observe the replicate's seed, whichever worker runs it.
+        units = build_units(["fig1c_failure50"], "smoke", root_seed=7, replicates=2)
         assert [unit.replicate for unit in units] == [0, 0, 1, 1]
         seeds = {}
         for unit in units:
@@ -378,9 +378,9 @@ class TestBenchCli:
 
     def test_scenario_is_repeatable(self):
         args = build_parser().parse_args(
-            ["bench", "--scenario", "churn", "--scenario", "overhead"]
+            ["bench", "--scenario", "fig1c_failure50", "--scenario", "overhead"]
         )
-        assert args.scenario == ["churn", "overhead"]
+        assert args.scenario == ["fig1c_failure50", "overhead"]
 
     def test_list_prints_catalogue(self, capsys):
         assert main(["bench", "--list"]) == 0

@@ -6,9 +6,20 @@ artifacts byte-identical across worker counts and snapshot-cache settings.
 
 from __future__ import annotations
 
+import functools
+
+import pytest
+
+from repro.experiments.params import ExperimentParams
 from repro.experiments.registry import get_scenario, scenario_ids
 from repro.experiments.reporting import encode_artifact
 from repro.experiments.runner import build_units, run_scenarios
+from repro.experiments.scenario import Scenario
+from repro.experiments.snapshots import stabilized_scenario
+from repro.faults.measure import measure_fault_plan
+from repro.faults.plan import CrashEvent, FaultPlan
+from repro.faults.scenarios import CASCADE
+from repro.testing import check_no_dead_active_peers
 
 FAULT_IDS = tuple(s for s in scenario_ids() if s.startswith("faults_"))
 TINY = dict(n=32, messages=4)
@@ -93,3 +104,36 @@ class TestFaultResults:
                              n=48, messages=6)
         result = runs["faults_adversary"].replicates[0]["result"]
         assert result["hyparview"]["fault_stats"]["dropped_adversary"] > 0
+
+
+@functools.lru_cache(maxsize=None)
+def _hyparview_base(seed: int) -> bytes:
+    """A stabilised n = 64 HyParView base at the smoke tier's settings."""
+    params = ExperimentParams.scaled(64, seed=seed, stabilization_cycles=15)
+    return stabilized_scenario("hyparview", params).freeze()
+
+
+class TestNoDeadActivePeers:
+    """A drained overlay keeps no crashed peer in an active view, after a
+    cascade of crash waves and after one 70 % crash (Section 5.2)."""
+
+    PLANS = {
+        "cascade": CASCADE[0],
+        "crash70": FaultPlan((CrashEvent(at=0.0, fraction=0.7),), label="crash"),
+    }
+
+    @pytest.mark.parametrize("seed", (1, 2, 3, 42))
+    @pytest.mark.parametrize("plan", sorted(PLANS))
+    def test_drained_plan_leaves_no_dead_active_peer(self, plan, seed):
+        scenario = Scenario.thaw(_hyparview_base(seed))
+        result = measure_fault_plan(scenario, self.PLANS[plan], messages=12)
+        assert result["final"]["alive"] < 64  # the crashes happened
+        check_no_dead_active_peers(scenario)
+
+    def test_check_names_a_crash_not_yet_detected(self):
+        scenario = Scenario.thaw(_hyparview_base(1))
+        scenario.fail_nodes(scenario.node_ids[:5])
+        with pytest.raises(AssertionError, match="crashed peers in the active view"):
+            check_no_dead_active_peers(scenario)
+        scenario.drain()
+        check_no_dead_active_peers(scenario)
