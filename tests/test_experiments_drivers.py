@@ -129,7 +129,8 @@ class TestReporting:
         lines = table.splitlines()
         assert lines[0] == "T"
         assert "name" in lines[1]
-        assert all(len(line) == len(lines[2]) or True for line in lines)
+        # Every row after the title is padded to the rule's width.
+        assert all(len(line) == len(lines[2]) for line in lines[1:])
         assert "1.5000" in table
 
     def test_format_series_wraps(self):

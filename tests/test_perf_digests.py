@@ -100,22 +100,23 @@ def test_seed_1_simulates_exactly_what_it_did(run, name):
 
 
 @pytest.mark.slow
-def test_heal_digest_does_not_depend_on_the_hash_seed():
-    """The membership workload once more, in a fresh interpreter under
-    another ``PYTHONHASHSEED``: set or dict order leaking into the
-    simulation would move its digest off the pin."""
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_digest_does_not_depend_on_the_hash_seed(name):
+    """Each sim workload once more, in a fresh interpreter under another
+    ``PYTHONHASHSEED``: set or dict order leaking into the simulation
+    would move its digest off the pin."""
     foreign = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import run; "
-        "spec = run.workloads()['sim_heal_episodes']; "
+        "spec = run.workloads()[sys.argv[2]]; "
         "_, detail = run.execute(spec, 1, 0.1, False); "
         "print(detail['sim_digest'])"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code, str(PERF)],
+        [sys.executable, "-c", code, str(PERF), name],
         env={**os.environ, "PYTHONHASHSEED": foreign},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert done.stdout.split()[-1] == PINNED["sim_heal_episodes"][0]
+    assert done.stdout.split()[-1] == PINNED[name][0]
