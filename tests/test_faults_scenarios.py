@@ -106,6 +106,22 @@ class TestFaultResults:
         assert result["hyparview"]["fault_stats"]["dropped_adversary"] > 0
 
 
+class TestChurnTraceHoldsTheChurnBars:
+    """HyParView rides out the churn trace at the smoke tier, where the
+    scenario's own claims (bench scale, n >= 400) are skipped: it stays
+    above 0.95 and connected, and keeps up with CyclonAcked, which itself
+    stays above 0.7."""
+
+    @pytest.mark.parametrize("seed", (1, 2, 3, 4, 5, 6, 42))
+    def test_hyparview_rides_out_the_churn_trace(self, seed):
+        runs = run_scenarios(["faults_churn_trace"], "smoke", workers=1, root_seed=seed)
+        cells = runs["faults_churn_trace"].replicates[0]["result"]
+        hyparview, acked = cells["hyparview"], cells["cyclon-acked"]
+        assert hyparview["average"] > 0.95
+        assert hyparview["final"]["largest_component"] > 0.95
+        assert hyparview["average"] >= acked["average"] - 0.01
+        assert acked["average"] > 0.7
+
 @functools.lru_cache(maxsize=None)
 def _hyparview_base(seed: int) -> bytes:
     """A stabilised n = 64 HyParView base at the smoke tier's settings."""
