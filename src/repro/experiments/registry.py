@@ -303,13 +303,14 @@ _CAPACITY = HyParViewConfig().active_view_capacity
 # ----------------------------------------------------------------------
 def _fanout_point(protocol: str, fanout: int, summaries: list) -> dict:
     """One Figure 1 point: reliability of a failure-free message batch."""
+    series = [summary.reliability for summary in summaries]
     return {
         "protocol": protocol,
         "fanout": fanout,
         "messages": len(summaries),
         "average_reliability": average_reliability(summaries),
-        "atomic_fraction": atomic_fraction(summaries),
-        "min_reliability": min(summary.reliability for summary in summaries),
+        "atomic_fraction": atomic_fraction(series),
+        "min_reliability": min(series),
     }
 
 
@@ -436,13 +437,19 @@ def _crash_then_stream(ctx: RunContext, scenario: Scenario, fraction: float) -> 
     passive-view promotion) still run, concurrently with the stream.  The
     row is :func:`~repro.faults.measure.measure_fault_plan`'s (``series``
     for Figures 1c / 3, ``average`` for Figure 2) plus the failure level,
-    the fraction of atomic messages and the number of correct nodes."""
-    plan = FaultPlan((CrashEvent(at=0.0, fraction=fraction),), label="crash")
+    the fraction of atomic messages and the number of correct nodes.
+    ``fraction`` is in [0, 1); at 0 the plan is empty and draws nothing."""
+    if not 0.0 <= fraction < 1.0:
+        raise ConfigurationError(f"failure fraction must be in [0, 1): {fraction}")
+    plan = (
+        FaultPlan((CrashEvent(at=0.0, fraction=fraction),), label="crash")
+        if fraction
+        else FaultPlan.empty()
+    )
     result = measure_fault_plan(scenario, plan, messages=ctx.config.messages)
-    series = result["series"]
     result.update(
         failure_fraction=fraction,
-        atomic=sum(1 for value in series if value >= 1.0) / len(series),
+        atomic=atomic_fraction(result["series"]),
         correct_nodes=result["final"]["alive"],
     )
     return json_safe(result)  # type: ignore[return-value]

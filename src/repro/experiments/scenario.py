@@ -269,7 +269,6 @@ class Scenario:
         count: int,
         interval: Optional[float] = None,
         *,
-        until: Optional[float] = None,
         exclude: Optional[Callable[[], Container[NodeId]]] = None,
     ) -> list[BroadcastSummary]:
         """Broadcast ``count`` messages at a fixed application rate.
@@ -280,11 +279,11 @@ class Scenario:
         Figure 3 setting, where early post-failure messages observe the
         overlay mid-repair.  ``interval`` defaults to five network delays.
 
-        Message ``i`` carries payload ``("m", i)`` from a random live
-        origin that ``exclude()`` (read at each send) does not name.  The
-        engine runs to ``until`` (seconds after the first send; a fault
-        plan's tail) before the final drain, and every message is
-        finalised against the population alive at the end.
+        Message ``i`` carries :meth:`paced_payload` ``(i)`` from a random
+        live origin that ``exclude()`` (read at each send) does not name.
+        The final drain fires every queued event, a fault plan's later
+        events included, and every message is finalised against the
+        population alive at the end.
         """
         if interval is None:
             interval = 5 * LATENCY_SECONDS
@@ -297,12 +296,15 @@ class Scenario:
                 barred = exclude()
                 candidates = [node for node in candidates if node not in barred]
             origin = self._rng.choice(candidates)
-            message_ids.append(self.broadcast_layer(origin).broadcast(("m", index)))
-        if until is not None:
-            self.engine.run_until(start + until)
+            message_ids.append(self.broadcast_layer(origin).broadcast(self.paced_payload(index)))
         self.drain()
         population = frozenset(self.alive_ids())
         return [self.tracker.finalize(mid, population) for mid in message_ids]
+
+    @staticmethod
+    def paced_payload(index: int) -> tuple:
+        """The payload of message ``index`` of :meth:`send_paced_broadcasts`."""
+        return ("m", index)
 
     # ------------------------------------------------------------------
     # Graph analytics

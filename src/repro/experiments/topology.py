@@ -43,11 +43,6 @@ from .scenario import Scenario
 #: The comparison the family makes: the optimiser and its baseline.
 TOPO_PROTOCOLS = ("hyparview-xbot", "hyparview")
 
-#: Post-stream settle time for fault measurements.  The default ten
-#: network delays assume the constant 0.01 s model; cross-continent links
-#: here run ~0.15 s per hop, so the tail needs real room.
-_SETTLE = 2.0
-
 #: ``topo_latency``'s reliability envelope: the churn trace
 #: ``faults_churn_trace`` replays at smoke tier.
 _CHURN = churn_trace(4, 3, 0.15)
@@ -134,7 +129,7 @@ def _run_convergence_cell(ctx: RunContext, key: CellKey) -> dict:
     result = measure_fault_plan(
         scenario, plan,
         messages=ctx.config.messages, interval=stream_interval(ctx, end),
-        settle=_SETTLE, phases=phases,
+        phases=phases,
     )
     result["link_cost"] = {
         "trajectory": trajectory,
@@ -193,7 +188,7 @@ def _run_latency_cell(ctx: RunContext, key: CellKey) -> dict:
     churn = measure_fault_plan(
         churn_scenario, plan,
         messages=ctx.config.messages, interval=stream_interval(ctx, end),
-        settle=_SETTLE, phases=phases,
+        phases=phases,
     )
     return json_safe(  # type: ignore[return-value]
         {

@@ -6,7 +6,7 @@ pace a broadcast stream across (at least) the plan's horizon through the
 scenario's one paced loop
 (:meth:`~repro.experiments.scenario.Scenario.send_paced_broadcasts`) —
 every message from an honest alive origin, carrying a distinct payload —
-then settle and report
+then drain and report
 
 * the per-message reliability series (timestamped by send time),
 * per-:class:`~repro.faults.plan.Phase` aggregates (average / min /
@@ -38,6 +38,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from ..common.errors import ConfigurationError
+from ..metrics.reliability import atomic_fraction
 from ..sim.latency import LATENCY_SECONDS
 from .adversary import MISBEHAVIOUR_STATS
 from .plan import FaultPlan, Phase, validate_phases
@@ -64,11 +65,11 @@ class _Stream(NamedTuple):
 
 def _paced_stream(
     scenario, plan: FaultPlan, messages: int, interval: Optional[float],
-    settle: Optional[float], phases: Sequence[Phase],
+    phases: Sequence[Phase],
 ) -> _Stream:
     """Install the plan's driver, then run the scenario's paced stream
-    (:meth:`~repro.experiments.scenario.Scenario.send_paced_broadcasts`)
-    on to the plan's tail."""
+    (:meth:`~repro.experiments.scenario.Scenario.send_paced_broadcasts`),
+    whose final drain also fires the plan's events past the last send."""
     if messages < 1:
         raise ConfigurationError(f"messages must be >= 1: {messages}")
     if interval is None:
@@ -76,8 +77,6 @@ def _paced_stream(
             interval = plan.horizon / (messages - 1)
         else:
             interval = 5 * LATENCY_SECONDS
-    if settle is None:
-        settle = 10 * LATENCY_SECONDS
     ordered_phases = validate_phases(phases)
 
     driver = SimFaultDriver(scenario, plan)
@@ -85,9 +84,7 @@ def _paced_stream(
     # Dissemination is measured *through* corrupted relays, never from a
     # corrupted source; only a corrupted sender rewrites a payload.
     summaries = scenario.send_paced_broadcasts(
-        messages, interval,
-        until=max((messages - 1) * interval, plan.horizon) + settle,
-        exclude=driver.misbehaviour.corrupted_ids,
+        messages, interval, exclude=driver.misbehaviour.corrupted_ids
     )
     return _Stream(
         interval, ordered_phases, driver, frozenset(scenario.alive_ids()),
@@ -112,11 +109,7 @@ def phase_rows(
                 "messages": len(window),
                 "average": sum(window) / len(window) if window else None,
                 "min": min(window, default=None),
-                "atomic": (
-                    sum(1 for value in window if value == 1.0) / len(window)
-                    if window
-                    else None
-                ),
+                "atomic": atomic_fraction(window) if window else None,
             }
         )
     return rows
@@ -181,7 +174,6 @@ def measure_fault_plan(
     *,
     messages: int,
     interval: Optional[float] = None,
-    settle: Optional[float] = None,
     phases: Sequence[Phase] = (),
 ) -> dict:
     """Run ``messages`` paced broadcasts under ``plan``; returns a JSON-safe
@@ -189,11 +181,11 @@ def measure_fault_plan(
 
     The scenario is consumed (mutated) — callers pass a snapshot-cache
     checkout.  ``interval`` defaults to spreading the stream across the
-    plan horizon (or five network delays when the plan is empty);
-    ``settle`` defaults to ten network delays after the later of the last
-    send and the plan horizon, giving repair traffic time to finish.
+    plan horizon (or five network delays when the plan is empty).  The
+    stream ends in a full drain, so every plan event and all repair
+    traffic has run before anything is measured.
     """
-    stream = _paced_stream(scenario, plan, messages, interval, settle, phases)
+    stream = _paced_stream(scenario, plan, messages, interval, phases)
     series = [summary.reliability for summary in stream.summaries]
     return _result(scenario, plan, stream, series, _FAULT_STATS)
 
@@ -216,7 +208,6 @@ def measure_byzantine_plan(
     *,
     messages: int,
     interval: Optional[float] = None,
-    settle: Optional[float] = None,
     phases: Sequence[Phase] = (),
 ) -> dict:
     """:func:`measure_fault_plan` plus value judgment: validated
@@ -225,7 +216,7 @@ def measure_byzantine_plan(
     validated series."""
     recorder = _DeliveryRecorder()
     scenario.set_delivery_recorder(recorder)
-    stream = _paced_stream(scenario, plan, messages, interval, settle, phases)
+    stream = _paced_stream(scenario, plan, messages, interval, phases)
     scenario.set_delivery_recorder(None)
 
     population = stream.population
@@ -234,7 +225,7 @@ def measure_byzantine_plan(
     wrong_deliveries = 0
     disagreements = 0
     for index, summary in enumerate(stream.summaries):
-        payload = ("m", index)  # what the paced stream sent
+        payload = scenario.paced_payload(index)
         recorded = recorder.deliveries.get(summary.message_id, {})
         correct = sum(
             1

@@ -30,12 +30,12 @@ def average_reliability(summaries: Sequence[BroadcastSummary]) -> float:
     return mean([summary.reliability for summary in summaries])
 
 
-def atomic_fraction(summaries: Sequence[BroadcastSummary]) -> float:
-    """Fraction of messages delivered to *every* correct node."""
-    if not summaries:
+def atomic_fraction(series: Sequence[float]) -> float:
+    """Fraction of messages delivered to *every* correct node, over a
+    per-message reliability series."""
+    if not series:
         return 0.0
-    atomic = sum(1 for summary in summaries if summary.reliability >= 1.0)
-    return atomic / len(summaries)
+    return sum(1 for reliability in series if reliability >= 1.0) / len(series)
 
 
 def max_hops(summaries: Sequence[BroadcastSummary]) -> float:

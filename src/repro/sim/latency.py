@@ -25,8 +25,7 @@ from ..common.errors import ConfigurationError
 from ..common.ids import NodeId
 
 #: One-way delay of the constant model, in seconds.  The harness also paces
-#: broadcast streams and sizes settle times in multiples of it, whatever
-#: model prices the links.
+#: broadcast streams in multiples of it, whatever model prices the links.
 LATENCY_SECONDS = 0.01
 
 

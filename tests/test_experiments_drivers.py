@@ -4,8 +4,10 @@ Each paper cell is called through ``spec.run_cell`` at n = 80 with eight
 stabilisation cycles and asserts on the row it returns.
 """
 
+import pytest
 from conftest import run_cell
 
+from repro.common.errors import ConfigurationError
 from repro.experiments import ExperimentParams, format_series, format_table, sparkline
 from repro.experiments.reporting import resolve
 from repro.experiments.snapshots import SnapshotCache
@@ -30,6 +32,20 @@ class TestFailureCells:
         run_cell("fig2_reliability", ("hyparview", 0.5), messages=5, snapshots=cache)
         assert len(cache.checkout("hyparview", PARAMS).alive_ids()) == 80
         assert cache.stats()["hits"] == 1
+
+    def test_failure_fraction_domain(self):
+        # 0 measures the intact overlay (an empty plan); 1 is refused.
+        intact = run_cell("fig2_reliability", ("hyparview", 0.0), messages=5)
+        assert intact["applied"] == [] and intact["correct_nodes"] == 80
+        assert intact["average"] == 1.0
+        swept = run_cell("ablation_flood_resend", (False,), messages=5, failure=0.0)
+        assert swept["failure_fraction"] == 0.0 and swept["correct_nodes"] == 80
+        for scenario_id, key, options in (
+            ("fig2_reliability", ("hyparview", 1.0), {}),
+            ("ablation_passive_size", (4,), {"failure": 1.0}),
+        ):
+            with pytest.raises(ConfigurationError, match=r"must be in \[0, 1\)"):
+                run_cell(scenario_id, key, messages=5, **options)
 
     def test_hyparview_beats_cyclon_after_heavy_failure(self):
         hyparview = run_cell("fig2_reliability", ("hyparview", 0.5), messages=15)

@@ -100,8 +100,7 @@ class TestReliabilityAggregation:
         assert average_reliability([]) == 0.0
 
     def test_atomic_fraction(self):
-        summaries = [summary(0, 1.0), summary(1, 0.99), summary(2, 1.0)]
-        assert atomic_fraction(summaries) == pytest.approx(2 / 3)
+        assert atomic_fraction([1.0, 0.99, 1.0]) == pytest.approx(2 / 3)
         assert atomic_fraction([]) == 0.0
 
     def test_max_hops_mean(self):
