@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import fields, replace
 
 from ..faults.measure import check_cell, measure_fault_plan
-from ..faults.scenarios import WAN_JITTER, churn_trace, stream_interval
+from ..faults.scenarios import WAN_JITTER, churn_trace
 from ..protocols.xbot import XBotStats
 from .params import ExperimentParams
 from .registry import (
@@ -125,12 +125,7 @@ def _run_convergence_cell(ctx: RunContext, key: CellKey) -> dict:
         scenario.run_cycles(step)
         remaining -= step
         trajectory.append(_edge_cost_stats(scenario))
-    plan, phases, end = WAN_JITTER
-    result = measure_fault_plan(
-        scenario, plan,
-        messages=ctx.config.messages, interval=stream_interval(ctx, end),
-        phases=phases,
-    )
+    result = measure_fault_plan(scenario, WAN_JITTER, messages=ctx.config.messages)
     result["link_cost"] = {
         "trajectory": trajectory,
         "final": _edge_cost_stats(scenario),
@@ -183,12 +178,8 @@ def _run_latency_cell(ctx: RunContext, key: CellKey) -> dict:
     # Reliability envelope: the same churn-trace plan the faults family
     # replays, on a fresh checkout of the same stabilised base.  The
     # unbiased slots must keep X-BOT's healing inside HyParView's envelope.
-    churn_scenario = ctx.stabilized(protocol, params)
-    plan, phases, end = _CHURN
     churn = measure_fault_plan(
-        churn_scenario, plan,
-        messages=ctx.config.messages, interval=stream_interval(ctx, end),
-        phases=phases,
+        ctx.stabilized(protocol, params), _CHURN, messages=ctx.config.messages
     )
     return json_safe(  # type: ignore[return-value]
         {

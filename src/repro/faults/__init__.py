@@ -28,7 +28,6 @@ from .plan import (
     Phase,
     RestartEvent,
     plan_from_file,
-    validate_phases,
 )
 from .sim import SimFaultDriver
 
@@ -46,5 +45,4 @@ __all__ = [
     "SimFaultDriver",
     "measure_fault_plan",
     "plan_from_file",
-    "validate_phases",
 ]

@@ -48,7 +48,6 @@ from .plan import (
     Phase,
     RestartEvent,
 )
-from .scenarios import PlanSpec, stream_interval
 
 #: The Byzantine scenarios' default comparison: quorum broadcast vs the
 #: ack/retransmit stack that trusts whatever bytes arrive.
@@ -70,13 +69,9 @@ def _byz_params(ctx: RunContext, protocol: str) -> ExperimentParams:
     return replace(params, brb_mode=str(ctx.option("brb_mode", "bracha")))
 
 
-def _run_byz_cell(ctx: RunContext, protocol: str, plan: PlanSpec) -> dict:
+def _run_byz_cell(ctx: RunContext, protocol: str, plan: FaultPlan) -> dict:
     scenario = ctx.stabilized(protocol, _byz_params(ctx, protocol))
-    timeline, phases, end = plan
-    result = measure_byzantine_plan(
-        scenario, timeline,
-        messages=ctx.config.messages, interval=stream_interval(ctx, end), phases=phases,
-    )
+    result = measure_byzantine_plan(scenario, plan, messages=ctx.config.messages)
     return json_safe(result)  # type: ignore[return-value]
 
 
@@ -104,15 +99,14 @@ BYZ_FRACTIONS = (0.0, 0.1, 0.2, 0.3, 0.4)
 _BRACHA = Scale(max_n=256)
 
 
-def _fraction_plan(fraction: float) -> PlanSpec:
-    if fraction <= 0.0:
-        plan = FaultPlan.empty()
-    else:
-        plan = FaultPlan(
-            events=(MutationEvent(at=0.1, fraction=fraction),),
-            label=f"byz-fraction-{fraction:g}",
-        )
-    return plan, (Phase("honest", 0.0, 0.1), Phase("corrupted", 0.1, 0.9 + 1e-6)), 0.9
+def _fraction_plan(fraction: float) -> FaultPlan:
+    """A mutating ``fraction`` of the relays from 0.1 s (none at 0)."""
+    return FaultPlan(
+        events=(MutationEvent(at=0.1, fraction=fraction),) if fraction > 0.0 else (),
+        label=f"byz-fraction-{fraction:g}",
+        phases=(Phase("honest", 0.0, 0.1), Phase("corrupted", 0.1, 0.9 + 1e-6)),
+        end=0.9,
+    )
 
 
 def _fraction_run(ctx: RunContext, key: CellKey) -> dict:
@@ -176,8 +170,8 @@ register(
 # ----------------------------------------------------------------------
 # Sampled quorums under churn
 # ----------------------------------------------------------------------
-def _churn_plan(burst: int) -> PlanSpec:
-    plan = FaultPlan(
+def _churn_plan(burst: int) -> FaultPlan:
+    return FaultPlan(
         events=(
             MutationEvent(at=0.1, fraction=0.15, until=0.6),
             # Churn forces stack rebuilds (fresh rosters, fresh samples)
@@ -186,13 +180,13 @@ def _churn_plan(burst: int) -> PlanSpec:
             RestartEvent(at=0.4, fraction=1.0),
         ),
         label="byz-churn",
+        phases=(
+            Phase("honest", 0.0, 0.1),
+            Phase("byzantine", 0.1, 0.6),
+            Phase("recovered", 0.6, 0.9 + 1e-6),
+        ),
+        end=0.9,
     )
-    phases = (
-        Phase("honest", 0.0, 0.1),
-        Phase("byzantine", 0.1, 0.6),
-        Phase("recovered", 0.6, 0.9 + 1e-6),
-    )
-    return plan, phases, 0.9
 
 
 BYZ_CHURN_PROTOCOLS = ("hyparview-brb", "cyclon-brb")
@@ -246,20 +240,18 @@ register(
 # ----------------------------------------------------------------------
 # Equivocation
 # ----------------------------------------------------------------------
-EQUIVOCATION: PlanSpec = (
-    FaultPlan(
-        events=(
-            MutationEvent(
-                at=0.1,
-                fraction=0.25,
-                target_types=DEFAULT_MUTATION_TYPES,
-                equivocate=True,
-            ),
+EQUIVOCATION = FaultPlan(
+    events=(
+        MutationEvent(
+            at=0.1,
+            fraction=0.25,
+            target_types=DEFAULT_MUTATION_TYPES,
+            equivocate=True,
         ),
-        label="byz-equivocation",
     ),
-    (Phase("honest", 0.0, 0.1), Phase("equivocating", 0.1, 0.9 + 1e-6)),
-    0.9,
+    label="byz-equivocation",
+    phases=(Phase("honest", 0.0, 0.1), Phase("equivocating", 0.1, 0.9 + 1e-6)),
+    end=0.9,
 )
 
 

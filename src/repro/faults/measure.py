@@ -1,16 +1,18 @@
 """Measure a broadcast stream while a fault plan unfolds.
 
 The measurement behind every ``faults_*``, ``reliable_*``, ``byz_*`` and
-``topo_*`` registry scenario: install a plan on a stabilised scenario,
-pace a broadcast stream across (at least) the plan's horizon through the
-scenario's one paced loop
-(:meth:`~repro.experiments.scenario.Scenario.send_paced_broadcasts`) —
-every message from an honest alive origin, carrying a distinct payload —
-then drain and report
+``topo_*`` registry scenario and Section 5.2's crash-then-stream cells.
+A :class:`~repro.faults.plan.FaultPlan` is the whole fault scenario: its
+events, its named ``phases`` and the ``end`` of its stream (its horizon
+unless it names one).  Install the plan on a stabilised scenario, pace a
+broadcast stream over ``[0, plan.end]`` through the scenario's one paced
+loop (:meth:`~repro.experiments.scenario.Scenario.send_paced_broadcasts`)
+— every message from an honest alive origin, carrying a distinct payload
+— then drain and report
 
 * the per-message reliability series (timestamped by send time),
 * per-:class:`~repro.faults.plan.Phase` aggregates (average / min /
-  atomic fraction per named window of the timeline),
+  atomic fraction per window of ``plan.phases``),
 * the fault counters: the network's (rule drops, duplicates, failures) and
   the misbehaving hosts' (adversary drops, corrupted sends),
 * the final overlay state (alive, largest component, symmetry),
@@ -41,7 +43,7 @@ from ..common.errors import ConfigurationError
 from ..metrics.reliability import atomic_fraction
 from ..sim.latency import LATENCY_SECONDS
 from .adversary import MISBEHAVIOUR_STATS
-from .plan import FaultPlan, Phase, validate_phases
+from .plan import FaultPlan, Phase
 from .sim import SimFaultDriver
 
 #: Fault counters both result shapes report, in artifact order.
@@ -56,28 +58,22 @@ class _Stream(NamedTuple):
     """What the paced-stream loop leaves behind, every message finalised."""
 
     interval: float
-    phases: tuple[Phase, ...]
     driver: SimFaultDriver
     population: frozenset
     send_times: list[float]
     summaries: list
 
 
-def _paced_stream(
-    scenario, plan: FaultPlan, messages: int, interval: Optional[float],
-    phases: Sequence[Phase],
-) -> _Stream:
-    """Install the plan's driver, then run the scenario's paced stream
-    (:meth:`~repro.experiments.scenario.Scenario.send_paced_broadcasts`),
-    whose final drain also fires the plan's events past the last send."""
+def _paced_stream(scenario, plan: FaultPlan, messages: int) -> _Stream:
+    """Install the plan's driver, then run the scenario's paced stream over
+    ``[0, plan.end]`` (five network delays apart for an ``end`` of 0 or one
+    message); its final drain also fires the plan's events past the last send."""
     if messages < 1:
         raise ConfigurationError(f"messages must be >= 1: {messages}")
-    if interval is None:
-        if plan.horizon > 0.0 and messages > 1:
-            interval = plan.horizon / (messages - 1)
-        else:
-            interval = 5 * LATENCY_SECONDS
-    ordered_phases = validate_phases(phases)
+    if plan.end > 0.0 and messages > 1:
+        interval = plan.end / (messages - 1)
+    else:
+        interval = 5 * LATENCY_SECONDS
 
     driver = SimFaultDriver(scenario, plan)
     driver.install()
@@ -87,7 +83,7 @@ def _paced_stream(
         messages, interval, exclude=driver.misbehaviour.corrupted_ids
     )
     return _Stream(
-        interval, ordered_phases, driver, frozenset(scenario.alive_ids()),
+        interval, driver, frozenset(scenario.alive_ids()),
         [index * interval for index in range(messages)], summaries,
     )
 
@@ -149,7 +145,7 @@ def _result(
         "series": series,
         "send_times": stream.send_times,
         "average": sum(series) / len(series),
-        "phases": phase_rows(stream.phases, stream.send_times, phase_values),
+        "phases": phase_rows(plan.phases, stream.send_times, phase_values),
         "fault_stats": {
             name: getattr(hosts if name in MISBEHAVIOUR_STATS else network, name)
             for name in stat_names
@@ -168,24 +164,16 @@ def _result(
     return result
 
 
-def measure_fault_plan(
-    scenario,
-    plan: FaultPlan,
-    *,
-    messages: int,
-    interval: Optional[float] = None,
-    phases: Sequence[Phase] = (),
-) -> dict:
-    """Run ``messages`` paced broadcasts under ``plan``; returns a JSON-safe
-    result dict.
+def measure_fault_plan(scenario, plan: FaultPlan, *, messages: int) -> dict:
+    """Run ``messages`` paced broadcasts under ``plan``, spread over
+    ``[0, plan.end]``; returns a JSON-safe result dict with a row per
+    ``plan.phases`` window.
 
     The scenario is consumed (mutated) — callers pass a snapshot-cache
-    checkout.  ``interval`` defaults to spreading the stream across the
-    plan horizon (or five network delays when the plan is empty).  The
-    stream ends in a full drain, so every plan event and all repair
-    traffic has run before anything is measured.
+    checkout.  The stream ends in a full drain, so every plan event and
+    all repair traffic has run before anything is measured.
     """
-    stream = _paced_stream(scenario, plan, messages, interval, phases)
+    stream = _paced_stream(scenario, plan, messages)
     series = [summary.reliability for summary in stream.summaries]
     return _result(scenario, plan, stream, series, _FAULT_STATS)
 
@@ -202,21 +190,14 @@ class _DeliveryRecorder:
         self.deliveries.setdefault(message_id, {})[node_id] = payload
 
 
-def measure_byzantine_plan(
-    scenario,
-    plan: FaultPlan,
-    *,
-    messages: int,
-    interval: Optional[float] = None,
-    phases: Sequence[Phase] = (),
-) -> dict:
+def measure_byzantine_plan(scenario, plan: FaultPlan, *, messages: int) -> dict:
     """:func:`measure_fault_plan` plus value judgment: validated
     (correct-value) reliability, agreement, wrong deliveries and delivery
     latency next to the tracker's raw series; phase rows aggregate the
     validated series."""
     recorder = _DeliveryRecorder()
     scenario.set_delivery_recorder(recorder)
-    stream = _paced_stream(scenario, plan, messages, interval, phases)
+    stream = _paced_stream(scenario, plan, messages)
     scenario.set_delivery_recorder(None)
 
     population = stream.population

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..common.errors import ConfigurationError
 from ..sim.network import LinkFaultRule
@@ -297,21 +297,36 @@ class MutationEvent(FaultEvent):
 
 @dataclass(frozen=True, slots=True)
 class FaultPlan:
-    """An immutable, ordered timeline of fault events.
+    """An immutable fault scenario: an ordered timeline of fault events,
+    the named windows it is measured in and the end of its stream.
 
     ``events`` are sorted by ``at`` (ties keep construction order, which
-    both drivers preserve).  ``horizon`` is the end of the last effect —
-    measurement drivers keep the message stream running at least that long.
+    both drivers preserve).  ``horizon`` is the end of the last effect.
+    ``phases`` are sorted by start and may not overlap (a message would
+    count twice); ``end`` is the last send time of a stream measured
+    under the plan and defaults to ``horizon``.
     """
 
     events: tuple[FaultEvent, ...] = ()
     #: label mixed into victim-selection seeding so two plans in one run
     #: draw independent choices.
     label: str = "faults"
+    phases: tuple[Phase, ...] = ()
+    end: Optional[float] = None
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.events, key=lambda event: event.at))
         object.__setattr__(self, "events", ordered)
+        phases = tuple(sorted(self.phases, key=lambda phase: phase.start))
+        for previous, current in zip(phases, phases[1:]):
+            if current.start < previous.end:
+                raise ConfigurationError(
+                    f"phases overlap: {previous.name!r} ends at {previous.end}, "
+                    f"{current.name!r} starts at {current.start}"
+                )
+        object.__setattr__(self, "phases", phases)
+        if self.end is None:
+            object.__setattr__(self, "end", self.horizon)
 
     @property
     def horizon(self) -> float:
@@ -370,29 +385,6 @@ class FaultPlan:
     @staticmethod
     def empty() -> "FaultPlan":
         return FaultPlan()
-
-    @staticmethod
-    def churn_trace(
-        trace: Iterable[tuple[float, str, int]], *, label: str = "churn-trace"
-    ) -> "FaultPlan":
-        """A plan replaying ``(at, action, count)`` churn records.
-
-        ``action`` is ``"crash"`` or ``"restart"``; the trace is the
-        portable artifact (derivable from logs of a real deployment), the
-        concrete victims are chosen at apply time from the driver's seed.
-        """
-        events: list[FaultEvent] = []
-        for at, action, count in trace:
-            if action == "crash":
-                events.append(CrashEvent(at=at, count=count))
-            elif action == "restart":
-                events.append(RestartEvent(at=at, count=count))
-            else:
-                raise ConfigurationError(
-                    f"unknown churn-trace action {action!r} "
-                    f"(expected 'crash' or 'restart')"
-                )
-        return FaultPlan(events=tuple(events), label=label)
 
     @staticmethod
     def from_dict(data: dict) -> "FaultPlan":
@@ -501,19 +493,6 @@ def plan_from_file(path) -> FaultPlan:
     except json.JSONDecodeError as error:
         raise ConfigurationError(f"plan file {path} is not valid JSON: {error}") from error
     return FaultPlan.from_dict(data)
-
-
-def validate_phases(phases: Sequence[Phase]) -> tuple[Phase, ...]:
-    """Phases sorted by start; overlaps are rejected (metrics would double
-    count messages)."""
-    ordered = tuple(sorted(phases, key=lambda phase: phase.start))
-    for previous, current in zip(ordered, ordered[1:]):
-        if current.start < previous.end:
-            raise ConfigurationError(
-                f"phases overlap: {previous.name!r} ends at {previous.end}, "
-                f"{current.name!r} starts at {current.start}"
-            )
-    return ordered
 
 
 class PlanDriver:
@@ -648,5 +627,4 @@ __all__ = [
     "pick_count",
     "plan_from_file",
     "split_weighted",
-    "validate_phases",
 ]

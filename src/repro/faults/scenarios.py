@@ -1,7 +1,7 @@
 """The ``faults_*`` scenario family: chaos experiments from fault plans.
 
 Every scenario here is one constant :class:`~repro.faults.plan.FaultPlan`
-(with its phase windows and stream end) measured through
+(its events, phase windows and stream end) measured through
 :func:`~repro.faults.measure.measure_fault_plan` on a stabilised overlay,
 registered in the tiered registry as a one-axis protocol grid (so the
 orchestrator shards them and serves bases from the snapshot cache like any
@@ -40,11 +40,10 @@ duplicating link windows (``WAN_JITTER``, ``RELIABLE_LOSS``,
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Optional
+from typing import Callable
 
 from ..experiments.registry import (
     Axis,
-    CellKey,
     RunContext,
     ScenarioSpec,
     TierConfig,
@@ -57,14 +56,12 @@ from .plan import (
     AdversaryEvent,
     CrashEvent,
     DegradeEvent,
+    FaultEvent,
     FaultPlan,
     PartitionEvent,
     Phase,
     RestartEvent,
 )
-
-#: A scenario's plan: the timeline, its phase windows and the stream's end.
-PlanSpec = tuple[FaultPlan, tuple[Phase, ...], float]
 
 #: Protocols the fault scenarios compare by default: the paper's subject
 #: and its strongest baseline.
@@ -72,21 +69,6 @@ FAULT_PROTOCOLS = ("hyparview", "cyclon-acked")
 
 _SMOKE = TierConfig(n=64, messages=12, stabilization_cycles=15)
 _PAPER = TierConfig(n=10_000, messages=100, paper_params=True)
-
-
-def stream_interval(ctx: RunContext, end: float) -> Optional[float]:
-    """Send spacing that spreads the tier's messages over ``[0, end]``."""
-    return end / (ctx.config.messages - 1) if ctx.config.messages > 1 else None
-
-
-def _run_fault_cell(ctx: RunContext, key: CellKey, plan: PlanSpec) -> dict:
-    scenario = ctx.stabilized(key[0])
-    timeline, phases, end = plan
-    result = measure_fault_plan(
-        scenario, timeline,
-        messages=ctx.config.messages, interval=stream_interval(ctx, end), phases=phases,
-    )
-    return json_safe(result)  # type: ignore[return-value]
 
 
 #: A claim about a fault window holds once the stream has a send inside
@@ -112,7 +94,7 @@ def _register_fault_scenario(
     scenario_id: str,
     title: str,
     description: str,
-    plan: PlanSpec | Callable[[RunContext], PlanSpec],
+    plan: FaultPlan | Callable[[RunContext], FaultPlan],
     claims: tuple[Claim, ...],
     paper: TierConfig = _PAPER,
     protocols: tuple[str, ...] = FAULT_PROTOCOLS,
@@ -120,8 +102,8 @@ def _register_fault_scenario(
     columns: tuple[Column, ...] = (),
 ) -> None:
     """``plan`` is the scenario's constant plan, or a function of the run
-    context (with its ``phases``) for the plans that read a tier option;
-    ``columns`` are the scenario's own counters."""
+    context for the plans that read a tier option (which name their
+    ``phases`` here); ``columns`` are the scenario's own counters."""
     register(
         ScenarioSpec(
             id=scenario_id,
@@ -130,10 +112,12 @@ def _register_fault_scenario(
             description=description,
             tiers=_tiers(smoke=_SMOKE, paper=paper),
             axes=(Axis(None, protocols),),
-            run_cell=lambda ctx, key: _run_fault_cell(
-                ctx, key, plan(ctx) if callable(plan) else plan
-            ),
-            columns=fault_columns(phases or plan[1], *columns),  # type: ignore[index]
+            run_cell=lambda ctx, key: json_safe(measure_fault_plan(
+                ctx.stabilized(key[0]),
+                plan(ctx) if callable(plan) else plan,
+                messages=ctx.config.messages,
+            )),
+            columns=fault_columns(phases or plan.phases, *columns),  # type: ignore[union-attr]
             claims=claims,
             invariant=check_cell,
         )
@@ -143,17 +127,15 @@ def _register_fault_scenario(
 # ----------------------------------------------------------------------
 # Partition and heal
 # ----------------------------------------------------------------------
-PARTITION_HEAL: PlanSpec = (
-    FaultPlan(
-        events=(PartitionEvent(at=0.2, weights=(0.5, 0.5), heal_at=0.5, rejoin=4),),
-        label="partition-heal",
-    ),
-    (
+PARTITION_HEAL = FaultPlan(
+    events=(PartitionEvent(at=0.2, weights=(0.5, 0.5), heal_at=0.5, rejoin=4),),
+    label="partition-heal",
+    phases=(
         Phase("before", 0.0, 0.2),
         Phase("partitioned", 0.2, 0.5),
         Phase("healed", 0.5, 0.9 + 1e-6),
     ),
-    0.9,
+    end=0.9,
 )
 
 
@@ -178,17 +160,15 @@ _register_fault_scenario(
 # Correlated cascading failures
 # ----------------------------------------------------------------------
 _WAVES = (0.2, 0.35, 0.5)
-CASCADE: PlanSpec = (
-    FaultPlan(
-        events=tuple(CrashEvent(at=at, fraction=0.15) for at in _WAVES),
-        label="cascade",
-    ),
-    (
+CASCADE = FaultPlan(
+    events=tuple(CrashEvent(at=at, fraction=0.15) for at in _WAVES),
+    label="cascade",
+    phases=(
         Phase("stable", 0.0, _WAVES[0]),
         Phase("cascading", _WAVES[0], _WAVES[-1] + 0.1),
         Phase("aftermath", _WAVES[-1] + 0.1, 0.9 + 1e-6),
     ),
-    0.9,
+    end=0.9,
 )
 
 
@@ -209,10 +189,10 @@ _register_fault_scenario(
 # ----------------------------------------------------------------------
 # WAN jitter / lossy links
 # ----------------------------------------------------------------------
-def _lossy_links(loss: float, jitter: float, phase: str, label: str) -> PlanSpec:
+def _lossy_links(loss: float, jitter: float, phase: str, label: str) -> FaultPlan:
     """Loss, jitter and 5 % duplication on half the links over
     ``[0.1 s, 0.5 s)``; ``phase`` names that window."""
-    plan = FaultPlan(
+    return FaultPlan(
         events=(
             DegradeEvent(
                 at=0.1,
@@ -225,13 +205,13 @@ def _lossy_links(loss: float, jitter: float, phase: str, label: str) -> PlanSpec
             ),
         ),
         label=label,
+        phases=(
+            Phase("clean", 0.0, 0.1),
+            Phase(phase, 0.1, 0.5),
+            Phase("recovered", 0.5, 0.8 + 1e-6),
+        ),
+        end=0.8,
     )
-    phases = (
-        Phase("clean", 0.0, 0.1),
-        Phase(phase, 0.1, 0.5),
-        Phase("recovered", 0.5, 0.8 + 1e-6),
-    )
-    return plan, phases, 0.8
 
 
 WAN_JITTER = _lossy_links(0.1, 0.05, "degraded", "wan-jitter")
@@ -261,16 +241,15 @@ CHURN_PHASES = (
 )
 
 
-def churn_trace(bursts: int, size: int, period: float, label: str = "churn-trace") -> PlanSpec:
+def churn_trace(bursts: int, size: int, period: float, label: str = "churn-trace") -> FaultPlan:
     """``bursts`` crashes of ``size`` nodes every ``period`` from 0.1 s,
     each restarted half a period later; early / mid / late thirds of a
     0.9 s stream."""
-    trace = []
+    events: list[FaultEvent] = []
     for burst in range(bursts):
         at = 0.1 + burst * period
-        trace.append((at, "crash", size))
-        trace.append((at + period / 2, "restart", size))
-    return FaultPlan.churn_trace(trace, label=label), CHURN_PHASES, 0.9
+        events += (CrashEvent(at=at, count=size), RestartEvent(at=at + period / 2, count=size))
+    return FaultPlan(tuple(events), label=label, phases=CHURN_PHASES, end=0.9)
 
 
 def _burst_size(ctx: RunContext, default: int) -> int:
@@ -303,19 +282,17 @@ _register_fault_scenario(
 # ----------------------------------------------------------------------
 # Flash-crowd join
 # ----------------------------------------------------------------------
-FLASH_CROWD: PlanSpec = (
-    FaultPlan(
-        events=(
-            CrashEvent(at=0.05, fraction=0.4),
-            RestartEvent(at=0.45, fraction=1.0),
-        ),
-        label="flash-crowd",
+FLASH_CROWD = FaultPlan(
+    events=(
+        CrashEvent(at=0.05, fraction=0.4),
+        RestartEvent(at=0.45, fraction=1.0),
     ),
-    (
+    label="flash-crowd",
+    phases=(
         Phase("depleted", 0.0, 0.45),
         Phase("flash", 0.45, 0.9 + 1e-6),
     ),
-    0.9,
+    end=0.9,
 )
 
 
@@ -337,34 +314,32 @@ _register_fault_scenario(
 # ----------------------------------------------------------------------
 # Misbehaving peers
 # ----------------------------------------------------------------------
-ADVERSARY: PlanSpec = (
-    FaultPlan(
-        events=(
-            AdversaryEvent(
-                at=0.1,
-                fraction=0.25,
-                # Each protocol family's repair/membership vocabulary; an
-                # adversary only matches the types its overlay actually
-                # speaks (the rest are inert).
-                drop_types=(
-                    "ForwardJoin", "Neighbor", "Shuffle", "ShuffleReply",
-                    "CyclonJoinWalk", "CyclonShuffleRequest", "CyclonShuffleReply",
-                ),
-                until=0.6,
+ADVERSARY = FaultPlan(
+    events=(
+        AdversaryEvent(
+            at=0.1,
+            fraction=0.25,
+            # Each protocol family's repair/membership vocabulary; an
+            # adversary only matches the types its overlay actually
+            # speaks (the rest are inert).
+            drop_types=(
+                "ForwardJoin", "Neighbor", "Shuffle", "ShuffleReply",
+                "CyclonJoinWalk", "CyclonShuffleRequest", "CyclonShuffleReply",
             ),
-            # Crashes force repair traffic exactly while adversaries are
-            # silently eating it.
-            CrashEvent(at=0.25, fraction=0.25),
-            RestartEvent(at=0.25 + 0.15, fraction=1.0),
+            until=0.6,
         ),
-        label="adversary",
+        # Crashes force repair traffic exactly while adversaries are
+        # silently eating it.
+        CrashEvent(at=0.25, fraction=0.25),
+        RestartEvent(at=0.25 + 0.15, fraction=1.0),
     ),
-    (
+    label="adversary",
+    phases=(
         Phase("honest", 0.0, 0.1),
         Phase("sabotaged", 0.1, 0.6),
         Phase("recovered", 0.6, 0.9 + 1e-6),
     ),
-    0.9,
+    end=0.9,
 )
 
 
@@ -445,29 +420,27 @@ _register_fault_scenario(
 )
 
 
-RELIABLE_STRESS: PlanSpec = (
-    FaultPlan(
-        events=(
-            DegradeEvent(
-                at=0.1,
-                until=0.6,
-                loss_rate=0.35,
-                jitter=(0.0, 0.0),
-                duplicate_rate=0.05,
-                retransmit_delay=0.03,
-                link_fraction=0.6,
-            ),
-            CrashEvent(at=0.3, fraction=0.2),
+RELIABLE_STRESS = FaultPlan(
+    events=(
+        DegradeEvent(
+            at=0.1,
+            until=0.6,
+            loss_rate=0.35,
+            jitter=(0.0, 0.0),
+            duplicate_rate=0.05,
+            retransmit_delay=0.03,
+            link_fraction=0.6,
         ),
-        label="reliable-stress",
+        CrashEvent(at=0.3, fraction=0.2),
     ),
-    (
+    label="reliable-stress",
+    phases=(
         Phase("clean", 0.0, 0.1),
         Phase("lossy", 0.1, 0.3),
         Phase("lossy+dead", 0.3, 0.6),
         Phase("aftermath", 0.6, 0.9 + 1e-6),
     ),
-    0.9,
+    end=0.9,
 )
 
 
@@ -495,5 +468,4 @@ __all__ = [
     "RELIABLE_PROTOCOLS",
     "WAN_JITTER",
     "churn_trace",
-    "stream_interval",
 ]

@@ -30,10 +30,10 @@ from repro.faults import (
     RestartEvent,
     SimFaultDriver,
     measure_fault_plan,
-    validate_phases,
 )
 from repro.faults.adversary import SimMisbehaviour
 from repro.faults.measure import measure_byzantine_plan
+from repro.faults.scenarios import churn_trace
 from repro.gossip.messages import GossipData
 from repro.sim.network import LinkFaultRule
 
@@ -100,13 +100,14 @@ class TestPlanValidation:
             AdversaryEvent(at=0.5, fraction=0.5, until=0.5)
 
     def test_churn_trace_constructor(self):
-        plan = FaultPlan.churn_trace(
-            [(0.1, "crash", 2), (0.2, "restart", 2)]
-        )
-        assert isinstance(plan.events[0], CrashEvent)
-        assert isinstance(plan.events[1], RestartEvent)
-        with pytest.raises(ConfigurationError, match="unknown churn-trace"):
-            FaultPlan.churn_trace([(0.1, "explode", 1)])
+        plan = churn_trace(2, 3, 0.2)
+        assert [type(event) for event in plan.events] == [
+            CrashEvent, RestartEvent, CrashEvent, RestartEvent
+        ]
+        assert [event.at for event in plan.events] == pytest.approx([0.1, 0.2, 0.3, 0.4])
+        assert {event.count for event in plan.events} == {3}
+        assert [phase.name for phase in plan.phases] == ["early", "mid", "late"]
+        assert plan.end == 0.9
 
     def test_describe_is_json_safe(self):
         plan = FaultPlan(
@@ -135,9 +136,10 @@ class TestPlanValidation:
         with pytest.raises(ConfigurationError, match="non-empty"):
             Phase("empty", 1.0, 1.0)
         with pytest.raises(ConfigurationError, match="overlap"):
-            validate_phases([Phase("a", 0.0, 0.5), Phase("b", 0.4, 1.0)])
-        ordered = validate_phases([Phase("b", 0.5, 1.0), Phase("a", 0.0, 0.5)])
-        assert [phase.name for phase in ordered] == ["a", "b"]
+            FaultPlan(phases=(Phase("a", 0.0, 0.5), Phase("b", 0.4, 1.0)))
+        plan = FaultPlan(phases=(Phase("b", 0.5, 1.0), Phase("a", 0.0, 0.5)))
+        assert [phase.name for phase in plan.phases] == ["a", "b"]
+        assert plan.end == plan.horizon == 0.0
 
 
 class TestPlanPopulation:
@@ -262,8 +264,7 @@ class TestNoOpGuarantee:
         for _ in range(2):
             scenario = _tiny_base().thaw(frozen)
             result = measure_fault_plan(
-                scenario, FaultPlan.empty(), messages=3,
-                phases=(Phase("all", 0.0, 1.0),),
+                scenario, FaultPlan(phases=(Phase("all", 0.0, 1.0),)), messages=3
             )
             results.append(encode_artifact(json_safe(result)))
         assert results[0] == results[1]
@@ -296,10 +297,10 @@ class TestSharedMeasuringLoop:
         plan = FaultPlan(
             events=(CrashEvent(at=0.1, fraction=0.25), RestartEvent(at=0.3, fraction=1.0)),
             label="crash-restart",
+            phases=(Phase("before", 0.0, 0.1), Phase("after", 0.1, 1.0)),
         )
-        phases = (Phase("before", 0.0, 0.1), Phase("after", 0.1, 1.0))
-        raw = measure_fault_plan(base.thaw(frozen), plan, messages=6, phases=phases)
-        judged = measure_byzantine_plan(base.thaw(frozen), plan, messages=6, phases=phases)
+        raw = measure_fault_plan(base.thaw(frozen), plan, messages=6)
+        judged = measure_byzantine_plan(base.thaw(frozen), plan, messages=6)
         for key in ("series", "send_times", "interval", "final", "applied", "phases"):
             assert judged[key] == raw[key], key
         assert raw["fault_stats"] == {key: judged["fault_stats"][key] for key in raw["fault_stats"]}
@@ -458,15 +459,13 @@ class TestSimDriver:
                 CrashEvent(at=0.05, fraction=0.3),
                 PartitionEvent(at=0.15, heal_at=0.35, rejoin=2),
                 RestartEvent(at=0.45, fraction=1.0),
-            )
+            ),
+            phases=(Phase("all", 0.0, 0.6),),
         )
         outcomes = []
         for _ in range(2):
             scenario = _tiny_base().thaw(frozen)
-            result = measure_fault_plan(
-                scenario, plan, messages=4,
-                phases=(Phase("all", 0.0, 0.6),),
-            )
+            result = measure_fault_plan(scenario, plan, messages=4)
             outcomes.append(encode_artifact(json_safe(result)))
         assert outcomes[0] == outcomes[1]
 

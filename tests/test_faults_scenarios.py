@@ -134,7 +134,7 @@ class TestNoDeadActivePeers:
     cascade of crash waves and after one 70 % crash (Section 5.2)."""
 
     PLANS = {
-        "cascade": CASCADE[0],
+        "cascade": CASCADE,
         "crash70": FaultPlan((CrashEvent(at=0.0, fraction=0.7),), label="crash"),
     }
 
