@@ -436,9 +436,9 @@ def _crash_then_stream(ctx: RunContext, scenario: Scenario, fraction: float) -> 
     further membership cycle* — reactive steps (failure detection,
     passive-view promotion) still run, concurrently with the stream.  The
     row is :func:`~repro.faults.measure.measure_fault_plan`'s (``series``
-    for Figures 1c / 3, ``average`` for Figure 2) plus the failure level,
-    the fraction of atomic messages and the number of correct nodes.
-    ``fraction`` is in [0, 1); at 0 the plan is empty and draws nothing."""
+    for Figures 1c / 3, ``average`` for Figure 2, ``final.alive`` the
+    correct nodes).  ``fraction`` is in [0, 1); at 0 the plan is empty and
+    draws nothing."""
     if not 0.0 <= fraction < 1.0:
         raise ConfigurationError(f"failure fraction must be in [0, 1): {fraction}")
     plan = (
@@ -447,11 +447,6 @@ def _crash_then_stream(ctx: RunContext, scenario: Scenario, fraction: float) -> 
         else FaultPlan.empty()
     )
     result = measure_fault_plan(scenario, plan, messages=ctx.config.messages)
-    result.update(
-        failure_fraction=fraction,
-        atomic=atomic_fraction(result["series"]),
-        correct_nodes=result["final"]["alive"],
-    )
     return json_safe(result)  # type: ignore[return-value]
 
 
@@ -475,14 +470,14 @@ register(
         columns=(
             Column("avg reliability", "average"),
             Column("max msg reliability", "series|max"),
-            Column("atomic fraction", "atomic"),
+            Column("atomic fraction", "series|atomic"),
             Column("series", "series", "spark"),
         ),
         # Reliability is lost: neither baseline approaches 1.0.
         claims=(
             *_unit("average"),
             Claim("Fig. 1c", "*", "series|max", "<", 0.999),
-            Claim("Fig. 1c", "*", "atomic", "==", 0.0),
+            Claim("Fig. 1c", "*", "series|atomic", "==", 0.0),
             Claim("Fig. 1c", "*", "series|min", "<", 0.5),
         ),
         invariant=check_cell,
@@ -535,7 +530,7 @@ register(
             paper=TierConfig(n=10_000, messages=1_000, paper_params=True),
         ),
         run_cell=_run_failure_cell,
-        columns=(Column("avg reliability", "average"), Column("atomic fraction", "atomic")),
+        columns=(Column("avg reliability", "average"), Column("atomic fraction", "series|atomic")),
         claims=(
             *_unit("average"),
             # HyParView is essentially unaffected below 90 %...
@@ -927,15 +922,7 @@ def _run_passive_cell(ctx: RunContext, key: CellKey) -> dict:
     """The paper's future-work item (Section 6): the passive view size vs
     the resilience level — crash, stream, and measure the recovery."""
     scenario = ctx.stabilized("hyparview", _hyparview_params(ctx, passive_view_capacity=key[0]))
-    row = _crash_then_stream(ctx, scenario, _failure(ctx))
-    tail = row["series"][-10:]
-    return {
-        "passive_capacity": key[0],
-        **row,
-        "average_reliability": row["average"],
-        "tail_reliability": sum(tail) / len(tail),
-        "largest_component_fraction": row["final"]["largest_component"],
-    }
+    return {"passive_capacity": key[0], **_crash_then_stream(ctx, scenario, _failure(ctx))}
 
 
 register(
@@ -951,16 +938,15 @@ register(
             paper=TierConfig(n=10_000, messages=50, paper_params=True),
         ),
         columns=(
-            Column("avg reliability", "average_reliability"),
-            Column("tail reliability", "tail_reliability"),
-            Column("largest component", "largest_component_fraction"),
+            Column("avg reliability", "average"),
+            Column("tail reliability", "series|tail"),
+            Column("largest component", "final.largest_component"),
         ),
         claims=(
             # The sweep runs smallest to largest, and larger passive views
             # must not hurt resilience.
             Claim("sanity", -1, "passive_capacity", ">=", Ref(0, "passive_capacity"), ANY),
-            Claim("ablation", -1, "tail_reliability", ">=",
-                  Ref(0, "tail_reliability", slack=-0.02)),
+            Claim("ablation", -1, "series|tail", ">=", Ref(0, "series|tail", slack=-0.02)),
         ),
         axes=(Axis("passive_sizes", _passive_sizes, int),),
         run_cell=_run_passive_cell,
@@ -998,7 +984,6 @@ def _run_shuffle_ttl_cell(ctx: RunContext, key: CellKey) -> dict:
         **row,
         "average_clustering": snapshot.average_clustering(),
         "passive_balance": balance,
-        "recovery_average": row["average"],
     }
 
 
@@ -1017,11 +1002,11 @@ register(
         columns=(
             Column("avg clustering", "average_clustering"),
             Column("passive in-degree CV", "passive_balance"),
-            Column("recovery avg", "recovery_average"),
+            Column("recovery avg", "average"),
         ),
         claims=(
-            *_unit("recovery_average"),
-            Claim("ablation", "*", "recovery_average", ">", 0.5),
+            *_unit("average"),
+            Claim("ablation", "*", "average", ">", 0.5),
             Claim("ablation", "*", "passive_balance", "<", 2.0),
         ),
         axes=(Axis("ttls", (1, 3, 6, 9), int),),
@@ -1044,12 +1029,9 @@ def _run_resend_cell(ctx: RunContext, key: CellKey) -> dict:
     counts = scenario.network.stats.messages_by_type
     before = counts.get("GossipData", 0)
     row = _crash_then_stream(ctx, scenario, _failure(ctx))
-    head = row["series"][:10]
     return {
         "resend_on_repair": key[0],
         **row,
-        "average_reliability": row["average"],
-        "first10_average": sum(head) / len(head),
         "data_transmissions": counts.get("GossipData", 0) - before,
     }
 
@@ -1068,15 +1050,14 @@ register(
         ),
         columns=(
             Column("resend on repair", "resend_on_repair", ""),
-            Column("avg reliability", "average_reliability"),
-            Column("first-10 avg", "first10_average"),
+            Column("avg reliability", "average"),
+            Column("first-10 avg", "series|head"),
             Column("payload transmissions", "data_transmissions", ""),
         ),
         # The extension trades extra payload traffic for early reliability.
         claims=(
             Claim("sanity", "*", "data_transmissions", ">=", 0, ANY),
-            Claim("ablation", "True", "average_reliability", ">=",
-                  Ref("False", "average_reliability", slack=-0.02)),
+            Claim("ablation", "True", "average", ">=", Ref("False", "average", slack=-0.02)),
             Claim("ablation", "True", "data_transmissions", ">=",
                   Ref("False", "data_transmissions")),
         ),

@@ -33,6 +33,7 @@ from fnmatch import fnmatchcase
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..common.errors import ConfigurationError
+from ..metrics.reliability import atomic_fraction
 
 #: Version tag of each artifact family; bump on breaking layout changes.
 #: ``BENCH_*`` holds a scenario's results, ``TRACE_*`` its dissemination
@@ -208,10 +209,13 @@ def sparkline(series: Sequence[float], *, low: float = 0.0, high: float = 1.0) -
 #: Below this size the paper's shapes are too noisy: BENCH claims skip it.
 SHAPE_CHECK_MIN_N = 400
 
-#: What a path may end in: ``series|tail`` is the mean of the last ten.
+#: What a path may end in: ``series|tail`` is the mean of the last ten,
+#: ``series|head`` of the first ten, ``series|atomic`` the share at 1.0.
 REDUCERS: dict[str, Callable[[list], float]] = {
     "max": max, "min": min, "mean": lambda values: sum(values) / len(values),
+    "head": lambda values: sum(values[:10]) / len(values[:10]) if values else 0.0,
     "tail": lambda values: sum(values[-10:]) / len(values[-10:]) if values else 0.0,
+    "atomic": atomic_fraction,
 }
 
 COMPARATORS: dict[str, Callable[[object, object], bool]] = {

@@ -20,12 +20,14 @@ class TestFailureCells:
     def test_result_fields(self):
         result = run_cell("fig2_reliability", ("hyparview", 0.3), messages=10)
         assert result["protocol"] == "hyparview"
-        assert result["failure_fraction"] == 0.3
+        assert result["plan"] == ["crash 30%@0"]
         assert len(result["series"]) == 10
         assert 0.0 <= result["average"] <= 1.0
-        assert result["correct_nodes"] == 56
-        assert 0.0 <= result["atomic"] <= 1.0
+        assert result["final"]["alive"] == 56
+        atomic = sum(1 for value in result["series"] if value >= 1.0) / 10
+        assert resolve(result, "series|atomic") == atomic
         assert resolve(result, "series|tail") == sum(result["series"][-10:]) / 10
+        assert resolve(result, "series|head") == sum(result["series"][:10]) / 10
 
     def test_base_scenario_not_mutated(self):
         cache = SnapshotCache()
@@ -36,10 +38,10 @@ class TestFailureCells:
     def test_failure_fraction_domain(self):
         # 0 measures the intact overlay (an empty plan); 1 is refused.
         intact = run_cell("fig2_reliability", ("hyparview", 0.0), messages=5)
-        assert intact["applied"] == [] and intact["correct_nodes"] == 80
+        assert intact["applied"] == [] and intact["final"]["alive"] == 80
         assert intact["average"] == 1.0
         swept = run_cell("ablation_flood_resend", (False,), messages=5, failure=0.0)
-        assert swept["failure_fraction"] == 0.0 and swept["correct_nodes"] == 80
+        assert swept["plan"] == [] and swept["final"]["alive"] == 80
         for scenario_id, key, options in (
             ("fig2_reliability", ("hyparview", 1.0), {}),
             ("ablation_passive_size", (4,), {"failure": 1.0}),
@@ -116,9 +118,9 @@ class TestAblations:
         ]
         assert [p["passive_capacity"] for p in points] == [4, 16]
         for point in points:
-            assert point["failure_fraction"] == 0.5
-            assert 0.0 <= point["average_reliability"] <= 1.0
-            assert 0.0 < point["largest_component_fraction"] <= 1.0
+            assert point["plan"] == ["crash 50%@0"]
+            assert 0.0 <= point["average"] <= 1.0
+            assert 0.0 < point["final"]["largest_component"] <= 1.0
 
     def test_shuffle_ttl_points(self):
         points = [run_cell("ablation_shuffle_ttl", (ttl,), messages=5) for ttl in (1, 4)]
@@ -134,7 +136,7 @@ class TestAblations:
         )
         assert not baseline["resend_on_repair"] and resend["resend_on_repair"]
         assert resend["data_transmissions"] >= baseline["data_transmissions"]
-        assert resend["first10_average"] >= baseline["first10_average"] - 0.05
+        assert resolve(resend, "series|head") >= resolve(baseline, "series|head") - 0.05
 
 
 class TestReporting:
