@@ -295,6 +295,14 @@ class MutationEvent(FaultEvent):
         return f"{verb} {amount} on{list(self.target_types)}@{self.at:g}"
 
 
+def _needed_nodes(event: FaultEvent) -> int:
+    """The nodes one event names: one per group of a partition, ``count``
+    of a count-based event, none of a fraction."""
+    if isinstance(event, PartitionEvent):
+        return len(event.weights)
+    return getattr(event, "count", None) or 0
+
+
 @dataclass(frozen=True, slots=True)
 class FaultPlan:
     """An immutable fault scenario: an ordered timeline of fault events,
@@ -341,14 +349,7 @@ class FaultPlan:
         ``rejoin`` is "up to that many" (it samples from whoever is alive),
         so neither raises the floor.
         """
-        floor = 0
-        for event in self.events:
-            if isinstance(event, PartitionEvent):
-                floor = max(floor, len(event.weights))
-            count = getattr(event, "count", None)
-            if count is not None:
-                floor = max(floor, count)
-        return floor
+        return max(map(_needed_nodes, self.events), default=0)
 
     def validate_for(self, size: int) -> None:
         """Reject the plan against a ``size``-node deployment up front.
@@ -359,13 +360,7 @@ class FaultPlan:
         needed = self.min_population
         if size < needed:
             offenders = [
-                event.describe()
-                for event in self.events
-                if (
-                    isinstance(event, PartitionEvent)
-                    and len(event.weights) > size
-                )
-                or (getattr(event, "count", None) or 0) > size
+                event.describe() for event in self.events if _needed_nodes(event) > size
             ]
             raise ConfigurationError(
                 f"plan {self.label!r} references {needed} nodes but the "
