@@ -11,6 +11,7 @@ from .registry import (
     get_scenario,
     register,
     scenario_ids,
+    standard_tiers,
 )
 from .reporting import (
     ARTIFACT_SCHEMA,
@@ -57,6 +58,7 @@ __all__ = [
     "run_scenarios",
     "scenario_ids",
     "sparkline",
+    "standard_tiers",
     "write_artifact",
     "write_artifacts",
 ]

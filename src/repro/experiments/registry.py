@@ -278,7 +278,8 @@ def scenario_ids() -> tuple[str, ...]:
     return tuple(sorted(REGISTRY))
 
 
-def _tiers(smoke: TierConfig, paper: TierConfig) -> dict[str, TierConfig]:
+def standard_tiers(smoke: TierConfig, paper: TierConfig) -> dict[str, TierConfig]:
+    """A scenario's tiers: ``full`` is ``paper`` at 1 000 nodes, three replicates."""
     full = replace(paper, n=1_000, paper_params=False, replicates=3)
     return {"smoke": smoke, "paper": paper, "full": full}
 
@@ -363,7 +364,7 @@ register(
         group="figure1",
         title="Figure 1a — Cyclon fanout sweep",
         description="Reliability vs gossip fanout for Cyclon (no failures).",
-        tiers=_tiers(
+        tiers=standard_tiers(
             smoke=TierConfig(n=64, messages=6, stabilization_cycles=15,
                              extra={"fanouts": (1, 4, 6)}),
             paper=TierConfig(n=10_000, messages=50, paper_params=True),
@@ -379,7 +380,7 @@ register(
         group="figure1",
         title="Figure 1b — Scamp fanout sweep",
         description="Reliability vs gossip fanout for Scamp (no failures).",
-        tiers=_tiers(
+        tiers=standard_tiers(
             smoke=TierConfig(n=64, messages=6, stabilization_cycles=15,
                              extra={"fanouts": (1, 4, 6)}),
             paper=TierConfig(n=10_000, messages=50, paper_params=True),
@@ -404,7 +405,7 @@ register(
         group="figure1",
         title="Figure 1 — HyParView reference point",
         description="HyParView's flood delivers atomically on a stable overlay.",
-        tiers=_tiers(
+        tiers=standard_tiers(
             smoke=TierConfig(n=64, messages=6, stabilization_cycles=15),
             paper=TierConfig(n=10_000, messages=50, paper_params=True),
         ),
@@ -463,7 +464,7 @@ register(
         title="Figure 1c — baselines after 50% failures",
         description="Per-message reliability of Cyclon/Scamp right after a "
         "50% simultaneous crash, without membership cycles.",
-        tiers=_tiers(
+        tiers=standard_tiers(
             smoke=TierConfig(n=64, messages=10, stabilization_cycles=15),
             paper=TierConfig(n=10_000, messages=100, paper_params=True),
         ),
@@ -524,7 +525,7 @@ register(
         title="Figure 2 — reliability vs failure percentage",
         description="Average reliability of a message batch sent right "
         "after simultaneous crashes, for every protocol and failure level.",
-        tiers=_tiers(
+        tiers=standard_tiers(
             smoke=TierConfig(n=64, messages=6, stabilization_cycles=15,
                              extra={"fractions": (0.3, 0.7)}),
             paper=TierConfig(n=10_000, messages=1_000, paper_params=True),
@@ -568,7 +569,7 @@ register(
         title="Figure 3 — post-failure recovery curves",
         description="Per-message reliability evolution after massive "
         "failures; HyParView recovers within a handful of broadcasts.",
-        tiers=_tiers(
+        tiers=standard_tiers(
             smoke=TierConfig(n=64, messages=10, stabilization_cycles=15,
                              extra={"fractions": (0.4, 0.7)}),
             paper=TierConfig(n=10_000, messages=1_000, paper_params=True),
@@ -654,7 +655,7 @@ register(
         title="Figure 4 — healing time",
         description="Membership cycles until reliability returns to the "
         "protocol's own pre-failure baseline.",
-        tiers=_tiers(
+        tiers=standard_tiers(
             smoke=TierConfig(n=64, messages=6, stabilization_cycles=15,
                              extra={"fractions": (0.3, 0.6), "max_cycles": 10}),
             paper=TierConfig(n=10_000, messages=10, paper_params=True),
@@ -732,7 +733,7 @@ register(
         title="Figure 5 — in-degree distribution",
         description="In-degree histograms of the stabilised overlays; "
         "HyParView concentrates at the active-view size.",
-        tiers=_tiers(
+        tiers=standard_tiers(
             smoke=TierConfig(n=64, messages=3, stabilization_cycles=15,
                              extra={"path_sample_sources": 20}),
             paper=TierConfig(n=10_000, messages=5, paper_params=True),
@@ -766,7 +767,7 @@ register(
         title="Table 1 — overlay graph properties",
         description="Clustering coefficient, shortest path and delivery "
         "hop count of the stabilised overlays.",
-        tiers=_tiers(
+        tiers=standard_tiers(
             smoke=TierConfig(n=64, messages=3, stabilization_cycles=15,
                              extra={"path_sample_sources": 20}),
             paper=TierConfig(n=10_000, messages=50, paper_params=True),
@@ -862,7 +863,7 @@ register(
         title="Extension — message overhead accounting",
         description="Control vs payload traffic per protocol on identical "
         "stable overlays (the paper's Section 6 future-work question).",
-        tiers=_tiers(
+        tiers=standard_tiers(
             smoke=TierConfig(n=64, messages=5, stabilization_cycles=15,
                              extra={"cycles": 3}),
             paper=TierConfig(n=10_000, messages=20, paper_params=True),
@@ -932,7 +933,7 @@ register(
         title="Ablation — passive view size vs resilience",
         description="The paper's future-work sweep: passive capacity vs "
         "recovered reliability and connectivity at heavy failure levels.",
-        tiers=_tiers(
+        tiers=standard_tiers(
             smoke=TierConfig(n=64, messages=6, stabilization_cycles=15,
                              extra={"passive_sizes": (3, 8), "failure": 0.6}),
             paper=TierConfig(n=10_000, messages=50, paper_params=True),
@@ -994,7 +995,7 @@ register(
         title="Ablation — shuffle walk TTL",
         description="The unspecified shuffle TTL: walk length vs passive "
         "view balance, clustering and recovery.",
-        tiers=_tiers(
+        tiers=standard_tiers(
             smoke=TierConfig(n=64, messages=6, stabilization_cycles=15,
                              extra={"ttls": (1, 6)}),
             paper=TierConfig(n=10_000, messages=30, paper_params=True),
@@ -1043,7 +1044,7 @@ register(
         title="Ablation — flood resend-on-repair",
         description="Retransmitting failed flood copies towards the "
         "repaired active view: reliability gained vs extra traffic.",
-        tiers=_tiers(
+        tiers=standard_tiers(
             smoke=TierConfig(n=64, messages=8, stabilization_cycles=15,
                              extra={"failure": 0.6}),
             paper=TierConfig(n=10_000, messages=50, paper_params=True),
@@ -1104,7 +1105,7 @@ register(
         title="Ablation — Plumtree vs flood",
         description="Payload copies per broadcast for tree dissemination "
         "vs flooding over the same HyParView overlay.",
-        tiers=_tiers(
+        tiers=standard_tiers(
             smoke=TierConfig(n=64, messages=5, stabilization_cycles=15,
                              extra={"warmup": 3}),
             paper=TierConfig(n=10_000, messages=20, paper_params=True),

@@ -34,8 +34,8 @@ from .registry import (
     RunContext,
     ScenarioSpec,
     TierConfig,
-    _tiers,
     register,
+    standard_tiers,
 )
 from .reporting import ANY, Claim, Column, Ref, json_safe
 from .scenario import Scenario
@@ -204,7 +204,7 @@ register(
         description="Link-cost distribution of active-view edges before/during/"
         "after X-BOT optimisation on the zoned RTT world model, then the WAN-"
         "jitter fault window on the optimised overlay.",
-        tiers=_tiers(
+        tiers=standard_tiers(
             smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
             paper=TierConfig(n=10_000, messages=100, paper_params=True),
         ),
@@ -242,7 +242,7 @@ register(
         description="Time-to-full-delivery and per-hop latency of a paced "
         "broadcast stream, X-BOT vs plain HyParView on the zoned RTT world "
         "model, with the churn-trace plan as the reliability envelope.",
-        tiers=_tiers(
+        tiers=standard_tiers(
             smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
             paper=TierConfig(n=10_000, messages=100, paper_params=True),
         ),

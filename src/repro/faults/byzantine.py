@@ -35,8 +35,8 @@ from ..experiments.registry import (
     RunContext,
     ScenarioSpec,
     TierConfig,
-    _tiers,
     register,
+    standard_tiers,
 )
 from ..experiments.reporting import ANY, Claim, Column, Ref, Scale, json_safe
 from .measure import check_cell, measure_byzantine_plan
@@ -124,7 +124,7 @@ register(
         description="Validated (correct-value) delivery and latency as the "
         "mutating-relay fraction sweeps 0–40%: Bracha quorums hold to the "
         "n > 3f cliff while the ack/retransmit baseline degrades.",
-        tiers=_tiers(
+        tiers=standard_tiers(
             smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
             paper=TierConfig(n=10_000, messages=100, paper_params=True,
                              extra={"brb_mode": "sampled"}),
@@ -205,7 +205,7 @@ register(
         description="O(log n)-sample (SBRB) quorums carry the stream "
         "through a mutation window overlapping crash/restart bursts; "
         "validated delivery with rosters rebuilt mid-stream.",
-        tiers=_tiers(
+        tiers=standard_tiers(
             smoke=TierConfig(n=64, messages=12, stabilization_cycles=15,
                              extra={"brb_mode": "sampled"}),
             paper=TierConfig(n=10_000, messages=100, paper_params=True,
@@ -263,7 +263,7 @@ register(
         description="A quarter of the relays send a fresh forged value to "
         "every destination; BRB keeps exact agreement while the baseline "
         "delivers conflicting values for the same message id.",
-        tiers=_tiers(
+        tiers=standard_tiers(
             smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
             paper=TierConfig(n=10_000, messages=100, paper_params=True,
                              extra={"brb_mode": "sampled"}),

@@ -47,8 +47,8 @@ from ..experiments.registry import (
     RunContext,
     ScenarioSpec,
     TierConfig,
-    _tiers,
     register,
+    standard_tiers,
 )
 from ..experiments.reporting import ANY, Claim, Column, Ref, Scale, json_safe
 from .measure import check_cell, measure_fault_plan
@@ -110,7 +110,7 @@ def _register_fault_scenario(
             group="faults",
             title=title,
             description=description,
-            tiers=_tiers(smoke=_SMOKE, paper=paper),
+            tiers=standard_tiers(smoke=_SMOKE, paper=paper),
             axes=(Axis(None, protocols),),
             run_cell=lambda ctx, key: json_safe(measure_fault_plan(
                 ctx.stabilized(key[0]),
