@@ -237,6 +237,8 @@ def check_cell(result: dict) -> None:
     assert len(result["series"]) == result["messages"], "one series entry per message"
     assert all(0.0 <= value <= 1.0 for value in result["series"]), "reliability in [0, 1]"
     assert 0.0 <= result["final"]["largest_component"] <= 1.0, "component share in [0, 1]"
+    phased = sum(row["messages"] for row in result["phases"])
+    assert not result["phases"] or phased == result["messages"], "every message in one phase"
     if "validated_series" in result:
         assert len(result["validated_series"]) == result["messages"], "one per message"
         # A validated delivery is a tracker delivery with the right value.

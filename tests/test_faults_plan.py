@@ -32,7 +32,7 @@ from repro.faults import (
     measure_fault_plan,
 )
 from repro.faults.adversary import SimMisbehaviour
-from repro.faults.measure import measure_byzantine_plan
+from repro.faults.measure import check_cell, measure_byzantine_plan
 from repro.faults.scenarios import churn_trace
 from repro.gossip.messages import GossipData
 from repro.sim.network import LinkFaultRule
@@ -308,6 +308,28 @@ class TestSharedMeasuringLoop:
         assert judged["validated_series"] == judged["series"]
         assert judged["wrong_deliveries"] == 0
         assert judged["agreement"] == 1.0
+
+    def test_check_cell_rejects_a_message_outside_every_phase(self):
+        """Six sends 0.1 s apart: the one at 0.1 s falls in the gap between
+        the two windows, so the phase rows count five of six messages."""
+        frozen = _tiny_base().freeze()
+        events = (CrashEvent(at=0.1, fraction=0.25),)
+        windows = {
+            "covering": (Phase("before", 0.0, 0.1), Phase("after", 0.1, 0.6)),
+            "gapped": (Phase("before", 0.0, 0.1), Phase("after", 0.2, 0.6)),
+        }
+        results = {
+            name: measure_fault_plan(
+                _tiny_base().thaw(frozen),
+                FaultPlan(events, label="gap", phases=phases, end=0.5),
+                messages=6,
+            )
+            for name, phases in windows.items()
+        }
+        check_cell(results["covering"])
+        assert [row["messages"] for row in results["gapped"]["phases"]] == [1, 4]
+        with pytest.raises(AssertionError, match="every message in one phase"):
+            check_cell(results["gapped"])
 
 
 class TestSimDriver:
