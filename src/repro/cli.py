@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .common.errors import ConfigurationError
 from .experiments.params import ExperimentParams
-from .experiments.registry import REGISTRY, TIER_NAMES
+from .experiments.registry import REGISTRY, TIER_SCALES
 from .experiments.reporting import TRACE_SCHEMA, format_table, load_artifact
 from .experiments.scenario import Scenario
 from .obs.trace import DisseminationTrace
@@ -72,10 +72,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     if args.list:
         rows = [
-            [spec.id, spec.group, ", ".join(sorted(spec.tiers)), spec.title]
+            [spec.id, spec.group, spec.title]
             for spec in sorted(REGISTRY.values(), key=lambda s: s.id)
         ]
-        print(format_table(["scenario", "group", "tiers", "title"], rows,
+        print(format_table(["scenario", "group", "title"], rows,
                            title="registered scenarios"))
         return 0
     # Unknown ids and tiers raise (with the available ones) before any work.
@@ -236,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run registered scenarios through the parallel orchestrator",
     )
-    p.add_argument("--tier", choices=list(TIER_NAMES), default="smoke",
-                   help="scale tier: smoke (CI), paper (DSN'07 figures) or full")
+    p.add_argument("--tier", choices=list(TIER_SCALES), default="smoke",
+                   help="scale tier: smoke (CI) or paper (DSN'07 figures)")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes to shard cells across (results are identical)")
     p.add_argument("--seed", type=int, default=42, help="sweep root seed")

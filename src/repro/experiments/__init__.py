@@ -4,14 +4,13 @@ measure and return their own rows) and the orchestrator that runs them."""
 from .params import ExperimentParams
 from .registry import (
     REGISTRY,
-    TIER_NAMES,
+    TIER_SCALES,
     RunContext,
     ScenarioSpec,
     TierConfig,
     get_scenario,
     register,
     scenario_ids,
-    standard_tiers,
 )
 from .reporting import (
     ARTIFACT_SCHEMA,
@@ -37,7 +36,7 @@ from .scenario import Scenario
 __all__ = [
     "ARTIFACT_SCHEMA",
     "REGISTRY",
-    "TIER_NAMES",
+    "TIER_SCALES",
     "ExperimentParams",
     "RunContext",
     "Scenario",
@@ -58,7 +57,6 @@ __all__ = [
     "run_scenarios",
     "scenario_ids",
     "sparkline",
-    "standard_tiers",
     "write_artifact",
     "write_artifacts",
 ]

@@ -1,9 +1,9 @@
 """Tiered scenario registry — every experiment of the evaluation, by id.
 
 One :class:`ScenarioSpec` per table/figure/ablation.  A scenario is a
-**grid of cells** and nothing else: the spec names the experiment,
-configures it per **tier**, declares the grid's **axes** once, binds
-``run_cell(ctx, key)`` — check out a stabilised base with
+**grid of cells** and nothing else: the spec names the experiment, sets
+its messages and options per **tier**, declares the grid's **axes** once,
+binds ``run_cell(ctx, key)`` — check out a stabilised base with
 ``ctx.stabilized``, measure one cell on it and return the row as a
 JSON-safe dict; the paper family's cells sit beside their specs below —
 and declares as data what is printed and what is checked:
@@ -16,15 +16,17 @@ and declares as data what is printed and what is checked:
 * ``invariant`` — the structural checks of one cell that are not a
   one-metric comparison, one function per result shape.
 
-Tiers:
+Tiers (:data:`TIER_SCALES`, one scale for every scenario):
 
-* ``smoke`` — minutes on two CI cores; tiny systems, thinned sweeps.  CI
-  runs this on every push, so the benchmark trajectory is recorded from
-  the first green commit.
+* ``smoke`` — minutes on two CI cores; 64 nodes, 15 stabilisation cycles,
+  thinned sweeps.  CI runs this on every push, so the benchmark trajectory
+  is recorded from the first green commit.
 * ``paper`` — the DSN'07 configuration (10 000 nodes, Section 5.1 view
-  sizes, full grids).  Hours of CPU; reproduces Figures 1–5 and Table 1.
-* ``full``  — a laptop-scale sweep (1 000 nodes) with several replicates
-  per scenario, for trend tracking with error bars.
+  sizes, 50 cycles, full grids).  Hours of CPU; reproduces Figures 1–5
+  and Table 1.
+
+``repro bench --n / --messages / --replicates`` override a tier's scale
+(``--tier paper --n 1000 --replicates 3``: a laptop sweep with error bars).
 
 Adding a scenario is one :func:`register` call; the orchestrator
 (:mod:`repro.experiments.runner`) and the ``repro bench`` CLI pick it up
@@ -75,18 +77,18 @@ from .snapshots import SnapshotCache, stabilized_scenario
 #: stable across processes.
 CellKey = tuple
 
-#: The orchestrator's tiers, cheapest first.
-TIER_NAMES = ("smoke", "paper", "full")
+#: Each tier's ``(n, stabilization_cycles)``, the same for every scenario.
+TIER_SCALES = {"smoke": (64, 15), "paper": (10_000, 50)}
 
 
 @dataclass(frozen=True, slots=True)
 class TierConfig:
-    """How one scenario runs at one tier."""
+    """How one scenario runs at one tier (see :meth:`ScenarioSpec.tier`)."""
 
     n: int
-    messages: int = 50
+    messages: int
+    stabilization_cycles: int
     replicates: int = 1
-    stabilization_cycles: int = 50
     paper_params: bool = False
     #: scenario-specific knobs (sweep grids, step counts, ...).
     extra: Mapping[str, object] = field(default_factory=dict)
@@ -105,7 +107,7 @@ class TierConfig:
 
 @dataclass(frozen=True, slots=True)
 class RunContext:
-    """Everything one replicate needs: identity, tier config and its seed.
+    """Everything one replicate needs: its resolved tier config and seed.
 
     The seed is derived by the orchestrator from
     ``SeedSequence(root_seed).derive_seed("bench/<scenario>/replicate/<i>")``
@@ -113,10 +115,7 @@ class RunContext:
     which worker process executes the replicate.
     """
 
-    scenario_id: str
-    tier: str
     config: TierConfig
-    replicate: int
     seed: int
     #: per-worker cache of frozen stabilised bases; ``None`` disables
     #: caching (every base is rebuilt from scratch).  Never part of the
@@ -185,12 +184,16 @@ class ScenarioSpec:
     group: str
     title: str
     description: str
-    tiers: Mapping[str, TierConfig]
+    #: Messages per measurement batch, per tier (every tier of TIER_SCALES).
+    messages: Mapping[str, int]
     #: The grid's dimensions, outermost first; ``()`` is a one-cell grid.
     axes: tuple[Axis, ...]
     run_cell: Callable[[RunContext, CellKey], dict]
     #: The report's columns; it prints one row per cell.
     columns: tuple[Column, ...]
+    #: Tier options (sweep grids, step counts ...) per tier; a tier not
+    #: named sets none.
+    options: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
     #: What holds of the cells, checked by ``repro bench --check``.
     claims: tuple[Claim, ...] = ()
     #: Structural checks of one cell's result that no claim can state.
@@ -243,12 +246,20 @@ class ScenarioSpec:
         return rows
 
     def tier(self, name: str) -> TierConfig:
-        if name not in self.tiers:
+        """This scenario at tier ``name``: the tier's scale with the
+        scenario's messages and options."""
+        if name not in TIER_SCALES:
             raise ConfigurationError(
-                f"scenario {self.id!r} has no {name!r} tier; available: "
-                f"{sorted(self.tiers)}"
+                f"scenario {self.id!r} has no {name!r} tier; available: {list(TIER_SCALES)}"
             )
-        return self.tiers[name]
+        n, cycles = TIER_SCALES[name]
+        return TierConfig(
+            n=n,
+            messages=self.messages[name],
+            stabilization_cycles=cycles,
+            paper_params=name == "paper",
+            extra=self.options.get(name, {}),
+        )
 
 
 REGISTRY: dict[str, ScenarioSpec] = {}
@@ -257,9 +268,11 @@ REGISTRY: dict[str, ScenarioSpec] = {}
 def register(spec: ScenarioSpec) -> ScenarioSpec:
     if spec.id in REGISTRY:
         raise ConfigurationError(f"duplicate scenario id: {spec.id}")
-    unknown = set(spec.tiers) - set(TIER_NAMES)
-    if unknown:
-        raise ConfigurationError(f"unknown tiers on {spec.id!r}: {sorted(unknown)}")
+    if set(spec.messages) != set(TIER_SCALES) or not set(spec.options) <= set(TIER_SCALES):
+        raise ConfigurationError(
+            f"{spec.id!r} must set messages for exactly the tiers {list(TIER_SCALES)} "
+            f"and options for no others: {sorted(spec.messages)}, {sorted(spec.options)}"
+        )
     REGISTRY[spec.id] = spec
     return spec
 
@@ -276,12 +289,6 @@ def get_scenario(scenario_id: str) -> ScenarioSpec:
 
 def scenario_ids() -> tuple[str, ...]:
     return tuple(sorted(REGISTRY))
-
-
-def standard_tiers(smoke: TierConfig, paper: TierConfig) -> dict[str, TierConfig]:
-    """A scenario's tiers: ``full`` is ``paper`` at 1 000 nodes, three replicates."""
-    full = replace(paper, n=1_000, paper_params=False, replicates=3)
-    return {"smoke": smoke, "paper": paper, "full": full}
 
 
 # ----------------------------------------------------------------------
@@ -364,11 +371,8 @@ register(
         group="figure1",
         title="Figure 1a — Cyclon fanout sweep",
         description="Reliability vs gossip fanout for Cyclon (no failures).",
-        tiers=standard_tiers(
-            smoke=TierConfig(n=64, messages=6, stabilization_cycles=15,
-                             extra={"fanouts": (1, 4, 6)}),
-            paper=TierConfig(n=10_000, messages=50, paper_params=True),
-        ),
+        messages={"smoke": 6, "paper": 50},
+        options={"smoke": {"fanouts": (1, 4, 6)}},
         claims=_fanout_claims("Fig. 1a", 0.99),
         **_fanout_grid("cyclon"),
     )
@@ -380,11 +384,8 @@ register(
         group="figure1",
         title="Figure 1b — Scamp fanout sweep",
         description="Reliability vs gossip fanout for Scamp (no failures).",
-        tiers=standard_tiers(
-            smoke=TierConfig(n=64, messages=6, stabilization_cycles=15,
-                             extra={"fanouts": (1, 4, 6)}),
-            paper=TierConfig(n=10_000, messages=50, paper_params=True),
-        ),
+        messages={"smoke": 6, "paper": 50},
+        options={"smoke": {"fanouts": (1, 4, 6)}},
         claims=_fanout_claims("Fig. 1b", 0.95),
         **_fanout_grid("scamp"),
     )
@@ -405,10 +406,7 @@ register(
         group="figure1",
         title="Figure 1 — HyParView reference point",
         description="HyParView's flood delivers atomically on a stable overlay.",
-        tiers=standard_tiers(
-            smoke=TierConfig(n=64, messages=6, stabilization_cycles=15),
-            paper=TierConfig(n=10_000, messages=50, paper_params=True),
-        ),
+        messages={"smoke": 6, "paper": 50},
         axes=(),  # a single point: the one-cell grid
         run_cell=_run_hyparview_reference,
         columns=(
@@ -464,10 +462,7 @@ register(
         title="Figure 1c — baselines after 50% failures",
         description="Per-message reliability of Cyclon/Scamp right after a "
         "50% simultaneous crash, without membership cycles.",
-        tiers=standard_tiers(
-            smoke=TierConfig(n=64, messages=10, stabilization_cycles=15),
-            paper=TierConfig(n=10_000, messages=100, paper_params=True),
-        ),
+        messages={"smoke": 10, "paper": 100},
         columns=(
             Column("avg reliability", "average"),
             Column("max msg reliability", "series|max"),
@@ -525,11 +520,8 @@ register(
         title="Figure 2 — reliability vs failure percentage",
         description="Average reliability of a message batch sent right "
         "after simultaneous crashes, for every protocol and failure level.",
-        tiers=standard_tiers(
-            smoke=TierConfig(n=64, messages=6, stabilization_cycles=15,
-                             extra={"fractions": (0.3, 0.7)}),
-            paper=TierConfig(n=10_000, messages=1_000, paper_params=True),
-        ),
+        messages={"smoke": 6, "paper": 1_000},
+        options={"smoke": {"fractions": (0.3, 0.7)}},
         run_cell=_run_failure_cell,
         columns=(Column("avg reliability", "average"), Column("atomic fraction", "series|atomic")),
         claims=(
@@ -569,11 +561,8 @@ register(
         title="Figure 3 — post-failure recovery curves",
         description="Per-message reliability evolution after massive "
         "failures; HyParView recovers within a handful of broadcasts.",
-        tiers=standard_tiers(
-            smoke=TierConfig(n=64, messages=10, stabilization_cycles=15,
-                             extra={"fractions": (0.4, 0.7)}),
-            paper=TierConfig(n=10_000, messages=1_000, paper_params=True),
-        ),
+        messages={"smoke": 10, "paper": 1_000},
+        options={"smoke": {"fractions": (0.4, 0.7)}},
         run_cell=_run_failure_cell,
         columns=(
             Column("avg reliability", "average"),
@@ -655,11 +644,8 @@ register(
         title="Figure 4 — healing time",
         description="Membership cycles until reliability returns to the "
         "protocol's own pre-failure baseline.",
-        tiers=standard_tiers(
-            smoke=TierConfig(n=64, messages=6, stabilization_cycles=15,
-                             extra={"fractions": (0.3, 0.6), "max_cycles": 10}),
-            paper=TierConfig(n=10_000, messages=10, paper_params=True),
-        ),
+        messages={"smoke": 6, "paper": 10},
+        options={"smoke": {"fractions": (0.3, 0.6), "max_cycles": 10}},
         run_cell=_run_fig4_cell,
         columns=(
             Column("cycles to heal", "cycles_to_heal", ""),
@@ -733,11 +719,8 @@ register(
         title="Figure 5 — in-degree distribution",
         description="In-degree histograms of the stabilised overlays; "
         "HyParView concentrates at the active-view size.",
-        tiers=standard_tiers(
-            smoke=TierConfig(n=64, messages=3, stabilization_cycles=15,
-                             extra={"path_sample_sources": 20}),
-            paper=TierConfig(n=10_000, messages=5, paper_params=True),
-        ),
+        messages={"smoke": 3, "paper": 5},
+        options={"smoke": {"path_sample_sources": 20}},
         columns=(
             Column(f"nodes at in-degree {_CAPACITY}", f"in_degree_histogram.{_CAPACITY}", ""),
             Column("in-degree mean", "in_degree_stats.mean"),
@@ -767,11 +750,8 @@ register(
         title="Table 1 — overlay graph properties",
         description="Clustering coefficient, shortest path and delivery "
         "hop count of the stabilised overlays.",
-        tiers=standard_tiers(
-            smoke=TierConfig(n=64, messages=3, stabilization_cycles=15,
-                             extra={"path_sample_sources": 20}),
-            paper=TierConfig(n=10_000, messages=50, paper_params=True),
-        ),
+        messages={"smoke": 3, "paper": 50},
+        options={"smoke": {"path_sample_sources": 20}},
         columns=(
             Column("avg clustering", "average_clustering", ".6f"),
             Column("avg shortest path", "path_stats.average", ".5f"),
@@ -863,11 +843,8 @@ register(
         title="Extension — message overhead accounting",
         description="Control vs payload traffic per protocol on identical "
         "stable overlays (the paper's Section 6 future-work question).",
-        tiers=standard_tiers(
-            smoke=TierConfig(n=64, messages=5, stabilization_cycles=15,
-                             extra={"cycles": 3}),
-            paper=TierConfig(n=10_000, messages=20, paper_params=True),
-        ),
+        messages={"smoke": 5, "paper": 20},
+        options={"smoke": {"cycles": 3}},
         columns=(
             Column("control msgs/node/cycle", "control_per_node_cycle"),
             Column("data msgs/broadcast", "data_per_broadcast"),
@@ -933,11 +910,8 @@ register(
         title="Ablation — passive view size vs resilience",
         description="The paper's future-work sweep: passive capacity vs "
         "recovered reliability and connectivity at heavy failure levels.",
-        tiers=standard_tiers(
-            smoke=TierConfig(n=64, messages=6, stabilization_cycles=15,
-                             extra={"passive_sizes": (3, 8), "failure": 0.6}),
-            paper=TierConfig(n=10_000, messages=50, paper_params=True),
-        ),
+        messages={"smoke": 6, "paper": 50},
+        options={"smoke": {"passive_sizes": (3, 8), "failure": 0.6}},
         columns=(
             Column("avg reliability", "average"),
             Column("tail reliability", "series|tail"),
@@ -995,11 +969,8 @@ register(
         title="Ablation — shuffle walk TTL",
         description="The unspecified shuffle TTL: walk length vs passive "
         "view balance, clustering and recovery.",
-        tiers=standard_tiers(
-            smoke=TierConfig(n=64, messages=6, stabilization_cycles=15,
-                             extra={"ttls": (1, 6)}),
-            paper=TierConfig(n=10_000, messages=30, paper_params=True),
-        ),
+        messages={"smoke": 6, "paper": 30},
+        options={"smoke": {"ttls": (1, 6)}},
         columns=(
             Column("avg clustering", "average_clustering"),
             Column("passive in-degree CV", "passive_balance"),
@@ -1044,11 +1015,8 @@ register(
         title="Ablation — flood resend-on-repair",
         description="Retransmitting failed flood copies towards the "
         "repaired active view: reliability gained vs extra traffic.",
-        tiers=standard_tiers(
-            smoke=TierConfig(n=64, messages=8, stabilization_cycles=15,
-                             extra={"failure": 0.6}),
-            paper=TierConfig(n=10_000, messages=50, paper_params=True),
-        ),
+        messages={"smoke": 8, "paper": 50},
+        options={"smoke": {"failure": 0.6}},
         columns=(
             Column("resend on repair", "resend_on_repair", ""),
             Column("avg reliability", "average"),
@@ -1105,11 +1073,8 @@ register(
         title="Ablation — Plumtree vs flood",
         description="Payload copies per broadcast for tree dissemination "
         "vs flooding over the same HyParView overlay.",
-        tiers=standard_tiers(
-            smoke=TierConfig(n=64, messages=5, stabilization_cycles=15,
-                             extra={"warmup": 3}),
-            paper=TierConfig(n=10_000, messages=20, paper_params=True),
-        ),
+        messages={"smoke": 5, "paper": 20},
+        options={"smoke": {"warmup": 3}},
         columns=(
             Column("avg reliability", "reliability"),
             Column("payload msgs / broadcast", "payloads_per_broadcast"),

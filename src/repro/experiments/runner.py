@@ -34,9 +34,10 @@ the engine's process-wide fired-event counter) goes to the progress
 stream (stderr) and nowhere else: timings never enter a file, so the
 ``BENCH_*`` artifacts stay deterministic.
 
-The multiprocessing entry point (:func:`_execute_unit`) is a module-level
-function resolving scenarios by id from the registry, so it works under
-both ``fork`` and ``spawn`` start methods.
+The multiprocessing entry point (:func:`_execute_chunk`) is a
+module-level function resolving scenarios by id from the registry, so it
+works under both ``fork`` and ``spawn`` start methods; a one-worker run
+maps it over the same chunks in process.
 """
 
 from __future__ import annotations
@@ -46,20 +47,14 @@ import pathlib
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from ..common.errors import ConfigurationError
 from ..common.rng import SeedSequence
 from ..obs.context import activate_collector, deactivate_collector
 from ..obs.trace import DisseminationTrace, TraceCollector
 from ..sim.engine import events_fired_total
-from .registry import (
-    CellKey,
-    RunContext,
-    ScenarioSpec,
-    TierConfig,
-    get_scenario,
-)
+from .registry import CellKey, RunContext, ScenarioSpec, TierConfig, get_scenario
 from .reporting import (
     ARTIFACT_SCHEMA,
     TRACE_SCHEMA,
@@ -118,16 +113,14 @@ def _cache_delta(before: dict, after: dict) -> dict:
 class WorkUnit:
     """One schedulable atom: one cell of one replicate's grid.
 
-    Everything a worker needs travels in this (picklable) record; the
-    scenario's code is resolved from the registry inside the worker.
+    Everything a worker needs travels in this (picklable) record: the
+    replicate's context, resolved once by :func:`build_units`; the
+    scenario's code is looked up in the registry inside the worker.
     """
 
     scenario_id: str
-    tier: str
     replicate: int
-    root_seed: int
-    n: Optional[int] = None
-    messages: Optional[int] = None
+    context: RunContext
     #: one cell key from the scenario's ``cells`` enumeration.
     cell: CellKey = ()
     #: whether the executing worker may serve stabilised bases from its
@@ -139,31 +132,11 @@ class WorkUnit:
     #: and lands in the separate ``TRACE_*`` file.
     trace: bool = False
 
-    def resolve(
-        self, snapshots: Optional[SnapshotCache] = None
-    ) -> tuple[ScenarioSpec, RunContext]:
-        spec = get_scenario(self.scenario_id)
-        config = _apply_overrides(spec.tier(self.tier), self.n, self.messages)
-        seed = replicate_seed(self.root_seed, self.scenario_id, self.replicate)
-        context = RunContext(
-            scenario_id=self.scenario_id,
-            tier=self.tier,
-            config=config,
-            replicate=self.replicate,
-            seed=seed,
-            snapshots=snapshots,
-        )
-        return spec, context
-
     def describe(self) -> str:
         label = f"{self.scenario_id} replicate {self.replicate}"
         if self.cell:
-            label += f" cell {_cell_label(self.cell)}"
+            label += " cell " + "/".join(str(part) for part in self.cell)
         return label
-
-
-def _cell_label(cell: CellKey) -> str:
-    return "/".join(str(part) for part in cell)
 
 
 def replicate_seed(root_seed: int, scenario_id: str, replicate: int) -> int:
@@ -177,16 +150,22 @@ def replicate_seed(root_seed: int, scenario_id: str, replicate: int) -> int:
     )
 
 
-def _apply_overrides(
-    config: TierConfig,
+def _resolve(
+    spec: ScenarioSpec,
+    tier: str,
     n: Optional[int],
     messages: Optional[int],
+    replicates: Optional[int],
 ) -> TierConfig:
-    if n is not None:
-        config = replace(config, n=n, paper_params=False)
-    if messages is not None:
-        config = replace(config, messages=messages)
-    return config
+    """The scenario's config at ``tier`` with the sweep's overrides applied."""
+    config = spec.tier(tier)
+    return replace(
+        config,
+        n=config.n if n is None else n,
+        messages=config.messages if messages is None else messages,
+        replicates=config.replicates if replicates is None else replicates,
+        paper_params=config.paper_params and n is None,
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,15 +174,13 @@ class UnitOutcome:
 
     ``elapsed`` and ``events`` are observability only (logged to stderr,
     never written to a file): artifacts are assembled exclusively from
-    ``result`` and the deterministic keys.
+    ``result`` and its unit's keys.
     ``events`` counts simulation-kernel events fired while the unit ran
     in its worker — elapsed and events together give per-unit kernel
     throughput.
     """
 
-    scenario_id: str
-    replicate: int
-    cell: CellKey
+    unit: WorkUnit
     result: dict
     elapsed: float
     events: int = 0
@@ -267,23 +244,22 @@ def _execute_chunk(chunk: list[WorkUnit]) -> tuple[list[UnitOutcome], dict]:
 
 
 def _execute_unit(unit: WorkUnit) -> UnitOutcome:
-    """Worker entry point: run one unit, return its keyed result."""
+    """Run one unit in this process, with its snapshot cache."""
     started = time.perf_counter()
     events_before = events_fired_total()
     snapshots = _worker_snapshots() if unit.snapshot_cache else None
-    spec, context = unit.resolve(snapshots)
     collector = TraceCollector() if unit.trace else None
     if collector is not None:
         activate_collector(collector)
     try:
-        result = spec.run_cell(context, unit.cell)
+        result = get_scenario(unit.scenario_id).run_cell(
+            replace(unit.context, snapshots=snapshots), unit.cell
+        )
     finally:
         if collector is not None:
             deactivate_collector()
     return UnitOutcome(
-        scenario_id=unit.scenario_id,
-        replicate=unit.replicate,
-        cell=unit.cell,
+        unit=unit,
         result=result,
         elapsed=time.perf_counter() - started,
         events=events_fired_total() - events_before,
@@ -329,8 +305,7 @@ class ScenarioRun:
         }
 
     def _rows(self, record: dict) -> list[tuple[str, dict]]:
-        replicate, seed = record["replicate"], record["seed"]
-        context = RunContext(self.spec.id, self.tier, self.config, replicate, seed)
+        context = RunContext(self.config, record["seed"])
         return self.spec.cell_rows(context, record["result"])
 
     def render(self) -> str:
@@ -378,7 +353,7 @@ class SweepTimings:
     wall_seconds: float = 0.0
 
     def record(self, outcome: UnitOutcome) -> None:
-        scenario_id = outcome.scenario_id
+        scenario_id = outcome.unit.scenario_id
         self.scenario_seconds[scenario_id] = (
             self.scenario_seconds.get(scenario_id, 0.0) + outcome.elapsed
         )
@@ -421,31 +396,35 @@ def build_units(
 ) -> list[WorkUnit]:
     """Expand scenarios into the flat, deterministic work-unit list.
 
-    One unit per ``(replicate, cell)``, in the scenario's declared axis
-    order — protocol-major for grid sweeps, which the pool's chunking
-    turns into per-worker cache affinity.
+    Each scenario's config is resolved once, each replicate's context
+    once; then one unit per ``(replicate, cell)``, in the scenario's
+    declared axis order — protocol-major for grid sweeps, which the pool's
+    chunking turns into per-worker cache affinity.
     """
     units: list[WorkUnit] = []
     for scenario_id in scenario_ids:
         spec = get_scenario(scenario_id)
-        config = spec.tier(tier)
-        count = replicates if replicates is not None else config.replicates
-        if count < 1:
-            raise ConfigurationError(f"replicates must be >= 1: {count}")
-        for replicate in range(count):
-            template = WorkUnit(
-                scenario_id=scenario_id,
-                tier=tier,
-                replicate=replicate,
-                root_seed=root_seed,
-                n=n,
-                messages=messages,
-                snapshot_cache=snapshot_cache,
-                trace=trace,
+        config = _resolve(spec, tier, n, messages, replicates)
+        for replicate in range(config.replicates):
+            context = RunContext(config, replicate_seed(root_seed, scenario_id, replicate))
+            units.extend(
+                WorkUnit(scenario_id, replicate, context, key, snapshot_cache, trace)
+                for key in spec.cells(context)
             )
-            _, context = template.resolve()
-            units.extend(replace(template, cell=key) for key in spec.cells(context))
     return units
+
+
+def _chunk_outcomes(
+    chunks: list[list[WorkUnit]], workers: int
+) -> Iterator[tuple[list[UnitOutcome], dict]]:
+    """Run the chunks: in this process with one worker, else on a pool
+    (completion order)."""
+    if workers == 1 or len(chunks) == 1:
+        yield from map(_execute_chunk, chunks)
+        return
+    context = multiprocessing.get_context(_start_method())
+    with context.Pool(processes=min(workers, len(chunks))) as pool:
+        yield from pool.imap_unordered(_execute_chunk, chunks)
 
 
 def run_scenarios(
@@ -483,77 +462,45 @@ def run_scenarios(
         root_seed=root_seed, n=n, messages=messages, replicates=replicates,
         snapshot_cache=snapshot_cache, trace=traces is not None,
     )
-    unit_by_key = {(u.scenario_id, u.replicate, u.cell): u for u in units}
-    completed: list[UnitOutcome] = []
-
-    def note(outcome: UnitOutcome) -> None:
-        completed.append(outcome)
+    done: dict[tuple[str, int, CellKey], UnitOutcome] = {}
+    for outcomes, cache_delta in _chunk_outcomes(build_chunks(units, workers), workers):
+        for outcome in outcomes:
+            unit = outcome.unit
+            done[unit.scenario_id, unit.replicate, unit.cell] = outcome
+            if timings is not None:
+                timings.record(outcome)
+            if progress is not None:
+                progress(f"{unit.describe()} done in {outcome.elapsed:.2f}s")
         if timings is not None:
-            timings.record(outcome)
-        if progress is not None:
-            unit = unit_by_key[(outcome.scenario_id, outcome.replicate, outcome.cell)]
-            progress(f"{unit.describe()} done in {outcome.elapsed:.2f}s")
-
-    if workers == 1 or len(units) == 1:
-        cache_before = _cache_stats()
-        for unit in units:
-            note(_execute_unit(unit))
-        if timings is not None:
-            timings.record_cache(_cache_delta(cache_before, _cache_stats()))
-    else:
-        context = multiprocessing.get_context(_start_method())
-        chunks = build_chunks(units, workers)
-        with context.Pool(processes=min(workers, len(chunks))) as pool:
-            for outcomes, cache_delta in pool.imap_unordered(_execute_chunk, chunks):
-                for outcome in outcomes:
-                    note(outcome)
-                if timings is not None:
-                    timings.record_cache(cache_delta)
+            timings.record_cache(cache_delta)
     if timings is not None:
         timings.wall_seconds += time.perf_counter() - started
 
-    # Reassemble deterministically: completion order is scheduling noise.
-    cell_results: dict[tuple[str, int], dict[CellKey, dict]] = {}
-    unit_traces: dict[tuple[str, int], dict[CellKey, list]] = {}
-    for outcome in completed:
-        key = (outcome.scenario_id, outcome.replicate)
-        cell_results.setdefault(key, {})[outcome.cell] = outcome.result
-        if outcome.trace is not None:
-            unit_traces.setdefault(key, {})[outcome.cell] = outcome.trace
-
+    # Reassemble in declared unit order: completion order is scheduling noise.
+    replicate_units: dict[str, dict[int, list[WorkUnit]]] = {}
+    for unit in units:
+        replicate_units.setdefault(unit.scenario_id, {}).setdefault(unit.replicate, []).append(unit)
     runs: dict[str, ScenarioRun] = {}
-    for scenario_id in scenario_ids:
+    for scenario_id, by_replicate in replicate_units.items():
         spec = get_scenario(scenario_id)
-        config = _apply_overrides(spec.tier(tier), n, messages)
-        count = replicates if replicates is not None else config.replicates
-        if replicates is not None:
-            config = replace(config, replicates=replicates)
-        records = []
-        trace_records = []
-        for replicate in range(count):
-            key = (scenario_id, replicate)
-            _, context = WorkUnit(
-                scenario_id=scenario_id, tier=tier, replicate=replicate,
-                root_seed=root_seed, n=n, messages=messages,
-            ).resolve()
-            result = spec.merge_cells(context, cell_results[key])
-            records.append(
-                {"replicate": replicate, "seed": context.seed, "result": result}
+        records, trace_records = [], []
+        for replicate, cells in by_replicate.items():
+            outcomes = [done[scenario_id, replicate, unit.cell] for unit in cells]
+            context = cells[0].context
+            result = spec.merge_cells(
+                context, {outcome.unit.cell: outcome.result for outcome in outcomes}
             )
-            if traces is not None:
-                # Flatten per-cell segments in the scenario's own cell
-                # enumeration order, so scheduling never shows.
-                cell_map = unit_traces.get(key, {})
-                segments = []
-                for cell_key in spec.cells(context):
-                    segments.extend(cell_map.get(cell_key, ()))
-                trace_records.append({"replicate": replicate, "segments": segments})
+            records.append({"replicate": replicate, "seed": context.seed, "result": result})
+            trace_records.append({
+                "replicate": replicate,
+                "segments": [segment for outcome in outcomes for segment in outcome.trace or ()],
+            })
         if traces is not None:
             traces[scenario_id] = trace_records
         runs[scenario_id] = ScenarioRun(
             spec=spec,
             tier=tier,
-            config=config,
+            config=context.config,
             root_seed=root_seed,
             replicates=tuple(records),
         )

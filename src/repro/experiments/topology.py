@@ -33,9 +33,7 @@ from .registry import (
     CellKey,
     RunContext,
     ScenarioSpec,
-    TierConfig,
     register,
-    standard_tiers,
 )
 from .reporting import ANY, Claim, Column, Ref, json_safe
 from .scenario import Scenario
@@ -204,10 +202,7 @@ register(
         description="Link-cost distribution of active-view edges before/during/"
         "after X-BOT optimisation on the zoned RTT world model, then the WAN-"
         "jitter fault window on the optimised overlay.",
-        tiers=standard_tiers(
-            smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
-            paper=TierConfig(n=10_000, messages=100, paper_params=True),
-        ),
+        messages={"smoke": 12, "paper": 100},
         axes=(Axis(None, TOPO_PROTOCOLS),),
         run_cell=_run_convergence_cell,
         columns=(
@@ -242,10 +237,7 @@ register(
         description="Time-to-full-delivery and per-hop latency of a paced "
         "broadcast stream, X-BOT vs plain HyParView on the zoned RTT world "
         "model, with the churn-trace plan as the reliability envelope.",
-        tiers=standard_tiers(
-            smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
-            paper=TierConfig(n=10_000, messages=100, paper_params=True),
-        ),
+        messages={"smoke": 12, "paper": 100},
         axes=(Axis(None, TOPO_PROTOCOLS),),
         run_cell=_run_latency_cell,
         columns=(

@@ -34,9 +34,7 @@ from ..experiments.registry import (
     CellKey,
     RunContext,
     ScenarioSpec,
-    TierConfig,
     register,
-    standard_tiers,
 )
 from ..experiments.reporting import ANY, Claim, Column, Ref, Scale, json_safe
 from .measure import check_cell, measure_byzantine_plan
@@ -124,11 +122,8 @@ register(
         description="Validated (correct-value) delivery and latency as the "
         "mutating-relay fraction sweeps 0–40%: Bracha quorums hold to the "
         "n > 3f cliff while the ack/retransmit baseline degrades.",
-        tiers=standard_tiers(
-            smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
-            paper=TierConfig(n=10_000, messages=100, paper_params=True,
-                             extra={"brb_mode": "sampled"}),
-        ),
+        messages={"smoke": 12, "paper": 100},
+        options={"paper": {"brb_mode": "sampled"}},
         axes=(
             Axis(None, BYZ_PROTOCOLS),
             Axis(None, BYZ_FRACTIONS, float, "{:g}".format),
@@ -205,12 +200,11 @@ register(
         description="O(log n)-sample (SBRB) quorums carry the stream "
         "through a mutation window overlapping crash/restart bursts; "
         "validated delivery with rosters rebuilt mid-stream.",
-        tiers=standard_tiers(
-            smoke=TierConfig(n=64, messages=12, stabilization_cycles=15,
-                             extra={"brb_mode": "sampled"}),
-            paper=TierConfig(n=10_000, messages=100, paper_params=True,
-                             extra={"brb_mode": "sampled", "burst_size": 150}),
-        ),
+        messages={"smoke": 12, "paper": 100},
+        options={
+            "smoke": {"brb_mode": "sampled"},
+            "paper": {"brb_mode": "sampled", "burst_size": 150},
+        },
         axes=(Axis(None, BYZ_CHURN_PROTOCOLS),),
         run_cell=_churn_run,
         columns=_columns(
@@ -263,11 +257,8 @@ register(
         description="A quarter of the relays send a fresh forged value to "
         "every destination; BRB keeps exact agreement while the baseline "
         "delivers conflicting values for the same message id.",
-        tiers=standard_tiers(
-            smoke=TierConfig(n=64, messages=12, stabilization_cycles=15),
-            paper=TierConfig(n=10_000, messages=100, paper_params=True,
-                             extra={"brb_mode": "sampled"}),
-        ),
+        messages={"smoke": 12, "paper": 100},
+        options={"paper": {"brb_mode": "sampled"}},
         axes=(Axis(None, BYZ_PROTOCOLS),),
         run_cell=lambda ctx, key: _run_byz_cell(ctx, key[0], EQUIVOCATION),
         columns=_columns(Column("equivocated frames", "fault_stats.equivocated_byz", "")),

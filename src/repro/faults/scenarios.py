@@ -39,16 +39,13 @@ duplicating link windows (``WAN_JITTER``, ``RELIABLE_LOSS``,
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Callable
+from typing import Callable, Mapping
 
 from ..experiments.registry import (
     Axis,
     RunContext,
     ScenarioSpec,
-    TierConfig,
     register,
-    standard_tiers,
 )
 from ..experiments.reporting import ANY, Claim, Column, Ref, Scale, json_safe
 from .measure import check_cell, measure_fault_plan
@@ -66,9 +63,6 @@ from .plan import (
 #: Protocols the fault scenarios compare by default: the paper's subject
 #: and its strongest baseline.
 FAULT_PROTOCOLS = ("hyparview", "cyclon-acked")
-
-_SMOKE = TierConfig(n=64, messages=12, stabilization_cycles=15)
-_PAPER = TierConfig(n=10_000, messages=100, paper_params=True)
 
 
 #: A claim about a fault window holds once the stream has a send inside
@@ -96,21 +90,23 @@ def _register_fault_scenario(
     description: str,
     plan: FaultPlan | Callable[[RunContext], FaultPlan],
     claims: tuple[Claim, ...],
-    paper: TierConfig = _PAPER,
+    options: Mapping[str, Mapping[str, object]] = {},
     protocols: tuple[str, ...] = FAULT_PROTOCOLS,
     phases: tuple[Phase, ...] = (),
     columns: tuple[Column, ...] = (),
 ) -> None:
     """``plan`` is the scenario's constant plan, or a function of the run
     context for the plans that read a tier option (which name their
-    ``phases`` here); ``columns`` are the scenario's own counters."""
+    ``phases`` here); ``options`` are its tier options and ``columns`` its
+    own counters."""
     register(
         ScenarioSpec(
             id=scenario_id,
             group="faults",
             title=title,
             description=description,
-            tiers=standard_tiers(smoke=_SMOKE, paper=paper),
+            messages={"smoke": 12, "paper": 100},
+            options=options,
             axes=(Axis(None, protocols),),
             run_cell=lambda ctx, key: json_safe(measure_fault_plan(
                 ctx.stabilized(key[0]),
@@ -256,10 +252,6 @@ def _burst_size(ctx: RunContext, default: int) -> int:
     return int(ctx.option("burst_size", default))  # type: ignore[arg-type]
 
 
-#: The paper tier's churn bursts: 150 of its 10 000 nodes at a time.
-_PAPER_BURSTS = replace(_PAPER, extra={"burst_size": 150})
-
-
 _register_fault_scenario(
     scenario_id="faults_churn_trace",
     title="Faults — churn-trace replay",
@@ -274,7 +266,7 @@ _register_fault_scenario(
         Claim("faults", "hyparview", "average", ">=",
               Ref("cyclon-acked", "average", slack=-0.01)),
     ),
-    paper=_PAPER_BURSTS,
+    options={"paper": {"burst_size": 150}},  # 150 of 10 000 nodes a burst
     phases=CHURN_PHASES,
 )
 
@@ -413,7 +405,7 @@ _register_fault_scenario(
         Claim("reliable", "hyparview-reliable", "average", ">", 0.85),
         Claim("reliable", "hyparview-reliable", "final.largest_component", ">", 0.9),
     ),
-    paper=_PAPER_BURSTS,
+    options={"paper": {"burst_size": 150}},  # 150 of 10 000 nodes a burst
     protocols=RELIABLE_PROTOCOLS,
     phases=CHURN_PHASES,
     columns=_ACK_COLUMNS,

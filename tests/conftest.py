@@ -51,8 +51,7 @@ def run_cell(
     (``fractions``, ``steps`` ...).  Without ``snapshots`` the cell
     stabilises its own base, as in the reference run."""
     config = TierConfig(n=n, messages=messages, stabilization_cycles=cycles, extra=options)
-    ctx = RunContext(scenario_id, "smoke", config, 0, seed, snapshots)
-    return get_scenario(scenario_id).run_cell(ctx, key)
+    return get_scenario(scenario_id).run_cell(RunContext(config, seed, snapshots), key)
 
 
 @pytest.fixture

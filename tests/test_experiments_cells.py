@@ -51,7 +51,7 @@ class TestCellEnumeration:
         fractions = len(smoke.extra["fractions"])
         assert len(units) == protocols * fractions
         assert len({unit.cell for unit in units}) == len(units)
-        assert [unit.cell for unit in units] == list(spec.cells(units[0].resolve()[1]))
+        assert [unit.cell for unit in units] == list(spec.cells(units[0].context))
 
     def test_single_point_scenario_is_a_one_cell_grid(self):
         spec = get_scenario("fig1_hyparview_reference")
@@ -68,7 +68,7 @@ class TestCellEnumeration:
         spec = get_scenario(scenario_id)
         units = build_units([scenario_id], "smoke", **TINY)
         assert units and all(isinstance(unit.cell, tuple) for unit in units)
-        _, context = units[0].resolve()
+        context = units[0].context
         keys = [unit.cell for unit in units]
         stubs = {key: {"cell": list(key)} for key in keys}
         expected = json.dumps(spec.merge_cells(context, stubs))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import pathlib
 from collections import namedtuple
+from dataclasses import replace
 
 import pytest
 
@@ -36,7 +37,13 @@ from repro.experiments.reporting import (
     sparkline,
     write_artifact,
 )
-from repro.experiments.runner import SweepTimings, UnitOutcome, WorkUnit
+from repro.experiments.runner import (
+    SweepTimings,
+    UnitOutcome,
+    WorkUnit,
+    build_units,
+    replicate_seed,
+)
 
 
 class TestJsonSafe:
@@ -290,7 +297,9 @@ class TestSweepTimings:
     def test_record_sums_per_scenario(self):
         timings = SweepTimings()
         for scenario_id, elapsed, events in (("a", 0.5, 10), ("b", 1.0, 0), ("a", 0.25, 5)):
-            timings.record(UnitOutcome(scenario_id, 0, (), {}, elapsed, events))
+            unit = build_units(["fig1_hyparview_reference"], "smoke")[0]
+            unit = replace(unit, scenario_id=scenario_id)
+            timings.record(UnitOutcome(unit, {}, elapsed, events))
         assert timings.scenario_seconds == {"a": 0.75, "b": 1.0}
         assert timings.scenario_units == {"a": 2, "b": 1}
         assert timings.scenario_events == {"a": 15, "b": 0}
@@ -314,16 +323,26 @@ class TestSweepTimings:
 
 class TestWorkUnit:
     def test_describe_names_replicate_and_cell(self):
-        unit = WorkUnit("fig2_reliability", "smoke", 1, 42, cell=("cyclon", 0.5))
+        context = build_units(["fig2_reliability"], "smoke")[0].context
+        unit = WorkUnit("fig2_reliability", 1, context, cell=("cyclon", 0.5))
         assert unit.describe() == "fig2_reliability replicate 1 cell cyclon/0.5"
-        single = WorkUnit("fig1_hyparview_reference", "smoke", 0, 42)
+        single = WorkUnit("fig1_hyparview_reference", 0, context)
         assert single.describe() == "fig1_hyparview_reference replicate 0"
 
     def test_size_override_leaves_paper_parameters(self):
-        _, context = WorkUnit("fig2_reliability", "paper", 0, 42).resolve()
-        assert context.config.paper_params
-        _, context = WorkUnit(
-            "fig2_reliability", "paper", 0, 42, n=64, messages=3
-        ).resolve()
-        assert (context.config.n, context.config.messages) == (64, 3)
-        assert not context.config.paper_params
+        (unit, *_) = build_units(["fig2_reliability"], "paper")
+        assert unit.context.config.paper_params
+        (unit, *_) = build_units(["fig2_reliability"], "paper", n=64, messages=3)
+        assert (unit.context.config.n, unit.context.config.messages) == (64, 3)
+        assert not unit.context.config.paper_params
+
+    def test_every_unit_carries_the_overridden_config(self):
+        """``--n``, ``--messages`` and ``--replicates`` reach the context
+        every cell runs with, not only the artifact's header."""
+        units = build_units(["fig1c_failure50"], "paper", n=64, messages=3, replicates=3)
+        assert len(units) == 3 * 2  # two baselines per replicate
+        for unit in units:
+            config = unit.context.config
+            assert (config.n, config.messages, config.replicates) == (64, 3, 3)
+            assert config.stabilization_cycles == 50
+            assert unit.context.seed == replicate_seed(42, "fig1c_failure50", unit.replicate)

@@ -16,7 +16,7 @@ from repro.common.errors import ConfigurationError
 from repro.experiments.params import ExperimentParams
 from repro.experiments.registry import (
     REGISTRY,
-    TIER_NAMES,
+    TIER_SCALES,
     RunContext,
     TierConfig,
     get_scenario,
@@ -35,7 +35,6 @@ from repro.experiments.reporting import (
     write_artifact,
 )
 from repro.experiments.runner import (
-    WorkUnit,
     build_units,
     replicate_seed,
     run_and_report,
@@ -55,9 +54,11 @@ class TestRegistry:
         for scenario_id in scenario_ids():
             spec = get_scenario(scenario_id)
             assert spec.id == scenario_id
-            for tier in TIER_NAMES:
+            for tier, (n, cycles) in TIER_SCALES.items():
                 config = spec.tier(tier)
-                assert config.n >= 2
+                assert (config.n, config.stabilization_cycles) == (n, cycles)
+                assert config.messages == spec.messages[tier]
+                assert config.extra == spec.options.get(tier, {})
             assert callable(spec.run_cell)
             assert spec.columns
             # One execution model: every scenario enumerates >= 1 cell.
@@ -82,13 +83,24 @@ class TestRegistry:
     def test_build_units_unknown_tier_names_the_available_tiers(self):
         with pytest.raises(ConfigurationError, match="no 'nope' tier") as error:
             build_units(["fig2_reliability"], "nope")
-        for tier in TIER_NAMES:
+        for tier in TIER_SCALES:
             assert repr(tier) in str(error.value)
 
     def test_duplicate_registration_rejected(self):
         spec = get_scenario("fig2_reliability")
         with pytest.raises(ConfigurationError, match="duplicate"):
             register(spec)
+
+    @pytest.mark.parametrize("change", [
+        {"messages": {"smoke": 6}},
+        {"messages": {"smoke": 6, "paper": 50, "full": 50}},
+        {"options": {"full": {"fractions": (0.5,)}}},
+    ])
+    def test_registration_rejects_tiers_outside_the_table(self, change):
+        spec = replace(get_scenario("fig2_reliability"), id="fig2_other_tiers", **change)
+        with pytest.raises(ConfigurationError, match="exactly the tiers"):
+            register(spec)
+        assert "fig2_other_tiers" not in REGISTRY
 
     def test_every_scenario_smoke_runs(self):
         """Every registry entry executes end-to-end at a tiny scale and
@@ -121,7 +133,8 @@ class TestRegistry:
         """A typo in a selector would make a claim vacuous: every claim's
         cells, bound cells and required grid are cells of the paper tier."""
         for scenario_id in scenario_ids():
-            spec, context = WorkUnit(scenario_id, "paper", 0, 42).resolve()
+            spec = get_scenario(scenario_id)
+            context = build_units([scenario_id], "paper")[0].context
             labels = dict(spec.cell_rows(context, _labelled_grid(spec, context)))
             for claim in spec.claims:
                 assert _selected(labels, claim.cells), (scenario_id, claim)
@@ -132,7 +145,7 @@ class TestRegistry:
 
 def _rows(run, replicate: int = 0) -> list[tuple[str, dict]]:
     record = run.replicates[replicate]
-    context = RunContext(run.spec.id, run.tier, run.config, replicate, record["seed"])
+    context = RunContext(run.config, record["seed"])
     return run.spec.cell_rows(context, record["result"])
 
 
@@ -214,16 +227,14 @@ def test_tier_options_are_exactly_the_keys_tiers_set(scenario_id, monkeypatch):
 
     monkeypatch.setattr(RunContext, "option", recording)
     run_scenarios([scenario_id], "smoke", workers=1, replicates=1, **TINY)
-    tiers = get_scenario(scenario_id).tiers.values()
-    assert read == {key for config in tiers for key in config.extra}
+    options = get_scenario(scenario_id).options.values()
+    assert read == {key for tier_options in options for key in tier_options}
 
 
 class TestRunContext:
     def test_scaled_params_from_config(self):
         context = RunContext(
-            scenario_id="x", tier="smoke",
-            config=TierConfig(n=50, stabilization_cycles=7),
-            replicate=0, seed=123,
+            config=TierConfig(n=50, messages=5, stabilization_cycles=7), seed=123
         )
         params = context.params()
         assert params.n == 50
@@ -232,16 +243,15 @@ class TestRunContext:
 
     def test_paper_params_flag(self):
         context = RunContext(
-            scenario_id="x", tier="paper",
-            config=TierConfig(n=10_000, paper_params=True),
-            replicate=0, seed=9,
+            config=TierConfig(n=10_000, messages=5, stabilization_cycles=50, paper_params=True),
+            seed=9,
         )
         params = context.params()
         assert params == ExperimentParams.paper(n=10_000, seed=9)
 
     def test_extra_options_reach_the_run(self):
-        config = TierConfig(n=50, extra={"fractions": (0.3,)})
-        context = RunContext("x", "smoke", config, 0, 1)
+        config = TierConfig(n=50, messages=5, stabilization_cycles=7, extra={"fractions": (0.3,)})
+        context = RunContext(config, 1)
         assert context.option("fractions", None) == (0.3,)
         assert context.option("absent", "default") == "default"
 
@@ -266,8 +276,7 @@ class TestSeedDerivation:
             ["fig1_hyparview_reference"], "smoke", root_seed=7, replicates=3
         )
         assert [unit.replicate for unit in units] == [0, 1, 2]
-        resolved = [unit.resolve()[1] for unit in units]
-        assert len({context.seed for context in resolved}) == 3
+        assert len({unit.context.seed for unit in units}) == 3
 
     def test_cell_units_share_their_replicate_seed(self):
         # fig1c_failure50 is one cell per baseline; every cell of one
@@ -276,7 +285,7 @@ class TestSeedDerivation:
         assert [unit.replicate for unit in units] == [0, 0, 1, 1]
         seeds = {}
         for unit in units:
-            seeds.setdefault(unit.replicate, set()).add(unit.resolve()[1].seed)
+            seeds.setdefault(unit.replicate, set()).add(unit.context.seed)
         assert all(len(per_replicate) == 1 for per_replicate in seeds.values())
         assert seeds[0] != seeds[1]
 

@@ -146,7 +146,7 @@ class TestByzantineScenarioFamily:
         for scenario_id in BYZ_IDS:
             spec = get_scenario(scenario_id)
             assert spec.group == "byzantine"
-            assert set(spec.tiers) == {"smoke", "paper", "full"}
+            assert set(spec.messages) == {"smoke", "paper"}
             units = build_units([scenario_id], "smoke", **TINY)
             assert len(units) >= 2
             assert len({unit.cell for unit in units}) == len(units)

@@ -353,7 +353,7 @@ class TestReliableScenarioFamily:
         assert set(RELIABLE_IDS) == {"reliable_loss", "reliable_churn", "reliable_stress"}
         for scenario_id in RELIABLE_IDS:
             spec = get_scenario(scenario_id)
-            assert set(spec.tiers) == {"smoke", "paper", "full"}
+            assert set(spec.messages) == {"smoke", "paper"}
             units = build_units([scenario_id], "smoke", **TINY)
             assert len(units) >= 2  # one cell per protocol
             assert len({unit.cell for unit in units}) == len(units)
