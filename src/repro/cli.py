@@ -38,10 +38,7 @@ from .obs.trace import DisseminationTrace
 # Commands
 # ----------------------------------------------------------------------
 def cmd_quickstart(args: argparse.Namespace) -> int:
-    if args.paper_params:
-        params = ExperimentParams.paper(n=args.n, seed=args.seed)
-    else:
-        params = ExperimentParams.scaled(args.n, seed=args.seed)
+    params = ExperimentParams.scaled(args.n, seed=args.seed)
     print(f"building a {params.n}-node HyParView overlay (seed {params.seed}) ...")
     scenario = Scenario("hyparview", params)
     scenario.build_overlay()
@@ -225,10 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quickstart", help="build an overlay, broadcast, report")
     p.add_argument("--n", type=int, default=200, help="system size")
     p.add_argument("--seed", type=int, default=42, help="root random seed")
-    p.add_argument(
-        "--paper-params", action="store_true",
-        help="use the exact Section 5.1 view sizes regardless of --n",
-    )
     p.add_argument("--messages", type=int, default=10)
     p.set_defaults(func=cmd_quickstart)
 
@@ -242,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes to shard cells across (results are identical)")
     p.add_argument("--seed", type=int, default=42, help="sweep root seed")
     p.add_argument("--n", type=int, default=None,
-                   help="override the tier's system size (disables paper params)")
+                   help="override the tier's system size")
     p.add_argument("--messages", type=int, default=None,
                    help="override the tier's messages per measurement batch")
     p.add_argument("--replicates", type=int, default=None,

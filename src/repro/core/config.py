@@ -102,11 +102,6 @@ class HyParViewConfig:
         """Shuffle walk TTL (defaults to ARWL, see :attr:`shuffle_ttl`)."""
         return self.shuffle_ttl if self.shuffle_ttl is not None else max(self.arwl, 1)
 
-    @classmethod
-    def paper(cls) -> "HyParViewConfig":
-        """The exact Section 5.1 configuration."""
-        return cls()
-
     def scaled(self, n: int) -> "HyParViewConfig":
         """A configuration scaled for an ``n``-node system.
 

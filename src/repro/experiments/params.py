@@ -1,11 +1,10 @@
 """Experiment parameters (Section 5.1) and the protocol stack registry.
 
-``ExperimentParams.paper()`` is the exact published configuration at
-n = 10 000.  ``ExperimentParams.scaled(n)`` keeps every protocol relation
-intact (Cyclon view = HyParView active + passive; shuffle length ≈ 40% of
-the view; fanout fixed at 4) while shrinking the log-sized views for a
-smaller system, so laptop-scale runs preserve the comparisons the paper
-makes.  Scale is chosen where an experiment is run — a registry tier, or
+``ExperimentParams.scaled(n)`` keeps every protocol relation intact
+(Cyclon view = HyParView active + passive; shuffle length ≈ 40% of the
+view; fanout fixed at 4) while sizing the log-sized views for ``n``; at
+its anchor, ``scaled(10_000)`` is exactly the published Section 5.1
+configuration, and smaller systems keep the comparisons the paper makes.  Scale is chosen where an experiment is run — a registry tier, or
 ``repro bench --n / --messages / --seed`` — never from the environment.
 """
 
@@ -66,17 +65,6 @@ class ExperimentParams:
             raise ConfigurationError(
                 f"unknown BRB mode {self.brb_mode!r}; expected one of {BRB_MODES}"
             )
-
-    @classmethod
-    def paper(cls, n: int = 10_000, seed: int = 42) -> "ExperimentParams":
-        """The exact Section 5.1 setting (10 000 nodes by default)."""
-        return cls(
-            n=n,
-            seed=seed,
-            stabilization_cycles=50,
-            hyparview=HyParViewConfig.paper(),
-            cyclon=CyclonConfig(view_size=35, shuffle_length=14),
-        )
 
     @classmethod
     def scaled(

@@ -89,7 +89,6 @@ class TierConfig:
     messages: int
     stabilization_cycles: int
     replicates: int = 1
-    paper_params: bool = False
     #: scenario-specific knobs (sweep grids, step counts, ...).
     extra: Mapping[str, object] = field(default_factory=dict)
 
@@ -123,8 +122,6 @@ class RunContext:
     snapshots: Optional[SnapshotCache] = None
 
     def params(self) -> ExperimentParams:
-        if self.config.paper_params:
-            return ExperimentParams.paper(n=self.config.n, seed=self.seed)
         return ExperimentParams.scaled(
             self.config.n,
             seed=self.seed,
@@ -257,7 +254,6 @@ class ScenarioSpec:
             n=n,
             messages=self.messages[name],
             stabilization_cycles=cycles,
-            paper_params=name == "paper",
             extra=self.options.get(name, {}),
         )
 

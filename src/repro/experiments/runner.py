@@ -164,7 +164,6 @@ def _resolve(
         n=config.n if n is None else n,
         messages=config.messages if messages is None else messages,
         replicates=config.replicates if replicates is None else replicates,
-        paper_params=config.paper_params and n is None,
     )
 
 
@@ -298,7 +297,6 @@ class ScenarioRun:
                 "messages": self.config.messages,
                 "replicates": self.config.replicates,
                 "stabilization_cycles": self.config.stabilization_cycles,
-                "paper_params": self.config.paper_params,
                 "extra": dict(self.config.extra),
             },
             "replicates": list(self.replicates),

@@ -9,6 +9,9 @@ not — ever, by a single byte.
 A cheap three-scenario subset runs in the regular suite; the full
 fourteen-scenario paper-family sweep is slow-marked (a few minutes) and
 runs with the slow tier of CI.
+
+All 28 were re-pinned when the artifact's ``config.paper_params`` key
+(false in every smoke artifact) was dropped: every other byte is unchanged.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ PR2_SMOKE_SHA256 = {
     # atomic (read as series|atomic) and correct_nodes (final.alive),
     # and average_reliability and first10_average (read as average and
     # series|head); no value moves.
-    "ablation_flood_resend": "0616d1c3325324cbc57254576a1df11331ac8ecd1290ec72deda9c2f3e2b5cc6",
+    "ablation_flood_resend": "d91ccda78f98ef9d220f309e3ee77fd33be92786e06f1fa02aef4ec07f6d1e41",
     # Section 5.2 as a one-event fault plan (the plan's "crash" stream draws
     # the victims; the row gains phases, fault_stats, final, applied): average
     # at capacity 3 0.936 -> 0.840, at capacity 8 0.974 -> 0.840.
@@ -40,8 +43,8 @@ PR2_SMOKE_SHA256 = {
     # and average_reliability, tail_reliability and
     # largest_component_fraction (read as average, series|tail and
     # final.largest_component); no value moves.
-    "ablation_passive_size": "d5c4145480656528c32d777aa0000346499899c285111a1e68531df0f22803ad",
-    "ablation_plumtree": "29ad4100ee07b4495e96f62528b909bdfed5db68d7052d4d128d982f667d8f5c",
+    "ablation_passive_size": "5aec7ed5f4e0c4e160a89ef677aea59d5c706250ae4416951b2dfb6ac762e7bf",
+    "ablation_plumtree": "d5c6c65e2d5ab7bd256cad9cae2244539c5e95ca85262efa5182093404e26971",
     # One promotion pass per cycle or shuffle reply: recovery at shuffle TTL 1:
     # 1.000 -> 0.795; at TTL 6: 1.000 -> 0.987.
     # Section 5.2 as a one-event fault plan (the plan's "crash" stream draws
@@ -50,16 +53,16 @@ PR2_SMOKE_SHA256 = {
     # One name per metric: the row drops failure_fraction (the cell key),
     # atomic (read as series|atomic) and correct_nodes (final.alive),
     # and recovery_average (read as average); no value moves.
-    "ablation_shuffle_ttl": "ae65d485150d263fa7e520422681d4f6dbaffd24f99f7729648a4c55695c5fc5",
-    "fig1_hyparview_reference": "c8d7e26bcce14fe1b5ba2807334d2b5f547e78bc2988fcf0b5ea0ea680d9c928",
-    "fig1a_cyclon_fanout": "ecd2e364928a0ebf6b4a7aad8857bf82e81934ad82aa62222b8338ef404f5333",
-    "fig1b_scamp_fanout": "652cc0e5030789b9cb958a4bd7b0f4df9b3d20befbfc087547d89bfb2638487e",
+    "ablation_shuffle_ttl": "1bc670b68dc5d43786efa6584dce6563bb1b182cbf3658b7aa5ff0c02f90b371",
+    "fig1_hyparview_reference": "0913e098136c416e14d80c3328b27fd3ba63ed49fd8adc41cce1ddf10be2d1bf",
+    "fig1a_cyclon_fanout": "bfb3522cc70d02ce648ce5c9751d5f62b28560cad81876912cac2d09d54f3e39",
+    "fig1b_scamp_fanout": "0384056d3302dfdae52b3eafc848b363cdbfdcf8a2883195234c03deb938a522",
     # Section 5.2 as a one-event fault plan (the plan's "crash" stream draws
     # the victims; the row gains phases, fault_stats, final, applied): average
     # cyclon 0.656 -> 0.700, scamp 0.478 -> 0.528.
     # One name per metric: the row drops failure_fraction (the cell key),
     # atomic (read as series|atomic) and correct_nodes (final.alive); no value moves.
-    "fig1c_failure50": "bace4e8c956f6387437da52502c36a5b299af72d35dc9e3deb66b34182f9bc1f",
+    "fig1c_failure50": "b536c622336e2837ccf8775900973224d696c212dec5378a839083fe904f165e",
     # One promotion pass per cycle or shuffle reply: hyparview/0.70 average
     # 0.719 -> 0.868; every other cell unchanged.
     # Section 5.2 as a one-event fault plan (the plan's "crash" stream draws
@@ -67,7 +70,7 @@ PR2_SMOKE_SHA256 = {
     # average 0.868 -> 1.000, cyclon/0.70 0.281 -> 0.149.
     # One name per metric: the row drops failure_fraction (the cell key),
     # atomic (read as series|atomic) and correct_nodes (final.alive); no value moves.
-    "fig2_reliability": "885803cca33a450dda8612b5d9c8c27c359aade65b693039237f53ee00a99824",
+    "fig2_reliability": "393f41f500506e4407180bb43de02d32d68fb4cb1af46224761a6e8ac0f5d7e9",
     # One promotion pass per cycle or shuffle reply: hyparview/0.70 average
     # 0.900 -> 0.884; every other cell unchanged.
     # Section 5.2 as a one-event fault plan (the plan's "crash" stream draws
@@ -75,13 +78,13 @@ PR2_SMOKE_SHA256 = {
     # average 0.884 -> 0.811, cyclon-acked/0.70 0.605 -> 0.711.
     # One name per metric: the row drops failure_fraction (the cell key),
     # atomic (read as series|atomic) and correct_nodes (final.alive); no value moves.
-    "fig3_recovery": "a8b11b091409e65b25f2a819125485609cb47f130e87808fe81e0d76ca3a0e5b",
-    "fig4_healing": "5d915cce24b53bcc7caad3d881acc17a838253ced679ed91d59b5fb5808f98e2",
-    "fig5_indegree": "34bda314256aa0b0667445eefbf7a0ac18dd924a91596d0eb7445ca66aaa1ce3",
-    "overhead": "bdce9df4930b2b56d5e32b65d3c37345af1189f1ef1e880d005bf41453fb7a3b",
+    "fig3_recovery": "6e498476a9bad1813beba3eb108b699c8f5118574b25c8f5db2c0048c1d40798",
+    "fig4_healing": "fc67ba1e174f230c87b126c374f641ee0eedfa45235705574da5e76adf7c1fbe",
+    "fig5_indegree": "ff2c3ab2219c65f9d19e306df58ff97916ce5a1a45f1f57a6e174521506d7587",
+    "overhead": "d251ff3bb52b7c08d53d01a51eebdeaef7b74018862da59a4d5d9476fa464cdc",
     # One promotion pass per cycle or shuffle reply: hyparview in-degree
     # minimum 3 -> 5 (every view full), clustering 0.052 -> 0.056.
-    "table1_graph": "fca80442a76f70608288ab4d1a1e480b4a7311da81d02c7a2dc29d0510b7065d",
+    "table1_graph": "f4dde3300c81d16e4dd438e00db33a7e9e13ce865718fee8b5d65b7f16083466",
 }
 
 #: sha256 of the fault-injection family's smoke artifacts at root seed 42,
@@ -92,24 +95,24 @@ PR2_SMOKE_SHA256 = {
 PR4_FAULT_SMOKE_SHA256 = {
     # One promotion pass per cycle or shuffle reply: hyparview frames dropped
     # by the adversary 68 -> 66.
-    "faults_adversary": "1cff07fa2fc184b3dd053fa76fb9bbe9a280c43449e77c69535427d92fd3679a",
+    "faults_adversary": "e1a3ef7c15def43f6548179c6466c910ca78dbea7e9700b550d681c8dad27203",
     # One promotion pass per cycle or shuffle reply: hyparview send failures 57
     # -> 49.
-    "faults_cascade": "dc64351fab0454cab95ab4be035b7904cdeeb0243889fb924214f325aab6f834",
+    "faults_cascade": "aeeb25adf3dd4c9be271bda45ae0a2585511322c44bef246dbdb92de6502afbf",
     # Re-pinned when a rejecting NeighborReply became a reliable send: two
     # rejections to dead requesters are send failures (13 -> 15) instead of
     # silent drops (dropped_dead 3 -> 1).
     # One promotion pass per cycle or shuffle reply: hyparview send failures 15
     # -> 9.
-    "faults_churn_trace": "89d5f3669236265e63354a246524432acd6c9b9c5c33a6c1cdfd257741658bf3",
+    "faults_churn_trace": "ea779bd54b1ac36e79e33ca9b85ed518ed9248635ce2d07b9368447426bc128f",
     # One promotion pass per cycle or shuffle reply: hyparview average 0.831 ->
     # 0.829, send failures 3 -> 0.
-    "faults_flash_crowd": "11ffcead29d3df16ef26f67a2ea38a2f183d49ec287be875f3c55c8fccb63b45",
+    "faults_flash_crowd": "3dae01fb6f5dddfa251a9508ebc98220edf6a5cf36161515e46c1d2320b6f213",
     # One promotion pass per cycle or shuffle reply: hyparview healed 0.966 ->
     # 0.938, symmetry 0.956 -> 0.929.
-    "faults_partition_heal": "a4a8443f330871c87010ba7618f07d30690993de067bc42fdc67674610bc5b77",
+    "faults_partition_heal": "6d72b15fa80d45f4b9ee8b4a53ca3b2dc1fae19b9a919b6092b79f8e3c0d2db2",
     # Re-pinned in PR 22: exact timestamps, the quantised tick was deleted.
-    "faults_wan_jitter": "cb6b5108db4b67201153898b3ac2a2eeb2f93e55c0616abfa9327f4f5980c12e",
+    "faults_wan_jitter": "313e8ef68de021c9c181cda8364df4474b39e468bfbfece740fdbc962b052ce5",
 }
 
 #: sha256 of the reliable-delivery family's smoke artifacts at root seed
@@ -125,18 +128,18 @@ PR5_RELIABLE_SMOKE_SHA256 = {
     # retransmissions 107 -> 106, give-ups 0 -> 0
     # One promotion pass per cycle or shuffle reply: hyparview-reliable average
     # 0.986 -> 0.982.
-    "reliable_churn": "b7545afb72a648ac5f1a05d35a1e300b805a0f21b63df761e2db512d6ae29e54",
+    "reliable_churn": "f4c6c5bbc500e834165315795e62652f5e0b53ee5a5fd051cbc266aa95f49659",
     # retransmissions 948 -> 927, give-ups 4 -> 1
     # One promotion pass per cycle or shuffle reply: hyparview-reliable give-
     # ups 1 -> 0, symmetry 0.997 -> 1.000.
-    "reliable_loss": "5c022cf3c35d281ceb06686120494b2201b9f91a6d828f37bfafd6d2fc27d6fb",
+    "reliable_loss": "85ebe0c1374dedc8a2671169c87fbf71cbcc02ecdfaa886ae74dc59c81ac6e34",
     # retransmissions 2 402 -> 2 292, give-ups 424 -> 428.  Re-pinned again
     # when a rejecting NeighborReply became a reliable send (loss no longer
     # drops it): retransmissions 655 -> 659, give-ups 43 -> 47 in the
     # hyparview-reliable cell, symmetry 0.959 -> 0.957.
     # One promotion pass per cycle or shuffle reply: hyparview-reliable give-
     # ups 47 -> 31, symmetry 0.957 -> 0.968.
-    "reliable_stress": "c442e9917739022e367e06edd5813df33c520c3d68960b647826535030989829",
+    "reliable_stress": "ac26d764df68f936749c968b1ae494fdb7d60b9eb5f9f8f6cce60e5a0ebee2da",
 }
 
 #: sha256 of the Byzantine-broadcast family's smoke artifacts at root
@@ -150,14 +153,14 @@ PR7_BYZ_SMOKE_SHA256 = {
     # it.  Every other byte is unchanged.
     # One promotion pass per cycle or shuffle reply: hyparview-reliable
     # validated average at 30 % Byzantine 0.638 -> 0.624.
-    "byz_adversary_fraction": "a1b8ec0319a4fcf1eca8659aa0da8e24198f251f098b57cbf9c1827fcdd4c4e3",
+    "byz_adversary_fraction": "eadcbcd8f0f7531344ff5b6e7ed49b6fe20677b5bc7fca1f3f008a9a4013d310",
     # Re-pinned in PR 24 (learned retransmit timeout under the BRB phases):
     # retransmissions 836 -> 644, give-ups 0 -> 0.  The other two retransmit
     # nothing before or after and did not move.
-    "byz_churn": "6eb34a8b03fd075949e8776bb0cdfa0a201e83167783b12af8f457a6d573607a",
+    "byz_churn": "e4ea20b7def3be3e408dfad8931e10320fbde3681349c0c0b5d1095851a3b2a2",
     # One promotion pass per cycle or shuffle reply: hyparview-reliable
     # validated average 0.708 -> 0.707.
-    "byz_equivocation": "1fe3c5e69eb22f918b5670218ab79ec2d693d00366013fae1293dde7293018d3",
+    "byz_equivocation": "f9f9e7b354daea3264ea5812c59d4eec412be4474227a5e921c96a54773d1d56",
 }
 
 #: sha256 of the topology family's smoke artifacts at root seed 42,
@@ -169,13 +172,13 @@ PR7_BYZ_SMOKE_SHA256 = {
 PR10_TOPO_SMOKE_SHA256 = {
     # One promotion pass per cycle or shuffle reply: final link cost hyparview
     # 0.0692 -> 0.0685, hyparview-xbot 0.0396 -> 0.0395.
-    "topo_convergence": "9a13aea13333d8225d8f9f80181cefc83a62389ba21ed7add7bf7ad1f871c8ed",
+    "topo_convergence": "de34c8cd3a2da2ba237c9e3467f6912ea328b92f7185a21d526c4c1909ef80e9",
     # Re-pinned when a rejecting NeighborReply became a reliable send: in
     # each churn cell one rejection to a dead requester is a send failure
     # instead of a silent drop.
     # One promotion pass per cycle or shuffle reply: churn average hyparview
     # 0.978 -> 0.981, hyparview-xbot 0.973 -> 0.979.
-    "topo_latency": "dfe8fb4aaf64876634b2a6d1f90309108b53c8849a4dbcfd72deb83234d6662c",
+    "topo_latency": "3540c9a47cdc6ae1efa6af082a424685ecbbc7414026d8b27dbd9118c5d9f473",
 }
 
 #: Scenarios cheap enough to pin on every test run (seconds, not minutes).

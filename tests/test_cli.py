@@ -22,10 +22,6 @@ class TestParser:
         assert args.seed == 42
         assert args.messages == 10
 
-    def test_paper_params_flag(self):
-        args = build_parser().parse_args(["quickstart", "--paper-params"])
-        assert args.paper_params is True
-
 
 class TestCommands:
     def test_quickstart_runs(self, capsys):

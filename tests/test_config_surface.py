@@ -16,6 +16,7 @@ from dataclasses import fields
 import pytest
 
 from repro.experiments.params import ExperimentParams
+from repro.experiments.registry import TierConfig
 from repro.protocols.cyclon import CyclonConfig
 from repro.service.limits import BreakerConfig
 from repro.service.pubsub import ServiceConfig
@@ -61,7 +62,7 @@ def _keywords_given(cls) -> set[str]:
 
 @pytest.mark.parametrize(
     "cls",
-    [ExperimentParams, CyclonConfig, ServiceConfig, BreakerConfig],
+    [ExperimentParams, TierConfig, CyclonConfig, ServiceConfig, BreakerConfig],
     ids=lambda cls: cls.__name__,
 )
 def test_every_field_is_set_by_production_code(cls):

@@ -13,7 +13,7 @@ from repro.protocols.cyclon import CyclonConfig
 
 class TestHyParViewConfig:
     def test_paper_defaults(self):
-        config = HyParViewConfig.paper()
+        config = HyParViewConfig()
         assert config.active_view_capacity == 5
         assert config.passive_view_capacity == 30
         assert config.arwl == 6
@@ -100,16 +100,23 @@ class TestBaselineConfigs:
 
 class TestExperimentParams:
     def test_paper_configuration(self):
-        params = ExperimentParams.paper()
+        """Section 5.1's numbers, read off ``scaled`` at the paper's size."""
+        params = ExperimentParams.scaled(10_000)
+        hv = params.hyparview
         assert params.n == 10_000
-        assert params.hyparview == HyParViewConfig.paper()
-        assert params.hyparview.fanout == 4
+        assert (hv.active_view_capacity, hv.passive_view_capacity) == (5, 30)
+        assert (hv.arwl, hv.prwl, hv.shuffle_ka, hv.shuffle_kp) == (6, 3, 3, 4)
+        assert hv.fanout == 4
+        assert (params.cyclon.view_size, params.cyclon.shuffle_length) == (35, 14)
         assert params.stabilization_cycles == 50
-        assert params.cyclon.view_size == 35
         assert params.brb_mode == "bracha"
 
     def test_paper_is_the_scaled_setting_at_its_anchor_size(self):
-        assert ExperimentParams.paper() == ExperimentParams.scaled(10_000)
+        """At 10 000 nodes ``scaled`` changes nothing of the defaults,
+        which are Section 5.1's."""
+        params = ExperimentParams.scaled(10_000)
+        assert params.hyparview == HyParViewConfig()
+        assert params.cyclon == CyclonConfig()
 
     def test_scaled_preserves_relations(self):
         params = ExperimentParams.scaled(500)

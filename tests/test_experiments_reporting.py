@@ -329,13 +329,6 @@ class TestWorkUnit:
         single = WorkUnit("fig1_hyparview_reference", 0, context)
         assert single.describe() == "fig1_hyparview_reference replicate 0"
 
-    def test_size_override_leaves_paper_parameters(self):
-        (unit, *_) = build_units(["fig2_reliability"], "paper")
-        assert unit.context.config.paper_params
-        (unit, *_) = build_units(["fig2_reliability"], "paper", n=64, messages=3)
-        assert (unit.context.config.n, unit.context.config.messages) == (64, 3)
-        assert not unit.context.config.paper_params
-
     def test_every_unit_carries_the_overridden_config(self):
         """``--n``, ``--messages`` and ``--replicates`` reach the context
         every cell runs with, not only the artifact's header."""

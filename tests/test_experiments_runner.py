@@ -69,7 +69,6 @@ class TestRegistry:
         for scenario_id in scenario_ids():
             spec = get_scenario(scenario_id)
             assert spec.tier("smoke").n < spec.tier("paper").n
-            assert spec.tier("paper").paper_params
 
     def test_unknown_scenario_raises_with_catalogue(self):
         with pytest.raises(ConfigurationError, match="unknown scenario"):
@@ -241,13 +240,12 @@ class TestRunContext:
         assert params.seed == 123
         assert params.stabilization_cycles == 7
 
-    def test_paper_params_flag(self):
-        context = RunContext(
-            config=TierConfig(n=10_000, messages=5, stabilization_cycles=50, paper_params=True),
-            seed=9,
-        )
-        params = context.params()
-        assert params == ExperimentParams.paper(n=10_000, seed=9)
+    @pytest.mark.parametrize("scenario_id", scenario_ids())
+    def test_paper_tier_runs_the_paper_configuration(self, scenario_id):
+        """Every scenario's paper tier is Section 5.1's setting, which
+        ``tests/test_core_config.py`` checks number by number."""
+        params = RunContext(get_scenario(scenario_id).tier("paper"), seed=9).params()
+        assert params == ExperimentParams.scaled(10_000, seed=9)
 
     def test_extra_options_reach_the_run(self):
         config = TierConfig(n=50, messages=5, stabilization_cycles=7, extra={"fractions": (0.3,)})
