@@ -226,16 +226,20 @@ COMPARATORS: dict[str, Callable[[object, object], bool]] = {
 def resolve(value: object, path: str) -> object:
     """Read ``path`` from a result: dot-separated keys; on a list an integer
     is an index and a name picks the phase row of that name; a trailing
-    ``|reducer`` reduces the list it reached.  ``None`` if a key is missing."""
+    ``|reducer`` reduces the list it reached.  ``None`` if a key is missing
+    or the path runs past a scalar."""
     path, _, reducer = path.partition("|")
     for part in filter(None, path.split(".")):
         if isinstance(value, list):
             if part.lstrip("-").isdigit():
                 value = value[int(part)]
             else:
-                value = next((row for row in value if row.get("phase") == part), None)
-        elif isinstance(value, Mapping):
-            value = value.get(part)
+                value = next(
+                    (row for row in value if isinstance(row, Mapping) and row.get("phase") == part),
+                    None,
+                )
+        else:
+            value = value.get(part) if isinstance(value, Mapping) else None
         if value is None:
             return None
     return REDUCERS[reducer](value) if reducer else value  # type: ignore[arg-type]

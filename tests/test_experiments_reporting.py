@@ -207,6 +207,13 @@ class TestPaths:
         assert resolve(CELL, "phases.after.average") is None
         assert resolve(CELL, "phases.during.average") is None
 
+    def test_a_path_past_a_scalar_is_none(self):
+        assert resolve({"a": 1.0}, "a.b") is None
+        assert resolve({"a": "str"}, "a.b.c") is None
+        assert resolve(CELL, "final.alive.count") is None
+        assert resolve(CELL, "series.0.average") is None
+        assert resolve(CELL, "series.before") is None
+
     def test_columns_format_and_dash_missing_values(self):
         assert Column("a", "final.alive", "").text(CELL) == "8"
         assert Column("a", "series.0").text(CELL) == "0.5000"
@@ -238,6 +245,18 @@ class TestClaims:
         claim = Claim("x", "hyparview", "phases.during.average", "<", 1.0, ANY)
         assert _failures([claim]) == [
             "check failed: s x: hyparview phases.during.average = None < 1"
+        ]
+
+    def test_a_path_past_a_scalar_fails_the_claim(self):
+        """``final.alive`` is 8; a path that runs past it reads nothing, so
+        the claim fails instead of comparing the 8."""
+        claim = Claim("x", "hyparview", "final.alive.count", "<", 10, ANY)
+        assert _failures([claim]) == [
+            "check failed: s x: hyparview final.alive.count = None < 10"
+        ]
+        past_bound = Claim("x", "hyparview", "final.alive", "<", Ref(None, "n.max"), ANY)
+        assert _failures([past_bound]) == [
+            "check failed: s x: hyparview final.alive = 8 < None (hyparview n.max)"
         ]
 
     def test_claims_outside_their_scale_or_cells_are_skipped(self):
