@@ -390,10 +390,15 @@ class FaultPlan:
         remaining keys are its constructor fields.  List-valued fields
         (``weights``, ``jitter``, ``drop_types``) are accepted as JSON
         arrays.  Every validation error is a :class:`ConfigurationError`
-        naming the offending event.
+        naming the offending event or key.
         """
         if not isinstance(data, dict):
             raise ConfigurationError(f"plan must be a JSON object: {type(data).__name__}")
+        unknown = sorted(set(data) - {"label", "events"})
+        if unknown:
+            raise ConfigurationError(
+                f"plan has unknown keys {unknown}; expected 'label' and 'events'"
+            )
         kinds = {
             "partition": PartitionEvent,
             "degrade": DegradeEvent,

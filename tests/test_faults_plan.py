@@ -195,6 +195,11 @@ class TestPlanSerialization:
     def test_from_dict_rejects_bad_shapes(self):
         with pytest.raises(ConfigurationError, match="JSON object"):
             FaultPlan.from_dict(["not", "a", "plan"])
+        # A misspelt top-level key is named, not read as an empty plan.
+        with pytest.raises(ConfigurationError, match=r"unknown keys \['event'\]"):
+            FaultPlan.from_dict({"event": [{"kind": "crash", "at": 0.1, "count": 1}]})
+        with pytest.raises(ConfigurationError, match=r"\['end', 'phases'\]"):
+            FaultPlan.from_dict({"label": "x", "events": [], "phases": [], "end": 0.9})
         with pytest.raises(ConfigurationError, match="kind"):
             FaultPlan.from_dict({"events": [{"at": 0.1}]})
         with pytest.raises(ConfigurationError, match="#0"):
