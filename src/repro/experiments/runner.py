@@ -42,6 +42,7 @@ maps it over the same chunks in process.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import pathlib
 import sys
@@ -474,27 +475,24 @@ def run_scenarios(
     if timings is not None:
         timings.wall_seconds += time.perf_counter() - started
 
-    # Reassemble in declared unit order: completion order is scheduling noise.
-    replicate_units: dict[str, dict[int, list[WorkUnit]]] = {}
-    for unit in units:
-        replicate_units.setdefault(unit.scenario_id, {}).setdefault(unit.replicate, []).append(unit)
+    # Reassemble in declared unit order (build_units keeps a scenario's and
+    # a replicate's units together): completion order is scheduling noise.
     runs: dict[str, ScenarioRun] = {}
-    for scenario_id, by_replicate in replicate_units.items():
+    for scenario_id, scenario_units in itertools.groupby(units, lambda unit: unit.scenario_id):
         spec = get_scenario(scenario_id)
-        records, trace_records = [], []
-        for replicate, cells in by_replicate.items():
+        records = []
+        for replicate, cells in itertools.groupby(scenario_units, lambda unit: unit.replicate):
             outcomes = [done[scenario_id, replicate, unit.cell] for unit in cells]
-            context = cells[0].context
+            context = outcomes[0].unit.context
             result = spec.merge_cells(
                 context, {outcome.unit.cell: outcome.result for outcome in outcomes}
             )
             records.append({"replicate": replicate, "seed": context.seed, "result": result})
-            trace_records.append({
-                "replicate": replicate,
-                "segments": [segment for outcome in outcomes for segment in outcome.trace or ()],
-            })
-        if traces is not None:
-            traces[scenario_id] = trace_records
+            if traces is not None:
+                traces.setdefault(scenario_id, []).append({
+                    "replicate": replicate,
+                    "segments": [part for outcome in outcomes for part in outcome.trace or ()],
+                })
         runs[scenario_id] = ScenarioRun(
             spec=spec,
             tier=tier,
