@@ -234,10 +234,8 @@ def resolve(value: object, path: str) -> object:
             if part.lstrip("-").isdigit():
                 value = value[int(part)]
             else:
-                value = next(
-                    (row for row in value if isinstance(row, Mapping) and row.get("phase") == part),
-                    None,
-                )
+                rows = (row for row in value if isinstance(row, Mapping))
+                value = next((row for row in rows if row.get("phase") == part), None)
         else:
             value = value.get(part) if isinstance(value, Mapping) else None
         if value is None:
