@@ -92,7 +92,7 @@ def _columns(*extra: Column) -> tuple[Column, ...]:
 BYZ_FRACTIONS = (0.0, 0.1, 0.2, 0.3, 0.4)
 
 #: The smoke tier runs Bracha quorums, where the n > 3f cliff is exact;
-#: larger tiers may run sampled (SBRB) quorums, whose guarantees are
+#: the paper tier runs sampled (SBRB) quorums, whose guarantees are
 #: probabilistic, so the cliff is claimed up to n = 256 only.
 _BRACHA = Scale(max_n=256)
 
