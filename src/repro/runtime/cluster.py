@@ -18,9 +18,12 @@ from ..core.config import HyParViewConfig
 from .delivery import DeliveryLog
 from .node import RuntimeNode
 
+#: Longest wait for the wire to go quiet after a join (seconds).
+QUIET_TIMEOUT = 1.0
+
 
 class LocalCluster:
-    """A set of :class:`RuntimeNode` instances joined into one overlay."""
+    """Nodes joined into one overlay; :meth:`start` returns once every join's traffic landed."""
 
     def __init__(
         self,
@@ -50,16 +53,27 @@ class LocalCluster:
             for index in range(size)
         ]
 
-    async def start(self, *, join_delay: float = 0.05, settle: float = 0.3) -> None:
+    async def start(self) -> None:
         """Start every node and join them through the first (the paper's
-        single-contact procedure)."""
+        single-contact procedure), one at a time: each join's traffic lands
+        before the next join, and the last one's before this returns."""
         for node in self.nodes:
             await node.start()
         contact = self.nodes[0].node_id
         for node in self.nodes[1:]:
             node.join(contact)
-            await asyncio.sleep(join_delay)
-        await asyncio.sleep(settle)
+            await self._wait_quiet()
+
+    async def _wait_quiet(self) -> None:
+        """Poll until, on two looks in a row, every running transport is idle
+        and every frame written was read, or :data:`QUIET_TIMEOUT` passes."""
+        loop = asyncio.get_running_loop()
+        deadline, quiet = loop.time() + QUIET_TIMEOUT, 0
+        while quiet < 2 and loop.time() < deadline:
+            await asyncio.sleep(0.001)
+            transports = [node.transport for node in self.alive_nodes()]
+            balance = sum(t.frames_sent - t.frames_received for t in transports)
+            quiet = quiet + 1 if balance == 0 and all(t.idle for t in transports) else 0
 
     async def stop(self) -> None:
         for node in self.nodes:

@@ -231,6 +231,7 @@ class AsyncioTransport(Transport):
         self._peer_epochs: dict[NodeId, int] = {}
         self._watch_callbacks: dict[NodeId, Callable[[NodeId], None]] = {}
         self._background: set[asyncio.Task] = set()
+        self._delayed = 0  # frames a fault delay is holding back
         self._closing = False
         self.frames_sent = 0
         self.frames_received = 0
@@ -292,6 +293,14 @@ class AsyncioTransport(Transport):
         """Highest epoch this transport has seen ``peer`` claim."""
         return self._peer_epochs.get(peer, 0)
 
+    @property
+    def idle(self) -> bool:
+        """No dial pending and no frame queued, being written or held by a fault
+        delay (a probe or watch spawned this loop iteration shows on the next)."""
+        return not (self._connecting or self._delayed) and all(
+            outbox.queue.empty() and not outbox.in_flight for outbox in self._outboxes.values()
+        )
+
     def send(
         self,
         dst: NodeId,
@@ -329,9 +338,8 @@ class AsyncioTransport(Transport):
                 return
             if isinstance(verdict, (int, float)) and verdict > 0:
                 self.frames_faulted += 1
-                self._spawn(
-                    self._delayed_send(float(verdict), dst, frame, message, on_failure)
-                )
+                self._delayed += 1
+                self._loop.call_later(verdict, self._release, dst, frame, message, on_failure)
                 return
         self._enqueue(dst, frame, message, on_failure)
 
@@ -473,16 +481,10 @@ class AsyncioTransport(Transport):
         if observer is not None and not self._closing:
             observer(dst, ok)
 
-    async def _delayed_send(
-        self,
-        delay: float,
-        dst: NodeId,
-        frame: bytes,
-        message: Message,
-        on_failure: Optional[FailureCallback],
-    ) -> None:
-        await asyncio.sleep(delay)
-        self._enqueue(dst, frame, message, on_failure)
+    def _release(self, *queued) -> None:
+        """A delayed frame's time is up (after close, ``_enqueue`` drops it)."""
+        self._delayed -= 1
+        self._enqueue(*queued)
 
     async def _probe_async(self, dst: NodeId, on_result: ProbeCallback) -> None:
         try:

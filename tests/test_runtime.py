@@ -14,7 +14,7 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.core.config import HyParViewConfig
 from repro.protocols.registry import runtime_stack_names
-from repro.runtime.cluster import LocalCluster
+from repro.runtime.cluster import QUIET_TIMEOUT, LocalCluster
 from repro.runtime.node import RuntimeNode
 
 CONFIG = HyParViewConfig(
@@ -87,6 +87,50 @@ class TestJoinAndViews:
             await cluster.start()
             try:
                 assert await cluster.wait_for_views(minimum=1, timeout=10.0)
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
+
+class TestQuietStart:
+    def test_start_returns_with_every_join_landed(self):
+        async def scenario():
+            cluster = LocalCluster(8, config=CONFIG)
+            await cluster.start()
+            try:
+                transports = [node.transport for node in cluster.nodes]
+                assert all(transport.idle for transport in transports)
+                assert sum(t.frames_sent for t in transports) == sum(
+                    t.frames_received for t in transports
+                )
+                assert all(node.active_view() for node in cluster.nodes)
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
+    def test_a_frame_that_never_lands_ends_each_wait_at_its_cap(self):
+        async def scenario():
+            cluster = LocalCluster(3, config=CONFIG)
+            held = cluster.nodes[1]
+            join = held.join
+
+            def join_held(contact):
+                # Every frame node 1 sends is held far longer than the cap.
+                held.transport.fault_injector = lambda dst, message: (
+                    None if message is None else 60.0
+                )
+                join(contact)
+
+            held.join = join_held
+            loop = asyncio.get_running_loop()
+            began = loop.time()
+            await cluster.start()
+            try:
+                assert not held.transport.idle
+                # One capped wait after each of the two joins.
+                assert 2 * QUIET_TIMEOUT <= loop.time() - began < 2 * QUIET_TIMEOUT + 2.0
             finally:
                 await cluster.stop()
 
