@@ -226,13 +226,14 @@ COMPARATORS: dict[str, Callable[[object, object], bool]] = {
 def resolve(value: object, path: str) -> object:
     """Read ``path`` from a result: dot-separated keys; on a list an integer
     is an index and a name picks the phase row of that name; a trailing
-    ``|reducer`` reduces the list it reached.  ``None`` if a key is missing
-    or the path runs past a scalar."""
+    ``|reducer`` reduces the list it reached.  ``None`` if a key is missing,
+    an index is past the list's end, the path runs past a scalar or a
+    reducer meets one."""
     path, _, reducer = path.partition("|")
     for part in filter(None, path.split(".")):
         if isinstance(value, list):
             if part.lstrip("-").isdigit():
-                value = value[int(part)]
+                value = value[int(part)] if -len(value) <= int(part) < len(value) else None
             else:
                 rows = (row for row in value if isinstance(row, Mapping))
                 value = next((row for row in rows if row.get("phase") == part), None)
@@ -240,7 +241,9 @@ def resolve(value: object, path: str) -> object:
             value = value.get(part) if isinstance(value, Mapping) else None
         if value is None:
             return None
-    return REDUCERS[reducer](value) if reducer else value  # type: ignore[arg-type]
+    if not reducer:
+        return value
+    return REDUCERS[reducer](value) if isinstance(value, list) else None
 
 
 @dataclass(frozen=True, slots=True)

@@ -214,6 +214,15 @@ class TestPaths:
         assert resolve(CELL, "series.0.average") is None
         assert resolve(CELL, "series.before") is None
 
+    def test_a_reducer_on_a_scalar_is_none(self):
+        assert resolve({"n": 10}, "n|max") is None
+        assert resolve(CELL, "final.alive|mean") is None
+
+    def test_an_index_past_the_end_is_none(self):
+        assert resolve({"series": [1.0]}, "series.5") is None
+        assert resolve({"series": [1.0]}, "series.-2") is None
+        assert resolve({"series": []}, "series.0") is None
+
     def test_columns_format_and_dash_missing_values(self):
         assert Column("a", "final.alive", "").text(CELL) == "8"
         assert Column("a", "series.0").text(CELL) == "0.5000"
