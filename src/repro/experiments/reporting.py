@@ -24,6 +24,7 @@ stderr, so every file written here stays a pure function of the seed.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import operator
@@ -82,7 +83,12 @@ def encode_artifact(artifact: Mapping[str, object]) -> str:
     Byte-for-byte stability of this encoding is what the parallel-vs-serial
     determinism guarantee (and its CI check) is stated in terms of.
     """
-    return json.dumps(json_safe(artifact), sort_keys=True, indent=2) + "\n"
+    # One growing buffer: ``json.dumps`` would first list every token of a
+    # trace artifact, which runs to hundreds of MB.
+    text = io.StringIO()
+    text.writelines(json.JSONEncoder(sort_keys=True, indent=2).iterencode(json_safe(artifact)))
+    text.write("\n")
+    return text.getvalue()
 
 
 def artifact_filename(scenario_id: str, schema: str = ARTIFACT_SCHEMA) -> str:

@@ -42,6 +42,7 @@ maps it over the same chunks in process.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import multiprocessing
 import pathlib
@@ -53,7 +54,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from ..common.errors import ConfigurationError
 from ..common.rng import SeedSequence
 from ..obs.context import activate_collector, deactivate_collector
-from ..obs.trace import DisseminationTrace, TraceCollector
+from ..obs.trace import TraceCollector
 from ..sim.engine import events_fired_total
 from .registry import CellKey, RunContext, ScenarioSpec, TierConfig, get_scenario
 from .reporting import (
@@ -436,7 +437,7 @@ def run_scenarios(
     messages: Optional[int] = None,
     replicates: Optional[int] = None,
     snapshot_cache: bool = True,
-    traces: Optional[dict[str, list]] = None,
+    trace_sink: Optional[Callable[[str, list], None]] = None,
     progress: Optional[Callable[[str], None]] = None,
     timings: Optional[SweepTimings] = None,
 ) -> dict[str, ScenarioRun]:
@@ -446,9 +447,9 @@ def run_scenarios(
     identical regardless of worker count, snapshot caching or completion
     order.
 
-    Handed a ``traces`` dict, workers collect dissemination-trace
-    segments, and ``traces`` receives, per scenario id, one
-    ``{"replicate", "segments"}`` record per replicate with segments
+    Handed a ``trace_sink``, workers collect dissemination-trace
+    segments, and once a scenario's last unit is in the sink receives its
+    id and one ``{"replicate", "segments"}`` record per replicate, segments
     flattened in cell-enumeration order (so the collected trace is
     identical across the workers × snapshot-cache matrix).  ``BENCH_*``
     artifacts are unaffected.
@@ -459,8 +460,9 @@ def run_scenarios(
     units = build_units(
         scenario_ids, tier,
         root_seed=root_seed, n=n, messages=messages, replicates=replicates,
-        snapshot_cache=snapshot_cache, trace=traces is not None,
+        snapshot_cache=snapshot_cache, trace=trace_sink is not None,
     )
+    left = collections.Counter(unit.scenario_id for unit in units)
     done: dict[tuple[str, int, CellKey], UnitOutcome] = {}
     for outcomes, cache_delta in _chunk_outcomes(build_chunks(units, workers), workers):
         for outcome in outcomes:
@@ -470,6 +472,9 @@ def run_scenarios(
                 timings.record(outcome)
             if progress is not None:
                 progress(f"{unit.describe()} done in {outcome.elapsed:.2f}s")
+            left[unit.scenario_id] -= 1
+            if trace_sink is not None and not left[unit.scenario_id]:
+                trace_sink(unit.scenario_id, _take_trace(units, done, unit.scenario_id))
         if timings is not None:
             timings.record_cache(cache_delta)
     if timings is not None:
@@ -488,11 +493,6 @@ def run_scenarios(
                 context, {outcome.unit.cell: outcome.result for outcome in outcomes}
             )
             records.append({"replicate": replicate, "seed": context.seed, "result": result})
-            if traces is not None:
-                traces.setdefault(scenario_id, []).append({
-                    "replicate": replicate,
-                    "segments": [part for outcome in outcomes for part in outcome.trace or ()],
-                })
         runs[scenario_id] = ScenarioRun(
             spec=spec,
             tier=tier,
@@ -501,6 +501,19 @@ def run_scenarios(
             replicates=tuple(records),
         )
     return runs
+
+
+def _take_trace(units: list[WorkUnit], done: dict, scenario_id: str) -> list[dict]:
+    """One scenario's trace records in declared unit order, taken out of ``done``."""
+    entries = []
+    mine = (unit for unit in units if unit.scenario_id == scenario_id)
+    for replicate, cells in itertools.groupby(mine, lambda unit: unit.replicate):
+        keys = [(scenario_id, replicate, unit.cell) for unit in cells]
+        segments = [part for key in keys for part in done[key].trace or ()]
+        entries.append({"replicate": replicate, "segments": segments})
+        for key in keys:
+            done[key] = replace(done[key], trace=None)
+    return entries
 
 
 def _start_method() -> str:
@@ -541,8 +554,8 @@ def run_and_report(
 
     With ``trace``, dissemination traces are collected and written as
     ``TRACE_*`` files beside the ``BENCH_*`` ones in ``out_dir``, which
-    must be given; a stderr summary surfaces record and drop counts so
-    silent trace truncation is visible.
+    must be given, each once its scenario is done; a stderr summary
+    surfaces record and drop counts so silent trace truncation is visible.
     """
     if trace and out_dir is None:
         raise ConfigurationError(
@@ -551,12 +564,30 @@ def run_and_report(
         )
     stream = stream if stream is not None else sys.stderr
     timings = SweepTimings()
-    traces: Optional[dict[str, list]] = {} if trace else None
+
+    def write_trace(scenario_id: str, entries: list) -> None:
+        segments = [segment for entry in entries for segment in entry["segments"]]
+        print(
+            f"trace [{scenario_id}]: {len(segments)} segment(s), "
+            f"{sum(len(segment['records']) for segment in segments)} record(s), "
+            f"{sum(segment['dropped'] for segment in segments)} dropped",
+            file=stream,
+        )
+        trace_file = {
+            "schema": TRACE_SCHEMA,
+            "scenario": scenario_id,
+            "tier": tier,
+            "root_seed": root_seed,
+            "replicates": entries,
+        }
+        path = write_artifact(out_dir, trace_file)  # type: ignore[arg-type]
+        print(f"  wrote {path}", file=stream)
+
     runs = run_scenarios(
         scenario_ids, tier,
         workers=workers, root_seed=root_seed,
         n=n, messages=messages, replicates=replicates,
-        snapshot_cache=snapshot_cache, traces=traces,
+        snapshot_cache=snapshot_cache, trace_sink=write_trace if trace else None,
         progress=lambda note: print(f"  [{tier}] {note}", file=stream),
         timings=timings,
     )
@@ -575,21 +606,4 @@ def run_and_report(
     if out_dir is not None:
         for path in write_artifacts(runs, out_dir):
             print(f"  wrote {path}", file=stream)
-    for scenario_id, entries in sorted((traces or {}).items()):
-        views = [DisseminationTrace(entry["segments"]) for entry in entries]
-        print(
-            f"trace [{scenario_id}]: {sum(v.segment_count for v in views)} segment(s), "
-            f"{sum(v.record_count for v in views)} record(s), "
-            f"{sum(v.dropped_records for v in views)} dropped",
-            file=stream,
-        )
-        trace_file = {
-            "schema": TRACE_SCHEMA,
-            "scenario": scenario_id,
-            "tier": tier,
-            "root_seed": root_seed,
-            "replicates": entries,
-        }
-        path = write_artifact(out_dir, trace_file)  # type: ignore[arg-type]
-        print(f"  wrote {path}", file=stream)
     return runs

@@ -238,7 +238,7 @@ def test_tracing_on_fig2_matches_pin():
     # the collector active must hash to the same PR-2 value — tracing can
     # never perturb a benchmark artifact byte or an RNG draw.
     traces: dict[str, list] = {}
-    assert _hashes(("fig2_reliability",), traces=traces) == {
+    assert _hashes(("fig2_reliability",), trace_sink=traces.__setitem__) == {
         "fig2_reliability": PR2_SMOKE_SHA256["fig2_reliability"]
     }
     assert any(entry["segments"] for entry in traces["fig2_reliability"])

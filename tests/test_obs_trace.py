@@ -289,7 +289,7 @@ class TestScenarioIntegration:
 def _traced_fig2(**overrides):
     traces: dict[str, list] = {}
     overrides.setdefault("workers", 1)
-    run_scenarios(["fig2_reliability"], "smoke", traces=traces, **overrides)
+    run_scenarios(["fig2_reliability"], "smoke", trace_sink=traces.__setitem__, **overrides)
     return traces["fig2_reliability"]
 
 
@@ -321,6 +321,18 @@ class TestArtifactRoundTrip:
         original = DisseminationTrace(fig2_traces[0]["segments"])
         assert reloaded.message_keys() == original.message_keys()
         assert reloaded.summary_rows() == original.summary_rows()
+
+    def test_each_trace_is_handed_over_once_its_scenario_is_done(self):
+        events = []
+        run_scenarios(
+            ["fig1_hyparview_reference", "fig2_reliability"], "smoke", n=32, messages=2,
+            trace_sink=lambda scenario_id, entries: events.append(("trace", scenario_id)),
+            progress=lambda note: events.append(("unit", note.split()[0])),
+        )
+        assert events.index(("trace", "fig1_hyparview_reference")) < events.index(
+            ("unit", "fig2_reliability")
+        )
+        assert events[-1] == ("trace", "fig2_reliability")
 
     def test_tracing_needs_an_output_directory(self):
         with pytest.raises(ConfigurationError, match="output directory"):
